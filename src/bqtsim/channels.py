@@ -50,10 +50,11 @@ class AdcParams:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Ordered Kraus operators of one channel."""
+    """Ordered Kraus operators of one channel: a sequence of dim x dim
+    matrices or an (m, dim, dim) stack."""
 
     dim: int
-    operators: tuple
+    operators: tuple | np.ndarray
 
     def assert_complete(self, tol: float = 1e-12) -> None:
         """Check sum_k K_k^dag K_k = I within tol."""
@@ -102,12 +103,11 @@ def adc_kraus(params: AdcParams) -> KrausSet:
 
 
 def apply_channel(rho: DensityMatrix, kraus: KrausSet) -> DensityMatrix:
-    """Apply the full Kraus sum rho -> sum_k K rho K^dag."""
+    """Apply the full Kraus sum rho -> sum_k K rho K^dag as one batched product."""
     if rho.dim != kraus.dim:
         raise ValueError(f"state dim {rho.dim} does not match channel dim {kraus.dim}")
-    out = np.zeros_like(rho.mat)
-    for k in kraus.operators:
-        out += k @ rho.mat @ k.conj().T
+    ops = np.asarray(kraus.operators)
+    out = (ops @ rho.mat @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
     return DensityMatrix(out, rho.normalized)
 
 

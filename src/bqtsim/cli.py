@@ -24,13 +24,7 @@ from .metrics import (
     closed_form,
     entanglement_entropy_bob,
 )
-from .protocol import (
-    QubitInput,
-    Scenario,
-    distribute,
-    prepare_channel,
-    run_protocol,
-)
+from .protocol import RESOURCE, QubitInput, Scenario, distribute, run_protocol
 
 SWEEP_HEADER = "scenario,p,q_w,f_av,g_total,f_av_oracle,g_total_oracle,eam_success,entropy_bob"
 
@@ -105,7 +99,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     f_name = _f_av_oracle_name(scenario)
     for p in np.linspace(args.p_min, args.p_max, args.p_steps):
         p = float(p)
-        dist, _ = distribute(prepare_channel(), scenario, p)
+        dist, _ = distribute(RESOURCE, scenario, p)
         s_bob = entanglement_entropy_bob(dist)
         for q in qw_for(p):
             q = float(q)
@@ -181,7 +175,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         p = float(p)
         vals = []
         for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
-            dist, _ = distribute(prepare_channel(), scenario, p)
+            dist, _ = distribute(RESOURCE, scenario, p)
             vals.append(entanglement_entropy_bob(dist))
         lines.append(",".join([_fmt(p)] + [_fmt(v) for v in vals]))
     _emit(lines, args.out)
@@ -197,7 +191,8 @@ _UNPROTECTED = (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL)
 # The per-party averaging integrands are quadratic polynomials (unprotected)
 # or rationals whose only pole sits at least 0.125 outside [0, 1] for
 # p, q_w <= 0.9 (protected), so 32 Gauss nodes are exact far beyond every
-# check tolerance here while halving the runtime of the default rule.
+# check tolerance here. A fixed rule keeps verify's figures independent of
+# the default one.
 _VERIFY_QUAD = QuadratureSpec(points=32)
 
 
@@ -269,11 +264,10 @@ def _check_unprotected_f_av() -> tuple:
 
 def _check_eam() -> tuple:
     worst, where = 0.0, ""
-    channel = prepare_channel()
     for scenario, name in ((Scenario.RECOVERY_ADC, "g_eam_I"), (Scenario.ALL_ADC, "g_eam_II")):
         for p in np.linspace(0.0, 1.0, 51):
             p = float(p)
-            _, got = distribute(channel, scenario, p)
+            _, got = distribute(RESOURCE, scenario, p)
             err = abs(got - closed_form(name, p).value)
             if err > worst:
                 worst, where = err, f"{scenario.value} p={p:g}"
@@ -347,10 +341,8 @@ def _check_qualitative() -> tuple:
 
 
 def _check_entropy() -> tuple:
-    channel = prepare_channel()
-
     def s_at(scenario: Scenario, p: float) -> float:
-        dist, _ = distribute(channel, scenario, p)
+        dist, _ = distribute(RESOURCE, scenario, p)
         return entanglement_entropy_bob(dist)
 
     worst, where = -math.inf, ""

@@ -4,19 +4,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
-from .protocol import (
-    QubitInput,
-    Scenario,
-    compose_total,
-    distribute,
-    enumerate_branches,
-    prepare_channel,
-)
+from .protocol import RESOURCE, Scenario, _branch_kernel, _input_kets, distribute
 
 __all__ = [
     "QuadRule",
@@ -56,15 +50,23 @@ class QuadratureSpec:
             raise ValueError("SIMPSON needs an even subinterval count")
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.rule is QuadRule.GAUSS_LEGENDRE:
-            x, w = np.polynomial.legendre.leggauss(self.points)
-            return (x + 1.0) / 2.0, w / 2.0
-        n = self.points
-        nodes = np.linspace(0.0, 1.0, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return nodes, w / (3.0 * n)
+        nodes, weights = _nodes_weights(self.points, self.rule)
+        return nodes.copy(), weights.copy()
+
+
+# Gauss-Legendre nodes cost an eigenproblem, which at 64 points takes longer
+# than the averaging itself. Programs use a handful of rules, and the key
+# is the rule alone, so the cache stays small however many points are swept.
+@lru_cache(maxsize=8)
+def _nodes_weights(points: int, rule: QuadRule) -> tuple[np.ndarray, np.ndarray]:
+    if rule is QuadRule.GAUSS_LEGENDRE:
+        x, w = np.polynomial.legendre.leggauss(points)
+        return (x + 1.0) / 2.0, w / 2.0
+    nodes = np.linspace(0.0, 1.0, points + 1)
+    w = np.ones(points + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return nodes, w / (3.0 * points)
 
 
 @dataclass(frozen=True)
@@ -99,24 +101,23 @@ def average_fidelity(
     branch-weighted fidelity is exactly that single-party mean squared,
     which makes the node values sqrt-exact and the quadrature free of any
     cross-party coupling. Phases drop out of every factor, so only the
-    population is integrated.
+    population is integrated. Degenerate branches add nothing to a node's
+    value; the result is NaN when every branch of some node is degenerate.
     """
     if quad is None:
         quad = QuadratureSpec()
     nodes, weights = quad.nodes_weights()
-    # The distributed channel state depends only on (scenario, p); hoist it
-    # out of the node loop instead of re-running the full protocol per node.
-    dist, _ = distribute(prepare_channel(), scenario, p)
-    acc = 0.0
-    for a, w in zip(nodes, weights):
-        inp = QubitInput(float(a))
-        total = compose_total(inp, dist, inp)
-        branches = enumerate_branches(total, scenario, p, q_w, inp, inp)
-        live = [b for b in branches if not b.degenerate]
-        if not live:
-            return float("nan")
-        tf = float(sum(b.joint_prob * b.branch_fidelity for b in live))
-        acc += w * math.sqrt(max(tf, 0.0))
+    # One kernel call covers every node; the distributed state depends
+    # only on (scenario, p).
+    dist, _ = distribute(RESOURCE, scenario, p)
+    kets = _input_kets(nodes)
+    rho = kets[:, :, None] * kets[:, None, :].conj()
+    branches = _branch_kernel(dist.mat, rho, rho, scenario, q_w)
+    live = ~branches.degenerate
+    if not live.any(axis=1).all():
+        return float("nan")
+    tf = np.where(live, branches.joint * branches.fidelity, 0.0).sum(axis=1)
+    acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
     return acc * acc
 
 

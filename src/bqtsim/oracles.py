@@ -5,7 +5,7 @@ algebra: the post-selected channel pairs factorize, so each Bell outcome
 acts on one party's input independently and joint quantities are products
 of per-party factors. Nothing in this module calls into the measurement
 pipeline; the only shared code is the parameter records, so agreement with
-protocol.enumerate_branches is a real cross-check.
+the branches of protocol.run_protocol is a real cross-check.
 
 Per-party outcome classes: indices 1 and 2 land the input amplitudes in
 order (damped component second), indices 3 and 4 land them swapped. All

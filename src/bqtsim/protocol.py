@@ -13,16 +13,19 @@ all four channel qubits, each either protected (no-decay post-selection at
 distribution plus weak-measurement correction) or left bare with the full
 damping channel applied and no correction.
 
-Branch enumeration is exhaustive and deterministic; all 16 Bell outcome
-combinations are computed exactly, never sampled.
+All 16 Bell outcome combinations are computed exactly, never sampled, by
+one batched kernel: each party's Bell bra is contracted with that party's
+input first, so the 6-qubit state is never built, and the 16 corrections
+act as one operator stack. The kernel evaluates a stack of input pairs at
+once, which is how `average_fidelity` covers every quadrature node in one
+call. `enumerate_branches` keeps the direct 6-qubit projection as the
+reference the kernel is tested against.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -46,6 +49,7 @@ __all__ = [
     "Scenario",
     "BranchOutcome",
     "ProtocolResult",
+    "RESOURCE",
     "prepare_channel",
     "distribute",
     "compose_total",
@@ -55,6 +59,14 @@ __all__ = [
     "enumerate_branches",
     "run_protocol",
 ]
+
+
+def _input_kets(pop0, phase=0.0) -> np.ndarray:
+    """Input kets [sqrt(pop0), sqrt(1-pop0) e^{i phase}] over broadcast
+    arrays of populations and phases, amplitudes on the last axis."""
+    pop0 = np.asarray(pop0, dtype=float)
+    a1 = np.sqrt(1.0 - pop0) * np.exp(1j * np.asarray(phase, dtype=float))
+    return np.stack(np.broadcast_arrays(np.sqrt(pop0).astype(complex), a1), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -73,9 +85,7 @@ class QubitInput:
             raise ValueError(f"pop0={self.pop0!r} outside [0, 1]")
 
     def ket(self) -> Ket:
-        a0 = math.sqrt(self.pop0)
-        a1 = math.sqrt(1.0 - self.pop0) * cmath.exp(1j * self.phase)
-        return Ket(np.array([a0, a1], dtype=complex))
+        return Ket(_input_kets(self.pop0, self.phase))
 
     def density(self) -> DensityMatrix:
         return self.ket().density()
@@ -162,8 +172,18 @@ _BELL_KETS = np.array(
     dtype=complex,
 ) / math.sqrt(2.0)
 
-# Outcome index (1-based) -> correction unitary.
-_CORR_UNITARIES = (I2, SZ, SX, SX @ SZ)
+# The same kets as amplitude tables B[k][x, y], x the first qubit's bit.
+_BELL_TABLES = _BELL_KETS.reshape(4, 2, 2)
+
+# Each party's Bell bra folded with its own input, as linear maps of the
+# row-major flattened 2x2 input. Alice's bra on (a, 1) leaves
+# B_i^dag rho_a B_i on qubit 1, axes (x x', i y y'); Bob's on (4, b) leaves
+# B_j^* rho_b B_j^T on qubit 4, axes (z z', w w' j).
+_FOLD_ALICE = np.einsum("ixy,iXY->xXiyY", _BELL_TABLES.conj(), _BELL_TABLES).reshape(4, 16)
+_FOLD_BOB = np.einsum("jwz,jWZ->zZwWj", _BELL_TABLES.conj(), _BELL_TABLES).reshape(4, 16)
+
+# Outcome index (0-based) -> correction unitary.
+_CORR_UNITARIES = np.stack((I2, SZ, SX, SX @ SZ))
 
 
 def _branch_contractions() -> np.ndarray:
@@ -183,6 +203,20 @@ def _branch_contractions() -> np.ndarray:
 _PROJ_STACK = _branch_contractions()
 
 
+def _kron_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes, broadcasting the leading ones."""
+    (m, n), (k, l) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * k, n * l))
+
+
+def _kron_combos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a[s], b[t]) for every s and t of two matrix stacks, stacked in
+    the order s * len(b) + t."""
+    out = _kron_batched(a[:, None], b[None, :])
+    return out.reshape((-1,) + out.shape[2:])
+
+
 def prepare_channel() -> DensityMatrix:
     """4-qubit resource state: two Bell pairs on (1,2) and (3,4).
 
@@ -197,22 +231,28 @@ def prepare_channel() -> DensityMatrix:
     return Ket(ket).density()
 
 
-@lru_cache(maxsize=1024)
-def _lifted_kraus(noisy: tuple, p: float, no_decay_only: bool) -> tuple:
-    """4-qubit lifts of the damping Kraus operators on the given qubits.
+# The resource every run starts from, built once. Its matrix is backed by
+# immutable bytes, so no caller can write to it or make it writable again
+# and change what later runs see.
+RESOURCE = DensityMatrix(
+    np.frombuffer(prepare_channel().mat.tobytes(), dtype=complex).reshape(16, 16)
+)
 
-    Cached because sweeps and quadratures revisit the same p many times;
-    callers only ever multiply with the returned matrices.
+
+def _lifted_kraus(noisy: tuple, p: float, no_decay_only: bool) -> np.ndarray:
+    """(m, 16, 16) stack of 4-qubit lifts of the damping Kraus operators.
+
+    One lift per decay combination on the `noisy` qubits, the first noisy
+    qubit's choice varying slowest (k0 alone when `no_decay_only`), built as
+    one batched Kronecker product of the per-qubit k0/k1/identity stacks.
     """
-    k0, k1 = adc_kraus(AdcParams(p)).operators
-    combos = ((0,) * len(noisy),) if no_decay_only else tuple(np.ndindex(*(2,) * len(noisy)))
-    ops = []
-    for combo in combos:
-        lift = np.eye(16, dtype=complex)
-        for q, which in zip(noisy, combo):
-            lift = embed_op(k1 if which else k0, [q], 4) @ lift
-        ops.append(lift)
-    return tuple(ops)
+    kraus = np.stack(adc_kraus(AdcParams(p)).operators)
+    if no_decay_only:
+        kraus = kraus[:1]
+    lifts = np.ones((1, 1, 1), dtype=complex)
+    for q in range(4):
+        lifts = _kron_combos(lifts, kraus if q in noisy else I2[None])
+    return lifts
 
 
 def distribute(channel: DensityMatrix, scenario: Scenario, p: float) -> tuple[DensityMatrix, float]:
@@ -226,13 +266,10 @@ def distribute(channel: DensityMatrix, scenario: Scenario, p: float) -> tuple[De
     """
     if channel.dim != 16:
         raise ValueError("distribute expects the 4-qubit resource state")
-    noisy = scenario.noisy_qubits
+    lifts = _lifted_kraus(scenario.noisy_qubits, p, scenario.protected)
     if scenario.protected:
-        (lift,) = _lifted_kraus(noisy, p, True)
-        return eam_postselect(channel, lift)
-    ops = _lifted_kraus(noisy, p, False)
-    out = apply_channel(channel, KrausSet(16, ops))
-    return out, 1.0
+        return eam_postselect(channel, lifts[0])
+    return apply_channel(channel, KrausSet(16, lifts)), 1.0
 
 
 def compose_total(alice_in: QubitInput, channel: DensityMatrix, bob_in: QubitInput) -> DensityMatrix:
@@ -248,6 +285,12 @@ def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.outer(v, v.conj()) for v in _BELL_KETS)
 
 
+def _party_corrections(q_w: float, variant: WeakVariant) -> np.ndarray:
+    """(4, 2, 2) stack U_k . m_w, one per outcome k: the weak measurement
+    acts first, then the Pauli (index 0 -> I, 1 -> Z, 2 -> X, 3 -> XZ)."""
+    return _CORR_UNITARIES @ weak_measurement_op(WeakMeasurementParams(q_w, variant))
+
+
 def correction_ops(
     i: int, j: int, q_w: float, variant: WeakVariant
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +302,32 @@ def correction_ops(
     """
     if not (1 <= i <= 4 and 1 <= j <= 4):
         raise ValueError(f"outcome indices must be in 1..4, got ({i}, {j})")
-    mw = weak_measurement_op(WeakMeasurementParams(q_w, variant))
-    return _CORR_UNITARIES[i - 1] @ mw, _CORR_UNITARIES[j - 1] @ mw
+    party = _party_corrections(q_w, variant)
+    return party[i - 1], party[j - 1]
+
+
+def _correct(recovered: np.ndarray, M: np.ndarray) -> tuple:
+    """Apply K correction operators M (K, 4, 4) to N stacks of unnormalized
+    (2, 3) pair states (N, K, 4, 4), operator k to state k of each stack.
+
+    Returns (joint, weight, corrected, degenerate): the recovered traces,
+    the success weights tr(M rho M^dag), the normalized outputs, and the
+    mask of annihilated branches (joint <= DEGENERATE_TOL or weight <
+    DEGENERATE_TOL), whose weight is set to 0 and whose output is
+    meaningless.
+    """
+    n, k = recovered.shape[:2]
+    # Row-major vec(M rho M^dag) = (M (x) M^*) vec(rho): one matmul per
+    # operator over all N states.
+    superop = _kron_batched(M, M.conj())
+    vec = recovered.reshape(n, k, 16).transpose(1, 2, 0)
+    out = (superop @ vec).transpose(2, 0, 1).reshape(n, k, 4, 4)
+    joint = np.einsum("...ii->...", recovered).real
+    weight = np.einsum("...ii->...", out).real
+    degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
+    weight = np.where(degenerate, 0.0, weight)
+    corrected = out / np.where(degenerate, 1.0, weight)[..., None, None]
+    return joint, weight, corrected, degenerate
 
 
 def apply_correction(
@@ -272,16 +339,94 @@ def apply_correction(
     3). Returns the normalized output and the branch success weight
     tr(M rho M^dag), which absorbs the probability prefactor because
     `recovered` is unnormalized. Raises DegenerateBranchError when the
-    weight is numerically zero.
+    recovered trace or the weight is numerically zero.
     """
-    if recovered.trace() <= DEGENERATE_TOL:
-        raise DegenerateBranchError("recovered state has numerically zero weight")
-    M = kron(M_B, M_A)
-    out = M @ recovered.mat @ M.conj().T
-    weight = float(np.trace(out).real)
-    if weight < DEGENERATE_TOL:
-        raise DegenerateBranchError(f"correction annihilated the branch (weight {weight:g})")
-    return DensityMatrix(out / weight), weight
+    _, weight, corrected, degenerate = _correct(recovered.mat[None, None], kron(M_B, M_A)[None])
+    if degenerate[0, 0]:
+        raise DegenerateBranchError("branch weight is numerically zero")
+    return DensityMatrix(corrected[0, 0]), float(weight[0, 0])
+
+
+@dataclass(frozen=True)
+class _Branches:
+    """Arrays of every branch of N input pairs, branch k = 4(i-1)+(j-1).
+
+    `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16);
+    `fidelity` is None when no reference inputs were given.
+    """
+
+    recovered: np.ndarray
+    joint: np.ndarray
+    weight: np.ndarray
+    corrected: np.ndarray
+    fidelity: Optional[np.ndarray]
+    degenerate: np.ndarray
+
+    def outcomes(self, n: int = 0) -> tuple:
+        """The 16 branches of input pair n as BranchOutcome views."""
+        joint, weight, degenerate = (a[n].tolist() for a in (self.joint, self.weight, self.degenerate))
+        fid = self.fidelity[n].tolist() if self.fidelity is not None else [None] * 16
+        return tuple(
+            BranchOutcome(
+                alice_index=k // 4 + 1,
+                bob_index=k % 4 + 1,
+                joint_prob=joint[k],
+                recovered=DensityMatrix(self.recovered[n, k], normalized=False),
+                corrected=None if degenerate[k] else DensityMatrix(self.corrected[n, k]),
+                success_weight=weight[k],
+                branch_fidelity=None if degenerate[k] else fid[k],
+                degenerate=degenerate[k],
+            )
+            for k in range(16)
+        )
+
+
+def _correct_branches(
+    recovered: np.ndarray,
+    scenario: Scenario,
+    q_w: float,
+    reference: Optional[np.ndarray],
+) -> _Branches:
+    """Correct the (N, 16, 4, 4) recovered branch states of a scenario.
+
+    Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
+    one on qubit 3 (each party hears the partner's result over the
+    classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w.
+    Branch fidelities tr(reference . corrected) are filled in when the
+    (N, 4, 4) reference products are given.
+    """
+    if not scenario.protected and q_w != 0.0:
+        raise ValueError("unprotected scenarios require q_w = 0")
+    party = _party_corrections(q_w, scenario.weak_variant)
+    joint, weight, corrected, degenerate = _correct(recovered, _kron_combos(party, party))
+    fidelity = None
+    if reference is not None:
+        fidelity = np.einsum("nab,nkba->nk", reference, corrected).real
+    return _Branches(recovered, joint, weight, corrected, fidelity, degenerate)
+
+
+def _branch_kernel(
+    dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, scenario: Scenario, q_w: float
+) -> _Branches:
+    """Every branch for N input pairs over one distributed resource state.
+
+    dist is the 16x16 state of qubits (1, 2, 3, 4); rho_a and rho_b are
+    (N, 2, 2) stacks of Alice's and Bob's inputs. Alice's Bell bra on (a, 1)
+    folds her input into a 2x2 operator on qubit 1, B_i^dag rho_a B_i, and
+    Bob's bra on (4, b) folds his into B_j^* rho_b B_j^T on qubit 4; the
+    (2, 3) pair of branch (i, j) is the resource contracted with both.
+    """
+    n = rho_a.shape[0]
+    alice = rho_a.reshape(n, 4) @ _FOLD_ALICE
+    bob = (rho_b.reshape(n, 4) @ _FOLD_BOB).reshape(n, 4, 4)
+    # dist as axes (y, m, w, y', m', w'): y on qubit 1, m on the kept
+    # (2, 3) pair, w on qubit 4. Contract Alice's (y, y') with it, then
+    # Bob's (w, w'), and order the result (n, i, j, m, m').
+    d = dist.reshape(2, 4, 2, 2, 4, 2).transpose(0, 3, 1, 2, 4, 5).reshape(4, 64)
+    t = (alice.reshape(4 * n, 4) @ d).reshape(n, 4, 4, 2, 4, 2)
+    rec = t.transpose(0, 1, 2, 4, 3, 5).reshape(n, 64, 4) @ bob
+    rec = rec.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3).reshape(n, 16, 4, 4)
+    return _correct_branches(rec, scenario, q_w, _kron_batched(rho_a, rho_b))
 
 
 def enumerate_branches(
@@ -296,53 +441,22 @@ def enumerate_branches(
 
     Branch (i, j) projects qubits (a, 1) onto Bell state i and (4, b) onto
     Bell state j, traces the measured qubits out, and corrects the kept
-    (2, 3) pair. Alice's outcome i fixes the Pauli on qubit 2 and Bob's
-    outcome j the one on qubit 3 (each party hears the partner's result
-    over the classical channel), so the correction pair is looked up with
-    the labels swapped.
+    (2, 3) pair. This is the direct construction on the composed state;
+    `run_protocol` gets the same branches from the factored kernel, and
+    the tests hold the two against each other.
 
     When the input states are provided, branch fidelities against their
     product are filled in; otherwise they are left None.
     """
     if total.dim != 64:
         raise ValueError("enumerate_branches expects the 6-qubit composed state")
-    if not scenario.protected and q_w != 0.0:
-        raise ValueError("unprotected scenarios require q_w = 0")
     reference = None
     if alice_in is not None and bob_in is not None:
-        reference = kron(alice_in.density().mat, bob_in.density().mat)
-    # One matmul gives every branch: block (k, k) of S rho S^dag is the
-    # projected (2, 3) state for branch k = 4(i-1)+(j-1).
-    blocks = _PROJ_STACK @ total.mat @ _PROJ_STACK.conj().T
-    outcomes = []
-    for i in range(1, 5):
-        for j in range(1, 5):
-            k = 4 * (i - 1) + (j - 1)
-            rec = np.ascontiguousarray(blocks[4 * k : 4 * k + 4, 4 * k : 4 * k + 4])
-            recovered = DensityMatrix(rec, normalized=False)
-            joint_prob = recovered.trace()
-            M_A, M_B = correction_ops(j, i, q_w, scenario.weak_variant)
-            try:
-                corrected, weight = apply_correction(recovered, M_A, M_B)
-                degenerate = False
-            except DegenerateBranchError:
-                corrected, weight, degenerate = None, 0.0, True
-            fid = None
-            if reference is not None and corrected is not None:
-                fid = float(np.trace(reference @ corrected.mat).real)
-            outcomes.append(
-                BranchOutcome(
-                    alice_index=i,
-                    bob_index=j,
-                    joint_prob=joint_prob,
-                    recovered=recovered,
-                    corrected=corrected,
-                    success_weight=weight,
-                    branch_fidelity=fid,
-                    degenerate=degenerate,
-                )
-            )
-    return tuple(outcomes)
+        reference = kron(alice_in.density().mat, bob_in.density().mat)[None]
+    # Row block k of the projection stack gives the (2, 3) state of branch k.
+    proj = _PROJ_STACK.reshape(16, 4, 64)
+    rec = proj @ total.mat @ proj.conj().swapaxes(-1, -2)
+    return _correct_branches(rec[None], scenario, q_w, reference).outcomes()
 
 
 def run_protocol(
@@ -352,12 +466,10 @@ def run_protocol(
     alice_in: QubitInput,
     bob_in: QubitInput,
 ) -> ProtocolResult:
-    """Distribute, compose, measure and correct at one parameter point."""
-    if not scenario.protected and q_w != 0.0:
-        raise ValueError("unprotected scenarios require q_w = 0")
-    dist, eam_success = distribute(prepare_channel(), scenario, p)
-    total = compose_total(alice_in, dist, bob_in)
-    branches = enumerate_branches(total, scenario, p, q_w, alice_in, bob_in)
+    """Distribute, measure and correct at one parameter point."""
+    dist, eam_success = distribute(RESOURCE, scenario, p)
+    rho_a, rho_b = alice_in.density().mat[None], bob_in.density().mat[None]
+    branches = _branch_kernel(dist.mat, rho_a, rho_b, scenario, q_w).outcomes()
     total_success = float(sum(b.success_weight for b in branches))
     live = [b for b in branches if not b.degenerate]
     if live:

@@ -1,5 +1,6 @@
 """Damping Kraus pair, channel application, no-decay post-selection, weak
 measurement operators."""
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from bqtsim.channels import (
     eam_postselect,
     weak_measurement_op,
 )
-from bqtsim.linalg import DensityMatrix, Ket, embed_op, kron
+from bqtsim.linalg import DensityMatrix, Ket, embed_op, kron, kron_all
 
 
 def plus_state():
@@ -77,6 +78,29 @@ def test_apply_channel_preserves_density_properties():
         rho = DensityMatrix(m / np.trace(m).real)
         out = apply_channel(rho, adc_kraus(AdcParams(float(rng.uniform()))))
         out.assert_valid(tol=1e-10)
+
+
+def random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = a @ a.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+@pytest.mark.parametrize("dim", (2, 16))
+def test_apply_channel_equals_kraus_sum_loop(dim):
+    rng = np.random.default_rng(7 + dim)
+    k0, k1 = adc_kraus(AdcParams(0.35)).operators
+    # One damped qubit, or all 16 decay combinations on four.
+    ops = tuple(kron_all(*combo) for combo in itertools.product((k0, k1), repeat=dim.bit_length() - 1))
+    for operators in (ops, np.stack(ops)):
+        for _ in range(5):
+            rho = random_density(rng, dim)
+            want = np.zeros((dim, dim), dtype=complex)
+            for k in ops:
+                want += k @ rho.mat @ k.conj().T
+            got = apply_channel(rho, KrausSet(dim, operators))
+            np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-15)
+            assert got.normalized
 
 
 def test_apply_channel_dim_mismatch():

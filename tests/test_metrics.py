@@ -132,6 +132,12 @@ def test_average_fidelity_quadrature_converged():
         assert abs(f64 - f128) < 1e-8
 
 
+def test_average_fidelity_unprotected_rejects_weak_measurement():
+    for scenario in (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL):
+        with pytest.raises(ValueError, match="q_w = 0"):
+            average_fidelity(scenario, 0.3, 0.1)
+
+
 def test_average_fidelity_degenerate_corner_is_nan():
     assert math.isnan(average_fidelity(Scenario.RECOVERY_ADC, 1.0, 1.0))
 

@@ -10,6 +10,7 @@ from bqtsim import oracles
 from bqtsim.channels import DegenerateBranchError, WeakVariant
 from bqtsim.linalg import SX, SZ, DensityMatrix, kron, partial_trace
 from bqtsim.protocol import (
+    RESOURCE,
     QubitInput,
     Scenario,
     apply_correction,
@@ -56,6 +57,20 @@ def test_prepare_channel_pairs_are_bell():
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
     np.testing.assert_allclose(partial_trace(rho, [0, 1], 4).mat, bell, atol=1e-14)
     np.testing.assert_allclose(partial_trace(rho, [2, 3], 4).mat, bell, atol=1e-14)
+
+
+def test_resource_constant_is_read_only():
+    np.testing.assert_array_equal(RESOURCE.mat, prepare_channel().mat)
+    assert not RESOURCE.mat.flags.writeable
+    with pytest.raises(ValueError):
+        RESOURCE.mat[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        RESOURCE.mat *= 2.0
+    with pytest.raises(ValueError):
+        RESOURCE.mat.setflags(write=True)
+    # Runs read it but never write through it.
+    run_protocol(Scenario.UNPROTECTED_ALL, 0.4, 0.0, QubitInput(0.3), QubitInput(0.6))
+    np.testing.assert_array_equal(RESOURCE.mat, prepare_channel().mat)
 
 
 # -------------------------------------------------------- distribution
