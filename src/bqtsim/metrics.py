@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
-from .protocol import RESOURCE, Scenario, _branch_kernel, _input_kets, distribute
+from .protocol import RESOURCE, Scenario, _correct_branches, _input_kets, _kron_batched, _recover, distribute
 
 __all__ = [
     "QuadRule",
@@ -104,21 +104,36 @@ def average_fidelity(
     population is integrated. Degenerate branches add nothing to a node's
     value; the result is NaN when every branch of some node is degenerate.
     """
+    dist, _ = distribute(RESOURCE, scenario, p)
+    return _average_fidelities(dist, scenario, (q_w,), quad)[0]
+
+
+def _average_fidelities(
+    dist: DensityMatrix, scenario: Scenario, q_ws, quad: Optional[QuadratureSpec] = None
+) -> list:
+    """`average_fidelity` at each of several q_w over one distributed state.
+
+    The quadrature nodes are folded through the resource once, and each
+    q_w corrects that same recovered stack, so a q_w's value does not
+    depend on the others.
+    """
     if quad is None:
         quad = QuadratureSpec()
     nodes, weights = quad.nodes_weights()
-    # One kernel call covers every node; the distributed state depends
-    # only on (scenario, p).
-    dist, _ = distribute(RESOURCE, scenario, p)
     kets = _input_kets(nodes)
     rho = kets[:, :, None] * kets[:, None, :].conj()
-    branches = _branch_kernel(dist.mat, rho, rho, scenario, q_w)
-    live = ~branches.degenerate
-    if not live.any(axis=1).all():
-        return float("nan")
-    tf = np.where(live, branches.joint * branches.fidelity, 0.0).sum(axis=1)
-    acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
-    return acc * acc
+    recovered, reference = _recover(dist.mat, rho, rho), _kron_batched(rho, rho)
+    out = []
+    for q_w in q_ws:
+        branches = _correct_branches(recovered, scenario, q_w, reference)
+        live = ~branches.degenerate
+        if not live.any(axis=1).all():
+            out.append(float("nan"))
+            continue
+        tf = np.where(live, branches.joint * branches.fidelity, 0.0).sum(axis=1)
+        acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
+        out.append(acc * acc)
+    return out
 
 
 _FORMS: dict[str, tuple] = {

@@ -15,11 +15,18 @@ damping channel applied and no correction.
 
 All 16 Bell outcome combinations are computed exactly, never sampled, by
 one batched kernel: each party's Bell bra is contracted with that party's
-input first, so the 6-qubit state is never built, and the 16 corrections
-act as one operator stack. The kernel evaluates a stack of input pairs at
-once, which is how `average_fidelity` covers every quadrature node in one
-call. `enumerate_branches` keeps the direct 6-qubit projection as the
-reference the kernel is tested against.
+input first, so the 6-qubit state is never built. The kernel evaluates a
+stack of input pairs at once, which is how `average_fidelity` covers every
+quadrature node in one call.
+
+The correction stage takes q_w as one float or as one value per input row,
+so the rows of a sweep or a check grid at one (scenario, p) share a single
+`distribute` and a single fold. Each branch correction is a constant Pauli
+pair U_i (x) U_j, built once at import, after a weak factor m_w (x) m_w
+that is the only part to vary by row. The Pauli pairs are signed
+permutations, so they move and sign entries and need no products.
+`enumerate_branches` keeps the direct 6-qubit projection as the reference
+the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -186,6 +193,42 @@ _FOLD_BOB = np.einsum("jwz,jWZ->zZwWj", _BELL_TABLES.conj(), _BELL_TABLES).resha
 _CORR_UNITARIES = np.stack((I2, SZ, SX, SX @ SZ))
 
 
+def _kron_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes, broadcasting the leading ones."""
+    (m, n), (k, l) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * k, n * l))
+
+
+def _kron_combos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a[s], b[t]) for every s and t of two matrix stacks, stacked in
+    the order s * len(b) + t."""
+    out = _kron_batched(a[:, None], b[None, :])
+    return out.reshape((-1,) + out.shape[2:])
+
+
+def _pauli_pair_maps() -> tuple[np.ndarray, np.ndarray]:
+    """Conjugation by the 16 Pauli pairs U_i (x) U_j as an entry map.
+
+    Branch k = 4(i-1)+(j-1) is corrected by U_i on qubit 2 and U_j on
+    qubit 3. Each pair P is a signed permutation with P[r, c_r] = s_r, so
+    (P X P^dag)[r, c] = s_r s_c X[c_r, c_c]. Returns the source entry
+    4 c_r + c_c and the sign s_r s_c of every output entry 4r + c, both
+    (16, 16).
+    """
+    pairs = _kron_combos(_CORR_UNITARIES, _CORR_UNITARIES)
+    cols = np.abs(pairs).argmax(axis=-1)
+    signs = np.take_along_axis(pairs, cols[..., None], axis=-1)[..., 0].real
+    source = (4 * cols[:, :, None] + cols[:, None, :]).reshape(16, 16)
+    sign = (signs[:, :, None] * signs[:, None, :]).reshape(16, 16)
+    return source, sign
+
+
+_PAULI_SOURCE, _PAULI_SIGN = _pauli_pair_maps()
+# The same sources as indices into a row's 16 flattened 4x4 branch states.
+_PAULI_GATHER = _PAULI_SOURCE + 16 * np.arange(16)[:, None]
+
+
 def _branch_contractions() -> np.ndarray:
     """Stack of the 16 rank-4 projection maps <bell_i|_(a,1) (x) I4 (x) <bell_j|_(4,b).
 
@@ -201,20 +244,6 @@ def _branch_contractions() -> np.ndarray:
 
 
 _PROJ_STACK = _branch_contractions()
-
-
-def _kron_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product over the last two axes, broadcasting the leading ones."""
-    (m, n), (k, l) = a.shape[-2:], b.shape[-2:]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (m * k, n * l))
-
-
-def _kron_combos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a[s], b[t]) for every s and t of two matrix stacks, stacked in
-    the order s * len(b) + t."""
-    out = _kron_batched(a[:, None], b[None, :])
-    return out.reshape((-1,) + out.shape[2:])
 
 
 def prepare_channel() -> DensityMatrix:
@@ -285,30 +314,28 @@ def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.outer(v, v.conj()) for v in _BELL_KETS)
 
 
-def _party_corrections(q_w: float, variant: WeakVariant) -> np.ndarray:
-    """(4, 2, 2) stack U_k . m_w, one per outcome k: the weak measurement
-    acts first, then the Pauli (index 0 -> I, 1 -> Z, 2 -> X, 3 -> XZ)."""
-    return _CORR_UNITARIES @ weak_measurement_op(WeakMeasurementParams(q_w, variant))
-
-
 def correction_ops(
     i: int, j: int, q_w: float, variant: WeakVariant
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Correction pair for outcome labels (i, j), each 1..4.
+    """Correction pair (M_A, M_B) for outcome labels (i, j), each 1..4.
 
-    M = U . m_w: the weak measurement acts first, then the Pauli
-    (index 1 -> I, 2 -> Z, 3 -> X, 4 -> XZ). M_A targets qubit 3 and
-    carries index i; M_B targets qubit 2 and carries index j.
+    The first argument is Bob's Bell outcome and the second Alice's: M_A,
+    Alice's correction of qubit 3, carries index i, and M_B, Bob's
+    correction of qubit 2, carries index j, because each party corrects by
+    the outcome the partner announces. Branch (Alice i, Bob j) is therefore
+    corrected by correction_ops(j, i, ...). M = U . m_w: the weak
+    measurement acts first, then the Pauli (index 1 -> I, 2 -> Z, 3 -> X,
+    4 -> XZ).
     """
     if not (1 <= i <= 4 and 1 <= j <= 4):
         raise ValueError(f"outcome indices must be in 1..4, got ({i}, {j})")
-    party = _party_corrections(q_w, variant)
+    party = _CORR_UNITARIES @ weak_measurement_op(WeakMeasurementParams(q_w, variant))
     return party[i - 1], party[j - 1]
 
 
-def _correct(recovered: np.ndarray, M: np.ndarray) -> tuple:
-    """Apply K correction operators M (K, 4, 4) to N stacks of unnormalized
-    (2, 3) pair states (N, K, 4, 4), operator k to state k of each stack.
+def _settle(recovered: np.ndarray, out: np.ndarray) -> tuple:
+    """Normalize corrected products `out` of the unnormalized (2, 3) pair
+    states `recovered`, both (..., 4, 4).
 
     Returns (joint, weight, corrected, degenerate): the recovered traces,
     the success weights tr(M rho M^dag), the normalized outputs, and the
@@ -316,12 +343,6 @@ def _correct(recovered: np.ndarray, M: np.ndarray) -> tuple:
     DEGENERATE_TOL), whose weight is set to 0 and whose output is
     meaningless.
     """
-    n, k = recovered.shape[:2]
-    # Row-major vec(M rho M^dag) = (M (x) M^*) vec(rho): one matmul per
-    # operator over all N states.
-    superop = _kron_batched(M, M.conj())
-    vec = recovered.reshape(n, k, 16).transpose(1, 2, 0)
-    out = (superop @ vec).transpose(2, 0, 1).reshape(n, k, 4, 4)
     joint = np.einsum("...ii->...", recovered).real
     weight = np.einsum("...ii->...", out).real
     degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
@@ -341,10 +362,11 @@ def apply_correction(
     `recovered` is unnormalized. Raises DegenerateBranchError when the
     recovered trace or the weight is numerically zero.
     """
-    _, weight, corrected, degenerate = _correct(recovered.mat[None, None], kron(M_B, M_A)[None])
-    if degenerate[0, 0]:
+    M = kron(M_B, M_A)
+    _, weight, corrected, degenerate = _settle(recovered.mat, M @ recovered.mat @ M.conj().T)
+    if degenerate:
         raise DegenerateBranchError("branch weight is numerically zero")
-    return DensityMatrix(corrected[0, 0]), float(weight[0, 0])
+    return DensityMatrix(corrected), float(weight)
 
 
 @dataclass(frozen=True)
@@ -380,35 +402,90 @@ class _Branches:
             for k in range(16)
         )
 
+    def totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row (N,) total_success, total_fidelity, postselected_fidelity.
+
+        Degenerate branches add nothing. Each total adds the 16 branches
+        left to right from 0.0, as Python's sum does, so a row's totals do
+        not depend on how many rows were evaluated with it. The fidelities
+        are NaN where every branch of a row is degenerate, and the
+        post-selected one also where the total success is numerically zero.
+        """
+        fid = np.where(self.degenerate, 0.0, self.fidelity)
+        terms = np.empty((3,) + fid.shape)
+        terms[0] = self.weight
+        np.multiply(self.joint, fid, out=terms[1])
+        np.multiply(self.weight, fid, out=terms[2])
+        # A running sum adds left to right. It can differ from Python's sum,
+        # which starts at 0, only by a -0.0 where every term is a zero, and
+        # + 0.0 folds that into 0.0.
+        success, fidelity, weighted = terms.cumsum(axis=2)[:, :, -1] + 0.0
+        # A row whose branches are all degenerate has success 0, so the
+        # success test also covers it.
+        postselected = np.divide(
+            weighted, success, out=np.full_like(success, np.nan), where=success > DEGENERATE_TOL
+        )
+        return success, np.where(self.degenerate.all(axis=1), np.nan, fidelity), postselected
+
+
+def _weak_diagonals(q_w, scenario: Scenario) -> np.ndarray:
+    """Diagonals of the scenario's retained weak operator m_w: (1, 2) for a
+    float q_w, (N, 2) for an (N,) array of them.
+
+    Each distinct value is checked by WeakMeasurementParams, and a nonzero
+    one in an unprotected scenario raises ValueError.
+    """
+    scalar = not isinstance(q_w, np.ndarray)
+    values, rows = ((q_w,), None) if scalar else np.unique(q_w, return_inverse=True)
+    table = []
+    for v in values:
+        if v != 0.0 and not scenario.protected:
+            raise ValueError("unprotected scenarios require q_w = 0")
+        m_w = weak_measurement_op(WeakMeasurementParams(float(v), scenario.weak_variant))
+        table.append(m_w.diagonal().real)
+    return table[0][None] if scalar else np.stack(table)[rows]
+
 
 def _correct_branches(
     recovered: np.ndarray,
     scenario: Scenario,
-    q_w: float,
+    q_w,
     reference: Optional[np.ndarray],
 ) -> _Branches:
     """Correct the (N, 16, 4, 4) recovered branch states of a scenario.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
-    classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w.
-    Branch fidelities tr(reference . corrected) are filled in when the
-    (N, 4, 4) reference products are given.
+    classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w
+    = (U_i (x) U_j)(m_w (x) m_w). q_w is a float for every row or an (N,)
+    array with one value per row. Branch fidelities tr(reference .
+    corrected) are filled in when the (N, 4, 4) reference products are
+    given.
     """
-    if not scenario.protected and q_w != 0.0:
-        raise ValueError("unprotected scenarios require q_w = 0")
-    party = _party_corrections(q_w, scenario.weak_variant)
-    joint, weight, corrected, degenerate = _correct(recovered, _kron_combos(party, party))
+    d = _weak_diagonals(q_w, scenario)
+    # The weak pair is diagonal, D = m_w (x) m_w, so it scales entry (a, b)
+    # by D_a D_b; the Pauli pair then moves and signs the entries.
+    pair = (d[:, :, None] * d[:, None, :]).reshape(-1, 4)
+    scale = (pair[:, :, None] * pair[:, None, :]).reshape(-1, 16)
+    n = recovered.shape[0]
+    out = recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1)
+    out *= _PAULI_SIGN * scale.take(_PAULI_SOURCE, axis=1)
+    # + 0.0 folds the -0.0 a sign flip leaves on zero entries into 0.0.
+    out += 0.0
+    out = out.reshape(n, 16, 4, 4)
+    joint, weight, corrected, degenerate = _settle(recovered, out)
     fidelity = None
     if reference is not None:
-        fidelity = np.einsum("nab,nkba->nk", reference, corrected).real
+        # tr(R C) as one contiguous 16-term sum per branch, so a row's value
+        # does not depend on N.
+        products = reference.swapaxes(-1, -2).reshape(n, 1, 16) * corrected.reshape(n, 16, 16)
+        fidelity = products.sum(axis=-1).real
     return _Branches(recovered, joint, weight, corrected, fidelity, degenerate)
 
 
-def _branch_kernel(
-    dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, scenario: Scenario, q_w: float
-) -> _Branches:
-    """Every branch for N input pairs over one distributed resource state.
+def _recover(dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+    """The (N, 16, 4, 4) unnormalized (2, 3) states of every branch of N
+    input pairs over one distributed resource state.
 
     dist is the 16x16 state of qubits (1, 2, 3, 4); rho_a and rho_b are
     (N, 2, 2) stacks of Alice's and Bob's inputs. Alice's Bell bra on (a, 1)
@@ -425,14 +502,37 @@ def _branch_kernel(
     d = dist.reshape(2, 4, 2, 2, 4, 2).transpose(0, 3, 1, 2, 4, 5).reshape(4, 64)
     t = (alice.reshape(4 * n, 4) @ d).reshape(n, 4, 4, 2, 4, 2)
     rec = t.transpose(0, 1, 2, 4, 3, 5).reshape(n, 64, 4) @ bob
-    rec = rec.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3).reshape(n, 16, 4, 4)
+    return rec.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3).reshape(n, 16, 4, 4)
+
+
+def _branch_kernel(
+    dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, scenario: Scenario, q_w
+) -> _Branches:
+    """Every branch for N input pairs over one distributed resource state,
+    corrected at q_w (a float, or an (N,) array with one value per pair)."""
+    rec = _recover(dist, rho_a, rho_b)
     return _correct_branches(rec, scenario, q_w, _kron_batched(rho_a, rho_b))
+
+
+def _input_densities(inputs) -> np.ndarray:
+    """(N, 2, 2) density matrices of a sequence of QubitInputs, equal bit
+    for bit to their `density()`."""
+    kets = _input_kets([i.pop0 for i in inputs], [i.phase for i in inputs])
+    return kets[:, :, None] @ kets[:, None, :].conj()
+
+
+def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, pairs) -> _Branches:
+    """The branches `run_protocol` gives, for a sequence of (alice_in,
+    bob_in) pairs and q_w values, one row each, over one distributed state
+    of `scenario`."""
+    rho_a = _input_densities([a for a, _ in pairs])
+    rho_b = _input_densities([b for _, b in pairs])
+    return _branch_kernel(dist.mat, rho_a, rho_b, scenario, np.asarray(q_w, dtype=float))
 
 
 def enumerate_branches(
     total: DensityMatrix,
     scenario: Scenario,
-    p: float,
     q_w: float,
     alice_in: Optional[QubitInput] = None,
     bob_in: Optional[QubitInput] = None,
@@ -468,27 +568,16 @@ def run_protocol(
 ) -> ProtocolResult:
     """Distribute, measure and correct at one parameter point."""
     dist, eam_success = distribute(RESOURCE, scenario, p)
-    rho_a, rho_b = alice_in.density().mat[None], bob_in.density().mat[None]
-    branches = _branch_kernel(dist.mat, rho_a, rho_b, scenario, q_w).outcomes()
-    total_success = float(sum(b.success_weight for b in branches))
-    live = [b for b in branches if not b.degenerate]
-    if live:
-        total_fidelity = float(sum(b.joint_prob * b.branch_fidelity for b in live))
-    else:
-        total_fidelity = float("nan")
-    if live and total_success > DEGENERATE_TOL:
-        postselected = float(
-            sum(b.success_weight * b.branch_fidelity for b in live) / total_success
-        )
-    else:
-        postselected = float("nan")
+    rho = _input_densities((alice_in, bob_in))
+    branches = _branch_kernel(dist.mat, rho[:1], rho[1:], scenario, q_w)
+    (total_success,), (total_fidelity,), (postselected,) = branches.totals()
     return ProtocolResult(
         scenario=scenario,
         p=p,
         q_w=q_w,
         eam_success=eam_success,
-        branches=branches,
-        total_success=total_success,
-        total_fidelity=total_fidelity,
-        postselected_fidelity=postselected,
+        branches=branches.outcomes(),
+        total_success=float(total_success),
+        total_fidelity=float(total_fidelity),
+        postselected_fidelity=float(postselected),
     )

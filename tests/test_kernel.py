@@ -1,16 +1,24 @@
 """The batched branch kernel behind run_protocol and average_fidelity,
 held against the direct 6-qubit path: enumerate_branches on the composed
-state, and a per-node loop over it for the input average."""
+state, and a per-node loop over it for the input average. The correction
+stage is also held against the explicit 4x4 correction operators, and a
+stack of rows with one q_w each against one run per row."""
 import math
 
 import numpy as np
 import pytest
 
-from bqtsim.metrics import QuadRule, QuadratureSpec, average_fidelity
+from bqtsim.channels import DegenerateBranchError
+from bqtsim.linalg import DensityMatrix
+from bqtsim.metrics import QuadRule, QuadratureSpec, _average_fidelities, average_fidelity
 from bqtsim.protocol import (
+    RESOURCE,
     QubitInput,
     Scenario,
+    _run_rows,
+    apply_correction,
     compose_total,
+    correction_ops,
     distribute,
     enumerate_branches,
     prepare_channel,
@@ -42,7 +50,7 @@ def draws(scenario, rng):
 
 def reference_branches(scenario, p, q_w, alice, bob):
     dist, _ = distribute(prepare_channel(), scenario, p)
-    return enumerate_branches(compose_total(alice, dist, bob), scenario, p, q_w, alice, bob)
+    return enumerate_branches(compose_total(alice, dist, bob), scenario, q_w, alice, bob)
 
 
 @pytest.mark.parametrize("scenario", tuple(Scenario))
@@ -77,7 +85,7 @@ def reference_average_fidelity(scenario, p, q_w, quad):
     acc = 0.0
     for a, w in zip(nodes, weights):
         inp = QubitInput(float(a))
-        branches = enumerate_branches(compose_total(inp, dist, inp), scenario, p, q_w, inp, inp)
+        branches = enumerate_branches(compose_total(inp, dist, inp), scenario, q_w, inp, inp)
         live = [b for b in branches if not b.degenerate]
         if not live:
             return float("nan")
@@ -115,3 +123,98 @@ def test_average_fidelity_nan_matches_per_node_loop(quad):
     for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
         assert math.isnan(average_fidelity(scenario, 1.0, 1.0, quad))
         assert math.isnan(reference_average_fidelity(scenario, 1.0, 1.0, quad))
+
+
+@pytest.mark.parametrize("scenario", tuple(Scenario))
+def test_correction_matches_explicit_operators(scenario):
+    """Each corrected branch against M rho M^dag with M built by
+    correction_ops, which shares no code with the kernel's Pauli maps.
+    Branch (Alice i, Bob j) is corrected by correction_ops(j, i, ...)."""
+    rng = np.random.default_rng(71 + list(Scenario).index(scenario))
+    degenerate_seen = 0
+    for p, q, alice, bob in draws(scenario, rng):
+        for b in run_protocol(scenario, p, q, alice, bob).branches:
+            where = f"{scenario.value} p={p} q_w={q} ({b.alice_index},{b.bob_index})"
+            ops = correction_ops(b.bob_index, b.alice_index, q, scenario.weak_variant)
+            recovered = DensityMatrix(b.recovered.mat, normalized=False)
+            if b.degenerate:
+                degenerate_seen += 1
+                with pytest.raises(DegenerateBranchError):
+                    apply_correction(recovered, *ops)
+                continue
+            corrected, weight = apply_correction(recovered, *ops)
+            assert abs(b.success_weight - weight) <= BRANCH_TOL, where
+            assert np.max(np.abs(b.corrected.mat - corrected.mat)) <= BRANCH_TOL, where
+    if scenario.protected:
+        assert degenerate_seen > 0
+
+
+def identical(x, y) -> bool:
+    """Equal bit for bit, so signed zeros and NaN positions count too."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("scenario", tuple(Scenario))
+def test_row_stack_matches_one_run_per_row(scenario):
+    """Every draw's (q_w, inputs) as one row of a stack at each of a few p,
+    rows of different q_w mixed, equals run_protocol on that row alone."""
+    rng = np.random.default_rng(89 + list(Scenario).index(scenario))
+    rows = [(q, alice, bob) for _, q, alice, bob in draws(scenario, rng)]
+    degenerate_rows = 0
+    for p in (0.0, 1.0, float(rng.uniform()), float(rng.uniform())):
+        dist, _ = distribute(RESOURCE, scenario, p)
+        qs = [q for q, _, _ in rows]
+        stack = _run_rows(dist, scenario, qs, [(a, b) for _, a, b in rows])
+        totals = stack.totals()
+        for n, (q, alice, bob) in enumerate(rows):
+            where = f"{scenario.value} p={p} q_w={q} row {n}"
+            want = run_protocol(scenario, p, q, alice, bob)
+            got_totals = [float(t[n]) for t in totals]
+            assert identical(got_totals, [want.total_success, want.total_fidelity, want.postselected_fidelity]), where
+            degenerate_rows += all(b.degenerate for b in want.branches)
+            for g, w in zip(stack.outcomes(n), want.branches):
+                assert g.degenerate == w.degenerate, where
+                assert identical(g.joint_prob, w.joint_prob), where
+                assert identical(g.success_weight, w.success_weight), where
+                assert identical(g.recovered.mat, w.recovered.mat), where
+                if not w.degenerate:
+                    assert identical(g.branch_fidelity, w.branch_fidelity), where
+                    assert identical(g.corrected.mat, w.corrected.mat), where
+    if scenario.protected:
+        # p = q_w = 1 rows are wholly degenerate; their NaN totals must match.
+        assert degenerate_rows > 0
+
+
+@pytest.mark.parametrize("quad", RULES[:2], ids=lambda q: f"{q.rule.value}-{q.points}")
+def test_multi_qw_average_matches_one_average_per_qw(quad):
+    rng = np.random.default_rng(97)
+    for scenario in Scenario:
+        for p in (0.0, 1.0, float(rng.uniform()), float(rng.uniform())):
+            if scenario.protected:
+                qs = [0.0, 1.0, p, float(rng.uniform()), 0.0]
+            else:
+                qs = [0.0, 0.0]
+            dist, _ = distribute(RESOURCE, scenario, p)
+            got = _average_fidelities(dist, scenario, qs, quad)
+            want = [average_fidelity(scenario, p, q, quad) for q in qs]
+            assert identical(got, want), f"{scenario.value} p={p} q_w={qs}"
+            if scenario.protected and p == 1.0:
+                assert math.isnan(got[1]) and not math.isnan(got[0])
+
+
+def test_row_stack_rejects_bad_qw():
+    inp = (QubitInput(0.3, 0.2), QubitInput(0.6, 1.0))
+    for scenario in (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL):
+        dist, _ = distribute(RESOURCE, scenario, 0.4)
+        with pytest.raises(ValueError):
+            _run_rows(dist, scenario, [0.0, 0.2, 0.0], [inp] * 3)
+        with pytest.raises(ValueError):
+            _average_fidelities(dist, scenario, [0.0, 0.1])
+    for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
+        dist, _ = distribute(RESOURCE, scenario, 0.4)
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                _run_rows(dist, scenario, [0.2, bad], [inp] * 2)
+            with pytest.raises(ValueError):
+                _average_fidelities(dist, scenario, [0.2, bad])

@@ -342,13 +342,13 @@ def test_unprotected_rejects_weak_measurement():
             QubitInput(0.5), distribute(prepare_channel(), scenario, 0.3)[0], QubitInput(0.5)
         )
         with pytest.raises(ValueError):
-            enumerate_branches(total, scenario, 0.3, 0.1)
+            enumerate_branches(total, scenario, 0.1)
 
 
 def test_enumerate_without_inputs_leaves_fidelity_unset():
     dist, _ = distribute(prepare_channel(), Scenario.RECOVERY_ADC, 0.2)
     total = compose_total(QubitInput(0.7), dist, QubitInput(0.3))
-    branches = enumerate_branches(total, Scenario.RECOVERY_ADC, 0.2, 0.1)
+    branches = enumerate_branches(total, Scenario.RECOVERY_ADC, 0.1)
     assert all(b.branch_fidelity is None for b in branches)
     assert all(b.corrected is not None for b in branches)
 
