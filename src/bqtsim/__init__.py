@@ -4,7 +4,6 @@ cross-checks."""
 from .channels import (
     AdcParams,
     DegenerateBranchError,
-    KrausSet,
     WeakMeasurementParams,
     WeakVariant,
     adc_kraus,
@@ -30,7 +29,6 @@ from .protocol import (
     QubitInput,
     Scenario,
     apply_correction,
-    bell_projectors,
     compose_total,
     correction_ops,
     distribute,
@@ -47,7 +45,6 @@ __all__ = [
     "DegenerateBranchError",
     "DensityMatrix",
     "Ket",
-    "KrausSet",
     "OracleValue",
     "ProtocolResult",
     "QuadRule",
@@ -60,7 +57,6 @@ __all__ = [
     "apply_channel",
     "apply_correction",
     "average_fidelity",
-    "bell_projectors",
     "closed_form",
     "closed_form_names",
     "compose_total",

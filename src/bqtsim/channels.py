@@ -20,7 +20,6 @@ __all__ = [
     "DegenerateBranchError",
     "DEGENERATE_TOL",
     "AdcParams",
-    "KrausSet",
     "WeakVariant",
     "WeakMeasurementParams",
     "adc_kraus",
@@ -48,24 +47,6 @@ class AdcParams:
             raise ValueError(f"decay probability p={self.p!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """Ordered Kraus operators of one channel: a sequence of dim x dim
-    matrices or an (m, dim, dim) stack."""
-
-    dim: int
-    operators: tuple | np.ndarray
-
-    def assert_complete(self, tol: float = 1e-12) -> None:
-        """Check sum_k K_k^dag K_k = I within tol."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.operators:
-            acc += k.conj().T @ k
-        err = float(np.max(np.abs(acc - np.eye(self.dim))))
-        if err > tol:
-            raise ValueError(f"Kraus completeness violated by {err:g}")
-
-
 class WeakVariant(Enum):
     """Which diagonal weak-measurement family to use.
 
@@ -89,24 +70,24 @@ class WeakMeasurementParams:
             raise ValueError(f"weak measurement strength q_w={self.q_w!r} outside [0, 1]")
 
 
-def adc_kraus(params: AdcParams) -> KrausSet:
-    """Single-qubit amplitude damping Kraus pair.
+def adc_kraus(params: AdcParams) -> np.ndarray:
+    """Single-qubit amplitude damping Kraus pair as a (2, 2, 2) stack (k0, k1).
 
     k0 = diag(1, sqrt(1-p)) keeps the populations, k1 moves |1> to |0>
     with probability p. Completeness k0^dag k0 + k1^dag k1 = I holds
     exactly in exact arithmetic.
     """
     p = params.p
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return KrausSet(2, (k0, k1))
+    k0 = [[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]]
+    k1 = [[0.0, math.sqrt(p)], [0.0, 0.0]]
+    return np.array([k0, k1], dtype=complex)
 
 
-def apply_channel(rho: DensityMatrix, kraus: KrausSet) -> DensityMatrix:
-    """Apply the full Kraus sum rho -> sum_k K rho K^dag as one batched product."""
-    if rho.dim != kraus.dim:
-        raise ValueError(f"state dim {rho.dim} does not match channel dim {kraus.dim}")
-    ops = np.asarray(kraus.operators)
+def apply_channel(rho: DensityMatrix, ops: np.ndarray) -> DensityMatrix:
+    """Apply the full Kraus sum rho -> sum_k K rho K^dag of an (m, d, d)
+    stack of Kraus operators as one batched product."""
+    if ops.shape[-2:] != (rho.dim, rho.dim):
+        raise ValueError(f"Kraus operators of shape {ops.shape[1:]} do not act on dim {rho.dim}")
     out = (ops @ rho.mat @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
     return DensityMatrix(out, rho.normalized)
 

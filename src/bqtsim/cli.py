@@ -31,6 +31,8 @@ from .protocol import RESOURCE, QubitInput, Scenario, _run_rows, distribute, run
 SWEEP_HEADER = "scenario,p,q_w,f_av,g_total,f_av_oracle,g_total_oracle,eam_success,entropy_bob"
 
 _SCENARIO_NAMES = tuple(s.value for s in Scenario)
+_PROTECTED = tuple(s for s in Scenario if s.protected)
+_UNPROTECTED = tuple(s for s in Scenario if not s.protected)
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -53,20 +55,10 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _g_total_oracle_name(scenario: Scenario) -> Optional[str]:
-    if scenario is Scenario.RECOVERY_ADC:
-        return "g_t_I"
-    if scenario is Scenario.ALL_ADC:
-        return "g_t_II"
-    return None
-
-
-def _f_av_oracle_name(scenario: Scenario) -> Optional[str]:
-    if scenario is Scenario.UNPROTECTED_RECOVERY:
-        return "f_av_unprot_I"
-    if scenario is Scenario.UNPROTECTED_ALL:
-        return "f_av_unprot_II"
-    return None
+def _form_name(prefix: str, scenario: Scenario) -> str:
+    """The closed form `prefix` of the scenario's situation, e.g. g_t_I:
+    g_t and g_eam for a protected scenario, f_av_unprot for a bare one."""
+    return f"{prefix}_{scenario.situation}"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -97,8 +89,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fixed_input = args.pop0 is not None
     header = SWEEP_HEADER + (",pop0" if fixed_input else "")
     lines = [header]
-    g_name = _g_total_oracle_name(scenario)
-    f_name = _f_av_oracle_name(scenario)
+    g_name = _form_name("g_t", scenario) if scenario.protected else None
+    f_name = None if scenario.protected else _form_name("f_av_unprot", scenario)
     inp = QubitInput(args.pop0 if fixed_input else 0.5)
     for p in np.linspace(args.p_min, args.p_max, args.p_steps):
         p = float(p)
@@ -173,7 +165,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     for p in np.linspace(0.0, 1.0, args.p_steps):
         p = float(p)
         vals = []
-        for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
+        for scenario in _PROTECTED:
             dist, _ = distribute(RESOURCE, scenario, p)
             vals.append(entanglement_entropy_bob(dist))
         lines.append(",".join([_fmt(p)] + [_fmt(v) for v in vals]))
@@ -183,9 +175,6 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verify: simulation against every closed form, one line per check.
-
-_PROTECTED = (Scenario.RECOVERY_ADC, Scenario.ALL_ADC)
-_UNPROTECTED = (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL)
 
 # The per-party averaging integrands are quadratic polynomials (unprotected)
 # or rationals whose only pole sits at least 0.125 outside [0, 1] for
@@ -211,7 +200,7 @@ def _check_success_oracle(grid_n: int) -> tuple:
     rng = np.random.default_rng(1001)
     worst, where = 0.0, ""
     for scenario in _PROTECTED:
-        name = _g_total_oracle_name(scenario)
+        name = _form_name("g_t", scenario)
         for pi in range(grid_n):
             p = pi / grid_n
             # All (q_w, input draw) rows of this p in one evaluation, drawn
@@ -260,7 +249,7 @@ def _check_suppression() -> tuple:
 def _check_unprotected_f_av() -> tuple:
     worst, where = 0.0, ""
     for scenario in _UNPROTECTED:
-        name = _f_av_oracle_name(scenario)
+        name = _form_name("f_av_unprot", scenario)
         for p in np.linspace(0.0, 1.0, 51):
             p = float(p)
             dist, _ = distribute(RESOURCE, scenario, p)
@@ -274,7 +263,8 @@ def _check_unprotected_f_av() -> tuple:
 
 def _check_eam() -> tuple:
     worst, where = 0.0, ""
-    for scenario, name in ((Scenario.RECOVERY_ADC, "g_eam_I"), (Scenario.ALL_ADC, "g_eam_II")):
+    for scenario in _PROTECTED:
+        name = _form_name("g_eam", scenario)
         for p in np.linspace(0.0, 1.0, 51):
             p = float(p)
             _, got = distribute(RESOURCE, scenario, p)
@@ -324,10 +314,8 @@ def _check_qualitative() -> tuple:
         for scenario in _UNPROTECTED
         for p in grid
     }
-    pairs = (
-        (Scenario.RECOVERY_ADC, Scenario.UNPROTECTED_RECOVERY),
-        (Scenario.ALL_ADC, Scenario.UNPROTECTED_ALL),
-    )
+    # Each protected scenario is held against the bare one of its situation.
+    bare_of = {bare.situation: bare for bare in _UNPROTECTED}
     worst, where = -math.inf, ""
 
     def bump(v: float, tag: str) -> None:
@@ -335,7 +323,8 @@ def _check_qualitative() -> tuple:
         if v > worst:
             worst, where = v, tag
 
-    for prot, bare in pairs:
+    for prot in _PROTECTED:
+        bare = bare_of[prot.situation]
         for p in grid:
             for q in grid:
                 if q <= p:
@@ -375,12 +364,14 @@ def _check_entropy() -> tuple:
     return worst, 0.0, where, ""
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        return _usage_error("grid must be at least 2")
+def _verify_checks(grid_n: int) -> list:
+    """Run every verify check once, `grid_n` points per axis on the success
+    grid; one (title, error, tolerance, worst location, note) tuple per
+    check, which passes when error <= tolerance."""
+    # Checks 5 and 6 read the same sampled branches.
     (rec_err, rec_where), (pr_err, pr_where) = _branch_sample_errors()
-    checks = [
-        ("total success vs closed form", *_check_success_oracle(args.grid)),
+    return [
+        ("total success vs closed form", *_check_success_oracle(grid_n)),
         ("noise suppression at q_w = p", *_check_suppression()),
         ("unprotected average fidelity and determinism", *_check_unprotected_f_av()),
         ("post-selection success probability", *_check_eam()),
@@ -389,6 +380,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("dominance, prohibited domain, scenario ordering", *_check_qualitative()),
         ("entropy boundary values and ordering", *_check_entropy()),
     ]
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.grid < 2:
+        return _usage_error("grid must be at least 2")
+    checks = _verify_checks(args.grid)
     failures = 0
     for idx, (name, err, tol, where, note) in enumerate(checks, start=1):
         ok = err <= tol

@@ -21,7 +21,6 @@ __all__ = [
     "Ket",
     "DensityMatrix",
     "kron",
-    "kron_all",
     "partial_trace",
     "embed_op",
     "hermitian_eigenvalues",
@@ -130,14 +129,6 @@ class DensityMatrix:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two operators (or kets given as 2-D columns)."""
     return np.kron(a, b)
-
-
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    """Left-to-right tensor product of any number of operators."""
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 def _check_targets(targets: Sequence[int], n_qubits: int) -> None:

@@ -191,10 +191,12 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def entanglement_entropy_bob(channel_state: DensityMatrix) -> float:
-    """Entropy of the receiver-side pair of the 4-qubit resource state.
+    """Entropy of Bob's half of the 4-qubit resource state, which is the
+    entanglement between the two parties.
 
-    Qubits are ordered (1, 2, 3, 4); the second and fourth belong to the
-    receiving sides, so the reduction keeps indices 1 and 3.
+    Qubits are ordered (1, 2, 3, 4). Bob holds qubits 2 and 4: qubit 2
+    receives Alice's teleported state and qubit 4 is the one he
+    Bell-measures with his input. The reduction keeps indices 1 and 3.
     """
     if channel_state.dim != 16:
         raise ValueError("expected a 4-qubit channel state")

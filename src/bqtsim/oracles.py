@@ -4,8 +4,9 @@ Every quantity here is written straight from the hand-derived branch
 algebra: the post-selected channel pairs factorize, so each Bell outcome
 acts on one party's input independently and joint quantities are products
 of per-party factors. Nothing in this module calls into the measurement
-pipeline; the only shared code is the parameter records, so agreement with
-the branches of protocol.run_protocol is a real cross-check.
+pipeline; the only shared code is the parameter records (the Scenario
+record's situation and protection flag pick the formulas here), so
+agreement with the branches of protocol.run_protocol is a real cross-check.
 
 Per-party outcome classes: indices 1 and 2 land the input amplitudes in
 order (damped component second), indices 3 and 4 land them swapped. All
@@ -66,20 +67,15 @@ def _party_ket(index: int, alpha: complex, beta: complex, d: float) -> np.ndarra
 
 def _survival(scenario: Scenario, p: float) -> float:
     """Damping survival amplitude riding the channel: sqrt(1-p) when one
-    qubit per pair decays, (1-p) when both do."""
-    if scenario in (Scenario.RECOVERY_ADC, Scenario.UNPROTECTED_RECOVERY):
-        return math.sqrt(1.0 - p)
-    return 1.0 - p
+    qubit per pair decays (situation I), (1-p) when both do (II)."""
+    return math.sqrt(1.0 - p) if scenario.situation == "I" else 1.0 - p
 
 
 def _weak_survival(scenario: Scenario, q_w: float) -> float:
-    if scenario is Scenario.RECOVERY_ADC:
-        return math.sqrt(1.0 - q_w)
-    if scenario is Scenario.ALL_ADC:
-        return 1.0 - q_w
-    if q_w != 0.0:
-        raise ValueError("unprotected scenarios require q_w = 0")
-    return 1.0
+    """Weak-pulse survival amplitude matched to the damping: sqrt(1-q_w) in
+    situation I, (1-q_w) in II. A bare scenario's q_w must be 0."""
+    scenario.check_q_w(q_w)
+    return math.sqrt(1.0 - q_w) if scenario.situation == "I" else 1.0 - q_w
 
 
 def _party_prob(scenario: Scenario, index: int, p: float, pop0: float) -> float:
@@ -89,7 +85,7 @@ def _party_prob(scenario: Scenario, index: int, p: float, pop0: float) -> float:
         d2 = _survival(scenario, p) ** 2
         x, y = (a, b) if cls == 0 else (b, a)
         return (x + y * d2) / (2.0 * (1.0 + d2))
-    if scenario is Scenario.UNPROTECTED_RECOVERY:
+    if scenario.situation == "I":
         return 0.25
     t = 1.0 + p * (a - b) if cls == 0 else 1.0 - p * (a - b)
     return t / 4.0
@@ -97,7 +93,7 @@ def _party_prob(scenario: Scenario, index: int, p: float, pop0: float) -> float:
 
 def _party_success(scenario: Scenario, index: int, p: float, q_w: float, pop0: float) -> float:
     if not scenario.protected:
-        _weak_survival(scenario, q_w)
+        scenario.check_q_w(q_w)
         return _party_prob(scenario, index, p, pop0)
     a, b = pop0, 1.0 - pop0
     s2 = _weak_survival(scenario, q_w) ** 2
@@ -118,8 +114,8 @@ def _party_fidelity(scenario: Scenario, index: int, p: float, q_w: float, pop0: 
         if den <= 1e-300:
             return float("nan")
         return (a * s + b * d) ** 2 / den
-    _weak_survival(scenario, q_w)
-    if scenario is Scenario.UNPROTECTED_RECOVERY:
+    scenario.check_q_w(q_w)
+    if scenario.situation == "I":
         if cls == 1:
             a, b = b, a
         return a * a + b * b * (1.0 - p) + a * b * (p + 2.0 * math.sqrt(1.0 - p))
@@ -177,7 +173,7 @@ def _party_recovered(scenario: Scenario, index: int, p: float, inp: QubitInput) 
     if scenario.protected:
         return pure / (2.0 * (1.0 + d * d))
     cls = _cls(index)
-    if scenario is Scenario.UNPROTECTED_RECOVERY:
+    if scenario.situation == "I":
         leak = p * (b if cls == 0 else a)
         return (pure + leak * _P00) / 4.0
     if cls == 0:
@@ -215,9 +211,9 @@ def _party_corrected(
         if norm <= 1e-300:
             raise DegenerateBranchError("closed-form branch weight is zero")
         return np.outer(v, v.conj()) / norm
-    _weak_survival(scenario, q_w)
+    scenario.check_q_w(q_w)
     d = _survival(scenario, p)
-    if scenario is Scenario.UNPROTECTED_RECOVERY:
+    if scenario.situation == "I":
         if cls == 0:
             v = np.array([alpha, beta * d], dtype=complex)
             return np.outer(v, v.conj()) + p * b * _P00
@@ -259,7 +255,7 @@ def _noisy_pair(p: float, scenario: Scenario, damped_first: bool) -> np.ndarray:
     rho = np.outer(ket, ket.conj()) / 2.0
     if scenario.protected:
         return rho
-    if scenario is Scenario.UNPROTECTED_RECOVERY:
+    if scenario.situation == "I":
         # Single decayed qubit: population leaks to |10> or |01> depending
         # on which side of the pair carries the noise.
         idx = 1 if damped_first else 2

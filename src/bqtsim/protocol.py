@@ -41,7 +41,6 @@ from .channels import (
     DEGENERATE_TOL,
     AdcParams,
     DegenerateBranchError,
-    KrausSet,
     WeakMeasurementParams,
     WeakVariant,
     adc_kraus,
@@ -60,7 +59,6 @@ __all__ = [
     "prepare_channel",
     "distribute",
     "compose_total",
-    "bell_projectors",
     "correction_ops",
     "apply_correction",
     "enumerate_branches",
@@ -99,32 +97,37 @@ class QubitInput:
 
 
 class Scenario(Enum):
-    """Noise placement and protection variant.
+    """The paper's noise situation, run protected or bare.
 
-    Values double as the CLI spellings.
+    `situation` is "I" when only the two recovery qubits decay and "II"
+    when all four channel qubits do. `protected` runs add no-decay
+    post-selection at distribution and a weak-measurement correction;
+    bare ones apply the full damping channel and no correction. The rest
+    follows from those two: `noisy_qubits`, the damped channel qubit
+    indices (0-based within the 4-qubit resource), and `weak_variant`, the
+    weak-pulse family that undoes the situation's damping. Values double
+    as the CLI spellings.
     """
 
-    RECOVERY_ADC = "recovery-adc"
-    ALL_ADC = "all-adc"
-    UNPROTECTED_RECOVERY = "unprotected-recovery"
-    UNPROTECTED_ALL = "unprotected-all"
+    RECOVERY_ADC = ("recovery-adc", "I", True)
+    ALL_ADC = ("all-adc", "II", True)
+    UNPROTECTED_RECOVERY = ("unprotected-recovery", "I", False)
+    UNPROTECTED_ALL = ("unprotected-all", "II", False)
 
-    @property
-    def protected(self) -> bool:
-        return self in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC)
+    def __new__(cls, value: str, situation: str, protected: bool) -> "Scenario":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.situation = situation
+        member.protected = protected
+        member.noisy_qubits = (1, 2) if situation == "I" else (0, 1, 2, 3)
+        member.weak_variant = WeakVariant.SQRT_DIAG if situation == "I" else WeakVariant.LINEAR_DIAG
+        return member
 
-    @property
-    def weak_variant(self) -> WeakVariant:
-        if self in (Scenario.RECOVERY_ADC, Scenario.UNPROTECTED_RECOVERY):
-            return WeakVariant.SQRT_DIAG
-        return WeakVariant.LINEAR_DIAG
-
-    @property
-    def noisy_qubits(self) -> tuple[int, ...]:
-        """Channel qubit indices (0-based within the 4-qubit resource)."""
-        if self in (Scenario.RECOVERY_ADC, Scenario.UNPROTECTED_RECOVERY):
-            return (1, 2)
-        return (0, 1, 2, 3)
+    def check_q_w(self, q_w: float) -> None:
+        """Raise ValueError for a nonzero weak strength in a bare scenario,
+        which applies no weak measurement."""
+        if q_w != 0.0 and not self.protected:
+            raise ValueError("unprotected scenarios require q_w = 0")
 
 
 @dataclass
@@ -275,7 +278,7 @@ def _lifted_kraus(noisy: tuple, p: float, no_decay_only: bool) -> np.ndarray:
     qubit's choice varying slowest (k0 alone when `no_decay_only`), built as
     one batched Kronecker product of the per-qubit k0/k1/identity stacks.
     """
-    kraus = np.stack(adc_kraus(AdcParams(p)).operators)
+    kraus = adc_kraus(AdcParams(p))
     if no_decay_only:
         kraus = kraus[:1]
     lifts = np.ones((1, 1, 1), dtype=complex)
@@ -298,7 +301,7 @@ def distribute(channel: DensityMatrix, scenario: Scenario, p: float) -> tuple[De
     lifts = _lifted_kraus(scenario.noisy_qubits, p, scenario.protected)
     if scenario.protected:
         return eam_postselect(channel, lifts[0])
-    return apply_channel(channel, KrausSet(16, lifts)), 1.0
+    return apply_channel(channel, lifts), 1.0
 
 
 def compose_total(alice_in: QubitInput, channel: DensityMatrix, bob_in: QubitInput) -> DensityMatrix:
@@ -307,11 +310,6 @@ def compose_total(alice_in: QubitInput, channel: DensityMatrix, bob_in: QubitInp
         raise ValueError("compose_total expects a 4-qubit channel state")
     total = kron(alice_in.density().mat, kron(channel.mat, bob_in.density().mat))
     return DensityMatrix(total, channel.normalized)
-
-
-def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four rank-1 Bell projectors, summing to the 2-qubit identity."""
-    return tuple(np.outer(v, v.conj()) for v in _BELL_KETS)
 
 
 def correction_ops(
@@ -439,8 +437,7 @@ def _weak_diagonals(q_w, scenario: Scenario) -> np.ndarray:
     values, rows = ((q_w,), None) if scalar else np.unique(q_w, return_inverse=True)
     table = []
     for v in values:
-        if v != 0.0 and not scenario.protected:
-            raise ValueError("unprotected scenarios require q_w = 0")
+        scenario.check_q_w(v)
         m_w = weak_measurement_op(WeakMeasurementParams(float(v), scenario.weak_variant))
         table.append(m_w.diagonal().real)
     return table[0][None] if scalar else np.stack(table)[rows]

@@ -1,212 +1,72 @@
 """Acceptance gate: one test per shipped guarantee, at the stated
-tolerance. Each test prints a single summary line; run with -rA or -s to
-see them on success."""
-import math
+tolerance. Criteria 1-8 are the checks of `bqtsim verify`, run once for
+the module and read here one per test. Each test prints a single summary
+line; run with -rA or -s to see them on success."""
 import subprocess
 import sys
 import time
 
-import numpy as np
+import pytest
 
-from bqtsim import oracles
-from bqtsim.metrics import (
-    QuadratureSpec,
-    average_fidelity,
-    closed_form,
-    entanglement_entropy_bob,
-)
-from bqtsim.protocol import (
-    QubitInput,
-    Scenario,
-    distribute,
-    prepare_channel,
-    run_protocol,
-)
-
-PROTECTED = (Scenario.RECOVERY_ADC, Scenario.ALL_ADC)
-UNPROTECTED = (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL)
-SUCCESS_FORM = {Scenario.RECOVERY_ADC: "g_t_I", Scenario.ALL_ADC: "g_t_II"}
-FIDELITY_FORM = {
-    Scenario.UNPROTECTED_RECOVERY: "f_av_unprot_I",
-    Scenario.UNPROTECTED_ALL: "f_av_unprot_II",
-}
-
-# 32 Gauss nodes integrate the averaging integrands exactly to well below
-# every tolerance here (quadratic polynomials unprotected, rationals with
-# poles far outside [0, 1] protected); criterion 9 demonstrates the
-# insensitivity directly by doubling the default rule.
-FAST_QUAD = QuadratureSpec(points=32)
-
-
-def random_pairs(seed, n):
-    rng = np.random.default_rng(seed)
-    return [
-        (
-            QubitInput(float(rng.uniform()), float(rng.uniform(0.0, 2.0 * math.pi))),
-            QubitInput(float(rng.uniform()), float(rng.uniform(0.0, 2.0 * math.pi))),
-        )
-        for _ in range(n)
-    ]
+from bqtsim import cli
+from bqtsim.metrics import QuadratureSpec, average_fidelity
+from bqtsim.protocol import Scenario
 
 
 def report(num, name, err, tol, extra=""):
     print(f"[acceptance {num:>2}] {name}: max error {err:.3g} (tol {tol:g}){extra} PASS")
 
 
-def test_c01_total_success_matches_closed_forms():
+@pytest.fixture(scope="module")
+def verify_run():
+    """verify's (title, err, tol, where, note) checks at its default
+    --grid 10, and the seconds they took together."""
     t0 = time.perf_counter()
-    tol, worst = 1e-10, 0.0
-    pairs = random_pairs(101, 10)
-    for scenario in PROTECTED:
-        name = SUCCESS_FORM[scenario]
-        for pi in range(10):
-            p = pi / 10
-            for qi in range(10):
-                q = qi / 10
-                want = closed_form(name, p, q).value
-                for alice, bob in pairs:
-                    res = run_protocol(scenario, p, q, alice, bob)
-                    worst = max(worst, abs(res.total_success - want))
-    elapsed = time.perf_counter() - t0
-    assert worst < tol
-    assert elapsed < 30.0
-    report(1, "total success vs closed forms", worst, tol, f", {elapsed:.1f}s")
+    checks = cli._verify_checks(10)
+    return checks, time.perf_counter() - t0
 
 
-def test_c02_equal_strength_suppression():
-    tol, worst, skipped = 1e-9, 0.0, 0
-    alice, bob = QubitInput(0.3, 0.4), QubitInput(0.7, 1.1)
-    for scenario in PROTECTED:
-        for p in np.linspace(0.0, 1.0, 11):
-            p = float(p)
-            res = run_protocol(scenario, p, p, alice, bob)
-            if all(b.degenerate for b in res.branches):
-                assert p == 1.0  # the only annihilated point
-                assert math.isnan(res.total_fidelity)
-                skipped += 1
-                continue
-            for b in res.branches:
-                assert not b.degenerate
-                worst = max(worst, abs(b.branch_fidelity - 1.0))
-            worst = max(worst, abs(average_fidelity(scenario, p, p) - 1.0))
-    assert worst < tol
-    assert skipped == 2
-    report(2, "q_w = p restores unit fidelity", worst, tol, f", {skipped} annihilated points skipped")
+def accept(verify_run, num):
+    """Assert verify check `num` and report it; returns its note."""
+    title, err, tol, where, note = verify_run[0][num - 1]
+    assert err <= tol, f"{title}: max error {err:.3g} > tol {tol:g} at {where}"
+    report(num, title, err, tol, note)
+    return note
 
 
-def test_c03_unprotected_average_fidelity():
-    f_tol, s_tol = 1e-6, 1e-10
-    f_worst, s_worst = 0.0, 0.0
-    for scenario in UNPROTECTED:
-        name = FIDELITY_FORM[scenario]
-        for p in np.linspace(0.0, 1.0, 51):
-            p = float(p)
-            f_worst = max(
-                f_worst, abs(average_fidelity(scenario, p, 0.0) - closed_form(name, p).value)
-            )
-            res = run_protocol(scenario, p, 0.0, QubitInput(0.25, 0.7), QubitInput(0.6, 2.1))
-            s_worst = max(s_worst, abs(res.total_success - 1.0))
-    assert f_worst < f_tol
-    assert s_worst < s_tol
-    report(3, "unprotected f_av vs closed forms", f_worst, f_tol, f", success err {s_worst:.2g}")
+def test_c01_total_success_matches_closed_forms(verify_run):
+    accept(verify_run, 1)
+    _, seconds = verify_run
+    assert seconds < 30.0
 
 
-def test_c04_postselection_probability():
-    tol, worst = 1e-12, 0.0
-    channel = prepare_channel()
-    for scenario, name in ((Scenario.RECOVERY_ADC, "g_eam_I"), (Scenario.ALL_ADC, "g_eam_II")):
-        for p in np.linspace(0.0, 1.0, 51):
-            p = float(p)
-            _, got = distribute(channel, scenario, p)
-            worst = max(worst, abs(got - closed_form(name, p).value))
-    assert worst < tol
-    report(4, "post-selection probability", worst, tol)
+def test_c02_equal_strength_suppression(verify_run):
+    # p = q_w = 1 annihilates both protected scenarios and nothing else.
+    assert accept(verify_run, 2) == "; 2 annihilated corner point(s) skipped"
 
 
-def _branch_samples():
-    pairs = random_pairs(105, 5)
-    for scenario in PROTECTED:
-        for p in (0.2, 0.5, 0.8):
-            for alice, bob in pairs:
-                yield scenario, p, alice, bob, run_protocol(scenario, p, 0.0, alice, bob)
+def test_c03_unprotected_average_fidelity(verify_run):
+    accept(verify_run, 3)
 
 
-def test_c05_recovered_branch_states():
-    tol, worst = 1e-12, 0.0
-    for scenario, p, alice, bob, res in _branch_samples():
-        for b in res.branches:
-            want = oracles.recovered_closed(scenario, b.alice_index, b.bob_index, p, alice, bob)
-            worst = max(worst, float(np.max(np.abs(b.recovered.mat - want))))
-    assert worst < tol
-    report(5, "recovered branch states entrywise", worst, tol)
+def test_c04_postselection_probability(verify_run):
+    accept(verify_run, 4)
 
 
-def test_c06_joint_branch_probabilities():
-    tol, worst = 1e-12, 0.0
-    for scenario, p, alice, bob, res in _branch_samples():
-        for b in res.branches:
-            want = oracles.joint_prob_closed(scenario, b.alice_index, b.bob_index, p, alice, bob)
-            worst = max(worst, abs(b.joint_prob - want))
-    assert worst < tol
-    report(6, "joint branch probabilities", worst, tol)
+def test_c05_recovered_branch_states(verify_run):
+    accept(verify_run, 5)
 
 
-def test_c07_dominance_prohibited_domain_ordering():
-    grid = [0.1 * k for k in range(1, 10)]
-    slack = 1e-9
-    fav = {
-        (scenario, p, q): average_fidelity(scenario, p, q, FAST_QUAD)
-        for scenario in PROTECTED
-        for p in grid
-        for q in grid
-    }
-    g_sim = {
-        key: run_protocol(key[0], key[1], key[2], QubitInput(0.5), QubitInput(0.5)).total_success
-        for key in fav
-    }
-    unprot = {
-        (scenario, p): average_fidelity(scenario, p, 0.0, FAST_QUAD)
-        for scenario in UNPROTECTED
-        for p in grid
-    }
-    worst = -math.inf
-    for prot, bare in ((PROTECTED[0], UNPROTECTED[0]), (PROTECTED[1], UNPROTECTED[1])):
-        for p in grid:
-            for q in grid:
-                if q <= p:
-                    # protection never loses to the bare channel
-                    worst = max(worst, unprot[(bare, p)] - slack - fav[(prot, p, q)])
-                else:
-                    # past q_w = p both figures of merit fall off strictly
-                    worst = max(worst, fav[(prot, p, q)] - (fav[(prot, p, p)] - slack))
-                    worst = max(worst, g_sim[(prot, p, q)] - (g_sim[(prot, p, p)] - slack))
-    for p in grid:
-        for q in grid:
-            worst = max(
-                worst,
-                fav[(Scenario.ALL_ADC, p, q)] - slack - fav[(Scenario.RECOVERY_ADC, p, q)],
-            )
-    assert worst <= 0.0
-    report(7, "dominance, prohibited domain, ordering", worst, 0.0)
+def test_c06_joint_branch_probabilities(verify_run):
+    accept(verify_run, 6)
 
 
-def test_c08_entropy_boundaries_and_ordering():
-    channel = prepare_channel()
+def test_c07_dominance_prohibited_domain_ordering(verify_run):
+    accept(verify_run, 7)
 
-    def s_at(scenario, p):
-        return entanglement_entropy_bob(distribute(channel, scenario, p)[0])
 
-    worst = -math.inf
-    for scenario in PROTECTED:
-        worst = max(worst, abs(s_at(scenario, 0.0) - 2.0) - 1e-9)
-    for p in np.linspace(0.0, 1.0, 51):
-        p = float(p)
-        worst = max(worst, s_at(Scenario.ALL_ADC, p) - s_at(Scenario.RECOVERY_ADC, p) - 1e-12)
-    for k in range(1, 10):
-        p = 0.1 * k
-        worst = max(worst, 1e-9 - (s_at(Scenario.RECOVERY_ADC, p) - s_at(Scenario.ALL_ADC, p)))
-    assert worst <= 0.0
-    report(8, "entropy boundaries and ordering", worst, 0.0)
+def test_c08_entropy_boundaries_and_ordering(verify_run):
+    accept(verify_run, 8)
 
 
 def test_c09_quadrature_insensitivity():

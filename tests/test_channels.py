@@ -1,5 +1,6 @@
 """Damping Kraus pair, channel application, no-decay post-selection, weak
 measurement operators."""
+import functools
 import itertools
 import math
 
@@ -9,7 +10,6 @@ import pytest
 from bqtsim.channels import (
     AdcParams,
     DegenerateBranchError,
-    KrausSet,
     WeakMeasurementParams,
     WeakVariant,
     adc_kraus,
@@ -17,33 +17,44 @@ from bqtsim.channels import (
     eam_postselect,
     weak_measurement_op,
 )
-from bqtsim.linalg import DensityMatrix, Ket, embed_op, kron, kron_all
+from bqtsim.linalg import DensityMatrix, Ket, embed_op, kron
 
 
 def plus_state():
     return Ket(np.array([1, 1], dtype=complex) / math.sqrt(2)).density()
 
 
+def completeness_error(ops):
+    """max |sum_k K_k^dag K_k - I| of an (m, d, d) Kraus stack."""
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
+    return float(np.max(np.abs(acc - np.eye(ops.shape[-1]))))
+
+
 def test_kraus_limits():
-    k0, k1 = adc_kraus(AdcParams(0.0)).operators
+    ops = adc_kraus(AdcParams(0.0))
+    assert ops.shape == (2, 2, 2) and ops.dtype == complex
+    k0, k1 = ops
     np.testing.assert_array_equal(k0, np.eye(2))
     np.testing.assert_array_equal(k1, np.zeros((2, 2)))
-    k0, k1 = adc_kraus(AdcParams(1.0)).operators
+    k0, k1 = adc_kraus(AdcParams(1.0))
     np.testing.assert_array_equal(k0, np.diag([1.0, 0.0]))
     np.testing.assert_array_equal(k1, np.array([[0, 1], [0, 0]]))
 
 
 def test_kraus_completeness():
-    adc_kraus(AdcParams(0.3)).assert_complete(tol=1e-15)
+    assert completeness_error(adc_kraus(AdcParams(0.3))) <= 1e-15
     rng = np.random.default_rng(5)
     for p in rng.uniform(0, 1, size=100):
-        adc_kraus(AdcParams(float(p))).assert_complete(tol=1e-12)
+        assert completeness_error(adc_kraus(AdcParams(float(p)))) <= 1e-12
 
 
 def test_kraus_incomplete_set_rejected():
-    k0, _ = adc_kraus(AdcParams(0.5)).operators
-    with pytest.raises(ValueError):
-        KrausSet(2, (k0,)).assert_complete()
+    # k0 alone is the post-selection operator, not a channel: it fails the
+    # completeness sum and loses the decayed weight.
+    ops = adc_kraus(AdcParams(0.5))[:1]
+    assert completeness_error(ops) > 1e-12
+    out = apply_channel(Ket(np.array([0, 1], dtype=complex)).density(), ops)
+    assert abs(out.trace() - 0.5) < 1e-15
 
 
 def test_adc_params_range():
@@ -89,29 +100,33 @@ def random_density(rng, dim):
 @pytest.mark.parametrize("dim", (2, 16))
 def test_apply_channel_equals_kraus_sum_loop(dim):
     rng = np.random.default_rng(7 + dim)
-    k0, k1 = adc_kraus(AdcParams(0.35)).operators
+    k0, k1 = adc_kraus(AdcParams(0.35))
     # One damped qubit, or all 16 decay combinations on four.
-    ops = tuple(kron_all(*combo) for combo in itertools.product((k0, k1), repeat=dim.bit_length() - 1))
-    for operators in (ops, np.stack(ops)):
-        for _ in range(5):
-            rho = random_density(rng, dim)
-            want = np.zeros((dim, dim), dtype=complex)
-            for k in ops:
-                want += k @ rho.mat @ k.conj().T
-            got = apply_channel(rho, KrausSet(dim, operators))
-            np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-15)
-            assert got.normalized
+    ops = [
+        functools.reduce(np.kron, combo)
+        for combo in itertools.product((k0, k1), repeat=dim.bit_length() - 1)
+    ]
+    for _ in range(5):
+        rho = random_density(rng, dim)
+        want = np.zeros((dim, dim), dtype=complex)
+        for k in ops:
+            want += k @ rho.mat @ k.conj().T
+        got = apply_channel(rho, np.stack(ops))
+        np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-15)
+        assert got.normalized
 
 
 def test_apply_channel_dim_mismatch():
     rho = plus_state()
     with pytest.raises(ValueError):
         apply_channel(DensityMatrix(kron(rho.mat, rho.mat)), adc_kraus(AdcParams(0.2)))
+    with pytest.raises(ValueError):
+        apply_channel(rho, adc_kraus(AdcParams(0.2))[:, :1])
 
 
 def test_eam_postselect_single_qubit():
     p = 0.7
-    k0, _ = adc_kraus(AdcParams(p)).operators
+    k0, _ = adc_kraus(AdcParams(p))
     state, prob = eam_postselect(Ket(np.array([0, 1], dtype=complex)).density(), k0)
     assert abs(prob - (1 - p)) < 1e-14
     np.testing.assert_allclose(state.mat, np.diag([0.0, 1.0]), atol=1e-14)
@@ -122,7 +137,7 @@ def test_eam_postselect_bell_pair_grid():
     bell = Ket(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)).density()
     for p in np.linspace(0.0, 1.0, 51):
         p = float(p)
-        k0, _ = adc_kraus(AdcParams(p)).operators
+        k0, _ = adc_kraus(AdcParams(p))
         state, prob = eam_postselect(bell, embed_op(k0, [1], 2))
         assert abs(prob - (2 - p) / 2) < 1e-12
         want = np.array([1, 0, 0, math.sqrt(1 - p)], dtype=complex)
@@ -132,14 +147,14 @@ def test_eam_postselect_bell_pair_grid():
 
 def test_eam_postselect_no_noise_is_identity():
     bell = Ket(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)).density()
-    k0, _ = adc_kraus(AdcParams(0.0)).operators
+    k0, _ = adc_kraus(AdcParams(0.0))
     state, prob = eam_postselect(bell, embed_op(k0, [0], 2))
     assert prob == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(state.mat, bell.mat, atol=1e-14)
 
 
 def test_eam_postselect_annihilated_branch_raises():
-    k0, _ = adc_kraus(AdcParams(1.0)).operators
+    k0, _ = adc_kraus(AdcParams(1.0))
     excited = Ket(np.array([0, 1], dtype=complex)).density()
     with pytest.raises(DegenerateBranchError):
         eam_postselect(excited, k0)

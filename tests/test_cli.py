@@ -7,7 +7,9 @@ import math
 
 import pytest
 
+from bqtsim import cli
 from bqtsim.cli import SWEEP_HEADER, main
+from bqtsim.metrics import closed_form_names
 from bqtsim.protocol import QubitInput, Scenario, run_protocol
 
 
@@ -20,6 +22,20 @@ def run_cli(argv, capsys):
 def rows(text):
     lines = text.rstrip("\n").split("\n")
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+# ------------------------------------------------------ scenario record
+
+
+def test_scenario_spellings_and_closed_form_names():
+    # Every --scenario spelling looks its record up, and every closed form
+    # the CLI names from a record's situation exists.
+    assert cli._SCENARIO_NAMES == ("recovery-adc", "all-adc", "unprotected-recovery", "unprotected-all")
+    for name in cli._SCENARIO_NAMES:
+        scenario = Scenario(name)
+        assert scenario.value == name
+        for prefix in ("g_t", "g_eam") if scenario.protected else ("f_av_unprot",):
+            assert cli._form_name(prefix, scenario) in closed_form_names()
 
 
 # ---------------------------------------------------------------- sweep

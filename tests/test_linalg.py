@@ -17,7 +17,6 @@ from bqtsim.linalg import (
     embed_op,
     hermitian_eigenvalues,
     kron,
-    kron_all,
     partial_trace,
 )
 
@@ -56,13 +55,6 @@ def test_kron_index_formula():
             for k in range(2):
                 for l in range(2):
                     assert abs(out[2 * i + k, 2 * j + l] - k0[i, j] * I2[k, l]) < 1e-15
-
-
-def test_kron_all_associative():
-    rng = np.random.default_rng(3)
-    a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    np.testing.assert_allclose(kron_all(a, b, c), kron(kron(a, b), c), atol=0)
-    np.testing.assert_allclose(kron_all(a, b, c), kron(a, kron(b, c)), atol=0)
 
 
 # ------------------------------------------------------- partial trace
@@ -178,7 +170,7 @@ def test_embed_single_qubit_matches_kron_chain():
     k0 = np.array([[1.0, 0.0], [0.0, 0.6]], dtype=complex)
     np.testing.assert_allclose(embed_op(k0, [0], 2), kron(k0, I2), atol=0)
     np.testing.assert_allclose(embed_op(k0, [1], 2), kron(I2, k0), atol=0)
-    np.testing.assert_allclose(embed_op(k0, [1], 3), kron_all(I2, k0, I2), atol=0)
+    np.testing.assert_allclose(embed_op(k0, [1], 3), kron(kron(I2, k0), I2), atol=0)
 
 
 def test_embed_identity_is_identity():

@@ -15,7 +15,7 @@ from bqtsim.metrics import (
     fidelity,
     von_neumann_entropy,
 )
-from bqtsim.protocol import QubitInput, Scenario, distribute, prepare_channel
+from bqtsim.protocol import RESOURCE, QubitInput, Scenario, _run_rows, distribute, prepare_channel
 
 
 def binary_entropy(x):
@@ -136,6 +136,30 @@ def test_average_fidelity_unprotected_rejects_weak_measurement():
     for scenario in (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL):
         with pytest.raises(ValueError, match="q_w = 0"):
             average_fidelity(scenario, 0.3, 0.1)
+
+
+@pytest.mark.parametrize("scenario", tuple(Scenario))
+def test_average_fidelity_factorizes_over_parties(scenario):
+    # average_fidelity squares a one-party integral of sqrt(total_fidelity)
+    # at equal inputs, which holds only while the two parties factorize.
+    # Hold it against the explicit two-party double sum over every
+    # (pop_a, pop_b) node pair, so a noise model that couples the parties
+    # fails here.
+    quad = QuadratureSpec(points=16)
+    nodes, weights = quad.nodes_weights()
+    pairs = [(QubitInput(float(a)), QubitInput(float(b))) for a in nodes for b in nodes]
+    pair_weights = np.outer(weights, weights).ravel()
+    for p in (0.0, 0.4, 1.0):
+        qs = sorted({0.0, p, min(p + 0.3, 1.0)}) if scenario.protected else [0.0]
+        dist, _ = distribute(RESOURCE, scenario, p)
+        rows = _run_rows(dist, scenario, np.repeat(qs, len(pairs)), pairs * len(qs))
+        joint = rows.totals()[1].reshape(len(qs), -1) @ pair_weights
+        for q, want in zip(qs, joint):
+            got = average_fidelity(scenario, p, q, quad)
+            if math.isnan(want):
+                assert math.isnan(got), f"p={p} q_w={q}"
+            else:
+                assert abs(got - want) <= 1e-13, f"p={p} q_w={q}"
 
 
 def test_average_fidelity_degenerate_corner_is_nan():

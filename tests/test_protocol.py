@@ -10,11 +10,11 @@ from bqtsim import oracles
 from bqtsim.channels import DegenerateBranchError, WeakVariant
 from bqtsim.linalg import SX, SZ, DensityMatrix, kron, partial_trace
 from bqtsim.protocol import (
+    _BELL_KETS,
     RESOURCE,
     QubitInput,
     Scenario,
     apply_correction,
-    bell_projectors,
     compose_total,
     correction_ops,
     distribute,
@@ -24,8 +24,8 @@ from bqtsim.protocol import (
 )
 
 ALL_SCENARIOS = tuple(Scenario)
-PROTECTED = (Scenario.RECOVERY_ADC, Scenario.ALL_ADC)
-UNPROTECTED = (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL)
+PROTECTED = tuple(s for s in Scenario if s.protected)
+UNPROTECTED = tuple(s for s in Scenario if not s.protected)
 
 
 def random_inputs(rng):
@@ -146,6 +146,10 @@ def test_compose_total_rejects_wrong_dim():
 # ---------------------------------------------------- Bell projection
 
 
+def bell_projectors():
+    return [np.outer(v, v.conj()) for v in _BELL_KETS]
+
+
 def test_bell_projectors_complete_orthogonal_idempotent():
     projs = bell_projectors()
     acc = sum(projs)
@@ -225,11 +229,17 @@ def test_apply_correction_degenerate_raises():
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_branch_probabilities_sum_to_one(scenario):
     rng = np.random.default_rng(29)
-    for p in (0.0, 0.35, 0.8):
+    # Bare runs apply no weak measurement, so none of their weight is lost
+    # either: total success is 1 across the whole p range.
+    grid = (0.0, 0.35, 0.8) if scenario.protected else np.linspace(0.0, 1.0, 51)
+    for p in grid:
+        p = float(p)
         alice, bob = random_inputs(rng)
         q = 0.0 if not scenario.protected else 0.25
         res = run_protocol(scenario, p, q, alice, bob)
         assert abs(sum(b.joint_prob for b in res.branches) - 1.0) < 1e-10
+        if not scenario.protected:
+            assert abs(res.total_success - 1.0) < 1e-10
 
 
 def test_branch_prob_closed_form_corner():
@@ -338,6 +348,10 @@ def test_unprotected_rejects_weak_measurement():
     for scenario in UNPROTECTED:
         with pytest.raises(ValueError):
             run_protocol(scenario, 0.3, 0.1, QubitInput(0.5), QubitInput(0.5))
+        # The closed forms apply the same rule.
+        for oracle in (oracles.branch_success_closed, oracles.corrected_closed):
+            with pytest.raises(ValueError, match="q_w = 0"):
+                oracle(scenario, 1, 3, 0.3, 0.1, QubitInput(0.5), QubitInput(0.5))
         total = compose_total(
             QubitInput(0.5), distribute(prepare_channel(), scenario, 0.3)[0], QubitInput(0.5)
         )
@@ -364,12 +378,13 @@ def test_run_protocol_success_oracle_examples():
 
 
 def test_fully_degenerate_corner():
-    res = run_protocol(Scenario.RECOVERY_ADC, 1.0, 1.0, QubitInput(0.5), QubitInput(0.5))
-    assert all(b.degenerate for b in res.branches)
-    assert all(b.corrected is None for b in res.branches)
-    assert res.total_success == 0.0
-    assert math.isnan(res.total_fidelity)
-    assert math.isnan(res.postselected_fidelity)
+    for scenario in PROTECTED:
+        res = run_protocol(scenario, 1.0, 1.0, QubitInput(0.5), QubitInput(0.5))
+        assert all(b.degenerate for b in res.branches)
+        assert all(b.corrected is None for b in res.branches)
+        assert res.total_success == 0.0
+        assert math.isnan(res.total_fidelity)
+        assert math.isnan(res.postselected_fidelity)
 
 
 def test_postselected_weighting_diagnostic():
