@@ -175,6 +175,10 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verify: simulation against every closed form, one line per check.
+# Each check lists (error, location) pairs and `_verify_checks` reduces
+# every list by `_worst`; a check passes when that error is at most its
+# tolerance, so a NaN error, ranked above all others, fails it. Checks 7
+# and 8 list signed margins, negative while each inequality holds.
 
 # The per-party averaging integrands are quadratic polynomials (unprotected)
 # or rationals whose only pole sits at least 0.125 outside [0, 1] for
@@ -182,6 +186,14 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # check tolerance here. A fixed rule keeps verify's figures independent of
 # the default one.
 _VERIFY_QUAD = QuadratureSpec(points=32)
+
+
+def _worst(pairs) -> tuple:
+    """The first largest error of (error, location) pairs and its
+    location, a NaN error counting as the largest; (0.0, "") when there are
+    no pairs."""
+    err, where = max(pairs, key=lambda pair: (math.isnan(pair[0]), pair[0]), default=(0.0, ""))
+    return float(err), where
 
 
 def _random_inputs(rng: np.random.Generator, n: int) -> list:
@@ -196,190 +208,163 @@ def _random_inputs(rng: np.random.Generator, n: int) -> list:
     return out
 
 
-def _check_success_oracle(grid_n: int) -> tuple:
+def _check_success_oracle(grid_n: int) -> list:
     rng = np.random.default_rng(1001)
-    worst, where = 0.0, ""
+    grid = [k / grid_n for k in range(grid_n)]
+    # Ten input draws per q_w; every row of a p in one evaluation.
+    qs = np.repeat(grid, 10)
+    pairs = []
     for scenario in _PROTECTED:
         name = _form_name("g_t", scenario)
-        for pi in range(grid_n):
-            p = pi / grid_n
-            # All (q_w, input draw) rows of this p in one evaluation, drawn
-            # in the same order as one run per row.
-            qs, wants, pairs = [], [], []
-            for qi in range(grid_n):
-                q = qi / grid_n
-                want = closed_form(name, p, q).value
-                for pair in _random_inputs(rng, 10):
-                    qs.append(q)
-                    wants.append(want)
-                    pairs.append(pair)
+        for p in grid:
             dist, _ = distribute(RESOURCE, scenario, p)
-            success = _run_rows(dist, scenario, qs, pairs).totals()[0]
-            err = np.abs(success - np.array(wants))
-            k = int(np.argmax(err))
-            if err[k] > worst:
-                worst, where = float(err[k]), f"{scenario.value} p={p:g} q_w={qs[k]:g}"
-    return worst, 1e-10, where, ""
+            success = _run_rows(dist, scenario, qs, _random_inputs(rng, len(qs))).totals()[0]
+            err = np.abs(success - np.repeat([closed_form(name, p, q).value for q in grid], 10))
+            wheres = [f"{scenario.value} p={p:g} q_w={q:g}" for q in grid]
+            pairs += ((e, wheres[k // 10]) for k, e in enumerate(err.tolist()))
+    return pairs
 
 
 def _check_suppression() -> tuple:
-    worst, where, skipped = 0.0, "", 0
-    pair = (QubitInput(0.3, 0.4), QubitInput(0.7, 1.1))
+    """The pairs of check 2, and its note on skipped corner points."""
+    pairs, skipped = [], 0
+    inputs = [(QubitInput(0.3, 0.4), QubitInput(0.7, 1.1))]
     for p in np.linspace(0.0, 1.0, 11):
         p = float(p)
         for scenario in _PROTECTED:
             dist, _ = distribute(RESOURCE, scenario, p)
-            branches = _run_rows(dist, scenario, [p], [pair]).outcomes()
-            if all(b.degenerate for b in branches):
-                if p < 1.0:
-                    return 1.0, 1e-9, f"{scenario.value} p={p:g} all branches degenerate", ""
+            rows = _run_rows(dist, scenario, [p], inputs)
+            degenerate = rows.degenerate[0]
+            if p == 1.0 and degenerate.all():
                 skipped += 1
                 continue
-            for b in branches:
-                err = abs(b.branch_fidelity - 1.0)
-                if err > worst:
-                    worst, where = err, f"{scenario.value} p={p:g} branch ({b.alice_index},{b.bob_index})"
-            err = abs(_average_fidelities(dist, scenario, [p], _VERIFY_QUAD)[0] - 1.0)
-            if err > worst:
-                worst, where = err, f"{scenario.value} p={p:g} f_av"
-    note = f"; {skipped} annihilated corner point(s) skipped" if skipped else ""
-    return worst, 1e-9, where, note
+            # A degenerate branch has no fidelity to be 1, so it fails.
+            err = np.where(degenerate, np.nan, np.abs(rows.fidelity[0] - 1.0)).tolist()
+            pairs += ((err[k], f"{scenario.value} p={p:g} branch ({k // 4 + 1},{k % 4 + 1})") for k in range(16))
+            f_av = _average_fidelities(dist, scenario, [p], _VERIFY_QUAD)[0]
+            pairs.append((abs(f_av - 1.0), f"{scenario.value} p={p:g} f_av"))
+    return pairs, f"; {skipped} annihilated corner point(s) skipped" if skipped else ""
 
 
-def _check_unprotected_f_av() -> tuple:
-    worst, where = 0.0, ""
+def _check_unprotected_f_av() -> list:
+    pairs = []
+    inputs = [(QubitInput(0.4), QubitInput(0.8))]
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
         for p in np.linspace(0.0, 1.0, 51):
             p = float(p)
+            where = f"{scenario.value} p={p:g}"
             dist, _ = distribute(RESOURCE, scenario, p)
-            err = abs(_average_fidelities(dist, scenario, [0.0], _VERIFY_QUAD)[0] - closed_form(name, p).value)
-            success = _run_rows(dist, scenario, [0.0], [(QubitInput(0.4), QubitInput(0.8))]).totals()[0]
-            err = max(err, abs(float(success[0]) - 1.0))
-            if err > worst:
-                worst, where = err, f"{scenario.value} p={p:g}"
-    return worst, 1e-6, where, ""
+            f_av = _average_fidelities(dist, scenario, [0.0], _VERIFY_QUAD)[0]
+            success = float(_run_rows(dist, scenario, [0.0], inputs).totals()[0][0])
+            pairs += [(abs(f_av - closed_form(name, p).value), where), (abs(success - 1.0), where)]
+    return pairs
 
 
-def _check_eam() -> tuple:
-    worst, where = 0.0, ""
+def _check_eam() -> list:
+    pairs = []
     for scenario in _PROTECTED:
         name = _form_name("g_eam", scenario)
         for p in np.linspace(0.0, 1.0, 51):
             p = float(p)
             _, got = distribute(RESOURCE, scenario, p)
-            err = abs(got - closed_form(name, p).value)
-            if err > worst:
-                worst, where = err, f"{scenario.value} p={p:g}"
-    return worst, 1e-12, where, ""
+            pairs.append((abs(got - closed_form(name, p).value), f"{scenario.value} p={p:g}"))
+    return pairs
 
 
 def _branch_sample_errors() -> tuple:
-    """Max recovered-state entry error and joint-probability error over the
-    sampled points, for checks 5 and 6."""
+    """The pairs of checks 5 and 6: recovered-state entry errors and
+    joint-probability errors of every branch at the sampled points."""
     rng = np.random.default_rng(1005)
-    rec_worst, rec_where = 0.0, ""
-    pr_worst, pr_where = 0.0, ""
+    rec, prob = [], []
     for scenario in _PROTECTED:
         for p in (0.2, 0.5, 0.8):
-            for alice, bob in _random_inputs(rng, 5):
-                res = run_protocol(scenario, p, 0.0, alice, bob)
-                for b in res.branches:
-                    want = oracles.recovered_closed(scenario, b.alice_index, b.bob_index, p, alice, bob)
-                    err = float(np.max(np.abs(b.recovered.mat - want)))
-                    if err > rec_worst:
-                        rec_worst, rec_where = err, f"{scenario.value} p={p:g} ({b.alice_index},{b.bob_index})"
-                    err = abs(b.joint_prob - oracles.joint_prob_closed(scenario, b.alice_index, b.bob_index, p, alice, bob))
-                    if err > pr_worst:
-                        pr_worst, pr_where = err, f"{scenario.value} p={p:g} ({b.alice_index},{b.bob_index})"
-    return (rec_worst, rec_where), (pr_worst, pr_where)
+            inputs = _random_inputs(rng, 5)
+            dist, _ = distribute(RESOURCE, scenario, p)
+            rows = _run_rows(dist, scenario, [0.0] * len(inputs), inputs)
+            for n, (alice, bob) in enumerate(inputs):
+                for k in range(16):
+                    i, j = k // 4 + 1, k % 4 + 1
+                    where = f"{scenario.value} p={p:g} ({i},{j})"
+                    want = oracles.recovered_closed(scenario, i, j, p, alice, bob)
+                    rec.append((float(np.max(np.abs(rows.recovered[n, k] - want))), where))
+                    want = oracles.joint_prob_closed(scenario, i, j, p, alice, bob)
+                    prob.append((abs(float(rows.joint[n, k]) - want), where))
+    return rec, prob
 
 
-def _check_qualitative() -> tuple:
+def _check_qualitative() -> list:
     grid = [0.1 * k for k in range(1, 10)]
     slack = 1e-9
-    fav, g_sim = {}, {}
     half = (QubitInput(0.5), QubitInput(0.5))
+    # f_av and total success of each protected scenario as [p, q_w] arrays
+    # over the grid, and f_av of each bare one as a [p] array.
+    fav, g_sim = {}, {}
     for scenario in _PROTECTED:
+        f_rows, g_rows = [], []
         for p in grid:
             # Every q_w of this p shares one distributed state.
             dist, _ = distribute(RESOURCE, scenario, p)
-            f_avs = _average_fidelities(dist, scenario, grid, _VERIFY_QUAD)
-            success = _run_rows(dist, scenario, grid, [half] * len(grid)).totals()[0]
-            for q, f_av, g in zip(grid, f_avs, success):
-                fav[(scenario, p, q)] = f_av
-                g_sim[(scenario, p, q)] = float(g)
-    unprot = {
-        (scenario, p): average_fidelity(scenario, p, 0.0, _VERIFY_QUAD)
-        for scenario in _UNPROTECTED
-        for p in grid
-    }
+            f_rows.append(_average_fidelities(dist, scenario, grid, _VERIFY_QUAD))
+            g_rows.append(_run_rows(dist, scenario, grid, [half] * len(grid)).totals()[0])
+        fav[scenario], g_sim[scenario] = np.array(f_rows), np.array(g_rows)
+    unprot = {bare: np.array([average_fidelity(bare, p, 0.0, _VERIFY_QUAD) for p in grid]) for bare in _UNPROTECTED}
     # Each protected scenario is held against the bare one of its situation.
     bare_of = {bare.situation: bare for bare in _UNPROTECTED}
-    worst, where = -math.inf, ""
-
-    def bump(v: float, tag: str) -> None:
-        nonlocal worst, where
-        if v > worst:
-            worst, where = v, tag
-
+    pairs = []
     for prot in _PROTECTED:
-        bare = bare_of[prot.situation]
-        for p in grid:
-            for q in grid:
+        f, g, f_bare = fav[prot], g_sim[prot], unprot[bare_of[prot.situation]]
+        for a, p in enumerate(grid):
+            for b, q in enumerate(grid):
                 if q <= p:
-                    bump(unprot[(bare, p)] - slack - fav[(prot, p, q)], f"dominance {prot.value} p={p:g} q_w={q:g}")
+                    pairs.append((f_bare[a] - slack - f[a, b], f"dominance {prot.value} p={p:g} q_w={q:g}"))
                 else:
-                    bump(fav[(prot, p, q)] - (fav[(prot, p, p)] - slack), f"prohibited f_av {prot.value} p={p:g} q_w={q:g}")
-                    bump(g_sim[(prot, p, q)] - (g_sim[(prot, p, p)] - slack), f"prohibited g {prot.value} p={p:g} q_w={q:g}")
-    for p in grid:
-        for q in grid:
-            bump(
-                fav[(Scenario.ALL_ADC, p, q)] - slack - fav[(Scenario.RECOVERY_ADC, p, q)],
-                f"ordering p={p:g} q_w={q:g}",
-            )
-    return worst, 0.0, where, ""
+                    pairs.append((f[a, b] - (f[a, a] - slack), f"prohibited f_av {prot.value} p={p:g} q_w={q:g}"))
+                    pairs.append((g[a, b] - (g[a, a] - slack), f"prohibited g {prot.value} p={p:g} q_w={q:g}"))
+    f_all, f_rec = fav[Scenario.ALL_ADC], fav[Scenario.RECOVERY_ADC]
+    for a, p in enumerate(grid):
+        for b, q in enumerate(grid):
+            pairs.append((f_all[a, b] - slack - f_rec[a, b], f"ordering p={p:g} q_w={q:g}"))
+    return pairs
 
 
-def _check_entropy() -> tuple:
+def _check_entropy() -> list:
     def s_at(scenario: Scenario, p: float) -> float:
         dist, _ = distribute(RESOURCE, scenario, p)
         return entanglement_entropy_bob(dist)
 
-    worst, where = -math.inf, ""
-
-    def bump(v: float, tag: str) -> None:
-        nonlocal worst, where
-        if v > worst:
-            worst, where = v, tag
-
-    for scenario in _PROTECTED:
-        bump(abs(s_at(scenario, 0.0) - 2.0) - 1e-9, f"{scenario.value} p=0")
+    pairs = [(abs(s_at(scenario, 0.0) - 2.0) - 1e-9, f"{scenario.value} p=0") for scenario in _PROTECTED]
     for p in np.linspace(0.0, 1.0, 51):
         p = float(p)
-        bump(s_at(Scenario.ALL_ADC, p) - s_at(Scenario.RECOVERY_ADC, p) - 1e-12, f"ordering p={p:g}")
+        pairs.append((s_at(Scenario.ALL_ADC, p) - s_at(Scenario.RECOVERY_ADC, p) - 1e-12, f"ordering p={p:g}"))
     for k in range(1, 10):
         p = 0.1 * k
-        bump(1e-9 - (s_at(Scenario.RECOVERY_ADC, p) - s_at(Scenario.ALL_ADC, p)), f"strictness p={p:g}")
-    return worst, 0.0, where, ""
+        pairs.append((1e-9 - (s_at(Scenario.RECOVERY_ADC, p) - s_at(Scenario.ALL_ADC, p)), f"strictness p={p:g}"))
+    return pairs
 
 
 def _verify_checks(grid_n: int) -> list:
     """Run every verify check once, `grid_n` points per axis on the success
     grid; one (title, error, tolerance, worst location, note) tuple per
     check, which passes when error <= tolerance."""
+    suppression, suppression_note = _check_suppression()
     # Checks 5 and 6 read the same sampled branches.
-    (rec_err, rec_where), (pr_err, pr_where) = _branch_sample_errors()
-    return [
-        ("total success vs closed form", *_check_success_oracle(grid_n)),
-        ("noise suppression at q_w = p", *_check_suppression()),
-        ("unprotected average fidelity and determinism", *_check_unprotected_f_av()),
-        ("post-selection success probability", *_check_eam()),
-        ("recovered branch states vs closed forms", rec_err, 1e-12, rec_where, ""),
-        ("joint branch probabilities vs closed forms", pr_err, 1e-12, pr_where, ""),
-        ("dominance, prohibited domain, scenario ordering", *_check_qualitative()),
-        ("entropy boundary values and ordering", *_check_entropy()),
+    recovered, joint = _branch_sample_errors()
+    table = [
+        ("total success vs closed form", _check_success_oracle(grid_n), 1e-10, ""),
+        ("noise suppression at q_w = p", suppression, 1e-9, suppression_note),
+        ("unprotected average fidelity and determinism", _check_unprotected_f_av(), 1e-6, ""),
+        ("post-selection success probability", _check_eam(), 1e-12, ""),
+        ("recovered branch states vs closed forms", recovered, 1e-12, ""),
+        ("joint branch probabilities vs closed forms", joint, 1e-12, ""),
+        ("dominance, prohibited domain, scenario ordering", _check_qualitative(), 0.0, ""),
+        ("entropy boundary values and ordering", _check_entropy(), 0.0, ""),
     ]
+    checks = []
+    for title, pairs, tol, note in table:
+        err, where = _worst(pairs)
+        checks.append((title, err, tol, where, note))
+    return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -125,12 +125,9 @@ def _average_fidelities(
     recovered, reference = _recover(dist.mat, rho, rho), _kron_batched(rho, rho)
     out = []
     for q_w in q_ws:
-        branches = _correct_branches(recovered, scenario, q_w, reference)
-        live = ~branches.degenerate
-        if not live.any(axis=1).all():
-            out.append(float("nan"))
-            continue
-        tf = np.where(live, branches.joint * branches.fidelity, 0.0).sum(axis=1)
+        # Per-node total fidelity, NaN at a node whose branches are all
+        # degenerate; the NaN carries through to the average.
+        tf = _correct_branches(recovered, scenario, q_w, reference).totals()[1]
         acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
         out.append(acc * acc)
     return out

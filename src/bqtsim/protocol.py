@@ -157,8 +157,10 @@ class ProtocolResult:
 
     total_fidelity weights branch fidelities by the Bell outcome
     probabilities; postselected_fidelity is the diagnostic alternative
-    weighted by success_weight / total_success instead. Both are NaN when
-    every branch is degenerate.
+    weighted by success_weight / total_success instead. A degenerate
+    branch adds 0 to every total, and total_fidelity is not renormalized
+    over the live branches. Both fidelities are NaN when every branch is
+    degenerate.
     """
 
     scenario: Scenario

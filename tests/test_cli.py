@@ -1,7 +1,7 @@
 """Command line surface: schemas, determinism, exit statuses.
 
 The heavyweight `verify` subcommand is exercised end to end by the
-acceptance suite, not here.
+acceptance suite; here only its reduction rule and its failure path.
 """
 import math
 
@@ -9,7 +9,7 @@ import pytest
 
 from bqtsim import cli
 from bqtsim.cli import SWEEP_HEADER, main
-from bqtsim.metrics import closed_form_names
+from bqtsim.metrics import OracleValue, closed_form_names
 from bqtsim.protocol import QubitInput, Scenario, run_protocol
 
 
@@ -242,3 +242,26 @@ def test_entropy_curves(tmp_path, capsys):
             assert s1 - s2 > 1e-9
     mids = [float(cols[1]) for cols in body]
     assert all(not math.isnan(v) for v in mids)
+
+
+# --------------------------------------------------------------- verify
+
+
+def test_worst_ranks_nan_above_every_error():
+    assert cli._worst([]) == (0.0, "")
+    assert cli._worst([(-2.0, "a"), (-1.0, "b"), (-1.0, "c")]) == (-1.0, "b")
+    err, where = cli._worst([(1.0, "a"), (math.nan, "b"), (2.0, "c"), (math.nan, "d")])
+    assert math.isnan(err) and where == "b"
+
+
+def test_verify_fails_on_nan_closed_forms(monkeypatch, capsys):
+    # Checks 1, 3 and 4 compare against closed forms; a NaN there must
+    # surface as their error and fail them, not be passed over.
+    monkeypatch.setattr(cli, "closed_form", lambda name, p, q_w=0.0: OracleValue(name, math.nan, "nan"))
+    code, out, _ = run_cli(["verify", "--grid", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    for num in (1, 3, 4):
+        assert lines[num - 1].startswith(f"[{num}/8]")
+        assert "max error nan " in lines[num - 1] and lines[num - 1].endswith(" FAIL")
+    assert lines[-1] == "verify: 5/8 checks passed"

@@ -60,6 +60,13 @@ def test_kernel_matches_reference_branches(scenario):
     for p, q, alice, bob in draws(scenario, rng):
         got = run_protocol(scenario, p, q, alice, bob).branches
         want = reference_branches(scenario, p, q, alice, bob)
+        # The branch invariants: the trace budget, a success weight within
+        # its branch's probability, and valid corrected states.
+        assert abs(sum(g.joint_prob for g in got) - 1.0) <= 1e-12, f"{scenario.value} p={p} q_w={q}"
+        for g in got:
+            assert 0.0 <= g.success_weight <= g.joint_prob + BRANCH_TOL
+            if not g.degenerate:
+                g.corrected.assert_valid()
         for g, w in zip(got, want):
             where = f"{scenario.value} p={p} q_w={q} ({g.alice_index},{g.bob_index})"
             assert (g.alice_index, g.bob_index) == (w.alice_index, w.bob_index)

@@ -385,6 +385,15 @@ def test_fully_degenerate_corner():
         assert res.total_success == 0.0
         assert math.isnan(res.total_fidelity)
         assert math.isnan(res.postselected_fidelity)
+    # Partly degenerate: at p = 0.5, q_w = 1 with both inputs |0>, 12 of 16
+    # branches die. They add 0 to total_fidelity, which is not renormalized,
+    # so it equals the surviving success; the post-selected figure is 1.
+    for scenario, survived in ((Scenario.RECOVERY_ADC, 1 / 9), (Scenario.ALL_ADC, 1 / 25)):
+        res = run_protocol(scenario, 0.5, 1.0, QubitInput(1.0), QubitInput(1.0))
+        assert sum(b.degenerate for b in res.branches) == 12
+        assert abs(res.total_success - survived) <= 1e-15
+        assert abs(res.total_fidelity - survived) <= 1e-15
+        assert abs(res.postselected_fidelity - 1.0) <= 1e-15
 
 
 def test_postselected_weighting_diagnostic():
