@@ -91,14 +91,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [header]
     g_name = _form_name("g_t", scenario) if scenario.protected else None
     f_name = None if scenario.protected else _form_name("f_av_unprot", scenario)
-    inp = QubitInput(args.pop0 if fixed_input else 0.5)
+    pop0 = args.pop0 if fixed_input else 0.5
     for p in np.linspace(args.p_min, args.p_max, args.p_steps):
         p = float(p)
         # Every q_w row of this p shares one distributed state.
         dist, eam_success = distribute(RESOURCE, scenario, p)
         s_bob = entanglement_entropy_bob(dist)
         qs = [float(q) for q in qw_for(p)]
-        success, fidelity, _ = _run_rows(dist, scenario, qs, [(inp, inp)] * len(qs)).totals()
+        rows = np.tile([pop0, 0.0, pop0, 0.0], (len(qs), 1))
+        success, fidelity, _ = _run_rows(dist, scenario, qs, rows).totals()
         f_avs = fidelity if fixed_input else _average_fidelities(dist, scenario, qs)
         for q, f_av, g_total in zip(qs, f_avs, success):
             f_oracle = closed_form(f_name, p, q).value if f_name and not fixed_input else None
@@ -196,16 +197,13 @@ def _worst(pairs) -> tuple:
     return float(err), where
 
 
-def _random_inputs(rng: np.random.Generator, n: int) -> list:
-    out = []
-    for _ in range(n):
-        out.append(
-            (
-                QubitInput(float(rng.uniform()), float(rng.uniform(0.0, 2.0 * math.pi))),
-                QubitInput(float(rng.uniform()), float(rng.uniform(0.0, 2.0 * math.pi))),
-            )
-        )
-    return out
+def _draw_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n input rows [pop_a, phase_a, pop_b, phase_b], populations uniform
+    on [0, 1) and phases on [0, 2 pi): the doubles, in the same order, of
+    one `uniform()` call per population and `uniform(0, 2 pi)` per phase."""
+    rows = rng.random((n, 4))
+    rows[:, 1::2] *= 2.0 * math.pi
+    return rows
 
 
 def _check_success_oracle(grid_n: int) -> list:
@@ -218,7 +216,7 @@ def _check_success_oracle(grid_n: int) -> list:
         name = _form_name("g_t", scenario)
         for p in grid:
             dist, _ = distribute(RESOURCE, scenario, p)
-            success = _run_rows(dist, scenario, qs, _random_inputs(rng, len(qs))).totals()[0]
+            success = _run_rows(dist, scenario, qs, _draw_rows(rng, len(qs))).totals()[0]
             err = np.abs(success - np.repeat([closed_form(name, p, q).value for q in grid], 10))
             wheres = [f"{scenario.value} p={p:g} q_w={q:g}" for q in grid]
             pairs += ((e, wheres[k // 10]) for k, e in enumerate(err.tolist()))
@@ -228,7 +226,7 @@ def _check_success_oracle(grid_n: int) -> list:
 def _check_suppression() -> tuple:
     """The pairs of check 2, and its note on skipped corner points."""
     pairs, skipped = [], 0
-    inputs = [(QubitInput(0.3, 0.4), QubitInput(0.7, 1.1))]
+    inputs = np.array([[0.3, 0.4, 0.7, 1.1]])
     for p in np.linspace(0.0, 1.0, 11):
         p = float(p)
         for scenario in _PROTECTED:
@@ -248,7 +246,7 @@ def _check_suppression() -> tuple:
 
 def _check_unprotected_f_av() -> list:
     pairs = []
-    inputs = [(QubitInput(0.4), QubitInput(0.8))]
+    inputs = np.array([[0.4, 0.0, 0.8, 0.0]])
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
         for p in np.linspace(0.0, 1.0, 51):
@@ -279,24 +277,23 @@ def _branch_sample_errors() -> tuple:
     rec, prob = [], []
     for scenario in _PROTECTED:
         for p in (0.2, 0.5, 0.8):
-            inputs = _random_inputs(rng, 5)
+            inputs = _draw_rows(rng, 5)
             dist, _ = distribute(RESOURCE, scenario, p)
             rows = _run_rows(dist, scenario, [0.0] * len(inputs), inputs)
-            for n, (alice, bob) in enumerate(inputs):
-                for k in range(16):
-                    i, j = k // 4 + 1, k % 4 + 1
-                    where = f"{scenario.value} p={p:g} ({i},{j})"
-                    want = oracles.recovered_closed(scenario, i, j, p, alice, bob)
-                    rec.append((float(np.max(np.abs(rows.recovered[n, k] - want))), where))
-                    want = oracles.joint_prob_closed(scenario, i, j, p, alice, bob)
-                    prob.append((abs(float(rows.joint[n, k]) - want), where))
+            want = oracles.recovered_rows(scenario, p, inputs)
+            rec_err = np.abs(rows.recovered - want).max(axis=(2, 3))
+            prob_err = np.abs(rows.joint - oracles.joint_prob_rows(scenario, p, inputs))
+            # Input row n, branch k = 4(i-1)+(j-1) is entry (n, k).
+            wheres = [f"{scenario.value} p={p:g} ({k // 4 + 1},{k % 4 + 1})" for k in range(16)] * len(inputs)
+            rec += zip(rec_err.ravel().tolist(), wheres)
+            prob += zip(prob_err.ravel().tolist(), wheres)
     return rec, prob
 
 
 def _check_qualitative() -> list:
     grid = [0.1 * k for k in range(1, 10)]
     slack = 1e-9
-    half = (QubitInput(0.5), QubitInput(0.5))
+    half = np.tile([0.5, 0.0, 0.5, 0.0], (len(grid), 1))
     # f_av and total success of each protected scenario as [p, q_w] arrays
     # over the grid, and f_av of each bare one as a [p] array.
     fav, g_sim = {}, {}
@@ -306,7 +303,7 @@ def _check_qualitative() -> list:
             # Every q_w of this p shares one distributed state.
             dist, _ = distribute(RESOURCE, scenario, p)
             f_rows.append(_average_fidelities(dist, scenario, grid, _VERIFY_QUAD))
-            g_rows.append(_run_rows(dist, scenario, grid, [half] * len(grid)).totals()[0])
+            g_rows.append(_run_rows(dist, scenario, grid, half).totals()[0])
         fav[scenario], g_sim[scenario] = np.array(f_rows), np.array(g_rows)
     unprot = {bare: np.array([average_fidelity(bare, p, 0.0, _VERIFY_QUAD) for p in grid]) for bare in _UNPROTECTED}
     # Each protected scenario is held against the bare one of its situation.

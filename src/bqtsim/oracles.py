@@ -7,11 +7,21 @@ of per-party factors. Nothing in this module calls into the measurement
 pipeline; the only shared code is the parameter records (the Scenario
 record's situation and protection flag pick the formulas here), so
 agreement with the branches of protocol.run_protocol is a real cross-check.
+The input amplitudes sqrt(pop0) and sqrt(1-pop0) e^{i phase} are computed
+here too, not taken from QubitInput.
 
 Per-party outcome classes: indices 1 and 2 land the input amplitudes in
 order (damped component second), indices 3 and 4 land them swapped. All
 probability and fidelity factors depend only on the populations, never the
 phases.
+
+Each branch oracle has a `*_rows` twin that evaluates every branch of a
+stack of inputs at once. A stack is an (N, 4) float array of rows
+[pop_a, phase_a, pop_b, phase_b]; the twins return (N, 16) numbers or
+(N, 16, 4, 4) states in branch order k = 4(i-1)+(j-1). A branch whose
+closed-form weight is zero has a NaN fidelity and a NaN corrected state.
+The scalar functions are one-row views of their twins, so each formula is
+written once.
 """
 from __future__ import annotations
 
@@ -30,39 +40,73 @@ __all__ = [
     "recovered_closed",
     "corrected_closed",
     "distributed_closed",
+    "joint_prob_rows",
+    "branch_success_rows",
+    "branch_fidelity_rows",
+    "recovered_rows",
+    "corrected_rows",
 ]
 
 _P00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _P11 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-def _amps(inp: QubitInput) -> tuple[complex, complex]:
-    k = inp.ket().amps
-    return complex(k[0]), complex(k[1])
+def _pops(rows) -> tuple:
+    """Alice's and Bob's (N,) populations of an (N, 4) input stack."""
+    rows = np.asarray(rows, dtype=float)
+    return rows[:, 0], rows[:, 2]
 
 
-def _cls(index: int) -> int:
-    """0 for outcomes {1, 2}, 1 for {3, 4}."""
-    if not 1 <= index <= 4:
-        raise ValueError(f"outcome index must be in 1..4, got {index}")
-    return (index - 1) // 2
+def _parties(rows) -> tuple:
+    """(pop0, alpha, beta) of Alice and of Bob for an (N, 4) input stack,
+    each (N,), with amplitudes alpha = sqrt(pop0) and beta = sqrt(1-pop0)
+    e^{i phase}."""
+    rows = np.asarray(rows, dtype=float)
+    parties = []
+    for pop0, phase in ((rows[:, 0], rows[:, 1]), (rows[:, 2], rows[:, 3])):
+        alpha = np.sqrt(pop0).astype(complex)
+        parties.append((pop0, alpha, np.sqrt(1.0 - pop0) * np.exp(1j * phase)))
+    return tuple(parties)
 
 
-def _party_ket(index: int, alpha: complex, beta: complex, d: float) -> np.ndarray:
-    """Unnormalized single-party ket landed by Bell outcome `index`.
+def _by_class(first, second) -> np.ndarray:
+    """Outcome indices 1..4 on axis 1 from the value of class {1, 2} and
+    of class {3, 4}."""
+    return np.array((first, first, second, second)).swapaxes(0, 1)
 
-    d is the damping survival amplitude attached to whichever input
-    component rides the decaying channel component.
-    """
-    if index == 1:
-        return np.array([alpha, beta * d], dtype=complex)
-    if index == 2:
-        return np.array([alpha, -beta * d], dtype=complex)
-    if index == 3:
-        return np.array([beta, alpha * d], dtype=complex)
-    if index == 4:
-        return np.array([-beta, alpha * d], dtype=complex)
-    raise ValueError(f"outcome index must be in 1..4, got {index}")
+
+def _ket(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """(N, 2) kets of (N,) amplitudes."""
+    return np.array((first, second)).T
+
+
+def _over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, broadcast, and NaN where den <= 1e-300, so a zero-weight
+    branch divides to NaN."""
+    out = np.full(np.broadcast_shapes(num.shape, den.shape), np.nan, dtype=np.result_type(num, den))
+    return np.divide(num, den, out=out, where=den > 1e-300)
+
+
+def _diag(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """Stacks of diag(e0, e1)."""
+    return e0[..., None, None] * _P00 + e1[..., None, None] * _P11
+
+
+def _outer(kets: np.ndarray) -> np.ndarray:
+    """|v><v| of a stack of kets on the last axis."""
+    return kets[..., :, None] * kets[..., None, :].conj()
+
+
+def _pair_numbers(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """(N, 16) branch products of per-party (N, 4) factors."""
+    return (alice[:, :, None] * bob[:, None, :]).reshape(-1, 16)
+
+
+def _pair_states(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """(N, 16, 4, 4) kron(alice[i], bob[j]) of per-party (N, 4, 2, 2)
+    states, Alice's qubit first."""
+    out = alice[:, :, None, :, None, :, None] * bob[:, None, :, None, :, None, :]
+    return out.reshape(-1, 16, 4, 4)
 
 
 def _survival(scenario: Scenario, p: float) -> float:
@@ -78,58 +122,153 @@ def _weak_survival(scenario: Scenario, q_w: float) -> float:
     return math.sqrt(1.0 - q_w) if scenario.situation == "I" else 1.0 - q_w
 
 
-def _party_prob(scenario: Scenario, index: int, p: float, pop0: float) -> float:
+def _party_prob(scenario: Scenario, p: float, pop0: np.ndarray) -> np.ndarray:
     a, b = pop0, 1.0 - pop0
-    cls = _cls(index)
     if scenario.protected:
         d2 = _survival(scenario, p) ** 2
-        x, y = (a, b) if cls == 0 else (b, a)
-        return (x + y * d2) / (2.0 * (1.0 + d2))
+        return _by_class((a + b * d2) / (2.0 * (1.0 + d2)), (b + a * d2) / (2.0 * (1.0 + d2)))
     if scenario.situation == "I":
-        return 0.25
-    t = 1.0 + p * (a - b) if cls == 0 else 1.0 - p * (a - b)
-    return t / 4.0
+        return np.full((len(pop0), 4), 0.25)
+    return _by_class((1.0 + p * (a - b)) / 4.0, (1.0 - p * (a - b)) / 4.0)
 
 
-def _party_success(scenario: Scenario, index: int, p: float, q_w: float, pop0: float) -> float:
+def _party_success(scenario: Scenario, p: float, q_w: float, pop0: np.ndarray) -> np.ndarray:
     if not scenario.protected:
         scenario.check_q_w(q_w)
-        return _party_prob(scenario, index, p, pop0)
+        return _party_prob(scenario, p, pop0)
     a, b = pop0, 1.0 - pop0
     s2 = _weak_survival(scenario, q_w) ** 2
     d2 = _survival(scenario, p) ** 2
-    x, y = (a, b) if _cls(index) == 0 else (b, a)
-    return (x * s2 + y * d2) / (2.0 * (1.0 + d2))
+    return _by_class((a * s2 + b * d2) / (2.0 * (1.0 + d2)), (b * s2 + a * d2) / (2.0 * (1.0 + d2)))
 
 
-def _party_fidelity(scenario: Scenario, index: int, p: float, q_w: float, pop0: float) -> float:
+def _party_fidelity(scenario: Scenario, p: float, q_w: float, pop0: np.ndarray) -> np.ndarray:
     a, b = pop0, 1.0 - pop0
-    cls = _cls(index)
     if scenario.protected:
         s = _weak_survival(scenario, q_w)
         d = _survival(scenario, p)
-        if cls == 1:
-            s, d = d, s
-        den = a * s * s + b * d * d
-        if den <= 1e-300:
-            return float("nan")
-        return (a * s + b * d) ** 2 / den
+
+        def fid(s, d):
+            # pow(x, 2) as libm takes it, which can round differently from x * x.
+            return _over(np.float_power(a * s + b * d, 2), a * s * s + b * d * d)
+
+        return _by_class(fid(s, d), fid(d, s))
     scenario.check_q_w(q_w)
+    d = _survival(scenario, p)
     if scenario.situation == "I":
-        if cls == 1:
-            a, b = b, a
-        return a * a + b * b * (1.0 - p) + a * b * (p + 2.0 * math.sqrt(1.0 - p))
-    if cls == 1:
-        a, b = b, a
-    c = a * a * (1.0 + p * p) + b * b * (1.0 - p) ** 2 + 2.0 * a * b * (1.0 - p * p)
-    return c / (1.0 + p * (a - b))
+
+        def fid(a, b):
+            return a * a + b * b * (1.0 - p) + a * b * (p + 2.0 * d)
+
+    else:
+
+        def fid(a, b):
+            c = a * a * (1.0 + p * p) + b * b * (1.0 - p) ** 2 + 2.0 * a * b * (1.0 - p * p)
+            return _over(c, 1.0 + p * (a - b))
+
+    return _by_class(fid(a, b), fid(b, a))
+
+
+def _party_recovered(
+    scenario: Scenario, p: float, pop0: np.ndarray, alpha: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """(N, 4, 2, 2) unnormalized pre-correction single-party states, one
+    per outcome index; each trace is that outcome's probability."""
+    a, b = pop0, 1.0 - pop0
+    d = _survival(scenario, p)
+    kets = np.array(((alpha, beta * d), (alpha, -beta * d), (beta, alpha * d), (-beta, alpha * d)))
+    # (index, amplitude, N) -> (N, index, amplitude)
+    pure = _outer(kets.transpose(2, 0, 1))
+    if scenario.protected:
+        return pure / (2.0 * (1.0 + d * d))
+    if scenario.situation == "I":
+        leak = _by_class(p * b, p * a)
+        return (pure + leak[..., None, None] * _P00) / 4.0
+    e0 = _by_class(b * p * (1.0 - p) + a * p * p, a * p * (1.0 - p) + b * p * p)
+    e1 = _by_class(a * p * (1.0 - p), b * p * (1.0 - p))
+    return (pure + _diag(e0, e1)) / 4.0
+
+
+def _party_corrected(
+    scenario: Scenario, p: float, q_w: float, pop0: np.ndarray, alpha: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """(N, 4, 2, 2) normalized post-correction single-party states, NaN
+    where the outcome's weight is zero."""
+    a, b = pop0, 1.0 - pop0
+    if scenario.protected:
+        s = _weak_survival(scenario, q_w)
+        d = _survival(scenario, p)
+
+        def state(s, d):
+            return _over(_outer(_ket(alpha * s, beta * d)), (a * s * s + b * d * d)[:, None, None])
+
+        return _by_class(state(s, d), state(d, s))
+    scenario.check_q_w(q_w)
+    d = _survival(scenario, p)
+    first = _outer(_ket(alpha, beta * d))
+    second = _outer(_ket(alpha * d, beta))
+    if scenario.situation == "I":
+        return _by_class(first + (p * b)[:, None, None] * _P00, second + (p * a)[:, None, None] * _P11)
+    first = first + _diag(b * p * (1.0 - p) + a * p * p, a * p * (1.0 - p))
+    second = second + _diag(b * p * (1.0 - p), a * p * (1.0 - p) + b * p * p)
+    return _by_class(
+        _over(first, (1.0 + p * (a - b))[:, None, None]), _over(second, (1.0 - p * (a - b))[:, None, None])
+    )
+
+
+def joint_prob_rows(scenario: Scenario, p: float, rows) -> np.ndarray:
+    """(N, 16) probabilities of every joint Bell outcome before any
+    correction, for an (N, 4) input stack."""
+    pop_a, pop_b = _pops(rows)
+    return _pair_numbers(_party_prob(scenario, p, pop_a), _party_prob(scenario, p, pop_b))
+
+
+def branch_success_rows(scenario: Scenario, p: float, q_w: float, rows) -> np.ndarray:
+    """(N, 16) weights of every branch surviving both local corrections."""
+    pop_a, pop_b = _pops(rows)
+    return _pair_numbers(_party_success(scenario, p, q_w, pop_a), _party_success(scenario, p, q_w, pop_b))
+
+
+def branch_fidelity_rows(scenario: Scenario, p: float, q_w: float, rows) -> np.ndarray:
+    """(N, 16) fidelities of every corrected branch output against the
+    target product, NaN where a branch's weight is zero."""
+    pop_a, pop_b = _pops(rows)
+    return _pair_numbers(_party_fidelity(scenario, p, q_w, pop_a), _party_fidelity(scenario, p, q_w, pop_b))
+
+
+def recovered_rows(scenario: Scenario, p: float, rows) -> np.ndarray:
+    """(N, 16, 4, 4) unnormalized projected two-qubit states of every
+    branch, Alice's teleported qubit first."""
+    alice, bob = _parties(rows)
+    return _pair_states(_party_recovered(scenario, p, *alice), _party_recovered(scenario, p, *bob))
+
+
+def corrected_rows(scenario: Scenario, p: float, q_w: float, rows) -> np.ndarray:
+    """(N, 16, 4, 4) normalized post-correction outputs of every branch,
+    Alice's qubit first; NaN where a branch's weight is zero."""
+    alice, bob = _parties(rows)
+    return _pair_states(_party_corrected(scenario, p, q_w, *alice), _party_corrected(scenario, p, q_w, *bob))
+
+
+def _row(alice_in: QubitInput, bob_in: QubitInput) -> np.ndarray:
+    """The one-row input stack of two inputs."""
+    return np.array([[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]], dtype=float)
+
+
+def _branch(i: int, j: int) -> int:
+    """Branch order k = 4(i-1)+(j-1) of outcome indices i, j in 1..4."""
+    for index in (i, j):
+        if not 1 <= index <= 4:
+            raise ValueError(f"outcome index must be in 1..4, got {index}")
+    return 4 * (i - 1) + (j - 1)
 
 
 def joint_prob_closed(
     scenario: Scenario, i: int, j: int, p: float, alice_in: QubitInput, bob_in: QubitInput
 ) -> float:
     """Probability of joint Bell outcome (i, j) before any correction."""
-    return _party_prob(scenario, i, p, alice_in.pop0) * _party_prob(scenario, j, p, bob_in.pop0)
+    k = _branch(i, j)
+    return float(joint_prob_rows(scenario, p, _row(alice_in, bob_in))[0, k])
 
 
 def branch_success_closed(
@@ -142,9 +281,8 @@ def branch_success_closed(
     bob_in: QubitInput,
 ) -> float:
     """Weight of branch (i, j) surviving both local corrections."""
-    return _party_success(scenario, i, p, q_w, alice_in.pop0) * _party_success(
-        scenario, j, p, q_w, bob_in.pop0
-    )
+    k = _branch(i, j)
+    return float(branch_success_rows(scenario, p, q_w, _row(alice_in, bob_in))[0, k])
 
 
 def branch_fidelity_closed(
@@ -156,33 +294,10 @@ def branch_fidelity_closed(
     alice_in: QubitInput,
     bob_in: QubitInput,
 ) -> float:
-    """Fidelity of the corrected branch (i, j) output against the target product."""
-    return _party_fidelity(scenario, i, p, q_w, alice_in.pop0) * _party_fidelity(
-        scenario, j, p, q_w, bob_in.pop0
-    )
-
-
-def _party_recovered(scenario: Scenario, index: int, p: float, inp: QubitInput) -> np.ndarray:
-    """Unnormalized pre-correction single-party state; trace is the outcome
-    probability."""
-    alpha, beta = _amps(inp)
-    a, b = inp.pop0, 1.0 - inp.pop0
-    d = _survival(scenario, p)
-    v = _party_ket(index, alpha, beta, d)
-    pure = np.outer(v, v.conj())
-    if scenario.protected:
-        return pure / (2.0 * (1.0 + d * d))
-    cls = _cls(index)
-    if scenario.situation == "I":
-        leak = p * (b if cls == 0 else a)
-        return (pure + leak * _P00) / 4.0
-    if cls == 0:
-        e0 = b * p * (1.0 - p) + a * p * p
-        e1 = a * p * (1.0 - p)
-    else:
-        e0 = a * p * (1.0 - p) + b * p * p
-        e1 = b * p * (1.0 - p)
-    return (pure + e0 * _P00 + e1 * _P11) / 4.0
+    """Fidelity of the corrected branch (i, j) output against the target
+    product; NaN when the branch's weight is zero."""
+    k = _branch(i, j)
+    return float(branch_fidelity_rows(scenario, p, q_w, _row(alice_in, bob_in))[0, k])
 
 
 def recovered_closed(
@@ -190,46 +305,8 @@ def recovered_closed(
 ) -> np.ndarray:
     """Unnormalized projected two-qubit state for branch (i, j), Alice's
     teleported qubit first."""
-    return np.kron(
-        _party_recovered(scenario, i, p, alice_in), _party_recovered(scenario, j, p, bob_in)
-    )
-
-
-def _party_corrected(
-    scenario: Scenario, index: int, p: float, q_w: float, inp: QubitInput
-) -> np.ndarray:
-    alpha, beta = _amps(inp)
-    a, b = inp.pop0, 1.0 - inp.pop0
-    cls = _cls(index)
-    if scenario.protected:
-        s = _weak_survival(scenario, q_w)
-        d = _survival(scenario, p)
-        if cls == 1:
-            s, d = d, s
-        v = np.array([alpha * s, beta * d], dtype=complex)
-        norm = a * s * s + b * d * d
-        if norm <= 1e-300:
-            raise DegenerateBranchError("closed-form branch weight is zero")
-        return np.outer(v, v.conj()) / norm
-    scenario.check_q_w(q_w)
-    d = _survival(scenario, p)
-    if scenario.situation == "I":
-        if cls == 0:
-            v = np.array([alpha, beta * d], dtype=complex)
-            return np.outer(v, v.conj()) + p * b * _P00
-        v = np.array([alpha * d, beta], dtype=complex)
-        return np.outer(v, v.conj()) + p * a * _P11
-    if cls == 0:
-        v = np.array([alpha, beta * d], dtype=complex)
-        e0 = b * p * (1.0 - p) + a * p * p
-        e1 = a * p * (1.0 - p)
-        t = 1.0 + p * (a - b)
-    else:
-        v = np.array([alpha * d, beta], dtype=complex)
-        e0 = b * p * (1.0 - p)
-        e1 = a * p * (1.0 - p) + b * p * p
-        t = 1.0 - p * (a - b)
-    return (np.outer(v, v.conj()) + e0 * _P00 + e1 * _P11) / t
+    k = _branch(i, j)
+    return recovered_rows(scenario, p, _row(alice_in, bob_in))[0, k]
 
 
 def corrected_closed(
@@ -241,11 +318,15 @@ def corrected_closed(
     alice_in: QubitInput,
     bob_in: QubitInput,
 ) -> np.ndarray:
-    """Normalized post-correction branch output, Alice's qubit first."""
-    return np.kron(
-        _party_corrected(scenario, i, p, q_w, alice_in),
-        _party_corrected(scenario, j, p, q_w, bob_in),
-    )
+    """Normalized post-correction branch output, Alice's qubit first.
+
+    Raises DegenerateBranchError when the branch's weight is zero.
+    """
+    k = _branch(i, j)
+    state = corrected_rows(scenario, p, q_w, _row(alice_in, bob_in))[0, k]
+    if np.isnan(state).all():
+        raise DegenerateBranchError("closed-form branch weight is zero")
+    return state
 
 
 def _noisy_pair(p: float, scenario: Scenario, damped_first: bool) -> np.ndarray:

@@ -369,6 +369,10 @@ def apply_correction(
     return DensityMatrix(corrected), float(weight)
 
 
+# (Alice's index, Bob's index) of branch k = 4(i-1)+(j-1).
+_BRANCH_INDICES = tuple((k // 4 + 1, k % 4 + 1) for k in range(16))
+
+
 @dataclass(frozen=True)
 class _Branches:
     """Arrays of every branch of N input pairs, branch k = 4(i-1)+(j-1).
@@ -386,20 +390,28 @@ class _Branches:
 
     def outcomes(self, n: int = 0) -> tuple:
         """The 16 branches of input pair n as BranchOutcome views."""
-        joint, weight, degenerate = (a[n].tolist() for a in (self.joint, self.weight, self.degenerate))
         fid = self.fidelity[n].tolist() if self.fidelity is not None else [None] * 16
+        rows = zip(
+            _BRANCH_INDICES,
+            self.joint[n].tolist(),
+            self.recovered[n],
+            self.corrected[n],
+            self.weight[n].tolist(),
+            fid,
+            self.degenerate[n].tolist(),
+        )
         return tuple(
             BranchOutcome(
-                alice_index=k // 4 + 1,
-                bob_index=k % 4 + 1,
-                joint_prob=joint[k],
-                recovered=DensityMatrix(self.recovered[n, k], normalized=False),
-                corrected=None if degenerate[k] else DensityMatrix(self.corrected[n, k]),
-                success_weight=weight[k],
-                branch_fidelity=None if degenerate[k] else fid[k],
-                degenerate=degenerate[k],
+                i,
+                j,
+                joint,
+                DensityMatrix(recovered, False),
+                None if dead else DensityMatrix(corrected),
+                weight,
+                None if dead else f,
+                dead,
             )
-            for k in range(16)
+            for (i, j), joint, recovered, corrected, weight, f, dead in rows
         )
 
     def totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,15 +423,17 @@ class _Branches:
         are NaN where every branch of a row is degenerate, and the
         post-selected one also where the total success is numerically zero.
         """
-        fid = np.where(self.degenerate, 0.0, self.fidelity)
-        terms = np.empty((3,) + fid.shape)
-        terms[0] = self.weight
-        np.multiply(self.joint, fid, out=terms[1])
-        np.multiply(self.weight, fid, out=terms[2])
-        # A running sum adds left to right. It can differ from Python's sum,
-        # which starts at 0, only by a -0.0 where every term is a zero, and
-        # + 0.0 folds that into 0.0.
-        success, fidelity, weighted = terms.cumsum(axis=2)[:, :, -1] + 0.0
+        fid = np.where(self.degenerate, 0.0, self.fidelity).T
+        # The terms of the three totals as one contiguous (16, 3, N) stack,
+        # branches outermost, which a reduction over axis 0 adds in order.
+        terms = np.empty((16, 3, fid.shape[1]))
+        terms[:, 0] = self.weight.T
+        np.multiply(self.joint.T, fid, out=terms[:, 1])
+        np.multiply(self.weight.T, fid, out=terms[:, 2])
+        # Adding in order can differ from Python's sum, which starts at 0,
+        # only by a -0.0 where every term is a zero, and + 0.0 folds that
+        # into 0.0.
+        success, fidelity, weighted = np.add.reduce(terms, axis=0) + 0.0
         # A row whose branches are all degenerate has success 0, so the
         # success test also covers it.
         postselected = np.divide(
@@ -513,20 +527,15 @@ def _branch_kernel(
     return _correct_branches(rec, scenario, q_w, _kron_batched(rho_a, rho_b))
 
 
-def _input_densities(inputs) -> np.ndarray:
-    """(N, 2, 2) density matrices of a sequence of QubitInputs, equal bit
-    for bit to their `density()`."""
-    kets = _input_kets([i.pop0 for i in inputs], [i.phase for i in inputs])
-    return kets[:, :, None] @ kets[:, None, :].conj()
-
-
-def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, pairs) -> _Branches:
-    """The branches `run_protocol` gives, for a sequence of (alice_in,
-    bob_in) pairs and q_w values, one row each, over one distributed state
-    of `scenario`."""
-    rho_a = _input_densities([a for a, _ in pairs])
-    rho_b = _input_densities([b for _, b in pairs])
-    return _branch_kernel(dist.mat, rho_a, rho_b, scenario, np.asarray(q_w, dtype=float))
+def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> _Branches:
+    """The branches `run_protocol` gives, for an (N, 4) array of input rows
+    [pop_a, phase_a, pop_b, phase_b] and one q_w per row, over one
+    distributed state of `scenario`."""
+    rows = np.asarray(rows, dtype=float)
+    # Alice's and Bob's kets of each row on axis 1, amplitudes last.
+    kets = _input_kets(rows[:, 0::2], rows[:, 1::2])
+    rho = kets[..., :, None] @ kets[..., None, :].conj()
+    return _branch_kernel(dist.mat, rho[:, 0], rho[:, 1], scenario, np.asarray(q_w, dtype=float))
 
 
 def enumerate_branches(
@@ -567,7 +576,8 @@ def run_protocol(
 ) -> ProtocolResult:
     """Distribute, measure and correct at one parameter point."""
     dist, eam_success = distribute(RESOURCE, scenario, p)
-    rho = _input_densities((alice_in, bob_in))
+    kets = _input_kets((alice_in.pop0, bob_in.pop0), (alice_in.phase, bob_in.phase))
+    rho = kets[:, :, None] @ kets[:, None, :].conj()
     branches = _branch_kernel(dist.mat, rho[:1], rho[1:], scenario, q_w)
     (total_success,), (total_fidelity,), (postselected,) = branches.totals()
     return ProtocolResult(

@@ -5,6 +5,7 @@ acceptance suite; here only its reduction rule and its failure path.
 """
 import math
 
+import numpy as np
 import pytest
 
 from bqtsim import cli
@@ -245,6 +246,18 @@ def test_entropy_curves(tmp_path, capsys):
 
 
 # --------------------------------------------------------------- verify
+
+
+def test_input_rows_draw_the_scalar_stream():
+    # verify's sampled checks draw their input rows as one array; those are
+    # the doubles a loop of one uniform() call per population and one
+    # uniform(0, 2 pi) per phase gives, in the same order, bit for bit.
+    rng = np.random.default_rng(1001)
+    tau = 2.0 * math.pi
+    loop = [[rng.uniform(), rng.uniform(0.0, tau), rng.uniform(), rng.uniform(0.0, tau)] for _ in range(1000)]
+    rows = cli._draw_rows(np.random.default_rng(1001), 1000)
+    assert rows.shape == (1000, 4)
+    assert rows.tobytes() == np.array(loop).tobytes()
 
 
 def test_worst_ranks_nan_above_every_error():

@@ -172,7 +172,8 @@ def test_row_stack_matches_one_run_per_row(scenario):
     for p in (0.0, 1.0, float(rng.uniform()), float(rng.uniform())):
         dist, _ = distribute(RESOURCE, scenario, p)
         qs = [q for q, _, _ in rows]
-        stack = _run_rows(dist, scenario, qs, [(a, b) for _, a, b in rows])
+        inputs = np.array([[a.pop0, a.phase, b.pop0, b.phase] for _, a, b in rows])
+        stack = _run_rows(dist, scenario, qs, inputs)
         totals = stack.totals()
         for n, (q, alice, bob) in enumerate(rows):
             where = f"{scenario.value} p={p} q_w={q} row {n}"
@@ -211,7 +212,7 @@ def test_multi_qw_average_matches_one_average_per_qw(quad):
 
 
 def test_row_stack_rejects_bad_qw():
-    inp = (QubitInput(0.3, 0.2), QubitInput(0.6, 1.0))
+    inp = [0.3, 0.2, 0.6, 1.0]
     for scenario in (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL):
         dist, _ = distribute(RESOURCE, scenario, 0.4)
         with pytest.raises(ValueError):

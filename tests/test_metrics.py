@@ -147,12 +147,12 @@ def test_average_fidelity_factorizes_over_parties(scenario):
     # fails here.
     quad = QuadratureSpec(points=16)
     nodes, weights = quad.nodes_weights()
-    pairs = [(QubitInput(float(a)), QubitInput(float(b))) for a in nodes for b in nodes]
+    pairs = np.array([[a, 0.0, b, 0.0] for a in nodes for b in nodes])
     pair_weights = np.outer(weights, weights).ravel()
     for p in (0.0, 0.4, 1.0):
         qs = sorted({0.0, p, min(p + 0.3, 1.0)}) if scenario.protected else [0.0]
         dist, _ = distribute(RESOURCE, scenario, p)
-        rows = _run_rows(dist, scenario, np.repeat(qs, len(pairs)), pairs * len(qs))
+        rows = _run_rows(dist, scenario, np.repeat(qs, len(pairs)), np.tile(pairs, (len(qs), 1)))
         joint = rows.totals()[1].reshape(len(qs), -1) @ pair_weights
         for q, want in zip(qs, joint):
             got = average_fidelity(scenario, p, q, quad)

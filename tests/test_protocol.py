@@ -2,6 +2,7 @@
 bqtsim.oracles plus the contract examples: resource preparation, noisy
 distribution, Bell projection, correction, and the assembled run."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,31 @@ def test_unprotected_rejects_weak_measurement():
         )
         with pytest.raises(ValueError):
             enumerate_branches(total, scenario, 0.1)
+
+
+def test_bare_closed_forms_at_zero_probability_branches():
+    # unprotected-all at p = 1 empties Alice's outcomes 1 and 2 when her
+    # pop0 is 0, and 3 and 4 when it is 1. The pipeline marks those branches
+    # degenerate; the closed forms follow the protected rule: a NaN
+    # fidelity, and no corrected state. Nothing may warn on the way.
+    scenario, bob = Scenario.UNPROTECTED_ALL, QubitInput(0.3, 0.7)
+    for pop0, dead in ((0.0, (1, 2)), (1.0, (3, 4))):
+        alice = QubitInput(pop0, 0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_protocol(scenario, 1.0, 0.0, alice, bob)
+            for b in res.branches:
+                i, j = b.alice_index, b.bob_index
+                fid = oracles.branch_fidelity_closed(scenario, i, j, 1.0, 0.0, alice, bob)
+                assert b.degenerate == (i in dead)
+                if b.degenerate:
+                    assert math.isnan(fid)
+                    with pytest.raises(DegenerateBranchError):
+                        oracles.corrected_closed(scenario, i, j, 1.0, 0.0, alice, bob)
+                    continue
+                assert abs(b.branch_fidelity - fid) < 1e-12
+                want = oracles.corrected_closed(scenario, i, j, 1.0, 0.0, alice, bob)
+                np.testing.assert_allclose(b.corrected.mat, want, atol=1e-12)
 
 
 def test_enumerate_without_inputs_leaves_fidelity_unset():
