@@ -5,16 +5,15 @@ for figures.
 """
 import numpy as np
 
-from bqtsim import Scenario, distribute, entanglement_entropy_bob, prepare_channel
+from bqtsim import Scenario, distribute, entanglement_entropy_bob
 
 WIDTH = 40
 
-channel = prepare_channel()
 print(f"{'p':>5} {'two noisy qubits':>17} {'all four noisy':>15}   0 {' ' * (WIDTH - 4)} 2")
 for p in np.linspace(0.0, 1.0, 21):
     p = float(p)
-    s1 = entanglement_entropy_bob(distribute(channel, Scenario.RECOVERY_ADC, p)[0])
-    s2 = entanglement_entropy_bob(distribute(channel, Scenario.ALL_ADC, p)[0])
+    s1 = entanglement_entropy_bob(distribute(Scenario.RECOVERY_ADC, p)[0])
+    s2 = entanglement_entropy_bob(distribute(Scenario.ALL_ADC, p)[0])
     # overlay both curves on one strip: '1' and '2', 'x' where they meet
     strip = [" "] * (WIDTH + 1)
     i1 = round(s1 / 2 * WIDTH)

@@ -15,7 +15,6 @@ from .linalg import DensityMatrix, Ket, embed_op, hermitian_eigenvalues, kron, p
 from .metrics import (
     OracleValue,
     QuadratureSpec,
-    QuadRule,
     average_fidelity,
     closed_form,
     closed_form_names,
@@ -47,7 +46,6 @@ __all__ = [
     "Ket",
     "OracleValue",
     "ProtocolResult",
-    "QuadRule",
     "QuadratureSpec",
     "QubitInput",
     "Scenario",

@@ -28,7 +28,9 @@ __all__ = [
     "weak_measurement_op",
 ]
 
-# Post-selection weights at or below this are treated as annihilated.
+# A post-selection weight below this is treated as annihilated. A branch is
+# degenerate when its recovered trace is at or below it or its success
+# weight is below it (protocol._settle).
 DEGENERATE_TOL = 1e-14
 
 

@@ -26,7 +26,7 @@ from .metrics import (
     closed_form,
     entanglement_entropy_bob,
 )
-from .protocol import RESOURCE, QubitInput, Scenario, _run_rows, distribute, run_protocol
+from .protocol import _BRANCH_INDICES, QubitInput, Scenario, _run_rows, distribute, run_protocol
 
 SWEEP_HEADER = "scenario,p,q_w,f_av,g_total,f_av_oracle,g_total_oracle,eam_success,entropy_bob"
 
@@ -95,7 +95,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for p in np.linspace(args.p_min, args.p_max, args.p_steps):
         p = float(p)
         # Every q_w row of this p shares one distributed state.
-        dist, eam_success = distribute(RESOURCE, scenario, p)
+        dist, eam_success = distribute(scenario, p)
         s_bob = entanglement_entropy_bob(dist)
         qs = [float(q) for q in qw_for(p)]
         rows = np.tile([pop0, 0.0, pop0, 0.0], (len(qs), 1))
@@ -167,7 +167,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         p = float(p)
         vals = []
         for scenario in _PROTECTED:
-            dist, _ = distribute(RESOURCE, scenario, p)
+            dist, _ = distribute(scenario, p)
             vals.append(entanglement_entropy_bob(dist))
         lines.append(",".join([_fmt(p)] + [_fmt(v) for v in vals]))
     _emit(lines, args.out)
@@ -215,7 +215,7 @@ def _check_success_oracle(grid_n: int) -> list:
     for scenario in _PROTECTED:
         name = _form_name("g_t", scenario)
         for p in grid:
-            dist, _ = distribute(RESOURCE, scenario, p)
+            dist, _ = distribute(scenario, p)
             success = _run_rows(dist, scenario, qs, _draw_rows(rng, len(qs))).totals()[0]
             err = np.abs(success - np.repeat([closed_form(name, p, q).value for q in grid], 10))
             wheres = [f"{scenario.value} p={p:g} q_w={q:g}" for q in grid]
@@ -230,7 +230,7 @@ def _check_suppression() -> tuple:
     for p in np.linspace(0.0, 1.0, 11):
         p = float(p)
         for scenario in _PROTECTED:
-            dist, _ = distribute(RESOURCE, scenario, p)
+            dist, _ = distribute(scenario, p)
             rows = _run_rows(dist, scenario, [p], inputs)
             degenerate = rows.degenerate[0]
             if p == 1.0 and degenerate.all():
@@ -238,7 +238,7 @@ def _check_suppression() -> tuple:
                 continue
             # A degenerate branch has no fidelity to be 1, so it fails.
             err = np.where(degenerate, np.nan, np.abs(rows.fidelity[0] - 1.0)).tolist()
-            pairs += ((err[k], f"{scenario.value} p={p:g} branch ({k // 4 + 1},{k % 4 + 1})") for k in range(16))
+            pairs += ((e, f"{scenario.value} p={p:g} branch ({i},{j})") for e, (i, j) in zip(err, _BRANCH_INDICES))
             f_av = _average_fidelities(dist, scenario, [p], _VERIFY_QUAD)[0]
             pairs.append((abs(f_av - 1.0), f"{scenario.value} p={p:g} f_av"))
     return pairs, f"; {skipped} annihilated corner point(s) skipped" if skipped else ""
@@ -252,7 +252,7 @@ def _check_unprotected_f_av() -> list:
         for p in np.linspace(0.0, 1.0, 51):
             p = float(p)
             where = f"{scenario.value} p={p:g}"
-            dist, _ = distribute(RESOURCE, scenario, p)
+            dist, _ = distribute(scenario, p)
             f_av = _average_fidelities(dist, scenario, [0.0], _VERIFY_QUAD)[0]
             success = float(_run_rows(dist, scenario, [0.0], inputs).totals()[0][0])
             pairs += [(abs(f_av - closed_form(name, p).value), where), (abs(success - 1.0), where)]
@@ -265,7 +265,7 @@ def _check_eam() -> list:
         name = _form_name("g_eam", scenario)
         for p in np.linspace(0.0, 1.0, 51):
             p = float(p)
-            _, got = distribute(RESOURCE, scenario, p)
+            _, got = distribute(scenario, p)
             pairs.append((abs(got - closed_form(name, p).value), f"{scenario.value} p={p:g}"))
     return pairs
 
@@ -278,13 +278,13 @@ def _branch_sample_errors() -> tuple:
     for scenario in _PROTECTED:
         for p in (0.2, 0.5, 0.8):
             inputs = _draw_rows(rng, 5)
-            dist, _ = distribute(RESOURCE, scenario, p)
+            dist, _ = distribute(scenario, p)
             rows = _run_rows(dist, scenario, [0.0] * len(inputs), inputs)
             want = oracles.recovered_rows(scenario, p, inputs)
             rec_err = np.abs(rows.recovered - want).max(axis=(2, 3))
             prob_err = np.abs(rows.joint - oracles.joint_prob_rows(scenario, p, inputs))
             # Input row n, branch k = 4(i-1)+(j-1) is entry (n, k).
-            wheres = [f"{scenario.value} p={p:g} ({k // 4 + 1},{k % 4 + 1})" for k in range(16)] * len(inputs)
+            wheres = [f"{scenario.value} p={p:g} ({i},{j})" for i, j in _BRANCH_INDICES] * len(inputs)
             rec += zip(rec_err.ravel().tolist(), wheres)
             prob += zip(prob_err.ravel().tolist(), wheres)
     return rec, prob
@@ -301,7 +301,7 @@ def _check_qualitative() -> list:
         f_rows, g_rows = [], []
         for p in grid:
             # Every q_w of this p shares one distributed state.
-            dist, _ = distribute(RESOURCE, scenario, p)
+            dist, _ = distribute(scenario, p)
             f_rows.append(_average_fidelities(dist, scenario, grid, _VERIFY_QUAD))
             g_rows.append(_run_rows(dist, scenario, grid, half).totals()[0])
         fav[scenario], g_sim[scenario] = np.array(f_rows), np.array(g_rows)
@@ -327,7 +327,7 @@ def _check_qualitative() -> list:
 
 def _check_entropy() -> list:
     def s_at(scenario: Scenario, p: float) -> float:
-        dist, _ = distribute(RESOURCE, scenario, p)
+        dist, _ = distribute(scenario, p)
         return entanglement_entropy_bob(dist)
 
     pairs = [(abs(s_at(scenario, 0.0) - 2.0) - 1e-9, f"{scenario.value} p=0") for scenario in _PROTECTED]
@@ -381,7 +381,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The `bqtsim` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(prog="bqtsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -420,14 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on its first call."""
-    return build_parser()
-
-
 def main(argv: Optional[list] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # The command is looked up by name when it runs, not taken from the
     # parser built at the first call, so a later rebinding of a cmd_*
     # function (a tracing wrapper, say) is the one called.

@@ -3,17 +3,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
-from .protocol import RESOURCE, Scenario, _correct_branches, _input_kets, _kron_batched, _recover, distribute
+from .protocol import Scenario, _correct_branches, _input_kets, _kron_batched, _recover, distribute
 
 __all__ = [
-    "QuadRule",
     "QuadratureSpec",
     "OracleValue",
     "fidelity",
@@ -27,46 +25,30 @@ __all__ = [
 _EIG_CUT = 1e-12
 
 
-class QuadRule(Enum):
-    SIMPSON = "simpson"
-    GAUSS_LEGENDRE = "gauss-legendre"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature over the input population in [0, 1].
-
-    `points` counts nodes for GAUSS_LEGENDRE and subintervals for SIMPSON
-    (which therefore must be even).
-    """
+    """Gauss-Legendre quadrature over the input population in [0, 1] with
+    `points` nodes."""
 
     points: int = 64
-    rule: QuadRule = QuadRule.GAUSS_LEGENDRE
 
     def __post_init__(self) -> None:
         if self.points < 8:
             raise ValueError(f"points={self.points} too coarse, need at least 8")
-        if self.rule is QuadRule.SIMPSON and self.points % 2:
-            raise ValueError("SIMPSON needs an even subinterval count")
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = _nodes_weights(self.points, self.rule)
+        nodes, weights = _nodes_weights(self.points)
         return nodes.copy(), weights.copy()
 
 
 # Gauss-Legendre nodes cost an eigenproblem, which at 64 points takes longer
-# than the averaging itself. Programs use a handful of rules, and the key
-# is the rule alone, so the cache stays small however many points are swept.
+# than the averaging itself. Programs use a handful of node counts, and the
+# key is the count alone, so the cache stays small however many points are
+# swept.
 @lru_cache(maxsize=8)
-def _nodes_weights(points: int, rule: QuadRule) -> tuple[np.ndarray, np.ndarray]:
-    if rule is QuadRule.GAUSS_LEGENDRE:
-        x, w = np.polynomial.legendre.leggauss(points)
-        return (x + 1.0) / 2.0, w / 2.0
-    nodes = np.linspace(0.0, 1.0, points + 1)
-    w = np.ones(points + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return nodes, w / (3.0 * points)
+def _nodes_weights(points: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(points)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 @dataclass(frozen=True)
@@ -104,7 +86,7 @@ def average_fidelity(
     population is integrated. Degenerate branches add nothing to a node's
     value; the result is NaN when every branch of some node is degenerate.
     """
-    dist, _ = distribute(RESOURCE, scenario, p)
+    dist, _ = distribute(scenario, p)
     return _average_fidelities(dist, scenario, (q_w,), quad)[0]
 
 

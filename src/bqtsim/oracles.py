@@ -4,24 +4,24 @@ Every quantity here is written straight from the hand-derived branch
 algebra: the post-selected channel pairs factorize, so each Bell outcome
 acts on one party's input independently and joint quantities are products
 of per-party factors. Nothing in this module calls into the measurement
-pipeline; the only shared code is the parameter records (the Scenario
-record's situation and protection flag pick the formulas here), so
-agreement with the branches of protocol.run_protocol is a real cross-check.
-The input amplitudes sqrt(pop0) and sqrt(1-pop0) e^{i phase} are computed
-here too, not taken from QubitInput.
+pipeline; the only shared code is the Scenario record (its situation and
+protection flag pick the formulas here) and the QubitInput record the
+scalar views read, so agreement with the branches of protocol.run_protocol
+is a real cross-check. The input amplitudes sqrt(pop0) and sqrt(1-pop0)
+e^{i phase} are computed here too, not taken from QubitInput.
 
 Per-party outcome classes: indices 1 and 2 land the input amplitudes in
 order (damped component second), indices 3 and 4 land them swapped. All
 probability and fidelity factors depend only on the populations, never the
 phases.
 
-Each branch oracle has a `*_rows` twin that evaluates every branch of a
+The branch oracles, the `*_rows` functions, evaluate every branch of a
 stack of inputs at once. A stack is an (N, 4) float array of rows
-[pop_a, phase_a, pop_b, phase_b]; the twins return (N, 16) numbers or
+[pop_a, phase_a, pop_b, phase_b]; they return (N, 16) numbers or
 (N, 16, 4, 4) states in branch order k = 4(i-1)+(j-1). A branch whose
 closed-form weight is zero has a NaN fidelity and a NaN corrected state.
-The scalar functions are one-row views of their twins, so each formula is
-written once.
+`joint_prob_closed` and `recovered_closed` are one-branch, one-row views
+of their `*_rows` functions, so each formula is written once.
 """
 from __future__ import annotations
 
@@ -29,16 +29,12 @@ import math
 
 import numpy as np
 
-from .channels import DegenerateBranchError
 from .linalg import DensityMatrix
 from .protocol import QubitInput, Scenario
 
 __all__ = [
     "joint_prob_closed",
-    "branch_success_closed",
-    "branch_fidelity_closed",
     "recovered_closed",
-    "corrected_closed",
     "distributed_closed",
     "joint_prob_rows",
     "branch_success_rows",
@@ -129,7 +125,10 @@ def _party_prob(scenario: Scenario, p: float, pop0: np.ndarray) -> np.ndarray:
         return _by_class((a + b * d2) / (2.0 * (1.0 + d2)), (b + a * d2) / (2.0 * (1.0 + d2)))
     if scenario.situation == "I":
         return np.full((len(pop0), 4), 0.25)
-    return _by_class((1.0 + p * (a - b)) / 4.0, (1.0 - p * (a - b)) / 4.0)
+    # 1 + p(a-b) and 1 - p(a-b) as sums of nonnegative terms. As p -> 1 with
+    # a -> 0 (or b -> 0) the difference form cancels and loses the small
+    # weight of a branch that is still live.
+    return _by_class((a * (1.0 + p) + b * (1.0 - p)) / 4.0, (b * (1.0 + p) + a * (1.0 - p)) / 4.0)
 
 
 def _party_success(scenario: Scenario, p: float, q_w: float, pop0: np.ndarray) -> np.ndarray:
@@ -164,7 +163,7 @@ def _party_fidelity(scenario: Scenario, p: float, q_w: float, pop0: np.ndarray) 
 
         def fid(a, b):
             c = a * a * (1.0 + p * p) + b * b * (1.0 - p) ** 2 + 2.0 * a * b * (1.0 - p * p)
-            return _over(c, 1.0 + p * (a - b))
+            return _over(c, a * (1.0 + p) + b * (1.0 - p))
 
     return _by_class(fid(a, b), fid(b, a))
 
@@ -212,7 +211,8 @@ def _party_corrected(
     first = first + _diag(b * p * (1.0 - p) + a * p * p, a * p * (1.0 - p))
     second = second + _diag(b * p * (1.0 - p), a * p * (1.0 - p) + b * p * p)
     return _by_class(
-        _over(first, (1.0 + p * (a - b))[:, None, None]), _over(second, (1.0 - p * (a - b))[:, None, None])
+        _over(first, (a * (1.0 + p) + b * (1.0 - p))[:, None, None]),
+        _over(second, (b * (1.0 + p) + a * (1.0 - p))[:, None, None]),
     )
 
 
@@ -271,35 +271,6 @@ def joint_prob_closed(
     return float(joint_prob_rows(scenario, p, _row(alice_in, bob_in))[0, k])
 
 
-def branch_success_closed(
-    scenario: Scenario,
-    i: int,
-    j: int,
-    p: float,
-    q_w: float,
-    alice_in: QubitInput,
-    bob_in: QubitInput,
-) -> float:
-    """Weight of branch (i, j) surviving both local corrections."""
-    k = _branch(i, j)
-    return float(branch_success_rows(scenario, p, q_w, _row(alice_in, bob_in))[0, k])
-
-
-def branch_fidelity_closed(
-    scenario: Scenario,
-    i: int,
-    j: int,
-    p: float,
-    q_w: float,
-    alice_in: QubitInput,
-    bob_in: QubitInput,
-) -> float:
-    """Fidelity of the corrected branch (i, j) output against the target
-    product; NaN when the branch's weight is zero."""
-    k = _branch(i, j)
-    return float(branch_fidelity_rows(scenario, p, q_w, _row(alice_in, bob_in))[0, k])
-
-
 def recovered_closed(
     scenario: Scenario, i: int, j: int, p: float, alice_in: QubitInput, bob_in: QubitInput
 ) -> np.ndarray:
@@ -307,26 +278,6 @@ def recovered_closed(
     teleported qubit first."""
     k = _branch(i, j)
     return recovered_rows(scenario, p, _row(alice_in, bob_in))[0, k]
-
-
-def corrected_closed(
-    scenario: Scenario,
-    i: int,
-    j: int,
-    p: float,
-    q_w: float,
-    alice_in: QubitInput,
-    bob_in: QubitInput,
-) -> np.ndarray:
-    """Normalized post-correction branch output, Alice's qubit first.
-
-    Raises DegenerateBranchError when the branch's weight is zero.
-    """
-    k = _branch(i, j)
-    state = corrected_rows(scenario, p, q_w, _row(alice_in, bob_in))[0, k]
-    if np.isnan(state).all():
-        raise DegenerateBranchError("closed-form branch weight is zero")
-    return state
 
 
 def _noisy_pair(p: float, scenario: Scenario, damped_first: bool) -> np.ndarray:

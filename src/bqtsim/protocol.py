@@ -289,8 +289,8 @@ def _lifted_kraus(noisy: tuple, p: float, no_decay_only: bool) -> np.ndarray:
     return lifts
 
 
-def distribute(channel: DensityMatrix, scenario: Scenario, p: float) -> tuple[DensityMatrix, float]:
-    """Send the resource through the damping noise of the given scenario.
+def distribute(scenario: Scenario, p: float) -> tuple[DensityMatrix, float]:
+    """Send `RESOURCE` through the damping noise of the given scenario.
 
     Protected scenarios post-select the no-decay branch and return the
     renormalized state together with the post-selection probability.
@@ -298,12 +298,10 @@ def distribute(channel: DensityMatrix, scenario: Scenario, p: float) -> tuple[De
     combinations (4 terms for recovery-qubit noise, 16 for all-qubit) and
     report success 1.
     """
-    if channel.dim != 16:
-        raise ValueError("distribute expects the 4-qubit resource state")
     lifts = _lifted_kraus(scenario.noisy_qubits, p, scenario.protected)
     if scenario.protected:
-        return eam_postselect(channel, lifts[0])
-    return apply_channel(channel, lifts), 1.0
+        return eam_postselect(RESOURCE, lifts[0])
+    return apply_channel(RESOURCE, lifts), 1.0
 
 
 def compose_total(alice_in: QubitInput, channel: DensityMatrix, bob_in: QubitInput) -> DensityMatrix:
@@ -377,27 +375,25 @@ _BRANCH_INDICES = tuple((k // 4 + 1, k % 4 + 1) for k in range(16))
 class _Branches:
     """Arrays of every branch of N input pairs, branch k = 4(i-1)+(j-1).
 
-    `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16);
-    `fidelity` is None when no reference inputs were given.
+    `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16).
     """
 
     recovered: np.ndarray
     joint: np.ndarray
     weight: np.ndarray
     corrected: np.ndarray
-    fidelity: Optional[np.ndarray]
+    fidelity: np.ndarray
     degenerate: np.ndarray
 
     def outcomes(self, n: int = 0) -> tuple:
         """The 16 branches of input pair n as BranchOutcome views."""
-        fid = self.fidelity[n].tolist() if self.fidelity is not None else [None] * 16
         rows = zip(
             _BRANCH_INDICES,
             self.joint[n].tolist(),
             self.recovered[n],
             self.corrected[n],
             self.weight[n].tolist(),
-            fid,
+            self.fidelity[n].tolist(),
             self.degenerate[n].tolist(),
         )
         return tuple(
@@ -442,14 +438,17 @@ class _Branches:
         return success, np.where(self.degenerate.all(axis=1), np.nan, fidelity), postselected
 
 
-def _weak_diagonals(q_w, scenario: Scenario) -> np.ndarray:
-    """Diagonals of the scenario's retained weak operator m_w: (1, 2) for a
-    float q_w, (N, 2) for an (N,) array of them.
+def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
+    """Diagonals of the scenario's retained weak operator m_w for n input
+    rows: (1, 2) for a float q_w, (n, 2) for a sequence of one per row.
 
     Each distinct value is checked by WeakMeasurementParams, and a nonzero
-    one in an unprotected scenario raises ValueError.
+    one in an unprotected scenario raises ValueError, as does a sequence
+    whose length is not n.
     """
-    scalar = not isinstance(q_w, np.ndarray)
+    scalar = np.ndim(q_w) == 0
+    if not scalar and len(q_w) != n:
+        raise ValueError(f"{len(q_w)} q_w values for {n} input rows, need one per row")
     values, rows = ((q_w,), None) if scalar else np.unique(q_w, return_inverse=True)
     table = []
     for v in values:
@@ -459,40 +458,32 @@ def _weak_diagonals(q_w, scenario: Scenario) -> np.ndarray:
     return table[0][None] if scalar else np.stack(table)[rows]
 
 
-def _correct_branches(
-    recovered: np.ndarray,
-    scenario: Scenario,
-    q_w,
-    reference: Optional[np.ndarray],
-) -> _Branches:
+def _correct_branches(recovered: np.ndarray, scenario: Scenario, q_w, reference: np.ndarray) -> _Branches:
     """Correct the (N, 16, 4, 4) recovered branch states of a scenario.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
     classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w
-    = (U_i (x) U_j)(m_w (x) m_w). q_w is a float for every row or an (N,)
-    array with one value per row. Branch fidelities tr(reference .
-    corrected) are filled in when the (N, 4, 4) reference products are
-    given.
+    = (U_i (x) U_j)(m_w (x) m_w). q_w is a float for every row or a
+    sequence with one value per row. Branch fidelities are tr(reference .
+    corrected) against the (N, 4, 4) reference products.
     """
-    d = _weak_diagonals(q_w, scenario)
+    n = recovered.shape[0]
+    d = _weak_diagonals(q_w, scenario, n)
     # The weak pair is diagonal, D = m_w (x) m_w, so it scales entry (a, b)
     # by D_a D_b; the Pauli pair then moves and signs the entries.
     pair = (d[:, :, None] * d[:, None, :]).reshape(-1, 4)
     scale = (pair[:, :, None] * pair[:, None, :]).reshape(-1, 16)
-    n = recovered.shape[0]
     out = recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1)
     out *= _PAULI_SIGN * scale.take(_PAULI_SOURCE, axis=1)
     # + 0.0 folds the -0.0 a sign flip leaves on zero entries into 0.0.
     out += 0.0
     out = out.reshape(n, 16, 4, 4)
     joint, weight, corrected, degenerate = _settle(recovered, out)
-    fidelity = None
-    if reference is not None:
-        # tr(R C) as one contiguous 16-term sum per branch, so a row's value
-        # does not depend on N.
-        products = reference.swapaxes(-1, -2).reshape(n, 1, 16) * corrected.reshape(n, 16, 16)
-        fidelity = products.sum(axis=-1).real
+    # tr(R C) as one contiguous 16-term sum per branch, so a row's value
+    # does not depend on N.
+    products = reference.swapaxes(-1, -2).reshape(n, 1, 16) * corrected.reshape(n, 16, 16)
+    fidelity = products.sum(axis=-1).real
     return _Branches(recovered, joint, weight, corrected, fidelity, degenerate)
 
 
@@ -522,45 +513,41 @@ def _branch_kernel(
     dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, scenario: Scenario, q_w
 ) -> _Branches:
     """Every branch for N input pairs over one distributed resource state,
-    corrected at q_w (a float, or an (N,) array with one value per pair)."""
+    corrected at q_w (a float, or a sequence with one value per pair)."""
     rec = _recover(dist, rho_a, rho_b)
     return _correct_branches(rec, scenario, q_w, _kron_batched(rho_a, rho_b))
 
 
 def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> _Branches:
     """The branches `run_protocol` gives, for an (N, 4) array of input rows
-    [pop_a, phase_a, pop_b, phase_b] and one q_w per row, over one
-    distributed state of `scenario`."""
+    [pop_a, phase_a, pop_b, phase_b] and a float q_w or one q_w per row,
+    over one distributed state of `scenario`."""
     rows = np.asarray(rows, dtype=float)
     # Alice's and Bob's kets of each row on axis 1, amplitudes last.
     kets = _input_kets(rows[:, 0::2], rows[:, 1::2])
     rho = kets[..., :, None] @ kets[..., None, :].conj()
-    return _branch_kernel(dist.mat, rho[:, 0], rho[:, 1], scenario, np.asarray(q_w, dtype=float))
+    return _branch_kernel(dist.mat, rho[:, 0], rho[:, 1], scenario, q_w)
 
 
 def enumerate_branches(
     total: DensityMatrix,
     scenario: Scenario,
     q_w: float,
-    alice_in: Optional[QubitInput] = None,
-    bob_in: Optional[QubitInput] = None,
+    alice_in: QubitInput,
+    bob_in: QubitInput,
 ) -> tuple:
-    """All 16 Bell outcome branches of the 6-qubit state.
+    """All 16 Bell outcome branches of the 6-qubit state composed from the
+    two inputs, with branch fidelities against their product.
 
     Branch (i, j) projects qubits (a, 1) onto Bell state i and (4, b) onto
     Bell state j, traces the measured qubits out, and corrects the kept
     (2, 3) pair. This is the direct construction on the composed state;
     `run_protocol` gets the same branches from the factored kernel, and
     the tests hold the two against each other.
-
-    When the input states are provided, branch fidelities against their
-    product are filled in; otherwise they are left None.
     """
     if total.dim != 64:
         raise ValueError("enumerate_branches expects the 6-qubit composed state")
-    reference = None
-    if alice_in is not None and bob_in is not None:
-        reference = kron(alice_in.density().mat, bob_in.density().mat)[None]
+    reference = kron(alice_in.density().mat, bob_in.density().mat)[None]
     # Row block k of the projection stack gives the (2, 3) state of branch k.
     proj = _PROJ_STACK.reshape(16, 4, 64)
     rec = proj @ total.mat @ proj.conj().swapaxes(-1, -2)
@@ -575,7 +562,7 @@ def run_protocol(
     bob_in: QubitInput,
 ) -> ProtocolResult:
     """Distribute, measure and correct at one parameter point."""
-    dist, eam_success = distribute(RESOURCE, scenario, p)
+    dist, eam_success = distribute(scenario, p)
     kets = _input_kets((alice_in.pop0, bob_in.pop0), (alice_in.phase, bob_in.phase))
     rho = kets[:, :, None] @ kets[:, None, :].conj()
     branches = _branch_kernel(dist.mat, rho[:1], rho[1:], scenario, q_w)

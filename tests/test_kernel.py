@@ -10,9 +10,8 @@ import pytest
 
 from bqtsim.channels import DegenerateBranchError
 from bqtsim.linalg import DensityMatrix
-from bqtsim.metrics import QuadRule, QuadratureSpec, _average_fidelities, average_fidelity
+from bqtsim.metrics import QuadratureSpec, _average_fidelities, average_fidelity
 from bqtsim.protocol import (
-    RESOURCE,
     QubitInput,
     Scenario,
     _run_rows,
@@ -21,7 +20,6 @@ from bqtsim.protocol import (
     correction_ops,
     distribute,
     enumerate_branches,
-    prepare_channel,
     run_protocol,
 )
 
@@ -49,7 +47,7 @@ def draws(scenario, rng):
 
 
 def reference_branches(scenario, p, q_w, alice, bob):
-    dist, _ = distribute(prepare_channel(), scenario, p)
+    dist, _ = distribute(scenario, p)
     return enumerate_branches(compose_total(alice, dist, bob), scenario, q_w, alice, bob)
 
 
@@ -85,10 +83,30 @@ def test_kernel_matches_reference_branches(scenario):
         assert degenerate_seen > 0
 
 
-def reference_average_fidelity(scenario, p, q_w, quad):
+def simpson(intervals):
+    """Composite Simpson nodes and weights on [0, 1]. Unlike Gauss-Legendre
+    nodes they include the edges pop0 = 0 and 1."""
+    nodes = np.linspace(0.0, 1.0, intervals + 1)
+    weights = np.ones(intervals + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return nodes, weights / (3.0 * intervals)
+
+
+def node_average(scenario, p, q_w, nodes, weights):
+    """`average_fidelity`'s sum over any rule's nodes and weights, from the
+    per-node total fidelities of one `_run_rows` stack at equal inputs."""
+    rows = np.zeros((len(nodes), 4))
+    rows[:, 0] = rows[:, 2] = nodes
+    dist, _ = distribute(scenario, p)
+    tf = _run_rows(dist, scenario, q_w, rows).totals()[1]
+    acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
+    return acc * acc
+
+
+def reference_average_fidelity(scenario, p, q_w, nodes, weights):
     """The per-node loop over the direct path."""
-    nodes, weights = quad.nodes_weights()
-    dist, _ = distribute(prepare_channel(), scenario, p)
+    dist, _ = distribute(scenario, p)
     acc = 0.0
     for a, w in zip(nodes, weights):
         inp = QubitInput(float(a))
@@ -101,15 +119,26 @@ def reference_average_fidelity(scenario, p, q_w, quad):
     return acc * acc
 
 
-RULES = tuple(
-    QuadratureSpec(points=n, rule=rule)
-    for rule in (QuadRule.GAUSS_LEGENDRE, QuadRule.SIMPSON)
-    for n in (8, 64, 128)
-)
+def averages(scenario, p, q_w, rule, n):
+    """The batched input average under `rule` (n nodes, or n Simpson
+    intervals) and the per-node loop's over the same nodes and weights.
+    Gauss-Legendre is `average_fidelity`'s own rule; a Simpson sum goes
+    through `node_average`."""
+    if rule == "simpson":
+        nodes, weights = simpson(n)
+        got = node_average(scenario, p, q_w, nodes, weights)
+    else:
+        quad = QuadratureSpec(points=n)
+        nodes, weights = quad.nodes_weights()
+        got = average_fidelity(scenario, p, q_w, quad)
+    return got, reference_average_fidelity(scenario, p, q_w, nodes, weights)
 
 
-@pytest.mark.parametrize("quad", RULES, ids=lambda q: f"{q.rule.value}-{q.points}")
-def test_average_fidelity_matches_per_node_loop(quad):
+RULES = [pytest.param(rule, n, id=f"{rule}-{n}") for rule in ("gauss-legendre", "simpson") for n in (8, 64, 128)]
+
+
+@pytest.mark.parametrize("rule,n", RULES)
+def test_average_fidelity_matches_per_node_loop(rule, n):
     points = [
         (Scenario.RECOVERY_ADC, 0.45, 0.2),
         (Scenario.RECOVERY_ADC, 0.7, 1.0),
@@ -120,16 +149,15 @@ def test_average_fidelity_matches_per_node_loop(quad):
         (Scenario.UNPROTECTED_ALL, 1.0, 0.0),
     ]
     for scenario, p, q in points:
-        got = average_fidelity(scenario, p, q, quad)
-        want = reference_average_fidelity(scenario, p, q, quad)
+        got, want = averages(scenario, p, q, rule, n)
         assert abs(got - want) <= AVERAGE_TOL, f"{scenario.value} p={p} q_w={q}"
 
 
-@pytest.mark.parametrize("quad", RULES, ids=lambda q: f"{q.rule.value}-{q.points}")
-def test_average_fidelity_nan_matches_per_node_loop(quad):
+@pytest.mark.parametrize("rule,n", RULES)
+def test_average_fidelity_nan_matches_per_node_loop(rule, n):
     for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
-        assert math.isnan(average_fidelity(scenario, 1.0, 1.0, quad))
-        assert math.isnan(reference_average_fidelity(scenario, 1.0, 1.0, quad))
+        got, want = averages(scenario, 1.0, 1.0, rule, n)
+        assert math.isnan(got) and math.isnan(want)
 
 
 @pytest.mark.parametrize("scenario", tuple(Scenario))
@@ -165,12 +193,13 @@ def identical(x, y) -> bool:
 @pytest.mark.parametrize("scenario", tuple(Scenario))
 def test_row_stack_matches_one_run_per_row(scenario):
     """Every draw's (q_w, inputs) as one row of a stack at each of a few p,
-    rows of different q_w mixed, equals run_protocol on that row alone."""
+    rows of different q_w mixed, equals run_protocol on that row alone. A
+    float q_w equals that value given once per row."""
     rng = np.random.default_rng(89 + list(Scenario).index(scenario))
     rows = [(q, alice, bob) for _, q, alice, bob in draws(scenario, rng)]
     degenerate_rows = 0
     for p in (0.0, 1.0, float(rng.uniform()), float(rng.uniform())):
-        dist, _ = distribute(RESOURCE, scenario, p)
+        dist, _ = distribute(scenario, p)
         qs = [q for q, _, _ in rows]
         inputs = np.array([[a.pop0, a.phase, b.pop0, b.phase] for _, a, b in rows])
         stack = _run_rows(dist, scenario, qs, inputs)
@@ -189,12 +218,18 @@ def test_row_stack_matches_one_run_per_row(scenario):
                 if not w.degenerate:
                     assert identical(g.branch_fidelity, w.branch_fidelity), where
                     assert identical(g.corrected.mat, w.corrected.mat), where
+        for q in {min(qs), max(qs), qs[-1]}:
+            flat, per_row = (_run_rows(dist, scenario, q_w, inputs) for q_w in (q, [q] * len(rows)))
+            for name in ("joint", "weight", "corrected", "fidelity", "degenerate"):
+                assert identical(getattr(flat, name), getattr(per_row, name)), f"{scenario.value} p={p} q_w={q}"
     if scenario.protected:
         # p = q_w = 1 rows are wholly degenerate; their NaN totals must match.
         assert degenerate_rows > 0
 
 
-@pytest.mark.parametrize("quad", RULES[:2], ids=lambda q: f"{q.rule.value}-{q.points}")
+@pytest.mark.parametrize(
+    "quad", [QuadratureSpec(points=n) for n in (8, 64)], ids=lambda q: f"gauss-legendre-{q.points}"
+)
 def test_multi_qw_average_matches_one_average_per_qw(quad):
     rng = np.random.default_rng(97)
     for scenario in Scenario:
@@ -203,7 +238,7 @@ def test_multi_qw_average_matches_one_average_per_qw(quad):
                 qs = [0.0, 1.0, p, float(rng.uniform()), 0.0]
             else:
                 qs = [0.0, 0.0]
-            dist, _ = distribute(RESOURCE, scenario, p)
+            dist, _ = distribute(scenario, p)
             got = _average_fidelities(dist, scenario, qs, quad)
             want = [average_fidelity(scenario, p, q, quad) for q in qs]
             assert identical(got, want), f"{scenario.value} p={p} q_w={qs}"
@@ -214,15 +249,19 @@ def test_multi_qw_average_matches_one_average_per_qw(quad):
 def test_row_stack_rejects_bad_qw():
     inp = [0.3, 0.2, 0.6, 1.0]
     for scenario in (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL):
-        dist, _ = distribute(RESOURCE, scenario, 0.4)
+        dist, _ = distribute(scenario, 0.4)
         with pytest.raises(ValueError):
             _run_rows(dist, scenario, [0.0, 0.2, 0.0], [inp] * 3)
         with pytest.raises(ValueError):
             _average_fidelities(dist, scenario, [0.0, 0.1])
     for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
-        dist, _ = distribute(RESOURCE, scenario, 0.4)
+        dist, _ = distribute(scenario, 0.4)
         for bad in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError):
                 _run_rows(dist, scenario, [0.2, bad], [inp] * 2)
             with pytest.raises(ValueError):
                 _average_fidelities(dist, scenario, [0.2, bad])
+        # A sequence must give one q_w per input row; it is never broadcast.
+        for qs in ([0.1, 0.2, 0.3], [0.1]):
+            with pytest.raises(ValueError, match=f"{len(qs)} q_w values for 2 input rows"):
+                _run_rows(dist, scenario, qs, [inp] * 2)

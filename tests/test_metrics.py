@@ -6,7 +6,6 @@ import pytest
 
 from bqtsim.linalg import DensityMatrix, kron, partial_trace
 from bqtsim.metrics import (
-    QuadRule,
     QuadratureSpec,
     average_fidelity,
     closed_form,
@@ -15,7 +14,9 @@ from bqtsim.metrics import (
     fidelity,
     von_neumann_entropy,
 )
-from bqtsim.protocol import RESOURCE, QubitInput, Scenario, _run_rows, distribute, prepare_channel
+from bqtsim.protocol import QubitInput, Scenario, _run_rows, distribute
+
+from test_kernel import node_average, simpson
 
 
 def binary_entropy(x):
@@ -50,20 +51,14 @@ def test_fidelity_rejects_dim_mismatch():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(points=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(points=9, rule=QuadRule.SIMPSON)
-    QuadratureSpec(points=10, rule=QuadRule.SIMPSON)
+    QuadratureSpec(points=8)
 
 
 def test_quadrature_nodes_integrate_polynomials():
-    for spec in (
-        QuadratureSpec(points=16),
-        QuadratureSpec(points=20, rule=QuadRule.SIMPSON),
-    ):
-        x, w = spec.nodes_weights()
-        assert np.all(x >= 0.0) and np.all(x <= 1.0)
-        assert abs(np.sum(w) - 1.0) < 1e-13
-        assert abs(np.dot(w, x**3) - 0.25) < 1e-10
+    x, w = QuadratureSpec(points=16).nodes_weights()
+    assert np.all(x >= 0.0) and np.all(x <= 1.0)
+    assert abs(np.sum(w) - 1.0) < 1e-13
+    assert abs(np.dot(w, x**3) - 0.25) < 1e-10
 
 
 # ------------------------------------------------------ closed forms
@@ -118,10 +113,10 @@ def test_average_fidelity_unprotected_closed_forms():
 
 
 def test_average_fidelity_rule_agreement():
+    # The 32-node Gauss-Legendre rule against a 200-interval Simpson sum of
+    # the same per-node totals.
     gl = average_fidelity(Scenario.RECOVERY_ADC, 0.5, 0.2, QuadratureSpec(points=32))
-    simp = average_fidelity(
-        Scenario.RECOVERY_ADC, 0.5, 0.2, QuadratureSpec(points=200, rule=QuadRule.SIMPSON)
-    )
+    simp = node_average(Scenario.RECOVERY_ADC, 0.5, 0.2, *simpson(200))
     assert abs(gl - simp) < 1e-8
 
 
@@ -151,7 +146,7 @@ def test_average_fidelity_factorizes_over_parties(scenario):
     pair_weights = np.outer(weights, weights).ravel()
     for p in (0.0, 0.4, 1.0):
         qs = sorted({0.0, p, min(p + 0.3, 1.0)}) if scenario.protected else [0.0]
-        dist, _ = distribute(RESOURCE, scenario, p)
+        dist, _ = distribute(scenario, p)
         rows = _run_rows(dist, scenario, np.repeat(qs, len(pairs)), np.tile(pairs, (len(qs), 1)))
         joint = rows.totals()[1].reshape(len(qs), -1) @ pair_weights
         for q, want in zip(qs, joint):
@@ -179,20 +174,18 @@ def test_von_neumann_entropy_trivials():
 
 
 def test_entropy_bob_boundaries():
-    channel = prepare_channel()
     for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
-        fresh, _ = distribute(channel, scenario, 0.0)
+        fresh, _ = distribute(scenario, 0.0)
         assert abs(entanglement_entropy_bob(fresh) - 2.0) < 1e-9
-        dead, _ = distribute(channel, scenario, 1.0)
+        dead, _ = distribute(scenario, 1.0)
         assert abs(entanglement_entropy_bob(dead)) < 1e-9
 
 
 def test_entropy_bob_closed_forms_and_ordering():
-    channel = prepare_channel()
     for p in np.linspace(0.0, 1.0, 21):
         p = float(p)
-        s1 = entanglement_entropy_bob(distribute(channel, Scenario.RECOVERY_ADC, p)[0])
-        s2 = entanglement_entropy_bob(distribute(channel, Scenario.ALL_ADC, p)[0])
+        s1 = entanglement_entropy_bob(distribute(Scenario.RECOVERY_ADC, p)[0])
+        s2 = entanglement_entropy_bob(distribute(Scenario.ALL_ADC, p)[0])
         assert abs(s1 - 2 * binary_entropy(1 / (2 - p))) < 1e-9
         assert abs(s2 - 2 * binary_entropy(1 / (1 + (1 - p) ** 2))) < 1e-9
         assert s1 >= s2 - 1e-12
@@ -209,8 +202,7 @@ def test_entropy_bob_traces_the_kept_pair():
     # The reduced pair must be the two receiver-side qubits; tracing the
     # complementary pair of a fresh channel gives the same value, but a
     # mixed partner split does not.
-    channel = prepare_channel()
-    dist, _ = distribute(channel, Scenario.RECOVERY_ADC, 0.4)
+    dist, _ = distribute(Scenario.RECOVERY_ADC, 0.4)
     kept = partial_trace(dist, [1, 3], 4)
     assert abs(von_neumann_entropy(kept) - entanglement_entropy_bob(dist)) < 1e-12
     same_pair = partial_trace(dist, [0, 2], 4)

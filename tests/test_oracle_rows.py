@@ -1,4 +1,4 @@
-"""The pipeline's row stacks against the closed-form row twins in
+"""The pipeline's row stacks against the closed-form row functions in
 bqtsim.oracles, every branch quantity at once, over hypothesis draws of
 (scenario, p, q_w, input rows) biased to the edges of the domain: p, q_w
 and the populations at 0 and 1, q_w = p, and p, q_w within 1e-8 of the
@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from bqtsim import oracles
 from bqtsim.channels import DEGENERATE_TOL
-from bqtsim.protocol import RESOURCE, Scenario, _run_rows, distribute
+from bqtsim.linalg import EIG_CLAMP
+from bqtsim.protocol import Scenario, _run_rows, distribute
 
 TOL = 1e-12
 
@@ -33,7 +34,7 @@ def points(draw):
 @given(points())
 def test_row_stack_matches_closed_form_rows(point):
     scenario, p, q_w, rows = point
-    dist, _ = distribute(RESOURCE, scenario, p)
+    dist, _ = distribute(scenario, p)
     got = _run_rows(dist, scenario, [q_w] * len(rows), rows)
     joint = oracles.joint_prob_rows(scenario, p, rows)
     success = oracles.branch_success_rows(scenario, p, q_w, rows)
@@ -57,3 +58,14 @@ def test_row_stack_matches_closed_form_rows(point):
     np.testing.assert_array_less(np.abs(got.weight - success)[live], TOL)
     np.testing.assert_array_less(np.abs(got.fidelity - fidelity)[live], TOL)
     np.testing.assert_array_less(np.abs(got.corrected - corrected)[live], TOL)
+
+    # Every live corrected state is a density matrix, at the tolerances of
+    # DensityMatrix.assert_valid, and no branch keeps more than its weight.
+    states = got.corrected[live]
+    adjoint = states.conj().swapaxes(-1, -2)
+    trace = np.trace(states, axis1=-2, axis2=-1)
+    lowest = np.linalg.eigvalsh(0.5 * (states + adjoint))[..., 0]
+    assert (np.abs(states - adjoint) <= TOL).all()
+    assert ((np.abs(trace.real - 1.0) <= TOL) & (np.abs(trace.imag) <= TOL)).all()
+    assert (lowest >= -EIG_CLAMP).all()
+    assert ((got.weight >= 0.0) & (got.weight <= got.joint + 1e-14)).all()

@@ -79,47 +79,37 @@ def test_resource_constant_is_read_only():
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_distribute_matches_closed_form(scenario):
-    channel = prepare_channel()
     for p in np.linspace(0.0, 1.0, 21):
         p = float(p)
-        got, _ = distribute(channel, scenario, p)
+        got, _ = distribute(scenario, p)
         want = oracles.distributed_closed(scenario, p)
         np.testing.assert_allclose(got.mat, want.mat, atol=1e-12)
 
 
 def test_distribute_success_probabilities():
-    channel = prepare_channel()
     for p in np.linspace(0.0, 1.0, 21):
         p = float(p)
-        _, g1 = distribute(channel, Scenario.RECOVERY_ADC, p)
+        _, g1 = distribute(Scenario.RECOVERY_ADC, p)
         assert abs(g1 - (2 - p) ** 2 / 4) < 1e-12
-        _, g2 = distribute(channel, Scenario.ALL_ADC, p)
+        _, g2 = distribute(Scenario.ALL_ADC, p)
         assert abs(g2 - (1 + (1 - p) ** 2) ** 2 / 4) < 1e-12
         for scenario in UNPROTECTED:
-            _, g = distribute(channel, scenario, p)
+            _, g = distribute(scenario, p)
             assert g == 1.0
 
 
 def test_distribute_specific_values():
-    channel = prepare_channel()
-    _, g1 = distribute(channel, Scenario.RECOVERY_ADC, 0.5)
+    _, g1 = distribute(Scenario.RECOVERY_ADC, 0.5)
     assert abs(g1 - 0.5625) < 1e-14
-    _, g2 = distribute(channel, Scenario.ALL_ADC, 0.5)
+    _, g2 = distribute(Scenario.ALL_ADC, 0.5)
     assert abs(g2 - 0.390625) < 1e-14
 
 
 def test_distribute_protected_state_is_pure():
-    channel = prepare_channel()
     for scenario in PROTECTED:
-        got, _ = distribute(channel, scenario, 0.6)
+        got, _ = distribute(scenario, 0.6)
         purity = float(np.trace(got.mat @ got.mat).real)
         assert abs(purity - 1.0) < 1e-12
-
-
-def test_distribute_rejects_wrong_dim():
-    small = QubitInput(0.5).density()
-    with pytest.raises(ValueError):
-        distribute(small, Scenario.RECOVERY_ADC, 0.1)
 
 
 # --------------------------------------------------------- composition
@@ -128,7 +118,7 @@ def test_distribute_rejects_wrong_dim():
 def test_compose_total_product_structure():
     rng = np.random.default_rng(17)
     alice, bob = random_inputs(rng)
-    channel, _ = distribute(prepare_channel(), Scenario.RECOVERY_ADC, 0.3)
+    channel, _ = distribute(Scenario.RECOVERY_ADC, 0.3)
     total = compose_total(alice, channel, bob)
     assert total.dim == 64
     assert abs(total.trace() - 1.0) < 1e-12
@@ -275,25 +265,23 @@ def test_branches_match_all_closed_forms(scenario):
         alice, bob = random_inputs(rng)
         q = 0.0 if not scenario.protected else float(rng.uniform(0.0, 0.9))
         res = run_protocol(scenario, p, q, alice, bob)
-        for b in res.branches:
+        row = np.array([[alice.pop0, alice.phase, bob.pop0, bob.phase]])
+        rows = (
+            oracles.branch_success_rows(scenario, p, q, row)[0],
+            oracles.branch_fidelity_rows(scenario, p, q, row)[0],
+            oracles.corrected_rows(scenario, p, q, row)[0],
+        )
+        for b, success, fid, corrected in zip(res.branches, *rows):
             i, j = b.alice_index, b.bob_index
             assert abs(b.joint_prob - oracles.joint_prob_closed(scenario, i, j, p, alice, bob)) < 1e-12
-            assert abs(
-                b.success_weight - oracles.branch_success_closed(scenario, i, j, p, q, alice, bob)
-            ) < 1e-12
-            assert abs(
-                b.branch_fidelity - oracles.branch_fidelity_closed(scenario, i, j, p, q, alice, bob)
-            ) < 1e-12
+            assert abs(b.success_weight - success) < 1e-12
+            assert abs(b.branch_fidelity - fid) < 1e-12
             np.testing.assert_allclose(
                 b.recovered.mat,
                 oracles.recovered_closed(scenario, i, j, p, alice, bob),
                 atol=1e-12,
             )
-            np.testing.assert_allclose(
-                b.corrected.mat,
-                oracles.corrected_closed(scenario, i, j, p, q, alice, bob),
-                atol=1e-12,
-            )
+            np.testing.assert_allclose(b.corrected.mat, corrected, atol=1e-12)
 
 
 def test_branch_quantities_phase_independent():
@@ -350,47 +338,38 @@ def test_unprotected_rejects_weak_measurement():
         with pytest.raises(ValueError):
             run_protocol(scenario, 0.3, 0.1, QubitInput(0.5), QubitInput(0.5))
         # The closed forms apply the same rule.
-        for oracle in (oracles.branch_success_closed, oracles.corrected_closed):
+        for oracle in (oracles.branch_success_rows, oracles.corrected_rows):
             with pytest.raises(ValueError, match="q_w = 0"):
-                oracle(scenario, 1, 3, 0.3, 0.1, QubitInput(0.5), QubitInput(0.5))
-        total = compose_total(
-            QubitInput(0.5), distribute(prepare_channel(), scenario, 0.3)[0], QubitInput(0.5)
-        )
+                oracle(scenario, 0.3, 0.1, np.array([[0.5, 0.0, 0.5, 0.0]]))
+        inp = QubitInput(0.5)
+        total = compose_total(inp, distribute(scenario, 0.3)[0], inp)
         with pytest.raises(ValueError):
-            enumerate_branches(total, scenario, 0.1)
+            enumerate_branches(total, scenario, 0.1, inp, inp)
 
 
 def test_bare_closed_forms_at_zero_probability_branches():
     # unprotected-all at p = 1 empties Alice's outcomes 1 and 2 when her
     # pop0 is 0, and 3 and 4 when it is 1. The pipeline marks those branches
     # degenerate; the closed forms follow the protected rule: a NaN
-    # fidelity, and no corrected state. Nothing may warn on the way.
+    # fidelity and a NaN corrected state. Nothing may warn on the way. At
+    # pop0 = 1e-12 outcomes 1 and 2 live on a weight of about 1e-13, which
+    # the closed forms must not lose to cancellation.
     scenario, bob = Scenario.UNPROTECTED_ALL, QubitInput(0.3, 0.7)
-    for pop0, dead in ((0.0, (1, 2)), (1.0, (3, 4))):
+    for pop0, dead in ((0.0, (1, 2)), (1.0, (3, 4)), (1e-12, ())):
         alice = QubitInput(pop0, 0.4)
+        row = np.array([[pop0, 0.4, bob.pop0, bob.phase]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_protocol(scenario, 1.0, 0.0, alice, bob)
-            for b in res.branches:
-                i, j = b.alice_index, b.bob_index
-                fid = oracles.branch_fidelity_closed(scenario, i, j, 1.0, 0.0, alice, bob)
-                assert b.degenerate == (i in dead)
-                if b.degenerate:
-                    assert math.isnan(fid)
-                    with pytest.raises(DegenerateBranchError):
-                        oracles.corrected_closed(scenario, i, j, 1.0, 0.0, alice, bob)
-                    continue
-                assert abs(b.branch_fidelity - fid) < 1e-12
-                want = oracles.corrected_closed(scenario, i, j, 1.0, 0.0, alice, bob)
-                np.testing.assert_allclose(b.corrected.mat, want, atol=1e-12)
-
-
-def test_enumerate_without_inputs_leaves_fidelity_unset():
-    dist, _ = distribute(prepare_channel(), Scenario.RECOVERY_ADC, 0.2)
-    total = compose_total(QubitInput(0.7), dist, QubitInput(0.3))
-    branches = enumerate_branches(total, Scenario.RECOVERY_ADC, 0.1)
-    assert all(b.branch_fidelity is None for b in branches)
-    assert all(b.corrected is not None for b in branches)
+            fidelity = oracles.branch_fidelity_rows(scenario, 1.0, 0.0, row)[0]
+            corrected = oracles.corrected_rows(scenario, 1.0, 0.0, row)[0]
+        for b, fid, want in zip(res.branches, fidelity, corrected):
+            assert b.degenerate == (b.alice_index in dead)
+            if b.degenerate:
+                assert math.isnan(fid) and np.isnan(want).all()
+                continue
+            assert abs(b.branch_fidelity - fid) < 1e-12
+            np.testing.assert_allclose(b.corrected.mat, want, atol=1e-12)
 
 
 def test_run_protocol_success_oracle_examples():
