@@ -11,7 +11,7 @@ from .channels import (
     eam_postselect,
     weak_measurement_op,
 )
-from .linalg import DensityMatrix, Ket, embed_op, hermitian_eigenvalues, kron, partial_trace
+from .linalg import DensityMatrix, embed_op, hermitian_eigenvalues, kron, partial_trace
 from .metrics import (
     OracleValue,
     QuadratureSpec,
@@ -19,7 +19,6 @@ from .metrics import (
     closed_form,
     closed_form_names,
     entanglement_entropy_bob,
-    fidelity,
     von_neumann_entropy,
 )
 from .protocol import (
@@ -43,7 +42,6 @@ __all__ = [
     "BranchOutcome",
     "DegenerateBranchError",
     "DensityMatrix",
-    "Ket",
     "OracleValue",
     "ProtocolResult",
     "QuadratureSpec",
@@ -64,7 +62,6 @@ __all__ = [
     "embed_op",
     "entanglement_entropy_bob",
     "enumerate_branches",
-    "fidelity",
     "hermitian_eigenvalues",
     "kron",
     "partial_trace",

@@ -133,6 +133,9 @@ def cmd_branches(args: argparse.Namespace) -> int:
     for name, v in (("alice-pop0", args.alice_pop0), ("bob-pop0", args.bob_pop0)):
         if not 0.0 <= v <= 1.0:
             return _usage_error(f"{name} must lie in [0, 1]")
+    for name, v in (("alice-phase", args.alice_phase), ("bob-phase", args.bob_phase)):
+        if not math.isfinite(v):
+            return _usage_error(f"{name} must be finite")
     alice = QubitInput(args.alice_pop0, args.alice_phase)
     bob = QubitInput(args.bob_pop0, args.bob_phase)
     res = run_protocol(scenario, args.p, args.qw, alice, bob)

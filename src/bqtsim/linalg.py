@@ -5,8 +5,8 @@ factor, so basis index b of an n-qubit register carries qubit q's bit at
 position n-1-q. Systems stay small (at most 6 qubits, 64x64), so everything
 is stored dense.
 
-All functions are pure; Ket and DensityMatrix instances are treated as
-immutable after construction and are safe to share between threads.
+All functions are pure; DensityMatrix instances are treated as immutable
+after construction and are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "ComplexMatrix",
-    "Ket",
     "DensityMatrix",
     "kron",
     "partial_trace",
@@ -58,31 +57,6 @@ def _n_qubits_of(dim: int) -> int:
     if dim <= 0 or (1 << n) != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
-
-
-@dataclass(frozen=True)
-class Ket:
-    """Pure state vector of a qubit register."""
-
-    amps: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.amps.shape[0])
-
-    @property
-    def n_qubits(self) -> int:
-        return _n_qubits_of(self.dim)
-
-    def density(self) -> "DensityMatrix":
-        """Return the projector |psi><psi| as a density matrix."""
-        v = np.asarray(self.amps, dtype=complex).reshape(-1, 1)
-        return DensityMatrix(v @ v.conj().T)
-
-    def assert_normalized(self, tol: float = 1e-12) -> None:
-        nrm = float(np.sum(np.abs(self.amps) ** 2))
-        if abs(nrm - 1.0) > tol:
-            raise ValueError(f"ket norm^2 = {nrm!r}, expected 1 within {tol}")
 
 
 @dataclass(frozen=True)
@@ -141,16 +115,15 @@ def _check_targets(targets: Sequence[int], n_qubits: int) -> None:
         seen.add(q)
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int], n_qubits: int) -> DensityMatrix:
-    """Trace out all qubits not listed in `keep`.
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Trace out all qubits of `rho` not listed in `keep`.
 
     The result's qubit order follows the keep list, so keep=[3, 1] returns
     the (3, 1) marginal with qubit 3 as the leftmost factor. Trace is
     preserved; the normalization flag carries over from the input.
     """
     keep = list(keep)
-    if rho.dim != 1 << n_qubits:
-        raise ValueError(f"state dim {rho.dim} does not match {n_qubits} qubits")
+    n_qubits = rho.n_qubits
     _check_targets(keep, n_qubits)
     if not keep:
         raise ValueError("keep list must not be empty")
@@ -186,16 +159,17 @@ def embed_op(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarra
     return np.ascontiguousarray(t.reshape(1 << n_qubits, 1 << n_qubits))
 
 
-def hermitian_eigenvalues(rho: DensityMatrix, herm_tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Real eigenvalues in descending order.
 
-    Values in [-EIG_CLAMP, 0) are clamped to exactly 0 so downstream logs
-    and entropies never see spurious negatives.
+    Raises ValueError when rho is off Hermitian by more than 1e-10 in any
+    entry. Values in [-EIG_CLAMP, 0) are clamped to exactly 0 so downstream
+    logs and entropies never see spurious negatives.
     """
     m = rho.mat
     herm_err = float(np.max(np.abs(m - m.conj().T)))
-    if herm_err > herm_tol:
-        raise ValueError(f"not Hermitian within {herm_tol}: deviation {herm_err:g}")
+    if herm_err > 1e-10:
+        raise ValueError(f"not Hermitian within 1e-10: deviation {herm_err:g}")
     vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
     vals = np.where((vals < 0.0) & (vals >= -EIG_CLAMP), 0.0, vals)
     return vals

@@ -1,4 +1,4 @@
-"""Fidelity, averaged figures of merit, closed forms, and entropies."""
+"""Input-averaged fidelity, closed forms, and entropies."""
 from __future__ import annotations
 
 import math
@@ -9,12 +9,11 @@ from typing import Optional
 import numpy as np
 
 from .linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
-from .protocol import Scenario, _correct_branches, _input_kets, _kron_batched, _recover, distribute
+from .protocol import Scenario, _correct_branches, _input_densities, _kron_batched, _recover, distribute
 
 __all__ = [
     "QuadratureSpec",
     "OracleValue",
-    "fidelity",
     "average_fidelity",
     "closed_form",
     "closed_form_names",
@@ -60,14 +59,6 @@ class OracleValue:
     formula_ref: str
 
 
-def fidelity(reference: DensityMatrix, state: DensityMatrix) -> float:
-    """Overlap tr(reference . state); the usual fidelity when the reference
-    is pure."""
-    if reference.dim != state.dim:
-        raise ValueError("dimension mismatch")
-    return float(np.trace(reference.mat @ state.mat).real)
-
-
 def average_fidelity(
     scenario: Scenario,
     p: float,
@@ -102,8 +93,7 @@ def _average_fidelities(
     if quad is None:
         quad = QuadratureSpec()
     nodes, weights = quad.nodes_weights()
-    kets = _input_kets(nodes)
-    rho = kets[:, :, None] * kets[:, None, :].conj()
+    rho = _input_densities(nodes)
     recovered, reference = _recover(dist.mat, rho, rho), _kron_batched(rho, rho)
     out = []
     for q_w in q_ws:
@@ -179,4 +169,4 @@ def entanglement_entropy_bob(channel_state: DensityMatrix) -> float:
     """
     if channel_state.dim != 16:
         raise ValueError("expected a 4-qubit channel state")
-    return von_neumann_entropy(partial_trace(channel_state, [1, 3], 4))
+    return von_neumann_entropy(partial_trace(channel_state, [1, 3]))

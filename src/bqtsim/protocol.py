@@ -16,8 +16,12 @@ damping channel applied and no correction.
 All 16 Bell outcome combinations are computed exactly, never sampled, by
 one batched kernel: each party's Bell bra is contracted with that party's
 input first, so the 6-qubit state is never built. The kernel evaluates a
-stack of input pairs at once, which is how `average_fidelity` covers every
-quadrature node in one call.
+stack of input pairs at once. `_input_densities` is the one place an input
+(pop0, phase) becomes a 2x2 state, and `_run_rows` is the kernel's one
+entry for rows of inputs: `run_protocol` sends its single row through it,
+and `sweep` and `verify` their stacks. `average_fidelity` alone calls the
+fold (`_recover`) and the correction (`_correct_branches`) itself, so that
+its quadrature nodes are folded once and corrected once per q_w.
 
 The correction stage takes q_w as one float or as one value per input row,
 so the rows of a sweep or a check grid at one (scenario, p) share a single
@@ -48,7 +52,7 @@ from .channels import (
     apply_channel,
     weak_measurement_op,
 )
-from .linalg import CNOT, HADAMARD, I2, SX, SZ, DensityMatrix, Ket, embed_op, kron
+from .linalg import CNOT, HADAMARD, I2, SX, SZ, DensityMatrix, embed_op, kron
 
 __all__ = [
     "QubitInput",
@@ -66,12 +70,13 @@ __all__ = [
 ]
 
 
-def _input_kets(pop0, phase=0.0) -> np.ndarray:
-    """Input kets [sqrt(pop0), sqrt(1-pop0) e^{i phase}] over broadcast
-    arrays of populations and phases, amplitudes on the last axis."""
+def _input_densities(pop0, phase=0.0) -> np.ndarray:
+    """Input states |v><v| of the kets v = [sqrt(pop0), sqrt(1-pop0) e^{i phase}]
+    over broadcast arrays of populations and phases, as (..., 2, 2)."""
     pop0 = np.asarray(pop0, dtype=float)
     a1 = np.sqrt(1.0 - pop0) * np.exp(1j * np.asarray(phase, dtype=float))
-    return np.stack(np.broadcast_arrays(np.sqrt(pop0).astype(complex), a1), axis=-1)
+    kets = np.stack(np.broadcast_arrays(np.sqrt(pop0).astype(complex), a1), axis=-1)
+    return kets[..., :, None] @ kets[..., None, :].conj()
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,8 @@ class QubitInput:
     """Single-qubit input parameterized as (population of |0>, phase).
 
     The ket is [sqrt(pop0), sqrt(1-pop0) e^{i phase}], so normalization
-    holds by construction for any pop0 in [0, 1].
+    holds by construction for any pop0 in [0, 1]. The phase must be
+    finite.
     """
 
     pop0: float
@@ -88,12 +94,11 @@ class QubitInput:
     def __post_init__(self) -> None:
         if not 0.0 <= self.pop0 <= 1.0:
             raise ValueError(f"pop0={self.pop0!r} outside [0, 1]")
-
-    def ket(self) -> Ket:
-        return Ket(_input_kets(self.pop0, self.phase))
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase={self.phase!r} is not finite")
 
     def density(self) -> DensityMatrix:
-        return self.ket().density()
+        return DensityMatrix(_input_densities(self.pop0, self.phase))
 
 
 class Scenario(Enum):
@@ -262,7 +267,7 @@ def prepare_channel() -> DensityMatrix:
     ket[0] = 1.0
     for gate, targets in ((HADAMARD, [0]), (CNOT, [0, 1]), (HADAMARD, [2]), (CNOT, [2, 3])):
         ket = embed_op(gate, targets, 4) @ ket
-    return Ket(ket).density()
+    return DensityMatrix(np.outer(ket, ket.conj()))
 
 
 # The resource every run starts from, built once. Its matrix is backed by
@@ -509,24 +514,16 @@ def _recover(dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarr
     return rec.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3).reshape(n, 16, 4, 4)
 
 
-def _branch_kernel(
-    dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, scenario: Scenario, q_w
-) -> _Branches:
-    """Every branch for N input pairs over one distributed resource state,
-    corrected at q_w (a float, or a sequence with one value per pair)."""
-    rec = _recover(dist, rho_a, rho_b)
-    return _correct_branches(rec, scenario, q_w, _kron_batched(rho_a, rho_b))
-
-
 def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> _Branches:
-    """The branches `run_protocol` gives, for an (N, 4) array of input rows
-    [pop_a, phase_a, pop_b, phase_b] and a float q_w or one q_w per row,
-    over one distributed state of `scenario`."""
+    """Every branch for an (N, 4) array of input rows [pop_a, phase_a,
+    pop_b, phase_b] over one distributed state of `scenario`, corrected at
+    q_w (a float, or a sequence with one value per row)."""
     rows = np.asarray(rows, dtype=float)
-    # Alice's and Bob's kets of each row on axis 1, amplitudes last.
-    kets = _input_kets(rows[:, 0::2], rows[:, 1::2])
-    rho = kets[..., :, None] @ kets[..., None, :].conj()
-    return _branch_kernel(dist.mat, rho[:, 0], rho[:, 1], scenario, q_w)
+    # Alice's and Bob's states of each row on axis 1.
+    rho = _input_densities(rows[:, 0::2], rows[:, 1::2])
+    rho_a, rho_b = rho[:, 0], rho[:, 1]
+    rec = _recover(dist.mat, rho_a, rho_b)
+    return _correct_branches(rec, scenario, q_w, _kron_batched(rho_a, rho_b))
 
 
 def enumerate_branches(
@@ -563,9 +560,8 @@ def run_protocol(
 ) -> ProtocolResult:
     """Distribute, measure and correct at one parameter point."""
     dist, eam_success = distribute(scenario, p)
-    kets = _input_kets((alice_in.pop0, bob_in.pop0), (alice_in.phase, bob_in.phase))
-    rho = kets[:, :, None] @ kets[:, None, :].conj()
-    branches = _branch_kernel(dist.mat, rho[:1], rho[1:], scenario, q_w)
+    rows = [[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]]
+    branches = _run_rows(dist, scenario, q_w, rows)
     (total_success,), (total_fidelity,), (postselected,) = branches.totals()
     return ProtocolResult(
         scenario=scenario,

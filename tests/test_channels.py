@@ -17,11 +17,16 @@ from bqtsim.channels import (
     eam_postselect,
     weak_measurement_op,
 )
-from bqtsim.linalg import DensityMatrix, Ket, embed_op, kron
+from bqtsim.linalg import DensityMatrix, embed_op, kron
+
+
+def pure(ket):
+    """The projector |ket><ket| as a density matrix."""
+    return DensityMatrix(np.outer(ket, ket.conj()))
 
 
 def plus_state():
-    return Ket(np.array([1, 1], dtype=complex) / math.sqrt(2)).density()
+    return pure(np.array([1, 1], dtype=complex) / math.sqrt(2))
 
 
 def completeness_error(ops):
@@ -53,7 +58,7 @@ def test_kraus_incomplete_set_rejected():
     # completeness sum and loses the decayed weight.
     ops = adc_kraus(AdcParams(0.5))[:1]
     assert completeness_error(ops) > 1e-12
-    out = apply_channel(Ket(np.array([0, 1], dtype=complex)).density(), ops)
+    out = apply_channel(pure(np.array([0, 1], dtype=complex)), ops)
     assert abs(out.trace() - 0.5) < 1e-15
 
 
@@ -65,7 +70,7 @@ def test_adc_params_range():
 
 
 def test_apply_channel_limits():
-    rho1 = Ket(np.array([0, 1], dtype=complex)).density()
+    rho1 = pure(np.array([0, 1], dtype=complex))
     out = apply_channel(rho1, adc_kraus(AdcParams(0.0)))
     np.testing.assert_allclose(out.mat, rho1.mat, atol=1e-15)
     out = apply_channel(rho1, adc_kraus(AdcParams(1.0)))
@@ -127,14 +132,14 @@ def test_apply_channel_dim_mismatch():
 def test_eam_postselect_single_qubit():
     p = 0.7
     k0, _ = adc_kraus(AdcParams(p))
-    state, prob = eam_postselect(Ket(np.array([0, 1], dtype=complex)).density(), k0)
+    state, prob = eam_postselect(pure(np.array([0, 1], dtype=complex)), k0)
     assert abs(prob - (1 - p)) < 1e-14
     np.testing.assert_allclose(state.mat, np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_eam_postselect_bell_pair_grid():
     # One damped qubit of a Bell pair: success (2-p)/2, kept state pure.
-    bell = Ket(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)).density()
+    bell = pure(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
     for p in np.linspace(0.0, 1.0, 51):
         p = float(p)
         k0, _ = adc_kraus(AdcParams(p))
@@ -146,7 +151,7 @@ def test_eam_postselect_bell_pair_grid():
 
 
 def test_eam_postselect_no_noise_is_identity():
-    bell = Ket(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)).density()
+    bell = pure(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
     k0, _ = adc_kraus(AdcParams(0.0))
     state, prob = eam_postselect(bell, embed_op(k0, [0], 2))
     assert prob == pytest.approx(1.0, abs=1e-14)
@@ -155,7 +160,7 @@ def test_eam_postselect_no_noise_is_identity():
 
 def test_eam_postselect_annihilated_branch_raises():
     k0, _ = adc_kraus(AdcParams(1.0))
-    excited = Ket(np.array([0, 1], dtype=complex)).density()
+    excited = pure(np.array([0, 1], dtype=complex))
     with pytest.raises(DegenerateBranchError):
         eam_postselect(excited, k0)
 

@@ -140,6 +140,8 @@ def test_sweep_unprotected_closed_form_column(capsys):
         ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--alice-pop0", "-0.1"],
         ["entropy", "--p-steps", "1"],
         ["verify", "--grid", "1"],
+        ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--qw", "0.1", "--alice-phase", "inf"],
+        ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--qw", "0.1", "--bob-phase", "nan"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

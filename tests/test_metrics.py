@@ -1,4 +1,4 @@
-"""Fidelity, quadrature averaging, closed-form registry, and entropy."""
+"""Quadrature averaging, closed-form registry, and entropy."""
 import math
 
 import numpy as np
@@ -11,7 +11,6 @@ from bqtsim.metrics import (
     closed_form,
     closed_form_names,
     entanglement_entropy_bob,
-    fidelity,
     von_neumann_entropy,
 )
 from bqtsim.protocol import QubitInput, Scenario, _run_rows, distribute
@@ -23,26 +22,6 @@ def binary_entropy(x):
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
-# ------------------------------------------------------------ fidelity
-
-
-def test_fidelity_trivials():
-    rho = QubitInput(0.3, 1.2).density()
-    assert abs(fidelity(rho, rho) - 1.0) < 1e-14
-    zero = QubitInput(1.0).density()
-    one = QubitInput(0.0).density()
-    assert abs(fidelity(zero, one)) < 1e-14
-    mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    assert abs(fidelity(zero, mixed) - 0.5) < 1e-14
-
-
-def test_fidelity_rejects_dim_mismatch():
-    a = QubitInput(0.5).density()
-    b = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    with pytest.raises(ValueError):
-        fidelity(a, b)
 
 
 # ---------------------------------------------------------- quadrature
@@ -203,7 +182,7 @@ def test_entropy_bob_traces_the_kept_pair():
     # complementary pair of a fresh channel gives the same value, but a
     # mixed partner split does not.
     dist, _ = distribute(Scenario.RECOVERY_ADC, 0.4)
-    kept = partial_trace(dist, [1, 3], 4)
+    kept = partial_trace(dist, [1, 3])
     assert abs(von_neumann_entropy(kept) - entanglement_entropy_bob(dist)) < 1e-12
-    same_pair = partial_trace(dist, [0, 2], 4)
+    same_pair = partial_trace(dist, [0, 2])
     assert abs(von_neumann_entropy(same_pair) - entanglement_entropy_bob(dist)) < 1e-9

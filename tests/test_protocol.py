@@ -56,8 +56,8 @@ def test_prepare_channel_pairs_are_bell():
     rho = prepare_channel()
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    np.testing.assert_allclose(partial_trace(rho, [0, 1], 4).mat, bell, atol=1e-14)
-    np.testing.assert_allclose(partial_trace(rho, [2, 3], 4).mat, bell, atol=1e-14)
+    np.testing.assert_allclose(partial_trace(rho, [0, 1]).mat, bell, atol=1e-14)
+    np.testing.assert_allclose(partial_trace(rho, [2, 3]).mat, bell, atol=1e-14)
 
 
 def test_resource_constant_is_read_only():
@@ -124,9 +124,9 @@ def test_compose_total_product_structure():
     assert abs(total.trace() - 1.0) < 1e-12
     purity = float(np.trace(total.mat @ total.mat).real)
     assert abs(purity - 1.0) < 1e-10
-    np.testing.assert_allclose(partial_trace(total, [0], 6).mat, alice.density().mat, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(total, [5], 6).mat, bob.density().mat, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(total, [1, 2, 3, 4], 6).mat, channel.mat, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(total, [0]).mat, alice.density().mat, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(total, [5]).mat, bob.density().mat, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(total, [1, 2, 3, 4]).mat, channel.mat, atol=1e-12)
 
 
 def test_compose_total_rejects_wrong_dim():
@@ -308,8 +308,8 @@ def test_corrected_outputs_factorize(scenario):
     q = 0.0 if not scenario.protected else 0.35
     res = run_protocol(scenario, 0.45, q, alice, bob)
     for b in res.branches:
-        left = partial_trace(b.corrected, [0], 2).mat
-        right = partial_trace(b.corrected, [1], 2).mat
+        left = partial_trace(b.corrected, [0]).mat
+        right = partial_trace(b.corrected, [1]).mat
         np.testing.assert_allclose(b.corrected.mat, kron(left, right), atol=1e-10)
 
 
@@ -414,6 +414,10 @@ def test_qubit_input_validation():
         QubitInput(-0.2)
     with pytest.raises(ValueError):
         QubitInput(1.2)
-    k = QubitInput(0.36, 0.5).ket()
-    assert abs(k.amps[0] - 0.6) < 1e-15
-    assert abs(abs(k.amps[1]) - 0.8) < 1e-15
+    for phase in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            QubitInput(0.5, phase)
+    rho = QubitInput(0.36, 0.5).density().mat
+    assert abs(rho[0, 0] - 0.36) < 1e-15
+    assert abs(rho[1, 1] - 0.64) < 1e-15
+    assert abs(rho[1, 0] - 0.48 * np.exp(0.5j)) < 1e-15
