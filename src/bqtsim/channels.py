@@ -120,9 +120,11 @@ def weak_measurement_op(params: WeakMeasurementParams) -> np.ndarray:
     Only the retained outcome is returned; the complementary operator shows
     up solely as the discarded probability in branch bookkeeping.
     """
-    q = params.q_w
-    if params.variant is WeakVariant.SQRT_DIAG:
-        top = math.sqrt(1.0 - q)
-    else:
-        top = 1.0 - q
+    top = _weak_top(params.q_w, params.variant)
     return np.array([[top, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def _weak_top(q_w, variant: WeakVariant):
+    """Top diagonal entry of the retained weak operator, elementwise over
+    strengths q_w already checked to lie in [0, 1]."""
+    return np.sqrt(1.0 - q_w) if variant is WeakVariant.SQRT_DIAG else 1.0 - q_w

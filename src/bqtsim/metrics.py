@@ -142,12 +142,16 @@ def closed_form(name: str, p: float, q_w: float = 0.0) -> OracleValue:
 
     g_t_* are total correction success probabilities of the two protected
     scenarios, g_eam_* the post-selection probabilities, f_av_unprot_* the
-    input-averaged fidelities of the two unprotected baselines.
+    input-averaged fidelities of the two unprotected baselines. A p or
+    q_w outside [0, 1], NaN included, raises ValueError.
     """
     try:
         fn, ref = _FORMS[name]
     except KeyError:
         raise ValueError(f"unknown closed form {name!r}, have {closed_form_names()}") from None
+    for arg, value in (("p", p), ("q_w", q_w)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{arg}={value!r} outside [0, 1]")
     return OracleValue(name=name, value=float(fn(p, q_w)), formula_ref=ref)
 
 

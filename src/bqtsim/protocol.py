@@ -11,7 +11,11 @@ announces.
 Four noise scenarios are modeled: damping on the two recovery qubits or on
 all four channel qubits, each either protected (no-decay post-selection at
 distribution plus weak-measurement correction) or left bare with the full
-damping channel applied and no correction.
+damping channel applied and no correction. `distribute` applies each
+4-qubit lift of a damping Kraus operator as a monomial map, one source
+column and one coefficient per row, over entries of the resource gathered
+once at import; `channels.apply_channel` and `channels.eam_postselect` on
+Kronecker-built lifts are the reference it is tested against, bit for bit.
 
 All 16 Bell outcome combinations are computed exactly, never sampled, by
 one batched kernel: each party's Bell bra is contracted with that party's
@@ -34,6 +38,7 @@ the kernel is tested against.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,9 +52,7 @@ from .channels import (
     DegenerateBranchError,
     WeakMeasurementParams,
     WeakVariant,
-    adc_kraus,
-    eam_postselect,
-    apply_channel,
+    _weak_top,
     weak_measurement_op,
 )
 from .linalg import CNOT, HADAMARD, I2, SX, SZ, DensityMatrix, embed_op, kron
@@ -278,20 +281,40 @@ RESOURCE = DensityMatrix(
 )
 
 
-def _lifted_kraus(noisy: tuple, p: float, no_decay_only: bool) -> np.ndarray:
-    """(m, 16, 16) stack of 4-qubit lifts of the damping Kraus operators.
+# A lifted damping Kraus operator is a Kronecker product of per-qubit
+# choices 0: k0 = diag(1, d), 1: k1 = [[0, s], [0, 0]] and 2: the identity,
+# d = sqrt(1-p) and s = sqrt(p). Each has one entry per row: row b of choice
+# o holds its factor in column _ADC_COLUMN[o][b]. k1's empty row reads
+# column 0 with factor 0.
+_ADC_COLUMN = ((0, 1), (1, 0), (0, 1))
 
-    One lift per decay combination on the `noisy` qubits, the first noisy
-    qubit's choice varying slowest (k0 alone when `no_decay_only`), built as
-    one batched Kronecker product of the per-qubit k0/k1/identity stacks.
+
+def _adc_monomials(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The scenario's lifted Kraus operators L_m as monomial maps over
+    `RESOURCE`, one per decay combination on its noisy qubits (the no-decay
+    one alone when protected), the first noisy qubit's choice varying
+    slowest.
+
+    Row r of L_m holds c_r in column src_r, so (L_m rho L_m^dag)[r, c] =
+    c_r rho[src_r, src_c] c_c. Returns the (4, m, 16) indices of each row's
+    per-qubit factors into the flattened 3x2 factor table, qubit 0 first,
+    and the constant (m, 16, 16) gather rho[src_r, src_c] of `RESOURCE`.
     """
-    kraus = adc_kraus(AdcParams(p))
-    if no_decay_only:
-        kraus = kraus[:1]
-    lifts = np.ones((1, 1, 1), dtype=complex)
-    for q in range(4):
-        lifts = _kron_combos(lifts, kraus if q in noisy else I2[None])
-    return lifts
+    options = [((0, 1) if q in scenario.noisy_qubits else (2,)) for q in range(4)]
+    if scenario.protected:
+        options = [o[:1] for o in options]
+    choices = np.array(list(itertools.product(*options)))
+    # Bit b of row r on each qubit, qubit 0 the most significant: (16, 4).
+    place = 1 << np.arange(3, -1, -1)
+    bits = (np.arange(16)[:, None] // place) & 1
+    factor = 2 * choices.T[:, :, None] + bits.T[:, None, :]
+    src = np.array(_ADC_COLUMN)[choices[:, None, :], bits] @ place
+    gathered = RESOURCE.mat[src[:, :, None], src[:, None, :]]
+    gathered.setflags(write=False)
+    return factor, gathered
+
+
+_ADC_MONOMIALS = {scenario: _adc_monomials(scenario) for scenario in Scenario}
 
 
 def distribute(scenario: Scenario, p: float) -> tuple[DensityMatrix, float]:
@@ -301,12 +324,25 @@ def distribute(scenario: Scenario, p: float) -> tuple[DensityMatrix, float]:
     renormalized state together with the post-selection probability.
     Unprotected scenarios apply the complete Kraus sum over all decay
     combinations (4 terms for recovery-qubit noise, 16 for all-qubit) and
-    report success 1.
+    report success 1. Each lifted Kraus operator is applied as a monomial
+    map: its coefficient c_r is the product of the row's per-qubit
+    factors taken left to right in qubit order, as a Kronecker product
+    forms it.
     """
-    lifts = _lifted_kraus(scenario.noisy_qubits, p, scenario.protected)
-    if scenario.protected:
-        return eam_postselect(RESOURCE, lifts[0])
-    return apply_channel(RESOURCE, lifts), 1.0
+    AdcParams(p)  # raises ValueError for p outside [0, 1]
+    factor, gathered = _ADC_MONOMIALS[scenario]
+    # The row factors [[1, d], [s, 0], [1, 1]] of k0, k1 and the identity.
+    table = np.array([1.0, math.sqrt(1.0 - p), math.sqrt(p), 0.0, 1.0, 1.0])
+    coef = np.multiply.reduce(table.take(factor), axis=0)
+    terms = coef[:, :, None] * gathered * coef[:, None, :]
+    if not scenario.protected:
+        # The terms add in order of m, as apply_channel's Kraus sum does.
+        return DensityMatrix(terms.sum(axis=0)), 1.0
+    kept = terms[0]
+    prob = float(np.trace(kept).real)
+    if prob < DEGENERATE_TOL:
+        raise DegenerateBranchError(f"post-selection weight {prob:g} is numerically zero")
+    return DensityMatrix(kept / prob), prob
 
 
 def compose_total(alice_in: QubitInput, channel: DensityMatrix, bob_in: QubitInput) -> DensityMatrix:
@@ -338,7 +374,7 @@ def correction_ops(
 
 def _settle(recovered: np.ndarray, out: np.ndarray) -> tuple:
     """Normalize corrected products `out` of the unnormalized (2, 3) pair
-    states `recovered`, both (..., 4, 4).
+    states `recovered`, both (..., 4, 4), in place in `out`.
 
     Returns (joint, weight, corrected, degenerate): the recovered traces,
     the success weights tr(M rho M^dag), the normalized outputs, and the
@@ -346,12 +382,19 @@ def _settle(recovered: np.ndarray, out: np.ndarray) -> tuple:
     DEGENERATE_TOL), whose weight is set to 0 and whose output is
     meaningless.
     """
+    # + 0.0 folds any -0.0 entry into 0.0.
+    out += 0.0
     joint = np.einsum("...ii->...", recovered).real
     weight = np.einsum("...ii->...", out).real
     degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
     weight = np.where(degenerate, 0.0, weight)
-    corrected = out / np.where(degenerate, 1.0, weight)[..., None, None]
-    return joint, weight, corrected, degenerate
+    # numpy divides a complex x by a real w, cast to w + 0j, as
+    # ((x.re + x.im * 0) * (1 / w), (x.im - x.re * 0) * (1 / w)). With no
+    # -0.0 entry the zero terms change nothing, so one real multiply of
+    # both parts by 1 / w gives the same bits.
+    parts = out.view(float)
+    parts *= (1.0 / np.where(degenerate, 1.0, weight))[..., None, None]
+    return joint, weight, out, degenerate
 
 
 def apply_correction(
@@ -447,20 +490,25 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     """Diagonals of the scenario's retained weak operator m_w for n input
     rows: (1, 2) for a float q_w, (n, 2) for a sequence of one per row.
 
-    Each distinct value is checked by WeakMeasurementParams, and a nonzero
-    one in an unprotected scenario raises ValueError, as does a sequence
+    A value outside [0, 1] raises WeakMeasurementParams' ValueError for
+    the least such value, NaN counting as the largest. A nonzero value in
+    an unprotected scenario raises ValueError first, as does a sequence
     whose length is not n.
     """
-    scalar = np.ndim(q_w) == 0
-    if not scalar and len(q_w) != n:
-        raise ValueError(f"{len(q_w)} q_w values for {n} input rows, need one per row")
-    values, rows = ((q_w,), None) if scalar else np.unique(q_w, return_inverse=True)
-    table = []
-    for v in values:
-        scenario.check_q_w(v)
-        m_w = weak_measurement_op(WeakMeasurementParams(float(v), scenario.weak_variant))
-        table.append(m_w.diagonal().real)
-    return table[0][None] if scalar else np.stack(table)[rows]
+    q = np.asarray(q_w, dtype=float)
+    if q.ndim and len(q) != n:
+        raise ValueError(f"{len(q)} q_w values for {n} input rows, need one per row")
+    q = q.reshape(-1)
+    # The largest magnitude is nonzero, or NaN, exactly when some value is.
+    scenario.check_q_w(float(np.abs(q).max(initial=0.0)))
+    # NaN fails both comparisons and sorts last. Constructing the
+    # parameters of the least bad value raises their range error.
+    bad = q[~((q >= 0.0) & (q <= 1.0))]
+    if bad.size:
+        WeakMeasurementParams(float(np.sort(bad)[0]), scenario.weak_variant)
+    diagonals = np.ones((len(q), 2))
+    diagonals[:, 0] = _weak_top(q, scenario.weak_variant)
+    return diagonals
 
 
 def _correct_branches(recovered: np.ndarray, scenario: Scenario, q_w, reference: np.ndarray) -> _Branches:
@@ -481,8 +529,7 @@ def _correct_branches(recovered: np.ndarray, scenario: Scenario, q_w, reference:
     scale = (pair[:, :, None] * pair[:, None, :]).reshape(-1, 16)
     out = recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1)
     out *= _PAULI_SIGN * scale.take(_PAULI_SOURCE, axis=1)
-    # + 0.0 folds the -0.0 a sign flip leaves on zero entries into 0.0.
-    out += 0.0
+    # _settle folds the -0.0 a sign flip leaves on zero entries into 0.0.
     out = out.reshape(n, 16, 4, 4)
     joint, weight, corrected, degenerate = _settle(recovered, out)
     # tr(R C) as one contiguous 16-term sum per branch, so a row's value
@@ -506,11 +553,11 @@ def _recover(dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarr
     alice = rho_a.reshape(n, 4) @ _FOLD_ALICE
     bob = (rho_b.reshape(n, 4) @ _FOLD_BOB).reshape(n, 4, 4)
     # dist as axes (y, m, w, y', m', w'): y on qubit 1, m on the kept
-    # (2, 3) pair, w on qubit 4. Contract Alice's (y, y') with it, then
-    # Bob's (w, w'), and order the result (n, i, j, m, m').
-    d = dist.reshape(2, 4, 2, 2, 4, 2).transpose(0, 3, 1, 2, 4, 5).reshape(4, 64)
-    t = (alice.reshape(4 * n, 4) @ d).reshape(n, 4, 4, 2, 4, 2)
-    rec = t.transpose(0, 1, 2, 4, 3, 5).reshape(n, 64, 4) @ bob
+    # (2, 3) pair, w on qubit 4. Reordered to (y y', m m', w w'), Alice's
+    # contraction over (y, y') leaves rows (i, m, m') and columns (w, w')
+    # for Bob's; order the result (n, i, j, m, m').
+    d = dist.reshape(2, 4, 2, 2, 4, 2).transpose(0, 3, 1, 4, 2, 5).reshape(4, 64)
+    rec = (alice.reshape(4 * n, 4) @ d).reshape(n, 64, 4) @ bob
     return rec.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3).reshape(n, 16, 4, 4)
 
 

@@ -4,6 +4,7 @@ state, and a per-node loop over it for the input average. The correction
 stage is also held against the explicit 4x4 correction operators, and a
 stack of rows with one q_w each against one run per row."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,17 +251,30 @@ def test_row_stack_rejects_bad_qw():
     inp = [0.3, 0.2, 0.6, 1.0]
     for scenario in (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL):
         dist, _ = distribute(scenario, 0.4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unprotected scenarios require q_w = 0"):
             _run_rows(dist, scenario, [0.0, 0.2, 0.0], [inp] * 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unprotected scenarios require q_w = 0"):
             _average_fidelities(dist, scenario, [0.0, 0.1])
+        for bad in (0.2, float("nan")):
+            with pytest.raises(ValueError, match="unprotected scenarios require q_w = 0"):
+                _run_rows(dist, scenario, bad, [inp] * 3)
     for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
         dist, _ = distribute(scenario, 0.4)
         for bad in (1.5, -0.1, float("nan")):
-            with pytest.raises(ValueError):
+            message = re.escape(f"weak measurement strength q_w={bad!r} outside [0, 1]")
+            with pytest.raises(ValueError, match=message):
                 _run_rows(dist, scenario, [0.2, bad], [inp] * 2)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 _average_fidelities(dist, scenario, [0.2, bad])
+            # One float q_w for every row.
+            with pytest.raises(ValueError, match=message):
+                _run_rows(dist, scenario, bad, [inp] * 2)
+            with pytest.raises(ValueError, match=message):
+                average_fidelity(scenario, 0.4, bad)
+        # Of several bad values, the least is reported, NaN counting last.
+        for qs, least in (([1.5, 0.2, -0.1], -0.1), ([float("nan"), 1.5], 1.5)):
+            with pytest.raises(ValueError, match=re.escape(f"q_w={least!r} outside")):
+                _run_rows(dist, scenario, qs, [inp] * len(qs))
         # A sequence must give one q_w per input row; it is never broadcast.
         for qs in ([0.1, 0.2, 0.3], [0.1]):
             with pytest.raises(ValueError, match=f"{len(qs)} q_w values for 2 input rows"):

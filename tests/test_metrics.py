@@ -71,6 +71,24 @@ def test_closed_form_registry_surface():
         closed_form("no_such_form", 0.2)
 
 
+@pytest.mark.parametrize(
+    "name, p, q_w, match",
+    [
+        ("g_t_I", 2.0, 0.5, r"p=2\.0 outside \[0, 1\]"),
+        ("f_av_unprot_I", 1.5, 0.0, r"p=1\.5 outside"),
+        ("g_t_II", 5.0, 3.0, r"p=5\.0 outside"),
+        ("g_t_II", 0.5, 3.0, r"q_w=3\.0 outside"),
+        ("g_eam_I", math.nan, 0.0, r"p=nan outside"),
+        ("g_t_I", 0.5, -0.1, r"q_w=-0\.1 outside"),
+    ],
+)
+def test_closed_form_rejects_arguments_outside_unit_interval(name, p, q_w, match):
+    # Each formula would otherwise divide by zero, leave the real domain,
+    # return a number out of [0, 1] or pass a NaN through.
+    with pytest.raises(ValueError, match=match):
+        closed_form(name, p, q_w)
+
+
 # ------------------------------------------------------ average fidelity
 
 

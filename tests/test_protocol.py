@@ -1,14 +1,23 @@
 """Pipeline checks against the closed-form branch references in
 bqtsim.oracles plus the contract examples: resource preparation, noisy
 distribution, Bell projection, correction, and the assembled run."""
+import itertools
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from bqtsim import oracles
-from bqtsim.channels import DegenerateBranchError, WeakVariant
+from bqtsim.channels import (
+    AdcParams,
+    DegenerateBranchError,
+    WeakVariant,
+    adc_kraus,
+    apply_channel,
+    eam_postselect,
+)
 from bqtsim.linalg import SX, SZ, DensityMatrix, kron, partial_trace
 from bqtsim.protocol import (
     _BELL_KETS,
@@ -110,6 +119,36 @@ def test_distribute_protected_state_is_pure():
         got, _ = distribute(scenario, 0.6)
         purity = float(np.trace(got.mat @ got.mat).real)
         assert abs(purity - 1.0) < 1e-12
+
+
+def kraus_lifts(scenario, p):
+    """Every lift of the damping Kraus operators to the 4-qubit register,
+    built with np.kron from adc_kraus, the first noisy qubit's choice
+    varying slowest; the no-decay lift alone when protected."""
+    k0, k1 = adc_kraus(AdcParams(p))
+    noisy = (k0,) if scenario.protected else (k0, k1)
+    per_qubit = [noisy if q in scenario.noisy_qubits else (np.eye(2, dtype=complex),) for q in range(4)]
+    return np.array([reduce(np.kron, ops) for ops in itertools.product(*per_qubit)])
+
+
+REFERENCE_PS = sorted({0.0, 1e-12, 0.37, 1.0 - 1e-9, 1.0} | {float(p) for p in np.linspace(0.0, 1.0, 51)})
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_distribute_equals_kraus_reference_bit_for_bit(scenario):
+    # distribute applies each lift as a monomial map; the channel
+    # primitives acting on the kron-built lifts are its reference, to the
+    # last bit of the state and of the success probability.
+    for p in REFERENCE_PS:
+        lifts = kraus_lifts(scenario, p)
+        if scenario.protected:
+            want, want_prob = eam_postselect(RESOURCE, lifts[0])
+        else:
+            want, want_prob = apply_channel(RESOURCE, lifts), 1.0
+        got, got_prob = distribute(scenario, p)
+        assert got.mat.tobytes() == want.mat.tobytes(), f"{scenario.value} p={p!r}"
+        assert np.float64(got_prob).tobytes() == np.float64(want_prob).tobytes(), f"{scenario.value} p={p!r}"
+        assert got.normalized and want.normalized
 
 
 # --------------------------------------------------------- composition
