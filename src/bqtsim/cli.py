@@ -6,7 +6,7 @@ outcome), `entropy` (receiver-side entanglement curves). All numeric
 output uses 12 significant digits and is byte-identical across runs.
 
 Exit statuses: 0 success, 1 failed verification or fully degenerate
-point, 2 usage error.
+point, 2 usage error, an `--out` path that cannot be written included.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .metrics import (
     closed_form,
     entanglement_entropy_bob,
 )
-from .protocol import _BRANCH_INDICES, QubitInput, Scenario, _run_rows, distribute, run_protocol
+from .protocol import _BRANCH_INDICES, QubitInput, Scenario, _row_totals, _run_rows, distribute, run_protocol
 
 SWEEP_HEADER = "scenario,p,q_w,f_av,g_total,f_av_oracle,g_total_oracle,eam_success,entropy_bob"
 
@@ -41,13 +41,20 @@ def _fmt(x: Optional[float]) -> str:
     return "%.12g" % x
 
 
-def _emit(lines: list, path: Optional[str]) -> None:
+def _emit(lines: list, path: Optional[str]) -> int:
+    """Write the lines to `path`, or to stdout when it is None, and return
+    the exit status: 2, with a message on stderr, when `path` cannot be
+    written."""
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {path}: {exc.strerror or exc}")
+    return 0
 
 
 def _usage_error(msg: str) -> int:
@@ -99,7 +106,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         s_bob = entanglement_entropy_bob(dist)
         qs = [float(q) for q in qw_for(p)]
         rows = np.tile([pop0, 0.0, pop0, 0.0], (len(qs), 1))
-        success, fidelity, _ = _run_rows(dist, scenario, qs, rows).totals()
+        success, fidelity, _ = _row_totals(dist, scenario, qs, rows)
         f_avs = fidelity if fixed_input else _average_fidelities(dist, scenario, qs)
         for q, f_av, g_total in zip(qs, f_avs, success):
             f_oracle = closed_form(f_name, p, q).value if f_name and not fixed_input else None
@@ -118,8 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if fixed_input:
                 cols.append(_fmt(args.pop0))
             lines.append(",".join(cols))
-    _emit(lines, args.out)
-    return 0
+    return _emit(lines, args.out)
 
 
 def cmd_branches(args: argparse.Namespace) -> int:
@@ -158,8 +164,7 @@ def cmd_branches(args: argparse.Namespace) -> int:
                     z = b.corrected.mat[r, c]
                     cols += [_fmt(z.real), _fmt(z.imag)]
         lines.append(",".join(cols))
-    _emit(lines, None)
-    return 0
+    return _emit(lines, None)
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
@@ -173,8 +178,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             dist, _ = distribute(scenario, p)
             vals.append(entanglement_entropy_bob(dist))
         lines.append(",".join([_fmt(p)] + [_fmt(v) for v in vals]))
-    _emit(lines, args.out)
-    return 0
+    return _emit(lines, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +223,7 @@ def _check_success_oracle(grid_n: int) -> list:
         name = _form_name("g_t", scenario)
         for p in grid:
             dist, _ = distribute(scenario, p)
-            success = _run_rows(dist, scenario, qs, _draw_rows(rng, len(qs))).totals()[0]
+            success = _row_totals(dist, scenario, qs, _draw_rows(rng, len(qs)))[0]
             err = np.abs(success - np.repeat([closed_form(name, p, q).value for q in grid], 10))
             wheres = [f"{scenario.value} p={p:g} q_w={q:g}" for q in grid]
             pairs += ((e, wheres[k // 10]) for k, e in enumerate(err.tolist()))
@@ -257,7 +261,7 @@ def _check_unprotected_f_av() -> list:
             where = f"{scenario.value} p={p:g}"
             dist, _ = distribute(scenario, p)
             f_av = _average_fidelities(dist, scenario, [0.0], _VERIFY_QUAD)[0]
-            success = float(_run_rows(dist, scenario, [0.0], inputs).totals()[0][0])
+            success = float(_row_totals(dist, scenario, [0.0], inputs)[0][0])
             pairs += [(abs(f_av - closed_form(name, p).value), where), (abs(success - 1.0), where)]
     return pairs
 
@@ -306,7 +310,7 @@ def _check_qualitative() -> list:
             # Every q_w of this p shares one distributed state.
             dist, _ = distribute(scenario, p)
             f_rows.append(_average_fidelities(dist, scenario, grid, _VERIFY_QUAD))
-            g_rows.append(_run_rows(dist, scenario, grid, half).totals()[0])
+            g_rows.append(_row_totals(dist, scenario, grid, half)[0])
         fav[scenario], g_sim[scenario] = np.array(f_rows), np.array(g_rows)
     unprot = {bare: np.array([average_fidelity(bare, p, 0.0, _VERIFY_QUAD) for p in grid]) for bare in _UNPROTECTED}
     # Each protected scenario is held against the bare one of its situation.

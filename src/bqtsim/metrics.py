@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -9,7 +10,15 @@ from typing import Optional
 import numpy as np
 
 from .linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
-from .protocol import Scenario, _correct_branches, _input_densities, _kron_batched, _recover, distribute
+from .protocol import (
+    Scenario,
+    _correct_branches,
+    _input_densities,
+    _kron_batched,
+    _recover,
+    _scratch,
+    distribute,
+)
 
 __all__ = [
     "QuadratureSpec",
@@ -27,11 +36,15 @@ _EIG_CUT = 1e-12
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Legendre quadrature over the input population in [0, 1] with
-    `points` nodes."""
+    `points` nodes, an integer (numpy's included) of at least 8."""
 
     points: int = 64
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise ValueError(f"points={self.points!r} is not an integer") from None
         if self.points < 8:
             raise ValueError(f"points={self.points} too coarse, need at least 8")
 
@@ -88,18 +101,21 @@ def _average_fidelities(
 
     The quadrature nodes are folded through the resource once, and each
     q_w corrects that same recovered stack, so a q_w's value does not
-    depend on the others.
+    depend on the others. Every branch stack lives in the thread's kernel
+    scratch, since only the totals are read.
     """
     if quad is None:
         quad = QuadratureSpec()
     nodes, weights = quad.nodes_weights()
     rho = _input_densities(nodes)
-    recovered, reference = _recover(dist.mat, rho, rho), _kron_batched(rho, rho)
+    _, corrected, recovered = _scratch(len(nodes))
+    _recover(dist.mat, rho, rho, recovered)
+    reference = _kron_batched(rho, rho)
     out = []
     for q_w in q_ws:
         # Per-node total fidelity, NaN at a node whose branches are all
         # degenerate; the NaN carries through to the average.
-        tf = _correct_branches(recovered, scenario, q_w, reference).totals()[1]
+        tf = _correct_branches(recovered, scenario, q_w, reference, corrected).totals()[1]
         acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
         out.append(acc * acc)
     return out

@@ -27,6 +27,14 @@ and `sweep` and `verify` their stacks. `average_fidelity` alone calls the
 fold (`_recover`) and the correction (`_correct_branches`) itself, so that
 its quadrature nodes are folded once and corrected once per q_w.
 
+`_run_rows` and `run_protocol` return arrays the caller owns. Callers that
+read only the per-row totals (`_row_totals` and the input average) run the
+kernel in per-thread scratch (`_scratch`): three branch stacks, reused
+across calls so their pages stay resident, which a thread keeps at the
+size of its largest such call, about 12 KB per row. The kernel's own
+temporaries always come from that scratch, and the totals are the same
+bit for bit either way.
+
 The correction stage takes q_w as one float or as one value per input row,
 so the rows of a sweep or a check grid at one (scenario, p) share a single
 `distribute` and a single fold. Each branch correction is a constant Pauli
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -486,6 +495,33 @@ class _Branches:
         return success, np.where(self.degenerate.all(axis=1), np.nan, fidelity), postselected
 
 
+def _branch_stack(n: int) -> np.ndarray:
+    """A fresh (n, 16, 4, 4) complex stack of branch states."""
+    return np.empty((n, 16, 4, 4), dtype=complex)
+
+
+# The kernel buffers of each thread: three branch stacks, 4 KB per row
+# each, that grow to the most rows the thread has asked for and never
+# shrink. Reused across calls, their pages stay resident, where fresh
+# temporaries of this size are handed back to the OS when freed and
+# faulted in again by the next call.
+_SCRATCH = threading.local()
+
+
+def _scratch(n: int) -> tuple:
+    """The first n rows of this thread's three (N, 16, 4, 4) complex
+    scratch stacks.
+
+    Only a caller that lets no view escape may use them: the next kernel
+    call on the thread overwrites them.
+    """
+    bufs = getattr(_SCRATCH, "bufs", None)
+    if bufs is None or len(bufs[0]) < n:
+        bufs = _SCRATCH.bufs = (_branch_stack(n), _branch_stack(n), _branch_stack(n))
+    a, b, c = bufs
+    return a[:n], b[:n], c[:n]
+
+
 def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     """Diagonals of the scenario's retained weak operator m_w for n input
     rows: (1, 2) for a float q_w, (n, 2) for a sequence of one per row.
@@ -511,8 +547,12 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     return diagonals
 
 
-def _correct_branches(recovered: np.ndarray, scenario: Scenario, q_w, reference: np.ndarray) -> _Branches:
-    """Correct the (N, 16, 4, 4) recovered branch states of a scenario.
+def _correct_branches(
+    recovered: np.ndarray, scenario: Scenario, q_w, reference: np.ndarray, out: np.ndarray
+) -> _Branches:
+    """Correct the (N, 16, 4, 4) recovered branch states of a scenario into
+    the (N, 16, 4, 4) buffer `out`, which may be scratch stack 1 or 2 but
+    not 0, where the fidelity products go.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
@@ -524,24 +564,28 @@ def _correct_branches(recovered: np.ndarray, scenario: Scenario, q_w, reference:
     n = recovered.shape[0]
     d = _weak_diagonals(q_w, scenario, n)
     # The weak pair is diagonal, D = m_w (x) m_w, so it scales entry (a, b)
-    # by D_a D_b; the Pauli pair then moves and signs the entries.
+    # by D_a D_b; the Pauli pair then moves and signs the entries. The
+    # gather's indices are constants in range, and "clip" lets numpy write
+    # straight into `out`, where "raise" would buffer.
     pair = (d[:, :, None] * d[:, None, :]).reshape(-1, 4)
     scale = (pair[:, :, None] * pair[:, None, :]).reshape(-1, 16)
-    out = recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1)
-    out *= _PAULI_SIGN * scale.take(_PAULI_SOURCE, axis=1)
+    flat = out.reshape(n, 16, 16)
+    recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1, out=flat, mode="clip")
+    flat *= _PAULI_SIGN * scale.take(_PAULI_SOURCE, axis=1)
     # _settle folds the -0.0 a sign flip leaves on zero entries into 0.0.
-    out = out.reshape(n, 16, 4, 4)
     joint, weight, corrected, degenerate = _settle(recovered, out)
     # tr(R C) as one contiguous 16-term sum per branch, so a row's value
     # does not depend on N.
-    products = reference.swapaxes(-1, -2).reshape(n, 1, 16) * corrected.reshape(n, 16, 16)
+    products = _scratch(n)[0].reshape(n, 16, 16)
+    np.multiply(reference.swapaxes(-1, -2).reshape(n, 1, 16), flat, out=products)
     fidelity = products.sum(axis=-1).real
     return _Branches(recovered, joint, weight, corrected, fidelity, degenerate)
 
 
-def _recover(dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+def _recover(dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The (N, 16, 4, 4) unnormalized (2, 3) states of every branch of N
-    input pairs over one distributed resource state.
+    input pairs over one distributed resource state, written to `out`,
+    which may be scratch stack 2 but not 0 or 1, where the folds go.
 
     dist is the 16x16 state of qubits (1, 2, 3, 4); rho_a and rho_b are
     (N, 2, 2) stacks of Alice's and Bob's inputs. Alice's Bell bra on (a, 1)
@@ -557,20 +601,38 @@ def _recover(dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarr
     # contraction over (y, y') leaves rows (i, m, m') and columns (w, w')
     # for Bob's; order the result (n, i, j, m, m').
     d = dist.reshape(2, 4, 2, 2, 4, 2).transpose(0, 3, 1, 4, 2, 5).reshape(4, 64)
-    rec = (alice.reshape(4 * n, 4) @ d).reshape(n, 64, 4) @ bob
-    return rec.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3).reshape(n, 16, 4, 4)
+    folded_a, folded_ab, _ = _scratch(n)
+    np.matmul(alice.reshape(4 * n, 4), d, out=folded_a.reshape(4 * n, 64))
+    np.matmul(folded_a.reshape(n, 64, 4), bob, out=folded_ab.reshape(n, 64, 4))
+    out.reshape(n, 4, 4, 4, 4)[...] = folded_ab.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3)
+    return out
+
+
+def _rows_into(dist: DensityMatrix, scenario: Scenario, q_w, rows, recovered, corrected) -> _Branches:
+    """`_run_rows` with the recovered and corrected stacks written to the
+    given (N, 16, 4, 4) buffers."""
+    rows = np.asarray(rows, dtype=float)
+    # Alice's and Bob's states of each row on axis 1.
+    rho = _input_densities(rows[:, 0::2], rows[:, 1::2])
+    rho_a, rho_b = rho[:, 0], rho[:, 1]
+    _recover(dist.mat, rho_a, rho_b, recovered)
+    return _correct_branches(recovered, scenario, q_w, _kron_batched(rho_a, rho_b), corrected)
 
 
 def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> _Branches:
     """Every branch for an (N, 4) array of input rows [pop_a, phase_a,
     pop_b, phase_b] over one distributed state of `scenario`, corrected at
-    q_w (a float, or a sequence with one value per row)."""
-    rows = np.asarray(rows, dtype=float)
-    # Alice's and Bob's states of each row on axis 1.
-    rho = _input_densities(rows[:, 0::2], rows[:, 1::2])
-    rho_a, rho_b = rho[:, 0], rho[:, 1]
-    rec = _recover(dist.mat, rho_a, rho_b)
-    return _correct_branches(rec, scenario, q_w, _kron_batched(rho_a, rho_b))
+    q_w (a float, or a sequence with one value per row). The caller owns
+    every array of the result."""
+    n = len(rows)
+    return _rows_into(dist, scenario, q_w, rows, _branch_stack(n), _branch_stack(n))
+
+
+def _row_totals(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> tuple:
+    """`_run_rows(dist, scenario, q_w, rows).totals()`, bit for bit, with
+    every branch stack in this thread's scratch."""
+    _, corrected, recovered = _scratch(len(rows))
+    return _rows_into(dist, scenario, q_w, rows, recovered, corrected).totals()
 
 
 def enumerate_branches(
@@ -595,7 +657,7 @@ def enumerate_branches(
     # Row block k of the projection stack gives the (2, 3) state of branch k.
     proj = _PROJ_STACK.reshape(16, 4, 64)
     rec = proj @ total.mat @ proj.conj().swapaxes(-1, -2)
-    return _correct_branches(rec[None], scenario, q_w, reference).outcomes()
+    return _correct_branches(rec[None], scenario, q_w, reference, _branch_stack(1)).outcomes()
 
 
 def run_protocol(

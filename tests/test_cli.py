@@ -142,12 +142,16 @@ def test_sweep_unprotected_closed_form_column(capsys):
         ["verify", "--grid", "1"],
         ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--qw", "0.1", "--alice-phase", "inf"],
         ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--qw", "0.1", "--bob-phase", "nan"],
+        # An --out path that cannot be written: a missing directory, a directory.
+        ["sweep", "--scenario", "recovery-adc", "--p-steps", "1", "--out", "/nonexistent/x.csv"],
+        ["entropy", "--p-steps", "2", "--out", "."],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
-    code, _, err = run_cli(argv, capsys)
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
+    assert out == ""
 
 
 # ------------------------------------------------------------- branches

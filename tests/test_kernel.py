@@ -15,6 +15,7 @@ from bqtsim.metrics import QuadratureSpec, _average_fidelities, average_fidelity
 from bqtsim.protocol import (
     QubitInput,
     Scenario,
+    _row_totals,
     _run_rows,
     apply_correction,
     compose_total,
@@ -195,10 +196,13 @@ def identical(x, y) -> bool:
 def test_row_stack_matches_one_run_per_row(scenario):
     """Every draw's (q_w, inputs) as one row of a stack at each of a few p,
     rows of different q_w mixed, equals run_protocol on that row alone. A
-    float q_w equals that value given once per row."""
+    float q_w equals that value given once per row. The totals-only entry,
+    which works in the thread's kernel scratch, equals the stack's own
+    totals at sizes that grow and shrink that scratch, and later scratch
+    calls leave the stack's arrays as they were."""
     rng = np.random.default_rng(89 + list(Scenario).index(scenario))
     rows = [(q, alice, bob) for _, q, alice, bob in draws(scenario, rng)]
-    degenerate_rows = 0
+    degenerate_rows = nan_totals = 0
     for p in (0.0, 1.0, float(rng.uniform()), float(rng.uniform())):
         dist, _ = distribute(scenario, p)
         qs = [q for q, _, _ in rows]
@@ -223,9 +227,22 @@ def test_row_stack_matches_one_run_per_row(scenario):
             flat, per_row = (_run_rows(dist, scenario, q_w, inputs) for q_w in (q, [q] * len(rows)))
             for name in ("joint", "weight", "corrected", "fidelity", "degenerate"):
                 assert identical(getattr(flat, name), getattr(per_row, name)), f"{scenario.value} p={p} q_w={q}"
+        owned = {name: getattr(stack, name).tobytes() for name in stack.__dataclass_fields__}
+        for size in (1, 100, 7, 64, 2):
+            where = f"{scenario.value} p={p} {size} rows"
+            # The first `size` rows, cycled where the draws are fewer.
+            take = np.arange(size) % len(rows)
+            sub_qs, sub_inputs = [qs[k] for k in take], inputs[take]
+            want = _run_rows(dist, scenario, sub_qs, sub_inputs).totals()
+            got = _row_totals(dist, scenario, sub_qs, sub_inputs)
+            assert all(identical(g, w) for g, w in zip(got, want)), where
+            nan_totals += int(np.isnan(want[1]).sum())
+        _average_fidelities(dist, scenario, [qs[0]], QuadratureSpec(points=64))
+        for name, data in owned.items():
+            assert getattr(stack, name).tobytes() == data, f"{scenario.value} p={p} {name}"
     if scenario.protected:
         # p = q_w = 1 rows are wholly degenerate; their NaN totals must match.
-        assert degenerate_rows > 0
+        assert degenerate_rows > 0 and nan_totals > 0
 
 
 @pytest.mark.parametrize(

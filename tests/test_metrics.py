@@ -30,7 +30,11 @@ def binary_entropy(x):
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(points=4)
+    with pytest.raises(ValueError, match=r"points=8\.5 is not an integer"):
+        QuadratureSpec(points=8.5)
     QuadratureSpec(points=8)
+    nodes, _ = QuadratureSpec(points=np.int64(9)).nodes_weights()
+    assert len(nodes) == 9
 
 
 def test_quadrature_nodes_integrate_polynomials():

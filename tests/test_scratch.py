@@ -1,0 +1,101 @@
+"""The kernel's per-thread scratch, behind the totals-only calls
+(`_row_totals` and the input average): each thread gets results equal, by
+bytes, to what it computes alone, and reused buffers keep the input
+average from faulting in fresh pages on every call."""
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bqtsim
+from bqtsim.metrics import QuadratureSpec, _average_fidelities
+from bqtsim.protocol import Scenario, _row_totals, distribute
+
+QUAD_32, QUAD_64 = QuadratureSpec(points=32), QuadratureSpec(points=64)
+
+
+def scratch_calls(scenario, p, seed):
+    """Three totals-only calls of different sizes at one point: the input
+    average at 32 and 64 nodes and the totals of 100 input rows."""
+    dist, _ = distribute(scenario, p)
+    rng = np.random.default_rng(seed)
+    rows, row_qs = rng.random((100, 4)), rng.random(100)
+    qs = [0.0, p, 1.0, float(rng.uniform())]
+    return (
+        lambda: _average_fidelities(dist, scenario, qs, QUAD_32),
+        lambda: _average_fidelities(dist, scenario, qs, QUAD_64),
+        lambda: _row_totals(dist, scenario, row_qs, rows),
+    )
+
+
+def as_bytes(result) -> bytes:
+    return b"".join(np.asarray(part).tobytes() for part in result)
+
+
+def test_threads_get_what_each_computes_alone():
+    """Two threads, each cycling through its own three calls ten times,
+    switching as often as the interpreter allows."""
+    points = ((Scenario.ALL_ADC, 0.4, 1), (Scenario.RECOVERY_ADC, 0.7, 2))
+    calls = [scratch_calls(*point) for point in points]
+    alone = [[as_bytes(call()) for call in mine] for mine in calls]
+    got = [[], []]
+
+    def work(k):
+        for _ in range(10):
+            for call in calls[k]:
+                got[k].append(as_bytes(call()))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(2):
+        assert len(got[k]) == 30
+        for n, result in enumerate(got[k]):
+            assert result == alone[k][n % 3], f"thread {k} call {n}"
+
+
+# Run in a fresh interpreter with one BLAS thread, as the benchmark runs:
+# whether freed temporaries go back to the OS depends on the allocator's
+# thresholds, which earlier work in the same process (other tests, BLAS
+# thread start-up) can raise.
+FAULT_CHILD = """\
+import resource
+from bqtsim.metrics import QuadratureSpec, _average_fidelities
+from bqtsim.protocol import Scenario, distribute
+quad = QuadratureSpec(points=64)
+dist, _ = distribute(Scenario.ALL_ADC, 0.4)
+for _ in range(5):
+    _average_fidelities(dist, Scenario.ALL_ADC, [0.1, 0.3], quad)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    _average_fidelities(dist, Scenario.ALL_ADC, [0.1, 0.3], quad)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_input_average_does_not_fault_per_call():
+    """After a warm-up, the 64-node input average touches no fresh pages:
+    at most 2 minor faults per call on average over 20 calls. Fresh branch
+    stacks on every call took some 200."""
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(Path(bqtsim.__file__).parent.parent))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_CHILD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    assert faults / 20 <= 2.0, f"{faults} minor faults in 20 calls"
