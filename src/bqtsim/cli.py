@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import lru_cache
 from typing import Optional
@@ -57,6 +58,17 @@ def _emit(lines: list, path: Optional[str]) -> int:
     return 0
 
 
+def _check_out(path: Optional[str]) -> int:
+    """`_emit`'s status and message, found before any work, for an `--out`
+    path that is empty, a directory, or in a directory that does not
+    exist; 0 for any other path. Opening such a path fails and creates or
+    truncates nothing."""
+    if path is None:
+        return 0
+    refused = not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir)
+    return _emit([], path) if refused else 0
+
+
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
@@ -92,6 +104,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         qw_for = lambda p: qs
     if not scenario.protected and (args.qw_mode != "fixed" or args.qw != 0.0):
         return _usage_error(f"{scenario.value} admits only --qw-mode fixed --qw 0")
+    if _check_out(args.out):
+        return 2
 
     fixed_input = args.pop0 is not None
     header = SWEEP_HEADER + (",pop0" if fixed_input else "")
@@ -106,7 +120,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         s_bob = entanglement_entropy_bob(dist)
         qs = [float(q) for q in qw_for(p)]
         rows = np.tile([pop0, 0.0, pop0, 0.0], (len(qs), 1))
-        success, fidelity, _ = _row_totals(dist, scenario, qs, rows)
+        ((success, fidelity, _),) = _row_totals(dist, scenario, [qs], rows)
         f_avs = fidelity if fixed_input else _average_fidelities(dist, scenario, qs)
         for q, f_av, g_total in zip(qs, f_avs, success):
             f_oracle = closed_form(f_name, p, q).value if f_name and not fixed_input else None
@@ -170,6 +184,8 @@ def cmd_branches(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     if args.p_steps < 2:
         return _usage_error("p-steps must be at least 2")
+    if _check_out(args.out):
+        return 2
     lines = ["p,entropy_recovery_adc,entropy_all_adc"]
     for p in np.linspace(0.0, 1.0, args.p_steps):
         p = float(p)
@@ -223,7 +239,7 @@ def _check_success_oracle(grid_n: int) -> list:
         name = _form_name("g_t", scenario)
         for p in grid:
             dist, _ = distribute(scenario, p)
-            success = _row_totals(dist, scenario, qs, _draw_rows(rng, len(qs)))[0]
+            success = _row_totals(dist, scenario, [qs], _draw_rows(rng, len(qs)))[0][0]
             err = np.abs(success - np.repeat([closed_form(name, p, q).value for q in grid], 10))
             wheres = [f"{scenario.value} p={p:g} q_w={q:g}" for q in grid]
             pairs += ((e, wheres[k // 10]) for k, e in enumerate(err.tolist()))
@@ -261,7 +277,7 @@ def _check_unprotected_f_av() -> list:
             where = f"{scenario.value} p={p:g}"
             dist, _ = distribute(scenario, p)
             f_av = _average_fidelities(dist, scenario, [0.0], _VERIFY_QUAD)[0]
-            success = float(_row_totals(dist, scenario, [0.0], inputs)[0][0])
+            success = float(_row_totals(dist, scenario, [0.0], inputs)[0][0][0])
             pairs += [(abs(f_av - closed_form(name, p).value), where), (abs(success - 1.0), where)]
     return pairs
 
@@ -310,7 +326,7 @@ def _check_qualitative() -> list:
             # Every q_w of this p shares one distributed state.
             dist, _ = distribute(scenario, p)
             f_rows.append(_average_fidelities(dist, scenario, grid, _VERIFY_QUAD))
-            g_rows.append(_row_totals(dist, scenario, grid, half)[0])
+            g_rows.append(_row_totals(dist, scenario, [grid], half)[0][0])
         fav[scenario], g_sim[scenario] = np.array(f_rows), np.array(g_rows)
     unprot = {bare: np.array([average_fidelity(bare, p, 0.0, _VERIFY_QUAD) for p in grid]) for bare in _UNPROTECTED}
     # Each protected scenario is held against the bare one of its situation.

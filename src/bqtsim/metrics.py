@@ -10,15 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
-from .protocol import (
-    Scenario,
-    _correct_branches,
-    _input_densities,
-    _kron_batched,
-    _recover,
-    _scratch,
-    distribute,
-)
+from .protocol import Scenario, _row_totals, distribute
 
 __all__ = [
     "QuadratureSpec",
@@ -97,25 +89,19 @@ def average_fidelity(
 def _average_fidelities(
     dist: DensityMatrix, scenario: Scenario, q_ws, quad: Optional[QuadratureSpec] = None
 ) -> list:
-    """`average_fidelity` at each of several q_w over one distributed state.
-
-    The quadrature nodes are folded through the resource once, and each
-    q_w corrects that same recovered stack, so a q_w's value does not
-    depend on the others. Every branch stack lives in the thread's kernel
-    scratch, since only the totals are read.
-    """
+    """`average_fidelity` at each of several q_w over one distributed state:
+    the quadrature nodes as equal input rows, folded once and corrected at
+    each q_w by `_row_totals`, so a q_w's value does not depend on the
+    others."""
     if quad is None:
         quad = QuadratureSpec()
     nodes, weights = quad.nodes_weights()
-    rho = _input_densities(nodes)
-    _, corrected, recovered = _scratch(len(nodes))
-    _recover(dist.mat, rho, rho, recovered)
-    reference = _kron_batched(rho, rho)
+    rows = np.zeros((len(nodes), 4))
+    rows[:, 0] = rows[:, 2] = nodes
     out = []
-    for q_w in q_ws:
-        # Per-node total fidelity, NaN at a node whose branches are all
-        # degenerate; the NaN carries through to the average.
-        tf = _correct_branches(recovered, scenario, q_w, reference, corrected).totals()[1]
+    # Per-node total fidelities, NaN at a node whose branches are all
+    # degenerate; the NaN carries through to the average.
+    for _, tf, _ in _row_totals(dist, scenario, q_ws, rows):
         acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
         out.append(acc * acc)
     return out

@@ -21,26 +21,22 @@ All 16 Bell outcome combinations are computed exactly, never sampled, by
 one batched kernel: each party's Bell bra is contracted with that party's
 input first, so the 6-qubit state is never built. The kernel evaluates a
 stack of input pairs at once. `_input_densities` is the one place an input
-(pop0, phase) becomes a 2x2 state, and `_run_rows` is the kernel's one
-entry for rows of inputs: `run_protocol` sends its single row through it,
-and `sweep` and `verify` their stacks. `average_fidelity` alone calls the
-fold (`_recover`) and the correction (`_correct_branches`) itself, so that
-its quadrature nodes are folded once and corrected once per q_w.
+(pop0, phase) becomes a 2x2 state.
 
-`_run_rows` and `run_protocol` return arrays the caller owns. Callers that
-read only the per-row totals (`_row_totals` and the input average) run the
-kernel in per-thread scratch (`_scratch`): three branch stacks, reused
-across calls so their pages stay resident, which a thread keeps at the
-size of its largest such call, about 12 KB per row. The kernel's own
-temporaries always come from that scratch, and the totals are the same
-bit for bit either way.
+One orchestration, `_fold_and_correct`, checks every q_w, folds a stack
+of input rows through the distributed state once (`_recover`) and
+corrects it at each q_w (`_correct_branches`). The two stages write only
+into the buffers it gives them, and its docstring states their layout.
+`_run_rows` returns arrays the caller owns (`run_protocol` sends its one
+row through it); `_row_totals` returns only the per-row totals, the same
+bits, with every stack in per-thread scratch (`_SCRATCH`).
 
-The correction stage takes q_w as one float or as one value per input row,
-so the rows of a sweep or a check grid at one (scenario, p) share a single
-`distribute` and a single fold. Each branch correction is a constant Pauli
-pair U_i (x) U_j, built once at import, after a weak factor m_w (x) m_w
-that is the only part to vary by row. The Pauli pairs are signed
-permutations, so they move and sign entries and need no products.
+A q_w is one float or one value per input row, so the rows of a sweep or
+a check grid at one (scenario, p) share a single `distribute` and a
+single fold. Each branch correction is a constant Pauli pair U_i (x) U_j,
+built once at import, after a weak factor m_w (x) m_w that is the only
+part to vary by row. The Pauli pairs are signed permutations, so they
+move and sign entries and need no products.
 `enumerate_branches` keeps the direct 6-qubit projection as the reference
 the kernel is tested against.
 """
@@ -222,13 +218,6 @@ def _kron_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (m * k, n * l))
 
 
-def _kron_combos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a[s], b[t]) for every s and t of two matrix stacks, stacked in
-    the order s * len(b) + t."""
-    out = _kron_batched(a[:, None], b[None, :])
-    return out.reshape((-1,) + out.shape[2:])
-
-
 def _pauli_pair_maps() -> tuple[np.ndarray, np.ndarray]:
     """Conjugation by the 16 Pauli pairs U_i (x) U_j as an entry map.
 
@@ -238,7 +227,7 @@ def _pauli_pair_maps() -> tuple[np.ndarray, np.ndarray]:
     4 c_r + c_c and the sign s_r s_c of every output entry 4r + c, both
     (16, 16).
     """
-    pairs = _kron_combos(_CORR_UNITARIES, _CORR_UNITARIES)
+    pairs = _kron_batched(_CORR_UNITARIES[:, None], _CORR_UNITARIES[None, :]).reshape(16, 4, 4)
     cols = np.abs(pairs).argmax(axis=-1)
     signs = np.take_along_axis(pairs, cols[..., None], axis=-1)[..., 0].real
     source = (4 * cols[:, :, None] + cols[:, None, :]).reshape(16, 16)
@@ -500,26 +489,11 @@ def _branch_stack(n: int) -> np.ndarray:
     return np.empty((n, 16, 4, 4), dtype=complex)
 
 
-# The kernel buffers of each thread: three branch stacks, 4 KB per row
-# each, that grow to the most rows the thread has asked for and never
-# shrink. Reused across calls, their pages stay resident, where fresh
-# temporaries of this size are handed back to the OS when freed and
-# faulted in again by the next call.
+# Each thread's three kernel stacks, 4 KB per row each, grown to the most
+# rows the thread has asked for and never shrunk. Reused across calls,
+# their pages stay resident, where fresh temporaries of this size are
+# handed back to the OS when freed and faulted in again by the next call.
 _SCRATCH = threading.local()
-
-
-def _scratch(n: int) -> tuple:
-    """The first n rows of this thread's three (N, 16, 4, 4) complex
-    scratch stacks.
-
-    Only a caller that lets no view escape may use them: the next kernel
-    call on the thread overwrites them.
-    """
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None or len(bufs[0]) < n:
-        bufs = _SCRATCH.bufs = (_branch_stack(n), _branch_stack(n), _branch_stack(n))
-    a, b, c = bufs
-    return a[:n], b[:n], c[:n]
 
 
 def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
@@ -548,26 +522,26 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
 
 
 def _correct_branches(
-    recovered: np.ndarray, scenario: Scenario, q_w, reference: np.ndarray, out: np.ndarray
+    recovered: np.ndarray, diagonals: np.ndarray, reference: np.ndarray, products: np.ndarray, out: np.ndarray
 ) -> _Branches:
-    """Correct the (N, 16, 4, 4) recovered branch states of a scenario into
-    the (N, 16, 4, 4) buffer `out`, which may be scratch stack 1 or 2 but
-    not 0, where the fidelity products go.
+    """Correct the (N, 16, 4, 4) recovered branch states into `out`, with
+    the fidelity products written to `products`; both are (N, 16, 4, 4)
+    buffers, apart from each other and from `recovered`.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
     classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w
-    = (U_i (x) U_j)(m_w (x) m_w). q_w is a float for every row or a
-    sequence with one value per row. Branch fidelities are tr(reference .
-    corrected) against the (N, 4, 4) reference products.
+    = (U_i (x) U_j)(m_w (x) m_w). `diagonals` holds the diagonal of m_w as
+    `_weak_diagonals` gives it, (1, 2) for every row or (N, 2) one per row.
+    Branch fidelities are tr(reference . corrected) against the (N, 4, 4)
+    reference products.
     """
     n = recovered.shape[0]
-    d = _weak_diagonals(q_w, scenario, n)
     # The weak pair is diagonal, D = m_w (x) m_w, so it scales entry (a, b)
     # by D_a D_b; the Pauli pair then moves and signs the entries. The
     # gather's indices are constants in range, and "clip" lets numpy write
     # straight into `out`, where "raise" would buffer.
-    pair = (d[:, :, None] * d[:, None, :]).reshape(-1, 4)
+    pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(-1, 4)
     scale = (pair[:, :, None] * pair[:, None, :]).reshape(-1, 16)
     flat = out.reshape(n, 16, 16)
     recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1, out=flat, mode="clip")
@@ -576,16 +550,19 @@ def _correct_branches(
     joint, weight, corrected, degenerate = _settle(recovered, out)
     # tr(R C) as one contiguous 16-term sum per branch, so a row's value
     # does not depend on N.
-    products = _scratch(n)[0].reshape(n, 16, 16)
+    products = products.reshape(n, 16, 16)
     np.multiply(reference.swapaxes(-1, -2).reshape(n, 1, 16), flat, out=products)
     fidelity = products.sum(axis=-1).real
     return _Branches(recovered, joint, weight, corrected, fidelity, degenerate)
 
 
-def _recover(dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _recover(
+    dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, folded_a: np.ndarray, folded_ab: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """The (N, 16, 4, 4) unnormalized (2, 3) states of every branch of N
-    input pairs over one distributed resource state, written to `out`,
-    which may be scratch stack 2 but not 0 or 1, where the folds go.
+    input pairs over one distributed resource state, written to `out`.
+    Alice's fold goes to `folded_a` and both parties' to `folded_ab`; all
+    three are (N, 16, 4, 4) buffers, apart from each other.
 
     dist is the 16x16 state of qubits (1, 2, 3, 4); rho_a and rho_b are
     (N, 2, 2) stacks of Alice's and Bob's inputs. Alice's Bell bra on (a, 1)
@@ -601,22 +578,41 @@ def _recover(dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, out: np.nda
     # contraction over (y, y') leaves rows (i, m, m') and columns (w, w')
     # for Bob's; order the result (n, i, j, m, m').
     d = dist.reshape(2, 4, 2, 2, 4, 2).transpose(0, 3, 1, 4, 2, 5).reshape(4, 64)
-    folded_a, folded_ab, _ = _scratch(n)
     np.matmul(alice.reshape(4 * n, 4), d, out=folded_a.reshape(4 * n, 64))
     np.matmul(folded_a.reshape(n, 64, 4), bob, out=folded_ab.reshape(n, 64, 4))
     out.reshape(n, 4, 4, 4, 4)[...] = folded_ab.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3)
     return out
 
 
-def _rows_into(dist: DensityMatrix, scenario: Scenario, q_w, rows, recovered, corrected) -> _Branches:
-    """`_run_rows` with the recovered and corrected stacks written to the
-    given (N, 16, 4, 4) buffers."""
+def _fold_and_correct(dist: DensityMatrix, scenario: Scenario, q_ws, rows, owned: bool):
+    """Every branch of an (N, 4) array of input rows [pop_a, phase_a,
+    pop_b, phase_b] over one distributed state of `scenario`, folded once
+    and corrected at each entry of `q_ws` (a float, or one value per row)
+    in turn: one `_Branches` per entry, yielded once every entry is checked.
+
+    The thread's three scratch stacks hold Alice's fold, then the
+    fidelity products; both parties' fold, then the corrected states; the
+    recovered states. With `owned`, the recovered and corrected states go
+    to fresh stacks that the caller keeps; otherwise each `_Branches` is
+    overwritten by the next one and by any later kernel call on the thread.
+    """
     rows = np.asarray(rows, dtype=float)
+    n = len(rows)
+    diagonals = [_weak_diagonals(q_w, scenario, n) for q_w in q_ws]
+    bufs = getattr(_SCRATCH, "bufs", None)
+    if bufs is None or len(bufs[0]) < n:
+        bufs = _SCRATCH.bufs = (_branch_stack(n), _branch_stack(n), _branch_stack(n))
+    temp, folded_ab, recovered = (buf[:n] for buf in bufs)
+    if owned:
+        recovered = _branch_stack(n)
     # Alice's and Bob's states of each row on axis 1.
     rho = _input_densities(rows[:, 0::2], rows[:, 1::2])
     rho_a, rho_b = rho[:, 0], rho[:, 1]
-    _recover(dist.mat, rho_a, rho_b, recovered)
-    return _correct_branches(recovered, scenario, q_w, _kron_batched(rho_a, rho_b), corrected)
+    _recover(dist.mat, rho_a, rho_b, temp, folded_ab, recovered)
+    reference = _kron_batched(rho_a, rho_b)
+    for d in diagonals:
+        corrected = _branch_stack(n) if owned else folded_ab
+        yield _correct_branches(recovered, d, reference, temp, corrected)
 
 
 def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> _Branches:
@@ -624,15 +620,15 @@ def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> _Branches:
     pop_b, phase_b] over one distributed state of `scenario`, corrected at
     q_w (a float, or a sequence with one value per row). The caller owns
     every array of the result."""
-    n = len(rows)
-    return _rows_into(dist, scenario, q_w, rows, _branch_stack(n), _branch_stack(n))
+    (branches,) = _fold_and_correct(dist, scenario, (q_w,), rows, owned=True)
+    return branches
 
 
-def _row_totals(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> tuple:
-    """`_run_rows(dist, scenario, q_w, rows).totals()`, bit for bit, with
-    every branch stack in this thread's scratch."""
-    _, corrected, recovered = _scratch(len(rows))
-    return _rows_into(dist, scenario, q_w, rows, recovered, corrected).totals()
+def _row_totals(dist: DensityMatrix, scenario: Scenario, q_ws, rows) -> list:
+    """`_run_rows(dist, scenario, q_w, rows).totals()` for each q_w of
+    `q_ws`, bit for bit, from one fold with every branch stack in this
+    thread's scratch."""
+    return [branches.totals() for branches in _fold_and_correct(dist, scenario, q_ws, rows, owned=False)]
 
 
 def enumerate_branches(
@@ -653,11 +649,12 @@ def enumerate_branches(
     """
     if total.dim != 64:
         raise ValueError("enumerate_branches expects the 6-qubit composed state")
+    diagonals = _weak_diagonals(q_w, scenario, 1)
     reference = kron(alice_in.density().mat, bob_in.density().mat)[None]
     # Row block k of the projection stack gives the (2, 3) state of branch k.
     proj = _PROJ_STACK.reshape(16, 4, 64)
     rec = proj @ total.mat @ proj.conj().swapaxes(-1, -2)
-    return _correct_branches(rec[None], scenario, q_w, reference, _branch_stack(1)).outcomes()
+    return _correct_branches(rec[None], diagonals, reference, _branch_stack(1), _branch_stack(1)).outcomes()
 
 
 def run_protocol(

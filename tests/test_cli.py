@@ -125,6 +125,13 @@ def test_sweep_unprotected_closed_form_column(capsys):
         assert float(cols[4]) == 1.0
 
 
+# An --out path that cannot be written: a missing directory, a directory.
+UNWRITABLE_OUT = [
+    ["sweep", "--scenario", "recovery-adc", "--p-steps", "1", "--out", "/nonexistent/x.csv"],
+    ["entropy", "--p-steps", "2", "--out", "."],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -142,16 +149,35 @@ def test_sweep_unprotected_closed_form_column(capsys):
         ["verify", "--grid", "1"],
         ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--qw", "0.1", "--alice-phase", "inf"],
         ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--qw", "0.1", "--bob-phase", "nan"],
-        # An --out path that cannot be written: a missing directory, a directory.
-        ["sweep", "--scenario", "recovery-adc", "--p-steps", "1", "--out", "/nonexistent/x.csv"],
-        ["entropy", "--p-steps", "2", "--out", "."],
-    ],
+    ]
+    + UNWRITABLE_OUT,
 )
 def test_usage_errors_exit_2(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUT)
+def test_unwritable_out_fails_before_any_work(argv, capsys, monkeypatch, tmp_path):
+    """An --out that names a directory or lies in a missing one is refused
+    before the first `distribute`, with the message a failed write gives,
+    and no file is created."""
+
+    def distribute(*args):
+        raise AssertionError("distribute called before --out was checked")
+
+    monkeypatch.setattr(cli, "distribute", distribute)
+    monkeypatch.chdir(tmp_path)
+    path = argv[-1]
+    try:
+        open(path, "w")
+    except OSError as exc:
+        reason = exc.strerror
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------- branches

@@ -1,22 +1,25 @@
 """The batched branch kernel behind run_protocol and average_fidelity,
 held against the direct 6-qubit path: enumerate_branches on the composed
 state, and a per-node loop over it for the input average. The correction
-stage is also held against the explicit 4x4 correction operators, and a
-stack of rows with one q_w each against one run per row."""
+stage is also held against the explicit 4x4 correction operators, a
+stack of rows with one q_w each against one run per row, and the
+degenerate thresholds at their exact boundaries."""
 import math
 import re
 
 import numpy as np
 import pytest
 
-from bqtsim.channels import DegenerateBranchError
+from bqtsim.channels import DEGENERATE_TOL, DegenerateBranchError
 from bqtsim.linalg import DensityMatrix
 from bqtsim.metrics import QuadratureSpec, _average_fidelities, average_fidelity
 from bqtsim.protocol import (
     QubitInput,
     Scenario,
+    _Branches,
     _row_totals,
     _run_rows,
+    _settle,
     apply_correction,
     compose_total,
     correction_ops,
@@ -234,9 +237,16 @@ def test_row_stack_matches_one_run_per_row(scenario):
             take = np.arange(size) % len(rows)
             sub_qs, sub_inputs = [qs[k] for k in take], inputs[take]
             want = _run_rows(dist, scenario, sub_qs, sub_inputs).totals()
-            got = _row_totals(dist, scenario, sub_qs, sub_inputs)
+            (got,) = _row_totals(dist, scenario, [sub_qs], sub_inputs)
             assert all(identical(g, w) for g, w in zip(got, want)), where
             nan_totals += int(np.isnan(want[1]).sum())
+        # Float and per-row entries mixed in one call, all over one fold.
+        mixed = [qs, min(qs), qs[::-1], max(qs), [qs[-1]] * len(rows)]
+        got = _row_totals(dist, scenario, mixed, inputs)
+        assert len(got) == len(mixed)
+        for q_w, totals in zip(mixed, got):
+            want = _run_rows(dist, scenario, q_w, inputs).totals()
+            assert all(identical(g, w) for g, w in zip(totals, want)), f"{scenario.value} p={p} mixed"
         _average_fidelities(dist, scenario, [qs[0]], QuadratureSpec(points=64))
         for name, data in owned.items():
             assert getattr(stack, name).tobytes() == data, f"{scenario.value} p={p} {name}"
@@ -275,6 +285,9 @@ def test_row_stack_rejects_bad_qw():
         for bad in (0.2, float("nan")):
             with pytest.raises(ValueError, match="unprotected scenarios require q_w = 0"):
                 _run_rows(dist, scenario, bad, [inp] * 3)
+            # A bad entry after good ones in one totals-only call.
+            with pytest.raises(ValueError, match="unprotected scenarios require q_w = 0"):
+                _row_totals(dist, scenario, [0.0, [0.0] * 3, bad], [inp] * 3)
     for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
         dist, _ = distribute(scenario, 0.4)
         for bad in (1.5, -0.1, float("nan")):
@@ -283,6 +296,8 @@ def test_row_stack_rejects_bad_qw():
                 _run_rows(dist, scenario, [0.2, bad], [inp] * 2)
             with pytest.raises(ValueError, match=message):
                 _average_fidelities(dist, scenario, [0.2, bad])
+            with pytest.raises(ValueError, match=message):
+                _row_totals(dist, scenario, [0.2, [0.3, 0.4], [0.2, bad]], [inp] * 2)
             # One float q_w for every row.
             with pytest.raises(ValueError, match=message):
                 _run_rows(dist, scenario, bad, [inp] * 2)
@@ -296,3 +311,41 @@ def test_row_stack_rejects_bad_qw():
         for qs in ([0.1, 0.2, 0.3], [0.1]):
             with pytest.raises(ValueError, match=f"{len(qs)} q_w values for 2 input rows"):
                 _run_rows(dist, scenario, qs, [inp] * 2)
+
+
+def diagonal_states(*entries):
+    """(len(entries), 4, 4) states with one nonzero entry each, at (0, 0),
+    so each trace is that entry exactly."""
+    states = np.zeros((len(entries), 4, 4), dtype=complex)
+    states[:, 0, 0] = entries
+    return states
+
+
+def test_degenerate_thresholds_are_exact():
+    """The rules `channels.DEGENERATE_TOL` states: a branch is degenerate
+    when its recovered trace is at or below the tolerance or its weight is
+    below it; the doubles next to the tolerance fall the other way."""
+    above, below = np.nextafter(DEGENERATE_TOL, 1.0), np.nextafter(DEGENERATE_TOL, 0.0)
+    traces = diagonal_states(DEGENERATE_TOL, above, 1.0, 1.0)
+    weights = [1.0, 1.0, DEGENERATE_TOL, below]
+    joint, weight, _, degenerate = _settle(traces, diagonal_states(*weights))
+    assert joint.tolist() == [DEGENERATE_TOL, above, 1.0, 1.0]
+    assert degenerate.tolist() == [True, False, False, True]
+    assert weight.tolist() == [0.0, 1.0, DEGENERATE_TOL, 0.0]
+
+
+def test_postselected_fidelity_needs_success_above_tolerance():
+    """A row whose total success is exactly DEGENERATE_TOL has a NaN
+    post-selected fidelity; one whose success is the next double up has
+    its weighted mean. Branch 0 of each row is the only live one."""
+    above = np.nextafter(DEGENERATE_TOL, 1.0)
+    weight = np.zeros((2, 16))
+    weight[:, 0] = [DEGENERATE_TOL, above]
+    degenerate = np.ones((2, 16), dtype=bool)
+    degenerate[:, 0] = False
+    joint, fidelity = weight.copy(), np.full((2, 16), 0.5)
+    states = np.zeros((2, 16, 4, 4), dtype=complex)
+    success, total, postselected = _Branches(states, joint, weight, states, fidelity, degenerate).totals()
+    assert success.tolist() == [DEGENERATE_TOL, above]
+    assert total.tolist() == [0.5 * DEGENERATE_TOL, 0.5 * above]
+    assert math.isnan(postselected[0]) and postselected[1] == 0.5

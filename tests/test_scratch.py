@@ -12,8 +12,19 @@ import numpy as np
 import pytest
 
 import bqtsim
+from bqtsim import protocol
 from bqtsim.metrics import QuadratureSpec, _average_fidelities
-from bqtsim.protocol import Scenario, _row_totals, distribute
+from bqtsim.protocol import (
+    Scenario,
+    _correct_branches,
+    _input_densities,
+    _kron_batched,
+    _recover,
+    _row_totals,
+    _run_rows,
+    _weak_diagonals,
+    distribute,
+)
 
 QUAD_32, QUAD_64 = QuadratureSpec(points=32), QuadratureSpec(points=64)
 
@@ -28,7 +39,7 @@ def scratch_calls(scenario, p, seed):
     return (
         lambda: _average_fidelities(dist, scenario, qs, QUAD_32),
         lambda: _average_fidelities(dist, scenario, qs, QUAD_64),
-        lambda: _row_totals(dist, scenario, row_qs, rows),
+        lambda: _row_totals(dist, scenario, [row_qs], rows)[0],
     )
 
 
@@ -64,6 +75,33 @@ def test_threads_get_what_each_computes_alone():
         assert len(got[k]) == 30
         for n, result in enumerate(got[k]):
             assert result == alone[k][n % 3], f"thread {k} call {n}"
+
+
+def test_stages_write_only_the_buffers_they_are_given():
+    """In a fresh thread, which has no scratch yet, `_recover` and
+    `_correct_branches` given caller buffers leave it without one, and
+    give `_run_rows`' branches by bytes."""
+    scenario = Scenario.ALL_ADC
+    dist, _ = distribute(scenario, 0.4)
+    rows = np.array([[0.3, 0.7, 0.8, 1.9], [0.6, 0.0, 0.1, 2.5]])
+    got = {}
+
+    def work():
+        rho = _input_densities(rows[:, 0::2], rows[:, 1::2])
+        rho_a, rho_b = rho[:, 0], rho[:, 1]
+        folded_a, folded_ab, recovered, corrected = (np.empty((2, 16, 4, 4), dtype=complex) for _ in range(4))
+        _recover(dist.mat, rho_a, rho_b, folded_a, folded_ab, recovered)
+        diagonals = _weak_diagonals([0.25, 0.9], scenario, 2)
+        got["branches"] = _correct_branches(recovered, diagonals, _kron_batched(rho_a, rho_b), folded_a, corrected)
+        got["scratch"] = hasattr(protocol._SCRATCH, "bufs")
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert got["scratch"] is False
+    want = _run_rows(dist, scenario, [0.25, 0.9], rows)
+    for name in want.__dataclass_fields__:
+        assert getattr(got["branches"], name).tobytes() == getattr(want, name).tobytes(), name
 
 
 # Run in a fresh interpreter with one BLAS thread, as the benchmark runs:
