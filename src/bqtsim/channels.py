@@ -1,10 +1,16 @@
 """Amplitude damping channel primitives.
 
-Kraus operators for single-qubit amplitude damping, channel application by
-Kraus sum, post-selection on the no-decay branch (measuring the channel
-environment and keeping the outcome tied to the invertible operator), and
-the two diagonal weak-measurement operator families used to undo the
-damping bias.
+`__all__` lists what the product path takes from here: the parameter
+records, whose range errors it raises, the weak-measurement families and
+the degeneracy rule. The rest are the test references for
+`protocol.distribute` and `protocol.correction_ops`, which no product
+path calls: `adc_kraus`,
+the single-qubit amplitude damping Kraus pair; `apply_channel`, channel
+application by Kraus sum; `eam_postselect`, post-selection on the
+no-decay branch (measuring the channel environment and keeping the
+outcome tied to the invertible operator); and `weak_measurement_op`, the
+retained operator of the two diagonal weak-measurement families used to
+undo the damping bias.
 """
 from __future__ import annotations
 
@@ -22,15 +28,12 @@ __all__ = [
     "AdcParams",
     "WeakVariant",
     "WeakMeasurementParams",
-    "adc_kraus",
-    "apply_channel",
-    "eam_postselect",
-    "weak_measurement_op",
 ]
 
 # A post-selection weight below this is treated as annihilated. A branch is
 # degenerate when its recovered trace is at or below it or its success
-# weight is below it (protocol._settle).
+# weight is below it (protocol._settle, and protocol.apply_correction on its
+# own for the tests).
 DEGENERATE_TOL = 1e-14
 
 

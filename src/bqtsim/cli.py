@@ -39,7 +39,8 @@ _UNPROTECTED = tuple(s for s in Scenario if not s.protected)
 def _fmt(x: Optional[float]) -> str:
     if x is None:
         return ""
-    return "%.12g" % x
+    # + 0.0 folds -0.0 into 0.0, so a zero prints "0" however it was given.
+    return "%.12g" % (x + 0.0)
 
 
 def _emit(lines: list, path: Optional[str]) -> int:

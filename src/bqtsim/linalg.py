@@ -7,6 +7,11 @@ is stored dense.
 
 All functions are pure; DensityMatrix instances are treated as immutable
 after construction and are safe to share between threads.
+
+`__all__` is what the product path uses. `kron`, `embed_op`, `HADAMARD`
+and `CNOT` are kept for the test references only: the circuit-built
+resource (`protocol.prepare_channel`) and the explicit operators the
+tests hold the kernel against.
 """
 from __future__ import annotations
 
@@ -17,21 +22,13 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "ComplexMatrix",
     "DensityMatrix",
-    "kron",
     "partial_trace",
-    "embed_op",
     "hermitian_eigenvalues",
     "I2",
     "SX",
     "SZ",
-    "HADAMARD",
-    "CNOT",
 ]
-
-# Operators are plain numpy arrays with complex entries in row-major order.
-ComplexMatrix = np.ndarray
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -37,11 +37,18 @@ single fold. Each branch correction is a constant Pauli pair U_i (x) U_j,
 built once at import, after a weak factor m_w (x) m_w that is the only
 part to vary by row. The Pauli pairs are signed permutations, so they
 move and sign entries and need no products.
-`enumerate_branches` keeps the direct 6-qubit projection as the reference
-the kernel is tested against.
+
+The product API is `__all__`. The rest of the public names are the
+references the tests hold the kernel against, which no product path calls:
+`prepare_channel` builds the resource as a circuit, `compose_total` the
+6-qubit state, `correction_ops` and `apply_correction` apply the explicit
+4x4 corrections with their own traces and degeneracy rule, and
+`enumerate_branches` projects the composed 6-qubit state directly.
+Importing the module runs none of them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -68,12 +75,7 @@ __all__ = [
     "BranchOutcome",
     "ProtocolResult",
     "RESOURCE",
-    "prepare_channel",
     "distribute",
-    "compose_total",
-    "correction_ops",
-    "apply_correction",
-    "enumerate_branches",
     "run_protocol",
 ]
 
@@ -197,6 +199,15 @@ _BELL_KETS = np.array(
     dtype=complex,
 ) / math.sqrt(2.0)
 
+# The resource every run starts from, built once: the first Bell ket on each
+# of the pairs (1, 2) and (3, 4). Its matrix is backed by immutable bytes,
+# so no caller can write to it or make it writable again and change what
+# later runs see.
+_RESOURCE_KET = np.kron(_BELL_KETS[0], _BELL_KETS[0])
+RESOURCE = DensityMatrix(
+    np.frombuffer(np.outer(_RESOURCE_KET, _RESOURCE_KET.conj()).tobytes(), dtype=complex).reshape(16, 16)
+)
+
 # The same kets as amplitude tables B[k][x, y], x the first qubit's bit.
 _BELL_TABLES = _BELL_KETS.reshape(4, 2, 2)
 
@@ -240,43 +251,36 @@ _PAULI_SOURCE, _PAULI_SIGN = _pauli_pair_maps()
 _PAULI_GATHER = _PAULI_SOURCE + 16 * np.arange(16)[:, None]
 
 
+@functools.cache
 def _branch_contractions() -> np.ndarray:
     """Stack of the 16 rank-4 projection maps <bell_i|_(a,1) (x) I4 (x) <bell_j|_(4,b).
 
     Row block 4k..4k+3 (k = 4(i-1)+(j-1)) maps the 6-qubit register to the
-    kept (2, 3) pair for branch (i, j).
+    kept (2, 3) pair for branch (i, j). Built on first use and shared
+    read-only, so importing the module does not build it.
     """
     eye4 = np.eye(4, dtype=complex)
     blocks = []
     for bi in _BELL_KETS:
         for bj in _BELL_KETS:
             blocks.append(np.kron(bi.conj().reshape(1, 4), np.kron(eye4, bj.conj().reshape(1, 4))))
-    return np.vstack(blocks)
-
-
-_PROJ_STACK = _branch_contractions()
+    stack = np.vstack(blocks)
+    stack.setflags(write=False)
+    return stack
 
 
 def prepare_channel() -> DensityMatrix:
     """4-qubit resource state: two Bell pairs on (1,2) and (3,4).
 
     Built the circuit way (H on the first qubit of each pair, then a CNOT
-    onto the second) rather than from the amplitude pattern, so tests can
-    validate one construction against the other.
+    onto the second) rather than from the Bell table `RESOURCE` comes
+    from, so tests can validate one construction against the other.
     """
     ket = np.zeros(16, dtype=complex)
     ket[0] = 1.0
     for gate, targets in ((HADAMARD, [0]), (CNOT, [0, 1]), (HADAMARD, [2]), (CNOT, [2, 3])):
         ket = embed_op(gate, targets, 4) @ ket
     return DensityMatrix(np.outer(ket, ket.conj()))
-
-
-# The resource every run starts from, built once. Its matrix is backed by
-# immutable bytes, so no caller can write to it or make it writable again
-# and change what later runs see.
-RESOURCE = DensityMatrix(
-    np.frombuffer(prepare_channel().mat.tobytes(), dtype=complex).reshape(16, 16)
-)
 
 
 # A lifted damping Kraus operator is a Kronecker product of per-qubit
@@ -407,10 +411,13 @@ def apply_correction(
     recovered trace or the weight is numerically zero.
     """
     M = kron(M_B, M_A)
-    _, weight, corrected, degenerate = _settle(recovered.mat, M @ recovered.mat @ M.conj().T)
-    if degenerate:
+    out = M @ recovered.mat @ M.conj().T
+    # The degeneracy rule as `channels.DEGENERATE_TOL` states it, written
+    # apart from the kernel's `_settle` so the tests can hold one to the other.
+    weight = float(np.trace(out).real)
+    if recovered.trace() <= DEGENERATE_TOL or weight < DEGENERATE_TOL:
         raise DegenerateBranchError("branch weight is numerically zero")
-    return DensityMatrix(corrected), float(weight)
+    return DensityMatrix(out / weight), weight
 
 
 # (Alice's index, Bob's index) of branch k = 4(i-1)+(j-1).
@@ -605,9 +612,8 @@ def _fold_and_correct(dist: DensityMatrix, scenario: Scenario, q_ws, rows, owned
     temp, folded_ab, recovered = (buf[:n] for buf in bufs)
     if owned:
         recovered = _branch_stack(n)
-    # Alice's and Bob's states of each row on axis 1.
-    rho = _input_densities(rows[:, 0::2], rows[:, 1::2])
-    rho_a, rho_b = rho[:, 0], rho[:, 1]
+    # Party-major, so each party's states are contiguous.
+    rho_a, rho_b = _input_densities(rows[:, 0::2].T, rows[:, 1::2].T)
     _recover(dist.mat, rho_a, rho_b, temp, folded_ab, recovered)
     reference = _kron_batched(rho_a, rho_b)
     for d in diagonals:
@@ -652,7 +658,7 @@ def enumerate_branches(
     diagonals = _weak_diagonals(q_w, scenario, 1)
     reference = kron(alice_in.density().mat, bob_in.density().mat)[None]
     # Row block k of the projection stack gives the (2, 3) state of branch k.
-    proj = _PROJ_STACK.reshape(16, 4, 64)
+    proj = _branch_contractions().reshape(16, 4, 64)
     rec = proj @ total.mat @ proj.conj().swapaxes(-1, -2)
     return _correct_branches(rec[None], diagonals, reference, _branch_stack(1), _branch_stack(1)).outcomes()
 

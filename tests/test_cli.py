@@ -125,6 +125,18 @@ def test_sweep_unprotected_closed_form_column(capsys):
         assert float(cols[4]) == 1.0
 
 
+@pytest.mark.parametrize("flag,column", [("--qw", 2), ("--pop0", -1)])
+def test_sweep_prints_negative_zero_input_as_zero(flag, column, capsys):
+    # -0.0 is the same setting as 0, so it must give the same bytes.
+    outs = []
+    for zero in ("0", "-0.0"):
+        code, out, err = run_cli(["sweep", "--scenario", "recovery-adc", "--p-steps", "3", flag, zero], capsys)
+        assert code == 0 and err == ""
+        assert all(cols[column] == "0" for cols in rows(out)[1])
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 # An --out path that cannot be written: a missing directory, a directory.
 UNWRITABLE_OUT = [
     ["sweep", "--scenario", "recovery-adc", "--p-steps", "1", "--out", "/nonexistent/x.csv"],

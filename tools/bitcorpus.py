@@ -14,8 +14,8 @@ least one bit. The families:
                  q_w and one q_w per row
   average        _average_fidelities at 8-128 nodes, p = q_w = 1 included
   verify         the _verify_checks tuples of grids 2, 3 and 10
-  cli            stdout, stderr and exit status of the golden command lines
-                 and of usage errors
+  cli            stdout, stderr and exit status of the command lines of
+                 tests/test_cli_golden.py, of a few more, and of usage errors
 
 Only entry points whose signatures have stayed put are called, so one copy
 of this script runs on older checkouts too. Needs numpy only, and takes a
@@ -23,6 +23,7 @@ few seconds; it is not part of the test suite.
 """
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -39,20 +40,19 @@ P_GRID = EDGES + tuple(float(p) for p in np.linspace(0.0, 1.0, 26)[1:-1]) + (0.3
 ROW_COUNTS = (1, 2, 7, 64, 100, 3, 33)
 NODE_COUNTS = (8, 17, 32, 64, 128)
 
-GOLDEN_ARGV = [
-    ["verify"],
-    ["verify", "--grid", "2"],
-    ["sweep", "--scenario", "recovery-adc", "--p-steps", "6", "--qw", "0.2"],
-    ["sweep", "--scenario", "all-adc", "--p-steps", "6", "--qw-mode", "equal-p"],
-    ["sweep", "--scenario", "all-adc", "--p-min", "0.1", "--p-max", "0.9", "--p-steps", "3",
-     "--qw-mode", "grid", "--qw-steps", "4"],
-    ["sweep", "--scenario", "recovery-adc", "--p-steps", "4", "--qw", "0.3", "--pop0", "0.3"],
-    ["sweep", "--scenario", "unprotected-all", "--p-steps", "6"],
-    ["branches", "--scenario", "all-adc", "--p", "0.4", "--qw", "0.25", "--alice-pop0", "0.3",
-     "--alice-phase", "0.7", "--bob-pop0", "0.8", "--bob-phase", "1.9"],
-    ["branches", "--scenario", "recovery-adc", "--p", "1", "--alice-pop0", "1", "--bob-pop0", "1"],
-    ["entropy", "--p-steps", "5"],
-]
+GOLDEN_CASES = Path(__file__).resolve().parents[1] / "tests" / "test_cli_golden.py"
+
+
+def golden_argv() -> list:
+    """The command lines of the golden-file test's CASES, in its order, read
+    from that test's source without running it. They come from the tree
+    this script lives in, so every checkout it hashes runs the same ones."""
+    for node in ast.parse(GOLDEN_CASES.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CASES":
+            return list(ast.literal_eval(node.value).values())
+    raise LookupError(f"no CASES in {GOLDEN_CASES}")
+
+
 EXTRA_ARGV = [
     ["sweep", "--scenario", "all-adc", "--qw-mode", "grid", "--qw-steps", "11", "--p-steps", "11"],
     ["sweep", "--scenario", "recovery-adc", "--qw", "1", "--p-steps", "3"],
@@ -200,7 +200,7 @@ def family_verify(h, cli) -> int:
 
 
 def family_cli(h, cli) -> int:
-    argvs = GOLDEN_ARGV + EXTRA_ARGV + USAGE_ARGV
+    argvs = golden_argv() + EXTRA_ARGV + USAGE_ARGV
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
