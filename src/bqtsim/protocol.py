@@ -85,7 +85,9 @@ def _input_densities(pop0, phase=0.0) -> np.ndarray:
     over broadcast arrays of populations and phases, as (..., 2, 2)."""
     pop0 = np.asarray(pop0, dtype=float)
     a1 = np.sqrt(1.0 - pop0) * np.exp(1j * np.asarray(phase, dtype=float))
-    kets = np.stack(np.broadcast_arrays(np.sqrt(pop0).astype(complex), a1), axis=-1)
+    kets = np.empty(a1.shape + (2,), dtype=complex)
+    kets[..., 0] = np.sqrt(pop0)
+    kets[..., 1] = a1
     return kets[..., :, None] @ kets[..., None, :].conj()
 
 
@@ -341,7 +343,7 @@ def distribute(scenario: Scenario, p: float) -> tuple[DensityMatrix, float]:
         # The terms add in order of m, as apply_channel's Kraus sum does.
         return DensityMatrix(terms.sum(axis=0)), 1.0
     kept = terms[0]
-    prob = float(np.trace(kept).real)
+    prob = float(kept.trace().real)
     if prob < DEGENERATE_TOL:
         raise DegenerateBranchError(f"post-selection weight {prob:g} is numerically zero")
     return DensityMatrix(kept / prob), prob
@@ -382,14 +384,16 @@ def _settle(recovered: np.ndarray, out: np.ndarray) -> tuple:
     the success weights tr(M rho M^dag), the normalized outputs, and the
     mask of annihilated branches (joint <= DEGENERATE_TOL or weight <
     DEGENERATE_TOL), whose weight is set to 0 and whose output is
-    meaningless.
+    meaningless (divided by 1, so left as computed). `joint` and `weight`
+    are the real parts of the two trace arrays; the degenerate weights
+    are zeroed in place there, with no copy.
     """
     # + 0.0 folds any -0.0 entry into 0.0.
     out += 0.0
     joint = np.einsum("...ii->...", recovered).real
     weight = np.einsum("...ii->...", out).real
     degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
-    weight = np.where(degenerate, 0.0, weight)
+    weight[degenerate] = 0.0
     # numpy divides a complex x by a real w, cast to w + 0j, as
     # ((x.re + x.im * 0) * (1 / w), (x.im - x.re * 0) * (1 / w)). With no
     # -0.0 entry the zero terms change nothing, so one real multiply of
@@ -482,13 +486,16 @@ class _Branches:
         # Adding in order can differ from Python's sum, which starts at 0,
         # only by a -0.0 where every term is a zero, and + 0.0 folds that
         # into 0.0.
-        success, fidelity, weighted = np.add.reduce(terms, axis=0) + 0.0
+        sums = np.add.reduce(terms, axis=0)
+        sums += 0.0
+        success, fidelity, weighted = sums
+        fidelity[self.degenerate.all(axis=1)] = np.nan
         # A row whose branches are all degenerate has success 0, so the
         # success test also covers it.
         postselected = np.divide(
             weighted, success, out=np.full_like(success, np.nan), where=success > DEGENERATE_TOL
         )
-        return success, np.where(self.degenerate.all(axis=1), np.nan, fidelity), postselected
+        return success, fidelity, postselected
 
 
 def _branch_stack(n: int) -> np.ndarray:
@@ -511,7 +518,15 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     the least such value, NaN counting as the largest. A nonzero value in
     an unprotected scenario raises ValueError first, as does a sequence
     whose length is not n.
+
+    The common case is checked first: a float or int in [0, 1], and zero
+    when the scenario is bare, passes one chained comparison and has its
+    diagonals built directly. Any other q_w, a sequence or a bad value,
+    takes the ordered checks above, which give a valid one the same bits
+    and a bad one its error, so which path a value takes never shows.
     """
+    if isinstance(q_w, (float, int)) and 0.0 <= q_w <= 1.0 and (scenario.protected or q_w == 0.0):
+        return np.array([[_weak_top(q_w, scenario.weak_variant), 1.0]])
     q = np.asarray(q_w, dtype=float)
     if q.ndim and len(q) != n:
         raise ValueError(f"{len(q)} q_w values for {n} input rows, need one per row")
@@ -670,9 +685,13 @@ def run_protocol(
     alice_in: QubitInput,
     bob_in: QubitInput,
 ) -> ProtocolResult:
-    """Distribute, measure and correct at one parameter point."""
+    """Distribute, measure and correct at one parameter point, with one
+    weak strength q_w (a sequence raises ValueError)."""
+    # np.ndim is the slow part of this check, so a float or int skips it.
+    if not isinstance(q_w, (float, int)) and np.ndim(q_w):
+        raise ValueError(f"run_protocol: q_w must be a single value, got shape {np.shape(q_w)}")
     dist, eam_success = distribute(scenario, p)
-    rows = [[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]]
+    rows = np.array([[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]])
     branches = _run_rows(dist, scenario, q_w, rows)
     (total_success,), (total_fidelity,), (postselected,) = branches.totals()
     return ProtocolResult(

@@ -17,9 +17,11 @@ from bqtsim.protocol import (
     QubitInput,
     Scenario,
     _Branches,
+    _input_densities,
     _row_totals,
     _run_rows,
     _settle,
+    _weak_diagonals,
     apply_correction,
     compose_total,
     correction_ops,
@@ -311,6 +313,61 @@ def test_row_stack_rejects_bad_qw():
         for qs in ([0.1, 0.2, 0.3], [0.1]):
             with pytest.raises(ValueError, match=f"{len(qs)} q_w values for 2 input rows"):
                 _run_rows(dist, scenario, qs, [inp] * 2)
+
+
+# One q_w of every edge and type: the doubles at and next to 0 and 1 on
+# both sides, the non-finite values, and a numpy and two int scalars.
+ODD_QS = (0.0, -0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, -1e-300,
+          math.nan, math.inf, -math.inf, np.float64(0.3), 0, 1)
+
+
+def outcome(fn, *args):
+    """fn(*args) as bytes, or the type and message of what it raises."""
+    try:
+        return fn(*args).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_weak_diagonals_fast_check_matches_full_path(monkeypatch):
+    """A single q_w gives the bits or the error of the same value as a
+    one-row sequence, which takes the ordered checks. A valid one skips
+    them: check_q_w, the first of them, is never consulted for it."""
+    consulted = []
+    full_check = Scenario.check_q_w
+
+    def spy(self, q_w):
+        consulted.append(q_w)
+        full_check(self, q_w)
+
+    monkeypatch.setattr(Scenario, "check_q_w", spy)
+    for scenario in Scenario:
+        for q in ODD_QS + (0.4,):
+            want = outcome(_weak_diagonals, [q], scenario, 1)
+            consulted.clear()
+            got = outcome(_weak_diagonals, q, scenario, 1)
+            assert got == want, f"{scenario.value} q_w={q!r}"
+            if isinstance(got, bytes):
+                assert not consulted, f"{scenario.value} q_w={q!r} took the ordered checks"
+
+
+def test_input_densities_broadcast_row_by_row():
+    """Scalars, (N,) populations with one phase, and (2, N) with (2, N):
+    the broadcast shape, and each entry's state the bytes of the scalar
+    call for it."""
+    rng = np.random.default_rng(13)
+    pops = np.concatenate(([0.0, 1.0, 1e-12], rng.random(5)))
+    phases = np.concatenate(([0.0, math.pi, -2.5], rng.random(5) * 2.0 * math.pi))
+    assert _input_densities(0.3, 1.1).shape == (2, 2)
+    cases = ((pops, 0.7), (np.stack((pops, pops[::-1])), np.stack((phases, phases[::-1]))))
+    for pop0, phase in cases:
+        got = _input_densities(pop0, phase)
+        shape = np.broadcast_shapes(np.shape(pop0), np.shape(phase))
+        assert got.shape == shape + (2, 2)
+        pop0, phase = np.broadcast_to(pop0, shape), np.broadcast_to(phase, shape)
+        for idx in np.ndindex(shape):
+            want = _input_densities(float(pop0[idx]), float(phase[idx]))
+            assert got[idx].tobytes() == want.tobytes(), idx
 
 
 def diagonal_states(*entries):

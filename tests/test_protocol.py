@@ -414,6 +414,23 @@ def test_bare_closed_forms_at_zero_probability_branches():
             np.testing.assert_allclose(b.corrected.mat, want, atol=1e-12)
 
 
+def test_run_protocol_takes_one_q_w():
+    """A sequence q_w raises run_protocol's own error, whatever its length;
+    every kind of scalar runs, gives the float's branches and is kept as
+    given."""
+    scenario, alice, bob = Scenario.RECOVERY_ADC, QubitInput(0.3, 0.4), QubitInput(0.8, 2.0)
+    for q_w in ([0.2], np.array([0.2]), [0.2, 0.3], np.array([[0.2]]), ()):
+        with pytest.raises(ValueError, match="run_protocol: q_w must be a single value"):
+            run_protocol(scenario, 0.5, q_w, alice, bob)
+    want = run_protocol(scenario, 0.5, 0.25, alice, bob)
+    for q_w in (np.float64(0.25), np.array(0.25)):
+        res = run_protocol(scenario, 0.5, q_w, alice, bob)
+        assert res.q_w is q_w
+        assert res.total_fidelity == want.total_fidelity
+        assert all(a.corrected.mat.tobytes() == b.corrected.mat.tobytes() for a, b in zip(res.branches, want.branches))
+    assert run_protocol(scenario, 0.5, 1, alice, bob).total_success == run_protocol(scenario, 0.5, 1.0, alice, bob).total_success
+
+
 def test_run_protocol_success_oracle_examples():
     res = run_protocol(Scenario.ALL_ADC, 0.4, 0.1, QubitInput(0.8, 0.3), QubitInput(0.2, 1.7))
     want = (1 - (2 * 0.1 - 0.01) / (1 + 0.36)) ** 2

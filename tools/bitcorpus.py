@@ -9,7 +9,10 @@ the lines: a family whose hash differs has some output that moved by at
 least one bit. The families:
 
   distribute     state and post-selection probability, 4 scenarios x 29 p
-  run_protocol   every ProtocolResult field and branch, at edge points
+  run_protocol   every ProtocolResult field and branch, at edge points, and
+                 at q_w values of every edge and type (floats next to 0 and
+                 1, NaN, infinities, numpy and int scalars), bare
+                 scenarios included, so range errors hash too
   _run_rows      every _Branches array and totals(), 1-100 rows, one float
                  q_w and one q_w per row
   average        _average_fidelities at 8-128 nodes, p = q_w = 1 included
@@ -138,12 +141,20 @@ def family_distribute(h, bq) -> int:
     return count
 
 
+# Weak strengths of every kind run_protocol takes as one q_w: the doubles
+# at and next to 0 and 1 on both sides, the non-finite values, and a numpy
+# and two int scalars. Bare scenarios get them all too, so that the order
+# of their two range errors is hashed.
+ODD_QS = (0.0, -0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, -1e-300,
+          math.nan, math.inf, -math.inf, np.float64(0.3), 0, 1)
+
+
 def family_run_protocol(h, bq) -> int:
     rng = np.random.default_rng(20261018)
     count = 0
     for scenario in bq.Scenario:
         for p in P_GRID[::2]:
-            qs = (0.0, 1e-12, p, 0.5, 1.0 - 1e-9, 1.0) if scenario.protected else (0.0,)
+            qs = ((0.0, 1e-12, p, 0.5, 1.0 - 1e-9, 1.0) if scenario.protected else (0.0, p)) + ODD_QS
             for q in qs:
                 for row in edge_rows(rng, 3).tolist():
                     alice, bob = bq.QubitInput(row[0], row[1]), bq.QubitInput(row[2], row[3])
@@ -152,6 +163,7 @@ def family_run_protocol(h, bq) -> int:
                     if isinstance(res, BaseException):
                         feed(h, res)
                         continue
+                    feed(h, (type(res.q_w).__name__, res.q_w))
                     feed(h, (res.eam_success, res.total_success, res.total_fidelity, res.postselected_fidelity))
                     for b in res.branches:
                         corrected = None if b.corrected is None else b.corrected.mat
