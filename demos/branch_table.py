@@ -30,7 +30,7 @@ print(f"averaged fidelity     {res.total_fidelity:.12f}")
 # The same point with the weak strength matched to the damping: every
 # branch returns the exact input product state.
 matched = run_protocol(Scenario.RECOVERY_ADC, P, P, ALICE, BOB)
-target = np.kron(ALICE.density().mat, BOB.density().mat)
-worst = max(float(np.max(np.abs(b.corrected.mat - target))) for b in matched.branches)
+target = np.kron(ALICE.density(), BOB.density())
+worst = max(float(np.max(np.abs(b.corrected - target))) for b in matched.branches)
 print(f"\nwith q_w = p = {P}: worst branch deviation from the input product {worst:.3g}")
 print(f"success probability drops to {matched.total_success:.6f}")

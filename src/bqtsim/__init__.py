@@ -8,7 +8,6 @@ hold the kernel against (Kraus sums, the circuit-built resource, the
 importable from its modules, each of which names its references in its
 docstring."""
 from .channels import DegenerateBranchError, WeakVariant
-from .linalg import DensityMatrix
 from .metrics import (
     OracleValue,
     QuadratureSpec,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchOutcome",
     "DegenerateBranchError",
-    "DensityMatrix",
     "OracleValue",
     "ProtocolResult",
     "QuadratureSpec",

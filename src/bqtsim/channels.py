@@ -20,8 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DensityMatrix
-
 __all__ = [
     "DegenerateBranchError",
     "DEGENERATE_TOL",
@@ -88,16 +86,15 @@ def adc_kraus(params: AdcParams) -> np.ndarray:
     return np.array([k0, k1], dtype=complex)
 
 
-def apply_channel(rho: DensityMatrix, ops: np.ndarray) -> DensityMatrix:
+def apply_channel(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Apply the full Kraus sum rho -> sum_k K rho K^dag of an (m, d, d)
     stack of Kraus operators as one batched product."""
-    if ops.shape[-2:] != (rho.dim, rho.dim):
-        raise ValueError(f"Kraus operators of shape {ops.shape[1:]} do not act on dim {rho.dim}")
-    out = (ops @ rho.mat @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
-    return DensityMatrix(out, rho.normalized)
+    if ops.shape[-2:] != rho.shape:
+        raise ValueError(f"Kraus operators of shape {ops.shape[1:]} do not act on shape {rho.shape}")
+    return (ops @ rho @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
-def eam_postselect(rho: DensityMatrix, k0_lifted: np.ndarray) -> tuple[DensityMatrix, float]:
+def eam_postselect(rho: np.ndarray, k0_lifted: np.ndarray) -> tuple[np.ndarray, float]:
     """Keep only the no-decay branch of the environment measurement.
 
     Returns the renormalized state K0 rho K0^dag / tr and the success
@@ -105,15 +102,15 @@ def eam_postselect(rho: DensityMatrix, k0_lifted: np.ndarray) -> tuple[DensityMa
     remaining 1 - success probability; it is never reconstructed as a
     state, only accounted for.
     """
-    if k0_lifted.shape != (rho.dim, rho.dim):
+    if k0_lifted.shape != rho.shape:
         raise ValueError(
-            f"lifted operator shape {k0_lifted.shape} does not match state dim {rho.dim}"
+            f"lifted operator shape {k0_lifted.shape} does not match state shape {rho.shape}"
         )
-    kept = k0_lifted @ rho.mat @ k0_lifted.conj().T
+    kept = k0_lifted @ rho @ k0_lifted.conj().T
     prob = float(np.trace(kept).real)
     if prob < DEGENERATE_TOL:
         raise DegenerateBranchError(f"post-selection weight {prob:g} is numerically zero")
-    return DensityMatrix(kept / prob), prob
+    return kept / prob, prob
 
 
 def weak_measurement_op(params: WeakMeasurementParams) -> np.ndarray:

@@ -176,7 +176,7 @@ def cmd_branches(args: argparse.Namespace) -> int:
             cols += [_fmt(b.branch_fidelity), "0"]
             for r in range(4):
                 for c in range(4):
-                    z = b.corrected.mat[r, c]
+                    z = b.corrected[r, c]
                     cols += [_fmt(z.real), _fmt(z.imag)]
         lines.append(",".join(cols))
     return _emit(lines, None)

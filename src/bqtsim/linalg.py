@@ -5,24 +5,25 @@ factor, so basis index b of an n-qubit register carries qubit q's bit at
 position n-1-q. Systems stay small (at most 6 qubits, 64x64), so everything
 is stored dense.
 
-All functions are pure; DensityMatrix instances are treated as immutable
-after construction and are safe to share between threads.
+A state is a plain complex 2^n x 2^n ndarray. All functions are pure and
+write to no argument. The states the package returns are fresh arrays or
+views of stacks the caller owns; the one state it shares,
+`protocol.RESOURCE`, is read-only, so threads can share it safely.
 
 `__all__` is what the product path uses. `kron`, `embed_op`, `HADAMARD`
 and `CNOT` are kept for the test references only: the circuit-built
 resource (`protocol.prepare_channel`) and the explicit operators the
-tests hold the kernel against.
+tests hold the kernel against. `assert_density` is the tests' check of a
+state.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "DensityMatrix",
     "partial_trace",
     "hermitian_eigenvalues",
     "I2",
@@ -49,52 +50,25 @@ CNOT = np.array(
 EIG_CLAMP = 1e-10
 
 
-def _n_qubits_of(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim <= 0 or (1 << n) != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Dense density matrix with a normalization flag.
-
-    `normalized` records whether the trace is meant to be 1. Projected,
-    unnormalized branch states carry their probability as the trace and set
-    the flag False. Hermiticity/trace/positivity checks are on demand via
-    assert_valid, never on every operation, so inner loops stay cheap.
-    """
-
-    mat: np.ndarray
-    normalized: bool = True
-
-    @property
-    def dim(self) -> int:
-        return int(self.mat.shape[0])
-
-    @property
-    def n_qubits(self) -> int:
-        return _n_qubits_of(self.dim)
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
-
-    def assert_valid(self, tol: float = 1e-12, psd_tol: float = EIG_CLAMP) -> None:
-        """Assert Hermiticity, unit trace (if flagged) and positivity."""
-        m = self.mat
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if herm_err > tol:
-            raise ValueError(f"not Hermitian: max |m - m^dag| = {herm_err:g}")
-        tr = complex(np.trace(m))
-        if self.normalized:
-            if abs(tr.real - 1.0) > tol or abs(tr.imag) > tol:
-                raise ValueError(f"trace {tr!r} differs from 1 beyond {tol}")
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-        if lo < -psd_tol:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {lo:g}")
+def assert_density(
+    m: np.ndarray, unit_trace: bool = True, tol: float = 1e-12, psd_tol: float = EIG_CLAMP
+) -> None:
+    """Assert that `m` is a density matrix: Hermitian, of unit trace (with
+    `unit_trace`; an unnormalized branch state carries its probability as
+    the trace) and positive semidefinite. The tests' check, never run on
+    the product path, so inner loops stay cheap."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    herm_err = float(np.max(np.abs(m - m.conj().T)))
+    if herm_err > tol:
+        raise ValueError(f"not Hermitian: max |m - m^dag| = {herm_err:g}")
+    tr = complex(np.trace(m))
+    if unit_trace:
+        if abs(tr.real - 1.0) > tol or abs(tr.imag) > tol:
+            raise ValueError(f"trace {tr!r} differs from 1 beyond {tol}")
+    lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+    if lo < -psd_tol:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {lo:g}")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,27 +86,30 @@ def _check_targets(targets: Sequence[int], n_qubits: int) -> None:
         seen.add(q)
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out all qubits of `rho` not listed in `keep`.
+def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Trace out all qubits of the square state `rho` not listed in `keep`.
 
     The result's qubit order follows the keep list, so keep=[3, 1] returns
     the (3, 1) marginal with qubit 3 as the leftmost factor. Trace is
-    preserved; the normalization flag carries over from the input.
+    preserved.
     """
     keep = list(keep)
-    n_qubits = rho.n_qubits
+    dim = rho.shape[0]
+    n_qubits = dim.bit_length() - 1
+    if dim <= 0 or rho.shape != (dim, dim) or (1 << n_qubits) != dim:
+        raise ValueError(f"partial_trace expects a square 2^n x 2^n state, got shape {rho.shape}")
     _check_targets(keep, n_qubits)
     if not keep:
         raise ValueError("keep list must not be empty")
     keep_set = set(keep)
-    t = rho.mat.reshape((2,) * (2 * n_qubits))
+    t = rho.reshape((2,) * (2 * n_qubits))
     row = list(range(n_qubits))
     # Traced qubits share one label between row and column axes.
     col = [q + n_qubits if q in keep_set else q for q in range(n_qubits)]
     out = [q for q in keep] + [q + n_qubits for q in keep]
     red = np.einsum(t, row + col, out)
     d = 1 << len(keep)
-    return DensityMatrix(red.reshape(d, d), rho.normalized)
+    return red.reshape(d, d)
 
 
 def embed_op(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
@@ -156,17 +133,16 @@ def embed_op(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarra
     return np.ascontiguousarray(t.reshape(1 << n_qubits, 1 << n_qubits))
 
 
-def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
+def hermitian_eigenvalues(rho: np.ndarray) -> np.ndarray:
     """Real eigenvalues in descending order.
 
     Raises ValueError when rho is off Hermitian by more than 1e-10 in any
     entry. Values in [-EIG_CLAMP, 0) are clamped to exactly 0 so downstream
     logs and entropies never see spurious negatives.
     """
-    m = rho.mat
-    herm_err = float(np.max(np.abs(m - m.conj().T)))
+    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     if herm_err > 1e-10:
         raise ValueError(f"not Hermitian within 1e-10: deviation {herm_err:g}")
-    vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
+    vals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[::-1]
     vals = np.where((vals < 0.0) & (vals >= -EIG_CLAMP), 0.0, vals)
     return vals

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DensityMatrix, hermitian_eigenvalues, partial_trace
+from .linalg import hermitian_eigenvalues, partial_trace
 from .protocol import Scenario, _row_totals, distribute
 
 __all__ = [
@@ -87,7 +87,7 @@ def average_fidelity(
 
 
 def _average_fidelities(
-    dist: DensityMatrix, scenario: Scenario, q_ws, quad: Optional[QuadratureSpec] = None
+    dist: np.ndarray, scenario: Scenario, q_ws, quad: Optional[QuadratureSpec] = None
 ) -> list:
     """`average_fidelity` at each of several q_w over one distributed state:
     the quadrature nodes as equal input rows, folded once and corrected at
@@ -157,7 +157,7 @@ def closed_form(name: str, p: float, q_w: float = 0.0) -> OracleValue:
     return OracleValue(name=name, value=float(fn(p, q_w)), formula_ref=ref)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """Base-2 von Neumann entropy; eigenvalues below 1e-12 are dropped."""
     eigs = hermitian_eigenvalues(rho)
     eigs = eigs[eigs > _EIG_CUT]
@@ -165,7 +165,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(eigs * np.log2(eigs))) + 0.0
 
 
-def entanglement_entropy_bob(channel_state: DensityMatrix) -> float:
+def entanglement_entropy_bob(channel_state: np.ndarray) -> float:
     """Entropy of Bob's half of the 4-qubit resource state, which is the
     entanglement between the two parties.
 
@@ -173,6 +173,6 @@ def entanglement_entropy_bob(channel_state: DensityMatrix) -> float:
     receives Alice's teleported state and qubit 4 is the one he
     Bell-measures with his input. The reduction keeps indices 1 and 3.
     """
-    if channel_state.dim != 16:
+    if channel_state.shape != (16, 16):
         raise ValueError("expected a 4-qubit channel state")
     return von_neumann_entropy(partial_trace(channel_state, [1, 3]))

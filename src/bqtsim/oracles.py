@@ -29,7 +29,6 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix
 from .protocol import QubitInput, Scenario
 
 __all__ = [
@@ -299,7 +298,7 @@ def _noisy_pair(p: float, scenario: Scenario, damped_first: bool) -> np.ndarray:
     return rho
 
 
-def distributed_closed(scenario: Scenario, p: float) -> DensityMatrix:
+def distributed_closed(scenario: Scenario, p: float) -> np.ndarray:
     """Post-distribution 4-qubit resource state.
 
     Protected scenarios give the renormalized pure state; unprotected ones
@@ -311,4 +310,4 @@ def distributed_closed(scenario: Scenario, p: float) -> DensityMatrix:
     mat = np.kron(first, second)
     if scenario.protected:
         mat = mat / np.trace(mat).real
-    return DensityMatrix(mat)
+    return mat

@@ -67,7 +67,7 @@ from .channels import (
     _weak_top,
     weak_measurement_op,
 )
-from .linalg import CNOT, HADAMARD, I2, SX, SZ, DensityMatrix, embed_op, kron
+from .linalg import CNOT, HADAMARD, I2, SX, SZ, embed_op, kron
 
 __all__ = [
     "QubitInput",
@@ -109,8 +109,8 @@ class QubitInput:
         if not math.isfinite(self.phase):
             raise ValueError(f"phase={self.phase!r} is not finite")
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(_input_densities(self.pop0, self.phase))
+    def density(self) -> np.ndarray:
+        return _input_densities(self.pop0, self.phase)
 
 
 class Scenario(Enum):
@@ -154,15 +154,17 @@ class BranchOutcome:
     `recovered` is the projected, traced, unnormalized 2-qubit state on
     qubits (2, 3); its trace is joint_prob. `corrected` is the normalized
     output after the weak measurement and Pauli pair, or None when the
-    branch weight was annihilated (degenerate=True). success_weight is the
-    trace of the uncorrected-normalization product M rho M^dag.
+    branch weight was annihilated (degenerate=True). Both are (4, 4) views
+    of branch stacks that the result owns, shared by no other result.
+    success_weight is the trace of the uncorrected-normalization product
+    M rho M^dag.
     """
 
     alice_index: int
     bob_index: int
     joint_prob: float
-    recovered: DensityMatrix
-    corrected: Optional[DensityMatrix]
+    recovered: np.ndarray
+    corrected: Optional[np.ndarray]
     success_weight: float
     branch_fidelity: Optional[float]
     degenerate: bool = False
@@ -202,13 +204,11 @@ _BELL_KETS = np.array(
 ) / math.sqrt(2.0)
 
 # The resource every run starts from, built once: the first Bell ket on each
-# of the pairs (1, 2) and (3, 4). Its matrix is backed by immutable bytes,
-# so no caller can write to it or make it writable again and change what
-# later runs see.
+# of the pairs (1, 2) and (3, 4). It is backed by immutable bytes, so no
+# caller can write to it or make it writable again and change what later
+# runs see.
 _RESOURCE_KET = np.kron(_BELL_KETS[0], _BELL_KETS[0])
-RESOURCE = DensityMatrix(
-    np.frombuffer(np.outer(_RESOURCE_KET, _RESOURCE_KET.conj()).tobytes(), dtype=complex).reshape(16, 16)
-)
+RESOURCE = np.frombuffer(np.outer(_RESOURCE_KET, _RESOURCE_KET.conj()).tobytes(), dtype=complex).reshape(16, 16)
 
 # The same kets as amplitude tables B[k][x, y], x the first qubit's bit.
 _BELL_TABLES = _BELL_KETS.reshape(4, 2, 2)
@@ -271,7 +271,7 @@ def _branch_contractions() -> np.ndarray:
     return stack
 
 
-def prepare_channel() -> DensityMatrix:
+def prepare_channel() -> np.ndarray:
     """4-qubit resource state: two Bell pairs on (1,2) and (3,4).
 
     Built the circuit way (H on the first qubit of each pair, then a CNOT
@@ -282,7 +282,7 @@ def prepare_channel() -> DensityMatrix:
     ket[0] = 1.0
     for gate, targets in ((HADAMARD, [0]), (CNOT, [0, 1]), (HADAMARD, [2]), (CNOT, [2, 3])):
         ket = embed_op(gate, targets, 4) @ ket
-    return DensityMatrix(np.outer(ket, ket.conj()))
+    return np.outer(ket, ket.conj())
 
 
 # A lifted damping Kraus operator is a Kronecker product of per-qubit
@@ -313,7 +313,7 @@ def _adc_monomials(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     bits = (np.arange(16)[:, None] // place) & 1
     factor = 2 * choices.T[:, :, None] + bits.T[:, None, :]
     src = np.array(_ADC_COLUMN)[choices[:, None, :], bits] @ place
-    gathered = RESOURCE.mat[src[:, :, None], src[:, None, :]]
+    gathered = RESOURCE[src[:, :, None], src[:, None, :]]
     gathered.setflags(write=False)
     return factor, gathered
 
@@ -321,11 +321,12 @@ def _adc_monomials(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 _ADC_MONOMIALS = {scenario: _adc_monomials(scenario) for scenario in Scenario}
 
 
-def distribute(scenario: Scenario, p: float) -> tuple[DensityMatrix, float]:
+def distribute(scenario: Scenario, p: float) -> tuple[np.ndarray, float]:
     """Send `RESOURCE` through the damping noise of the given scenario.
 
-    Protected scenarios post-select the no-decay branch and return the
-    renormalized state together with the post-selection probability.
+    Returns a fresh (16, 16) state and a probability. Protected scenarios
+    post-select the no-decay branch and return the renormalized state
+    together with the post-selection probability.
     Unprotected scenarios apply the complete Kraus sum over all decay
     combinations (4 terms for recovery-qubit noise, 16 for all-qubit) and
     report success 1. Each lifted Kraus operator is applied as a monomial
@@ -341,20 +342,19 @@ def distribute(scenario: Scenario, p: float) -> tuple[DensityMatrix, float]:
     terms = coef[:, :, None] * gathered * coef[:, None, :]
     if not scenario.protected:
         # The terms add in order of m, as apply_channel's Kraus sum does.
-        return DensityMatrix(terms.sum(axis=0)), 1.0
+        return terms.sum(axis=0), 1.0
     kept = terms[0]
     prob = float(kept.trace().real)
     if prob < DEGENERATE_TOL:
         raise DegenerateBranchError(f"post-selection weight {prob:g} is numerically zero")
-    return DensityMatrix(kept / prob), prob
+    return kept / prob, prob
 
 
-def compose_total(alice_in: QubitInput, channel: DensityMatrix, bob_in: QubitInput) -> DensityMatrix:
+def compose_total(alice_in: QubitInput, channel: np.ndarray, bob_in: QubitInput) -> np.ndarray:
     """Assemble the 6-qubit state in order (a, 1, 2, 3, 4, b)."""
-    if channel.dim != 16:
+    if channel.shape != (16, 16):
         raise ValueError("compose_total expects a 4-qubit channel state")
-    total = kron(alice_in.density().mat, kron(channel.mat, bob_in.density().mat))
-    return DensityMatrix(total, channel.normalized)
+    return kron(alice_in.density(), kron(channel, bob_in.density()))
 
 
 def correction_ops(
@@ -404,8 +404,8 @@ def _settle(recovered: np.ndarray, out: np.ndarray) -> tuple:
 
 
 def apply_correction(
-    recovered: DensityMatrix, M_A: np.ndarray, M_B: np.ndarray
-) -> tuple[DensityMatrix, float]:
+    recovered: np.ndarray, M_A: np.ndarray, M_B: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Apply the local correction pair to an unnormalized (2, 3) pair state.
 
     M_B acts on the first kept qubit (qubit 2), M_A on the second (qubit
@@ -415,13 +415,13 @@ def apply_correction(
     recovered trace or the weight is numerically zero.
     """
     M = kron(M_B, M_A)
-    out = M @ recovered.mat @ M.conj().T
+    out = M @ recovered @ M.conj().T
     # The degeneracy rule as `channels.DEGENERATE_TOL` states it, written
     # apart from the kernel's `_settle` so the tests can hold one to the other.
     weight = float(np.trace(out).real)
-    if recovered.trace() <= DEGENERATE_TOL or weight < DEGENERATE_TOL:
+    if np.trace(recovered).real <= DEGENERATE_TOL or weight < DEGENERATE_TOL:
         raise DegenerateBranchError("branch weight is numerically zero")
-    return DensityMatrix(out / weight), weight
+    return out / weight, weight
 
 
 # (Alice's index, Bob's index) of branch k = 4(i-1)+(j-1).
@@ -458,8 +458,8 @@ class _Branches:
                 i,
                 j,
                 joint,
-                DensityMatrix(recovered, False),
-                None if dead else DensityMatrix(corrected),
+                recovered,
+                None if dead else corrected,
                 weight,
                 None if dead else f,
                 dead,
@@ -606,7 +606,7 @@ def _recover(
     return out
 
 
-def _fold_and_correct(dist: DensityMatrix, scenario: Scenario, q_ws, rows, owned: bool):
+def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool):
     """Every branch of an (N, 4) array of input rows [pop_a, phase_a,
     pop_b, phase_b] over one distributed state of `scenario`, folded once
     and corrected at each entry of `q_ws` (a float, or one value per row)
@@ -629,14 +629,14 @@ def _fold_and_correct(dist: DensityMatrix, scenario: Scenario, q_ws, rows, owned
         recovered = _branch_stack(n)
     # Party-major, so each party's states are contiguous.
     rho_a, rho_b = _input_densities(rows[:, 0::2].T, rows[:, 1::2].T)
-    _recover(dist.mat, rho_a, rho_b, temp, folded_ab, recovered)
+    _recover(dist, rho_a, rho_b, temp, folded_ab, recovered)
     reference = _kron_batched(rho_a, rho_b)
     for d in diagonals:
         corrected = _branch_stack(n) if owned else folded_ab
         yield _correct_branches(recovered, d, reference, temp, corrected)
 
 
-def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> _Branches:
+def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:
     """Every branch for an (N, 4) array of input rows [pop_a, phase_a,
     pop_b, phase_b] over one distributed state of `scenario`, corrected at
     q_w (a float, or a sequence with one value per row). The caller owns
@@ -645,7 +645,7 @@ def _run_rows(dist: DensityMatrix, scenario: Scenario, q_w, rows) -> _Branches:
     return branches
 
 
-def _row_totals(dist: DensityMatrix, scenario: Scenario, q_ws, rows) -> list:
+def _row_totals(dist: np.ndarray, scenario: Scenario, q_ws, rows) -> list:
     """`_run_rows(dist, scenario, q_w, rows).totals()` for each q_w of
     `q_ws`, bit for bit, from one fold with every branch stack in this
     thread's scratch."""
@@ -653,7 +653,7 @@ def _row_totals(dist: DensityMatrix, scenario: Scenario, q_ws, rows) -> list:
 
 
 def enumerate_branches(
-    total: DensityMatrix,
+    total: np.ndarray,
     scenario: Scenario,
     q_w: float,
     alice_in: QubitInput,
@@ -668,13 +668,13 @@ def enumerate_branches(
     `run_protocol` gets the same branches from the factored kernel, and
     the tests hold the two against each other.
     """
-    if total.dim != 64:
+    if total.shape != (64, 64):
         raise ValueError("enumerate_branches expects the 6-qubit composed state")
     diagonals = _weak_diagonals(q_w, scenario, 1)
-    reference = kron(alice_in.density().mat, bob_in.density().mat)[None]
+    reference = kron(alice_in.density(), bob_in.density())[None]
     # Row block k of the projection stack gives the (2, 3) state of branch k.
     proj = _branch_contractions().reshape(16, 4, 64)
-    rec = proj @ total.mat @ proj.conj().swapaxes(-1, -2)
+    rec = proj @ total @ proj.conj().swapaxes(-1, -2)
     return _correct_branches(rec[None], diagonals, reference, _branch_stack(1), _branch_stack(1)).outcomes()
 
 
@@ -686,10 +686,13 @@ def run_protocol(
     bob_in: QubitInput,
 ) -> ProtocolResult:
     """Distribute, measure and correct at one parameter point, with one
-    weak strength q_w (a sequence raises ValueError)."""
+    weak strength q_w (a sequence raises ValueError). A float or int q_w
+    is stored as given, any other scalar as its float."""
     # np.ndim is the slow part of this check, so a float or int skips it.
-    if not isinstance(q_w, (float, int)) and np.ndim(q_w):
-        raise ValueError(f"run_protocol: q_w must be a single value, got shape {np.shape(q_w)}")
+    if not isinstance(q_w, (float, int)):
+        if np.ndim(q_w):
+            raise ValueError(f"run_protocol: q_w must be a single value, got shape {np.shape(q_w)}")
+        q_w = float(q_w)
     dist, eam_success = distribute(scenario, p)
     rows = np.array([[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]])
     branches = _run_rows(dist, scenario, q_w, rows)

@@ -17,12 +17,12 @@ from bqtsim.channels import (
     eam_postselect,
     weak_measurement_op,
 )
-from bqtsim.linalg import DensityMatrix, embed_op, kron
+from bqtsim.linalg import assert_density, embed_op, kron
 
 
 def pure(ket):
     """The projector |ket><ket| as a density matrix."""
-    return DensityMatrix(np.outer(ket, ket.conj()))
+    return np.outer(ket, ket.conj())
 
 
 def plus_state():
@@ -59,7 +59,7 @@ def test_kraus_incomplete_set_rejected():
     ops = adc_kraus(AdcParams(0.5))[:1]
     assert completeness_error(ops) > 1e-12
     out = apply_channel(pure(np.array([0, 1], dtype=complex)), ops)
-    assert abs(out.trace() - 0.5) < 1e-15
+    assert abs(np.trace(out) - 0.5) < 1e-15
 
 
 def test_adc_params_range():
@@ -72,18 +72,18 @@ def test_adc_params_range():
 def test_apply_channel_limits():
     rho1 = pure(np.array([0, 1], dtype=complex))
     out = apply_channel(rho1, adc_kraus(AdcParams(0.0)))
-    np.testing.assert_allclose(out.mat, rho1.mat, atol=1e-15)
+    np.testing.assert_allclose(out, rho1, atol=1e-15)
     out = apply_channel(rho1, adc_kraus(AdcParams(1.0)))
-    np.testing.assert_allclose(out.mat, np.diag([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_apply_channel_damps_coherence():
     # Off-diagonals scale by sqrt(1-p), excited population by (1-p).
     p = 0.5
     out = apply_channel(plus_state(), adc_kraus(AdcParams(p)))
-    assert abs(out.mat[0, 1] - math.sqrt(1 - p) / 2) < 1e-14
-    assert abs(out.mat[1, 1] - (1 - p) / 2) < 1e-14
-    assert abs(out.mat[0, 0] - (1 + p) / 2) < 1e-14
+    assert abs(out[0, 1] - math.sqrt(1 - p) / 2) < 1e-14
+    assert abs(out[1, 1] - (1 - p) / 2) < 1e-14
+    assert abs(out[0, 0] - (1 + p) / 2) < 1e-14
 
 
 def test_apply_channel_preserves_density_properties():
@@ -91,15 +91,15 @@ def test_apply_channel_preserves_density_properties():
     for _ in range(20):
         a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         m = a @ a.conj().T
-        rho = DensityMatrix(m / np.trace(m).real)
+        rho = m / np.trace(m).real
         out = apply_channel(rho, adc_kraus(AdcParams(float(rng.uniform()))))
-        out.assert_valid(tol=1e-10)
+        assert_density(out, tol=1e-10)
 
 
 def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 @pytest.mark.parametrize("dim", (2, 16))
@@ -115,16 +115,15 @@ def test_apply_channel_equals_kraus_sum_loop(dim):
         rho = random_density(rng, dim)
         want = np.zeros((dim, dim), dtype=complex)
         for k in ops:
-            want += k @ rho.mat @ k.conj().T
+            want += k @ rho @ k.conj().T
         got = apply_channel(rho, np.stack(ops))
-        np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-15)
-        assert got.normalized
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_apply_channel_dim_mismatch():
     rho = plus_state()
     with pytest.raises(ValueError):
-        apply_channel(DensityMatrix(kron(rho.mat, rho.mat)), adc_kraus(AdcParams(0.2)))
+        apply_channel(kron(rho, rho), adc_kraus(AdcParams(0.2)))
     with pytest.raises(ValueError):
         apply_channel(rho, adc_kraus(AdcParams(0.2))[:, :1])
 
@@ -134,7 +133,7 @@ def test_eam_postselect_single_qubit():
     k0, _ = adc_kraus(AdcParams(p))
     state, prob = eam_postselect(pure(np.array([0, 1], dtype=complex)), k0)
     assert abs(prob - (1 - p)) < 1e-14
-    np.testing.assert_allclose(state.mat, np.diag([0.0, 1.0]), atol=1e-14)
+    np.testing.assert_allclose(state, np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_eam_postselect_bell_pair_grid():
@@ -147,7 +146,7 @@ def test_eam_postselect_bell_pair_grid():
         assert abs(prob - (2 - p) / 2) < 1e-12
         want = np.array([1, 0, 0, math.sqrt(1 - p)], dtype=complex)
         want = np.outer(want, want) / (2 - p)
-        np.testing.assert_allclose(state.mat, want, atol=1e-12)
+        np.testing.assert_allclose(state, want, atol=1e-12)
 
 
 def test_eam_postselect_no_noise_is_identity():
@@ -155,7 +154,7 @@ def test_eam_postselect_no_noise_is_identity():
     k0, _ = adc_kraus(AdcParams(0.0))
     state, prob = eam_postselect(bell, embed_op(k0, [0], 2))
     assert prob == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(state.mat, bell.mat, atol=1e-14)
+    np.testing.assert_allclose(state, bell, atol=1e-14)
 
 
 def test_eam_postselect_annihilated_branch_raises():

@@ -16,7 +16,7 @@ import bqtsim
 MODULES = ("bqtsim", "bqtsim.linalg", "bqtsim.channels", "bqtsim.protocol", "bqtsim.metrics", "bqtsim.oracles")
 
 PRODUCT = {
-    "QubitInput", "Scenario", "WeakVariant", "BranchOutcome", "ProtocolResult", "DensityMatrix",
+    "QubitInput", "Scenario", "WeakVariant", "BranchOutcome", "ProtocolResult",
     "DegenerateBranchError", "run_protocol", "distribute", "average_fidelity", "QuadratureSpec",
     "closed_form", "closed_form_names", "OracleValue", "entanglement_entropy_bob", "von_neumann_entropy",
 }

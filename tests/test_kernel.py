@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bqtsim.channels import DEGENERATE_TOL, DegenerateBranchError
-from bqtsim.linalg import DensityMatrix
+from bqtsim.linalg import assert_density
 from bqtsim.metrics import QuadratureSpec, _average_fidelities, average_fidelity
 from bqtsim.protocol import (
     QubitInput,
@@ -71,20 +71,20 @@ def test_kernel_matches_reference_branches(scenario):
         for g in got:
             assert 0.0 <= g.success_weight <= g.joint_prob + BRANCH_TOL
             if not g.degenerate:
-                g.corrected.assert_valid()
+                assert_density(g.corrected)
         for g, w in zip(got, want):
             where = f"{scenario.value} p={p} q_w={q} ({g.alice_index},{g.bob_index})"
             assert (g.alice_index, g.bob_index) == (w.alice_index, w.bob_index)
             assert g.degenerate == w.degenerate, where
             assert abs(g.joint_prob - w.joint_prob) <= BRANCH_TOL, where
             assert abs(g.success_weight - w.success_weight) <= BRANCH_TOL, where
-            assert np.max(np.abs(g.recovered.mat - w.recovered.mat)) <= BRANCH_TOL, where
+            assert np.max(np.abs(g.recovered - w.recovered)) <= BRANCH_TOL, where
             if w.degenerate:
                 degenerate_seen += 1
                 assert g.corrected is None and g.branch_fidelity is None
                 continue
             assert abs(g.branch_fidelity - w.branch_fidelity) <= BRANCH_TOL, where
-            assert np.max(np.abs(g.corrected.mat - w.corrected.mat)) <= BRANCH_TOL, where
+            assert np.max(np.abs(g.corrected - w.corrected)) <= BRANCH_TOL, where
     if scenario.protected:
         # q_w = 1 draws must reach the degenerate rule, or it goes untested.
         assert degenerate_seen > 0
@@ -178,15 +178,14 @@ def test_correction_matches_explicit_operators(scenario):
         for b in run_protocol(scenario, p, q, alice, bob).branches:
             where = f"{scenario.value} p={p} q_w={q} ({b.alice_index},{b.bob_index})"
             ops = correction_ops(b.bob_index, b.alice_index, q, scenario.weak_variant)
-            recovered = DensityMatrix(b.recovered.mat, normalized=False)
             if b.degenerate:
                 degenerate_seen += 1
                 with pytest.raises(DegenerateBranchError):
-                    apply_correction(recovered, *ops)
+                    apply_correction(b.recovered, *ops)
                 continue
-            corrected, weight = apply_correction(recovered, *ops)
+            corrected, weight = apply_correction(b.recovered, *ops)
             assert abs(b.success_weight - weight) <= BRANCH_TOL, where
-            assert np.max(np.abs(b.corrected.mat - corrected.mat)) <= BRANCH_TOL, where
+            assert np.max(np.abs(b.corrected - corrected)) <= BRANCH_TOL, where
     if scenario.protected:
         assert degenerate_seen > 0
 
@@ -224,10 +223,10 @@ def test_row_stack_matches_one_run_per_row(scenario):
                 assert g.degenerate == w.degenerate, where
                 assert identical(g.joint_prob, w.joint_prob), where
                 assert identical(g.success_weight, w.success_weight), where
-                assert identical(g.recovered.mat, w.recovered.mat), where
+                assert identical(g.recovered, w.recovered), where
                 if not w.degenerate:
                     assert identical(g.branch_fidelity, w.branch_fidelity), where
-                    assert identical(g.corrected.mat, w.corrected.mat), where
+                    assert identical(g.corrected, w.corrected), where
         for q in {min(qs), max(qs), qs[-1]}:
             flat, per_row = (_run_rows(dist, scenario, q_w, inputs) for q_w in (q, [q] * len(rows)))
             for name in ("joint", "weight", "corrected", "fidelity", "degenerate"):

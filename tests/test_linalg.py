@@ -12,7 +12,7 @@ from bqtsim.linalg import (
     I2,
     SX,
     SZ,
-    DensityMatrix,
+    assert_density,
     embed_op,
     hermitian_eigenvalues,
     kron,
@@ -24,7 +24,7 @@ def random_density(rng, n_qubits, rank=2):
     d = 1 << n_qubits
     a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 # ---------------------------------------------------------------- kron
@@ -85,43 +85,41 @@ def test_partial_trace_of_product_recovers_factor():
     for _ in range(20):
         ra = random_density(rng, 1)
         rb = random_density(rng, 2)
-        total = DensityMatrix(kron(ra.mat, rb.mat))
-        np.testing.assert_allclose(partial_trace(total, [0]).mat, ra.mat, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(total, [1, 2]).mat, rb.mat, atol=1e-12)
+        total = kron(ra, rb)
+        np.testing.assert_allclose(partial_trace(total, [0]), ra, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(total, [1, 2]), rb, atol=1e-12)
 
 
 def test_partial_trace_bell_is_maximally_mixed():
     v = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    bell = DensityMatrix(np.outer(v, v.conj()))
-    np.testing.assert_allclose(partial_trace(bell, [0]).mat, I2 / 2, atol=1e-15)
-    np.testing.assert_allclose(partial_trace(bell, [1]).mat, I2 / 2, atol=1e-15)
+    bell = np.outer(v, v.conj())
+    np.testing.assert_allclose(partial_trace(bell, [0]), I2 / 2, atol=1e-15)
+    np.testing.assert_allclose(partial_trace(bell, [1]), I2 / 2, atol=1e-15)
 
 
 def test_partial_trace_matches_brute_force():
     rng = np.random.default_rng(12)
     for keep in ([0], [2], [0, 3], [3, 1], [1, 2, 0]):
         rho = random_density(rng, 4, rank=3)
-        got = partial_trace(rho, keep).mat
-        np.testing.assert_allclose(got, brute_partial_trace(rho.mat, keep, 4), atol=1e-13)
+        got = partial_trace(rho, keep)
+        np.testing.assert_allclose(got, brute_partial_trace(rho, keep, 4), atol=1e-13)
 
 
 def test_partial_trace_keep_order_swaps_factors():
     rng = np.random.default_rng(13)
     ra, rb = random_density(rng, 1), random_density(rng, 1)
-    total = DensityMatrix(kron(ra.mat, rb.mat))
-    fwd = partial_trace(total, [0, 1]).mat
-    rev = partial_trace(total, [1, 0]).mat
-    np.testing.assert_allclose(fwd, kron(ra.mat, rb.mat), atol=1e-13)
-    np.testing.assert_allclose(rev, kron(rb.mat, ra.mat), atol=1e-13)
+    total = kron(ra, rb)
+    fwd = partial_trace(total, [0, 1])
+    rev = partial_trace(total, [1, 0])
+    np.testing.assert_allclose(fwd, kron(ra, rb), atol=1e-13)
+    np.testing.assert_allclose(rev, kron(rb, ra), atol=1e-13)
 
 
-def test_partial_trace_preserves_trace_and_flag():
+def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(14)
     rho = random_density(rng, 3)
-    scaled = DensityMatrix(0.37 * rho.mat, normalized=False)
-    red = partial_trace(scaled, [1])
-    assert not red.normalized
-    assert abs(red.trace() - 0.37) < 1e-12
+    red = partial_trace(0.37 * rho, [1])
+    assert abs(np.trace(red) - 0.37) < 1e-12
 
 
 def test_partial_trace_input_errors():
@@ -135,7 +133,7 @@ def test_partial_trace_input_errors():
     # The qubit count comes from the state, so a dimension that is not a
     # power of two has none.
     with pytest.raises(ValueError):
-        partial_trace(DensityMatrix(np.eye(3, dtype=complex) / 3), [0])
+        partial_trace(np.eye(3, dtype=complex) / 3, [0])
 
 
 # ------------------------------------------------------------ embed_op
@@ -220,9 +218,9 @@ def test_embed_input_errors():
 
 def test_hermitian_eigenvalues_trivials():
     np.testing.assert_allclose(
-        hermitian_eigenvalues(DensityMatrix(np.eye(4, dtype=complex) / 4)), [0.25] * 4, atol=1e-14
+        hermitian_eigenvalues(np.eye(4, dtype=complex) / 4), [0.25] * 4, atol=1e-14
     )
-    pure = DensityMatrix(np.diag([1, 0, 0, 0]).astype(complex))
+    pure = np.diag([1, 0, 0, 0]).astype(complex)
     vals = hermitian_eigenvalues(pure)
     np.testing.assert_allclose(vals, [1, 0, 0, 0], atol=1e-14)
 
@@ -233,25 +231,32 @@ def test_hermitian_eigenvalues_descending_sum_trace():
         rho = random_density(rng, 3, rank=5)
         vals = hermitian_eigenvalues(rho)
         assert np.all(np.diff(vals) <= 1e-14)
-        assert abs(np.sum(vals) - rho.trace()) < 1e-10
+        assert abs(np.sum(vals) - np.trace(rho)) < 1e-10
         assert np.all(vals >= 0.0)
 
 
 def test_hermitian_eigenvalues_rejects_non_hermitian():
-    bad = DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex), normalized=False)
+    bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
         hermitian_eigenvalues(bad)
 
 
 def test_density_validation():
     rng = np.random.default_rng(41)
-    random_density(rng, 2).assert_valid()
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.4, 0.5]], dtype=complex)).assert_valid()
-    with pytest.raises(ValueError):
-        DensityMatrix(2.0 * np.eye(2, dtype=complex)).assert_valid()  # trace 4, flagged normalized
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]).astype(complex)).assert_valid()
+    rho = random_density(rng, 2)
+    assert_density(rho)
+    # An unnormalized branch state passes only when unit trace is not asked for.
+    assert_density(0.37 * rho, unit_trace=False)
+    with pytest.raises(ValueError, match="differs from 1"):
+        assert_density(0.37 * rho)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assert_density(np.array([[0.5, 0.5], [0.4, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="differs from 1"):
+        assert_density(2.0 * np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        assert_density(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(ValueError, match="must be square"):
+        assert_density(np.zeros((4, 2), dtype=complex))
 
 
 def test_hadamard_and_gates_are_unitary():

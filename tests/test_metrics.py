@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bqtsim.linalg import DensityMatrix, kron, partial_trace
+from bqtsim.linalg import kron, partial_trace
 from bqtsim.metrics import (
     QuadratureSpec,
     average_fidelity,
@@ -168,9 +168,9 @@ def test_average_fidelity_degenerate_corner_is_nan():
 def test_von_neumann_entropy_trivials():
     pure = QubitInput(0.3, 0.7).density()
     assert abs(von_neumann_entropy(pure)) < 1e-12
-    maximal = DensityMatrix(np.eye(4, dtype=complex) / 4)
+    maximal = np.eye(4, dtype=complex) / 4
     assert abs(von_neumann_entropy(maximal) - 2.0) < 1e-12
-    half = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
+    half = np.diag([0.5, 0.5]).astype(complex)
     assert abs(von_neumann_entropy(half) - 1.0) < 1e-12
 
 

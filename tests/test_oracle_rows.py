@@ -83,7 +83,7 @@ def test_row_stack_matches_closed_form_rows(point):
     np.testing.assert_array_less(np.abs(got.corrected - corrected)[live], TOL)
 
     # Every live corrected state is a density matrix, at the tolerances of
-    # DensityMatrix.assert_valid, and no branch keeps more than its weight.
+    # linalg.assert_density, and no branch keeps more than its weight.
     states = got.corrected[live]
     adjoint = states.conj().swapaxes(-1, -2)
     trace = np.trace(states, axis1=-2, axis2=-1)

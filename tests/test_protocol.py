@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bqtsim import oracles
+from bqtsim.metrics import entanglement_entropy_bob
 from bqtsim.channels import (
     AdcParams,
     DegenerateBranchError,
@@ -18,7 +19,7 @@ from bqtsim.channels import (
     apply_channel,
     eam_postselect,
 )
-from bqtsim.linalg import SX, SZ, DensityMatrix, kron, partial_trace
+from bqtsim.linalg import SX, SZ, kron, partial_trace
 from bqtsim.protocol import (
     _BELL_KETS,
     RESOURCE,
@@ -46,7 +47,7 @@ def random_inputs(rng):
 
 
 def target_product(alice, bob):
-    return kron(alice.density().mat, bob.density().mat)
+    return kron(alice.density(), bob.density())
 
 
 # ------------------------------------------------------------ resource
@@ -58,32 +59,32 @@ def test_prepare_channel_support_pattern():
     for r in range(16):
         for c in range(16):
             want = 0.25 if (r in support and c in support) else 0.0
-            assert abs(rho.mat[r, c] - want) < 1e-14
+            assert abs(rho[r, c] - want) < 1e-14
 
 
 def test_prepare_channel_pairs_are_bell():
     rho = prepare_channel()
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    np.testing.assert_allclose(partial_trace(rho, [0, 1]).mat, bell, atol=1e-14)
-    np.testing.assert_allclose(partial_trace(rho, [2, 3]).mat, bell, atol=1e-14)
+    np.testing.assert_allclose(partial_trace(rho, [0, 1]), bell, atol=1e-14)
+    np.testing.assert_allclose(partial_trace(rho, [2, 3]), bell, atol=1e-14)
 
 
 def test_resource_constant_is_read_only():
     # RESOURCE comes from the Bell table, prepare_channel from the circuit:
     # the two constructions agree to the last bit.
-    circuit = prepare_channel().mat.tobytes()
-    assert RESOURCE.mat.tobytes() == circuit
-    assert not RESOURCE.mat.flags.writeable
+    circuit = prepare_channel().tobytes()
+    assert RESOURCE.tobytes() == circuit
+    assert not RESOURCE.flags.writeable
     with pytest.raises(ValueError):
-        RESOURCE.mat[0, 0] = 1.0
+        RESOURCE[0, 0] = 1.0
     with pytest.raises(ValueError):
-        RESOURCE.mat *= 2.0
+        np.multiply(RESOURCE, 2.0, out=RESOURCE)
     with pytest.raises(ValueError):
-        RESOURCE.mat.setflags(write=True)
+        RESOURCE.setflags(write=True)
     # Runs read it but never write through it.
     run_protocol(Scenario.UNPROTECTED_ALL, 0.4, 0.0, QubitInput(0.3), QubitInput(0.6))
-    assert RESOURCE.mat.tobytes() == circuit
+    assert RESOURCE.tobytes() == circuit
 
 
 # -------------------------------------------------------- distribution
@@ -95,7 +96,7 @@ def test_distribute_matches_closed_form(scenario):
         p = float(p)
         got, _ = distribute(scenario, p)
         want = oracles.distributed_closed(scenario, p)
-        np.testing.assert_allclose(got.mat, want.mat, atol=1e-12)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_distribute_success_probabilities():
@@ -120,7 +121,7 @@ def test_distribute_specific_values():
 def test_distribute_protected_state_is_pure():
     for scenario in PROTECTED:
         got, _ = distribute(scenario, 0.6)
-        purity = float(np.trace(got.mat @ got.mat).real)
+        purity = float(np.trace(got @ got).real)
         assert abs(purity - 1.0) < 1e-12
 
 
@@ -149,9 +150,8 @@ def test_distribute_equals_kraus_reference_bit_for_bit(scenario):
         else:
             want, want_prob = apply_channel(RESOURCE, lifts), 1.0
         got, got_prob = distribute(scenario, p)
-        assert got.mat.tobytes() == want.mat.tobytes(), f"{scenario.value} p={p!r}"
+        assert got.tobytes() == want.tobytes(), f"{scenario.value} p={p!r}"
         assert np.float64(got_prob).tobytes() == np.float64(want_prob).tobytes(), f"{scenario.value} p={p!r}"
-        assert got.normalized and want.normalized
 
 
 # --------------------------------------------------------- composition
@@ -162,18 +162,47 @@ def test_compose_total_product_structure():
     alice, bob = random_inputs(rng)
     channel, _ = distribute(Scenario.RECOVERY_ADC, 0.3)
     total = compose_total(alice, channel, bob)
-    assert total.dim == 64
-    assert abs(total.trace() - 1.0) < 1e-12
-    purity = float(np.trace(total.mat @ total.mat).real)
+    assert total.shape == (64, 64)
+    assert abs(np.trace(total) - 1.0) < 1e-12
+    purity = float(np.trace(total @ total).real)
     assert abs(purity - 1.0) < 1e-10
-    np.testing.assert_allclose(partial_trace(total, [0]).mat, alice.density().mat, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(total, [5]).mat, bob.density().mat, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(total, [1, 2, 3, 4]).mat, channel.mat, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(total, [0]), alice.density(), atol=1e-12)
+    np.testing.assert_allclose(partial_trace(total, [5]), bob.density(), atol=1e-12)
+    np.testing.assert_allclose(partial_trace(total, [1, 2, 3, 4]), channel, atol=1e-12)
 
 
 def test_compose_total_rejects_wrong_dim():
     with pytest.raises(ValueError):
         compose_total(QubitInput(0.5), QubitInput(0.5).density(), QubitInput(0.5))
+
+
+# Each state-taking function with a state of the right row count but too
+# few columns, and the start of the error it must raise itself.
+NON_SQUARE = {
+    "compose_total": (
+        lambda m: compose_total(QubitInput(0.5), m, QubitInput(0.5)), (16, 4), "compose_total expects"
+    ),
+    "enumerate_branches": (
+        lambda m: enumerate_branches(m, Scenario.RECOVERY_ADC, 0.2, QubitInput(0.5), QubitInput(0.5)),
+        (64, 4),
+        "enumerate_branches expects",
+    ),
+    "entanglement_entropy_bob": (entanglement_entropy_bob, (16, 4), "expected a 4-qubit"),
+    "apply_channel": (
+        lambda m: apply_channel(m, kraus_lifts(Scenario.UNPROTECTED_ALL, 0.3)), (16, 4), "Kraus operators of shape"
+    ),
+    "eam_postselect": (
+        lambda m: eam_postselect(m, kraus_lifts(Scenario.RECOVERY_ADC, 0.3)[0]), (16, 4), "lifted operator shape"
+    ),
+    "partial_trace": (lambda m: partial_trace(m, [0]), (16, 4), "partial_trace expects a square"),
+}
+
+
+@pytest.mark.parametrize("name", NON_SQUARE)
+def test_non_square_state_is_rejected(name):
+    call, shape, message = NON_SQUARE[name]
+    with pytest.raises(ValueError, match=message):
+        call(np.zeros(shape, dtype=complex))
 
 
 # ---------------------------------------------------- Bell projection
@@ -237,20 +266,20 @@ def test_correction_ops_index_range():
 def test_apply_correction_passthrough():
     rng = np.random.default_rng(23)
     alice, bob = random_inputs(rng)
-    joint = DensityMatrix(0.25 * target_product(alice, bob), normalized=False)
+    joint = 0.25 * target_product(alice, bob)
     m_a, m_b = correction_ops(1, 1, 0.0, WeakVariant.SQRT_DIAG)
     corrected, weight = apply_correction(joint, m_a, m_b)
     assert abs(weight - 0.25) < 1e-13
-    np.testing.assert_allclose(corrected.mat, target_product(alice, bob), atol=1e-12)
+    np.testing.assert_allclose(corrected, target_product(alice, bob), atol=1e-12)
 
 
 def test_apply_correction_degenerate_raises():
-    dead = DensityMatrix(np.zeros((4, 4), dtype=complex), normalized=False)
+    dead = np.zeros((4, 4), dtype=complex)
     m_a, m_b = correction_ops(1, 1, 0.0, WeakVariant.SQRT_DIAG)
     with pytest.raises(DegenerateBranchError):
         apply_correction(dead, m_a, m_b)
     # Nonzero input annihilated by a maximal-strength weak measurement.
-    excited = DensityMatrix(np.diag([0.25, 0, 0, 0]).astype(complex), normalized=False)
+    excited = np.diag([0.25, 0, 0, 0]).astype(complex)
     m_a, m_b = correction_ops(1, 1, 1.0, WeakVariant.SQRT_DIAG)
     with pytest.raises(DegenerateBranchError):
         apply_correction(excited, m_a, m_b)
@@ -294,7 +323,7 @@ def test_noiseless_protocol_is_exact(scenario):
     want = target_product(alice, bob)
     for b in res.branches:
         assert not b.degenerate
-        np.testing.assert_allclose(b.corrected.mat, want, atol=1e-12)
+        np.testing.assert_allclose(b.corrected, want, atol=1e-12)
         assert abs(b.branch_fidelity - 1.0) < 1e-12
     assert abs(res.total_success - 1.0) < 1e-10
     assert abs(res.total_fidelity - 1.0) < 1e-10
@@ -319,11 +348,11 @@ def test_branches_match_all_closed_forms(scenario):
             assert abs(b.success_weight - success) < 1e-12
             assert abs(b.branch_fidelity - fid) < 1e-12
             np.testing.assert_allclose(
-                b.recovered.mat,
+                b.recovered,
                 oracles.recovered_closed(scenario, i, j, p, alice, bob),
                 atol=1e-12,
             )
-            np.testing.assert_allclose(b.corrected.mat, corrected, atol=1e-12)
+            np.testing.assert_allclose(b.corrected, corrected, atol=1e-12)
 
 
 def test_branch_quantities_phase_independent():
@@ -350,9 +379,9 @@ def test_corrected_outputs_factorize(scenario):
     q = 0.0 if not scenario.protected else 0.35
     res = run_protocol(scenario, 0.45, q, alice, bob)
     for b in res.branches:
-        left = partial_trace(b.corrected, [0]).mat
-        right = partial_trace(b.corrected, [1]).mat
-        np.testing.assert_allclose(b.corrected.mat, kron(left, right), atol=1e-10)
+        left = partial_trace(b.corrected, [0])
+        right = partial_trace(b.corrected, [1])
+        np.testing.assert_allclose(b.corrected, kron(left, right), atol=1e-10)
 
 
 def test_suppression_point_every_branch():
@@ -363,7 +392,7 @@ def test_suppression_point_every_branch():
             res = run_protocol(scenario, p, p, alice, bob)
             want = target_product(alice, bob)
             for b in res.branches:
-                np.testing.assert_allclose(b.corrected.mat, want, atol=1e-10)
+                np.testing.assert_allclose(b.corrected, want, atol=1e-10)
                 assert abs(b.branch_fidelity - 1.0) < 1e-10
             assert abs(res.total_fidelity - 1.0) < 1e-10
 
@@ -411,24 +440,35 @@ def test_bare_closed_forms_at_zero_probability_branches():
                 assert math.isnan(fid) and np.isnan(want).all()
                 continue
             assert abs(b.branch_fidelity - fid) < 1e-12
-            np.testing.assert_allclose(b.corrected.mat, want, atol=1e-12)
+            np.testing.assert_allclose(b.corrected, want, atol=1e-12)
 
 
 def test_run_protocol_takes_one_q_w():
     """A sequence q_w raises run_protocol's own error, whatever its length;
-    every kind of scalar runs, gives the float's branches and is kept as
-    given."""
+    every kind of scalar runs and gives the float's branches, and a float
+    or int is kept as given."""
     scenario, alice, bob = Scenario.RECOVERY_ADC, QubitInput(0.3, 0.4), QubitInput(0.8, 2.0)
     for q_w in ([0.2], np.array([0.2]), [0.2, 0.3], np.array([[0.2]]), ()):
         with pytest.raises(ValueError, match="run_protocol: q_w must be a single value"):
             run_protocol(scenario, 0.5, q_w, alice, bob)
     want = run_protocol(scenario, 0.5, 0.25, alice, bob)
-    for q_w in (np.float64(0.25), np.array(0.25)):
+    for q_w in (np.float64(0.25), np.array(0.25), np.float32(0.25)):
         res = run_protocol(scenario, 0.5, q_w, alice, bob)
-        assert res.q_w is q_w
         assert res.total_fidelity == want.total_fidelity
-        assert all(a.corrected.mat.tobytes() == b.corrected.mat.tobytes() for a, b in zip(res.branches, want.branches))
-    assert run_protocol(scenario, 0.5, 1, alice, bob).total_success == run_protocol(scenario, 0.5, 1.0, alice, bob).total_success
+        assert all(a.corrected.tobytes() == b.corrected.tobytes() for a, b in zip(res.branches, want.branches))
+    q_w = np.float64(0.25)
+    assert run_protocol(scenario, 0.5, q_w, alice, bob).q_w is q_w
+    res = run_protocol(scenario, 0.5, 1, alice, bob)
+    assert type(res.q_w) is int
+    assert res.total_success == run_protocol(scenario, 0.5, 1.0, alice, bob).total_success
+
+
+@pytest.mark.parametrize("q_w", (np.array(0.2), np.float32(0.25)), ids=("0-d array", "float32"))
+def test_run_protocol_stores_other_scalars_as_float(q_w):
+    # ProtocolResult.q_w is documented as a float.
+    res = run_protocol(Scenario.RECOVERY_ADC, 0.5, q_w, QubitInput(0.3, 0.4), QubitInput(0.8, 2.0))
+    assert type(res.q_w) is float
+    assert res.q_w == float(q_w)
 
 
 def test_run_protocol_success_oracle_examples():
@@ -476,7 +516,7 @@ def test_qubit_input_validation():
     for phase in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             QubitInput(0.5, phase)
-    rho = QubitInput(0.36, 0.5).density().mat
+    rho = QubitInput(0.36, 0.5).density()
     assert abs(rho[0, 0] - 0.36) < 1e-15
     assert abs(rho[1, 1] - 0.64) < 1e-15
     assert abs(rho[1, 0] - 0.48 * np.exp(0.5j)) < 1e-15

@@ -90,7 +90,7 @@ def test_stages_write_only_the_buffers_they_are_given():
         rho = _input_densities(rows[:, 0::2], rows[:, 1::2])
         rho_a, rho_b = rho[:, 0], rho[:, 1]
         folded_a, folded_ab, recovered, corrected = (np.empty((2, 16, 4, 4), dtype=complex) for _ in range(4))
-        _recover(dist.mat, rho_a, rho_b, folded_a, folded_ab, recovered)
+        _recover(dist, rho_a, rho_b, folded_a, folded_ab, recovered)
         diagonals = _weak_diagonals([0.25, 0.9], scenario, 2)
         got["branches"] = _correct_branches(recovered, diagonals, _kron_batched(rho_a, rho_b), folded_a, corrected)
         got["scratch"] = hasattr(protocol._SCRATCH, "bufs")

@@ -103,6 +103,12 @@ def feed(h, item) -> None:
         h.update(f"{arr.dtype}{arr.shape}:".encode() + np.ascontiguousarray(arr).tobytes())
 
 
+def state(x):
+    """The array of a state: checkouts that wrap states in an object with
+    a `mat` array hash the same bytes as those that return the array."""
+    return getattr(x, "mat", x)
+
+
 def edge_rows(rng, n: int) -> np.ndarray:
     """n input rows [pop_a, phase_a, pop_b, phase_b], about a third of the
     populations at an edge value and of the phases at 0."""
@@ -136,7 +142,7 @@ def family_distribute(h, bq) -> int:
     for scenario in bq.Scenario:
         for p in P_GRID:
             got = attempt(bq.distribute, scenario, p)
-            feed(h, (scenario.value, p, got if isinstance(got, BaseException) else (got[0].mat, got[1])))
+            feed(h, (scenario.value, p, got if isinstance(got, BaseException) else (state(got[0]), got[1])))
             count += 1
     return count
 
@@ -166,9 +172,8 @@ def family_run_protocol(h, bq) -> int:
                     feed(h, (type(res.q_w).__name__, res.q_w))
                     feed(h, (res.eam_success, res.total_success, res.total_fidelity, res.postselected_fidelity))
                     for b in res.branches:
-                        corrected = None if b.corrected is None else b.corrected.mat
                         feed(h, (b.alice_index, b.bob_index, b.joint_prob, b.success_weight,
-                                 b.branch_fidelity, b.degenerate, b.recovered.mat, corrected))
+                                 b.branch_fidelity, b.degenerate, state(b.recovered), state(b.corrected)))
     return count
 
 
