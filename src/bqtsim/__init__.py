@@ -7,7 +7,6 @@ hold the kernel against (Kraus sums, the circuit-built resource, the
 6-qubit projection and the explicit correction operators) stays
 importable from its modules, each of which names its references in its
 docstring."""
-from .channels import DegenerateBranchError, WeakVariant
 from .metrics import (
     OracleValue,
     QuadratureSpec,
@@ -23,13 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchOutcome",
-    "DegenerateBranchError",
     "OracleValue",
     "ProtocolResult",
     "QuadratureSpec",
     "QubitInput",
     "Scenario",
-    "WeakVariant",
     "average_fidelity",
     "closed_form",
     "closed_form_names",

@@ -1,6 +1,15 @@
+import os
 import sys
 
 from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at the null device, so
+        # the flush at exit cannot fail again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

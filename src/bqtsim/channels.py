@@ -1,32 +1,25 @@
 """Amplitude damping channel primitives.
 
-`__all__` lists what the product path takes from here: the parameter
-records, whose range errors it raises, the weak-measurement families and
-the degeneracy rule. The rest are the test references for
-`protocol.distribute` and `protocol.correction_ops`, which no product
-path calls: `adc_kraus`,
-the single-qubit amplitude damping Kraus pair; `apply_channel`, channel
+`__all__` lists what the product path takes from here: the degeneracy
+tolerance. `_check_unit` is every [0, 1] range check of the package, and
+`_weak_top` the weak-measurement family each situation pairs with. The
+rest are the test references for `protocol.distribute` and
+`protocol.correction_ops`, which no product path calls: `adc_kraus`, the
+single-qubit amplitude damping Kraus pair; `apply_channel`, channel
 application by Kraus sum; `eam_postselect`, post-selection on the
 no-decay branch (measuring the channel environment and keeping the
-outcome tied to the invertible operator); and `weak_measurement_op`, the
-retained operator of the two diagonal weak-measurement families used to
-undo the damping bias.
+outcome tied to the invertible operator); `weak_measurement_op`, the
+retained operator of the weak-measurement family used to undo the
+damping bias; and `DegenerateBranchError`, which only the references
+raise.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "DegenerateBranchError",
-    "DEGENERATE_TOL",
-    "AdcParams",
-    "WeakVariant",
-    "WeakMeasurementParams",
-]
+__all__ = ["DEGENERATE_TOL"]
 
 # A post-selection weight below this is treated as annihilated. A branch is
 # degenerate when its recovered trace is at or below it or its success
@@ -39,48 +32,20 @@ class DegenerateBranchError(ValueError):
     """A measurement branch was annihilated (weight below DEGENERATE_TOL)."""
 
 
-@dataclass(frozen=True)
-class AdcParams:
-    """Decay probability p of the damping channel, p in [0, 1]."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"decay probability p={self.p!r} outside [0, 1]")
+def _check_unit(name: str, value) -> None:
+    """Raise ValueError unless `value` lies in [0, 1]; NaN does not."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name}={value!r} outside [0, 1]")
 
 
-class WeakVariant(Enum):
-    """Which diagonal weak-measurement family to use.
-
-    SQRT_DIAG pairs with damping on the two recovery qubits, LINEAR_DIAG
-    with damping on all four channel qubits.
-    """
-
-    SQRT_DIAG = "sqrt"
-    LINEAR_DIAG = "linear"
-
-
-@dataclass(frozen=True)
-class WeakMeasurementParams:
-    """Strength q_w in [0, 1] plus the operator family."""
-
-    q_w: float
-    variant: WeakVariant
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.q_w <= 1.0:
-            raise ValueError(f"weak measurement strength q_w={self.q_w!r} outside [0, 1]")
-
-
-def adc_kraus(params: AdcParams) -> np.ndarray:
+def adc_kraus(p: float) -> np.ndarray:
     """Single-qubit amplitude damping Kraus pair as a (2, 2, 2) stack (k0, k1).
 
     k0 = diag(1, sqrt(1-p)) keeps the populations, k1 moves |1> to |0>
     with probability p. Completeness k0^dag k0 + k1^dag k1 = I holds
-    exactly in exact arithmetic.
+    exactly in exact arithmetic. A p outside [0, 1] raises ValueError.
     """
-    p = params.p
+    _check_unit("decay probability p", p)
     k0 = [[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]]
     k1 = [[0.0, math.sqrt(p)], [0.0, 0.0]]
     return np.array([k0, k1], dtype=complex)
@@ -113,18 +78,22 @@ def eam_postselect(rho: np.ndarray, k0_lifted: np.ndarray) -> tuple[np.ndarray, 
     return kept / prob, prob
 
 
-def weak_measurement_op(params: WeakMeasurementParams) -> np.ndarray:
-    """Retained weak-measurement operator for the given family.
+def weak_measurement_op(q_w: float, situation: str) -> np.ndarray:
+    """Retained weak-measurement operator of the situation's family.
 
-    SQRT_DIAG gives diag(sqrt(1-q_w), 1), LINEAR_DIAG gives diag(1-q_w, 1).
-    Only the retained outcome is returned; the complementary operator shows
-    up solely as the discarded probability in branch bookkeeping.
+    Situation "I" gives diag(sqrt(1-q_w), 1), situation "II" gives
+    diag(1-q_w, 1). Only the retained outcome is returned; the
+    complementary operator shows up solely as the discarded probability in
+    branch bookkeeping. A q_w outside [0, 1] raises ValueError.
     """
-    top = _weak_top(params.q_w, params.variant)
+    _check_unit("weak measurement strength q_w", q_w)
+    top = _weak_top(q_w, situation)
     return np.array([[top, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-def _weak_top(q_w, variant: WeakVariant):
+def _weak_top(q_w, situation: str):
     """Top diagonal entry of the retained weak operator, elementwise over
-    strengths q_w already checked to lie in [0, 1]."""
-    return np.sqrt(1.0 - q_w) if variant is WeakVariant.SQRT_DIAG else 1.0 - q_w
+    strengths q_w already checked to lie in [0, 1]: sqrt(1-q_w) where only
+    the recovery qubits decay (situation "I"), 1-q_w where all four
+    channel qubits do ("II")."""
+    return np.sqrt(1.0 - q_w) if situation == "I" else 1.0 - q_w

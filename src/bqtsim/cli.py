@@ -6,7 +6,9 @@ outcome), `entropy` (receiver-side entanglement curves). All numeric
 output uses 12 significant digits and is byte-identical across runs.
 
 Exit statuses: 0 success, 1 failed verification or fully degenerate
-point, 2 usage error, an `--out` path that cannot be written included.
+point, 2 usage error, an `--out` path that cannot be written included,
+141 (128 + SIGPIPE) when run as `python -m bqtsim` and stdout is a pipe
+whose reader has gone.
 """
 from __future__ import annotations
 
@@ -205,11 +207,15 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # tolerance, so a NaN error, ranked above all others, fails it. Checks 7
 # and 8 list signed margins, negative while each inequality holds.
 
-# The per-party averaging integrands are quadratic polynomials (unprotected)
-# or rationals whose only pole sits at least 0.125 outside [0, 1] for
-# p, q_w <= 0.9 (protected), so 32 Gauss nodes are exact far beyond every
-# check tolerance here. A fixed rule keeps verify's figures independent of
-# the default one.
+# The per-party averaging integrands are quadratics where the weak pulse
+# cancels the pole (bare scenarios, q_w = 0 and q_w = p), so 32 Gauss nodes
+# are exact for checks 2 and 3. Check 7's protected grid is not: there the
+# integrand has a pole as near as 0.0125 outside [0, 1] (all-adc p = 0.1,
+# q_w = 0.9), where the 32-node f_av differs from a 2048-node one by
+# 4.26e-8, 40x the check's 1e-9 slack. Check 7 passes because its margins
+# off q_w = p are at least 1.1e-3, not because of the slack. A fixed rule
+# keeps verify's figures independent of the default one. ROADMAP item 6
+# plans to replace it with an average that is exact over the whole domain.
 _VERIFY_QUAD = QuadratureSpec(points=32)
 
 

@@ -91,7 +91,8 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
     The result's qubit order follows the keep list, so keep=[3, 1] returns
     the (3, 1) marginal with qubit 3 as the leftmost factor. Trace is
-    preserved.
+    preserved. The result is a fresh array, also when `keep` lists every
+    qubit in order and nothing is traced out.
     """
     keep = list(keep)
     dim = rho.shape[0]
@@ -107,7 +108,8 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     # Traced qubits share one label between row and column axes.
     col = [q + n_qubits if q in keep_set else q for q in range(n_qubits)]
     out = [q for q in keep] + [q + n_qubits for q in keep]
-    red = np.einsum(t, row + col, out)
+    # With no label summed, einsum returns a view of rho.
+    red = np.einsum(t, row + col, out).copy()
     d = 1 << len(keep)
     return red.reshape(d, d)
 
@@ -136,10 +138,13 @@ def embed_op(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarra
 def hermitian_eigenvalues(rho: np.ndarray) -> np.ndarray:
     """Real eigenvalues in descending order.
 
-    Raises ValueError when rho is off Hermitian by more than 1e-10 in any
-    entry. Values in [-EIG_CLAMP, 0) are clamped to exactly 0 so downstream
-    logs and entropies never see spurious negatives.
+    Raises ValueError when rho is not square, or is off Hermitian by more
+    than 1e-10 in any entry. Values in [-EIG_CLAMP, 0) are clamped to
+    exactly 0 so downstream logs and entropies never see spurious
+    negatives.
     """
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"hermitian_eigenvalues expects a square matrix, got shape {rho.shape}")
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     if herm_err > 1e-10:
         raise ValueError(f"not Hermitian within 1e-10: deviation {herm_err:g}")

@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from .channels import _check_unit
 from .linalg import hermitian_eigenvalues, partial_trace
 from .protocol import Scenario, _row_totals, distribute
 
@@ -151,9 +152,8 @@ def closed_form(name: str, p: float, q_w: float = 0.0) -> OracleValue:
         fn, ref = _FORMS[name]
     except KeyError:
         raise ValueError(f"unknown closed form {name!r}, have {closed_form_names()}") from None
-    for arg, value in (("p", p), ("q_w", q_w)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{arg}={value!r} outside [0, 1]")
+    _check_unit("p", p)
+    _check_unit("q_w", q_w)
     return OracleValue(name=name, value=float(fn(p, q_w)), formula_ref=ref)
 
 

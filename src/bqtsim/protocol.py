@@ -11,11 +11,14 @@ announces.
 Four noise scenarios are modeled: damping on the two recovery qubits or on
 all four channel qubits, each either protected (no-decay post-selection at
 distribution plus weak-measurement correction) or left bare with the full
-damping channel applied and no correction. `distribute` applies each
-4-qubit lift of a damping Kraus operator as a monomial map, one source
-column and one coefficient per row, over entries of the resource gathered
-once at import; `channels.apply_channel` and `channels.eam_postselect` on
-Kronecker-built lifts are the reference it is tested against, bit for bit.
+damping channel applied and no correction. A `Scenario`'s situation
+fixes both the damped qubits and the weak-pulse family that undoes their
+damping; `channels._check_unit` checks every p, q_w and pop0 against
+[0, 1]. `distribute` applies each 4-qubit lift of a damping Kraus
+operator as a monomial map, one source column and one coefficient per
+row, over entries of the resource gathered once at import;
+`channels.apply_channel` and `channels.eam_postselect` on Kronecker-built
+lifts are the reference it is tested against, bit for bit.
 
 All 16 Bell outcome combinations are computed exactly, never sampled, by
 one batched kernel: each party's Bell bra is contracted with that party's
@@ -42,9 +45,10 @@ The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
 `prepare_channel` builds the resource as a circuit, `compose_total` the
 6-qubit state, `correction_ops` and `apply_correction` apply the explicit
-4x4 corrections with their own traces and degeneracy rule, and
-`enumerate_branches` projects the composed 6-qubit state directly.
-Importing the module runs none of them.
+4x4 corrections with their own traces and degeneracy rule (only
+`apply_correction` raises `DegenerateBranchError`; the kernel flags such
+a branch instead), and `enumerate_branches` projects the composed 6-qubit
+state directly. Importing the module runs none of them.
 """
 from __future__ import annotations
 
@@ -58,15 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import (
-    DEGENERATE_TOL,
-    AdcParams,
-    DegenerateBranchError,
-    WeakMeasurementParams,
-    WeakVariant,
-    _weak_top,
-    weak_measurement_op,
-)
+from .channels import DEGENERATE_TOL, DegenerateBranchError, _check_unit, _weak_top, weak_measurement_op
 from .linalg import CNOT, HADAMARD, I2, SX, SZ, embed_op, kron
 
 __all__ = [
@@ -104,8 +100,7 @@ class QubitInput:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.pop0 <= 1.0:
-            raise ValueError(f"pop0={self.pop0!r} outside [0, 1]")
+        _check_unit("pop0", self.pop0)
         if not math.isfinite(self.phase):
             raise ValueError(f"phase={self.phase!r} is not finite")
 
@@ -121,9 +116,9 @@ class Scenario(Enum):
     post-selection at distribution and a weak-measurement correction;
     bare ones apply the full damping channel and no correction. The rest
     follows from those two: `noisy_qubits`, the damped channel qubit
-    indices (0-based within the 4-qubit resource), and `weak_variant`, the
-    weak-pulse family that undoes the situation's damping. Values double
-    as the CLI spellings.
+    indices (0-based within the 4-qubit resource), and, through
+    `situation`, the weak-pulse family that undoes the damping
+    (`channels._weak_top`). Values double as the CLI spellings.
     """
 
     RECOVERY_ADC = ("recovery-adc", "I", True)
@@ -137,7 +132,6 @@ class Scenario(Enum):
         member.situation = situation
         member.protected = protected
         member.noisy_qubits = (1, 2) if situation == "I" else (0, 1, 2, 3)
-        member.weak_variant = WeakVariant.SQRT_DIAG if situation == "I" else WeakVariant.LINEAR_DIAG
         return member
 
     def check_q_w(self, q_w: float) -> None:
@@ -326,7 +320,8 @@ def distribute(scenario: Scenario, p: float) -> tuple[np.ndarray, float]:
 
     Returns a fresh (16, 16) state and a probability. Protected scenarios
     post-select the no-decay branch and return the renormalized state
-    together with the post-selection probability.
+    together with the post-selection probability, g_eam >= 1/4 for every p
+    in [0, 1], so the kept branch is never annihilated.
     Unprotected scenarios apply the complete Kraus sum over all decay
     combinations (4 terms for recovery-qubit noise, 16 for all-qubit) and
     report success 1. Each lifted Kraus operator is applied as a monomial
@@ -334,7 +329,7 @@ def distribute(scenario: Scenario, p: float) -> tuple[np.ndarray, float]:
     factors taken left to right in qubit order, as a Kronecker product
     forms it.
     """
-    AdcParams(p)  # raises ValueError for p outside [0, 1]
+    _check_unit("decay probability p", p)
     factor, gathered = _ADC_MONOMIALS[scenario]
     # The row factors [[1, d], [s, 0], [1, 1]] of k0, k1 and the identity.
     table = np.array([1.0, math.sqrt(1.0 - p), math.sqrt(p), 0.0, 1.0, 1.0])
@@ -345,8 +340,6 @@ def distribute(scenario: Scenario, p: float) -> tuple[np.ndarray, float]:
         return terms.sum(axis=0), 1.0
     kept = terms[0]
     prob = float(kept.trace().real)
-    if prob < DEGENERATE_TOL:
-        raise DegenerateBranchError(f"post-selection weight {prob:g} is numerically zero")
     return kept / prob, prob
 
 
@@ -357,9 +350,7 @@ def compose_total(alice_in: QubitInput, channel: np.ndarray, bob_in: QubitInput)
     return kron(alice_in.density(), kron(channel, bob_in.density()))
 
 
-def correction_ops(
-    i: int, j: int, q_w: float, variant: WeakVariant
-) -> tuple[np.ndarray, np.ndarray]:
+def correction_ops(i: int, j: int, q_w: float, situation: str) -> tuple[np.ndarray, np.ndarray]:
     """Correction pair (M_A, M_B) for outcome labels (i, j), each 1..4.
 
     The first argument is Bob's Bell outcome and the second Alice's: M_A,
@@ -367,12 +358,12 @@ def correction_ops(
     correction of qubit 2, carries index j, because each party corrects by
     the outcome the partner announces. Branch (Alice i, Bob j) is therefore
     corrected by correction_ops(j, i, ...). M = U . m_w: the weak
-    measurement acts first, then the Pauli (index 1 -> I, 2 -> Z, 3 -> X,
-    4 -> XZ).
+    measurement acts first, in the family of `situation` ("I" or "II"),
+    then the Pauli (index 1 -> I, 2 -> Z, 3 -> X, 4 -> XZ).
     """
     if not (1 <= i <= 4 and 1 <= j <= 4):
         raise ValueError(f"outcome indices must be in 1..4, got ({i}, {j})")
-    party = _CORR_UNITARIES @ weak_measurement_op(WeakMeasurementParams(q_w, variant))
+    party = _CORR_UNITARIES @ weak_measurement_op(q_w, situation)
     return party[i - 1], party[j - 1]
 
 
@@ -514,7 +505,7 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     """Diagonals of the scenario's retained weak operator m_w for n input
     rows: (1, 2) for a float q_w, (n, 2) for a sequence of one per row.
 
-    A value outside [0, 1] raises WeakMeasurementParams' ValueError for
+    A value outside [0, 1] raises `channels._check_unit`'s ValueError for
     the least such value, NaN counting as the largest. A nonzero value in
     an unprotected scenario raises ValueError first, as does a sequence
     whose length is not n.
@@ -526,20 +517,20 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     and a bad one its error, so which path a value takes never shows.
     """
     if isinstance(q_w, (float, int)) and 0.0 <= q_w <= 1.0 and (scenario.protected or q_w == 0.0):
-        return np.array([[_weak_top(q_w, scenario.weak_variant), 1.0]])
+        return np.array([[_weak_top(q_w, scenario.situation), 1.0]])
     q = np.asarray(q_w, dtype=float)
     if q.ndim and len(q) != n:
         raise ValueError(f"{len(q)} q_w values for {n} input rows, need one per row")
     q = q.reshape(-1)
     # The largest magnitude is nonzero, or NaN, exactly when some value is.
     scenario.check_q_w(float(np.abs(q).max(initial=0.0)))
-    # NaN fails both comparisons and sorts last. Constructing the
-    # parameters of the least bad value raises their range error.
+    # NaN fails both comparisons and sorts last, so the least bad value
+    # raises the range error.
     bad = q[~((q >= 0.0) & (q <= 1.0))]
     if bad.size:
-        WeakMeasurementParams(float(np.sort(bad)[0]), scenario.weak_variant)
+        _check_unit("weak measurement strength q_w", float(np.sort(bad)[0]))
     diagonals = np.ones((len(q), 2))
-    diagonals[:, 0] = _weak_top(q, scenario.weak_variant)
+    diagonals[:, 0] = _weak_top(q, scenario.situation)
     return diagonals
 
 

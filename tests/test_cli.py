@@ -4,10 +4,15 @@ The heavyweight `verify` subcommand is exercised end to end by the
 acceptance suite; here only its reduction rule and its failure path.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bqtsim
 from bqtsim import cli
 from bqtsim.cli import SWEEP_HEADER, main
 from bqtsim.metrics import OracleValue, closed_form_names
@@ -262,6 +267,22 @@ def test_branches_all_degenerate_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("argv", (["verify", "--grid", "2"], ["entropy", "--p-steps", "5"]))
+def test_closed_stdout_exits_141_quietly(argv):
+    # `bqtsim ... | head` with the reader gone before the first write: no
+    # traceback, and a status apart from a failed verify's 1.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(bqtsim.__file__).parent.parent))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bqtsim", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 # -------------------------------------------------------------- entropy

@@ -5,6 +5,7 @@ The reference pipeline the tests hold the kernel against stays importable
 from its modules, and importing the package runs none of it."""
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,19 +17,23 @@ import bqtsim
 MODULES = ("bqtsim", "bqtsim.linalg", "bqtsim.channels", "bqtsim.protocol", "bqtsim.metrics", "bqtsim.oracles")
 
 PRODUCT = {
-    "QubitInput", "Scenario", "WeakVariant", "BranchOutcome", "ProtocolResult",
-    "DegenerateBranchError", "run_protocol", "distribute", "average_fidelity", "QuadratureSpec",
-    "closed_form", "closed_form_names", "OracleValue", "entanglement_entropy_bob", "von_neumann_entropy",
+    "QubitInput", "Scenario", "BranchOutcome", "ProtocolResult", "run_protocol", "distribute", "average_fidelity",
+    "QuadratureSpec", "closed_form", "closed_form_names", "OracleValue", "entanglement_entropy_bob",
+    "von_neumann_entropy",
 }
 
 # Names the package root no longer exports, by the module that keeps them.
 DROPPED = {
     "bqtsim.linalg": ("kron", "embed_op", "partial_trace", "hermitian_eigenvalues"),
     "bqtsim.channels": (
-        "AdcParams", "WeakMeasurementParams", "adc_kraus", "apply_channel", "eam_postselect", "weak_measurement_op",
+        "DegenerateBranchError", "adc_kraus", "apply_channel", "eam_postselect", "weak_measurement_op",
     ),
     "bqtsim.protocol": ("prepare_channel", "compose_total", "correction_ops", "apply_correction", "enumerate_branches"),
 }
+
+# Records deleted from the package: a scenario's situation picks its weak
+# family, and `channels._check_unit` does every range check.
+DELETED = ("WeakVariant", "AdcParams", "WeakMeasurementParams")
 
 # The reference functions, none of which an import may call.
 REFERENCES = (
@@ -62,6 +67,15 @@ def test_dropped_root_names_resolve_from_their_module(module, names):
     for name in names:
         assert not hasattr(bqtsim, name), name
         assert getattr(found, name, None) is not None, f"{module}.{name}"
+
+
+def test_deleted_records_exist_in_no_module():
+    names = [info.name for info in pkgutil.walk_packages(bqtsim.__path__, "bqtsim.")]
+    assert "bqtsim.protocol" in names
+    for name in ["bqtsim"] + names:
+        module = importlib.import_module(name)
+        assert not [n for n in DELETED if hasattr(module, n)], name
+    assert not any(hasattr(scenario, "weak_variant") for scenario in bqtsim.Scenario)
 
 
 def test_import_runs_no_reference_code():

@@ -177,7 +177,7 @@ def test_correction_matches_explicit_operators(scenario):
     for p, q, alice, bob in draws(scenario, rng):
         for b in run_protocol(scenario, p, q, alice, bob).branches:
             where = f"{scenario.value} p={p} q_w={q} ({b.alice_index},{b.bob_index})"
-            ops = correction_ops(b.bob_index, b.alice_index, q, scenario.weak_variant)
+            ops = correction_ops(b.bob_index, b.alice_index, q, scenario.situation)
             if b.degenerate:
                 degenerate_seen += 1
                 with pytest.raises(DegenerateBranchError):

@@ -115,6 +115,18 @@ def test_partial_trace_keep_order_swaps_factors():
     np.testing.assert_allclose(rev, kron(rb, ra), atol=1e-13)
 
 
+@pytest.mark.parametrize("n_qubits,keep", ((2, [0, 1]), (3, [0, 1, 2])))
+def test_partial_trace_returns_a_fresh_array(n_qubits, keep):
+    # Keeping every qubit in order traces nothing out, where einsum alone
+    # would return a view; writing to the result must leave rho alone.
+    rho = random_density(np.random.default_rng(15), n_qubits)
+    before = rho.copy()
+    red = partial_trace(rho, keep)
+    assert not np.shares_memory(red, rho)
+    red[...] = 0.0
+    np.testing.assert_array_equal(rho, before)
+
+
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(14)
     rho = random_density(rng, 3)

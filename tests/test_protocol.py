@@ -10,16 +10,14 @@ import numpy as np
 import pytest
 
 from bqtsim import oracles
-from bqtsim.metrics import entanglement_entropy_bob
+from bqtsim.metrics import entanglement_entropy_bob, von_neumann_entropy
 from bqtsim.channels import (
-    AdcParams,
     DegenerateBranchError,
-    WeakVariant,
     adc_kraus,
     apply_channel,
     eam_postselect,
 )
-from bqtsim.linalg import SX, SZ, kron, partial_trace
+from bqtsim.linalg import SX, SZ, hermitian_eigenvalues, kron, partial_trace
 from bqtsim.protocol import (
     _BELL_KETS,
     RESOURCE,
@@ -129,7 +127,7 @@ def kraus_lifts(scenario, p):
     """Every lift of the damping Kraus operators to the 4-qubit register,
     built with np.kron from adc_kraus, the first noisy qubit's choice
     varying slowest; the no-decay lift alone when protected."""
-    k0, k1 = adc_kraus(AdcParams(p))
+    k0, k1 = adc_kraus(p)
     noisy = (k0,) if scenario.protected else (k0, k1)
     per_qubit = [noisy if q in scenario.noisy_qubits else (np.eye(2, dtype=complex),) for q in range(4)]
     return np.array([reduce(np.kron, ops) for ops in itertools.product(*per_qubit)])
@@ -195,6 +193,8 @@ NON_SQUARE = {
         lambda m: eam_postselect(m, kraus_lifts(Scenario.RECOVERY_ADC, 0.3)[0]), (16, 4), "lifted operator shape"
     ),
     "partial_trace": (lambda m: partial_trace(m, [0]), (16, 4), "partial_trace expects a square"),
+    "hermitian_eigenvalues": (hermitian_eigenvalues, (16, 4), "hermitian_eigenvalues expects a square"),
+    "von_neumann_entropy": (von_neumann_entropy, (16, 4), "hermitian_eigenvalues expects a square"),
 }
 
 
@@ -234,16 +234,16 @@ def test_bell_projector_action_on_00():
 
 
 def test_correction_ops_trivials():
-    m_a, m_b = correction_ops(1, 3, 0.0, WeakVariant.SQRT_DIAG)
+    m_a, m_b = correction_ops(1, 3, 0.0, "I")
     np.testing.assert_allclose(m_a, np.eye(2), atol=1e-15)
     np.testing.assert_allclose(m_b, SX, atol=1e-15)
-    m_a, _ = correction_ops(2, 1, 0.0, WeakVariant.LINEAR_DIAG)
+    m_a, _ = correction_ops(2, 1, 0.0, "II")
     np.testing.assert_allclose(m_a, SZ, atol=1e-15)
 
 
 def test_correction_ops_hand_product():
     # index 4, q_w = 0.75, sqrt family: sigma_x sigma_z . diag(1/2, 1)
-    _, m_b = correction_ops(1, 4, 0.75, WeakVariant.SQRT_DIAG)
+    _, m_b = correction_ops(1, 4, 0.75, "I")
     want = SX @ SZ @ np.diag([0.5, 1.0])
     np.testing.assert_allclose(m_b, want, atol=1e-15)
     np.testing.assert_allclose(m_b, np.array([[0.0, -1.0], [0.5, 0.0]]), atol=1e-15)
@@ -251,23 +251,23 @@ def test_correction_ops_hand_product():
 
 def test_correction_ops_weak_factor_acts_first():
     # U . m_w differs from m_w . U for index 3; pin the order.
-    m_a, _ = correction_ops(3, 1, 0.5, WeakVariant.LINEAR_DIAG)
+    m_a, _ = correction_ops(3, 1, 0.5, "II")
     np.testing.assert_allclose(m_a, SX @ np.diag([0.5, 1.0]), atol=1e-15)
     assert np.max(np.abs(m_a - np.diag([0.5, 1.0]) @ SX)) > 0.1
 
 
 def test_correction_ops_index_range():
     with pytest.raises(ValueError):
-        correction_ops(0, 1, 0.0, WeakVariant.SQRT_DIAG)
+        correction_ops(0, 1, 0.0, "I")
     with pytest.raises(ValueError):
-        correction_ops(1, 5, 0.0, WeakVariant.SQRT_DIAG)
+        correction_ops(1, 5, 0.0, "I")
 
 
 def test_apply_correction_passthrough():
     rng = np.random.default_rng(23)
     alice, bob = random_inputs(rng)
     joint = 0.25 * target_product(alice, bob)
-    m_a, m_b = correction_ops(1, 1, 0.0, WeakVariant.SQRT_DIAG)
+    m_a, m_b = correction_ops(1, 1, 0.0, "I")
     corrected, weight = apply_correction(joint, m_a, m_b)
     assert abs(weight - 0.25) < 1e-13
     np.testing.assert_allclose(corrected, target_product(alice, bob), atol=1e-12)
@@ -275,12 +275,12 @@ def test_apply_correction_passthrough():
 
 def test_apply_correction_degenerate_raises():
     dead = np.zeros((4, 4), dtype=complex)
-    m_a, m_b = correction_ops(1, 1, 0.0, WeakVariant.SQRT_DIAG)
+    m_a, m_b = correction_ops(1, 1, 0.0, "I")
     with pytest.raises(DegenerateBranchError):
         apply_correction(dead, m_a, m_b)
     # Nonzero input annihilated by a maximal-strength weak measurement.
     excited = np.diag([0.25, 0, 0, 0]).astype(complex)
-    m_a, m_b = correction_ops(1, 1, 1.0, WeakVariant.SQRT_DIAG)
+    m_a, m_b = correction_ops(1, 1, 1.0, "I")
     with pytest.raises(DegenerateBranchError):
         apply_correction(excited, m_a, m_b)
 
