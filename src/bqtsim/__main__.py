@@ -1,15 +1,6 @@
-import os
 import sys
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    try:
-        status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader of stdout is gone. Point stdout at the null device, so
-        # the flush at exit cannot fail again, and exit as SIGPIPE would.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 141
-    sys.exit(status)
+    sys.exit(run())

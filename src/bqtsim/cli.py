@@ -7,8 +7,7 @@ output uses 12 significant digits and is byte-identical across runs.
 
 Exit statuses: 0 success, 1 failed verification or fully degenerate
 point, 2 usage error, an `--out` path that cannot be written included,
-141 (128 + SIGPIPE) when run as `python -m bqtsim` and stdout is a pipe
-whose reader has gone.
+141 (128 + SIGPIPE) when stdout is a pipe whose reader has gone.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ from . import oracles
 from .metrics import (
     QuadratureSpec,
     _average_fidelities,
-    average_fidelity,
     closed_form,
     entanglement_entropy_bob,
 )
@@ -95,16 +93,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.qw_mode == "fixed":
         if not 0.0 <= args.qw <= 1.0:
             return _usage_error("qw must lie in [0, 1]")
-        qw_for = lambda p: [args.qw]
+        qs = [args.qw]
     elif args.qw_mode == "equal-p":
-        qw_for = lambda p: [p]
+        qs = None
     else:
         if not (0.0 <= args.qw_min <= args.qw_max <= 1.0):
             return _usage_error("need 0 <= qw-min <= qw-max <= 1")
         if args.qw_steps < 1:
             return _usage_error("qw-steps must be at least 1")
         qs = [float(q) for q in np.linspace(args.qw_min, args.qw_max, args.qw_steps)]
-        qw_for = lambda p: qs
     if not scenario.protected and (args.qw_mode != "fixed" or args.qw != 0.0):
         return _usage_error(f"{scenario.value} admits only --qw-mode fixed --qw 0")
     if _check_out(args.out):
@@ -115,17 +112,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [header]
     g_name = _form_name("g_t", scenario) if scenario.protected else None
     f_name = None if scenario.protected else _form_name("f_av_unprot", scenario)
-    pop0 = args.pop0 if fixed_input else 0.5
-    for p in np.linspace(args.p_min, args.p_max, args.p_steps):
-        p = float(p)
-        # Every q_w row of this p shares one distributed state.
-        dist, eam_success = distribute(scenario, p)
+    ps = [float(p) for p in np.linspace(args.p_min, args.p_max, args.p_steps)]
+    states = [distribute(scenario, p) for p in ps]
+    dists = np.stack([dist for dist, _ in states])
+    # Each q_w is one float for every p, or in equal-p mode one per p; every
+    # p's input row goes in one fold with its quadrature nodes, if any.
+    q_ws = [ps] if qs is None else qs
+    row = [args.pop0, 0.0, args.pop0, 0.0] if fixed_input else [0.5, 0.0, 0.5, 0.0]
+    if fixed_input:
+        totals = _row_totals(dists, scenario, q_ws, np.tile(row, (len(ps), 1)))
+        f_avs, g_totals = [t[1] for t in totals], [t[0] for t in totals]
+    else:
+        f_avs, totals = _average_fidelities(dists, scenario, q_ws, extra=[row])
+        g_totals = [t[0][:, 0] for t in totals]
+    for g, (p, (dist, eam_success)) in enumerate(zip(ps, states)):
         s_bob = entanglement_entropy_bob(dist)
-        qs = [float(q) for q in qw_for(p)]
-        rows = np.tile([pop0, 0.0, pop0, 0.0], (len(qs), 1))
-        ((success, fidelity, _),) = _row_totals(dist, scenario, [qs], rows)
-        f_avs = fidelity if fixed_input else _average_fidelities(dist, scenario, qs)
-        for q, f_av, g_total in zip(qs, f_avs, success):
+        for j, q in enumerate([p] if qs is None else qs):
+            f_av, g_total = f_avs[j][g], g_totals[j][g]
             f_oracle = closed_form(f_name, p, q).value if f_name and not fixed_input else None
             g_oracle = closed_form(g_name, p, q).value if g_name else None
             cols = [
@@ -206,6 +209,11 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # every list by `_worst`; a check passes when that error is at most its
 # tolerance, so a NaN error, ranked above all others, fails it. Checks 7
 # and 8 list signed margins, negative while each inequality holds.
+# Checks 1, 2, 3 and 7 stack the states of all their p (`_states`) and
+# make one kernel call per scenario, which folds a block of p at a time;
+# an input row a check needs besides the quadrature nodes goes in the
+# nodes' fold. A fold's fixed set-up outweighs a few rows of arithmetic,
+# and one call per p made 326 folds at the default grid where this makes 80.
 
 # The per-party averaging integrands are quadratics where the weak pulse
 # cancels the pole (bare scenarios, q_w = 0 and q_w = p), so 32 Gauss nodes
@@ -236,18 +244,23 @@ def _draw_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     return rows
 
 
+def _states(scenario: Scenario, ps) -> np.ndarray:
+    """The (len(ps), 16, 16) stack of the scenario's distributed states."""
+    return np.stack([distribute(scenario, p)[0] for p in ps])
+
+
 def _check_success_oracle(grid_n: int) -> list:
     rng = np.random.default_rng(1001)
     grid = [k / grid_n for k in range(grid_n)]
-    # Ten input draws per q_w; every row of a p in one evaluation.
+    # Ten input draws per q_w at each p, drawn p by p.
     qs = np.repeat(grid, 10)
     pairs = []
     for scenario in _PROTECTED:
         name = _form_name("g_t", scenario)
-        for p in grid:
-            dist, _ = distribute(scenario, p)
-            success = _row_totals(dist, scenario, [qs], _draw_rows(rng, len(qs)))[0][0]
-            err = np.abs(success - np.repeat([closed_form(name, p, q).value for q in grid], 10))
+        rows = _draw_rows(rng, grid_n * len(qs))
+        success = _row_totals(_states(scenario, grid), scenario, [np.tile(qs, grid_n)], rows)[0][0]
+        for p, got in zip(grid, success.reshape(grid_n, -1)):
+            err = np.abs(got - np.repeat([closed_form(name, p, q).value for q in grid], 10))
             wheres = [f"{scenario.value} p={p:g} q_w={q:g}" for q in grid]
             pairs += ((e, wheres[k // 10]) for k, e in enumerate(err.tolist()))
     return pairs
@@ -256,36 +269,40 @@ def _check_success_oracle(grid_n: int) -> list:
 def _check_suppression() -> tuple:
     """The pairs of check 2, and its note on skipped corner points."""
     pairs, skipped = [], 0
-    inputs = np.array([[0.3, 0.4, 0.7, 1.1]])
-    for p in np.linspace(0.0, 1.0, 11):
-        p = float(p)
+    ps = [float(p) for p in np.linspace(0.0, 1.0, 11)]
+    inputs = np.tile([0.3, 0.4, 0.7, 1.1], (len(ps), 1))
+    # Branches and f_av at q_w = p of every p, one p per state.
+    found = {}
+    for scenario in _PROTECTED:
+        dists = _states(scenario, ps)
+        f_avs = _average_fidelities(dists, scenario, [ps], _VERIFY_QUAD)[0]
+        found[scenario] = _run_rows(dists, scenario, ps, inputs), f_avs
+    for n, p in enumerate(ps):
         for scenario in _PROTECTED:
-            dist, _ = distribute(scenario, p)
-            rows = _run_rows(dist, scenario, [p], inputs)
-            degenerate = rows.degenerate[0]
+            rows, f_avs = found[scenario]
+            degenerate = rows.degenerate[n]
             if p == 1.0 and degenerate.all():
                 skipped += 1
                 continue
             # A degenerate branch has no fidelity to be 1, so it fails.
-            err = np.where(degenerate, np.nan, np.abs(rows.fidelity[0] - 1.0)).tolist()
+            err = np.where(degenerate, np.nan, np.abs(rows.fidelity[n] - 1.0)).tolist()
             pairs += ((e, f"{scenario.value} p={p:g} branch ({i},{j})") for e, (i, j) in zip(err, _BRANCH_INDICES))
-            f_av = _average_fidelities(dist, scenario, [p], _VERIFY_QUAD)[0]
-            pairs.append((abs(f_av - 1.0), f"{scenario.value} p={p:g} f_av"))
+            pairs.append((abs(f_avs[n] - 1.0), f"{scenario.value} p={p:g} f_av"))
     return pairs, f"; {skipped} annihilated corner point(s) skipped" if skipped else ""
 
 
 def _check_unprotected_f_av() -> list:
     pairs = []
-    inputs = np.array([[0.4, 0.0, 0.8, 0.0]])
+    ps = [float(p) for p in np.linspace(0.0, 1.0, 51)]
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
-        for p in np.linspace(0.0, 1.0, 51):
-            p = float(p)
+        # The determinism row goes in the fold of each p's nodes.
+        (f_avs,), ((success, _, _),) = _average_fidelities(
+            _states(scenario, ps), scenario, [0.0], _VERIFY_QUAD, extra=[[0.4, 0.0, 0.8, 0.0]]
+        )
+        for p, f_av, got in zip(ps, f_avs, success[:, 0].tolist()):
             where = f"{scenario.value} p={p:g}"
-            dist, _ = distribute(scenario, p)
-            f_av = _average_fidelities(dist, scenario, [0.0], _VERIFY_QUAD)[0]
-            success = float(_row_totals(dist, scenario, [0.0], inputs)[0][0][0])
-            pairs += [(abs(f_av - closed_form(name, p).value), where), (abs(success - 1.0), where)]
+            pairs += [(abs(f_av - closed_form(name, p).value), where), (abs(got - 1.0), where)]
     return pairs
 
 
@@ -323,19 +340,18 @@ def _branch_sample_errors() -> tuple:
 def _check_qualitative() -> list:
     grid = [0.1 * k for k in range(1, 10)]
     slack = 1e-9
-    half = np.tile([0.5, 0.0, 0.5, 0.0], (len(grid), 1))
     # f_av and total success of each protected scenario as [p, q_w] arrays
-    # over the grid, and f_av of each bare one as a [p] array.
+    # over the grid, the success from an input row in each p's node fold,
+    # and f_av of each bare one as a [p] array.
     fav, g_sim = {}, {}
     for scenario in _PROTECTED:
-        f_rows, g_rows = [], []
-        for p in grid:
-            # Every q_w of this p shares one distributed state.
-            dist, _ = distribute(scenario, p)
-            f_rows.append(_average_fidelities(dist, scenario, grid, _VERIFY_QUAD))
-            g_rows.append(_row_totals(dist, scenario, [grid], half)[0][0])
-        fav[scenario], g_sim[scenario] = np.array(f_rows), np.array(g_rows)
-    unprot = {bare: np.array([average_fidelity(bare, p, 0.0, _VERIFY_QUAD) for p in grid]) for bare in _UNPROTECTED}
+        f_avs, totals = _average_fidelities(
+            _states(scenario, grid), scenario, grid, _VERIFY_QUAD, extra=[[0.5, 0.0, 0.5, 0.0]]
+        )
+        fav[scenario], g_sim[scenario] = np.array(f_avs).T, np.array([t[0][:, 0] for t in totals]).T
+    unprot = {
+        bare: np.array(_average_fidelities(_states(bare, grid), bare, [0.0], _VERIFY_QUAD)[0]) for bare in _UNPROTECTED
+    }
     # Each protected scenario is held against the bare one of its situation.
     bare_of = {bare.situation: bare for bare in _UNPROTECTED}
     pairs = []
@@ -458,3 +474,18 @@ def main(argv: Optional[list] = None) -> int:
     # parser built at the first call, so a later rebinding of a cmd_*
     # function (a tracing wrapper, say) is the one called.
     return globals()[args.func.__name__](args)
+
+
+def run() -> int:
+    """`main` on the command line, as `python -m bqtsim` and the `bqtsim`
+    script run it: when the reader of a stdout pipe is gone, the status is
+    141, as SIGPIPE would give, with nothing on stderr."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device, so the flush at exit cannot fail
+        # again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    return status

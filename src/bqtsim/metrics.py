@@ -88,24 +88,41 @@ def average_fidelity(
 
 
 def _average_fidelities(
-    dist: np.ndarray, scenario: Scenario, q_ws, quad: Optional[QuadratureSpec] = None
-) -> list:
-    """`average_fidelity` at each of several q_w over one distributed state:
-    the quadrature nodes as equal input rows, folded once and corrected at
-    each q_w by `_row_totals`, so a q_w's value does not depend on the
-    others."""
+    dist: np.ndarray, scenario: Scenario, q_ws, quad: Optional[QuadratureSpec] = None, extra=None
+):
+    """`average_fidelity` at each of several q_w over one distributed state,
+    or over each state of a (G, 16, 16) stack: the quadrature nodes as equal
+    input rows, one group of them per state, folded and corrected at each
+    q_w by `_row_totals`, so a value does not depend on the other q_w or
+    states. A q_w is a float or one value per state.
+
+    Returns the average at each q_w: a float for one state, a list of G
+    floats for a stack. `extra` input rows are folded after each group's
+    nodes, and their totals come back too, as (averages, totals) with each
+    q_w's (success, fidelity, postselected) as (G, len(extra)) arrays.
+    """
     if quad is None:
         quad = QuadratureSpec()
     nodes, weights = quad.nodes_weights()
-    rows = np.zeros((len(nodes), 4))
+    groups, k = len(dist) if dist.ndim == 3 else 1, len(nodes)
+    rows = np.zeros((k, 4))
     rows[:, 0] = rows[:, 2] = nodes
-    out = []
-    # Per-node total fidelities, NaN at a node whose branches are all
-    # degenerate; the NaN carries through to the average.
-    for _, tf, _ in _row_totals(dist, scenario, q_ws, rows):
-        acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
-        out.append(acc * acc)
-    return out
+    if extra is not None:
+        rows = np.concatenate((rows, extra))
+    size = len(rows)
+    q_rows = [q_w if isinstance(q_w, (float, int)) else np.repeat(q_w, size) for q_w in q_ws]
+    found = _row_totals(dist, scenario, q_rows, np.tile(rows, (groups, 1)) if groups > 1 else rows)
+    averages = []
+    for _, tf, _ in found:
+        # Per-node total fidelities, NaN at a node whose branches are all
+        # degenerate; the NaN carries through to the average.
+        roots = np.sqrt(np.maximum(tf.reshape(groups, size)[:, :k], 0.0))
+        accs = [float(np.dot(weights, root)) for root in roots]
+        # acc * acc, which libm's pow, behind acc ** 2, can round apart from.
+        averages.append([acc * acc for acc in accs] if dist.ndim == 3 else accs[0] * accs[0])
+    if extra is None:
+        return averages
+    return averages, [tuple(t.reshape(groups, size)[:, k:] for t in parts) for parts in found]
 
 
 _FORMS: dict[str, tuple] = {

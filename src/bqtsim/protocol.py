@@ -34,12 +34,16 @@ into the buffers it gives them, and its docstring states their layout.
 row through it); `_row_totals` returns only the per-row totals, the same
 bits, with every stack in per-thread scratch (`_SCRATCH`).
 
-A q_w is one float or one value per input row, so the rows of a sweep or
-a check grid at one (scenario, p) share a single `distribute` and a
-single fold. Each branch correction is a constant Pauli pair U_i (x) U_j,
-built once at import, after a weak factor m_w (x) m_w that is the only
-part to vary by row. The Pauli pairs are signed permutations, so they
-move and sign entries and need no products.
+A q_w is one float or one value per input row, and the distributed state
+is one (16, 16) state or a (G, 16, 16) stack, one state per equal
+contiguous group of rows. So the rows of a sweep or a check grid at every
+p share one call: `_row_totals` folds them a block of whole groups at a
+time, up to `_BLOCK_ROWS` rows, each group against its own state with the
+matrix product one state alone would get. Each branch correction is a
+constant Pauli pair U_i (x) U_j, built once at import, after a weak
+factor m_w (x) m_w that is the only part to vary by row. The Pauli pairs
+are signed permutations, so they move and sign entries and need no
+products.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -573,35 +577,54 @@ def _recover(
     dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, folded_a: np.ndarray, folded_ab: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """The (N, 16, 4, 4) unnormalized (2, 3) states of every branch of N
-    input pairs over one distributed resource state, written to `out`.
-    Alice's fold goes to `folded_a` and both parties' to `folded_ab`; all
-    three are (N, 16, 4, 4) buffers, apart from each other.
+    input pairs, written to `out`. Alice's fold goes to `folded_a` and both
+    parties' to `folded_ab`; all three are (N, 16, 4, 4) buffers, apart from
+    each other.
 
-    dist is the 16x16 state of qubits (1, 2, 3, 4); rho_a and rho_b are
-    (N, 2, 2) stacks of Alice's and Bob's inputs. Alice's Bell bra on (a, 1)
-    folds her input into a 2x2 operator on qubit 1, B_i^dag rho_a B_i, and
-    Bob's bra on (4, b) folds his into B_j^* rho_b B_j^T on qubit 4; the
-    (2, 3) pair of branch (i, j) is the resource contracted with both.
+    dist is one 16x16 state of qubits (1, 2, 3, 4), or a (G, 16, 16) stack
+    whose state g serves the g-th of G equal contiguous groups of the rows;
+    rho_a and rho_b are (N, 2, 2) stacks of Alice's and Bob's inputs.
+    Alice's Bell bra on (a, 1) folds her input into a 2x2 operator on qubit
+    1, B_i^dag rho_a B_i, and Bob's bra on (4, b) folds his into
+    B_j^* rho_b B_j^T on qubit 4; the (2, 3) pair of branch (i, j) is the
+    resource contracted with both. Each group's contraction with its state
+    is the matrix product of one state alone, so a row's bits do not depend
+    on the other groups.
     """
     n = rho_a.shape[0]
     alice = rho_a.reshape(n, 4) @ _FOLD_ALICE
     bob = (rho_b.reshape(n, 4) @ _FOLD_BOB).reshape(n, 4, 4)
-    # dist as axes (y, m, w, y', m', w'): y on qubit 1, m on the kept
+    # Each state as axes (y, m, w, y', m', w'): y on qubit 1, m on the kept
     # (2, 3) pair, w on qubit 4. Reordered to (y y', m m', w w'), Alice's
     # contraction over (y, y') leaves rows (i, m, m') and columns (w, w')
     # for Bob's; order the result (n, i, j, m, m').
-    d = dist.reshape(2, 4, 2, 2, 4, 2).transpose(0, 3, 1, 4, 2, 5).reshape(4, 64)
-    np.matmul(alice.reshape(4 * n, 4), d, out=folded_a.reshape(4 * n, 64))
+    d = dist.reshape(-1, 2, 4, 2, 2, 4, 2).transpose(0, 1, 4, 2, 5, 3, 6).reshape(-1, 4, 64)
+    rows = 4 * n // len(d)
+    np.matmul(alice.reshape(len(d), rows, 4), d, out=folded_a.reshape(len(d), rows, 64))
     np.matmul(folded_a.reshape(n, 64, 4), bob, out=folded_ab.reshape(n, 64, 4))
     out.reshape(n, 4, 4, 4, 4)[...] = folded_ab.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3)
     return out
 
 
+# Most input rows `_row_totals` folds and corrects at once: it takes whole
+# groups up to this many rows, or one group when a group is larger, so its
+# scratch stacks stay this small however many rows a call has. Measured on
+# a 2-vCPU Xeon with one BLAS thread, a fold's set-up costs about as much as
+# 15 rows, and the cost per row is least from 64 to 192 rows, then grows
+# by half by 512, as the stacks outgrow the cache: at 128 rows they take
+# 1.5 MiB of a 2 MiB per-core L2. Whole `verify` runs were as fast at 256
+# rows and slower at 32 and 64 (CHANGES.md has both tables).
+_BLOCK_ROWS = 128
+
+
 def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool):
     """Every branch of an (N, 4) array of input rows [pop_a, phase_a,
-    pop_b, phase_b] over one distributed state of `scenario`, folded once
-    and corrected at each entry of `q_ws` (a float, or one value per row)
-    in turn: one `_Branches` per entry, yielded once every entry is checked.
+    pop_b, phase_b] over one distributed state of `scenario` or a stack of
+    them (`_recover`'s groups), folded once and corrected at each entry of
+    `q_ws` (a float, or one value per row) in turn: one `_Branches` per
+    block of rows and entry, block by block, yielded once every entry is
+    checked. With `owned` the rows are one block; otherwise each block
+    holds whole groups, at most `_BLOCK_ROWS` rows unless one group is more.
 
     The thread's three scratch stacks hold Alice's fold, then the
     fidelity products; both parties' fold, then the corrected states; the
@@ -610,37 +633,48 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     overwritten by the next one and by any later kernel call on the thread.
     """
     rows = np.asarray(rows, dtype=float)
-    n = len(rows)
+    n, groups = len(rows), len(dist) if dist.ndim == 3 else 1
+    if n % groups:
+        raise ValueError(f"{n} input rows do not split into {groups} equal groups")
     diagonals = [_weak_diagonals(q_w, scenario, n) for q_w in q_ws]
+    size = n // groups
+    per = groups if owned else max(1, _BLOCK_ROWS // max(size, 1))
+    most = min(per, groups) * size
     bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None or len(bufs[0]) < n:
-        bufs = _SCRATCH.bufs = (_branch_stack(n), _branch_stack(n), _branch_stack(n))
-    temp, folded_ab, recovered = (buf[:n] for buf in bufs)
-    if owned:
-        recovered = _branch_stack(n)
-    # Party-major, so each party's states are contiguous.
-    rho_a, rho_b = _input_densities(rows[:, 0::2].T, rows[:, 1::2].T)
-    _recover(dist, rho_a, rho_b, temp, folded_ab, recovered)
-    reference = _kron_batched(rho_a, rho_b)
-    for d in diagonals:
-        corrected = _branch_stack(n) if owned else folded_ab
-        yield _correct_branches(recovered, d, reference, temp, corrected)
+    if bufs is None or len(bufs[0]) < most:
+        bufs = _SCRATCH.bufs = (_branch_stack(most), _branch_stack(most), _branch_stack(most))
+    for g in range(0, groups, per):
+        lo, hi = g * size, min(g + per, groups) * size
+        temp, folded_ab, recovered = (buf[: hi - lo] for buf in bufs)
+        if owned:
+            recovered = _branch_stack(hi - lo)
+        # Party-major, so each party's states are contiguous.
+        rho_a, rho_b = _input_densities(rows[lo:hi, 0::2].T, rows[lo:hi, 1::2].T)
+        _recover(dist[g : g + per] if dist.ndim == 3 else dist, rho_a, rho_b, temp, folded_ab, recovered)
+        reference = _kron_batched(rho_a, rho_b)
+        for d in diagonals:
+            corrected = _branch_stack(hi - lo) if owned else folded_ab
+            yield _correct_branches(recovered, d[lo:hi] if len(d) > 1 else d, reference, temp, corrected)
 
 
 def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:
     """Every branch for an (N, 4) array of input rows [pop_a, phase_a,
-    pop_b, phase_b] over one distributed state of `scenario`, corrected at
-    q_w (a float, or a sequence with one value per row). The caller owns
-    every array of the result."""
+    pop_b, phase_b] over one distributed state of `scenario`, or a stack of
+    G states for G equal contiguous groups of rows, corrected at q_w (a
+    float, or a sequence with one value per row). The caller owns every
+    array of the result."""
     (branches,) = _fold_and_correct(dist, scenario, (q_w,), rows, owned=True)
     return branches
 
 
 def _row_totals(dist: np.ndarray, scenario: Scenario, q_ws, rows) -> list:
     """`_run_rows(dist, scenario, q_w, rows).totals()` for each q_w of
-    `q_ws`, bit for bit, from one fold with every branch stack in this
-    thread's scratch."""
-    return [branches.totals() for branches in _fold_and_correct(dist, scenario, q_ws, rows, owned=False)]
+    `q_ws`, bit for bit, from one fold per block of `_BLOCK_ROWS` rows with
+    every branch stack in this thread's scratch."""
+    parts = [branches.totals() for branches in _fold_and_correct(dist, scenario, q_ws, rows, owned=False)]
+    if len(parts) == len(q_ws):
+        return parts
+    return [tuple(map(np.concatenate, zip(*parts[j :: len(q_ws)]))) for j in range(len(q_ws))]
 
 
 def enumerate_branches(

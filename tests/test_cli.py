@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bqtsim
-from bqtsim import cli
+from bqtsim import cli, protocol
 from bqtsim.cli import SWEEP_HEADER, main
 from bqtsim.metrics import OracleValue, closed_form_names
 from bqtsim.protocol import QubitInput, Scenario, run_protocol
@@ -269,20 +269,38 @@ def test_branches_all_degenerate_exits_1(capsys):
     assert "degenerate" in err
 
 
-@pytest.mark.parametrize("argv", (["verify", "--grid", "2"], ["entropy", "--p-steps", "5"]))
-def test_closed_stdout_exits_141_quietly(argv):
-    # `bqtsim ... | head` with the reader gone before the first write: no
-    # traceback, and a status apart from a failed verify's 1.
+def run_into_closed_pipe(args):
+    """Run the interpreter with `args`, stdout a pipe whose read end was
+    closed before the start; the exit status and stderr."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(Path(bqtsim.__file__).parent.parent))
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "bqtsim", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
-        )
+        done = subprocess.run([sys.executable, *args], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
     finally:
         os.close(write_end)
-    assert (done.returncode, done.stderr) == (141, b"")
+    return done.returncode, done.stderr
+
+
+CLOSED_PIPE_ARGV = (["verify", "--grid", "2"], ["entropy", "--p-steps", "5"])
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE_ARGV)
+def test_closed_stdout_exits_141_quietly(argv):
+    # `bqtsim ... | head` with the reader gone before the first write: no
+    # traceback, and a status apart from a failed verify's 1.
+    assert run_into_closed_pipe(["-m", "bqtsim", *argv]) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE_ARGV)
+def test_console_script_exits_141_quietly(argv):
+    # The installed `bqtsim` script calls the target pyproject.toml names,
+    # as its generated wrapper does, and must end the same way.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        module, func = tomllib.load(fh)["project"]["scripts"]["bqtsim"].split(":")
+    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+    assert run_into_closed_pipe(["-c", wrapper, *argv]) == (141, b"")
 
 
 # -------------------------------------------------------------- entropy
@@ -330,6 +348,33 @@ def test_worst_ranks_nan_above_every_error():
     assert cli._worst([(-2.0, "a"), (-1.0, "b"), (-1.0, "c")]) == (-1.0, "b")
     err, where = cli._worst([(1.0, "a"), (math.nan, "b"), (2.0, "c"), (math.nan, "d")])
     assert math.isnan(err) and where == "b"
+
+
+def count_folds(monkeypatch) -> list:
+    """Patch the kernel's fold stage with a counter; the list it appends to."""
+    calls = []
+    fold = protocol._recover
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return fold(*args)
+
+    monkeypatch.setattr(protocol, "_recover", counted)
+    return calls
+
+
+def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
+    # Each check and the sweep fold all their p together, a block of them
+    # at a time, and not one p per call: 326 and 102 folds at one per p.
+    folds = count_folds(monkeypatch)
+    checks = cli._verify_checks(10)
+    assert all(err <= tol for _, err, tol, _, _ in checks)
+    assert 0 < len(folds) <= 100
+    folds.clear()
+    argv = ["sweep", "--scenario", "all-adc", "--qw-mode", "grid", "--qw-steps", "11"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 51 * 11
+    assert 0 < len(folds) <= 51
 
 
 def test_verify_fails_on_nan_closed_forms(monkeypatch, capsys):

@@ -2,8 +2,9 @@
 held against the direct 6-qubit path: enumerate_branches on the composed
 state, and a per-node loop over it for the input average. The correction
 stage is also held against the explicit 4x4 correction operators, a
-stack of rows with one q_w each against one run per row, and the
-degenerate thresholds at their exact boundaries."""
+stack of rows with one q_w each against one run per row, a stack of
+distributed states against one call per state, and the degenerate
+thresholds at their exact boundaries."""
 import math
 import re
 
@@ -14,6 +15,7 @@ from bqtsim.channels import DEGENERATE_TOL, DegenerateBranchError
 from bqtsim.linalg import assert_density
 from bqtsim.metrics import QuadratureSpec, _average_fidelities, average_fidelity
 from bqtsim.protocol import (
+    _BLOCK_ROWS,
     QubitInput,
     Scenario,
     _Branches,
@@ -273,6 +275,76 @@ def test_multi_qw_average_matches_one_average_per_qw(quad):
             assert identical(got, want), f"{scenario.value} p={p} q_w={qs}"
             if scenario.protected and p == 1.0:
                 assert math.isnan(got[1]) and not math.isnan(got[0])
+
+
+BRANCH_FIELDS = ("recovered", "joint", "weight", "corrected", "fidelity", "degenerate")
+
+
+@pytest.mark.parametrize("scenario", tuple(Scenario))
+def test_state_stack_matches_one_call_per_state(scenario):
+    """G states at p in {0, 1, two draws}, folded together with their rows
+    in G equal contiguous groups, equal one call per state by bytes: the
+    owned arrays and totals, the totals-only entry with float and per-row
+    q_w mixed, and the input average with one q_w for every state or one
+    per state, and its extra rows' totals. Group sizes of one row, a few
+    groups to a block, and more than a block's rows all cross the block
+    budget; q_w = 1 at p = 1 gives wholly degenerate NaN rows."""
+    rng = np.random.default_rng(131 + list(Scenario).index(scenario))
+    ps = [0.0, 1.0, float(rng.uniform()), float(rng.uniform())]
+    dists = np.stack([distribute(scenario, p)[0] for p in ps])
+    groups = len(ps)
+    nan_rows = 0
+    for size in (1, _BLOCK_ROWS // 3 + 1, _BLOCK_ROWS + 5):
+        n = groups * size
+        rows = rng.random((n, 4))
+        rows[::3, 0::2] = 1.0
+        rows[:, 1::2] *= 2.0 * math.pi
+        row_qs = rng.random(n) if scenario.protected else np.zeros(n)
+        if scenario.protected:
+            row_qs[::2] = 1.0
+        # The groups of any array with one entry per row, one per state.
+        part = lambda values, g: values if np.ndim(values) == 0 else values[g * size : (g + 1) * size]
+        where = f"{scenario.value} {groups}x{size} rows"
+        owned = _run_rows(dists, scenario, row_qs, rows)
+        alone = [_run_rows(dists[g], scenario, part(row_qs, g), part(rows, g)) for g in range(groups)]
+        for name in BRANCH_FIELDS:
+            want = np.concatenate([getattr(one, name) for one in alone])
+            assert identical(getattr(owned, name), want), f"{where} {name}"
+        snapshot = {name: getattr(owned, name).tobytes() for name in BRANCH_FIELDS}
+        for got, want in zip(owned.totals(), zip(*(one.totals() for one in alone))):
+            assert identical(got, np.concatenate(want)), where
+        mixed = [row_qs, 1.0 if scenario.protected else 0.0, row_qs[::-1], 0.0]
+        got = _row_totals(dists, scenario, mixed, rows)
+        alone = [_row_totals(dists[g], scenario, [part(q, g) for q in mixed], part(rows, g)) for g in range(groups)]
+        assert len(got) == len(mixed)
+        for j, totals in enumerate(got):
+            for t, total in enumerate(totals):
+                assert identical(total, np.concatenate([one[j][t] for one in alone])), f"{where} q_w entry {j}"
+            nan_rows += int(np.isnan(totals[1]).sum())
+        # A stacked totals-only call leaves an earlier owned result alone.
+        for name, data in snapshot.items():
+            assert getattr(owned, name).tobytes() == data, f"{where} {name}"
+        with pytest.raises(ValueError, match=f"{n - 1} input rows do not split into {groups} equal groups"):
+            _run_rows(dists, scenario, 0.0, rows[1:])
+        with pytest.raises(ValueError, match=f"{n + 1} input rows do not split into {groups} equal groups"):
+            _row_totals(dists, scenario, [0.0], np.vstack((rows, rows[:1])))
+    extra = np.array([[0.5, 0.0, 0.5, 0.0], [0.2, 1.3, 0.9, 4.0]])
+    qs = [0.0, 1.0, ps] if scenario.protected else [0.0, [0.0] * groups]
+    for quad in (QuadratureSpec(points=8), QuadratureSpec(points=32)):
+        got, totals = _average_fidelities(dists, scenario, qs, quad, extra)
+        assert identical(got, _average_fidelities(dists, scenario, qs, quad))
+        for g, p in enumerate(ps):
+            where = f"{scenario.value} p={p} {quad.points} nodes"
+            own_qs = [q if np.ndim(q) == 0 else q[g] for q in qs]
+            assert identical([f_avs[g] for f_avs in got], _average_fidelities(dists[g], scenario, own_qs, quad)), where
+            want = _row_totals(dists[g], scenario, own_qs, extra)
+            for j, total in enumerate(totals):
+                assert all(identical(t[g], w) for t, w in zip(total, want[j])), where
+        if scenario.protected:
+            # p = q_w = 1 has no live branch at any node.
+            assert math.isnan(got[1][1]) and not math.isnan(got[0][1])
+    if scenario.protected:
+        assert nan_rows > 0
 
 
 def test_row_stack_rejects_bad_qw():
