@@ -93,15 +93,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.qw_mode == "fixed":
         if not 0.0 <= args.qw <= 1.0:
             return _usage_error("qw must lie in [0, 1]")
-        qs = [args.qw]
+        qw_for = lambda p: [args.qw]
     elif args.qw_mode == "equal-p":
-        qs = None
+        qw_for = lambda p: [p]
     else:
         if not (0.0 <= args.qw_min <= args.qw_max <= 1.0):
             return _usage_error("need 0 <= qw-min <= qw-max <= 1")
         if args.qw_steps < 1:
             return _usage_error("qw-steps must be at least 1")
         qs = [float(q) for q in np.linspace(args.qw_min, args.qw_max, args.qw_steps)]
+        qw_for = lambda p: qs
     if not scenario.protected and (args.qw_mode != "fixed" or args.qw != 0.0):
         return _usage_error(f"{scenario.value} admits only --qw-mode fixed --qw 0")
     if _check_out(args.out):
@@ -112,23 +113,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [header]
     g_name = _form_name("g_t", scenario) if scenario.protected else None
     f_name = None if scenario.protected else _form_name("f_av_unprot", scenario)
-    ps = [float(p) for p in np.linspace(args.p_min, args.p_max, args.p_steps)]
-    states = [distribute(scenario, p) for p in ps]
-    dists = np.stack([dist for dist, _ in states])
-    # Each q_w is one float for every p, or in equal-p mode one per p; every
-    # p's input row goes in one fold with its quadrature nodes, if any.
-    q_ws = [ps] if qs is None else qs
-    row = [args.pop0, 0.0, args.pop0, 0.0] if fixed_input else [0.5, 0.0, 0.5, 0.0]
-    if fixed_input:
-        totals = _row_totals(dists, scenario, q_ws, np.tile(row, (len(ps), 1)))
-        f_avs, g_totals = [t[1] for t in totals], [t[0] for t in totals]
-    else:
-        f_avs, totals = _average_fidelities(dists, scenario, q_ws, extra=[row])
-        g_totals = [t[0][:, 0] for t in totals]
-    for g, (p, (dist, eam_success)) in enumerate(zip(ps, states)):
+    pop0 = args.pop0 if fixed_input else 0.5
+    row = [pop0, 0.0, pop0, 0.0]
+    for p in np.linspace(args.p_min, args.p_max, args.p_steps):
+        p = float(p)
+        # Every q_w of this p shares one distributed state and one fold;
+        # when the inputs are averaged, the g_total row goes in the nodes' fold.
+        dist, eam_success = distribute(scenario, p)
         s_bob = entanglement_entropy_bob(dist)
-        for j, q in enumerate([p] if qs is None else qs):
-            f_av, g_total = f_avs[j][g], g_totals[j][g]
+        qs = [float(q) for q in qw_for(p)]
+        if fixed_input:
+            totals = _row_totals(dist, scenario, qs, np.array([row]))
+            f_avs = [fidelity.item() for _, fidelity, _ in totals]
+        else:
+            f_avs, totals = _average_fidelities(dist, scenario, qs, extra=[row])
+        for q, f_av, (success, _, _) in zip(qs, f_avs, totals):
             f_oracle = closed_form(f_name, p, q).value if f_name and not fixed_input else None
             g_oracle = closed_form(g_name, p, q).value if g_name else None
             cols = [
@@ -136,7 +135,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 _fmt(p),
                 _fmt(q),
                 _fmt(f_av),
-                _fmt(g_total),
+                _fmt(success.item()),
                 _fmt(f_oracle),
                 _fmt(g_oracle),
                 _fmt(eam_success),

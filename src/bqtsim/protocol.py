@@ -36,7 +36,7 @@ bits, with every stack in per-thread scratch (`_SCRATCH`).
 
 A q_w is one float or one value per input row, and the distributed state
 is one (16, 16) state or a (G, 16, 16) stack, one state per equal
-contiguous group of rows. So the rows of a sweep or a check grid at every
+contiguous group of rows. So the rows of a verify check's grid at every
 p share one call: `_row_totals` folds them a block of whole groups at a
 time, up to `_BLOCK_ROWS` rows, each group against its own state with the
 matrix product one state alone would get. Each branch correction is a

@@ -5,6 +5,7 @@ acceptance suite; here only its reduction rule and its failure path.
 """
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -296,9 +297,8 @@ def test_closed_stdout_exits_141_quietly(argv):
 def test_console_script_exits_141_quietly(argv):
     # The installed `bqtsim` script calls the target pyproject.toml names,
     # as its generated wrapper does, and must end the same way.
-    tomllib = pytest.importorskip("tomllib")
-    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
-        module, func = tomllib.load(fh)["project"]["scripts"]["bqtsim"].split(":")
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^bqtsim\s*=\s*"([\w.]+):(\w+)"', text, re.MULTILINE).groups()
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     assert run_into_closed_pipe(["-c", wrapper, *argv]) == (141, b"")
 
@@ -364,8 +364,10 @@ def count_folds(monkeypatch) -> list:
 
 
 def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
-    # Each check and the sweep fold all their p together, a block of them
-    # at a time, and not one p per call: 326 and 102 folds at one per p.
+    # Each check folds all its p together, a block of them at a time, and
+    # the sweep folds each p's nodes and g_total row together: 326 and 102
+    # folds when every p of a check was its own call and a sweep's g_total
+    # rows were a second fold.
     folds = count_folds(monkeypatch)
     checks = cli._verify_checks(10)
     assert all(err <= tol for _, err, tol, _, _ in checks)

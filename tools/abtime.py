@@ -1,15 +1,16 @@
 """Time two bqtsim checkouts against each other, in one process at a time.
 
-    python tools/abtime.py PARENT_SRC CHANGE_SRC [--blocks N] [--only NAME ...]
+    python tools/abtime.py PARENT_SRC CHANGE_SRC [--only NAME ...]
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Each
 is imported under its own package name, so both trees live in the same
 interpreter and see the same heap, BLAS and CPU state. Every target runs
-in alternating blocks: a block times the same number of calls on each tree
-and records the mean time of one call, and the tree that goes first
-alternates from block to block. The whole run is made twice, in fresh
-interpreters, once with the parent's package imported first and once with
-the change's, since import order moves where the heap puts things.
+in BLOCKS (20) alternating blocks: a block times the same number of calls
+on each tree and records the mean time of one call, and the tree that
+goes first alternates from block to block. The whole run is made twice,
+in fresh interpreters, once with the parent's package imported first and
+once with the change's, since import order moves where the heap puts
+things.
 
 For each target and load order the script prints the median, quartiles
 and minimum of each tree's block times in us, the change's median over
@@ -50,7 +51,9 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-# Seconds one tree spends on a target in one block, about.
+# Blocks per target and load order, and the seconds one tree spends on a
+# target in one block, about.
+BLOCKS = 20
 BLOCK_S = 0.05
 CHECKS = {
     "check1": ("_check_success_oracle", (10,)),
@@ -112,7 +115,7 @@ def block_time(fn, reps: int) -> float:
     return (time.perf_counter() - t0) / reps
 
 
-def child(srcs: dict, order: tuple, blocks: int, only: list) -> dict:
+def child(srcs: dict, order: tuple, only: list) -> dict:
     """Times of every target for both trees, loaded in `order`."""
     fns = {side: targets(load(srcs[side], f"bqtsim_{side}")) for side in order}
     out = {}
@@ -123,7 +126,7 @@ def child(srcs: dict, order: tuple, blocks: int, only: list) -> dict:
         one = max(block_time(fns[side][label], 1) for side in SIDES)
         reps = max(1, round(BLOCK_S / one))
         times = {side: [] for side in SIDES}
-        for b in range(blocks):
+        for b in range(BLOCKS):
             for side in SIDES if b % 2 == 0 else SIDES[::-1]:
                 times[side].append(block_time(fns[side][label], reps))
         out[label] = times
@@ -139,23 +142,19 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--blocks", type=int, default=20)
     parser.add_argument("--only", nargs="*", default=[], help="target names (default: all)")
-    parser.add_argument("--json", type=Path, help="also write every block time here")
     parser.add_argument("--child", choices=("parent-first", "change-first"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     srcs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if args.child:
         order = SIDES if args.child == "parent-first" else SIDES[::-1]
-        print(json.dumps(child(srcs, order, args.blocks, args.only)))
+        print(json.dumps(child(srcs, order, args.only)))
         return
-    results = {}
     for order in ("parent-first", "change-first"):
-        cmd = [sys.executable, __file__, str(srcs["parent"]), str(srcs["change"]), "--blocks", str(args.blocks),
-               "--child", order, "--only", *args.only]
-        results[order] = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
-        print(f"{order}: median [q1, q3] min of {args.blocks} blocks, us per call")
-        for label, times in results[order].items():
+        cmd = [sys.executable, __file__, str(srcs["parent"]), str(srcs["change"]), "--child", order, "--only", *args.only]
+        results = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+        print(f"{order}: median [q1, q3] min of {BLOCKS} blocks, us per call")
+        for label, times in results.items():
             if times is None:
                 print(f"  {label:<13} skipped: one tree lacks it")
                 continue
@@ -163,8 +162,6 @@ def main() -> None:
             ratio = statistics.median(c) / statistics.median(p) - 1.0
             won = sum(x < y for x, y in zip(c, p))
             print(f"  {label:<13} parent {summary(p)}  change {summary(c)}  {ratio:+7.1%}  won {won}/{len(p)}")
-    if args.json:
-        args.json.write_text(json.dumps(results, indent=1))
 
 
 if __name__ == "__main__":
