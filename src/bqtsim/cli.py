@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -248,6 +248,17 @@ def _states(scenario: Scenario, ps) -> np.ndarray:
     return np.stack([distribute(scenario, p)[0] for p in ps])
 
 
+# The p of checks 4 and 8, which read each protected scenario's states
+# there from one `_protected_points` per verify run.
+_EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
+
+
+def _protected_points() -> dict:
+    """Each protected scenario's `distribute` result at each p of `_EDGE_PS`,
+    as {scenario: {p: (state, probability)}}."""
+    return {scenario: {p: distribute(scenario, p) for p in _EDGE_PS} for scenario in _PROTECTED}
+
+
 def _check_success_oracle(grid_n: int) -> list:
     rng = np.random.default_rng(1001)
     grid = [k / grid_n for k in range(grid_n)]
@@ -305,13 +316,12 @@ def _check_unprotected_f_av() -> list:
     return pairs
 
 
-def _check_eam() -> list:
+def _check_eam(points: dict) -> list:
+    """Check 4's pairs, from the probabilities of `_protected_points()`."""
     pairs = []
-    for scenario in _PROTECTED:
+    for scenario, found in points.items():
         name = _form_name("g_eam", scenario)
-        for p in np.linspace(0.0, 1.0, 51):
-            p = float(p)
-            _, got = distribute(scenario, p)
+        for p, (_, got) in found.items():
             pairs.append((abs(got - closed_form(name, p).value), f"{scenario.value} p={p:g}"))
     return pairs
 
@@ -370,14 +380,17 @@ def _check_qualitative() -> list:
     return pairs
 
 
-def _check_entropy() -> list:
+def _check_entropy(points: dict) -> list:
+    """Check 8's pairs, each (scenario, p) entropy computed once, from the
+    states of `_protected_points()` at its p and from `distribute` at any
+    other p."""
+
+    @cache
     def s_at(scenario: Scenario, p: float) -> float:
-        dist, _ = distribute(scenario, p)
-        return entanglement_entropy_bob(dist)
+        return entanglement_entropy_bob((points[scenario].get(p) or distribute(scenario, p))[0])
 
     pairs = [(abs(s_at(scenario, 0.0) - 2.0) - 1e-9, f"{scenario.value} p=0") for scenario in _PROTECTED]
-    for p in np.linspace(0.0, 1.0, 51):
-        p = float(p)
+    for p in _EDGE_PS:
         pairs.append((s_at(Scenario.ALL_ADC, p) - s_at(Scenario.RECOVERY_ADC, p) - 1e-12, f"ordering p={p:g}"))
     for k in range(1, 10):
         p = 0.1 * k
@@ -390,17 +403,19 @@ def _verify_checks(grid_n: int) -> list:
     grid; one (title, error, tolerance, worst location, note) tuple per
     check, which passes when error <= tolerance."""
     suppression, suppression_note = _check_suppression()
-    # Checks 5 and 6 read the same sampled branches.
+    # Checks 5 and 6 read the same sampled branches, checks 4 and 8 the
+    # same protected states.
     recovered, joint = _branch_sample_errors()
+    points = _protected_points()
     table = [
         ("total success vs closed form", _check_success_oracle(grid_n), 1e-10, ""),
         ("noise suppression at q_w = p", suppression, 1e-9, suppression_note),
         ("unprotected average fidelity and determinism", _check_unprotected_f_av(), 1e-6, ""),
-        ("post-selection success probability", _check_eam(), 1e-12, ""),
+        ("post-selection success probability", _check_eam(points), 1e-12, ""),
         ("recovered branch states vs closed forms", recovered, 1e-12, ""),
         ("joint branch probabilities vs closed forms", joint, 1e-12, ""),
         ("dominance, prohibited domain, scenario ordering", _check_qualitative(), 0.0, ""),
-        ("entropy boundary values and ordering", _check_entropy(), 0.0, ""),
+        ("entropy boundary values and ordering", _check_entropy(points), 0.0, ""),
     ]
     checks = []
     for title, pairs, tol, note in table:

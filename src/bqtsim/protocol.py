@@ -27,8 +27,9 @@ stack of input pairs at once. `_input_densities` is the one place an input
 (pop0, phase) becomes a 2x2 state.
 
 One orchestration, `_fold_and_correct`, checks every q_w, folds a stack
-of input rows through the distributed state once (`_recover`) and
-corrects it at each q_w (`_correct_branches`). The two stages write only
+of input rows through the distributed state once (`_recover`), builds
+the parts of the correction that no q_w changes once (`_branch_forms`),
+and corrects at each q_w (`_correct_branches`). The stages write only
 into the buffers it gives them, and its docstring states their layout.
 `_run_rows` returns arrays the caller owns (`run_protocol` sends its one
 row through it); `_row_totals` returns only the per-row totals, the same
@@ -41,9 +42,16 @@ p share one call: `_row_totals` folds them a block of whole groups at a
 time, up to `_BLOCK_ROWS` rows, each group against its own state with the
 matrix product one state alone would get. Each branch correction is a
 constant Pauli pair U_i (x) U_j, built once at import, after a weak
-factor m_w (x) m_w that is the only part to vary by row. The Pauli pairs
-are signed permutations, so they move and sign entries and need no
-products.
+factor D = m_w (x) m_w, the only part that q_w changes. D is diagonal
+and the Pauli pairs are signed permutations, so a correction only
+scales, moves and signs entries. Hence each branch's success weight is
+sum_a D_a^2 X[a, a] over its recovered state X, and its fidelity numerator
+a 16-term sum of D_a D_b times a q_w-free form, each entry of X signed
+and paired with the reference entry it meets. Per q_w, a totals-only call
+contracts those forms and never builds a corrected state; the corrected
+states are built only for a caller that owns the result, normalized by
+the same weights, so both entries give the same bits. One rule, in
+`_correct_branches`, flags a branch degenerate.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -251,6 +259,18 @@ _PAULI_SOURCE, _PAULI_SIGN = _pauli_pair_maps()
 _PAULI_GATHER = _PAULI_SOURCE + 16 * np.arange(16)[:, None]
 
 
+# Where each entry of a branch's recovered state meets the reference.
+# Branch k's corrected state C is its recovered state X with entry s moved to
+# the output entry e = 4r + c whose source is s, signed and scaled: C[e] =
+# sign_k(e) scale(s) X[s]. So tr(ref . C) = sum_e ref[c, r] C[e] pairs X[s]
+# with ref[c, r] under the sign of e. For every (k, s), the table holds the
+# index of that signed reference entry in a row laid out as the flattened
+# [ref, -ref] (`_PLUS_MINUS`).
+_TARGET = np.argsort(_PAULI_SOURCE, axis=1)
+_FIDELITY_TABLE = 4 * (_TARGET % 4) + _TARGET // 4 + 16 * (np.take_along_axis(_PAULI_SIGN, _TARGET, axis=1) < 0.0)
+_PLUS_MINUS = np.array([1.0, -1.0], dtype=complex)[:, None, None]
+
+
 @functools.cache
 def _branch_contractions() -> np.ndarray:
     """Stack of the 16 rank-4 projection maps <bell_i|_(a,1) (x) I4 (x) <bell_j|_(4,b).
@@ -371,33 +391,6 @@ def correction_ops(i: int, j: int, q_w: float, situation: str) -> tuple[np.ndarr
     return party[i - 1], party[j - 1]
 
 
-def _settle(recovered: np.ndarray, out: np.ndarray) -> tuple:
-    """Normalize corrected products `out` of the unnormalized (2, 3) pair
-    states `recovered`, both (..., 4, 4), in place in `out`.
-
-    Returns (joint, weight, corrected, degenerate): the recovered traces,
-    the success weights tr(M rho M^dag), the normalized outputs, and the
-    mask of annihilated branches (joint <= DEGENERATE_TOL or weight <
-    DEGENERATE_TOL), whose weight is set to 0 and whose output is
-    meaningless (divided by 1, so left as computed). `joint` and `weight`
-    are the real parts of the two trace arrays; the degenerate weights
-    are zeroed in place there, with no copy.
-    """
-    # + 0.0 folds any -0.0 entry into 0.0.
-    out += 0.0
-    joint = np.einsum("...ii->...", recovered).real
-    weight = np.einsum("...ii->...", out).real
-    degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
-    weight[degenerate] = 0.0
-    # numpy divides a complex x by a real w, cast to w + 0j, as
-    # ((x.re + x.im * 0) * (1 / w), (x.im - x.re * 0) * (1 / w)). With no
-    # -0.0 entry the zero terms change nothing, so one real multiply of
-    # both parts by 1 / w gives the same bits.
-    parts = out.view(float)
-    parts *= (1.0 / np.where(degenerate, 1.0, weight))[..., None, None]
-    return joint, weight, out, degenerate
-
-
 def apply_correction(
     recovered: np.ndarray, M_A: np.ndarray, M_B: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -412,7 +405,8 @@ def apply_correction(
     M = kron(M_B, M_A)
     out = M @ recovered @ M.conj().T
     # The degeneracy rule as `channels.DEGENERATE_TOL` states it, written
-    # apart from the kernel's `_settle` so the tests can hold one to the other.
+    # apart from the kernel's `_correct_branches` so the tests can hold one
+    # to the other.
     weight = float(np.trace(out).real)
     if np.trace(recovered).real <= DEGENERATE_TOL or weight < DEGENERATE_TOL:
         raise DegenerateBranchError("branch weight is numerically zero")
@@ -428,6 +422,7 @@ class _Branches:
     """Arrays of every branch of N input pairs, branch k = 4(i-1)+(j-1).
 
     `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16).
+    `corrected` is None in a totals-only result, which builds no state.
     """
 
     recovered: np.ndarray
@@ -465,19 +460,19 @@ class _Branches:
     def totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-row (N,) total_success, total_fidelity, postselected_fidelity.
 
-        Degenerate branches add nothing. Each total adds the 16 branches
+        A degenerate branch, whose weight and fidelity are 0
+        (`_correct_branches`), adds nothing. Each total adds the 16 branches
         left to right from 0.0, as Python's sum does, so a row's totals do
         not depend on how many rows were evaluated with it. The fidelities
         are NaN where every branch of a row is degenerate, and the
         post-selected one also where the total success is numerically zero.
         """
-        fid = np.where(self.degenerate, 0.0, self.fidelity).T
         # The terms of the three totals as one contiguous (16, 3, N) stack,
         # branches outermost, which a reduction over axis 0 adds in order.
-        terms = np.empty((16, 3, fid.shape[1]))
+        terms = np.empty((16, 3, len(self.weight)))
         terms[:, 0] = self.weight.T
-        np.multiply(self.joint.T, fid, out=terms[:, 1])
-        np.multiply(self.weight.T, fid, out=terms[:, 2])
+        np.multiply(self.joint.T, self.fidelity.T, out=terms[:, 1])
+        np.multiply(self.weight.T, self.fidelity.T, out=terms[:, 2])
         # Adding in order can differ from Python's sum, which starts at 0,
         # only by a -0.0 where every term is a zero, and + 0.0 folds that
         # into 0.0.
@@ -486,10 +481,9 @@ class _Branches:
         success, fidelity, weighted = sums
         fidelity[self.degenerate.all(axis=1)] = np.nan
         # A row whose branches are all degenerate has success 0, so the
-        # success test also covers it.
-        postselected = np.divide(
-            weighted, success, out=np.full_like(success, np.nan), where=success > DEGENERATE_TOL
-        )
+        # success test also covers it. Dividing by a quiet NaN gives NaN
+        # and raises no floating-point flag.
+        postselected = weighted / np.where(success > DEGENERATE_TOL, success, np.nan)
         return success, fidelity, postselected
 
 
@@ -538,39 +532,68 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     return diagonals
 
 
-def _correct_branches(
-    recovered: np.ndarray, diagonals: np.ndarray, reference: np.ndarray, products: np.ndarray, out: np.ndarray
-) -> _Branches:
-    """Correct the (N, 16, 4, 4) recovered branch states into `out`, with
-    the fidelity products written to `products`; both are (N, 16, 4, 4)
-    buffers, apart from each other and from `recovered`.
+def _branch_forms(recovered: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, out: np.ndarray) -> tuple:
+    """The parts of every branch's correction that do not depend on q_w,
+    for (N, 16, 4, 4) recovered states and the (N, 2, 2) inputs whose
+    product rho_a (x) rho_b is each row's reference.
+
+    Returns the recovered traces `joint`, (N, 16); the real diagonals of
+    the recovered states, Re X_k[a, a], as an (N, 16, 4) view; and the
+    fidelity forms F_k[s] = sign_k(e) Re(X_k[s] ref[c, r]) for every source
+    entry s of branch k and its output entry e = 4r + c
+    (`_FIDELITY_TABLE`), as an (N, 16, 16) real view of `out`, an
+    (N, 16, 4, 4) complex buffer apart from `recovered`.
+    """
+    n = len(recovered)
+    flat, forms = recovered.reshape(n, 16, 16), out.reshape(n, 16, 16)
+    # Each row's [ref, -ref], from Alice's input and its negative, gathered
+    # by constant indices in range: "clip" lets numpy write straight into
+    # `out`, where "raise" would buffer.
+    signed = _kron_batched(rho_a[:, None] * _PLUS_MINUS, rho_b[:, None]).reshape(n, 32)
+    signed.take(_FIDELITY_TABLE, axis=1, out=forms, mode="clip")
+    forms *= flat
+    return np.einsum("...ii->...", recovered).real, flat[:, :, ::5].real, forms.real
+
+
+def _correct_branches(recovered: np.ndarray, forms: tuple, diagonals: np.ndarray, out=None) -> _Branches:
+    """Correct the (N, 16, 4, 4) recovered branch states at one q_w, from
+    their q_w-free `_branch_forms`; the normalized corrected states go to
+    `out`, an (N, 16, 4, 4) buffer apart from `recovered`, and are left out
+    (None) when `out` is None.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
     classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w
     = (U_i (x) U_j)(m_w (x) m_w). `diagonals` holds the diagonal of m_w as
     `_weak_diagonals` gives it, (1, 2) for every row or (N, 2) one per row.
-    Branch fidelities are tr(reference . corrected) against the (N, 4, 4)
-    reference products.
+    The weak pair is diagonal, D = m_w (x) m_w, so it scales entry s = (a, b)
+    by scale(s) = D_a D_b; the Pauli pair then moves and signs the entries
+    and changes no trace. So a branch's success weight is sum_a D_a^2
+    Re X[a, a] and its fidelity tr(ref . C) is sum_s scale(s) F[s] over
+    that weight, each a contraction over one row's own entries, so a row's
+    value does not depend on N.
+
+    A branch is degenerate (annihilated) when its recovered trace is at or
+    below `DEGENERATE_TOL` or its weight is below it; its weight, fidelity
+    and corrected state are set to 0.
     """
-    n = recovered.shape[0]
-    # The weak pair is diagonal, D = m_w (x) m_w, so it scales entry (a, b)
-    # by D_a D_b; the Pauli pair then moves and signs the entries. The
-    # gather's indices are constants in range, and "clip" lets numpy write
-    # straight into `out`, where "raise" would buffer.
+    joint, diagonal, fidelity_forms = forms
     pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(-1, 4)
     scale = (pair[:, :, None] * pair[:, None, :]).reshape(-1, 16)
-    flat = out.reshape(n, 16, 16)
-    recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1, out=flat, mode="clip")
-    flat *= _PAULI_SIGN * scale.take(_PAULI_SOURCE, axis=1)
-    # _settle folds the -0.0 a sign flip leaves on zero entries into 0.0.
-    joint, weight, corrected, degenerate = _settle(recovered, out)
-    # tr(R C) as one contiguous 16-term sum per branch, so a row's value
-    # does not depend on N.
-    products = products.reshape(n, 16, 16)
-    np.multiply(reference.swapaxes(-1, -2).reshape(n, 1, 16), flat, out=products)
-    fidelity = products.sum(axis=-1).real
-    return _Branches(recovered, joint, weight, corrected, fidelity, degenerate)
+    weight = np.einsum("...ka,...a->...k", diagonal, scale[:, ::5])
+    degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
+    weight[degenerate] = 0.0
+    # Dividing by infinity zeroes a degenerate branch's fidelity and state.
+    norm = np.where(degenerate, np.inf, weight)
+    fidelity = np.einsum("...ks,...s->...k", fidelity_forms, scale) / norm
+    if out is not None:
+        # The gather moves each entry; one multiply by a real factor then
+        # signs, scales and normalizes it.
+        n = len(recovered)
+        flat = out.reshape(n, 16, 16)
+        recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1, out=flat, mode="clip")
+        flat *= _PAULI_SIGN * scale.take(_PAULI_SOURCE, axis=1) / norm[:, :, None]
+    return _Branches(recovered, joint, weight, out, fidelity, degenerate)
 
 
 def _recover(
@@ -599,8 +622,10 @@ def _recover(
     # contraction over (y, y') leaves rows (i, m, m') and columns (w, w')
     # for Bob's; order the result (n, i, j, m, m').
     d = dist.reshape(-1, 2, 4, 2, 2, 4, 2).transpose(0, 1, 4, 2, 5, 3, 6).reshape(-1, 4, 64)
-    rows = 4 * n // len(d)
-    np.matmul(alice.reshape(len(d), rows, 4), d, out=folded_a.reshape(len(d), rows, 64))
+    # One state takes the 2-D product, the same as a stack of one without
+    # the batch loop.
+    lead = (len(d), -1) if dist.ndim == 3 else (-1,)
+    np.matmul(alice.reshape(*lead, 4), d if dist.ndim == 3 else d[0], out=folded_a.reshape(*lead, 64))
     np.matmul(folded_a.reshape(n, 64, 4), bob, out=folded_ab.reshape(n, 64, 4))
     out.reshape(n, 4, 4, 4, 4)[...] = folded_ab.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3)
     return out
@@ -627,10 +652,12 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     holds whole groups, at most `_BLOCK_ROWS` rows unless one group is more.
 
     The thread's three scratch stacks hold Alice's fold, then the
-    fidelity products; both parties' fold, then the corrected states; the
-    recovered states. With `owned`, the recovered and corrected states go
-    to fresh stacks that the caller keeps; otherwise each `_Branches` is
-    overwritten by the next one and by any later kernel call on the thread.
+    block's q_w-free fidelity forms, which every entry of `q_ws` reads;
+    both parties' fold; the recovered states. With `owned`, the recovered
+    states go to a fresh stack, and each entry's corrected states to
+    another, that the caller keeps; otherwise no corrected state is built,
+    and each `_Branches` is overwritten by the next one and by any later
+    kernel call on the thread.
     """
     rows = np.asarray(rows, dtype=float)
     n, groups = len(rows), len(dist) if dist.ndim == 3 else 1
@@ -651,10 +678,10 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
         # Party-major, so each party's states are contiguous.
         rho_a, rho_b = _input_densities(rows[lo:hi, 0::2].T, rows[lo:hi, 1::2].T)
         _recover(dist[g : g + per] if dist.ndim == 3 else dist, rho_a, rho_b, temp, folded_ab, recovered)
-        reference = _kron_batched(rho_a, rho_b)
+        forms = _branch_forms(recovered, rho_a, rho_b, temp)
         for d in diagonals:
-            corrected = _branch_stack(hi - lo) if owned else folded_ab
-            yield _correct_branches(recovered, d[lo:hi] if len(d) > 1 else d, reference, temp, corrected)
+            corrected = _branch_stack(hi - lo) if owned else None
+            yield _correct_branches(recovered, forms, d[lo:hi] if len(d) > 1 else d, corrected)
 
 
 def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:
@@ -695,12 +722,11 @@ def enumerate_branches(
     """
     if total.shape != (64, 64):
         raise ValueError("enumerate_branches expects the 6-qubit composed state")
-    diagonals = _weak_diagonals(q_w, scenario, 1)
-    reference = kron(alice_in.density(), bob_in.density())[None]
     # Row block k of the projection stack gives the (2, 3) state of branch k.
     proj = _branch_contractions().reshape(16, 4, 64)
     rec = proj @ total @ proj.conj().swapaxes(-1, -2)
-    return _correct_branches(rec[None], diagonals, reference, _branch_stack(1), _branch_stack(1)).outcomes()
+    forms = _branch_forms(rec[None], alice_in.density()[None], bob_in.density()[None], _branch_stack(1))
+    return _correct_branches(rec[None], forms, _weak_diagonals(q_w, scenario, 1), _branch_stack(1)).outcomes()
 
 
 def run_protocol(

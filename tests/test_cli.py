@@ -379,6 +379,26 @@ def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
     assert 0 < len(folds) <= 51
 
 
+def test_verify_builds_each_protected_state_once(monkeypatch):
+    # Checks 4 and 8 read the protected states at their 51 p from one
+    # `_protected_points`, and check 8 computes each entropy once, so
+    # together they distribute each (scenario, p) once. All of verify made
+    # 410 distribute calls when each check built its own.
+    built, entropies = [], []
+    distribute, entropy = cli.distribute, cli.entanglement_entropy_bob
+    monkeypatch.setattr(cli, "distribute", lambda scenario, p: built.append((scenario, p)) or distribute(scenario, p))
+    monkeypatch.setattr(cli, "entanglement_entropy_bob", lambda state: entropies.append(1) or entropy(state))
+    points = cli._protected_points()
+    cli._check_eam(points)
+    cli._check_entropy(points)
+    # The strictness p that are not among the 51 are the only others.
+    others = {0.1 * k for k in range(1, 10)} - set(cli._EDGE_PS)
+    assert len(built) == len(set(built)) == len(entropies) == 2 * (len(cli._EDGE_PS) + len(others))
+    built.clear()
+    assert all(err <= tol for _, err, tol, _, _ in cli._verify_checks(10))
+    assert len(built) <= 292
+
+
 def test_verify_fails_on_nan_closed_forms(monkeypatch, capsys):
     # Checks 1, 3 and 4 compare against closed forms; a NaN there must
     # surface as their error and fail them, not be passed over.

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from bqtsim import protocol
 from bqtsim.channels import DEGENERATE_TOL, DegenerateBranchError
 from bqtsim.linalg import assert_density
 from bqtsim.metrics import QuadratureSpec, _average_fidelities, average_fidelity
@@ -19,10 +20,11 @@ from bqtsim.protocol import (
     QubitInput,
     Scenario,
     _Branches,
+    _branch_forms,
+    _correct_branches,
     _input_densities,
     _row_totals,
     _run_rows,
-    _settle,
     _weak_diagonals,
     apply_correction,
     compose_total,
@@ -192,6 +194,24 @@ def test_correction_matches_explicit_operators(scenario):
         assert degenerate_seen > 0
 
 
+@pytest.mark.parametrize("scenario", tuple(Scenario))
+def test_fidelity_is_trace_against_corrected_state(scenario):
+    """Each live branch's fidelity, contracted from the q_w-free forms,
+    equals Re tr(reference . corrected) of the owned corrected state,
+    computed directly, to 1e-15 relative (exactly, where that is 0)."""
+    rng = np.random.default_rng(149 + list(Scenario).index(scenario))
+    live = 0
+    for p, q, alice, bob in draws(scenario, rng):
+        reference = np.kron(alice.density(), bob.density())
+        for b in run_protocol(scenario, p, q, alice, bob).branches:
+            if b.degenerate:
+                continue
+            live += 1
+            want = np.trace(reference @ b.corrected).real
+            assert abs(b.branch_fidelity - want) <= 1e-15 * abs(want), f"{scenario.value} p={p} q_w={q}"
+    assert live > 0
+
+
 def identical(x, y) -> bool:
     """Equal bit for bit, so signed zeros and NaN positions count too."""
     x, y = np.asarray(x), np.asarray(y)
@@ -275,6 +295,39 @@ def test_multi_qw_average_matches_one_average_per_qw(quad):
             assert identical(got, want), f"{scenario.value} p={p} q_w={qs}"
             if scenario.protected and p == 1.0:
                 assert math.isnan(got[1]) and not math.isnan(got[0])
+
+
+def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
+    """The q_w-free forms are built once per fold, however many q_w a
+    totals-only call corrects at: one state with 100 rows, a stack of
+    three states whose groups each fill a block, and the input average."""
+    stages = dict.fromkeys(("_recover", "_branch_forms"), 0)
+
+    def counted(name):
+        stage = getattr(protocol, name)
+
+        def count(*args):
+            stages[name] += 1
+            return stage(*args)
+
+        return count
+
+    for name in stages:
+        monkeypatch.setattr(protocol, name, counted(name))
+    scenario = Scenario.RECOVERY_ADC
+    qs = [0.1 * k for k in range(1, 10)]
+    rng = np.random.default_rng(151)
+    dists = np.stack([distribute(scenario, p)[0] for p in (0.2, 0.5, 0.9)])
+    size = _BLOCK_ROWS // 2 + 1
+    calls = (
+        (lambda: _row_totals(dists[0], scenario, qs, rng.random((100, 4))), 1),
+        (lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))), 3),
+        (lambda: _average_fidelities(dists[1], scenario, qs, QuadratureSpec(points=64)), 1),
+    )
+    for call, folds in calls:
+        stages.update(dict.fromkeys(stages, 0))
+        call()
+        assert stages == {"_recover": folds, "_branch_forms": folds}
 
 
 BRANCH_FIELDS = ("recovered", "joint", "weight", "corrected", "fidelity", "degenerate")
@@ -441,25 +494,27 @@ def test_input_densities_broadcast_row_by_row():
             assert got[idx].tobytes() == want.tobytes(), idx
 
 
-def diagonal_states(*entries):
-    """(len(entries), 4, 4) states with one nonzero entry each, at (0, 0),
-    so each trace is that entry exactly."""
-    states = np.zeros((len(entries), 4, 4), dtype=complex)
-    states[:, 0, 0] = entries
-    return states
-
-
 def test_degenerate_thresholds_are_exact():
-    """The rules `channels.DEGENERATE_TOL` states: a branch is degenerate
-    when its recovered trace is at or below the tolerance or its weight is
-    below it; the doubles next to the tolerance fall the other way."""
+    """The rules `channels.DEGENERATE_TOL` states, at their one site in the
+    kernel: a branch is degenerate when its recovered trace is at or below
+    the tolerance or its weight is below it; the doubles next to the
+    tolerance fall the other way. Each row's 16 branches share one
+    diagonal recovered state. At q_w = 0 the weight is the trace; all-adc
+    at q_w = 1 keeps only entry (3, 3), so there a trace of 1 + w has
+    weight w."""
     above, below = np.nextafter(DEGENERATE_TOL, 1.0), np.nextafter(DEGENERATE_TOL, 0.0)
-    traces = diagonal_states(DEGENERATE_TOL, above, 1.0, 1.0)
-    weights = [1.0, 1.0, DEGENERATE_TOL, below]
-    joint, weight, _, degenerate = _settle(traces, diagonal_states(*weights))
-    assert joint.tolist() == [DEGENERATE_TOL, above, 1.0, 1.0]
-    assert degenerate.tolist() == [True, False, False, True]
-    assert weight.tolist() == [0.0, 1.0, DEGENERATE_TOL, 0.0]
+    entries = [(DEGENERATE_TOL, 0.0), (above, 0.0), (1.0, DEGENERATE_TOL), (1.0, below)]
+    recovered = np.zeros((4, 16, 4, 4), dtype=complex)
+    for n, (first, last) in enumerate(entries):
+        recovered[n, :, 0, 0], recovered[n, :, 3, 3] = first, last
+    inputs = _input_densities(np.full(4, 0.5))
+    forms = _branch_forms(recovered, inputs, inputs, np.empty_like(recovered))
+    diagonals = _weak_diagonals([0.0, 0.0, 1.0, 1.0], Scenario.ALL_ADC, 4)
+    branches = _correct_branches(recovered, forms, diagonals)
+    assert branches.joint.tolist() == [[x + y] * 16 for x, y in entries]
+    assert branches.degenerate.tolist() == [[flag] * 16 for flag in (True, False, False, True)]
+    assert branches.weight.tolist() == [[w] * 16 for w in (0.0, above, DEGENERATE_TOL, 0.0)]
+    assert branches.corrected is None
 
 
 def test_postselected_fidelity_needs_success_above_tolerance():

@@ -16,9 +16,9 @@ from bqtsim import protocol
 from bqtsim.metrics import QuadratureSpec, _average_fidelities
 from bqtsim.protocol import (
     Scenario,
+    _branch_forms,
     _correct_branches,
     _input_densities,
-    _kron_batched,
     _recover,
     _row_totals,
     _run_rows,
@@ -78,9 +78,9 @@ def test_threads_get_what_each_computes_alone():
 
 
 def test_stages_write_only_the_buffers_they_are_given():
-    """In a fresh thread, which has no scratch yet, `_recover` and
-    `_correct_branches` given caller buffers leave it without one, and
-    give `_run_rows`' branches by bytes."""
+    """In a fresh thread, which has no scratch yet, `_recover`,
+    `_branch_forms` and `_correct_branches` given caller buffers leave it
+    without one, and give `_run_rows`' branches by bytes."""
     scenario = Scenario.ALL_ADC
     dist, _ = distribute(scenario, 0.4)
     rows = np.array([[0.3, 0.7, 0.8, 1.9], [0.6, 0.0, 0.1, 2.5]])
@@ -91,8 +91,9 @@ def test_stages_write_only_the_buffers_they_are_given():
         rho_a, rho_b = rho[:, 0], rho[:, 1]
         folded_a, folded_ab, recovered, corrected = (np.empty((2, 16, 4, 4), dtype=complex) for _ in range(4))
         _recover(dist, rho_a, rho_b, folded_a, folded_ab, recovered)
+        forms = _branch_forms(recovered, rho_a, rho_b, folded_a)
         diagonals = _weak_diagonals([0.25, 0.9], scenario, 2)
-        got["branches"] = _correct_branches(recovered, diagonals, _kron_batched(rho_a, rho_b), folded_a, corrected)
+        got["branches"] = _correct_branches(recovered, forms, diagonals, corrected)
         got["scratch"] = hasattr(protocol._SCRATCH, "bufs")
 
     thread = threading.Thread(target=work)

@@ -17,7 +17,8 @@ and minimum of each tree's block times in us, the change's median over
 the parent's, and how many blocks the change won. The targets:
 
   verify         cli.main(["verify"]), stdout captured
-  check1..check8 each verify check function (checks 5 and 6 share one)
+  check1..check8 each verify check function (checks 5 and 6 share one);
+                 checks 4 and 8 build the protected states they read
   sweep          cli.main of a one-p `sweep`, input-averaged, two q_w rows
   average64      metrics._average_fidelities, 64 nodes, two q_w
   run_protocol   one call at an interior point
@@ -40,6 +41,7 @@ import argparse
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import statistics
@@ -86,6 +88,19 @@ def quiet(fn, *args):
         return fn(*args)
 
 
+def check_call(cli, name: str, args: tuple):
+    """A call of verify check `name` on `cli`, or None if the tree lacks it.
+    A check that reads the protected states verify builds once for checks
+    4 and 8 (a `points` parameter) builds them in the call, as a tree whose
+    checks build their own states does."""
+    fn = getattr(cli, name, None)
+    if fn is None:
+        return None
+    if "points" in inspect.signature(fn).parameters:
+        return lambda: fn(*args, cli._protected_points())
+    return lambda: fn(*args)
+
+
 def targets(pkg) -> dict:
     """Each target's call on `pkg`; None for one whose entry point it lacks."""
     cli, metrics, protocol = pkg.cli, pkg.metrics, pkg.protocol
@@ -95,9 +110,8 @@ def targets(pkg) -> dict:
     alice, bob = protocol.QubitInput(0.3, 1.1), protocol.QubitInput(0.6, 2.0)
     rows = np.random.default_rng(7).random((64, 4))
     found = {"verify": lambda: quiet(cli.main, ["verify"])}
-    for label, (fn, args) in CHECKS.items():
-        fn = getattr(cli, fn, None)
-        found[label] = fn and (lambda fn=fn, args=args: fn(*args))
+    for label, (name, args) in CHECKS.items():
+        found[label] = check_call(cli, name, args)
     found["sweep"] = lambda: quiet(cli.main, SWEEP)
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], quad)
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)

@@ -1,7 +1,8 @@
 """Print one sha256 per family of bqtsim outputs, so that two checkouts can
-be compared bit for bit.
+be compared bit for bit, and, given a second checkout, how far apart they
+are.
 
-    python tools/bitcorpus.py SRC_DIR
+    python tools/bitcorpus.py SRC_DIR [--against OTHER_SRC]
 
 SRC_DIR is the `src` directory of the checkout to hash; bqtsim is imported
 from there and nowhere else. Run the script on two checkouts and compare
@@ -20,12 +21,24 @@ least one bit. The families:
   cli            stdout, stderr and exit status of the command lines of
                  tests/test_cli_golden.py, of a few more, and of usage errors
 
+With --against, both trees are imported in one process, under names of
+their own, and each family prints both hashes. For a family whose hashes
+differ, every leaf of every output is held against the other tree's, and
+the differences are sorted by kind: a type, shape or error that differs
+(structure), text, a boolean such as a degenerate mask (mask), NaN or
+infinity positions (nan), zeros that differ only in sign, values left on
+degenerate branches (dead branch), and rounding.
+For each kind the count of leaves and the first case show; for rounding,
+per named field, the largest absolute and relative difference (over the
+larger magnitude of the two) and the case of each.
+
 Only entry points whose signatures have stayed put are called, so one copy
 of this script runs on older checkouts too. Needs numpy only, and takes a
-few seconds; it is not part of the test suite.
+few seconds (about 20 s with --against); it is not part of the test suite.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -137,12 +150,13 @@ def attempt(fn, *args):
         return exc
 
 
-def family_distribute(h, bq) -> int:
+def family_distribute(out, bq) -> int:
     count = 0
     for scenario in bq.Scenario:
         for p in P_GRID:
             got = attempt(bq.distribute, scenario, p)
-            feed(h, (scenario.value, p, got if isinstance(got, BaseException) else (state(got[0]), got[1])))
+            item = (scenario.value, p, got if isinstance(got, BaseException) else (state(got[0]), got[1]))
+            out(f"{scenario.value} p={p!r}", item)
             count += 1
     return count
 
@@ -155,7 +169,7 @@ ODD_QS = (0.0, -0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, -1e-300,
           math.nan, math.inf, -math.inf, np.float64(0.3), 0, 1)
 
 
-def family_run_protocol(h, bq) -> int:
+def family_run_protocol(out, bq) -> int:
     rng = np.random.default_rng(20261018)
     count = 0
     for scenario in bq.Scenario:
@@ -166,21 +180,29 @@ def family_run_protocol(h, bq) -> int:
                     alice, bob = bq.QubitInput(row[0], row[1]), bq.QubitInput(row[2], row[3])
                     res = attempt(bq.run_protocol, scenario, p, q, alice, bob)
                     count += 1
+                    case = f"{scenario.value} p={p!r} q_w={q!r} inputs={row}"
                     if isinstance(res, BaseException):
-                        feed(h, res)
+                        out(case, res)
                         continue
-                    feed(h, (type(res.q_w).__name__, res.q_w))
-                    feed(h, (res.eam_success, res.total_success, res.total_fidelity, res.postselected_fidelity))
+                    out(case, (type(res.q_w).__name__, res.q_w), ("q_w type", "q_w"))
+                    out(case, (res.eam_success, res.total_success, res.total_fidelity, res.postselected_fidelity),
+                        RESULT_FIELDS)
                     for b in res.branches:
-                        feed(h, (b.alice_index, b.bob_index, b.joint_prob, b.success_weight,
-                                 b.branch_fidelity, b.degenerate, state(b.recovered), state(b.corrected)))
+                        out(f"{case} branch ({b.alice_index},{b.bob_index})",
+                            (b.alice_index, b.bob_index, b.joint_prob, b.success_weight,
+                             b.branch_fidelity, b.degenerate, state(b.recovered), state(b.corrected)), BRANCH_FIELDS)
     return count
 
 
 BRANCH_ARRAYS = ("recovered", "joint", "weight", "corrected", "fidelity", "degenerate")
+TOTALS = ("total_success", "total_fidelity", "postselected_fidelity")
+# The field names of run_protocol's items, which `--against` reports by.
+RESULT_FIELDS = ("eam_success",) + TOTALS
+BRANCH_FIELDS = ("alice_index", "bob_index", "joint_prob", "success_weight", "branch_fidelity", "degenerate",
+                 "recovered", "corrected")
 
 
-def family_run_rows(h, bq, protocol) -> int:
+def family_run_rows(out, bq, protocol) -> int:
     count = 0
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -190,69 +212,210 @@ def family_run_rows(h, bq, protocol) -> int:
                 for n in ROW_COUNTS:
                     rows = edge_rows(rng, n)
                     per_row = edge_qs(rng, scenario, p, n)
-                    for q_w in (float(per_row[0]), per_row):
+                    for kind, q_w in (("float", float(per_row[0])), ("per-row", per_row)):
                         branches = protocol._run_rows(dist, scenario, q_w, rows)
-                        feed(h, [getattr(branches, name) for name in BRANCH_ARRAYS])
-                        feed(h, branches.totals())
+                        case = f"seed {seed} {scenario.value} p={p!r} {n} rows, {kind} q_w"
+                        out(case, [getattr(branches, name) for name in BRANCH_ARRAYS], BRANCH_ARRAYS)
+                        out(case, branches.totals(), TOTALS)
                         count += 1
     return count
 
 
-def family_average(h, bq, metrics) -> int:
+def family_average(out, bq, metrics) -> int:
     count = 0
     for scenario in bq.Scenario:
         for p in P_GRID[::2] + (1.0,):
             dist, _ = bq.distribute(scenario, p)
             qs = [0.0, 1e-12, p, 0.5, 1.0 - 1e-9, 1.0] if scenario.protected else [0.0]
             for points in NODE_COUNTS:
-                feed(h, metrics._average_fidelities(dist, scenario, qs, metrics.QuadratureSpec(points)))
+                case = f"{scenario.value} p={p!r} q_w={qs} {points} nodes"
+                names = [f"f_av at q_w={q}" for q in ("0", "1e-12", "p", "0.5", "1-1e-9", "1")[: len(qs)]]
+                out(case, metrics._average_fidelities(dist, scenario, qs, metrics.QuadratureSpec(points)), names)
                 count += 1
     return count
 
 
-def family_verify(h, cli) -> int:
+def family_verify(out, cli) -> int:
     for grid in (2, 3, 10):
-        feed(h, cli._verify_checks(grid))
+        out(f"grid {grid}", cli._verify_checks(grid), [f"check {k}" for k in range(1, 9)])
     return 3
 
 
-def family_cli(h, cli) -> int:
+def family_cli(out, cli) -> int:
     argvs = golden_argv() + EXTRA_ARGV + USAGE_ARGV
     for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-        feed(h, (argv, out.getvalue(), err.getvalue(), code))
+        out(" ".join(argv), (argv, stdout.getvalue(), stderr.getvalue(), code))
     return len(argvs)
 
 
-def main(argv: list) -> int:
-    if len(argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    src = Path(argv[1]).resolve()
-    sys.path.insert(0, str(src))
-    import bqtsim as bq
-    from bqtsim import cli, metrics, protocol
-
-    if Path(bq.__file__).resolve().parent != src / "bqtsim":
-        print(f"error: bqtsim imported from {bq.__file__}, not from {src}", file=sys.stderr)
-        return 2
-    families = (
-        ("distribute", lambda h: family_distribute(h, bq)),
-        ("run_protocol", lambda h: family_run_protocol(h, bq)),
-        ("_run_rows", lambda h: family_run_rows(h, bq, protocol)),
-        ("average", lambda h: family_average(h, bq, metrics)),
-        ("verify", lambda h: family_verify(h, cli)),
-        ("cli", lambda h: family_cli(h, cli)),
+def families(pkg) -> tuple:
+    """(name, run) of every family on one imported package, run(out)
+    calling out(case, item, names) for each item, with names for its
+    top-level parts where they have them, and returning the case count."""
+    bq, cli, metrics, protocol = pkg, pkg.cli, pkg.metrics, pkg.protocol
+    return (
+        ("distribute", lambda out: family_distribute(out, bq)),
+        ("run_protocol", lambda out: family_run_protocol(out, bq)),
+        ("_run_rows", lambda out: family_run_rows(out, bq, protocol)),
+        ("average", lambda out: family_average(out, bq, metrics)),
+        ("verify", lambda out: family_verify(out, cli)),
+        ("cli", lambda out: family_cli(out, cli)),
     )
-    for name, run in families:
-        h = hashlib.sha256()
-        count = run(h)
-        print(f"{name:<13} {h.hexdigest()}  ({count} cases)")
+
+
+def collect(run) -> tuple:
+    """A family's sha256 and its (case, item) list."""
+    h, items = hashlib.sha256(), []
+
+    def out(case, item, names=()):
+        feed(h, item)
+        items.append((case, item, names))
+
+    run(out)
+    return h.hexdigest(), items
+
+
+def leaves(item, path="", names=()):
+    """(path, leaf) of every leaf `feed` hashes, in its order, the top-level
+    parts of the item named by `names` where given."""
+    if isinstance(item, (tuple, list)):
+        for k, part in enumerate(item):
+            yield from leaves(part, f"{path}.{names[k]}" if k < len(names) else f"{path}[{k}]")
+    else:
+        yield path, item
+
+
+def compare_leaf(a, b):
+    """How leaf b differs from leaf a, or None where their bytes agree:
+    ("structure", text) for a type, shape, dtype or error that differs;
+    ("text", text) for strings; ("mask", count) for booleans, degenerate
+    masks among them; ("nan", count) where NaN or infinity positions
+    differ; ("signed zero", count) where only the sign of a zero does;
+    otherwise ("rounding", largest absolute, largest relative difference),
+    the relative one over the larger magnitude of the two."""
+    if isinstance(a, str) and isinstance(b, str):
+        if a == b:
+            return None
+        lines = [(x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y] or [(a, b)]
+        return "text", f"first differing line {lines[0][0]!r} -> {lines[0][1]!r}"
+    if isinstance(a, (str, BaseException)) or a is None or isinstance(b, (str, BaseException)) or b is None:
+        return None if type(a) is type(b) and repr(a) == repr(b) else ("structure", f"{a!r} -> {b!r}")
+    x, y = np.asarray(a), np.asarray(b)
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return "structure", f"{x.dtype}{x.shape} -> {y.dtype}{y.shape}"
+    if x.tobytes() == y.tobytes():
+        return None
+    if x.dtype.kind not in "fc":
+        return ("mask" if x.dtype == bool else "structure"), f"{int(np.sum(x != y))} entries"
+    fx, fy = np.isfinite(x), np.isfinite(y)
+    odd = (fx != fy) | (~fx & ~((x == y) | (np.isnan(x) & np.isnan(y))))
+    if odd.any():
+        return "nan", f"{int(odd.sum())} entries"
+    diff = np.where(fx, np.abs(x - y), 0.0)
+    if not diff.any():
+        return "signed zero", "only zero signs differ"
+    big = np.maximum(np.abs(x), np.abs(y))
+    return "rounding", float(diff.max()), float(np.max(diff / np.where(big > 0.0, big, 1.0)))
+
+
+KINDS = ("structure", "text", "mask", "nan", "signed zero", "dead branch", "rounding")
+
+
+def split_dead(x, y, dead):
+    """Leaves x and y with the entries of degenerate branches taken out,
+    when their leading axes are those of the mask `dead`, and whether those
+    entries differ; x and y as they are otherwise."""
+    if dead is None or not isinstance(x, np.ndarray) or x.shape[: dead.ndim] != dead.shape or x.dtype == bool:
+        return x, y, False
+    if not isinstance(y, np.ndarray) or y.shape != x.shape:
+        return x, y, False
+    return x[~dead], y[~dead], x[dead].tobytes() != y[dead].tobytes()
+
+
+def report(mine: list, other: list) -> None:
+    """Print how a family's items on the other tree differ from this one's:
+    for each kind of difference, how many leaves and the first case with
+    one; for rounding, per named field, the largest absolute and relative
+    difference and the case of each. Where an item names a `degenerate`
+    mask and both trees' masks agree, the entries of degenerate branches
+    are held apart ("dead branch"): their values are whatever the kernel
+    leaves there, so they are no rounding of a live value."""
+    if [case for case, _, _ in mine] != [case for case, _, _ in other]:
+        print(f"  structure    the trees run different cases ({len(mine)} against {len(other)})")
+        return
+    counts, first, worst = dict.fromkeys(KINDS, 0), {}, {}
+
+    def note(kind, where, detail):
+        counts[kind] += 1
+        first.setdefault(kind, f"{where}: {detail}")
+
+    for (case, a, names), (_, b, _) in zip(mine, other):
+        left, right = list(leaves(a, names=names)), list(leaves(b, names=names))
+        pairs = list(zip(left, right)) if len(left) == len(right) else [(("", repr(a)), ("", repr(b)))]
+        masks = [(x, y) for (path, x), (_, y) in pairs if path == ".degenerate"]
+        dead = None
+        if masks and isinstance(masks[0][0], np.ndarray) and np.array_equal(*masks[0]):
+            dead = masks[0][0]
+        for (path, x), (_, y) in pairs:
+            x, y, dead_differs = split_dead(x, y, dead)
+            if dead_differs:
+                note("dead branch", f"{case} {path}", "values on degenerate branches differ")
+            found = compare_leaf(x, y)
+            if found is None:
+                continue
+            note(found[0], f"{case} {path}", found[1])
+            if found[0] == "rounding":
+                entry = worst.setdefault(path, [0, (0.0, ""), (0.0, "")])
+                entry[0] += 1
+                for k in (1, 2):
+                    if found[k] > entry[k][0]:
+                        entry[k] = (found[k], case)
+    for kind in KINDS:
+        if not counts[kind]:
+            print(f"  {kind:<12} none")
+        elif kind != "rounding":
+            print(f"  {kind:<12} {counts[kind]} leaves, first at {first[kind]}")
+    for path, (count, (big_abs, at_abs), (big_rel, at_rel)) in worst.items():
+        print(f"  rounding     {path.lstrip('.')}: {count} leaves")
+        print(f"    largest abs {big_abs:.3g} at {at_abs}")
+        print(f"    largest rel {big_rel:.3g} at {at_rel}")
+
+
+def main(argv: list) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("src", type=Path, help="the src directory of the checkout to hash")
+    parser.add_argument("--against", type=Path, metavar="OTHER_SRC", help="a second checkout to compare with")
+    args = parser.parse_args(argv[1:])
+    src = args.src.resolve()
+    if args.against is None:
+        sys.path.insert(0, str(src))
+        import bqtsim as bq
+        from bqtsim import cli, metrics, protocol  # noqa: F401, the families read them as attributes
+
+        if Path(bq.__file__).resolve().parent != src / "bqtsim":
+            print(f"error: bqtsim imported from {bq.__file__}, not from {src}", file=sys.stderr)
+            return 2
+        for name, run in families(bq):
+            h = hashlib.sha256()
+            count = run(lambda case, item, names=(): feed(h, item))
+            print(f"{name:<13} {h.hexdigest()}  ({count} cases)")
+        return 0
+    from abtime import load
+
+    pkgs = [load(path.resolve(), f"bqtsim_{side}") for side, path in (("mine", src), ("other", args.against))]
+    for (name, run), (_, run_other) in zip(*(families(pkg) for pkg in pkgs)):
+        (digest, mine), (digest_other, other) = collect(run), collect(run_other)
+        if digest == digest_other:
+            print(f"{name:<13} {digest}  same ({len(mine)} items)")
+            continue
+        print(f"{name:<13} {digest} -> {digest_other}")
+        report(mine, other)
     return 0
 
 
