@@ -23,8 +23,9 @@ __all__ = ["DEGENERATE_TOL"]
 
 # A post-selection weight below this is treated as annihilated. A branch is
 # degenerate when its recovered trace is at or below it or its success
-# weight is below it (protocol._correct_branches, and
-# protocol.apply_correction on its own for the tests).
+# weight is below it. The kernel (protocol._correct_branches) forms each
+# as the product of the two parties' factors; protocol.apply_correction
+# applies the rule on its own to the 4x4 state, for the tests.
 DEGENERATE_TOL = 1e-14
 
 

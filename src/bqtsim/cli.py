@@ -208,11 +208,13 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # every list by `_worst`; a check passes when that error is at most its
 # tolerance, so a NaN error, ranked above all others, fails it. Checks 7
 # and 8 list signed margins, negative while each inequality holds.
-# Checks 1, 2, 3 and 7 stack the states of all their p (`_states`) and
-# make one kernel call per scenario, which folds a block of p at a time;
-# an input row a check needs besides the quadrature nodes goes in the
-# nodes' fold. A fold's fixed set-up outweighs a few rows of arithmetic,
-# and one call per p made 326 folds at the default grid where this makes 80.
+# Every check reads its distributed states from one map per run
+# (`_Points`), so each (scenario, p) is distributed once. Checks 1, 2, 3
+# and 7 stack the states of all their p (`_states`) and make one kernel
+# call per scenario, which folds every p at once; an input row a check
+# needs besides the quadrature nodes goes in the nodes' fold. A fold's
+# fixed set-up outweighs a few rows of arithmetic, and one call per p made
+# 326 folds at the default grid where this makes 18.
 
 # The per-party averaging integrands are quadratics where the weak pulse
 # cancels the pole (bare scenarios, q_w = 0 and q_w = p), so 32 Gauss nodes
@@ -243,23 +245,26 @@ def _draw_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     return rows
 
 
-def _states(scenario: Scenario, ps) -> np.ndarray:
+class _Points(dict):
+    """`distribute(scenario, p)` at each key (scenario, p), made on first
+    read; one map per verify run, which every check reads its states
+    from."""
+
+    def __missing__(self, key: tuple) -> tuple:
+        found = self[key] = distribute(*key)
+        return found
+
+
+def _states(points: _Points, scenario: Scenario, ps) -> np.ndarray:
     """The (len(ps), 16, 16) stack of the scenario's distributed states."""
-    return np.stack([distribute(scenario, p)[0] for p in ps])
+    return np.stack([points[scenario, p][0] for p in ps])
 
 
-# The p of checks 4 and 8, which read each protected scenario's states
-# there from one `_protected_points` per verify run.
+# The p of checks 4 and 8.
 _EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 
 
-def _protected_points() -> dict:
-    """Each protected scenario's `distribute` result at each p of `_EDGE_PS`,
-    as {scenario: {p: (state, probability)}}."""
-    return {scenario: {p: distribute(scenario, p) for p in _EDGE_PS} for scenario in _PROTECTED}
-
-
-def _check_success_oracle(grid_n: int) -> list:
+def _check_success_oracle(grid_n: int, points: _Points) -> list:
     rng = np.random.default_rng(1001)
     grid = [k / grid_n for k in range(grid_n)]
     # Ten input draws per q_w at each p, drawn p by p.
@@ -268,7 +273,7 @@ def _check_success_oracle(grid_n: int) -> list:
     for scenario in _PROTECTED:
         name = _form_name("g_t", scenario)
         rows = _draw_rows(rng, grid_n * len(qs))
-        success = _row_totals(_states(scenario, grid), scenario, [np.tile(qs, grid_n)], rows)[0][0]
+        success = _row_totals(_states(points, scenario, grid), scenario, [np.tile(qs, grid_n)], rows)[0][0]
         for p, got in zip(grid, success.reshape(grid_n, -1)):
             err = np.abs(got - np.repeat([closed_form(name, p, q).value for q in grid], 10))
             wheres = [f"{scenario.value} p={p:g} q_w={q:g}" for q in grid]
@@ -276,7 +281,7 @@ def _check_success_oracle(grid_n: int) -> list:
     return pairs
 
 
-def _check_suppression() -> tuple:
+def _check_suppression(points: _Points) -> tuple:
     """The pairs of check 2, and its note on skipped corner points."""
     pairs, skipped = [], 0
     ps = [float(p) for p in np.linspace(0.0, 1.0, 11)]
@@ -284,7 +289,7 @@ def _check_suppression() -> tuple:
     # Branches and f_av at q_w = p of every p, one p per state.
     found = {}
     for scenario in _PROTECTED:
-        dists = _states(scenario, ps)
+        dists = _states(points, scenario, ps)
         f_avs = _average_fidelities(dists, scenario, [ps], _VERIFY_QUAD)[0]
         found[scenario] = _run_rows(dists, scenario, ps, inputs), f_avs
     for n, p in enumerate(ps):
@@ -301,14 +306,14 @@ def _check_suppression() -> tuple:
     return pairs, f"; {skipped} annihilated corner point(s) skipped" if skipped else ""
 
 
-def _check_unprotected_f_av() -> list:
+def _check_unprotected_f_av(points: _Points) -> list:
     pairs = []
     ps = [float(p) for p in np.linspace(0.0, 1.0, 51)]
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
         # The determinism row goes in the fold of each p's nodes.
         (f_avs,), ((success, _, _),) = _average_fidelities(
-            _states(scenario, ps), scenario, [0.0], _VERIFY_QUAD, extra=[[0.4, 0.0, 0.8, 0.0]]
+            _states(points, scenario, ps), scenario, [0.0], _VERIFY_QUAD, extra=[[0.4, 0.0, 0.8, 0.0]]
         )
         for p, f_av, got in zip(ps, f_avs, success[:, 0].tolist()):
             where = f"{scenario.value} p={p:g}"
@@ -316,17 +321,19 @@ def _check_unprotected_f_av() -> list:
     return pairs
 
 
-def _check_eam(points: dict) -> list:
-    """Check 4's pairs, from the probabilities of `_protected_points()`."""
+def _check_eam(points: _Points) -> list:
+    """Check 4's pairs: each protected scenario's post-selection
+    probability at each p of `_EDGE_PS`."""
     pairs = []
-    for scenario, found in points.items():
+    for scenario in _PROTECTED:
         name = _form_name("g_eam", scenario)
-        for p, (_, got) in found.items():
+        for p in _EDGE_PS:
+            got = points[scenario, p][1]
             pairs.append((abs(got - closed_form(name, p).value), f"{scenario.value} p={p:g}"))
     return pairs
 
 
-def _branch_sample_errors() -> tuple:
+def _branch_sample_errors(points: _Points) -> tuple:
     """The pairs of checks 5 and 6: recovered-state entry errors and
     joint-probability errors of every branch at the sampled points."""
     rng = np.random.default_rng(1005)
@@ -334,8 +341,7 @@ def _branch_sample_errors() -> tuple:
     for scenario in _PROTECTED:
         for p in (0.2, 0.5, 0.8):
             inputs = _draw_rows(rng, 5)
-            dist, _ = distribute(scenario, p)
-            rows = _run_rows(dist, scenario, [0.0] * len(inputs), inputs)
+            rows = _run_rows(points[scenario, p][0], scenario, [0.0] * len(inputs), inputs)
             want = oracles.recovered_rows(scenario, p, inputs)
             rec_err = np.abs(rows.recovered - want).max(axis=(2, 3))
             prob_err = np.abs(rows.joint - oracles.joint_prob_rows(scenario, p, inputs))
@@ -346,7 +352,7 @@ def _branch_sample_errors() -> tuple:
     return rec, prob
 
 
-def _check_qualitative() -> list:
+def _check_qualitative(points: _Points) -> list:
     grid = [0.1 * k for k in range(1, 10)]
     slack = 1e-9
     # f_av and total success of each protected scenario as [p, q_w] arrays
@@ -355,11 +361,12 @@ def _check_qualitative() -> list:
     fav, g_sim = {}, {}
     for scenario in _PROTECTED:
         f_avs, totals = _average_fidelities(
-            _states(scenario, grid), scenario, grid, _VERIFY_QUAD, extra=[[0.5, 0.0, 0.5, 0.0]]
+            _states(points, scenario, grid), scenario, grid, _VERIFY_QUAD, extra=[[0.5, 0.0, 0.5, 0.0]]
         )
         fav[scenario], g_sim[scenario] = np.array(f_avs).T, np.array([t[0][:, 0] for t in totals]).T
     unprot = {
-        bare: np.array(_average_fidelities(_states(bare, grid), bare, [0.0], _VERIFY_QUAD)[0]) for bare in _UNPROTECTED
+        bare: np.array(_average_fidelities(_states(points, bare, grid), bare, [0.0], _VERIFY_QUAD)[0])
+        for bare in _UNPROTECTED
     }
     # Each protected scenario is held against the bare one of its situation.
     bare_of = {bare.situation: bare for bare in _UNPROTECTED}
@@ -380,14 +387,12 @@ def _check_qualitative() -> list:
     return pairs
 
 
-def _check_entropy(points: dict) -> list:
-    """Check 8's pairs, each (scenario, p) entropy computed once, from the
-    states of `_protected_points()` at its p and from `distribute` at any
-    other p."""
+def _check_entropy(points: _Points) -> list:
+    """Check 8's pairs, each (scenario, p) entropy computed once."""
 
     @cache
     def s_at(scenario: Scenario, p: float) -> float:
-        return entanglement_entropy_bob((points[scenario].get(p) or distribute(scenario, p))[0])
+        return entanglement_entropy_bob(points[scenario, p][0])
 
     pairs = [(abs(s_at(scenario, 0.0) - 2.0) - 1e-9, f"{scenario.value} p=0") for scenario in _PROTECTED]
     for p in _EDGE_PS:
@@ -402,19 +407,18 @@ def _verify_checks(grid_n: int) -> list:
     """Run every verify check once, `grid_n` points per axis on the success
     grid; one (title, error, tolerance, worst location, note) tuple per
     check, which passes when error <= tolerance."""
-    suppression, suppression_note = _check_suppression()
-    # Checks 5 and 6 read the same sampled branches, checks 4 and 8 the
-    # same protected states.
-    recovered, joint = _branch_sample_errors()
-    points = _protected_points()
+    points = _Points()
+    suppression, suppression_note = _check_suppression(points)
+    # Checks 5 and 6 read the same sampled branches.
+    recovered, joint = _branch_sample_errors(points)
     table = [
-        ("total success vs closed form", _check_success_oracle(grid_n), 1e-10, ""),
+        ("total success vs closed form", _check_success_oracle(grid_n, points), 1e-10, ""),
         ("noise suppression at q_w = p", suppression, 1e-9, suppression_note),
-        ("unprotected average fidelity and determinism", _check_unprotected_f_av(), 1e-6, ""),
+        ("unprotected average fidelity and determinism", _check_unprotected_f_av(points), 1e-6, ""),
         ("post-selection success probability", _check_eam(points), 1e-12, ""),
         ("recovered branch states vs closed forms", recovered, 1e-12, ""),
         ("joint branch probabilities vs closed forms", joint, 1e-12, ""),
-        ("dominance, prohibited domain, scenario ordering", _check_qualitative(), 0.0, ""),
+        ("dominance, prohibited domain, scenario ordering", _check_qualitative(points), 0.0, ""),
         ("entropy boundary values and ordering", _check_entropy(points), 0.0, ""),
     ]
     checks = []

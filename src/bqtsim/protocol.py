@@ -21,37 +21,40 @@ row, over entries of the resource gathered once at import;
 lifts are the reference it is tested against, bit for bit.
 
 All 16 Bell outcome combinations are computed exactly, never sampled, by
-one batched kernel: each party's Bell bra is contracted with that party's
-input first, so the 6-qubit state is never built. The kernel evaluates a
-stack of input pairs at once. `_input_densities` is the one place an input
-(pop0, phase) becomes a 2x2 state.
+one batched kernel that works on each party alone. The resource is two
+Bell pairs and every noise map acts on one qubit, so each distributed state
+is the product rho_12 (x) rho_34 of its pair marginals; Alice's Bell
+measurement on (a, 1) touches only the pair (1, 2) and Bob's on (4, b)
+only (3, 4). So branch (i, j)'s recovered (2, 3) state is XA_i (x) XB_j,
+Alice's input folded through rho_12 onto qubit 2 and Bob's through rho_34
+onto qubit 3, and its correction U_i m_w (x) U_j m_w acts on each factor
+alone. Each branch's joint probability, success weight and fidelity
+against rho_a (x) rho_b is then a product of one factor per party, and
+neither the 6-qubit state nor, for the totals, any 4x4 branch state is
+built. `_input_densities` is the one place an input (pop0, phase) becomes
+a 2x2 state.
 
-One orchestration, `_fold_and_correct`, checks every q_w, folds a stack
-of input rows through the distributed state once (`_recover`), builds
-the parts of the correction that no q_w changes once (`_branch_forms`),
-and corrects at each q_w (`_correct_branches`). The stages write only
-into the buffers it gives them, and its docstring states their layout.
-`_run_rows` returns arrays the caller owns (`run_protocol` sends its one
-row through it); `_row_totals` returns only the per-row totals, the same
-bits, with every stack in per-thread scratch (`_SCRATCH`).
+One orchestration, `_fold_and_correct`, checks every q_w, folds both
+parties' inputs through the distributed state once (`_fold`), builds each
+party's parts that no q_w changes once (`_party_forms`), and corrects at
+each q_w (`_correct_branches`), where every branch value is the outer
+product of the two parties'. `_run_rows` returns arrays the caller owns,
+with the (N, 16, 4, 4) recovered and corrected states, each a kron of two
+per-party 2x2 states (`run_protocol` sends its one row through it);
+`_row_totals` returns only the per-row totals, the same bits as the
+owned result's, and builds no 4x4 state.
 
 A q_w is one float or one value per input row, and the distributed state
 is one (16, 16) state or a (G, 16, 16) stack, one state per equal
-contiguous group of rows. So the rows of a verify check's grid at every
-p share one call: `_row_totals` folds them a block of whole groups at a
-time, up to `_BLOCK_ROWS` rows, each group against its own state with the
-matrix product one state alone would get. Each branch correction is a
-constant Pauli pair U_i (x) U_j, built once at import, after a weak
-factor D = m_w (x) m_w, the only part that q_w changes. D is diagonal
-and the Pauli pairs are signed permutations, so a correction only
-scales, moves and signs entries. Hence each branch's success weight is
-sum_a D_a^2 X[a, a] over its recovered state X, and its fidelity numerator
-a 16-term sum of D_a D_b times a q_w-free form, each entry of X signed
-and paired with the reference entry it meets. Per q_w, a totals-only call
-contracts those forms and never builds a corrected state; the corrected
-states are built only for a caller that owns the result, normalized by
-the same weights, so both entries give the same bits. One rule, in
-`_correct_branches`, flags a branch degenerate.
+contiguous group of rows, so the rows of a verify check's grid at every p
+share one call; each group is folded with the matrix product one state
+alone would get. m_w is diagonal and each correction Pauli U_k, a
+constant, is a signed permutation, so m_w scales a party's entry (a, b)
+by D_a D_b and U_k moves and signs it. Hence a party's success
+weight is sum_a D_a^2 Re X[a, a] over its outcome state X, and its
+fidelity numerator sum_ab D_a D_b Re(X[a, b] (U_k^dag rho U_k)[b, a]): per
+q_w, a 2-term and a 4-term contraction of forms that no q_w changes. One
+rule, in `_correct_branches`, flags a branch degenerate.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -60,14 +63,15 @@ references the tests hold the kernel against, which no product path calls:
 4x4 corrections with their own traces and degeneracy rule (only
 `apply_correction` raises `DegenerateBranchError`; the kernel flags such
 a branch instead), and `enumerate_branches` projects the composed 6-qubit
-state directly. Importing the module runs none of them.
+state directly and corrects each branch with those two, so it shares no
+code with the kernel's factored path. Importing the module runs none of
+them.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -219,56 +223,61 @@ RESOURCE = np.frombuffer(np.outer(_RESOURCE_KET, _RESOURCE_KET.conj()).tobytes()
 # The same kets as amplitude tables B[k][x, y], x the first qubit's bit.
 _BELL_TABLES = _BELL_KETS.reshape(4, 2, 2)
 
-# Each party's Bell bra folded with its own input, as linear maps of the
-# row-major flattened 2x2 input. Alice's bra on (a, 1) leaves
-# B_i^dag rho_a B_i on qubit 1, axes (x x', i y y'); Bob's on (4, b) leaves
-# B_j^* rho_b B_j^T on qubit 4, axes (z z', w w' j).
-_FOLD_ALICE = np.einsum("ixy,iXY->xXiyY", _BELL_TABLES.conj(), _BELL_TABLES).reshape(4, 16)
-_FOLD_BOB = np.einsum("jwz,jWZ->zZwWj", _BELL_TABLES.conj(), _BELL_TABLES).reshape(4, 16)
-
 # Outcome index (0-based) -> correction unitary.
 _CORR_UNITARIES = np.stack((I2, SZ, SX, SX @ SZ))
 
 
-def _kron_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product over the last two axes, broadcasting the leading ones."""
-    (m, n), (k, l) = a.shape[-2:], b.shape[-2:]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (m * k, n * l))
+def _one_source(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column and the real coefficient of the one nonzero entry in each
+    row of a stack of linear maps, rows over outputs and columns over
+    sources."""
+    source = np.abs(maps).argmax(axis=-1)
+    return source, np.take_along_axis(maps, source[..., None], axis=-1)[..., 0].real
 
 
-def _pauli_pair_maps() -> tuple[np.ndarray, np.ndarray]:
-    """Conjugation by the 16 Pauli pairs U_i (x) U_j as an entry map.
+def _fold_maps() -> tuple[np.ndarray, np.ndarray]:
+    """Each party's fold map K, read off a flattened distributed state.
 
-    Branch k = 4(i-1)+(j-1) is corrected by U_i on qubit 2 and U_j on
-    qubit 3. Each pair P is a signed permutation with P[r, c_r] = s_r, so
-    (P X P^dag)[r, c] = s_r s_c X[c_r, c_c]. Returns the source entry
-    4 c_r + c_c and the sign s_r s_c of every output entry 4r + c, both
-    (16, 16).
+    Alice's Bell bra on (a, 1) leaves XA_i = sum_{x x'} rho_a[x, x']
+    K_A[x x', i m m'] on qubit 2, with K_A[x x', i m m'] = sum_{y y'}
+    B_i[x, y]^* B_i[x', y'] rho_12[y m, y' m']; Bob's on (4, b) leaves
+    XB_j[n, n'] = sum_{z z'} rho_b[z, z'] K_B[z z', j n n'] on qubit 3, with
+    K_B[z z', j n n'] = sum_{w w'} B_j[w, z]^* B_j[w', z'] rho_34[n w, n' w']. A Bell
+    ket has one nonzero amplitude per value of either qubit, so each entry
+    of K is one marginal entry times one coefficient, and each marginal
+    entry is a sum of four entries of the state: rho_12[u, u'] sums
+    rho[4u + v, 4u' + v] over v, rho_34[v, v'] sums rho[4u + v, 4u + v']
+    over u. Returns the (4, 2, 64) flat state entries to sum, the summed
+    term first, and the (2, 64) coefficients, Alice's party first.
     """
-    pairs = _kron_batched(_CORR_UNITARIES[:, None], _CORR_UNITARIES[None, :]).reshape(16, 4, 4)
-    cols = np.abs(pairs).argmax(axis=-1)
-    signs = np.take_along_axis(pairs, cols[..., None], axis=-1)[..., 0].real
-    source = (4 * cols[:, :, None] + cols[:, None, :]).reshape(16, 16)
-    sign = (signs[:, :, None] * signs[:, None, :]).reshape(16, 16)
-    return source, sign
+    eye = np.eye(2)
+    # Coefficients of marginal entries (y n, Y N) in K_A and (k w, K W) in K_B.
+    alice = np.einsum("ixy,iXY,mn,MN->xXimMynYN", _BELL_TABLES.conj(), _BELL_TABLES, eye, eye)
+    bob = np.einsum("jwz,jWZ,nk,NK->zZjnNkwKW", _BELL_TABLES.conj(), _BELL_TABLES, eye, eye)
+    source, coef = _one_source(np.stack((alice, bob)).reshape(2, 64, 16))
+    row, col = np.divmod(np.arange(16), 4)
+    term = np.arange(4)[:, None]
+    marginal = np.stack((64 * row + 4 * col + 17 * term, 16 * row + col + 68 * term))
+    return np.take_along_axis(marginal, source[:, None, :], axis=2).transpose(1, 0, 2), coef
 
 
-_PAULI_SOURCE, _PAULI_SIGN = _pauli_pair_maps()
-# The same sources as indices into a row's 16 flattened 4x4 branch states.
-_PAULI_GATHER = _PAULI_SOURCE + 16 * np.arange(16)[:, None]
+_FOLD_GATHER, _FOLD_COEF = _fold_maps()
 
+# Conjugation by each correction unitary U_k, a signed permutation with
+# U_k[r, c_r] = s_r, as an entry map of a 2x2 state: (U_k Y U_k^dag)[r, c] =
+# s_r s_c Y[c_r, c_c]. Output entry e = 2r + c of outcome k reads source
+# entry _TURN_SOURCE[4k + e] and takes sign _TURN_SIGN[4k + e]; _TURN_GATHER
+# is the same source as an index into one party's 16 flattened outcome
+# states.
+_TURN_SOURCE, _TURN_SIGN = _one_source(
+    np.einsum("krs,kct->krcst", _CORR_UNITARIES, _CORR_UNITARIES.conj()).reshape(16, 4)
+)
+_TURN_GATHER = _TURN_SOURCE + 4 * (np.arange(16) // 4)
 
-# Where each entry of a branch's recovered state meets the reference.
-# Branch k's corrected state C is its recovered state X with entry s moved to
-# the output entry e = 4r + c whose source is s, signed and scaled: C[e] =
-# sign_k(e) scale(s) X[s]. So tr(ref . C) = sum_e ref[c, r] C[e] pairs X[s]
-# with ref[c, r] under the sign of e. For every (k, s), the table holds the
-# index of that signed reference entry in a row laid out as the flattened
-# [ref, -ref] (`_PLUS_MINUS`).
-_TARGET = np.argsort(_PAULI_SOURCE, axis=1)
-_FIDELITY_TABLE = 4 * (_TARGET % 4) + _TARGET // 4 + 16 * (np.take_along_axis(_PAULI_SIGN, _TARGET, axis=1) < 0.0)
-_PLUS_MINUS = np.array([1.0, -1.0], dtype=complex)[:, None, None]
+# The reference each party's outcome-k state meets, transposed: entry
+# (a, b) of row k is (U_k^dag rho U_k)[b, a], as a linear map of the
+# flattened 2x2 input rho. Its entries are 0 and +-1.
+_REFERENCE_MAP = np.einsum("krb,kca->rckab", _CORR_UNITARIES.conj(), _CORR_UNITARIES).reshape(4, 16)
 
 
 @functools.cache
@@ -421,8 +430,8 @@ _BRANCH_INDICES = tuple((k // 4 + 1, k % 4 + 1) for k in range(16))
 class _Branches:
     """Arrays of every branch of N input pairs, branch k = 4(i-1)+(j-1).
 
-    `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16).
-    `corrected` is None in a totals-only result, which builds no state.
+    `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16). Both
+    are None in a totals-only result, which builds no 4x4 state.
     """
 
     recovered: np.ndarray
@@ -487,18 +496,6 @@ class _Branches:
         return success, fidelity, postselected
 
 
-def _branch_stack(n: int) -> np.ndarray:
-    """A fresh (n, 16, 4, 4) complex stack of branch states."""
-    return np.empty((n, 16, 4, 4), dtype=complex)
-
-
-# Each thread's three kernel stacks, 4 KB per row each, grown to the most
-# rows the thread has asked for and never shrunk. Reused across calls,
-# their pages stay resident, where fresh temporaries of this size are
-# handed back to the OS when freed and faulted in again by the next call.
-_SCRATCH = threading.local()
-
-
 def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     """Diagonals of the scenario's retained weak operator m_w for n input
     rows: (1, 2) for a float q_w, (n, 2) for a sequence of one per row.
@@ -532,156 +529,121 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     return diagonals
 
 
-def _branch_forms(recovered: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, out: np.ndarray) -> tuple:
-    """The parts of every branch's correction that do not depend on q_w,
-    for (N, 16, 4, 4) recovered states and the (N, 2, 2) inputs whose
-    product rho_a (x) rho_b is each row's reference.
+def _fold(dist: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Each party's recovered 2x2 states of every outcome, (2, N, 4, 2, 2),
+    for a (2, N, 2, 2) party-major stack of inputs, Alice's first: XA_i on
+    qubit 2 and XB_j on qubit 3 (`_fold_maps`).
 
-    Returns the recovered traces `joint`, (N, 16); the real diagonals of
-    the recovered states, Re X_k[a, a], as an (N, 16, 4) view; and the
-    fidelity forms F_k[s] = sign_k(e) Re(X_k[s] ref[c, r]) for every source
-    entry s of branch k and its output entry e = 4r + c
-    (`_FIDELITY_TABLE`), as an (N, 16, 16) real view of `out`, an
-    (N, 16, 4, 4) complex buffer apart from `recovered`.
+    dist is one 16x16 state of qubits (1, 2, 3, 4), or a (G, 16, 16) stack
+    whose state g serves the g-th of G equal contiguous groups of the rows.
+    One gather-and-sum reads every state's fold maps off its two pair
+    marginals, and one batched product folds each party's inputs of each
+    group through its map, the same product one state alone would get, so
+    a row's bits do not depend on the other groups.
     """
-    n = len(recovered)
-    flat, forms = recovered.reshape(n, 16, 16), out.reshape(n, 16, 16)
-    # Each row's [ref, -ref], from Alice's input and its negative, gathered
-    # by constant indices in range: "clip" lets numpy write straight into
-    # `out`, where "raise" would buffer.
-    signed = _kron_batched(rho_a[:, None] * _PLUS_MINUS, rho_b[:, None]).reshape(n, 32)
-    signed.take(_FIDELITY_TABLE, axis=1, out=forms, mode="clip")
-    forms *= flat
-    return np.einsum("...ii->...", recovered).real, flat[:, :, ::5].real, forms.real
+    groups, n = len(dist) if dist.ndim == 3 else 1, rho.shape[1]
+    maps = dist.reshape(groups, 256).take(_FOLD_GATHER, axis=1).sum(axis=1) * _FOLD_COEF
+    folded = rho.reshape(2, groups, n // groups, 4) @ maps.reshape(groups, 2, 4, 16).transpose(1, 0, 2, 3)
+    return folded.reshape(2, n, 4, 2, 2)
 
 
-def _correct_branches(recovered: np.ndarray, forms: tuple, diagonals: np.ndarray, out=None) -> _Branches:
-    """Correct the (N, 16, 4, 4) recovered branch states at one q_w, from
-    their q_w-free `_branch_forms`; the normalized corrected states go to
-    `out`, an (N, 16, 4, 4) buffer apart from `recovered`, and are left out
-    (None) when `out` is None.
+def _party_forms(parties: np.ndarray, rho: np.ndarray) -> tuple:
+    """The parts of every branch's correction that do not depend on q_w,
+    from each party's recovered states (`_fold`) and inputs.
+
+    Returns the branches' joint probabilities, (N, 16), each the product
+    tr XA_i tr XB_j of its parties' traces; each party's real diagonals
+    Re X[a, a], (2, N, 4, 2); and each party's fidelity forms F[a, b] =
+    Re(X[a, b] (U_k^dag rho U_k)[b, a]) against its own input rho
+    (`_REFERENCE_MAP`), flattened to (2, N, 4, 4).
+    """
+    n = parties.shape[1]
+    flat = parties.reshape(2, n, 4, 4)
+    diagonal = flat[..., ::3].real
+    traces = diagonal[..., 0] + diagonal[..., 1]
+    forms = flat * (rho.reshape(2, n, 1, 4) @ _REFERENCE_MAP).reshape(2, n, 4, 4)
+    return _outer(traces), diagonal, forms.real
+
+
+def _outer(values: np.ndarray) -> np.ndarray:
+    """Each branch's product of its two parties' values, (N, 16), from a
+    (2, N, 4) party-major stack."""
+    return (values[0][:, :, None] * values[1][:, None, :]).reshape(-1, 16)
+
+
+def _kron_parties(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """The (N, 16, 4, 4) states XA_i (x) XB_j of every branch, from each
+    party's (N, 4, 2, 2) outcome states."""
+    out = alice[:, :, None, :, None, :, None] * bob[:, None, :, None, :, None, :]
+    return out.reshape(len(alice), 16, 4, 4)
+
+
+def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> _Branches:
+    """Every branch corrected at one q_w, from its q_w-free `_party_forms`;
+    with `parties` (`_fold`'s states), the recovered and normalized
+    corrected (N, 16, 4, 4) states too, which are left out (None) without.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
-    classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w
-    = (U_i (x) U_j)(m_w (x) m_w). `diagonals` holds the diagonal of m_w as
+    classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w,
+    one factor per party. `diagonals` holds the diagonal D of m_w as
     `_weak_diagonals` gives it, (1, 2) for every row or (N, 2) one per row.
-    The weak pair is diagonal, D = m_w (x) m_w, so it scales entry s = (a, b)
-    by scale(s) = D_a D_b; the Pauli pair then moves and signs the entries
-    and changes no trace. So a branch's success weight is sum_a D_a^2
-    Re X[a, a] and its fidelity tr(ref . C) is sum_s scale(s) F[s] over
-    that weight, each a contraction over one row's own entries, so a row's
-    value does not depend on N.
+    m_w scales a party's entry (a, b) by D_a D_b and the Pauli moves and
+    signs it without changing its trace, so a party's success weight is
+    sum_a D_a^2 Re X[a, a] and its fidelity numerator sum_ab D_a D_b F[a, b];
+    a branch's weight is the product of its parties' weights, and its
+    fidelity tr(ref . C) the product of their numerators over that weight.
+    Each is a contraction over one row's own entries, so a row's value
+    does not depend on N.
 
-    A branch is degenerate (annihilated) when its recovered trace is at or
-    below `DEGENERATE_TOL` or its weight is below it; its weight, fidelity
-    and corrected state are set to 0.
+    A branch is degenerate (annihilated) when its joint probability is at
+    or below `DEGENERATE_TOL` or its weight is below it; its weight,
+    fidelity and corrected state are set to 0.
     """
     joint, diagonal, fidelity_forms = forms
     pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(-1, 4)
-    scale = (pair[:, :, None] * pair[:, None, :]).reshape(-1, 16)
-    weight = np.einsum("...ka,...a->...k", diagonal, scale[:, ::5])
+    weight = _outer(np.einsum("...ka,...a->...k", diagonal, pair[:, ::3]))
     degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
     weight[degenerate] = 0.0
     # Dividing by infinity zeroes a degenerate branch's fidelity and state.
     norm = np.where(degenerate, np.inf, weight)
-    fidelity = np.einsum("...ks,...s->...k", fidelity_forms, scale) / norm
-    if out is not None:
-        # The gather moves each entry; one multiply by a real factor then
-        # signs, scales and normalizes it.
-        n = len(recovered)
-        flat = out.reshape(n, 16, 16)
-        recovered.reshape(n, 256).take(_PAULI_GATHER, axis=1, out=flat, mode="clip")
-        flat *= _PAULI_SIGN * scale.take(_PAULI_SOURCE, axis=1) / norm[:, :, None]
-    return _Branches(recovered, joint, weight, out, fidelity, degenerate)
+    fidelity = _outer(np.einsum("...ks,...s->...k", fidelity_forms, pair)) / norm
+    if parties is None:
+        return _Branches(None, joint, weight, None, fidelity, degenerate)
+    # Each party's outcome states, scaled by the weak pair and turned by
+    # its Pauli in one gather and one multiply by a signed real factor.
+    n = parties.shape[1]
+    turned = parties.reshape(2, n, 16).take(_TURN_GATHER, axis=2) * (_TURN_SIGN * pair.take(_TURN_SOURCE, axis=1))
+    corrected = _kron_parties(*turned.reshape(2, n, 4, 2, 2))
+    corrected /= norm[:, :, None, None]
+    return _Branches(_kron_parties(*parties), joint, weight, corrected, fidelity, degenerate)
 
 
-def _recover(
-    dist: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, folded_a: np.ndarray, folded_ab: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """The (N, 16, 4, 4) unnormalized (2, 3) states of every branch of N
-    input pairs, written to `out`. Alice's fold goes to `folded_a` and both
-    parties' to `folded_ab`; all three are (N, 16, 4, 4) buffers, apart from
-    each other.
-
-    dist is one 16x16 state of qubits (1, 2, 3, 4), or a (G, 16, 16) stack
-    whose state g serves the g-th of G equal contiguous groups of the rows;
-    rho_a and rho_b are (N, 2, 2) stacks of Alice's and Bob's inputs.
-    Alice's Bell bra on (a, 1) folds her input into a 2x2 operator on qubit
-    1, B_i^dag rho_a B_i, and Bob's bra on (4, b) folds his into
-    B_j^* rho_b B_j^T on qubit 4; the (2, 3) pair of branch (i, j) is the
-    resource contracted with both. Each group's contraction with its state
-    is the matrix product of one state alone, so a row's bits do not depend
-    on the other groups.
-    """
-    n = rho_a.shape[0]
-    alice = rho_a.reshape(n, 4) @ _FOLD_ALICE
-    bob = (rho_b.reshape(n, 4) @ _FOLD_BOB).reshape(n, 4, 4)
-    # Each state as axes (y, m, w, y', m', w'): y on qubit 1, m on the kept
-    # (2, 3) pair, w on qubit 4. Reordered to (y y', m m', w w'), Alice's
-    # contraction over (y, y') leaves rows (i, m, m') and columns (w, w')
-    # for Bob's; order the result (n, i, j, m, m').
-    d = dist.reshape(-1, 2, 4, 2, 2, 4, 2).transpose(0, 1, 4, 2, 5, 3, 6).reshape(-1, 4, 64)
-    # One state takes the 2-D product, the same as a stack of one without
-    # the batch loop.
-    lead = (len(d), -1) if dist.ndim == 3 else (-1,)
-    np.matmul(alice.reshape(*lead, 4), d if dist.ndim == 3 else d[0], out=folded_a.reshape(*lead, 64))
-    np.matmul(folded_a.reshape(n, 64, 4), bob, out=folded_ab.reshape(n, 64, 4))
-    out.reshape(n, 4, 4, 4, 4)[...] = folded_ab.reshape(n, 4, 4, 4, 4).transpose(0, 1, 4, 2, 3)
-    return out
-
-
-# Most input rows `_row_totals` folds and corrects at once: it takes whole
-# groups up to this many rows, or one group when a group is larger, so its
-# scratch stacks stay this small however many rows a call has. Measured on
-# a 2-vCPU Xeon with one BLAS thread, a fold's set-up costs about as much as
-# 15 rows, and the cost per row is least from 64 to 192 rows, then grows
-# by half by 512, as the stacks outgrow the cache: at 128 rows they take
-# 1.5 MiB of a 2 MiB per-core L2. Whole `verify` runs were as fast at 256
-# rows and slower at 32 and 64 (CHANGES.md has both tables).
-_BLOCK_ROWS = 128
-
-
-def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool):
+def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool) -> list:
     """Every branch of an (N, 4) array of input rows [pop_a, phase_a,
     pop_b, phase_b] over one distributed state of `scenario` or a stack of
-    them (`_recover`'s groups), folded once and corrected at each entry of
-    `q_ws` (a float, or one value per row) in turn: one `_Branches` per
-    block of rows and entry, block by block, yielded once every entry is
-    checked. With `owned` the rows are one block; otherwise each block
-    holds whole groups, at most `_BLOCK_ROWS` rows unless one group is more.
+    them (`_fold`'s groups), folded once and corrected at each entry of
+    `q_ws` (a float, or one value per row): one `_Branches` per entry, made
+    once every entry is checked. With `owned` each holds the recovered and
+    corrected states too, arrays the caller owns; without, no 4x4 state is
+    built.
 
-    The thread's three scratch stacks hold Alice's fold, then the
-    block's q_w-free fidelity forms, which every entry of `q_ws` reads;
-    both parties' fold; the recovered states. With `owned`, the recovered
-    states go to a fresh stack, and each entry's corrected states to
-    another, that the caller keeps; otherwise no corrected state is built,
-    and each `_Branches` is overwritten by the next one and by any later
-    kernel call on the thread.
+    The kernel's precondition: each distributed state is the product
+    rho_12 (x) rho_34 of its pair marginals, as `distribute` gives it, since
+    the resource is two Bell pairs and every noise map acts on one qubit.
+    `_fold` reads only the marginals, so of any other state it would see
+    only their product.
     """
     rows = np.asarray(rows, dtype=float)
     n, groups = len(rows), len(dist) if dist.ndim == 3 else 1
     if n % groups:
         raise ValueError(f"{n} input rows do not split into {groups} equal groups")
     diagonals = [_weak_diagonals(q_w, scenario, n) for q_w in q_ws]
-    size = n // groups
-    per = groups if owned else max(1, _BLOCK_ROWS // max(size, 1))
-    most = min(per, groups) * size
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None or len(bufs[0]) < most:
-        bufs = _SCRATCH.bufs = (_branch_stack(most), _branch_stack(most), _branch_stack(most))
-    for g in range(0, groups, per):
-        lo, hi = g * size, min(g + per, groups) * size
-        temp, folded_ab, recovered = (buf[: hi - lo] for buf in bufs)
-        if owned:
-            recovered = _branch_stack(hi - lo)
-        # Party-major, so each party's states are contiguous.
-        rho_a, rho_b = _input_densities(rows[lo:hi, 0::2].T, rows[lo:hi, 1::2].T)
-        _recover(dist[g : g + per] if dist.ndim == 3 else dist, rho_a, rho_b, temp, folded_ab, recovered)
-        forms = _branch_forms(recovered, rho_a, rho_b, temp)
-        for d in diagonals:
-            corrected = _branch_stack(hi - lo) if owned else None
-            yield _correct_branches(recovered, forms, d[lo:hi] if len(d) > 1 else d, corrected)
+    # Party-major, so each party's inputs are contiguous.
+    rho = _input_densities(rows[:, 0::2].T, rows[:, 1::2].T)
+    parties = _fold(dist, rho)
+    forms = _party_forms(parties, rho)
+    return [_correct_branches(forms, d, parties if owned else None) for d in diagonals]
 
 
 def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:
@@ -696,12 +658,8 @@ def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:
 
 def _row_totals(dist: np.ndarray, scenario: Scenario, q_ws, rows) -> list:
     """`_run_rows(dist, scenario, q_w, rows).totals()` for each q_w of
-    `q_ws`, bit for bit, from one fold per block of `_BLOCK_ROWS` rows with
-    every branch stack in this thread's scratch."""
-    parts = [branches.totals() for branches in _fold_and_correct(dist, scenario, q_ws, rows, owned=False)]
-    if len(parts) == len(q_ws):
-        return parts
-    return [tuple(map(np.concatenate, zip(*parts[j :: len(q_ws)]))) for j in range(len(q_ws))]
+    `q_ws`, bit for bit, from one fold that builds no 4x4 state."""
+    return [branches.totals() for branches in _fold_and_correct(dist, scenario, q_ws, rows, owned=False)]
 
 
 def enumerate_branches(
@@ -716,17 +674,31 @@ def enumerate_branches(
 
     Branch (i, j) projects qubits (a, 1) onto Bell state i and (4, b) onto
     Bell state j, traces the measured qubits out, and corrects the kept
-    (2, 3) pair. This is the direct construction on the composed state;
-    `run_protocol` gets the same branches from the factored kernel, and
-    the tests hold the two against each other.
+    (2, 3) pair with `correction_ops(j, i, ...)` and `apply_correction`; a
+    branch that raises `DegenerateBranchError` is degenerate, with weight
+    0. This is the direct construction on the composed state, sharing no
+    code with the kernel's per-party fold and correction; `run_protocol`
+    gets the same branches from the kernel, and the tests hold the two
+    against each other, which checks the kernel's factorization.
     """
     if total.shape != (64, 64):
         raise ValueError("enumerate_branches expects the 6-qubit composed state")
+    scenario.check_q_w(q_w)
     # Row block k of the projection stack gives the (2, 3) state of branch k.
     proj = _branch_contractions().reshape(16, 4, 64)
     rec = proj @ total @ proj.conj().swapaxes(-1, -2)
-    forms = _branch_forms(rec[None], alice_in.density()[None], bob_in.density()[None], _branch_stack(1))
-    return _correct_branches(rec[None], forms, _weak_diagonals(q_w, scenario, 1), _branch_stack(1)).outcomes()
+    reference = kron(alice_in.density(), bob_in.density())
+    out = []
+    for (i, j), recovered in zip(_BRANCH_INDICES, rec):
+        joint = float(np.trace(recovered).real)
+        try:
+            corrected, weight = apply_correction(recovered, *correction_ops(j, i, q_w, scenario.situation))
+        except DegenerateBranchError:
+            out.append(BranchOutcome(i, j, joint, recovered, None, 0.0, None, True))
+            continue
+        fidelity = float(np.trace(reference @ corrected).real)
+        out.append(BranchOutcome(i, j, joint, recovered, corrected, weight, fidelity))
+    return tuple(out)
 
 
 def run_protocol(

@@ -350,45 +350,52 @@ def test_worst_ranks_nan_above_every_error():
     assert math.isnan(err) and where == "b"
 
 
-def count_folds(monkeypatch) -> list:
-    """Patch the kernel's fold stage with a counter; the list it appends to."""
-    calls = []
-    fold = protocol._recover
+def count_folds(monkeypatch) -> dict:
+    """Patch the kernel's entry and its fold stage with counters; the
+    counts, by stage name."""
+    counts = dict.fromkeys(("_fold_and_correct", "_fold"), 0)
 
-    def counted(*args):
-        calls.append(len(args[1]))
-        return fold(*args)
+    def counted(name):
+        stage = getattr(protocol, name)
 
-    monkeypatch.setattr(protocol, "_recover", counted)
-    return calls
+        def count(*args, **kwargs):
+            counts[name] += 1
+            return stage(*args, **kwargs)
+
+        return count
+
+    for name in counts:
+        monkeypatch.setattr(protocol, name, counted(name))
+    return counts
 
 
 def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
-    # Each check folds all its p together, a block of them at a time, and
-    # the sweep folds each p's nodes and g_total row together: 326 and 102
-    # folds when every p of a check was its own call and a sweep's g_total
-    # rows were a second fold.
-    folds = count_folds(monkeypatch)
+    # Each check folds all its p in one kernel call per scenario, and the
+    # sweep folds each p's nodes and g_total row together; every kernel
+    # call folds once. There were 326 and 102 folds when every p of a check
+    # was its own call and a sweep's g_total rows were a second fold, and
+    # 80 and 51 when a call folded a block of 128 rows at a time.
+    counts = count_folds(monkeypatch)
     checks = cli._verify_checks(10)
     assert all(err <= tol for _, err, tol, _, _ in checks)
-    assert 0 < len(folds) <= 100
-    folds.clear()
+    assert counts == {"_fold_and_correct": 18, "_fold": 18}
+    counts.update(dict.fromkeys(counts, 0))
     argv = ["sweep", "--scenario", "all-adc", "--qw-mode", "grid", "--qw-steps", "11"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and len(out.splitlines()) == 1 + 51 * 11
-    assert 0 < len(folds) <= 51
+    assert counts == {"_fold_and_correct": 51, "_fold": 51}
 
 
 def test_verify_builds_each_protected_state_once(monkeypatch):
-    # Checks 4 and 8 read the protected states at their 51 p from one
-    # `_protected_points`, and check 8 computes each entropy once, so
-    # together they distribute each (scenario, p) once. All of verify made
-    # 410 distribute calls when each check built its own.
+    # Every check reads its states from one map per run, so verify
+    # distributes each of its 214 (scenario, p) points once, and check 8
+    # computes each entropy once. It made 410 distribute calls when each
+    # check built its own, and 292 when only checks 4 and 8 shared theirs.
     built, entropies = [], []
     distribute, entropy = cli.distribute, cli.entanglement_entropy_bob
     monkeypatch.setattr(cli, "distribute", lambda scenario, p: built.append((scenario, p)) or distribute(scenario, p))
     monkeypatch.setattr(cli, "entanglement_entropy_bob", lambda state: entropies.append(1) or entropy(state))
-    points = cli._protected_points()
+    points = cli._Points()
     cli._check_eam(points)
     cli._check_entropy(points)
     # The strictness p that are not among the 51 are the only others.
@@ -396,7 +403,7 @@ def test_verify_builds_each_protected_state_once(monkeypatch):
     assert len(built) == len(set(built)) == len(entropies) == 2 * (len(cli._EDGE_PS) + len(others))
     built.clear()
     assert all(err <= tol for _, err, tol, _, _ in cli._verify_checks(10))
-    assert len(built) <= 292
+    assert len(built) == len(set(built)) == 214
 
 
 def test_verify_fails_on_nan_closed_forms(monkeypatch, capsys):

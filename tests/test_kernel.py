@@ -16,13 +16,12 @@ from bqtsim.channels import DEGENERATE_TOL, DegenerateBranchError
 from bqtsim.linalg import assert_density
 from bqtsim.metrics import QuadratureSpec, _average_fidelities, average_fidelity
 from bqtsim.protocol import (
-    _BLOCK_ROWS,
     QubitInput,
     Scenario,
     _Branches,
-    _branch_forms,
     _correct_branches,
     _input_densities,
+    _party_forms,
     _row_totals,
     _run_rows,
     _weak_diagonals,
@@ -223,9 +222,9 @@ def test_row_stack_matches_one_run_per_row(scenario):
     """Every draw's (q_w, inputs) as one row of a stack at each of a few p,
     rows of different q_w mixed, equals run_protocol on that row alone. A
     float q_w equals that value given once per row. The totals-only entry,
-    which works in the thread's kernel scratch, equals the stack's own
-    totals at sizes that grow and shrink that scratch, and later scratch
-    calls leave the stack's arrays as they were."""
+    which builds no 4x4 state, equals the stack's own totals at sizes from
+    1 to 100 rows, and later totals-only calls leave the stack's arrays as
+    they were."""
     rng = np.random.default_rng(89 + list(Scenario).index(scenario))
     rows = [(q, alice, bob) for _, q, alice, bob in draws(scenario, rng)]
     degenerate_rows = nan_totals = 0
@@ -298,10 +297,11 @@ def test_multi_qw_average_matches_one_average_per_qw(quad):
 
 
 def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
-    """The q_w-free forms are built once per fold, however many q_w a
-    totals-only call corrects at: one state with 100 rows, a stack of
-    three states whose groups each fill a block, and the input average."""
-    stages = dict.fromkeys(("_recover", "_branch_forms"), 0)
+    """A totals-only call folds its rows and builds their q_w-free forms
+    once, however many q_w it corrects at and however many states it
+    folds: one state with 100 rows, a stack of three states, and the
+    input average."""
+    stages = dict.fromkeys(("_fold", "_party_forms"), 0)
 
     def counted(name):
         stage = getattr(protocol, name)
@@ -318,16 +318,16 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
     qs = [0.1 * k for k in range(1, 10)]
     rng = np.random.default_rng(151)
     dists = np.stack([distribute(scenario, p)[0] for p in (0.2, 0.5, 0.9)])
-    size = _BLOCK_ROWS // 2 + 1
+    size = 65
     calls = (
-        (lambda: _row_totals(dists[0], scenario, qs, rng.random((100, 4))), 1),
-        (lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))), 3),
-        (lambda: _average_fidelities(dists[1], scenario, qs, QuadratureSpec(points=64)), 1),
+        lambda: _row_totals(dists[0], scenario, qs, rng.random((100, 4))),
+        lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))),
+        lambda: _average_fidelities(dists[1], scenario, qs, QuadratureSpec(points=64)),
     )
-    for call, folds in calls:
+    for call in calls:
         stages.update(dict.fromkeys(stages, 0))
         call()
-        assert stages == {"_recover": folds, "_branch_forms": folds}
+        assert stages == {"_fold": 1, "_party_forms": 1}
 
 
 BRANCH_FIELDS = ("recovered", "joint", "weight", "corrected", "fidelity", "degenerate")
@@ -339,15 +339,14 @@ def test_state_stack_matches_one_call_per_state(scenario):
     in G equal contiguous groups, equal one call per state by bytes: the
     owned arrays and totals, the totals-only entry with float and per-row
     q_w mixed, and the input average with one q_w for every state or one
-    per state, and its extra rows' totals. Group sizes of one row, a few
-    groups to a block, and more than a block's rows all cross the block
-    budget; q_w = 1 at p = 1 gives wholly degenerate NaN rows."""
+    per state, and its extra rows' totals, at groups of one row, 43 rows
+    and 133 rows; q_w = 1 at p = 1 gives wholly degenerate NaN rows."""
     rng = np.random.default_rng(131 + list(Scenario).index(scenario))
     ps = [0.0, 1.0, float(rng.uniform()), float(rng.uniform())]
     dists = np.stack([distribute(scenario, p)[0] for p in ps])
     groups = len(ps)
     nan_rows = 0
-    for size in (1, _BLOCK_ROWS // 3 + 1, _BLOCK_ROWS + 5):
+    for size in (1, 43, 133):
         n = groups * size
         rows = rng.random((n, 4))
         rows[::3, 0::2] = 1.0
@@ -496,25 +495,28 @@ def test_input_densities_broadcast_row_by_row():
 
 def test_degenerate_thresholds_are_exact():
     """The rules `channels.DEGENERATE_TOL` states, at their one site in the
-    kernel: a branch is degenerate when its recovered trace is at or below
-    the tolerance or its weight is below it; the doubles next to the
-    tolerance fall the other way. Each row's 16 branches share one
-    diagonal recovered state. At q_w = 0 the weight is the trace; all-adc
-    at q_w = 1 keeps only entry (3, 3), so there a trace of 1 + w has
-    weight w."""
+    kernel: a branch is degenerate when its joint probability is at or
+    below the tolerance or its weight is below it; the doubles next to the
+    tolerance fall the other way. Each is a product of one factor per
+    party, so one party carries the value at every outcome and the other
+    the state diag(0, 1), whose trace and weight are exactly 1.0: rows 0-3
+    Alice, rows 4-7 Bob. At q_w = 0 the weight is the trace; all-adc at
+    q_w = 1 keeps only entry (1, 1), so there a trace of 1 + w has weight
+    w."""
     above, below = np.nextafter(DEGENERATE_TOL, 1.0), np.nextafter(DEGENERATE_TOL, 0.0)
-    entries = [(DEGENERATE_TOL, 0.0), (above, 0.0), (1.0, DEGENERATE_TOL), (1.0, below)]
-    recovered = np.zeros((4, 16, 4, 4), dtype=complex)
+    entries = [(DEGENERATE_TOL, 0.0), (above, 0.0), (1.0, DEGENERATE_TOL), (1.0, below)] * 2
+    parties = np.zeros((2, 8, 4, 2, 2), dtype=complex)
+    parties[:, :, :, 1, 1] = 1.0
     for n, (first, last) in enumerate(entries):
-        recovered[n, :, 0, 0], recovered[n, :, 3, 3] = first, last
-    inputs = _input_densities(np.full(4, 0.5))
-    forms = _branch_forms(recovered, inputs, inputs, np.empty_like(recovered))
-    diagonals = _weak_diagonals([0.0, 0.0, 1.0, 1.0], Scenario.ALL_ADC, 4)
-    branches = _correct_branches(recovered, forms, diagonals)
+        parties[n // 4, n, :, 0, 0], parties[n // 4, n, :, 1, 1] = first, last
+    inputs = _input_densities(np.full((2, 8), 0.5))
+    forms = _party_forms(parties, inputs)
+    diagonals = _weak_diagonals([0.0, 0.0, 1.0, 1.0] * 2, Scenario.ALL_ADC, 8)
+    branches = _correct_branches(forms, diagonals)
     assert branches.joint.tolist() == [[x + y] * 16 for x, y in entries]
-    assert branches.degenerate.tolist() == [[flag] * 16 for flag in (True, False, False, True)]
-    assert branches.weight.tolist() == [[w] * 16 for w in (0.0, above, DEGENERATE_TOL, 0.0)]
-    assert branches.corrected is None
+    assert branches.degenerate.tolist() == [[flag] * 16 for flag in (True, False, False, True) * 2]
+    assert branches.weight.tolist() == [[w] * 16 for w in (0.0, above, DEGENERATE_TOL, 0.0) * 2]
+    assert branches.recovered is None and branches.corrected is None
 
 
 def test_postselected_fidelity_needs_success_above_tolerance():

@@ -152,6 +152,16 @@ def test_distribute_equals_kraus_reference_bit_for_bit(scenario):
         assert np.float64(got_prob).tobytes() == np.float64(want_prob).tobytes(), f"{scenario.value} p={p!r}"
 
 
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_distributed_state_is_the_product_of_its_pair_marginals(scenario):
+    # The kernel's precondition: it reads only the marginals of the pairs
+    # (1, 2) and (3, 4), so every distributed state must be their product.
+    for p in REFERENCE_PS:
+        state, _ = distribute(scenario, p)
+        product = kron(partial_trace(state, [0, 1]), partial_trace(state, [2, 3]))
+        assert np.max(np.abs(state - product)) <= 1e-15, f"{scenario.value} p={p!r}"
+
+
 # --------------------------------------------------------- composition
 
 

@@ -1,7 +1,7 @@
-"""The kernel's per-thread scratch, behind the totals-only calls
-(`_row_totals` and the input average): each thread gets results equal, by
-bytes, to what it computes alone, and reused buffers keep the input
-average from faulting in fresh pages on every call."""
+"""The totals-only calls (`_row_totals` and the input average) keep no
+state between calls: each thread gets results equal, by bytes, to what it
+computes alone, and the input average faults in no fresh pages per call,
+since it builds no 4x4 branch state."""
 import os
 import subprocess
 import sys
@@ -12,19 +12,8 @@ import numpy as np
 import pytest
 
 import bqtsim
-from bqtsim import protocol
 from bqtsim.metrics import QuadratureSpec, _average_fidelities
-from bqtsim.protocol import (
-    Scenario,
-    _branch_forms,
-    _correct_branches,
-    _input_densities,
-    _recover,
-    _row_totals,
-    _run_rows,
-    _weak_diagonals,
-    distribute,
-)
+from bqtsim.protocol import Scenario, _row_totals, distribute
 
 QUAD_32, QUAD_64 = QuadratureSpec(points=32), QuadratureSpec(points=64)
 
@@ -75,34 +64,6 @@ def test_threads_get_what_each_computes_alone():
         assert len(got[k]) == 30
         for n, result in enumerate(got[k]):
             assert result == alone[k][n % 3], f"thread {k} call {n}"
-
-
-def test_stages_write_only_the_buffers_they_are_given():
-    """In a fresh thread, which has no scratch yet, `_recover`,
-    `_branch_forms` and `_correct_branches` given caller buffers leave it
-    without one, and give `_run_rows`' branches by bytes."""
-    scenario = Scenario.ALL_ADC
-    dist, _ = distribute(scenario, 0.4)
-    rows = np.array([[0.3, 0.7, 0.8, 1.9], [0.6, 0.0, 0.1, 2.5]])
-    got = {}
-
-    def work():
-        rho = _input_densities(rows[:, 0::2], rows[:, 1::2])
-        rho_a, rho_b = rho[:, 0], rho[:, 1]
-        folded_a, folded_ab, recovered, corrected = (np.empty((2, 16, 4, 4), dtype=complex) for _ in range(4))
-        _recover(dist, rho_a, rho_b, folded_a, folded_ab, recovered)
-        forms = _branch_forms(recovered, rho_a, rho_b, folded_a)
-        diagonals = _weak_diagonals([0.25, 0.9], scenario, 2)
-        got["branches"] = _correct_branches(recovered, forms, diagonals, corrected)
-        got["scratch"] = hasattr(protocol._SCRATCH, "bufs")
-
-    thread = threading.Thread(target=work)
-    thread.start()
-    thread.join(timeout=60.0)
-    assert got["scratch"] is False
-    want = _run_rows(dist, scenario, [0.25, 0.9], rows)
-    for name in want.__dataclass_fields__:
-        assert getattr(got["branches"], name).tobytes() == getattr(want, name).tobytes(), name
 
 
 # Run in a fresh interpreter with one BLAS thread, as the benchmark runs:

@@ -18,7 +18,7 @@ the parent's, and how many blocks the change won. The targets:
 
   verify         cli.main(["verify"]), stdout captured
   check1..check8 each verify check function (checks 5 and 6 share one);
-                 checks 4 and 8 build the protected states they read
+                 each builds the distributed states it reads
   sweep          cli.main of a one-p `sweep`, input-averaged, two q_w rows
   average64      metrics._average_fidelities, 64 nodes, two q_w
   run_protocol   one call at an interior point
@@ -27,8 +27,10 @@ the parent's, and how many blocks the change won. The targets:
 
 Only entry points whose signatures have stayed put are called, and a
 target that one tree lacks is left out and named, so the script runs on
-older checkouts too. Uses numpy and the standard library only, with one
-BLAS thread. Not part of the test suite.
+older checkouts too. A name given to --only that is not a target is a
+usage error (exit status 2, with the list of targets), found before any
+tree is imported. Uses numpy and the standard library only, with one BLAS
+thread. Not part of the test suite.
 """
 from __future__ import annotations
 
@@ -66,6 +68,7 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
+NAMES = ("verify", *CHECKS, "sweep", "average64", "run_protocol", "outcomes", "rows1", "rows32", "rows64")
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
          "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
 
@@ -90,14 +93,16 @@ def quiet(fn, *args):
 
 def check_call(cli, name: str, args: tuple):
     """A call of verify check `name` on `cli`, or None if the tree lacks it.
-    A check that reads the protected states verify builds once for checks
-    4 and 8 (a `points` parameter) builds them in the call, as a tree whose
-    checks build their own states does."""
+    A check that reads states verify builds once per run (a `points`
+    parameter) builds them in the call, as a tree whose checks build their
+    own states does: a fresh `_Points` map, or on older trees the protected
+    states of checks 4 and 8 (`_protected_points`)."""
     fn = getattr(cli, name, None)
     if fn is None:
         return None
     if "points" in inspect.signature(fn).parameters:
-        return lambda: fn(*args, cli._protected_points())
+        make = getattr(cli, "_Points", None) or cli._protected_points
+        return lambda: fn(*args, make())
     return lambda: fn(*args)
 
 
@@ -119,6 +124,7 @@ def targets(pkg) -> dict:
     found["outcomes"] = branches.outcomes
     for n in (1, 32, 64):
         found[f"rows{n}"] = lambda n=n: protocol._row_totals(dist, scenario, [0.25], rows[:n])
+    assert tuple(found) == NAMES
     return found
 
 
@@ -156,7 +162,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--only", nargs="*", default=[], help="target names (default: all)")
+    parser.add_argument("--only", nargs="*", default=[], choices=NAMES, help="target names (default: all)")
     parser.add_argument("--child", choices=("parent-first", "change-first"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     srcs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
