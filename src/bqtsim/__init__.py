@@ -9,7 +9,6 @@ importable from its modules, each of which names its references in its
 docstring."""
 from .metrics import (
     OracleValue,
-    QuadratureSpec,
     average_fidelity,
     closed_form,
     closed_form_names,
@@ -24,7 +23,6 @@ __all__ = [
     "BranchOutcome",
     "OracleValue",
     "ProtocolResult",
-    "QuadratureSpec",
     "QubitInput",
     "Scenario",
     "average_fidelity",

@@ -21,12 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracles
-from .metrics import (
-    QuadratureSpec,
-    _average_fidelities,
-    closed_form,
-    entanglement_entropy_bob,
-)
+from .metrics import _average_fidelities, closed_form, entanglement_entropy_bob
 from .protocol import _BRANCH_INDICES, QubitInput, Scenario, _row_totals, _run_rows, distribute, run_protocol
 
 SWEEP_HEADER = "scenario,p,q_w,f_av,g_total,f_av_oracle,g_total_oracle,eam_success,entropy_bob"
@@ -209,12 +204,12 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # tolerance, so a NaN error, ranked above all others, fails it. Checks 7
 # and 8 list signed margins, negative while each inequality holds.
 # Every check reads its distributed states from one map per run
-# (`_Points`), so each (scenario, p) is distributed once. Checks 1, 2, 3
-# and 7 stack the states of all their p (`_states`) and make one kernel
-# call per scenario, which folds every p at once; an input row a check
-# needs besides the quadrature nodes goes in the nodes' fold. A fold's
-# fixed set-up outweighs a few rows of arithmetic, and one call per p made
-# 326 folds at the default grid where this makes 18.
+# (`_Points`), so each (scenario, p) is distributed once. Checks 1, 2, 3,
+# 5, 6 and 7 stack the states of all their p (`_states`) and make one
+# kernel call per scenario, which folds every p at once; an input row a
+# check needs besides the quadrature nodes goes in the nodes' fold. A
+# fold's fixed set-up outweighs a few rows of arithmetic, and one call per
+# p made 326 folds at the default grid where this makes 14.
 
 # The per-party averaging integrands are quadratics where the weak pulse
 # cancels the pole (bare scenarios, q_w = 0 and q_w = p), so 32 Gauss nodes
@@ -225,7 +220,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # off q_w = p are at least 1.1e-3, not because of the slack. A fixed rule
 # keeps verify's figures independent of the default one. ROADMAP item 6
 # plans to replace it with an average that is exact over the whole domain.
-_VERIFY_QUAD = QuadratureSpec(points=32)
+_VERIFY_NODES = 32
 
 
 def _worst(pairs) -> tuple:
@@ -290,7 +285,7 @@ def _check_suppression(points: _Points) -> tuple:
     found = {}
     for scenario in _PROTECTED:
         dists = _states(points, scenario, ps)
-        f_avs = _average_fidelities(dists, scenario, [ps], _VERIFY_QUAD)[0]
+        f_avs = _average_fidelities(dists, scenario, [ps], _VERIFY_NODES)[0]
         found[scenario] = _run_rows(dists, scenario, ps, inputs), f_avs
     for n, p in enumerate(ps):
         for scenario in _PROTECTED:
@@ -313,7 +308,7 @@ def _check_unprotected_f_av(points: _Points) -> list:
         name = _form_name("f_av_unprot", scenario)
         # The determinism row goes in the fold of each p's nodes.
         (f_avs,), ((success, _, _),) = _average_fidelities(
-            _states(points, scenario, ps), scenario, [0.0], _VERIFY_QUAD, extra=[[0.4, 0.0, 0.8, 0.0]]
+            _states(points, scenario, ps), scenario, [0.0], _VERIFY_NODES, extra=[[0.4, 0.0, 0.8, 0.0]]
         )
         for p, f_av, got in zip(ps, f_avs, success[:, 0].tolist()):
             where = f"{scenario.value} p={p:g}"
@@ -335,18 +330,21 @@ def _check_eam(points: _Points) -> list:
 
 def _branch_sample_errors(points: _Points) -> tuple:
     """The pairs of checks 5 and 6: recovered-state entry errors and
-    joint-probability errors of every branch at the sampled points."""
+    joint-probability errors of every branch at the sampled points, five
+    input rows per p."""
     rng = np.random.default_rng(1005)
+    ps, size = (0.2, 0.5, 0.8), 5
     rec, prob = [], []
     for scenario in _PROTECTED:
-        for p in (0.2, 0.5, 0.8):
-            inputs = _draw_rows(rng, 5)
-            rows = _run_rows(points[scenario, p][0], scenario, [0.0] * len(inputs), inputs)
-            want = oracles.recovered_rows(scenario, p, inputs)
-            rec_err = np.abs(rows.recovered - want).max(axis=(2, 3))
-            prob_err = np.abs(rows.joint - oracles.joint_prob_rows(scenario, p, inputs))
+        inputs = _draw_rows(rng, size * len(ps))
+        found = _run_rows(_states(points, scenario, ps), scenario, 0.0, inputs)
+        for n, p in enumerate(ps):
+            part = slice(n * size, (n + 1) * size)
+            want = oracles.recovered_rows(scenario, p, inputs[part])
+            rec_err = np.abs(found.recovered[part] - want).max(axis=(2, 3))
+            prob_err = np.abs(found.joint[part] - oracles.joint_prob_rows(scenario, p, inputs[part]))
             # Input row n, branch k = 4(i-1)+(j-1) is entry (n, k).
-            wheres = [f"{scenario.value} p={p:g} ({i},{j})" for i, j in _BRANCH_INDICES] * len(inputs)
+            wheres = [f"{scenario.value} p={p:g} ({i},{j})" for i, j in _BRANCH_INDICES] * size
             rec += zip(rec_err.ravel().tolist(), wheres)
             prob += zip(prob_err.ravel().tolist(), wheres)
     return rec, prob
@@ -361,11 +359,11 @@ def _check_qualitative(points: _Points) -> list:
     fav, g_sim = {}, {}
     for scenario in _PROTECTED:
         f_avs, totals = _average_fidelities(
-            _states(points, scenario, grid), scenario, grid, _VERIFY_QUAD, extra=[[0.5, 0.0, 0.5, 0.0]]
+            _states(points, scenario, grid), scenario, grid, _VERIFY_NODES, extra=[[0.5, 0.0, 0.5, 0.0]]
         )
         fav[scenario], g_sim[scenario] = np.array(f_avs).T, np.array([t[0][:, 0] for t in totals]).T
     unprot = {
-        bare: np.array(_average_fidelities(_states(points, bare, grid), bare, [0.0], _VERIFY_QUAD)[0])
+        bare: np.array(_average_fidelities(_states(points, bare, grid), bare, [0.0], _VERIFY_NODES)[0])
         for bare in _UNPROTECTED
     }
     # Each protected scenario is held against the bare one of its situation.

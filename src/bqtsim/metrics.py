@@ -1,20 +1,21 @@
-"""Input-averaged fidelity, closed forms, and entropies."""
+"""Input-averaged fidelity, closed forms, and entropies.
+
+The input average integrates over the input population with a fixed
+Gauss-Legendre rule: 64 nodes for `average_fidelity` and the sweep, 32
+for verify. The node count is internal, not part of the API."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .channels import _check_unit
 from .linalg import hermitian_eigenvalues, partial_trace
-from .protocol import Scenario, _row_totals, distribute
+from .protocol import Scenario, _row_totals, _single_q_w, distribute
 
 __all__ = [
-    "QuadratureSpec",
     "OracleValue",
     "average_fidelity",
     "closed_form",
@@ -26,34 +27,17 @@ __all__ = [
 _EIG_CUT = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre quadrature over the input population in [0, 1] with
-    `points` nodes, an integer (numpy's included) of at least 8."""
-
-    points: int = 64
-
-    def __post_init__(self) -> None:
-        try:
-            operator.index(self.points)
-        except TypeError:
-            raise ValueError(f"points={self.points!r} is not an integer") from None
-        if self.points < 8:
-            raise ValueError(f"points={self.points} too coarse, need at least 8")
-
-    def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = _nodes_weights(self.points)
-        return nodes.copy(), weights.copy()
-
-
 # Gauss-Legendre nodes cost an eigenproblem, which at 64 points takes longer
 # than the averaging itself. Programs use a handful of node counts, and the
 # key is the count alone, so the cache stays small however many points are
-# swept.
+# swept. Every caller shares the cached arrays, so they are read-only.
 @lru_cache(maxsize=8)
 def _nodes_weights(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `points`-node Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(points)
-    return (x + 1.0) / 2.0, w / 2.0
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -65,13 +49,10 @@ class OracleValue:
     formula_ref: str
 
 
-def average_fidelity(
-    scenario: Scenario,
-    p: float,
-    q_w: float,
-    quad: Optional[QuadratureSpec] = None,
-) -> float:
-    """Input-averaged two-party fidelity at one parameter point.
+def average_fidelity(scenario: Scenario, p: float, q_w: float) -> float:
+    """Input-averaged two-party fidelity at one parameter point, with one
+    weak strength q_w (a sequence raises ValueError), by a 64-node
+    Gauss-Legendre rule over the input population.
 
     Both inputs are drawn from the same population distribution (uniform
     over [0, 1]) and every branch quantity factorizes into independent
@@ -83,27 +64,25 @@ def average_fidelity(
     population is integrated. Degenerate branches add nothing to a node's
     value; the result is NaN when every branch of some node is degenerate.
     """
+    q_w = _single_q_w(q_w, "average_fidelity")
     dist, _ = distribute(scenario, p)
-    return _average_fidelities(dist, scenario, (q_w,), quad)[0]
+    return _average_fidelities(dist, scenario, (q_w,))[0]
 
 
-def _average_fidelities(
-    dist: np.ndarray, scenario: Scenario, q_ws, quad: Optional[QuadratureSpec] = None, extra=None
-):
+def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int = 64, extra=None):
     """`average_fidelity` at each of several q_w over one distributed state,
-    or over each state of a (G, 16, 16) stack: the quadrature nodes as equal
-    input rows, one group of them per state, folded and corrected at each
-    q_w by `_row_totals`, so a value does not depend on the other q_w or
-    states. A q_w is a float or one value per state.
+    or over each state of a (G, 16, 16) stack, by the `points`-node
+    Gauss-Legendre rule: the nodes as equal input rows, one group of them
+    per state, folded and corrected at each q_w by `_row_totals`, so a
+    value does not depend on the other q_w or states. A q_w is a float or
+    one value per state.
 
     Returns the average at each q_w: a float for one state, a list of G
     floats for a stack. `extra` input rows are folded after each group's
     nodes, and their totals come back too, as (averages, totals) with each
     q_w's (success, fidelity, postselected) as (G, len(extra)) arrays.
     """
-    if quad is None:
-        quad = QuadratureSpec()
-    nodes, weights = quad.nodes_weights()
+    nodes, weights = _nodes_weights(points)
     groups, k = len(dist) if dist.ndim == 3 else 1, len(nodes)
     rows = np.zeros((k, 4))
     rows[:, 0] = rows[:, 2] = nodes

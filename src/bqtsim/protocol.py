@@ -701,6 +701,18 @@ def enumerate_branches(
     return tuple(out)
 
 
+def _single_q_w(q_w, caller: str):
+    """One weak strength as `caller` takes it: a float or int as given,
+    any other scalar (a numpy scalar, a 0-d array) as its float; a
+    sequence raises ValueError."""
+    # np.ndim is the slow part of this check, so a float or int skips it.
+    if isinstance(q_w, (float, int)):
+        return q_w
+    if np.ndim(q_w):
+        raise ValueError(f"{caller}: q_w must be a single value, got shape {np.shape(q_w)}")
+    return float(q_w)
+
+
 def run_protocol(
     scenario: Scenario,
     p: float,
@@ -711,11 +723,7 @@ def run_protocol(
     """Distribute, measure and correct at one parameter point, with one
     weak strength q_w (a sequence raises ValueError). A float or int q_w
     is stored as given, any other scalar as its float."""
-    # np.ndim is the slow part of this check, so a float or int skips it.
-    if not isinstance(q_w, (float, int)):
-        if np.ndim(q_w):
-            raise ValueError(f"run_protocol: q_w must be a single value, got shape {np.shape(q_w)}")
-        q_w = float(q_w)
+    q_w = _single_q_w(q_w, "run_protocol")
     dist, eam_success = distribute(scenario, p)
     rows = np.array([[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]])
     branches = _run_rows(dist, scenario, q_w, rows)

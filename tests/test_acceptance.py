@@ -9,8 +9,8 @@ import time
 import pytest
 
 from bqtsim import cli
-from bqtsim.metrics import QuadratureSpec, average_fidelity
-from bqtsim.protocol import Scenario
+from bqtsim.metrics import _average_fidelities, average_fidelity
+from bqtsim.protocol import Scenario, distribute
 
 
 def report(num, name, err, tol, extra=""):
@@ -71,7 +71,6 @@ def test_c08_entropy_boundaries_and_ordering(verify_run):
 
 def test_c09_quadrature_insensitivity():
     tol, worst = 1e-8, 0.0
-    fine = QuadratureSpec(points=128)
     points = {
         Scenario.RECOVERY_ADC: ((0.3, 0.1), (0.8, 0.5)),
         Scenario.ALL_ADC: ((0.3, 0.1), (0.8, 0.5)),
@@ -81,7 +80,7 @@ def test_c09_quadrature_insensitivity():
     for scenario, pts in points.items():
         for p, q in pts:
             base = average_fidelity(scenario, p, q)
-            doubled = average_fidelity(scenario, p, q, fine)
+            doubled = _average_fidelities(distribute(scenario, p)[0], scenario, [q], 128)[0]
             worst = max(worst, abs(base - doubled))
     assert worst < tol
     report(9, "doubling the quadrature rule", worst, tol)

@@ -157,10 +157,12 @@ UNWRITABLE_OUT = [
         ["sweep", "--scenario", "recovery-adc", "--p-steps", "0"],
         ["sweep", "--scenario", "recovery-adc", "--qw", "1.5"],
         ["sweep", "--scenario", "recovery-adc", "--qw-mode", "grid", "--qw-min", "0.8", "--qw-max", "0.2"],
+        ["sweep", "--scenario", "recovery-adc", "--qw-mode", "grid", "--qw-steps", "0"],
         ["sweep", "--scenario", "recovery-adc", "--pop0", "1.5"],
         ["sweep", "--scenario", "unprotected-recovery", "--qw", "0.3"],
         ["sweep", "--scenario", "unprotected-all", "--qw-mode", "equal-p"],
         ["branches", "--scenario", "recovery-adc", "--p", "1.5"],
+        ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--qw", "1.5"],
         ["branches", "--scenario", "unprotected-all", "--p", "0.3", "--qw", "0.5"],
         ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--alice-pop0", "-0.1"],
         ["entropy", "--p-steps", "1"],
@@ -378,7 +380,7 @@ def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
     counts = count_folds(monkeypatch)
     checks = cli._verify_checks(10)
     assert all(err <= tol for _, err, tol, _, _ in checks)
-    assert counts == {"_fold_and_correct": 18, "_fold": 18}
+    assert counts == {"_fold_and_correct": 14, "_fold": 14}
     counts.update(dict.fromkeys(counts, 0))
     argv = ["sweep", "--scenario", "all-adc", "--qw-mode", "grid", "--qw-steps", "11"]
     code, out, _ = run_cli(argv, capsys)

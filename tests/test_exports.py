@@ -18,8 +18,7 @@ MODULES = ("bqtsim", "bqtsim.linalg", "bqtsim.channels", "bqtsim.protocol", "bqt
 
 PRODUCT = {
     "QubitInput", "Scenario", "BranchOutcome", "ProtocolResult", "run_protocol", "distribute", "average_fidelity",
-    "QuadratureSpec", "closed_form", "closed_form_names", "OracleValue", "entanglement_entropy_bob",
-    "von_neumann_entropy",
+    "closed_form", "closed_form_names", "OracleValue", "entanglement_entropy_bob", "von_neumann_entropy",
 }
 
 # Names the package root no longer exports, by the module that keeps them.
@@ -32,8 +31,9 @@ DROPPED = {
 }
 
 # Records deleted from the package: a scenario's situation picks its weak
-# family, and `channels._check_unit` does every range check.
-DELETED = ("WeakVariant", "AdcParams", "WeakMeasurementParams")
+# family, `channels._check_unit` does every range check, and the input
+# average's node count is internal.
+DELETED = ("WeakVariant", "AdcParams", "WeakMeasurementParams", "QuadratureSpec")
 
 # The reference functions, none of which an import may call.
 REFERENCES = (

@@ -14,7 +14,7 @@ import pytest
 from bqtsim import protocol
 from bqtsim.channels import DEGENERATE_TOL, DegenerateBranchError
 from bqtsim.linalg import assert_density
-from bqtsim.metrics import QuadratureSpec, _average_fidelities, average_fidelity
+from bqtsim.metrics import _average_fidelities, _nodes_weights, average_fidelity
 from bqtsim.protocol import (
     QubitInput,
     Scenario,
@@ -114,6 +114,15 @@ def node_average(scenario, p, q_w, nodes, weights):
     return acc * acc
 
 
+def one_average(scenario, p, q_w, points):
+    """The input average at one q_w by the `points`-node Gauss-Legendre
+    rule: `average_fidelity` itself at its own 64 nodes."""
+    if points == 64:
+        return average_fidelity(scenario, p, q_w)
+    dist, _ = distribute(scenario, p)
+    return _average_fidelities(dist, scenario, (q_w,), points)[0]
+
+
 def reference_average_fidelity(scenario, p, q_w, nodes, weights):
     """The per-node loop over the direct path."""
     dist, _ = distribute(scenario, p)
@@ -138,9 +147,8 @@ def averages(scenario, p, q_w, rule, n):
         nodes, weights = simpson(n)
         got = node_average(scenario, p, q_w, nodes, weights)
     else:
-        quad = QuadratureSpec(points=n)
-        nodes, weights = quad.nodes_weights()
-        got = average_fidelity(scenario, p, q_w, quad)
+        nodes, weights = _nodes_weights(n)
+        got = one_average(scenario, p, q_w, n)
     return got, reference_average_fidelity(scenario, p, q_w, nodes, weights)
 
 
@@ -269,7 +277,7 @@ def test_row_stack_matches_one_run_per_row(scenario):
         for q_w, totals in zip(mixed, got):
             want = _run_rows(dist, scenario, q_w, inputs).totals()
             assert all(identical(g, w) for g, w in zip(totals, want)), f"{scenario.value} p={p} mixed"
-        _average_fidelities(dist, scenario, [qs[0]], QuadratureSpec(points=64))
+        _average_fidelities(dist, scenario, [qs[0]])
         for name, data in owned.items():
             assert getattr(stack, name).tobytes() == data, f"{scenario.value} p={p} {name}"
     if scenario.protected:
@@ -277,10 +285,8 @@ def test_row_stack_matches_one_run_per_row(scenario):
         assert degenerate_rows > 0 and nan_totals > 0
 
 
-@pytest.mark.parametrize(
-    "quad", [QuadratureSpec(points=n) for n in (8, 64)], ids=lambda q: f"gauss-legendre-{q.points}"
-)
-def test_multi_qw_average_matches_one_average_per_qw(quad):
+@pytest.mark.parametrize("points", (8, 64), ids=lambda n: f"gauss-legendre-{n}")
+def test_multi_qw_average_matches_one_average_per_qw(points):
     rng = np.random.default_rng(97)
     for scenario in Scenario:
         for p in (0.0, 1.0, float(rng.uniform()), float(rng.uniform())):
@@ -289,8 +295,8 @@ def test_multi_qw_average_matches_one_average_per_qw(quad):
             else:
                 qs = [0.0, 0.0]
             dist, _ = distribute(scenario, p)
-            got = _average_fidelities(dist, scenario, qs, quad)
-            want = [average_fidelity(scenario, p, q, quad) for q in qs]
+            got = _average_fidelities(dist, scenario, qs, points)
+            want = [one_average(scenario, p, q, points) for q in qs]
             assert identical(got, want), f"{scenario.value} p={p} q_w={qs}"
             if scenario.protected and p == 1.0:
                 assert math.isnan(got[1]) and not math.isnan(got[0])
@@ -322,7 +328,7 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
     calls = (
         lambda: _row_totals(dists[0], scenario, qs, rng.random((100, 4))),
         lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))),
-        lambda: _average_fidelities(dists[1], scenario, qs, QuadratureSpec(points=64)),
+        lambda: _average_fidelities(dists[1], scenario, qs),
     )
     for call in calls:
         stages.update(dict.fromkeys(stages, 0))
@@ -382,13 +388,14 @@ def test_state_stack_matches_one_call_per_state(scenario):
             _row_totals(dists, scenario, [0.0], np.vstack((rows, rows[:1])))
     extra = np.array([[0.5, 0.0, 0.5, 0.0], [0.2, 1.3, 0.9, 4.0]])
     qs = [0.0, 1.0, ps] if scenario.protected else [0.0, [0.0] * groups]
-    for quad in (QuadratureSpec(points=8), QuadratureSpec(points=32)):
-        got, totals = _average_fidelities(dists, scenario, qs, quad, extra)
-        assert identical(got, _average_fidelities(dists, scenario, qs, quad))
+    for points in (8, 32):
+        got, totals = _average_fidelities(dists, scenario, qs, points, extra)
+        assert identical(got, _average_fidelities(dists, scenario, qs, points))
         for g, p in enumerate(ps):
-            where = f"{scenario.value} p={p} {quad.points} nodes"
+            where = f"{scenario.value} p={p} {points} nodes"
             own_qs = [q if np.ndim(q) == 0 else q[g] for q in qs]
-            assert identical([f_avs[g] for f_avs in got], _average_fidelities(dists[g], scenario, own_qs, quad)), where
+            own = _average_fidelities(dists[g], scenario, own_qs, points)
+            assert identical([f_avs[g] for f_avs in got], own), where
             want = _row_totals(dists[g], scenario, own_qs, extra)
             for j, total in enumerate(totals):
                 assert all(identical(t[g], w) for t, w in zip(total, want[j])), where

@@ -1,4 +1,5 @@
 """Quadrature averaging, closed-form registry, and entropy."""
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from bqtsim.linalg import kron, partial_trace
 from bqtsim.metrics import (
-    QuadratureSpec,
+    _nodes_weights,
     average_fidelity,
     closed_form,
     closed_form_names,
@@ -15,7 +16,7 @@ from bqtsim.metrics import (
 )
 from bqtsim.protocol import QubitInput, Scenario, _run_rows, distribute
 
-from test_kernel import node_average, simpson
+from test_kernel import node_average, one_average, simpson
 
 
 def binary_entropy(x):
@@ -27,21 +28,17 @@ def binary_entropy(x):
 # ---------------------------------------------------------- quadrature
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(points=4)
-    with pytest.raises(ValueError, match=r"points=8\.5 is not an integer"):
-        QuadratureSpec(points=8.5)
-    QuadratureSpec(points=8)
-    nodes, _ = QuadratureSpec(points=np.int64(9)).nodes_weights()
-    assert len(nodes) == 9
-
-
 def test_quadrature_nodes_integrate_polynomials():
-    x, w = QuadratureSpec(points=16).nodes_weights()
+    x, w = _nodes_weights(16)
     assert np.all(x >= 0.0) and np.all(x <= 1.0)
     assert abs(np.sum(w) - 1.0) < 1e-13
     assert abs(np.dot(w, x**3) - 0.25) < 1e-10
+    # Every caller shares the cached arrays, so none may write to them.
+    assert _nodes_weights(16)[0] is x
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.5
 
 
 # ------------------------------------------------------ closed forms
@@ -97,34 +94,32 @@ def test_closed_form_rejects_arguments_outside_unit_interval(name, p, q_w, match
 
 
 def test_average_fidelity_suppression_grid():
-    quad = QuadratureSpec(points=32)
     for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
         for p in (0.0, 0.3, 0.7):
-            assert abs(average_fidelity(scenario, p, p, quad) - 1.0) < 1e-9
+            assert abs(one_average(scenario, p, p, 32) - 1.0) < 1e-9
 
 
 def test_average_fidelity_unprotected_closed_forms():
-    quad = QuadratureSpec(points=32)
     for p in np.linspace(0.0, 1.0, 11):
         p = float(p)
-        got = average_fidelity(Scenario.UNPROTECTED_RECOVERY, p, 0.0, quad)
+        got = one_average(Scenario.UNPROTECTED_RECOVERY, p, 0.0, 32)
         assert abs(got - closed_form("f_av_unprot_I", p).value) < 1e-6
-        got = average_fidelity(Scenario.UNPROTECTED_ALL, p, 0.0, quad)
+        got = one_average(Scenario.UNPROTECTED_ALL, p, 0.0, 32)
         assert abs(got - closed_form("f_av_unprot_II", p).value) < 1e-6
 
 
 def test_average_fidelity_rule_agreement():
     # The 32-node Gauss-Legendre rule against a 200-interval Simpson sum of
     # the same per-node totals.
-    gl = average_fidelity(Scenario.RECOVERY_ADC, 0.5, 0.2, QuadratureSpec(points=32))
+    gl = one_average(Scenario.RECOVERY_ADC, 0.5, 0.2, 32)
     simp = node_average(Scenario.RECOVERY_ADC, 0.5, 0.2, *simpson(200))
     assert abs(gl - simp) < 1e-8
 
 
 def test_average_fidelity_quadrature_converged():
     for scenario, q in ((Scenario.ALL_ADC, 0.15), (Scenario.UNPROTECTED_ALL, 0.0)):
-        f64 = average_fidelity(scenario, 0.6, q, QuadratureSpec(points=64))
-        f128 = average_fidelity(scenario, 0.6, q, QuadratureSpec(points=128))
+        f64 = average_fidelity(scenario, 0.6, q)
+        f128 = one_average(scenario, 0.6, q, 128)
         assert abs(f64 - f128) < 1e-8
 
 
@@ -141,8 +136,7 @@ def test_average_fidelity_factorizes_over_parties(scenario):
     # Hold it against the explicit two-party double sum over every
     # (pop_a, pop_b) node pair, so a noise model that couples the parties
     # fails here.
-    quad = QuadratureSpec(points=16)
-    nodes, weights = quad.nodes_weights()
+    nodes, weights = _nodes_weights(16)
     pairs = np.array([[a, 0.0, b, 0.0] for a in nodes for b in nodes])
     pair_weights = np.outer(weights, weights).ravel()
     for p in (0.0, 0.4, 1.0):
@@ -151,11 +145,24 @@ def test_average_fidelity_factorizes_over_parties(scenario):
         rows = _run_rows(dist, scenario, np.repeat(qs, len(pairs)), np.tile(pairs, (len(qs), 1)))
         joint = rows.totals()[1].reshape(len(qs), -1) @ pair_weights
         for q, want in zip(qs, joint):
-            got = average_fidelity(scenario, p, q, quad)
+            got = one_average(scenario, p, q, 16)
             if math.isnan(want):
                 assert math.isnan(got), f"p={p} q_w={q}"
             else:
                 assert abs(got - want) <= 1e-13, f"p={p} q_w={q}"
+
+
+def test_average_fidelity_takes_one_q_w():
+    """The signature is the parameter point alone; a sequence q_w raises
+    the function's own error, whatever its length, and a numpy scalar or
+    0-d array gives the float's bits."""
+    assert list(inspect.signature(average_fidelity).parameters) == ["scenario", "p", "q_w"]
+    for q_w in ([0.1], [0.1, 0.2]):
+        with pytest.raises(ValueError, match="average_fidelity: q_w must be a single value"):
+            average_fidelity(Scenario.ALL_ADC, 0.3, q_w)
+    want = average_fidelity(Scenario.ALL_ADC, 0.3, 0.25)
+    for q_w in (np.float32(0.25), np.array(0.25)):
+        assert average_fidelity(Scenario.ALL_ADC, 0.3, q_w).hex() == want.hex()
 
 
 def test_average_fidelity_degenerate_corner_is_nan():

@@ -365,6 +365,14 @@ def test_branches_match_all_closed_forms(scenario):
             np.testing.assert_allclose(b.corrected, corrected, atol=1e-12)
 
 
+@pytest.mark.parametrize("oracle", (oracles.joint_prob_closed, oracles.recovered_closed))
+def test_closed_branch_oracles_reject_outcome_index_out_of_range(oracle):
+    inp = QubitInput(0.3, 0.4)
+    for i, j, bad in ((0, 1, 0), (1, 0, 0), (5, 2, 5), (3, 5, 5)):
+        with pytest.raises(ValueError, match=f"outcome index must be in 1..4, got {bad}"):
+            oracle(Scenario.RECOVERY_ADC, i, j, 0.3, inp, inp)
+
+
 def test_branch_quantities_phase_independent():
     rng = np.random.default_rng(41)
     pop_a, pop_b = 0.3, 0.65

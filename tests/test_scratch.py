@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 
 import bqtsim
-from bqtsim.metrics import QuadratureSpec, _average_fidelities
+from bqtsim.metrics import _average_fidelities
 from bqtsim.protocol import Scenario, _row_totals, distribute
-
-QUAD_32, QUAD_64 = QuadratureSpec(points=32), QuadratureSpec(points=64)
 
 
 def scratch_calls(scenario, p, seed):
@@ -26,8 +24,8 @@ def scratch_calls(scenario, p, seed):
     rows, row_qs = rng.random((100, 4)), rng.random(100)
     qs = [0.0, p, 1.0, float(rng.uniform())]
     return (
-        lambda: _average_fidelities(dist, scenario, qs, QUAD_32),
-        lambda: _average_fidelities(dist, scenario, qs, QUAD_64),
+        lambda: _average_fidelities(dist, scenario, qs, 32),
+        lambda: _average_fidelities(dist, scenario, qs, 64),
         lambda: _row_totals(dist, scenario, [row_qs], rows)[0],
     )
 
@@ -72,15 +70,14 @@ def test_threads_get_what_each_computes_alone():
 # thread start-up) can raise.
 FAULT_CHILD = """\
 import resource
-from bqtsim.metrics import QuadratureSpec, _average_fidelities
+from bqtsim.metrics import _average_fidelities
 from bqtsim.protocol import Scenario, distribute
-quad = QuadratureSpec(points=64)
 dist, _ = distribute(Scenario.ALL_ADC, 0.4)
 for _ in range(5):
-    _average_fidelities(dist, Scenario.ALL_ADC, [0.1, 0.3], quad)
+    _average_fidelities(dist, Scenario.ALL_ADC, [0.1, 0.3], 64)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    _average_fidelities(dist, Scenario.ALL_ADC, [0.1, 0.3], quad)
+    _average_fidelities(dist, Scenario.ALL_ADC, [0.1, 0.3], 64)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -111,14 +111,15 @@ def targets(pkg) -> dict:
     cli, metrics, protocol = pkg.cli, pkg.metrics, pkg.protocol
     scenario = protocol.Scenario.ALL_ADC
     dist, _ = protocol.distribute(scenario, 0.4)
-    quad = metrics.QuadratureSpec(points=64)
+    # A tree with a QuadratureSpec record takes one; a later tree takes the node count.
+    rule = metrics.QuadratureSpec(points=64) if hasattr(metrics, "QuadratureSpec") else 64
     alice, bob = protocol.QubitInput(0.3, 1.1), protocol.QubitInput(0.6, 2.0)
     rows = np.random.default_rng(7).random((64, 4))
     found = {"verify": lambda: quiet(cli.main, ["verify"])}
     for label, (name, args) in CHECKS.items():
         found[label] = check_call(cli, name, args)
     found["sweep"] = lambda: quiet(cli.main, SWEEP)
-    found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], quad)
+    found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule)
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
     branches = protocol._run_rows(dist, scenario, 0.25, rows[:1])
     found["outcomes"] = branches.outcomes

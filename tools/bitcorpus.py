@@ -230,7 +230,9 @@ def family_average(out, bq, metrics) -> int:
             for points in NODE_COUNTS:
                 case = f"{scenario.value} p={p!r} q_w={qs} {points} nodes"
                 names = [f"f_av at q_w={q}" for q in ("0", "1e-12", "p", "0.5", "1-1e-9", "1")[: len(qs)]]
-                out(case, metrics._average_fidelities(dist, scenario, qs, metrics.QuadratureSpec(points)), names)
+                # A tree with a QuadratureSpec record takes one; a later tree takes the node count.
+                rule = metrics.QuadratureSpec(points) if hasattr(metrics, "QuadratureSpec") else points
+                out(case, metrics._average_fidelities(dist, scenario, qs, rule), names)
                 count += 1
     return count
 
