@@ -122,7 +122,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f_avs = [fidelity.item() for _, fidelity, _ in totals]
         else:
             f_avs, totals = _average_fidelities(dist, scenario, qs, extra=[row])
-        for q, f_av, (success, _, _) in zip(qs, f_avs, totals):
+        for q, f_av, (success, *_) in zip(qs, f_avs, totals):
             f_oracle = closed_form(f_name, p, q).value if f_name and not fixed_input else None
             g_oracle = closed_form(g_name, p, q).value if g_name else None
             cols = [
@@ -307,7 +307,7 @@ def _check_unprotected_f_av(points: _Points) -> list:
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
         # The determinism row goes in the fold of each p's nodes.
-        (f_avs,), ((success, _, _),) = _average_fidelities(
+        (f_avs,), ((success,),) = _average_fidelities(
             _states(points, scenario, ps), scenario, [0.0], _VERIFY_NODES, extra=[[0.4, 0.0, 0.8, 0.0]]
         )
         for p, f_av, got in zip(ps, f_avs, success[:, 0].tolist()):

@@ -2,7 +2,12 @@
 
 The input average integrates over the input population with a fixed
 Gauss-Legendre rule: 64 nodes for `average_fidelity` and the sweep, 32
-for verify. The node count is internal, not part of the API."""
+for verify. The node count is internal, not part of the API. The two
+inputs are independent and every branch quantity is a product of one
+factor per party, so the average is the product of two one-party
+integrals: it folds the nodes through the kernel's per-party stages
+(`protocol._fold`, `protocol._party_forms`) and contracts each party on
+its own, never forming a branch."""
 from __future__ import annotations
 
 import math
@@ -11,9 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import _check_unit
+from . import protocol
+from .channels import _check_unit, _party_integrand
 from .linalg import hermitian_eigenvalues, partial_trace
-from .protocol import Scenario, _row_totals, _single_q_w, distribute
+from .protocol import Scenario, _input_densities, _single_q_w, _weak_diagonals, distribute
 
 __all__ = [
     "OracleValue",
@@ -40,6 +46,14 @@ def _nodes_weights(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=8)
+def _node_states(points: int) -> np.ndarray:
+    """Both parties' input state at each of the `points` nodes, as a
+    read-only (2, 1, points, 2, 2) stack that every state of a fold shares
+    (`protocol._fold`): a broadcast view of one (points, 2, 2) stack."""
+    return np.broadcast_to(_input_densities(_nodes_weights(points)[0]), (2, 1, points, 2, 2))
+
+
 @dataclass(frozen=True)
 class OracleValue:
     """A closed-form number together with the formula it came from."""
@@ -54,15 +68,16 @@ def average_fidelity(scenario: Scenario, p: float, q_w: float) -> float:
     weak strength q_w (a sequence raises ValueError), by a 64-node
     Gauss-Legendre rule over the input population.
 
-    Both inputs are drawn from the same population distribution (uniform
-    over [0, 1]) and every branch quantity factorizes into independent
-    per-party pieces, so the two-party average is the square of the
-    single-party population integral. With equal inputs the joint
-    branch-weighted fidelity is exactly that single-party mean squared,
-    which makes the node values sqrt-exact and the quadrature free of any
-    cross-party coupling. Phases drop out of every factor, so only the
-    population is integrated. Degenerate branches add nothing to a node's
-    value; the result is NaN when every branch of some node is degenerate.
+    Both inputs are drawn independently from the same population
+    distribution (uniform over [0, 1]), and every branch quantity is a
+    product of one factor per party, so the total fidelity at inputs
+    (a, b) is G_A(a) G_B(b), where a party's G = sum_k t_k n_k / w_k over
+    its four outcomes (trace, fidelity numerator and success weight), and
+    the average is the product of the two one-party integrals of G.
+    Phases drop out of every factor, so only the population is integrated.
+    A party outcome that is annihilated adds nothing to its G, and the
+    result is NaN when every outcome of either party is annihilated at
+    some node (`channels._party_integrand`).
     """
     q_w = _single_q_w(q_w, "average_fidelity")
     dist, _ = distribute(scenario, p)
@@ -72,37 +87,50 @@ def average_fidelity(scenario: Scenario, p: float, q_w: float) -> float:
 def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int = 64, extra=None):
     """`average_fidelity` at each of several q_w over one distributed state,
     or over each state of a (G, 16, 16) stack, by the `points`-node
-    Gauss-Legendre rule: the nodes as equal input rows, one group of them
-    per state, folded and corrected at each q_w by `_row_totals`, so a
-    value does not depend on the other q_w or states. A q_w is a float or
-    one value per state.
+    Gauss-Legendre rule. A q_w is a float or one value per state.
+
+    One fold takes the nodes as inputs of both parties, shared by every
+    state (`_node_states`), and every q_w is contracted at once: each
+    party's weights and fidelity numerators per outcome, its integrand at
+    each node, and its weighted sum over the nodes, whose product is the
+    average. Each step is elementwise or a reduction over a fixed axis in
+    a fixed order, so a value does not depend on the other q_w or states.
 
     Returns the average at each q_w: a float for one state, a list of G
-    floats for a stack. `extra` input rows are folded after each group's
-    nodes, and their totals come back too, as (averages, totals) with each
-    q_w's (success, fidelity, postselected) as (G, len(extra)) arrays.
+    floats for a stack. `extra` input rows are folded with the nodes, and
+    their total success comes back too, as (averages, totals) with each
+    q_w's (success,) a (G, len(extra)) array: `_row_totals`' success, bit
+    for bit, its branches formed by the same rule and added in the same
+    order.
     """
     nodes, weights = _nodes_weights(points)
     groups, k = len(dist) if dist.ndim == 3 else 1, len(nodes)
-    rows = np.zeros((k, 4))
-    rows[:, 0] = rows[:, 2] = nodes
+    # Each q_w's weak diagonals, one row per state: (q_w, state, 2).
+    diagonals = np.array([np.broadcast_to(_weak_diagonals(q_w, scenario, groups), (groups, 2)) for q_w in q_ws])
+    rho = _node_states(points)
     if extra is not None:
-        rows = np.concatenate((rows, extra))
-    size = len(rows)
-    q_rows = [q_w if isinstance(q_w, (float, int)) else np.repeat(q_w, size) for q_w in q_ws]
-    found = _row_totals(dist, scenario, q_rows, np.tile(rows, (groups, 1)) if groups > 1 else rows)
-    averages = []
-    for _, tf, _ in found:
-        # Per-node total fidelities, NaN at a node whose branches are all
-        # degenerate; the NaN carries through to the average.
-        roots = np.sqrt(np.maximum(tf.reshape(groups, size)[:, :k], 0.0))
-        accs = [float(np.dot(weights, root)) for root in roots]
-        # acc * acc, which libm's pow, behind acc ** 2, can round apart from.
-        averages.append([acc * acc for acc in accs] if dist.ndim == 3 else accs[0] * accs[0])
+        extra = np.asarray(extra, dtype=float)
+        rho = np.concatenate((rho, _input_densities(extra[:, 0::2].T, extra[:, 1::2].T)[:, None]), axis=2)
+    # Views of the q_w-free parts, (party, state, row, outcome[, entry]):
+    # the trace, Re X[a, a] and the fidelity forms F[s]. The nodes are the
+    # first k rows of each state.
+    forms = protocol._party_forms(protocol._fold(dist, rho), rho)
+    trace, diagonal, entries = (part.reshape(2, groups, -1, *part.shape[2:]) for part in forms)
+    # The weak pair D_a D_b of each q_w and state against (q_w, party, state,
+    # row); its entries 1 and 2 are the same product.
+    pair = (diagonals[:, :, :, None] * diagonals[:, :, None, :]).reshape(len(diagonals), 1, groups, 1, 4)
+    weight = protocol._party_weights(diagonal, pair)
+    d0, d1, d3 = (pair[..., None, s] for s in (0, 1, 3))
+    f0, f1, f2, f3 = entries[:, :, :k].transpose(4, 0, 1, 2, 3)
+    integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], f0 * d0 + (f1 + f2) * d1 + f3 * d3)
+    means = np.add.reduce(integrand * weights, axis=-1)
+    averages = (means[:, 0] * means[:, 1] if dist.ndim == 3 else means[:, 0, 0] * means[:, 1, 0]).tolist()
     if extra is None:
         return averages
-    return averages, [tuple(t.reshape(groups, size)[:, k:] for t in parts) for parts in found]
-
+    # The extra rows' branch weights as `_row_totals` forms them, added in
+    # branch order from the first, as its totals add them: (q_w, state, row).
+    _, branches, _ = protocol._live_branches(trace[:, :, k:], weight[..., k:, :].swapaxes(0, 1))
+    return averages, [(success,) for success in np.add.accumulate(branches, axis=-1)[..., -1]]
 
 _FORMS: dict[str, tuple] = {
     "g_t_I": (

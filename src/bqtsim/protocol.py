@@ -54,7 +54,9 @@ by D_a D_b and U_k moves and signs it. Hence a party's success
 weight is sum_a D_a^2 Re X[a, a] over its outcome state X, and its
 fidelity numerator sum_ab D_a D_b Re(X[a, b] (U_k^dag rho U_k)[b, a]): per
 q_w, a 2-term and a 4-term contraction of forms that no q_w changes. One
-rule, in `_correct_branches`, flags a branch degenerate.
+rule, `_live_branches`, flags a branch degenerate. The input average
+(`metrics._average_fidelities`) folds through `_fold` and `_party_forms`
+too, then contracts each party alone.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -141,6 +143,11 @@ class Scenario(Enum):
     ALL_ADC = ("all-adc", "II", True)
     UNPROTECTED_RECOVERY = ("unprotected-recovery", "I", False)
     UNPROTECTED_ALL = ("unprotected-all", "II", False)
+
+    # Members are singletons compared by identity, so the identity hash
+    # serves, in C; Enum's own hashes the name in a Python-level call,
+    # which every dict keyed by a scenario would pay on each lookup.
+    __hash__ = object.__hash__
 
     def __new__(cls, value: str, situation: str, protected: bool) -> "Scenario":
         member = object.__new__(cls)
@@ -531,44 +538,72 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
 
 def _fold(dist: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Each party's recovered 2x2 states of every outcome, (2, N, 4, 2, 2),
-    for a (2, N, 2, 2) party-major stack of inputs, Alice's first: XA_i on
-    qubit 2 and XB_j on qubit 3 (`_fold_maps`).
+    Alice's first: XA_i on qubit 2 and XB_j on qubit 3 (`_fold_maps`).
 
     dist is one 16x16 state of qubits (1, 2, 3, 4), or a (G, 16, 16) stack
-    whose state g serves the g-th of G equal contiguous groups of the rows.
-    One gather-and-sum reads every state's fold maps off its two pair
-    marginals, and one batched product folds each party's inputs of each
-    group through its map, the same product one state alone would get, so
-    a row's bits do not depend on the other groups.
+    whose state g serves the g-th of G equal contiguous groups of the N
+    rows. rho holds the inputs as a (2, groups, m, 2, 2) party-major stack,
+    Alice's first, of each group's m = N / G rows: groups is G, or 1 when
+    every group takes the same inputs. One gather-and-sum reads every
+    state's fold maps off its two pair marginals, and one batched product
+    folds each party's inputs of each group through its map, the same
+    product one state alone would get, so a row's bits do not depend on
+    the other groups.
     """
-    groups, n = len(dist) if dist.ndim == 3 else 1, rho.shape[1]
+    groups, m = len(dist) if dist.ndim == 3 else 1, rho.shape[2]
     maps = dist.reshape(groups, 256).take(_FOLD_GATHER, axis=1).sum(axis=1) * _FOLD_COEF
-    folded = rho.reshape(2, groups, n // groups, 4) @ maps.reshape(groups, 2, 4, 16).transpose(1, 0, 2, 3)
-    return folded.reshape(2, n, 4, 2, 2)
+    folded = rho.reshape(rho.shape[:3] + (4,)) @ maps.reshape(groups, 2, 4, 16).transpose(1, 0, 2, 3)
+    return folded.reshape(2, groups * m, 4, 2, 2)
 
 
 def _party_forms(parties: np.ndarray, rho: np.ndarray) -> tuple:
     """The parts of every branch's correction that do not depend on q_w,
     from each party's recovered states (`_fold`) and inputs.
 
-    Returns the branches' joint probabilities, (N, 16), each the product
-    tr XA_i tr XB_j of its parties' traces; each party's real diagonals
-    Re X[a, a], (2, N, 4, 2); and each party's fidelity forms F[a, b] =
+    Returns each party's traces tr X, (2, N, 4); its real diagonals
+    Re X[a, a], (2, N, 4, 2); and its fidelity forms F[a, b] =
     Re(X[a, b] (U_k^dag rho U_k)[b, a]) against its own input rho
-    (`_REFERENCE_MAP`), flattened to (2, N, 4, 4).
+    (`_REFERENCE_MAP`), flattened to (2, N, 4, 4). rho holds the inputs
+    of every row, (2, N, 2, 2), or as `_fold` takes them, whose inputs may
+    repeat over each group of rows.
     """
     n = parties.shape[1]
     flat = parties.reshape(2, n, 4, 4)
     diagonal = flat[..., ::3].real
     traces = diagonal[..., 0] + diagonal[..., 1]
-    forms = flat * (rho.reshape(2, n, 1, 4) @ _REFERENCE_MAP).reshape(2, n, 4, 4)
-    return _outer(traces), diagonal, forms.real
+    # One product per party over all its rows, exact: each entry of the
+    # reference is one input entry, signed.
+    reference = (rho.reshape(2, -1, 4) @ _REFERENCE_MAP).reshape(2, -1, rho.shape[-3], 4, 4)
+    forms = flat.reshape(2, -1, *reference.shape[2:]) * reference
+    return traces, diagonal, forms.reshape(2, n, 4, 4).real
 
 
 def _outer(values: np.ndarray) -> np.ndarray:
-    """Each branch's product of its two parties' values, (N, 16), from a
-    (2, N, 4) party-major stack."""
-    return (values[0][:, :, None] * values[1][:, None, :]).reshape(-1, 16)
+    """Each branch's product of its two parties' values, (..., 16), from a
+    (2, ..., 4) party-major stack."""
+    return (values[0][..., None] * values[1][..., None, :]).reshape(values.shape[1:-1] + (16,))
+
+
+def _party_weights(diagonal: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Each party's success weight sum_a D_a^2 Re X[a, a] at each outcome,
+    from its real diagonals (`_party_forms`) and the weak pair D_a D_b,
+    flattened on the last axis of `pair`, whose other axes broadcast
+    against the axes before the outcome axis."""
+    return diagonal[..., 0] * pair[..., None, 0] + diagonal[..., 1] * pair[..., None, 3]
+
+
+def _live_branches(traces: np.ndarray, weights: np.ndarray) -> tuple:
+    """Each branch's joint probability, success weight and degeneracy,
+    (..., 16), from its two parties' (2, ..., 4) traces and weights.
+
+    A branch is degenerate (annihilated) when its joint probability is at
+    or below `DEGENERATE_TOL` or its weight is below it, and its weight is
+    then 0.
+    """
+    joint, weight = _outer(traces), _outer(weights)
+    degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
+    weight[degenerate] = 0.0
+    return joint, weight, degenerate
 
 
 def _kron_parties(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -596,15 +631,12 @@ def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> _Bra
     Each is a contraction over one row's own entries, so a row's value
     does not depend on N.
 
-    A branch is degenerate (annihilated) when its joint probability is at
-    or below `DEGENERATE_TOL` or its weight is below it; its weight,
-    fidelity and corrected state are set to 0.
+    A degenerate branch (`_live_branches`) has its weight, fidelity and
+    corrected state set to 0.
     """
-    joint, diagonal, fidelity_forms = forms
+    traces, diagonal, fidelity_forms = forms
     pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(-1, 4)
-    weight = _outer(np.einsum("...ka,...a->...k", diagonal, pair[:, ::3]))
-    degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
-    weight[degenerate] = 0.0
+    joint, weight, degenerate = _live_branches(traces, _party_weights(diagonal, pair))
     # Dividing by infinity zeroes a degenerate branch's fidelity and state.
     norm = np.where(degenerate, np.inf, weight)
     fidelity = _outer(np.einsum("...ks,...s->...k", fidelity_forms, pair)) / norm
@@ -639,8 +671,8 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     if n % groups:
         raise ValueError(f"{n} input rows do not split into {groups} equal groups")
     diagonals = [_weak_diagonals(q_w, scenario, n) for q_w in q_ws]
-    # Party-major, so each party's inputs are contiguous.
-    rho = _input_densities(rows[:, 0::2].T, rows[:, 1::2].T)
+    # Party-major, so each party's inputs are contiguous, in groups.
+    rho = _input_densities(rows[:, 0::2].T, rows[:, 1::2].T).reshape(2, groups, n // groups, 2, 2)
     parties = _fold(dist, rho)
     forms = _party_forms(parties, rho)
     return [_correct_branches(forms, d, parties if owned else None) for d in diagonals]

@@ -376,16 +376,19 @@ def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
     # sweep folds each p's nodes and g_total row together; every kernel
     # call folds once. There were 326 and 102 folds when every p of a check
     # was its own call and a sweep's g_total rows were a second fold, and
-    # 80 and 51 when a call folded a block of 128 rows at a time.
+    # 80 and 51 when a call folded a block of 128 rows at a time. The input
+    # average folds without the branch kernel's entry, so of verify's 14
+    # folds only the 6 of checks 1, 2 and 5-6 go through it, and none of
+    # the sweep's.
     counts = count_folds(monkeypatch)
     checks = cli._verify_checks(10)
     assert all(err <= tol for _, err, tol, _, _ in checks)
-    assert counts == {"_fold_and_correct": 14, "_fold": 14}
+    assert counts == {"_fold_and_correct": 6, "_fold": 14}
     counts.update(dict.fromkeys(counts, 0))
     argv = ["sweep", "--scenario", "all-adc", "--qw-mode", "grid", "--qw-steps", "11"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and len(out.splitlines()) == 1 + 51 * 11
-    assert counts == {"_fold_and_correct": 51, "_fold": 51}
+    assert counts == {"_fold_and_correct": 0, "_fold": 51}
 
 
 def test_verify_builds_each_protected_state_once(monkeypatch):

@@ -104,8 +104,11 @@ def simpson(intervals):
 
 
 def node_average(scenario, p, q_w, nodes, weights):
-    """`average_fidelity`'s sum over any rule's nodes and weights, from the
-    per-node total fidelities of one `_run_rows` stack at equal inputs."""
+    """The input average over any rule's nodes and weights, from the
+    per-node total fidelities of one `_run_rows` stack at equal inputs,
+    where the total fidelity is G^2 for a party's integrand G: the square
+    of the integral of its square root is the product of the two
+    one-party integrals."""
     rows = np.zeros((len(nodes), 4))
     rows[:, 0] = rows[:, 2] = nodes
     dist, _ = distribute(scenario, p)

@@ -21,6 +21,8 @@ the parent's, and how many blocks the change won. The targets:
                  each builds the distributed states it reads
   sweep          cli.main of a one-p `sweep`, input-averaged, two q_w rows
   average64      metrics._average_fidelities, 64 nodes, two q_w
+  average-stack  check 3's call: metrics._average_fidelities over 51
+                 unprotected-all states, 32 nodes, one extra row
   run_protocol   one call at an interior point
   outcomes       the 16 BranchOutcome views of a one-row _run_rows result
   rows1..rows64  protocol._row_totals of 1, 32 and 64 input rows
@@ -68,7 +70,7 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "average64", "run_protocol", "outcomes", "rows1", "rows32", "rows64")
+NAMES = ("verify", *CHECKS, "sweep", "average64", "average-stack", "run_protocol", "outcomes", "rows1", "rows32", "rows64")
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
          "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
 
@@ -112,14 +114,17 @@ def targets(pkg) -> dict:
     scenario = protocol.Scenario.ALL_ADC
     dist, _ = protocol.distribute(scenario, 0.4)
     # A tree with a QuadratureSpec record takes one; a later tree takes the node count.
-    rule = metrics.QuadratureSpec(points=64) if hasattr(metrics, "QuadratureSpec") else 64
+    rule = (lambda n: metrics.QuadratureSpec(points=n)) if hasattr(metrics, "QuadratureSpec") else (lambda n: n)
+    bare = protocol.Scenario.UNPROTECTED_ALL
+    stack = np.stack([protocol.distribute(bare, float(p))[0] for p in np.linspace(0.0, 1.0, 51)])
     alice, bob = protocol.QubitInput(0.3, 1.1), protocol.QubitInput(0.6, 2.0)
     rows = np.random.default_rng(7).random((64, 4))
     found = {"verify": lambda: quiet(cli.main, ["verify"])}
     for label, (name, args) in CHECKS.items():
         found[label] = check_call(cli, name, args)
     found["sweep"] = lambda: quiet(cli.main, SWEEP)
-    found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule)
+    found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
+    found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
     branches = protocol._run_rows(dist, scenario, 0.25, rows[:1])
     found["outcomes"] = branches.outcomes
@@ -177,12 +182,12 @@ def main() -> None:
         print(f"{order}: median [q1, q3] min of {BLOCKS} blocks, us per call")
         for label, times in results.items():
             if times is None:
-                print(f"  {label:<13} skipped: one tree lacks it")
+                print(f"  {label:<14} skipped: one tree lacks it")
                 continue
             p, c = times["parent"], times["change"]
             ratio = statistics.median(c) / statistics.median(p) - 1.0
             won = sum(x < y for x, y in zip(c, p))
-            print(f"  {label:<13} parent {summary(p)}  change {summary(c)}  {ratio:+7.1%}  won {won}/{len(p)}")
+            print(f"  {label:<14} parent {summary(p)}  change {summary(c)}  {ratio:+7.1%}  won {won}/{len(p)}")
 
 
 if __name__ == "__main__":
