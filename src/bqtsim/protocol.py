@@ -209,26 +209,19 @@ class ProtocolResult:
     postselected_fidelity: float
 
 
-# Bell kets in the fixed order (|00>+|11>, |00>-|11>, |01>+|10>, |01>-|10>)/sqrt(2).
-_BELL_KETS = np.array(
-    [
-        [1.0, 0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0, -1.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 1.0, -1.0, 0.0],
-    ],
-    dtype=complex,
-) / math.sqrt(2.0)
+# Bell kets in the fixed order (|00>+|11>, |00>-|11>, |01>+|10>, |01>-|10>)/sqrt(2),
+# without the 1/sqrt(2): every product of two amplitudes is then an integer,
+# and its 1/2 is exact in binary, where 1/sqrt(2) squared is not.
+_BELL_SIGNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
+_BELL_KETS = _BELL_SIGNS.astype(complex) / math.sqrt(2.0)
 
 # The resource every run starts from, built once: the first Bell ket on each
-# of the pairs (1, 2) and (3, 4). It is backed by immutable bytes, so no
-# caller can write to it or make it writable again and change what later
-# runs see.
-_RESOURCE_KET = np.kron(_BELL_KETS[0], _BELL_KETS[0])
-RESOURCE = np.frombuffer(np.outer(_RESOURCE_KET, _RESOURCE_KET.conj()).tobytes(), dtype=complex).reshape(16, 16)
-
-# The same kets as amplitude tables B[k][x, y], x the first qubit's bit.
-_BELL_TABLES = _BELL_KETS.reshape(4, 2, 2)
+# of the pairs (1, 2) and (3, 4), its entries exactly 0 and 1/4. It is backed
+# by immutable bytes, so no caller can write to it or make it writable again
+# and change what later runs see.
+_RESOURCE_SIGNS = np.kron(_BELL_SIGNS[0], _BELL_SIGNS[0])
+_RESOURCE_BYTES = (np.outer(_RESOURCE_SIGNS, _RESOURCE_SIGNS) * 0.25).astype(complex).tobytes()
+RESOURCE = np.frombuffer(_RESOURCE_BYTES, dtype=complex).reshape(16, 16)
 
 # Outcome index (0-based) -> correction unitary.
 _CORR_UNITARIES = np.stack((I2, SZ, SX, SX @ SZ))
@@ -257,15 +250,16 @@ def _fold_maps() -> tuple[np.ndarray, np.ndarray]:
     over u. Returns the (4, 2, 64) flat state entries to sum, the summed
     term first, and the (2, 64) coefficients, Alice's party first.
     """
-    eye = np.eye(2)
-    # Coefficients of marginal entries (y n, Y N) in K_A and (k w, K W) in K_B.
-    alice = np.einsum("ixy,iXY,mn,MN->xXimMynYN", _BELL_TABLES.conj(), _BELL_TABLES, eye, eye)
-    bob = np.einsum("jwz,jWZ,nk,NK->zZjnNkwKW", _BELL_TABLES.conj(), _BELL_TABLES, eye, eye)
+    eye, tables = np.eye(2, dtype=int), _BELL_SIGNS.reshape(4, 2, 2)
+    # Coefficients of marginal entries (y n, Y N) in K_A and (k w, K W) in K_B,
+    # in units of 1/2: the kets are real, B_k[x, y] is tables[k, x, y] / sqrt(2).
+    alice = np.einsum("ixy,iXY,mn,MN->xXimMynYN", tables, tables, eye, eye)
+    bob = np.einsum("jwz,jWZ,nk,NK->zZjnNkwKW", tables, tables, eye, eye)
     source, coef = _one_source(np.stack((alice, bob)).reshape(2, 64, 16))
     row, col = np.divmod(np.arange(16), 4)
     term = np.arange(4)[:, None]
     marginal = np.stack((64 * row + 4 * col + 17 * term, 16 * row + col + 68 * term))
-    return np.take_along_axis(marginal, source[:, None, :], axis=2).transpose(1, 0, 2), coef
+    return np.take_along_axis(marginal, source[:, None, :], axis=2).transpose(1, 0, 2), coef * 0.5
 
 
 _FOLD_GATHER, _FOLD_COEF = _fold_maps()

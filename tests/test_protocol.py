@@ -69,10 +69,12 @@ def test_prepare_channel_pairs_are_bell():
 
 
 def test_resource_constant_is_read_only():
-    # RESOURCE comes from the Bell table, prepare_channel from the circuit:
-    # the two constructions agree to the last bit.
-    circuit = prepare_channel().tobytes()
-    assert RESOURCE.tobytes() == circuit
+    # RESOURCE comes from the integer Bell table times 1/4, exactly;
+    # prepare_channel from the circuit, whose 1/sqrt(2) amplitudes round.
+    ket = np.kron([1, 0, 0, 1], [1, 0, 0, 1])
+    exact = (np.outer(ket, ket) / 4).astype(complex).tobytes()
+    assert RESOURCE.tobytes() == exact
+    assert np.max(np.abs(RESOURCE - prepare_channel())) <= 1e-15
     assert not RESOURCE.flags.writeable
     with pytest.raises(ValueError):
         RESOURCE[0, 0] = 1.0
@@ -82,7 +84,7 @@ def test_resource_constant_is_read_only():
         RESOURCE.setflags(write=True)
     # Runs read it but never write through it.
     run_protocol(Scenario.UNPROTECTED_ALL, 0.4, 0.0, QubitInput(0.3), QubitInput(0.6))
-    assert RESOURCE.tobytes() == circuit
+    assert RESOURCE.tobytes() == exact
 
 
 # -------------------------------------------------------- distribution
