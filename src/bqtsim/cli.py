@@ -251,7 +251,8 @@ class _Points(dict):
 
 
 def _states(points: _Points, scenario: Scenario, ps) -> np.ndarray:
-    """The (len(ps), 16, 16) stack of the scenario's distributed states."""
+    """The (len(ps), 2, 4, 4) stack of the scenario's distributed pair
+    stacks, one per p."""
     return np.stack([points[scenario, p][0] for p in ps])
 
 

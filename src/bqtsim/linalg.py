@@ -10,10 +10,11 @@ write to no argument. The states the package returns are fresh arrays or
 views of stacks the caller owns; the one state it shares,
 `protocol.RESOURCE`, is read-only, so threads can share it safely.
 
-`__all__` is what the product path uses. `kron`, `embed_op`, `HADAMARD`
-and `CNOT` are kept for the test references only: the circuit-built
-resource (`protocol.prepare_channel`) and the explicit operators the
-tests hold the kernel against. `assert_density` is the tests' check of a
+`__all__` is what the product path uses. `kron`, `embed_op`, `HADAMARD`,
+`CNOT` and `partial_trace` are kept for the test references only: the
+circuit-built resource (`protocol.prepare_channel`), the explicit
+operators the tests hold the kernel against, and the reduced states they
+hold its entropy against. `assert_density` is the tests' check of a
 state.
 """
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "partial_trace",
     "hermitian_eigenvalues",
     "I2",
     "SX",
@@ -136,18 +136,20 @@ def embed_op(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarra
 
 
 def hermitian_eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """Real eigenvalues in descending order.
+    """Real eigenvalues in descending order, of one (n, n) matrix or of
+    each matrix of an (..., n, n) stack, on the last axis.
 
-    Raises ValueError when rho is not square, or is off Hermitian by more
-    than 1e-10 in any entry. Values in [-EIG_CLAMP, 0) are clamped to
-    exactly 0 so downstream logs and entropies never see spurious
-    negatives.
+    Raises ValueError when the matrices are not square, or when any is off
+    Hermitian by more than 1e-10 in any entry. Values in [-EIG_CLAMP, 0)
+    are clamped to exactly 0 so downstream logs and entropies never see
+    spurious negatives.
     """
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"hermitian_eigenvalues expects a square matrix, got shape {rho.shape}")
-    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
+    adjoint = rho.conj().swapaxes(-1, -2)
+    herm_err = float(np.max(np.abs(rho - adjoint)))
     if herm_err > 1e-10:
         raise ValueError(f"not Hermitian within 1e-10: deviation {herm_err:g}")
-    vals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[::-1]
+    vals = np.linalg.eigvalsh(0.5 * (rho + adjoint))[..., ::-1]
     vals = np.where((vals < 0.0) & (vals >= -EIG_CLAMP), 0.0, vals)
     return vals

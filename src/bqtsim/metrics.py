@@ -7,7 +7,12 @@ inputs are independent and every branch quantity is a product of one
 factor per party, so the average is the product of two one-party
 integrals: it folds the nodes through the kernel's per-party stages
 (`protocol._fold`, `protocol._party_forms`) and contracts each party on
-its own, never forming a branch."""
+its own, never forming a branch.
+
+The distributed state is the product of its two Bell pairs, and Bob holds
+one qubit of each, so his entropy is the sum of two one-qubit entropies:
+`entanglement_entropy_bob` takes both 2x2 states off the pair stack and
+their eigenvalues in one call, and builds no 16x16 or 4x4 state."""
 from __future__ import annotations
 
 import math
@@ -18,8 +23,8 @@ import numpy as np
 
 from . import protocol
 from .channels import _check_unit, _party_integrand
-from .linalg import hermitian_eigenvalues, partial_trace
-from .protocol import Scenario, _input_densities, _single_q_w, _weak_diagonals, distribute
+from .linalg import hermitian_eigenvalues
+from .protocol import Scenario, _groups, _input_densities, _single_q_w, _weak_diagonals, distribute
 
 __all__ = [
     "OracleValue",
@@ -29,8 +34,6 @@ __all__ = [
     "von_neumann_entropy",
     "entanglement_entropy_bob",
 ]
-
-_EIG_CUT = 1e-12
 
 
 # Gauss-Legendre nodes cost an eigenproblem, which at 64 points takes longer
@@ -85,8 +88,8 @@ def average_fidelity(scenario: Scenario, p: float, q_w: float) -> float:
 
 
 def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int = 64, extra=None):
-    """`average_fidelity` at each of several q_w over one distributed state,
-    or over each state of a (G, 16, 16) stack, by the `points`-node
+    """`average_fidelity` at each of several q_w over one distributed pair
+    stack, or over each state of a (G, 2, 4, 4) stack, by the `points`-node
     Gauss-Legendre rule. A q_w is a float or one value per state.
 
     One fold takes the nodes as inputs of both parties, shared by every
@@ -104,7 +107,7 @@ def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int 
     order.
     """
     nodes, weights = _nodes_weights(points)
-    groups, k = len(dist) if dist.ndim == 3 else 1, len(nodes)
+    groups, k = _groups(dist), len(nodes)
     # Each q_w's weak diagonals, one row per state: (q_w, state, 2).
     diagonals = np.array([np.broadcast_to(_weak_diagonals(q_w, scenario, groups), (groups, 2)) for q_w in q_ws])
     rho = _node_states(points)
@@ -124,7 +127,7 @@ def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int 
     f0, f1, f2, f3 = entries[:, :, :k].transpose(4, 0, 1, 2, 3)
     integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], f0 * d0 + (f1 + f2) * d1 + f3 * d3)
     means = np.add.reduce(integrand * weights, axis=-1)
-    averages = (means[:, 0] * means[:, 1] if dist.ndim == 3 else means[:, 0, 0] * means[:, 1, 0]).tolist()
+    averages = (means[:, 0] * means[:, 1] if dist.ndim == 4 else means[:, 0, 0] * means[:, 1, 0]).tolist()
     if extra is None:
         return averages
     # The extra rows' branch weights as `_row_totals` forms them, added in
@@ -182,21 +185,27 @@ def closed_form(name: str, p: float, q_w: float = 0.0) -> OracleValue:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Base-2 von Neumann entropy; eigenvalues below 1e-12 are dropped."""
+    """Base-2 von Neumann entropy -sum lambda log2 lambda over the nonzero
+    eigenvalues of the state rho (`linalg.hermitian_eigenvalues` clamps
+    tiny negative ones to 0); of a (k, n, n) stack of states, that of
+    their product, the sum of theirs."""
     eigs = hermitian_eigenvalues(rho)
-    eigs = eigs[eigs > _EIG_CUT]
+    eigs = eigs[eigs > 0.0]
     # + 0.0 folds -0.0 into 0.0 so serialized output never shows "-0".
     return float(-np.sum(eigs * np.log2(eigs))) + 0.0
 
 
-def entanglement_entropy_bob(channel_state: np.ndarray) -> float:
-    """Entropy of Bob's half of the 4-qubit resource state, which is the
-    entanglement between the two parties.
+def entanglement_entropy_bob(pairs: np.ndarray) -> float:
+    """Entropy of Bob's half of the distributed resource, which is the
+    entanglement between the two parties, from its (2, 4, 4) pair stack
+    (rho_12, rho_34) as `distribute` returns it.
 
-    Qubits are ordered (1, 2, 3, 4). Bob holds qubits 2 and 4: qubit 2
+    Bob holds qubits 2 and 4, the second qubit of each pair: qubit 2
     receives Alice's teleported state and qubit 4 is the one he
-    Bell-measures with his input. The reduction keeps indices 1 and 3.
+    Bell-measures with his input. His state is the product of one qubit
+    of each pair, so its entropy is the sum of the two qubits' entropies,
+    taken from both 2x2 eigenproblems at once.
     """
-    if channel_state.shape != (16, 16):
-        raise ValueError("expected a 4-qubit channel state")
-    return von_neumann_entropy(partial_trace(channel_state, [1, 3]))
+    if pairs.shape != (2, 4, 4):
+        raise ValueError("expected the (2, 4, 4) pair stack of a distributed state")
+    return von_neumann_entropy(pairs.reshape(2, 2, 2, 2, 2).trace(axis1=1, axis2=3))

@@ -299,15 +299,17 @@ def _noisy_pair(p: float, scenario: Scenario, damped_first: bool) -> np.ndarray:
 
 
 def distributed_closed(scenario: Scenario, p: float) -> np.ndarray:
-    """Post-distribution 4-qubit resource state.
+    """Post-distribution resource as the (2, 4, 4) stack of its two Bell
+    pairs, (1, 2) first.
 
-    Protected scenarios give the renormalized pure state; unprotected ones
-    give the full mixed Kraus sum. In the recovery-noise layout the damped
-    qubit is the second of the first pair and the first of the second.
+    Protected scenarios give each pair's renormalized pure state;
+    unprotected ones give each pair's full mixed Kraus sum. In the
+    recovery-noise layout the damped qubit is the second of the first pair
+    and the first of the second.
     """
-    first = _noisy_pair(p, scenario, damped_first=False)
-    second = _noisy_pair(p, scenario, damped_first=True)
-    mat = np.kron(first, second)
+    pairs = np.stack(
+        (_noisy_pair(p, scenario, damped_first=False), _noisy_pair(p, scenario, damped_first=True))
+    )
     if scenario.protected:
-        mat = mat / np.trace(mat).real
-    return mat
+        pairs /= pairs.trace(axis1=1, axis2=2).real[:, None, None]
+    return pairs

@@ -14,16 +14,18 @@ distribution plus weak-measurement correction) or left bare with the full
 damping channel applied and no correction. A `Scenario`'s situation
 fixes both the damped qubits and the weak-pulse family that undoes their
 damping; `channels._check_unit` checks every p, q_w and pop0 against
-[0, 1]. `distribute` applies each 4-qubit lift of a damping Kraus
-operator as a monomial map, one source column and one coefficient per
-row, over entries of the resource gathered once at import;
-`channels.apply_channel` and `channels.eam_postselect` on Kronecker-built
-lifts are the reference it is tested against, bit for bit.
+[0, 1]. The resource is two Bell pairs and every noise map acts on one
+qubit, so each distributed state is the product rho_12 (x) rho_34 of its
+pairs, and it is carried as the (2, 4, 4) pair stack (rho_12, rho_34);
+no product path builds the 16x16 product. `distribute` applies each
+pair's 2-qubit lift of a damping Kraus operator as a monomial map, one
+source column and one coefficient per row, over entries of the pair
+gathered once at import; `channels.apply_channel` and
+`channels.eam_postselect` on each pair's Kronecker-built lifts are the
+reference it is tested against, bit for bit.
 
 All 16 Bell outcome combinations are computed exactly, never sampled, by
-one batched kernel that works on each party alone. The resource is two
-Bell pairs and every noise map acts on one qubit, so each distributed state
-is the product rho_12 (x) rho_34 of its pair marginals; Alice's Bell
+one batched kernel that works on each party alone. Alice's Bell
 measurement on (a, 1) touches only the pair (1, 2) and Bob's on (4, b)
 only (3, 4). So branch (i, j)'s recovered (2, 3) state is XA_i (x) XB_j,
 Alice's input folded through rho_12 onto qubit 2 and Bob's through rho_34
@@ -45,7 +47,7 @@ per-party 2x2 states (`run_protocol` sends its one row through it);
 owned result's, and builds no 4x4 state.
 
 A q_w is one float or one value per input row, and the distributed state
-is one (16, 16) state or a (G, 16, 16) stack, one state per equal
+is one (2, 4, 4) pair stack or a (G, 2, 4, 4) stack, one state per equal
 contiguous group of rows, so the rows of a verify check's grid at every p
 share one call; each group is folded with the matrix product one state
 alone would get. m_w is diagonal and each correction Pauli U_k, a
@@ -60,14 +62,14 @@ too, then contracts each party alone.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
-`prepare_channel` builds the resource as a circuit, `compose_total` the
-6-qubit state, `correction_ops` and `apply_correction` apply the explicit
-4x4 corrections with their own traces and degeneracy rule (only
-`apply_correction` raises `DegenerateBranchError`; the kernel flags such
-a branch instead), and `enumerate_branches` projects the composed 6-qubit
-state directly and corrects each branch with those two, so it shares no
-code with the kernel's factored path. Importing the module runs none of
-them.
+`prepare_channel` builds the 16x16 resource as a circuit, `compose_total`
+the 6-qubit state from a pair stack, `correction_ops` and
+`apply_correction` apply the explicit 4x4 corrections with their own
+traces and degeneracy rule (only `apply_correction` raises
+`DegenerateBranchError`; the kernel flags such a branch instead), and
+`enumerate_branches` projects the composed 6-qubit state directly and
+corrects each branch with those two, so it shares no code with the
+kernel's factored path. Importing the module runs none of them.
 """
 from __future__ import annotations
 
@@ -216,12 +218,13 @@ _BELL_SIGNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]
 _BELL_KETS = _BELL_SIGNS.astype(complex) / math.sqrt(2.0)
 
 # The resource every run starts from, built once: the first Bell ket on each
-# of the pairs (1, 2) and (3, 4), its entries exactly 0 and 1/4. It is backed
-# by immutable bytes, so no caller can write to it or make it writable again
-# and change what later runs see.
-_RESOURCE_SIGNS = np.kron(_BELL_SIGNS[0], _BELL_SIGNS[0])
-_RESOURCE_BYTES = (np.outer(_RESOURCE_SIGNS, _RESOURCE_SIGNS) * 0.25).astype(complex).tobytes()
-RESOURCE = np.frombuffer(_RESOURCE_BYTES, dtype=complex).reshape(16, 16)
+# of the pairs (1, 2) and (3, 4), as the (2, 4, 4) stack of the two pair
+# states, its entries exactly 0 and 1/2. It is backed by immutable bytes, so
+# no caller can write to it or make it writable again and change what later
+# runs see.
+_PAIR_SIGNS = np.outer(_BELL_SIGNS[0], _BELL_SIGNS[0])
+_RESOURCE_BYTES = (np.stack((_PAIR_SIGNS, _PAIR_SIGNS)) * 0.5).astype(complex).tobytes()
+RESOURCE = np.frombuffer(_RESOURCE_BYTES, dtype=complex).reshape(2, 4, 4)
 
 # Outcome index (0-based) -> correction unitary.
 _CORR_UNITARIES = np.stack((I2, SZ, SX, SX @ SZ))
@@ -236,7 +239,7 @@ def _one_source(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fold_maps() -> tuple[np.ndarray, np.ndarray]:
-    """Each party's fold map K, read off a flattened distributed state.
+    """Each party's fold map K, read off a flattened pair stack.
 
     Alice's Bell bra on (a, 1) leaves XA_i = sum_{x x'} rho_a[x, x']
     K_A[x x', i m m'] on qubit 2, with K_A[x x', i m m'] = sum_{y y'}
@@ -244,22 +247,18 @@ def _fold_maps() -> tuple[np.ndarray, np.ndarray]:
     XB_j[n, n'] = sum_{z z'} rho_b[z, z'] K_B[z z', j n n'] on qubit 3, with
     K_B[z z', j n n'] = sum_{w w'} B_j[w, z]^* B_j[w', z'] rho_34[n w, n' w']. A Bell
     ket has one nonzero amplitude per value of either qubit, so each entry
-    of K is one marginal entry times one coefficient, and each marginal
-    entry is a sum of four entries of the state: rho_12[u, u'] sums
-    rho[4u + v, 4u' + v] over v, rho_34[v, v'] sums rho[4u + v, 4u + v']
-    over u. Returns the (4, 2, 64) flat state entries to sum, the summed
-    term first, and the (2, 64) coefficients, Alice's party first.
+    of K is one entry of the party's pair times one coefficient. Returns
+    the (2, 64) indices of those entries into the flattened (2, 4, 4) pair
+    stack and their (2, 64) coefficients, each exactly +-1/2, Alice's party
+    and pair first.
     """
     eye, tables = np.eye(2, dtype=int), _BELL_SIGNS.reshape(4, 2, 2)
-    # Coefficients of marginal entries (y n, Y N) in K_A and (k w, K W) in K_B,
+    # Coefficients of pair entries (y n, Y N) in K_A and (k w, K W) in K_B,
     # in units of 1/2: the kets are real, B_k[x, y] is tables[k, x, y] / sqrt(2).
     alice = np.einsum("ixy,iXY,mn,MN->xXimMynYN", tables, tables, eye, eye)
     bob = np.einsum("jwz,jWZ,nk,NK->zZjnNkwKW", tables, tables, eye, eye)
     source, coef = _one_source(np.stack((alice, bob)).reshape(2, 64, 16))
-    row, col = np.divmod(np.arange(16), 4)
-    term = np.arange(4)[:, None]
-    marginal = np.stack((64 * row + 4 * col + 17 * term, 16 * row + col + 68 * term))
-    return np.take_along_axis(marginal, source[:, None, :], axis=2).transpose(1, 0, 2), coef * 0.5
+    return source + 16 * np.arange(2)[:, None], coef * 0.5
 
 
 _FOLD_GATHER, _FOLD_COEF = _fold_maps()
@@ -322,26 +321,30 @@ _ADC_COLUMN = ((0, 1), (1, 0), (0, 1))
 
 
 def _adc_monomials(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The scenario's lifted Kraus operators L_m as monomial maps over
-    `RESOURCE`, one per decay combination on its noisy qubits (the no-decay
-    one alone when protected), the first noisy qubit's choice varying
-    slowest.
+    """The scenario's lifted Kraus operators L_m of each pair as monomial
+    maps over its `RESOURCE` pair, one per decay combination on the pair's
+    noisy qubits (the no-decay one alone when protected), the pair's first
+    noisy qubit's choice varying slowest. Each pair holds the same number
+    m of noisy qubits, so both have m operators.
 
     Row r of L_m holds c_r in column src_r, so (L_m rho L_m^dag)[r, c] =
-    c_r rho[src_r, src_c] c_c. Returns the (4, m, 16) indices of each row's
-    per-qubit factors into the flattened 3x2 factor table, qubit 0 first,
-    and the constant (m, 16, 16) gather rho[src_r, src_c] of `RESOURCE`.
+    c_r rho[src_r, src_c] c_c. Returns the (2, 2, m, 4) indices of each
+    row's per-qubit factors into the flattened 3x2 factor table, by pair
+    and then qubit, and the constant (2, m, 4, 4) gather rho[src_r, src_c]
+    of each `RESOURCE` pair.
     """
     options = [((0, 1) if q in scenario.noisy_qubits else (2,)) for q in range(4)]
     if scenario.protected:
         options = [o[:1] for o in options]
-    choices = np.array(list(itertools.product(*options)))
-    # Bit b of row r on each qubit, qubit 0 the most significant: (16, 4).
-    place = 1 << np.arange(3, -1, -1)
-    bits = (np.arange(16)[:, None] // place) & 1
-    factor = 2 * choices.T[:, :, None] + bits.T[:, None, :]
-    src = np.array(_ADC_COLUMN)[choices[:, None, :], bits] @ place
-    gathered = RESOURCE[src[:, :, None], src[:, None, :]]
+    # Each pair's choices on its two qubits: (2, m, 2).
+    choices = np.array([list(itertools.product(*options[q : q + 2])) for q in (0, 2)])
+    # Bit b of row r on each qubit of a pair, its first qubit the more
+    # significant: (4, 2).
+    place = np.array([2, 1])
+    bits = (np.arange(4)[:, None] // place) & 1
+    factor = 2 * choices.transpose(0, 2, 1)[..., None] + bits.T[:, None, :]
+    src = np.array(_ADC_COLUMN)[choices[:, :, None, :], bits] @ place
+    gathered = RESOURCE[np.arange(2)[:, None, None, None], src[..., :, None], src[..., None, :]]
     gathered.setflags(write=False)
     return factor, gathered
 
@@ -352,36 +355,40 @@ _ADC_MONOMIALS = {scenario: _adc_monomials(scenario) for scenario in Scenario}
 def distribute(scenario: Scenario, p: float) -> tuple[np.ndarray, float]:
     """Send `RESOURCE` through the damping noise of the given scenario.
 
-    Returns a fresh (16, 16) state and a probability. Protected scenarios
-    post-select the no-decay branch and return the renormalized state
-    together with the post-selection probability, g_eam >= 1/4 for every p
-    in [0, 1], so the kept branch is never annihilated.
-    Unprotected scenarios apply the complete Kraus sum over all decay
-    combinations (4 terms for recovery-qubit noise, 16 for all-qubit) and
-    report success 1. Each lifted Kraus operator is applied as a monomial
-    map: its coefficient c_r is the product of the row's per-qubit
-    factors taken left to right in qubit order, as a Kronecker product
-    forms it.
+    Every noise map acts on one qubit, so the two Bell pairs stay
+    independent: returns a fresh (2, 4, 4) stack of the pair states
+    (rho_12, rho_34), whose product is the distributed state of qubits
+    (1, 2, 3, 4), and a probability. Protected scenarios post-select the
+    no-decay branch of each pair and return the pairs renormalized one by
+    one, together with the post-selection probability, the product of the
+    two pairs', g_eam >= 1/4 for every p in [0, 1], so the kept branch is
+    never annihilated. Unprotected scenarios apply each pair's complete
+    Kraus sum over all decay combinations (2 terms a pair for
+    recovery-qubit noise, 4 for all-qubit) and report success 1. Each
+    lifted Kraus operator is applied as a monomial map: its coefficient
+    c_r is the product of the row's two per-qubit factors taken left to
+    right, as a Kronecker product forms it.
     """
     _check_unit("decay probability p", p)
     factor, gathered = _ADC_MONOMIALS[scenario]
     # The row factors [[1, d], [s, 0], [1, 1]] of k0, k1 and the identity.
     table = np.array([1.0, math.sqrt(1.0 - p), math.sqrt(p), 0.0, 1.0, 1.0])
-    coef = np.multiply.reduce(table.take(factor), axis=0)
-    terms = coef[:, :, None] * gathered * coef[:, None, :]
+    coef = np.multiply.reduce(table.take(factor), axis=1)
+    terms = coef[..., :, None] * gathered * coef[..., None, :]
     if not scenario.protected:
         # The terms add in order of m, as apply_channel's Kraus sum does.
-        return terms.sum(axis=0), 1.0
-    kept = terms[0]
-    prob = float(kept.trace().real)
-    return kept / prob, prob
+        return terms.sum(axis=1), 1.0
+    kept = terms[:, 0]
+    probs = kept.trace(axis1=1, axis2=2).real
+    return kept / probs[:, None, None], float(probs[0] * probs[1])
 
 
-def compose_total(alice_in: QubitInput, channel: np.ndarray, bob_in: QubitInput) -> np.ndarray:
-    """Assemble the 6-qubit state in order (a, 1, 2, 3, 4, b)."""
-    if channel.shape != (16, 16):
-        raise ValueError("compose_total expects a 4-qubit channel state")
-    return kron(alice_in.density(), kron(channel, bob_in.density()))
+def compose_total(alice_in: QubitInput, pairs: np.ndarray, bob_in: QubitInput) -> np.ndarray:
+    """Assemble the 6-qubit state in order (a, 1, 2, 3, 4, b) from the
+    inputs and the (2, 4, 4) pair stack `distribute` returns."""
+    if pairs.shape != (2, 4, 4):
+        raise ValueError("compose_total expects the (2, 4, 4) pair stack of a distributed state")
+    return kron(alice_in.density(), kron(kron(*pairs), bob_in.density()))
 
 
 def correction_ops(i: int, j: int, q_w: float, situation: str) -> tuple[np.ndarray, np.ndarray]:
@@ -530,22 +537,28 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     return diagonals
 
 
+def _groups(dist: np.ndarray) -> int:
+    """How many distributed states `dist` holds: 1 for one (2, 4, 4) pair
+    stack, G for a (G, 2, 4, 4) stack of them."""
+    return len(dist) if dist.ndim == 4 else 1
+
+
 def _fold(dist: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Each party's recovered 2x2 states of every outcome, (2, N, 4, 2, 2),
     Alice's first: XA_i on qubit 2 and XB_j on qubit 3 (`_fold_maps`).
 
-    dist is one 16x16 state of qubits (1, 2, 3, 4), or a (G, 16, 16) stack
-    whose state g serves the g-th of G equal contiguous groups of the N
-    rows. rho holds the inputs as a (2, groups, m, 2, 2) party-major stack,
-    Alice's first, of each group's m = N / G rows: groups is G, or 1 when
-    every group takes the same inputs. One gather-and-sum reads every
-    state's fold maps off its two pair marginals, and one batched product
-    folds each party's inputs of each group through its map, the same
-    product one state alone would get, so a row's bits do not depend on
-    the other groups.
+    dist is one distributed state as its (2, 4, 4) pair stack (rho_12,
+    rho_34), or a (G, 2, 4, 4) stack of them whose state g serves the g-th
+    of G equal contiguous groups of the N rows. rho holds the inputs as a
+    (2, groups, m, 2, 2) party-major stack, Alice's first, of each group's
+    m = N / G rows: groups is G, or 1 when every group takes the same
+    inputs. One gather reads every state's fold maps straight off its
+    pairs, and one batched product folds each party's inputs of each group
+    through its map, the same product one state alone would get, so a
+    row's bits do not depend on the other groups.
     """
-    groups, m = len(dist) if dist.ndim == 3 else 1, rho.shape[2]
-    maps = dist.reshape(groups, 256).take(_FOLD_GATHER, axis=1).sum(axis=1) * _FOLD_COEF
+    groups, m = _groups(dist), rho.shape[2]
+    maps = dist.reshape(groups, 32).take(_FOLD_GATHER, axis=1) * _FOLD_COEF
     folded = rho.reshape(rho.shape[:3] + (4,)) @ maps.reshape(groups, 2, 4, 16).transpose(1, 0, 2, 3)
     return folded.reshape(2, groups * m, 4, 2, 2)
 
@@ -647,21 +660,15 @@ def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> _Bra
 
 def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool) -> list:
     """Every branch of an (N, 4) array of input rows [pop_a, phase_a,
-    pop_b, phase_b] over one distributed state of `scenario` or a stack of
-    them (`_fold`'s groups), folded once and corrected at each entry of
-    `q_ws` (a float, or one value per row): one `_Branches` per entry, made
-    once every entry is checked. With `owned` each holds the recovered and
-    corrected states too, arrays the caller owns; without, no 4x4 state is
-    built.
-
-    The kernel's precondition: each distributed state is the product
-    rho_12 (x) rho_34 of its pair marginals, as `distribute` gives it, since
-    the resource is two Bell pairs and every noise map acts on one qubit.
-    `_fold` reads only the marginals, so of any other state it would see
-    only their product.
+    pop_b, phase_b] over one distributed pair stack of `scenario` or a
+    stack of them (`_fold`'s groups), folded once and corrected at each
+    entry of `q_ws` (a float, or one value per row): one `_Branches` per
+    entry, made once every entry is checked. With `owned` each holds the
+    recovered and corrected states too, arrays the caller owns; without,
+    no 4x4 state is built.
     """
     rows = np.asarray(rows, dtype=float)
-    n, groups = len(rows), len(dist) if dist.ndim == 3 else 1
+    n, groups = len(rows), _groups(dist)
     if n % groups:
         raise ValueError(f"{n} input rows do not split into {groups} equal groups")
     diagonals = [_weak_diagonals(q_w, scenario, n) for q_w in q_ws]

@@ -39,7 +39,7 @@ DELETED = ("WeakVariant", "AdcParams", "WeakMeasurementParams", "QuadratureSpec"
 REFERENCES = (
     "adc_kraus", "apply_channel", "eam_postselect", "weak_measurement_op", "kron", "embed_op",
     "prepare_channel", "compose_total", "correction_ops", "apply_correction", "enumerate_branches",
-    "_branch_contractions",
+    "_branch_contractions", "partial_trace",
 )
 
 

@@ -253,6 +253,24 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
         hermitian_eigenvalues(bad)
 
 
+def test_hermitian_eigenvalues_of_a_stack():
+    # Each matrix of a stack gets the bits one call on it alone gives.
+    rng = np.random.default_rng(37)
+    stack = np.array([random_density(rng, 1), random_density(rng, 1, rank=1)])
+    got = hermitian_eigenvalues(stack)
+    assert got.shape == (2, 2)
+    for vals, rho in zip(got, stack):
+        assert vals.tobytes() == hermitian_eigenvalues(rho).tobytes()
+    # One member off Hermitian fails the whole stack.
+    bad = stack.copy()
+    bad[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(bad)
+    for shape in ((2, 2, 3), (4,)):
+        with pytest.raises(ValueError, match="hermitian_eigenvalues expects a square matrix"):
+            hermitian_eigenvalues(np.zeros(shape, dtype=complex))
+
+
 def test_density_validation():
     rng = np.random.default_rng(41)
     rho = random_density(rng, 2)

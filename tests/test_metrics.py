@@ -239,16 +239,50 @@ def test_entropy_bob_closed_forms_and_ordering():
 
 
 def test_entropy_bob_rejects_wrong_dim():
-    with pytest.raises(ValueError):
-        entanglement_entropy_bob(QubitInput(0.5).density())
+    # It takes the (2, 4, 4) pair stack only, not the 16x16 product.
+    for state in (QubitInput(0.5).density(), np.kron(*distribute(Scenario.RECOVERY_ADC, 0.3)[0])):
+        with pytest.raises(ValueError, match=r"expected the \(2, 4, 4\) pair stack"):
+            entanglement_entropy_bob(state)
 
 
 def test_entropy_bob_traces_the_kept_pair():
-    # The reduced pair must be the two receiver-side qubits; tracing the
-    # complementary pair of a fresh channel gives the same value, but a
-    # mixed partner split does not.
-    dist, _ = distribute(Scenario.RECOVERY_ADC, 0.4)
+    # The sum of the two pairs' entropies must be that of the two
+    # receiver-side qubits of the 16x16 product; tracing the complementary
+    # qubits of a fresh channel gives the same value, but a mixed partner
+    # split does not.
+    pairs, _ = distribute(Scenario.RECOVERY_ADC, 0.4)
+    dist = np.kron(*pairs)
     kept = partial_trace(dist, [1, 3])
-    assert abs(von_neumann_entropy(kept) - entanglement_entropy_bob(dist)) < 1e-12
+    assert abs(von_neumann_entropy(kept) - entanglement_entropy_bob(pairs)) < 1e-12
     same_pair = partial_trace(dist, [0, 2])
-    assert abs(von_neumann_entropy(same_pair) - entanglement_entropy_bob(dist)) < 1e-9
+    assert abs(von_neumann_entropy(same_pair) - entanglement_entropy_bob(pairs)) < 1e-9
+
+
+def two_outcome_entropy(x, y):
+    """-x log2 x - y log2 y, 0 log 0 taken as 0, of a two-outcome
+    distribution whose parts are both given, so that neither loses its
+    digits to a 1 - x."""
+    return -sum(v * math.log2(v) for v in (x, y) if v > 0.0)
+
+
+def entropy_bob_closed(scenario, p):
+    """Bob's entropy in float closed form: 2 h(1/(1+d^2)) when protected, d^2
+    = 1-p in situation I and (1-p)^2 in II; 1 + h((1+p)/2) for
+    unprotected-recovery and 2 h((1+p)/2) for unprotected-all."""
+    if scenario.protected:
+        d2 = 1.0 - p if scenario.situation == "I" else (1.0 - p) ** 2
+        return 2.0 * two_outcome_entropy(1.0 / (1.0 + d2), d2 / (1.0 + d2))
+    damped = two_outcome_entropy((1.0 + p) / 2.0, (1.0 - p) / 2.0)
+    return 1.0 + damped if scenario.situation == "I" else 2.0 * damped
+
+
+@pytest.mark.parametrize("scenario", tuple(Scenario), ids=lambda s: s.value)
+def test_entropy_bob_matches_closed_forms_to_1e_14(scenario):
+    # Absolute, since the entropy goes to 0 as p -> 1 in the protected
+    # scenarios; near p = 1 an eigenvalue of each qubit is tiny, and
+    # dropping those below 1e-12 errs by up to 8.0e-11 (recovery-adc,
+    # p = 1 - 1e-12).
+    ps = [1.0 - 10.0**-k for k in range(1, 16)] + [float(p) for p in np.linspace(0.0, 1.0, 101)]
+    for p in ps:
+        got = entanglement_entropy_bob(distribute(scenario, p)[0])
+        assert abs(got - entropy_bob_closed(scenario, p)) <= 1e-14, f"p={p!r}"

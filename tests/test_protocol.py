@@ -69,15 +69,17 @@ def test_prepare_channel_pairs_are_bell():
 
 
 def test_resource_constant_is_read_only():
-    # RESOURCE comes from the integer Bell table times 1/4, exactly;
-    # prepare_channel from the circuit, whose 1/sqrt(2) amplitudes round.
-    ket = np.kron([1, 0, 0, 1], [1, 0, 0, 1])
-    exact = (np.outer(ket, ket) / 4).astype(complex).tobytes()
+    # RESOURCE is the two pairs' states from the integer Bell table times
+    # 1/2, exactly; prepare_channel builds their product from the circuit,
+    # whose 1/sqrt(2) amplitudes round.
+    pair = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
+    exact = np.array([pair, pair], dtype=complex).tobytes()
+    assert RESOURCE.shape == (2, 4, 4)
     assert RESOURCE.tobytes() == exact
-    assert np.max(np.abs(RESOURCE - prepare_channel())) <= 1e-15
+    assert np.max(np.abs(np.kron(*RESOURCE) - prepare_channel())) <= 1e-15
     assert not RESOURCE.flags.writeable
     with pytest.raises(ValueError):
-        RESOURCE[0, 0] = 1.0
+        RESOURCE[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         np.multiply(RESOURCE, 2.0, out=RESOURCE)
     with pytest.raises(ValueError):
@@ -96,7 +98,9 @@ def test_distribute_matches_closed_form(scenario):
         p = float(p)
         got, _ = distribute(scenario, p)
         want = oracles.distributed_closed(scenario, p)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert got.shape == want.shape == (2, 4, 4)
+        for pair, (got_pair, want_pair) in enumerate(zip(got, want)):
+            np.testing.assert_allclose(got_pair, want_pair, atol=1e-12, err_msg=f"p={p!r} pair {pair}")
 
 
 def test_distribute_success_probabilities():
@@ -121,47 +125,65 @@ def test_distribute_specific_values():
 def test_distribute_protected_state_is_pure():
     for scenario in PROTECTED:
         got, _ = distribute(scenario, 0.6)
-        purity = float(np.trace(got @ got).real)
-        assert abs(purity - 1.0) < 1e-12
+        for pair in got:
+            purity = float(np.trace(pair @ pair).real)
+            assert abs(purity - 1.0) < 1e-12
 
 
-def kraus_lifts(scenario, p):
-    """Every lift of the damping Kraus operators to the 4-qubit register,
-    built with np.kron from adc_kraus, the first noisy qubit's choice
-    varying slowest; the no-decay lift alone when protected."""
+def kraus_lifts(scenario, p, qubits=range(4)):
+    """Every lift of the damping Kraus operators to the register of the
+    channel qubits `qubits` (all four by default), built with np.kron from
+    adc_kraus, the first noisy qubit's choice varying slowest; the
+    no-decay lift alone when protected."""
     k0, k1 = adc_kraus(p)
     noisy = (k0,) if scenario.protected else (k0, k1)
-    per_qubit = [noisy if q in scenario.noisy_qubits else (np.eye(2, dtype=complex),) for q in range(4)]
+    per_qubit = [noisy if q in scenario.noisy_qubits else (np.eye(2, dtype=complex),) for q in qubits]
     return np.array([reduce(np.kron, ops) for ops in itertools.product(*per_qubit)])
 
 
 REFERENCE_PS = sorted({0.0, 1e-12, 0.37, 1.0 - 1e-9, 1.0} | {float(p) for p in np.linspace(0.0, 1.0, 51)})
 
 
+def kraus_reference(scenario, p, state, qubits):
+    """The channel primitives on `state`, a state of the channel qubits
+    `qubits`, through their kron-built lifts: the damped state and its
+    success probability, 1.0 when bare."""
+    lifts = kraus_lifts(scenario, p, qubits)
+    if scenario.protected:
+        return eam_postselect(state, lifts[0])
+    return apply_channel(state, lifts), 1.0
+
+
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_distribute_equals_kraus_reference_bit_for_bit(scenario):
-    # distribute applies each lift as a monomial map; the channel
-    # primitives acting on the kron-built lifts are its reference, to the
-    # last bit of the state and of the success probability.
+    # distribute applies each pair's lifts as monomial maps; the channel
+    # primitives acting on that pair's kron-built 2-qubit lifts are its
+    # reference, to the last bit of each pair, and the success probability
+    # is the product of the two pairs'.
     for p in REFERENCE_PS:
-        lifts = kraus_lifts(scenario, p)
-        if scenario.protected:
-            want, want_prob = eam_postselect(RESOURCE, lifts[0])
-        else:
-            want, want_prob = apply_channel(RESOURCE, lifts), 1.0
         got, got_prob = distribute(scenario, p)
-        assert got.tobytes() == want.tobytes(), f"{scenario.value} p={p!r}"
-        assert np.float64(got_prob).tobytes() == np.float64(want_prob).tobytes(), f"{scenario.value} p={p!r}"
+        (first, first_prob), (second, second_prob) = (
+            kraus_reference(scenario, p, RESOURCE[k], (2 * k, 2 * k + 1)) for k in (0, 1)
+        )
+        assert got.shape == (2, 4, 4)
+        assert got[0].tobytes() == first.tobytes(), f"{scenario.value} p={p!r}"
+        assert got[1].tobytes() == second.tobytes(), f"{scenario.value} p={p!r}"
+        want_prob = np.float64(first_prob * second_prob)
+        assert np.float64(got_prob).tobytes() == want_prob.tobytes(), f"{scenario.value} p={p!r}"
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_distributed_state_is_the_product_of_its_pair_marginals(scenario):
-    # The kernel's precondition: it reads only the marginals of the pairs
-    # (1, 2) and (3, 4), so every distributed state must be their product.
+    # The resource is two Bell pairs and every noise map acts on one qubit,
+    # so carrying the two pairs loses nothing: their product matches the
+    # channel primitives on the 16x16 resource through the 4-qubit lifts,
+    # state and success probability, within 1e-15 (the largest seen is
+    # 3.3e-16).
     for p in REFERENCE_PS:
-        state, _ = distribute(scenario, p)
-        product = kron(partial_trace(state, [0, 1]), partial_trace(state, [2, 3]))
-        assert np.max(np.abs(state - product)) <= 1e-15, f"{scenario.value} p={p!r}"
+        pairs, prob = distribute(scenario, p)
+        whole, whole_prob = kraus_reference(scenario, p, np.kron(*RESOURCE), range(4))
+        assert np.max(np.abs(np.kron(*pairs) - whole)) <= 1e-15, f"{scenario.value} p={p!r}"
+        assert abs(prob - whole_prob) <= 1e-15, f"{scenario.value} p={p!r}"
 
 
 # --------------------------------------------------------- composition
@@ -170,15 +192,15 @@ def test_distributed_state_is_the_product_of_its_pair_marginals(scenario):
 def test_compose_total_product_structure():
     rng = np.random.default_rng(17)
     alice, bob = random_inputs(rng)
-    channel, _ = distribute(Scenario.RECOVERY_ADC, 0.3)
-    total = compose_total(alice, channel, bob)
+    pairs, _ = distribute(Scenario.RECOVERY_ADC, 0.3)
+    total = compose_total(alice, pairs, bob)
     assert total.shape == (64, 64)
     assert abs(np.trace(total) - 1.0) < 1e-12
     purity = float(np.trace(total @ total).real)
     assert abs(purity - 1.0) < 1e-10
     np.testing.assert_allclose(partial_trace(total, [0]), alice.density(), atol=1e-12)
     np.testing.assert_allclose(partial_trace(total, [5]), bob.density(), atol=1e-12)
-    np.testing.assert_allclose(partial_trace(total, [1, 2, 3, 4]), channel, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(total, [1, 2, 3, 4]), np.kron(*pairs), atol=1e-12)
 
 
 def test_compose_total_rejects_wrong_dim():
@@ -197,7 +219,7 @@ NON_SQUARE = {
         (64, 4),
         "enumerate_branches expects",
     ),
-    "entanglement_entropy_bob": (entanglement_entropy_bob, (16, 4), "expected a 4-qubit"),
+    "entanglement_entropy_bob": (entanglement_entropy_bob, (2, 4, 2), r"expected the \(2, 4, 4\) pair stack"),
     "apply_channel": (
         lambda m: apply_channel(m, kraus_lifts(Scenario.UNPROTECTED_ALL, 0.3)), (16, 4), "Kraus operators of shape"
     ),

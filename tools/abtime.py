@@ -24,6 +24,8 @@ the parent's, and how many blocks the change won. The targets:
   average-stack  check 3's call: metrics._average_fidelities over 51
                  unprotected-all states, 32 nodes, one extra row
   run_protocol   one call at an interior point
+  distribute     protocol.distribute, all-adc p = 0.4
+  entropy        metrics.entanglement_entropy_bob of that distributed state
   outcomes       the 16 BranchOutcome views of a one-row _run_rows result
   rows1..rows64  protocol._row_totals of 1, 32 and 64 input rows
 
@@ -70,7 +72,8 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "average64", "average-stack", "run_protocol", "outcomes", "rows1", "rows32", "rows64")
+NAMES = ("verify", *CHECKS, "sweep", "average64", "average-stack", "run_protocol", "distribute", "entropy", "outcomes",
+         "rows1", "rows32", "rows64")
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
          "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
 
@@ -126,6 +129,8 @@ def targets(pkg) -> dict:
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
+    found["distribute"] = lambda: protocol.distribute(scenario, 0.4)
+    found["entropy"] = lambda: metrics.entanglement_entropy_bob(dist)
     branches = protocol._run_rows(dist, scenario, 0.25, rows[:1])
     found["outcomes"] = branches.outcomes
     for n in (1, 32, 64):
