@@ -555,11 +555,12 @@ def _fold(dist: np.ndarray, rho: np.ndarray) -> np.ndarray:
     inputs. One gather reads every state's fold maps straight off its
     pairs, and one batched product folds each party's inputs of each group
     through its map, the same product one state alone would get, so a
-    row's bits do not depend on the other groups.
+    row's bits do not depend on the other groups. The product is written
+    in C order, so the final reshape is a view, not a copy.
     """
     groups, m = _groups(dist), rho.shape[2]
-    maps = dist.reshape(groups, 32).take(_FOLD_GATHER, axis=1) * _FOLD_COEF
-    folded = rho.reshape(rho.shape[:3] + (4,)) @ maps.reshape(groups, 2, 4, 16).transpose(1, 0, 2, 3)
+    maps = (dist.reshape(groups, 32).take(_FOLD_GATHER, axis=1) * _FOLD_COEF).reshape(groups, 2, 4, 16)
+    folded = np.matmul(rho.reshape(rho.shape[:3] + (4,)), maps.transpose(1, 0, 2, 3), order="C")
     return folded.reshape(2, groups * m, 4, 2, 2)
 
 

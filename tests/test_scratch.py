@@ -1,19 +1,21 @@
 """The totals-only calls (`_row_totals` and the input average) keep no
 state between calls: each thread gets results equal, by bytes, to what it
 computes alone, and the input average faults in no fresh pages per call,
-since it builds no 4x4 branch state."""
+since it builds no 4x4 branch state. A stacked fold hands back its
+product without copying it."""
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bqtsim
-from bqtsim.metrics import _average_fidelities
-from bqtsim.protocol import Scenario, _row_totals, distribute
+from bqtsim.metrics import _average_fidelities, _node_states
+from bqtsim.protocol import Scenario, _fold, _row_totals, distribute
 
 
 def scratch_calls(scenario, p, seed):
@@ -96,3 +98,22 @@ def test_input_average_does_not_fault_per_call():
     assert proc.returncode == 0, proc.stderr
     faults = int(proc.stdout)
     assert faults / 20 <= 2.0, f"{faults} minor faults in 20 calls"
+
+
+def test_stacked_fold_returns_its_product_uncopied():
+    """Check 3's fold, 51 states against the shared 32 node states: the
+    batched product's output is the result, so the call's traced peak stays
+    near the result's size. A product in the inputs' stride order, then
+    copied by the final reshape, peaked at 2.1 times it."""
+    bare = Scenario.UNPROTECTED_ALL
+    dists = np.stack([distribute(bare, float(p))[0] for p in np.linspace(0.0, 1.0, 51)])
+    rho = _node_states(32)
+    _fold(dists, rho)
+    tracemalloc.start()
+    try:
+        folded = _fold(dists, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert folded.flags.c_contiguous
+    assert peak <= 1.5 * folded.nbytes, f"peak {peak} bytes for a {folded.nbytes}-byte result"
