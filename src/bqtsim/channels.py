@@ -1,9 +1,8 @@
 """Amplitude damping channel primitives.
 
 `__all__` lists what the product path takes from here: the degeneracy
-tolerance. `_check_unit` is every [0, 1] range check of the package,
-`_weak_top` the weak-measurement family each situation pairs with, and
-`_party_integrand` the degeneracy rule of the input average. The
+tolerance. `_check_unit` is every [0, 1] range check of the package, and
+`_weak_top` the weak-measurement family each situation pairs with. The
 rest are the test references for `protocol.distribute` and
 `protocol.correction_ops`, which no product path calls: `adc_kraus`, the
 single-qubit amplitude damping Kraus pair; `apply_channel`, channel
@@ -22,32 +21,14 @@ import numpy as np
 
 __all__ = ["DEGENERATE_TOL"]
 
-# A post-selection weight below this is treated as annihilated. A branch is
-# degenerate when its recovered trace is at or below it or its success
-# weight is below it. The kernel (protocol._live_branches) forms each as
-# the product of the two parties' factors; protocol.apply_correction
-# applies the rule on its own to the 4x4 state, for the tests. The input
-# average applies the same bounds to each party's own factors
-# (`_party_integrand`).
+# A post-selection weight below this is treated as annihilated. An outcome
+# is annihilated when its trace is at or below it or its success weight is
+# below it. The kernel writes that rule once (protocol._annihilated): on a
+# branch's products of the two parties' factors (protocol._live_branches)
+# and, in the input average, on each party's own factors
+# (protocol._party_integrand). protocol.apply_correction and
+# eam_postselect apply it on their own, as references for the tests.
 DEGENERATE_TOL = 1e-14
-
-
-def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> np.ndarray:
-    """One party's input-average integrand sum_k t_k n_k / w_k over its
-    four outcomes on the last axis, from each outcome's trace t, success
-    weight w and fidelity numerator n: the party's outcome-averaged
-    fidelity.
-
-    An outcome whose trace is at or below DEGENERATE_TOL or whose weight is
-    below it adds nothing; where every outcome does, the integrand is NaN.
-    """
-    live = (traces > DEGENERATE_TOL) & (weights >= DEGENERATE_TOL)
-    # Dividing by infinity zeroes a dead outcome's term.
-    terms = traces * numerators / np.where(live, weights, np.inf)
-    # The outcomes add in order, a slice at a time, which is faster than a
-    # reduction over a short axis.
-    alive = live[..., 0] | live[..., 1] | live[..., 2] | live[..., 3]
-    return np.where(alive, terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3], np.nan)
 
 
 class DegenerateBranchError(ValueError):

@@ -5,9 +5,10 @@ Gauss-Legendre rule: 64 nodes for `average_fidelity` and the sweep, 32
 for verify. The node count is internal, not part of the API. The two
 inputs are independent and every branch quantity is a product of one
 factor per party, so the average is the product of two one-party
-integrals: it folds the nodes through the kernel's per-party stages
-(`protocol._fold`, `protocol._party_forms`) and contracts each party on
-its own, never forming a branch.
+integrals. This module holds only the quadrature: the nodes and weights,
+each party's weighted sum over the nodes and the product of the two
+sums. Each party's integrand at the nodes comes from the kernel
+(`protocol._node_integrands`), which never forms a branch.
 
 The distributed state is the product of its two Bell pairs, and Bob holds
 one qubit of each, so his entropy is the sum of two one-qubit entropies:
@@ -21,10 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import protocol
-from .channels import _check_unit, _party_integrand
+from .channels import _check_unit
 from .linalg import hermitian_eigenvalues
-from .protocol import Scenario, _groups, _input_densities, _single_q_w, _weak_diagonals, distribute
+from .protocol import Scenario, _input_densities, _node_integrands, _single_q_w, distribute
 
 __all__ = [
     "OracleValue",
@@ -53,7 +53,8 @@ def _nodes_weights(points: int) -> tuple[np.ndarray, np.ndarray]:
 def _node_states(points: int) -> np.ndarray:
     """Both parties' input state at each of the `points` nodes, as a
     read-only (2, 1, points, 2, 2) stack that every state of a fold shares
-    (`protocol._fold`): a broadcast view of one (points, 2, 2) stack."""
+    (`protocol._node_integrands`): a broadcast view of one (points, 2, 2)
+    stack."""
     return np.broadcast_to(_input_densities(_nodes_weights(points)[0]), (2, 1, points, 2, 2))
 
 
@@ -80,7 +81,7 @@ def average_fidelity(scenario: Scenario, p: float, q_w: float) -> float:
     Phases drop out of every factor, so only the population is integrated.
     A party outcome that is annihilated adds nothing to its G, and the
     result is NaN when every outcome of either party is annihilated at
-    some node (`channels._party_integrand`).
+    some node (`protocol._node_integrands`).
     """
     q_w = _single_q_w(q_w, "average_fidelity")
     dist, _ = distribute(scenario, p)
@@ -92,48 +93,24 @@ def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int 
     stack, or over each state of a (G, 2, 4, 4) stack, by the `points`-node
     Gauss-Legendre rule. A q_w is a float or one value per state.
 
-    One fold takes the nodes as inputs of both parties, shared by every
-    state (`_node_states`), and every q_w is contracted at once: each
-    party's weights and fidelity numerators per outcome, its integrand at
-    each node, and its weighted sum over the nodes, whose product is the
-    average. Each step is elementwise or a reduction over a fixed axis in
-    a fixed order, so a value does not depend on the other q_w or states.
+    The kernel gives each party's integrand at every node and q_w from
+    one fold of the nodes, shared by every state (`_node_states`,
+    `protocol._node_integrands`); each party's weighted sum over the nodes
+    is its mean, and the product of the two means is the average. Each
+    step is elementwise or a reduction over a fixed axis in a fixed order,
+    so a value does not depend on the other q_w or states.
 
     Returns the average at each q_w: a float for one state, a list of G
     floats for a stack. `extra` input rows are folded with the nodes, and
     their total success comes back too, as (averages, totals) with each
     q_w's (success,) a (G, len(extra)) array: `_row_totals`' success, bit
-    for bit, its branches formed by the same rule and added in the same
-    order.
+    for bit.
     """
-    nodes, weights = _nodes_weights(points)
-    groups, k = _groups(dist), len(nodes)
-    # Each q_w's weak diagonals, one row per state: (q_w, state, 2).
-    diagonals = np.array([np.broadcast_to(_weak_diagonals(q_w, scenario, groups), (groups, 2)) for q_w in q_ws])
-    rho = _node_states(points)
-    if extra is not None:
-        extra = np.asarray(extra, dtype=float)
-        rho = np.concatenate((rho, _input_densities(extra[:, 0::2].T, extra[:, 1::2].T)[:, None]), axis=2)
-    # Views of the q_w-free parts, (party, state, row, outcome[, entry]):
-    # the trace, Re X[a, a] and the fidelity forms F[s]. The nodes are the
-    # first k rows of each state.
-    forms = protocol._party_forms(protocol._fold(dist, rho), rho)
-    trace, diagonal, entries = (part.reshape(2, groups, -1, *part.shape[2:]) for part in forms)
-    # The weak pair D_a D_b of each q_w and state against (q_w, party, state,
-    # row); its entries 1 and 2 are the same product.
-    pair = (diagonals[:, :, :, None] * diagonals[:, :, None, :]).reshape(len(diagonals), 1, groups, 1, 4)
-    weight = protocol._party_weights(diagonal, pair)
-    d0, d1, d3 = (pair[..., None, s] for s in (0, 1, 3))
-    f0, f1, f2, f3 = entries[:, :, :k].transpose(4, 0, 1, 2, 3)
-    integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], f0 * d0 + (f1 + f2) * d1 + f3 * d3)
-    means = np.add.reduce(integrand * weights, axis=-1)
+    integrand, totals = _node_integrands(dist, scenario, q_ws, _node_states(points), extra)
+    means = np.add.reduce(integrand * _nodes_weights(points)[1], axis=-1)
     averages = (means[:, 0] * means[:, 1] if dist.ndim == 4 else means[:, 0, 0] * means[:, 1, 0]).tolist()
-    if extra is None:
-        return averages
-    # The extra rows' branch weights as `_row_totals` forms them, added in
-    # branch order from the first, as its totals add them: (q_w, state, row).
-    _, branches, _ = protocol._live_branches(trace[:, :, k:], weight[..., k:, :].swapaxes(0, 1))
-    return averages, [(success,) for success in np.add.accumulate(branches, axis=-1)[..., -1]]
+    return averages if extra is None else (averages, totals)
+
 
 _FORMS: dict[str, tuple] = {
     "g_t_I": (

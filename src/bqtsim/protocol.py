@@ -55,10 +55,20 @@ constant, is a signed permutation, so m_w scales a party's entry (a, b)
 by D_a D_b and U_k moves and signs it. Hence a party's success
 weight is sum_a D_a^2 Re X[a, a] over its outcome state X, and its
 fidelity numerator sum_ab D_a D_b Re(X[a, b] (U_k^dag rho U_k)[b, a]): per
-q_w, a 2-term and a 4-term contraction of forms that no q_w changes. One
-rule, `_live_branches`, flags a branch degenerate. The input average
-(`metrics._average_fidelities`) folds through `_fold` and `_party_forms`
-too, then contracts each party alone.
+q_w, a 2-term and a 4-term contraction of forms that no q_w changes, both
+written once (`_party_factors`). One predicate, `_annihilated`, says when
+an outcome is annihilated: `_live_branches` applies it to a branch's
+products and flags the branch degenerate. One in-order sum over the 16
+branches, `_branch_sums`, makes every total.
+
+The input average's kernel, `_node_integrands`, sits beside the
+orchestration: it checks every q_w, folds the node states that every
+state shares and any extra input rows once, and contracts every q_w at
+once into each party's integrand at each node (`_party_integrand`, which
+applies the same predicate to each party's own factors), and, for the
+extra rows, the total success, branch for branch as `_row_totals` forms
+it. `metrics` keeps only the quadrature: the node weights, each party's
+weighted node sum and the product of the two.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -479,8 +489,8 @@ class _Branches:
 
         A degenerate branch, whose weight and fidelity are 0
         (`_correct_branches`), adds nothing. Each total adds the 16 branches
-        left to right from 0.0, as Python's sum does, so a row's totals do
-        not depend on how many rows were evaluated with it. The fidelities
+        in order (`_branch_sums`), so a row's totals do not depend on how
+        many rows were evaluated with it. The fidelities
         are NaN where every branch of a row is degenerate, and the
         post-selected one also where the total success is numerically zero.
         """
@@ -490,12 +500,7 @@ class _Branches:
         terms[:, 0] = self.weight.T
         np.multiply(self.joint.T, self.fidelity.T, out=terms[:, 1])
         np.multiply(self.weight.T, self.fidelity.T, out=terms[:, 2])
-        # Adding in order can differ from Python's sum, which starts at 0,
-        # only by a -0.0 where every term is a zero, and + 0.0 folds that
-        # into 0.0.
-        sums = np.add.reduce(terms, axis=0)
-        sums += 0.0
-        success, fidelity, weighted = sums
+        success, fidelity, weighted = _branch_sums(terms)
         fidelity[self.degenerate.all(axis=1)] = np.nan
         # A row whose branches are all degenerate has success 0, so the
         # success test also covers it. Dividing by a quiet NaN gives NaN
@@ -592,26 +597,68 @@ def _outer(values: np.ndarray) -> np.ndarray:
     return (values[0][..., None] * values[1][..., None, :]).reshape(values.shape[1:-1] + (16,))
 
 
-def _party_weights(diagonal: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Each party's success weight sum_a D_a^2 Re X[a, a] at each outcome,
-    from its real diagonals (`_party_forms`) and the weak pair D_a D_b,
+def _party_factors(diagonal: np.ndarray, forms: np.ndarray, pair: np.ndarray) -> tuple:
+    """Each party's success weight sum_a D_a^2 Re X[a, a] and fidelity
+    numerator sum_ab D_a D_b F[a, b] at each outcome, from its real
+    diagonals and fidelity forms (`_party_forms`) and the weak pair D_a D_b,
     flattened on the last axis of `pair`, whose other axes broadcast
-    against the axes before the outcome axis."""
-    return diagonal[..., 0] * pair[..., None, 0] + diagonal[..., 1] * pair[..., None, 3]
+    against the axes before the outcome axis.
+
+    Each is a matrix product per outcome row. The diagonals and forms are
+    real parts of complex arrays, whose strides no BLAS call takes, so
+    numpy's own loop forms each product, adding its terms left to right
+    from 0, whatever the shape."""
+    return (diagonal @ pair[..., (0, 3), None])[..., 0], (forms @ pair[..., None])[..., 0]
+
+
+def _annihilated(traces: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Where an outcome is annihilated, elementwise over its trace (a
+    branch's joint probability, or one party's trace) and its success
+    weight: the trace is at or below `DEGENERATE_TOL` or the weight is
+    below it."""
+    return (traces <= DEGENERATE_TOL) | (weights < DEGENERATE_TOL)
 
 
 def _live_branches(traces: np.ndarray, weights: np.ndarray) -> tuple:
     """Each branch's joint probability, success weight and degeneracy,
     (..., 16), from its two parties' (2, ..., 4) traces and weights.
 
-    A branch is degenerate (annihilated) when its joint probability is at
-    or below `DEGENERATE_TOL` or its weight is below it, and its weight is
-    then 0.
+    A branch is degenerate when its products are annihilated
+    (`_annihilated`), and its weight is then 0.
     """
     joint, weight = _outer(traces), _outer(weights)
-    degenerate = (joint <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL)
+    degenerate = _annihilated(joint, weight)
     weight[degenerate] = 0.0
     return joint, weight, degenerate
+
+
+def _branch_sums(terms: np.ndarray) -> np.ndarray:
+    """The sums over the leading axis of a C-ordered (16, k, ...) stack of
+    branch terms, k > 1: each adds its 16 branches left to right from 0.0,
+    as Python's sum does, so a sum does not depend on what is summed with
+    it. numpy adds along an outer axis one element at a time, in order,
+    but sums a lone axis pairwise; k > 1 keeps the branch axis outer."""
+    # Adding in order can differ from Python's sum, which starts at 0, only
+    # by a -0.0 where every term is a zero, and + 0.0 folds that into 0.0.
+    return np.add.reduce(terms, axis=0) + 0.0
+
+
+def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> np.ndarray:
+    """One party's input-average integrand sum_k t_k n_k / w_k over its
+    four outcomes on the last axis, from each outcome's trace t, success
+    weight w and fidelity numerator n: the party's outcome-averaged
+    fidelity.
+
+    An annihilated outcome (`_annihilated`) adds nothing; where every
+    outcome is, the integrand is NaN.
+    """
+    dead = _annihilated(traces, weights)
+    # Dividing by infinity zeroes a dead outcome's term.
+    terms = traces * numerators / np.where(dead, np.inf, weights)
+    # The outcomes add in order, a slice at a time, which is faster than a
+    # reduction over a short axis.
+    gone = dead[..., 0] & dead[..., 1] & dead[..., 2] & dead[..., 3]
+    return np.where(gone, np.nan, terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
 
 
 def _kron_parties(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -633,21 +680,22 @@ def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> _Bra
     `_weak_diagonals` gives it, (1, 2) for every row or (N, 2) one per row.
     m_w scales a party's entry (a, b) by D_a D_b and the Pauli moves and
     signs it without changing its trace, so a party's success weight is
-    sum_a D_a^2 Re X[a, a] and its fidelity numerator sum_ab D_a D_b F[a, b];
-    a branch's weight is the product of its parties' weights, and its
-    fidelity tr(ref . C) the product of their numerators over that weight.
+    sum_a D_a^2 Re X[a, a] and its fidelity numerator sum_ab D_a D_b F[a, b]
+    (`_party_factors`); a branch's weight is the product of its parties'
+    weights, and its fidelity tr(ref . C) the product of their numerators
+    over that weight.
     Each is a contraction over one row's own entries, so a row's value
     does not depend on N.
 
     A degenerate branch (`_live_branches`) has its weight, fidelity and
     corrected state set to 0.
     """
-    traces, diagonal, fidelity_forms = forms
     pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(-1, 4)
-    joint, weight, degenerate = _live_branches(traces, _party_weights(diagonal, pair))
+    weights, numerators = _party_factors(*forms[1:], pair)
+    joint, weight, degenerate = _live_branches(forms[0], weights)
     # Dividing by infinity zeroes a degenerate branch's fidelity and state.
     norm = np.where(degenerate, np.inf, weight)
-    fidelity = _outer(np.einsum("...ks,...s->...k", fidelity_forms, pair)) / norm
+    fidelity = _outer(numerators) / norm
     if parties is None:
         return _Branches(None, joint, weight, None, fidelity, degenerate)
     # Each party's outcome states, scaled by the weak pair and turned by
@@ -678,6 +726,47 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     parties = _fold(dist, rho)
     forms = _party_forms(parties, rho)
     return [_correct_branches(forms, d, parties if owned else None) for d in diagonals]
+
+
+def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, extra=None) -> tuple:
+    """Each party's input-average integrand (`_party_integrand`) at each
+    node and each entry of `q_ws`, (q_w, party, state, node), over one
+    distributed pair stack of `scenario` or a (G, 2, 4, 4) stack of them. A
+    q_w is a float or one value per state, and every entry is checked
+    before any work. `rho` holds the node states of both parties as a
+    (2, 1, k, 2, 2) stack that every state shares.
+
+    One fold takes the nodes and any `extra` input rows [pop_a, phase_a,
+    pop_b, phase_b], and every q_w is contracted at once: each party's
+    weights and fidelity numerators per outcome (`_party_factors`) and its
+    integrand at each node. Each step is elementwise or a contraction over
+    a fixed axis in a fixed order, so a value does not depend on the other
+    q_w or states. Returns the integrands and, with `extra`, each q_w's
+    (success,) of the extra rows, a (G, len(extra)) array: `_row_totals`'
+    success, bit for bit, its branches formed by the same rule
+    (`_live_branches`) and added in the same order (`_branch_sums`); None
+    without.
+    """
+    groups, k = _groups(dist), rho.shape[2]
+    # Each q_w's weak diagonals, one row per state: (q_w, state, 2).
+    diagonals = np.array([np.broadcast_to(_weak_diagonals(q_w, scenario, groups), (groups, 2)) for q_w in q_ws])
+    if extra is not None:
+        extra = np.asarray(extra, dtype=float)
+        rho = np.concatenate((rho, _input_densities(extra[:, 0::2].T, extra[:, 1::2].T)[:, None]), axis=2)
+    # The q_w-free parts, (party, state, row, outcome[, entry]); the nodes
+    # are the first k rows of each state.
+    forms = _party_forms(_fold(dist, rho), rho)
+    trace, diagonal, entries = (part.reshape(2, groups, -1, *part.shape[2:]) for part in forms)
+    # The weak pair D_a D_b of each q_w and state against (q_w, party, state, row).
+    pair = (diagonals[:, :, :, None] * diagonals[:, :, None, :]).reshape(len(diagonals), 1, groups, 1, 4)
+    weight, numerator = _party_factors(diagonal, entries, pair)
+    integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], numerator[..., :k, :])
+    if extra is None:
+        return integrand, None
+    # The extra rows' branch weights, (16, q_w, state, row), summed beside
+    # zeros, which keep the branch axis outer (`_branch_sums`).
+    live = np.moveaxis(_live_branches(trace[:, :, k:], weight[..., k:, :].swapaxes(0, 1))[1], -1, 0)
+    return integrand, [(success,) for success in _branch_sums(np.stack((live, np.zeros_like(live)), axis=1))[0]]
 
 
 def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:

@@ -409,6 +409,22 @@ def test_state_stack_matches_one_call_per_state(scenario):
         assert nan_rows > 0
 
 
+def test_lone_extra_row_success_matches_row_totals():
+    """One state, one q_w and one extra row, as a fixed-q_w sweep folds its
+    g_total row: the row's success is `_row_totals`' bit for bit. Its 16
+    branch weights are then the only terms of the sum, which numpy would
+    add pairwise, not in order, if they were summed alone."""
+    rng = np.random.default_rng(211)
+    for scenario in Scenario:
+        for p in (0.2, 0.5, 0.9, float(rng.uniform()), float(rng.uniform())):
+            dist, _ = distribute(scenario, p)
+            for _ in range(4):
+                qs, row = [float(rng.uniform()) if scenario.protected else 0.0], rng.random((1, 4))
+                _, ((success,),) = _average_fidelities(dist, scenario, qs, 8, row)
+                ((want, _, _),) = _row_totals(dist, scenario, qs, row)
+                assert identical(success[0], want), f"{scenario.value} p={p} q_w={qs[0]} row={row[0]}"
+
+
 def test_row_stack_rejects_bad_qw():
     inp = [0.3, 0.2, 0.6, 1.0]
     for scenario in (Scenario.UNPROTECTED_RECOVERY, Scenario.UNPROTECTED_ALL):

@@ -185,25 +185,27 @@ def test_average_fidelity_matches_oracle_party_integral(scenario):
             assert abs(f_av - want) <= 1e-14 * want, f"p={p} q_w={q}"
 
 
-# The last k of q_w = p = 1 - 10^-k at which the 16-branch average, which
-# flagged a branch by its product of two party weights, was finite. The
-# per-party rule keeps all-adc finite to k = 6 and recovery-adc to k = 13.
-BRANCH_RULE_FINITE = {Scenario.RECOVERY_ADC: 6, Scenario.ALL_ADC: 3}
+# The last k of q_w = p = 1 - 10^-k at which the input average is finite
+# under the per-party rule, which drops a party outcome whose own trace or
+# weight is annihilated. The 16-branch rule it replaced, which flagged a
+# branch by its product of two party weights, went NaN from k = 7
+# (recovery-adc) and k = 4 (all-adc).
+PARTY_RULE_FINITE = {Scenario.RECOVERY_ADC: 13, Scenario.ALL_ADC: 6}
 
 
 def test_average_fidelity_degenerate_corner_is_nan():
     """NaN at p = q_w = 1, where every outcome's weight is exactly 0, in
     both protected scenarios. On the way there, at q_w = p = 1 - 10^-k,
-    k = 1..15, the average is 1 within 1e-9 or NaN, and finite at least as
-    far as it was under the 16-branch rule."""
-    for scenario, finite in BRANCH_RULE_FINITE.items():
+    k = 1..15, the average is finite at least as far as the per-party rule
+    keeps it, and within 1e-15 of 1 wherever it is finite."""
+    for scenario, finite in PARTY_RULE_FINITE.items():
         assert math.isnan(average_fidelity(scenario, 1.0, 1.0)), scenario.value
         for k in range(1, 16):
             p = 1.0 - 10.0**-k
             f_av = average_fidelity(scenario, p, p)
             if k <= finite:
                 assert math.isfinite(f_av), f"{scenario.value} k={k}"
-            assert math.isnan(f_av) or abs(f_av - 1.0) <= 1e-9, f"{scenario.value} k={k}"
+            assert math.isnan(f_av) or abs(f_av - 1.0) <= 1e-15, f"{scenario.value} k={k}"
 
 
 # -------------------------------------------------------------- entropy
