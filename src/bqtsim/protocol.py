@@ -505,8 +505,7 @@ class _Branches:
         # A row whose branches are all degenerate has success 0, so the
         # success test also covers it. Dividing by a quiet NaN gives NaN
         # and raises no floating-point flag.
-        postselected = weighted / np.where(success > DEGENERATE_TOL, success, np.nan)
-        return success, fidelity, postselected
+        return success, fidelity, weighted / np.where(success > DEGENERATE_TOL, success, np.nan)
 
 
 def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
@@ -765,8 +764,9 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
         return integrand, None
     # The extra rows' branch weights, (16, q_w, state, row), summed beside
     # zeros, which keep the branch axis outer (`_branch_sums`).
-    live = np.moveaxis(_live_branches(trace[:, :, k:], weight[..., k:, :].swapaxes(0, 1))[1], -1, 0)
-    return integrand, [(success,) for success in _branch_sums(np.stack((live, np.zeros_like(live)), axis=1))[0]]
+    terms = np.zeros((16, 2, len(diagonals), groups, len(extra)))
+    terms[:, 0] = _live_branches(trace[:, :, k:], weight[..., k:, :].swapaxes(0, 1))[1].transpose(3, 0, 1, 2)
+    return integrand, [(success,) for success in _branch_sums(terms)[0]]
 
 
 def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:

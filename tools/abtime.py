@@ -21,6 +21,8 @@ the parent's, and how many blocks the change won. The targets:
                  each builds the distributed states it reads
   sweep          cli.main of a one-p `sweep`, input-averaged, two q_w rows
   average64      metrics._average_fidelities, 64 nodes, two q_w
+  average-extra  the same call with the sweep's g_total row [0.5, 0, 0.5, 0]
+                 folded with the nodes, as fav-sweep's grid items make it
   average-stack  check 3's call: metrics._average_fidelities over 51
                  unprotected-all states, 32 nodes, one extra row
   run_protocol   one call at an interior point
@@ -72,8 +74,8 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "average64", "average-stack", "run_protocol", "distribute", "entropy", "outcomes",
-         "rows1", "rows32", "rows64")
+NAMES = ("verify", *CHECKS, "sweep", "average64", "average-extra", "average-stack", "run_protocol", "distribute",
+         "entropy", "outcomes", "rows1", "rows32", "rows64")
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
          "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
 
@@ -127,6 +129,7 @@ def targets(pkg) -> dict:
         found[label] = check_call(cli, name, args)
     found["sweep"] = lambda: quiet(cli.main, SWEEP)
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
+    found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
     found["distribute"] = lambda: protocol.distribute(scenario, 0.4)

@@ -16,7 +16,11 @@ least one bit. The families:
                  scenarios included, so range errors hash too
   _run_rows      every _Branches array and totals(), 1-100 rows, one float
                  q_w and one q_w per row
-  average        _average_fidelities at 8-128 nodes, p = q_w = 1 included
+  average        _average_fidelities at 8-128 nodes, p = q_w = 1 included;
+                 on trees that take extra input rows, also the paths of the
+                 sweep's g_total and of verify checks 2, 3 and 7: a stack
+                 of states, one q_w per state, and extra rows, with one
+                 state, one q_w and one row among them
   verify         the _verify_checks tuples of grids 2, 3 and 10
   cli            stdout, stderr and exit status of the command lines of
                  tests/test_cli_golden.py, of a few more, and of usage errors
@@ -42,6 +46,7 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import math
 import sys
@@ -234,6 +239,45 @@ def family_average(out, bq, metrics) -> int:
                 rule = metrics.QuadratureSpec(points) if hasattr(metrics, "QuadratureSpec") else points
                 out(case, metrics._average_fidelities(dist, scenario, qs, rule), names)
                 count += 1
+    if "extra" in inspect.signature(metrics._average_fidelities).parameters:
+        count += average_stacks(out, bq, metrics)
+    return count
+
+
+# Input rows folded with the nodes: the sweep's row at pop0 = 0.5, check 3's
+# and one at the edges of both parties' populations.
+EXTRA_ROWS = ([0.5, 0.0, 0.5, 0.0], [0.4, 0.0, 0.8, 0.0], [1.0, 0.0, 0.0, 2.5])
+
+
+def average_stacks(out, bq, metrics) -> int:
+    """The input average over a stack of states, with a float q_w and one
+    q_w per state, and with extra input rows; then each state alone with
+    one q_w and one extra row, as a fixed-q_w sweep folds its g_total row,
+    and with all three rows. Each call's averages and successes are hashed
+    as one array each, so that `--against` reports them as two fields."""
+    count = 0
+
+    def item(result):
+        averages, totals = result if isinstance(result, tuple) else (result, [])
+        return np.array(averages), np.array([success for (success,) in totals])
+
+    for scenario in bq.Scenario:
+        ps = P_GRID[::3] + (1.0,)
+        stack = np.stack([state(bq.distribute(scenario, p)[0]) for p in ps])
+        edges = (0.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0) if scenario.protected else (0.0,)
+        qs = [*edges, list(ps)] if scenario.protected else [0.0, [0.0] * len(ps)]
+        for points in (8, 32, 64):
+            rule = metrics.QuadratureSpec(points) if hasattr(metrics, "QuadratureSpec") else points
+            for rows in (None, EXTRA_ROWS[:1], EXTRA_ROWS):
+                case = f"{scenario.value} stack p={ps} q_w={qs[:-1]} and one per state, {points} nodes, rows {rows}"
+                out(case, item(metrics._average_fidelities(stack, scenario, qs, rule, rows)), ("f_av", "success"))
+                count += 1
+        for p, dist in zip(ps, stack):
+            for q in edges + ((p,) if scenario.protected else ()):
+                for rows in (EXTRA_ROWS[:1], EXTRA_ROWS):
+                    case = f"{scenario.value} p={p!r} q_w={q!r} 64 nodes, rows {rows}"
+                    out(case, item(metrics._average_fidelities(dist, scenario, [q], 64, rows)), ("f_av", "success"))
+                    count += 1
     return count
 
 

@@ -7,12 +7,15 @@ under it is counted. A code line is a physical line that holds part of a
 token other than a comment, and that is not part of a docstring (the
 leading string of a module, class or function body). So blank lines,
 comment lines and docstrings are not counted; a line of code with a
-trailing comment is. Needs the standard library only; it is not part of
-the test suite.
+trailing comment is. When the reader of a stdout pipe is gone (as with
+`| head`), it exits with status 141, as SIGPIPE would give, with nothing
+on stderr. Needs the standard library only; it is not part of the test
+suite.
 """
 from __future__ import annotations
 
 import ast
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -60,4 +63,12 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        status = main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device, so the flush at exit cannot fail
+        # again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
