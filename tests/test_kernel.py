@@ -348,8 +348,9 @@ def test_state_stack_matches_one_call_per_state(scenario):
     in G equal contiguous groups, equal one call per state by bytes: the
     owned arrays and totals, the totals-only entry with float and per-row
     q_w mixed, and the input average with one q_w for every state or one
-    per state, and its extra rows' totals, at groups of one row, 43 rows
-    and 133 rows; q_w = 1 at p = 1 gives wholly degenerate NaN rows."""
+    per state, and its extra rows' totals, also with one state, one q_w
+    and one extra row, at groups of one row, 43 rows and 133 rows; q_w = 1
+    at p = 1 gives wholly degenerate NaN rows."""
     rng = np.random.default_rng(131 + list(Scenario).index(scenario))
     ps = [0.0, 1.0, float(rng.uniform()), float(rng.uniform())]
     dists = np.stack([distribute(scenario, p)[0] for p in ps])
@@ -402,27 +403,17 @@ def test_state_stack_matches_one_call_per_state(scenario):
             want = _row_totals(dists[g], scenario, own_qs, extra)
             for j, total in enumerate(totals):
                 assert all(identical(t[g], w) for t, w in zip(total, want[j])), where
+                # One state, one q_w and one row, as a fixed-q_w sweep folds
+                # its g_total row: the 16 branch weights are then the only
+                # terms of their sum, which numpy would add pairwise.
+                for r in range(len(extra)):
+                    ((lone,),) = _average_fidelities(dists[g], scenario, own_qs[j : j + 1], points, extra[r : r + 1])[1]
+                    assert identical(lone[0], want[j][0][r : r + 1]), f"{where} q_w entry {j} row {r}"
         if scenario.protected:
             # p = q_w = 1 has no live branch at any node.
             assert math.isnan(got[1][1]) and not math.isnan(got[0][1])
     if scenario.protected:
         assert nan_rows > 0
-
-
-def test_lone_extra_row_success_matches_row_totals():
-    """One state, one q_w and one extra row, as a fixed-q_w sweep folds its
-    g_total row: the row's success is `_row_totals`' bit for bit. Its 16
-    branch weights are then the only terms of the sum, which numpy would
-    add pairwise, not in order, if they were summed alone."""
-    rng = np.random.default_rng(211)
-    for scenario in Scenario:
-        for p in (0.2, 0.5, 0.9, float(rng.uniform()), float(rng.uniform())):
-            dist, _ = distribute(scenario, p)
-            for _ in range(4):
-                qs, row = [float(rng.uniform()) if scenario.protected else 0.0], rng.random((1, 4))
-                _, ((success,),) = _average_fidelities(dist, scenario, qs, 8, row)
-                ((want, _, _),) = _row_totals(dist, scenario, qs, row)
-                assert identical(success[0], want), f"{scenario.value} p={p} q_w={qs[0]} row={row[0]}"
 
 
 def test_row_stack_rejects_bad_qw():
