@@ -727,7 +727,7 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     return [_correct_branches(forms, d, parties if owned else None) for d in diagonals]
 
 
-def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, extra=None) -> tuple:
+def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, extra) -> tuple:
     """Each party's input-average integrand (`_party_integrand`) at each
     node and each entry of `q_ws`, (q_w, party, state, node), over one
     distributed pair stack of `scenario` or a (G, 2, 4, 4) stack of them. A
@@ -735,8 +735,8 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     before any work. `rho` holds the node states of both parties as a
     (2, 1, k, 2, 2) stack that every state shares.
 
-    One fold takes the nodes and any `extra` input rows [pop_a, phase_a,
-    pop_b, phase_b], and every q_w is contracted at once: each party's
+    One fold takes the nodes and the `extra` input rows [pop_a, phase_a,
+    pop_b, phase_b], if any (None for none), and every q_w is contracted at once: each party's
     weights and fidelity numerators per outcome (`_party_factors`) and its
     integrand at each node. Each step is elementwise or a contraction over
     a fixed axis in a fixed order, so a value does not depend on the other
