@@ -596,18 +596,18 @@ def _outer(values: np.ndarray) -> np.ndarray:
     return (values[0][..., None] * values[1][..., None, :]).reshape(values.shape[1:-1] + (16,))
 
 
-def _party_factors(diagonal: np.ndarray, forms: np.ndarray, pair: np.ndarray) -> tuple:
+def _party_factors(diag: np.ndarray, forms: np.ndarray, pair: np.ndarray) -> tuple:
     """Each party's success weight sum_a D_a^2 Re X[a, a] and fidelity
     numerator sum_ab D_a D_b F[a, b] at each outcome, from its real
     diagonals and fidelity forms (`_party_forms`) and the weak pair D_a D_b,
     flattened on the last axis of `pair`, whose other axes broadcast
     against the axes before the outcome axis.
 
-    Each is a matrix product per outcome row. The diagonals and forms are
-    real parts of complex arrays, whose strides no BLAS call takes, so
-    numpy's own loop forms each product, adding its terms left to right
-    from 0, whatever the shape."""
-    return (diagonal @ pair[..., (0, 3), None])[..., 0], (forms @ pair[..., None])[..., 0]
+    The numerator is a matrix product per outcome row. The forms are real
+    parts of complex arrays, whose strides no BLAS call takes, so numpy's
+    own loop forms each product, adding its four terms left to right from
+    0, whatever the shape."""
+    return diag[..., 0] * pair[..., None, 0] + diag[..., 1] * pair[..., None, 3], (forms @ pair[..., None])[..., 0]
 
 
 def _annihilated(traces: np.ndarray, weights: np.ndarray) -> np.ndarray:
