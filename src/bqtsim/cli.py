@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -186,30 +186,32 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         return _usage_error("p-steps must be at least 2")
     if _check_out(args.out):
         return 2
+    ps = [float(p) for p in np.linspace(0.0, 1.0, args.p_steps)]
+    # Every state of the curve, p by p, gets its entropy from one call.
+    states = np.stack([distribute(scenario, p)[0] for p in ps for scenario in _PROTECTED])
+    curves = entanglement_entropy_bob(states).reshape(len(ps), len(_PROTECTED)).tolist()
     lines = ["p,entropy_recovery_adc,entropy_all_adc"]
-    for p in np.linspace(0.0, 1.0, args.p_steps):
-        p = float(p)
-        vals = []
-        for scenario in _PROTECTED:
-            dist, _ = distribute(scenario, p)
-            vals.append(entanglement_entropy_bob(dist))
-        lines.append(",".join([_fmt(p)] + [_fmt(v) for v in vals]))
+    lines += [",".join(_fmt(x) for x in (p, *vals)) for p, vals in zip(ps, curves)]
     return _emit(lines, args.out)
 
 
 # ---------------------------------------------------------------------------
 # verify: simulation against every closed form, one line per check.
-# Each check lists (error, location) pairs and `_verify_checks` reduces
-# every list by `_worst`; a check passes when that error is at most its
+# Each check returns its errors as one float array, in a fixed order, and
+# a function that names the location of any of them (`_located`);
+# `_verify_checks` reduces each array by `_worst`, which names only the
+# location it reports. A check passes when that error is at most its
 # tolerance, so a NaN error, ranked above all others, fails it. Checks 7
-# and 8 list signed margins, negative while each inequality holds.
+# and 8 give signed margins, negative while each inequality holds.
 # Every check reads its distributed states from one map per run
 # (`_Points`), so each (scenario, p) is distributed once. Checks 1, 2, 3,
 # 5, 6 and 7 stack the states of all their p (`_states`) and make one
 # kernel call per scenario, which folds every p at once; an input row a
 # check needs besides the quadrature nodes goes in the nodes' fold. A
 # fold's fixed set-up outweighs a few rows of arithmetic, and one call per
-# p made 326 folds at the default grid where this makes 14.
+# p made 326 folds at the default grid where this makes 14. Check 8 takes
+# the entropies of all its states from one call on their stack, where one
+# call per state cost about 25 us each, mostly fixed overhead.
 
 # The per-party averaging integrands are quadratics where the weak pulse
 # cancels the pole (bare scenarios, q_w = 0 and q_w = p), so 32 Gauss nodes
@@ -223,12 +225,22 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 _VERIFY_NODES = 32
 
 
-def _worst(pairs) -> tuple:
-    """The first largest error of (error, location) pairs and its
-    location, a NaN error counting as the largest; (0.0, "") when there are
-    no pairs."""
-    err, where = max(pairs, key=lambda pair: (math.isnan(pair[0]), pair[0]), default=(0.0, ""))
-    return float(err), where
+def _located(errors: np.ndarray, label, keep=True) -> tuple:
+    """A check's result: the entries of `errors` where `keep` holds, in
+    row-major order, as one float array, and a function that gives the
+    location of the k-th of them, `label` of its index into `errors`."""
+    kept = np.flatnonzero(np.broadcast_to(keep, errors.shape))
+    return errors.ravel()[kept], lambda k: label(*np.unravel_index(kept[k], errors.shape))
+
+
+def _worst(errors: np.ndarray, where) -> tuple:
+    """The first largest of a check's errors and `where` of its index, a
+    NaN error counting as the largest (`np.argmax` picks the first NaN);
+    (0.0, "") when there are no errors."""
+    if not errors.size:
+        return 0.0, ""
+    k = int(np.argmax(errors))
+    return float(errors[k]), where(k)
 
 
 def _draw_rows(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -260,77 +272,74 @@ def _states(points: _Points, scenario: Scenario, ps) -> np.ndarray:
 _EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 
 
-def _check_success_oracle(grid_n: int, points: _Points) -> list:
+def _check_success_oracle(grid_n: int, points: _Points) -> tuple:
     rng = np.random.default_rng(1001)
     grid = [k / grid_n for k in range(grid_n)]
     # Ten input draws per q_w at each p, drawn p by p.
     qs = np.repeat(grid, 10)
-    pairs = []
+    errors = []
     for scenario in _PROTECTED:
         name = _form_name("g_t", scenario)
         rows = _draw_rows(rng, grid_n * len(qs))
         success = _row_totals(_states(points, scenario, grid), scenario, [np.tile(qs, grid_n)], rows)[0][0]
-        for p, got in zip(grid, success.reshape(grid_n, -1)):
-            err = np.abs(got - np.repeat([closed_form(name, p, q).value for q in grid], 10))
-            wheres = [f"{scenario.value} p={p:g} q_w={q:g}" for q in grid]
-            pairs += ((e, wheres[k // 10]) for k, e in enumerate(err.tolist()))
-    return pairs
+        forms = np.array([[closed_form(name, p, q).value for q in grid] for p in grid])
+        errors.append(np.abs(success.reshape(grid_n, grid_n, 10) - forms[..., None]))
+    return _located(np.array(errors), lambda s, a, b, _: f"{_PROTECTED[s].value} p={grid[a]:g} q_w={grid[b]:g}")
 
 
 def _check_suppression(points: _Points) -> tuple:
-    """The pairs of check 2, and its note on skipped corner points."""
-    pairs, skipped = [], 0
+    """Check 2's result, and its note on skipped corner points."""
     ps = [float(p) for p in np.linspace(0.0, 1.0, 11)]
     inputs = np.tile([0.3, 0.4, 0.7, 1.1], (len(ps), 1))
-    # Branches and f_av at q_w = p of every p, one p per state.
-    found = {}
-    for scenario in _PROTECTED:
+    # Branches and f_av at q_w = p of every p, one p per state: each p's
+    # 16 branch errors and then its f_av error, scenario by scenario.
+    errors = np.empty((len(ps), len(_PROTECTED), 17))
+    skipped = np.empty((len(ps), len(_PROTECTED)), dtype=bool)
+    for s, scenario in enumerate(_PROTECTED):
         dists = _states(points, scenario, ps)
         f_avs = _average_fidelities(dists, scenario, [ps], _VERIFY_NODES)[0]
-        found[scenario] = _run_rows(dists, scenario, ps, inputs), f_avs
-    for n, p in enumerate(ps):
-        for scenario in _PROTECTED:
-            rows, f_avs = found[scenario]
-            degenerate = rows.degenerate[n]
-            if p == 1.0 and degenerate.all():
-                skipped += 1
-                continue
-            # A degenerate branch has no fidelity to be 1, so it fails.
-            err = np.where(degenerate, np.nan, np.abs(rows.fidelity[n] - 1.0)).tolist()
-            pairs += ((e, f"{scenario.value} p={p:g} branch ({i},{j})") for e, (i, j) in zip(err, _BRANCH_INDICES))
-            pairs.append((abs(f_avs[n] - 1.0), f"{scenario.value} p={p:g} f_av"))
-    return pairs, f"; {skipped} annihilated corner point(s) skipped" if skipped else ""
+        rows = _run_rows(dists, scenario, ps, inputs)
+        # A degenerate branch has no fidelity to be 1, so it fails; at p = 1
+        # a point whose every branch is annihilated is skipped.
+        errors[:, s, :16] = np.where(rows.degenerate, np.nan, np.abs(rows.fidelity - 1.0))
+        errors[:, s, 16] = np.abs(np.subtract(f_avs, 1.0))
+        skipped[:, s] = (np.array(ps) == 1.0) & rows.degenerate.all(axis=1)
+
+    def label(n, s, k):
+        at = f"{_PROTECTED[s].value} p={ps[n]:g}"
+        return f"{at} f_av" if k == 16 else "{} branch ({},{})".format(at, *_BRANCH_INDICES[k])
+
+    note = f"; {skipped.sum()} annihilated corner point(s) skipped" if skipped.any() else ""
+    return _located(errors, label, ~skipped[..., None]), note
 
 
-def _check_unprotected_f_av(points: _Points) -> list:
-    pairs = []
+def _check_unprotected_f_av(points: _Points) -> tuple:
     ps = [float(p) for p in np.linspace(0.0, 1.0, 51)]
+    errors = []
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
         # The determinism row goes in the fold of each p's nodes.
         (f_avs,), ((success,),) = _average_fidelities(
             _states(points, scenario, ps), scenario, [0.0], _VERIFY_NODES, extra=[[0.4, 0.0, 0.8, 0.0]]
         )
-        for p, f_av, got in zip(ps, f_avs, success[:, 0].tolist()):
-            where = f"{scenario.value} p={p:g}"
-            pairs += [(abs(f_av - closed_form(name, p).value), where), (abs(got - 1.0), where)]
-    return pairs
+        forms = [closed_form(name, p).value for p in ps]
+        # Each p's f_av error, then its determinism error.
+        errors.append(np.abs(np.stack([np.subtract(f_avs, forms), success[:, 0] - 1.0], axis=1)))
+    return _located(np.array(errors), lambda s, n, _: f"{_UNPROTECTED[s].value} p={ps[n]:g}")
 
 
-def _check_eam(points: _Points) -> list:
-    """Check 4's pairs: each protected scenario's post-selection
+def _check_eam(points: _Points) -> tuple:
+    """Check 4's result: each protected scenario's post-selection
     probability at each p of `_EDGE_PS`."""
-    pairs = []
-    for scenario in _PROTECTED:
-        name = _form_name("g_eam", scenario)
-        for p in _EDGE_PS:
-            got = points[scenario, p][1]
-            pairs.append((abs(got - closed_form(name, p).value), f"{scenario.value} p={p:g}"))
-    return pairs
+    errors = [
+        [abs(points[scenario, p][1] - closed_form(_form_name("g_eam", scenario), p).value) for p in _EDGE_PS]
+        for scenario in _PROTECTED
+    ]
+    return _located(np.array(errors), lambda s, n: f"{_PROTECTED[s].value} p={_EDGE_PS[n]:g}")
 
 
 def _branch_sample_errors(points: _Points) -> tuple:
-    """The pairs of checks 5 and 6: recovered-state entry errors and
+    """The results of checks 5 and 6: recovered-state entry errors and
     joint-probability errors of every branch at the sampled points, five
     input rows per p."""
     rng = np.random.default_rng(1005)
@@ -342,16 +351,15 @@ def _branch_sample_errors(points: _Points) -> tuple:
         for n, p in enumerate(ps):
             part = slice(n * size, (n + 1) * size)
             want = oracles.recovered_rows(scenario, p, inputs[part])
-            rec_err = np.abs(found.recovered[part] - want).max(axis=(2, 3))
-            prob_err = np.abs(found.joint[part] - oracles.joint_prob_rows(scenario, p, inputs[part]))
-            # Input row n, branch k = 4(i-1)+(j-1) is entry (n, k).
-            wheres = [f"{scenario.value} p={p:g} ({i},{j})" for i, j in _BRANCH_INDICES] * size
-            rec += zip(rec_err.ravel().tolist(), wheres)
-            prob += zip(prob_err.ravel().tolist(), wheres)
-    return rec, prob
+            rec.append(np.abs(found.recovered[part] - want).max(axis=(2, 3)))
+            prob.append(np.abs(found.joint[part] - oracles.joint_prob_rows(scenario, p, inputs[part])))
+    # Entry (scenario, p, input row, branch k = 4(i-1)+(j-1)).
+    shape = (len(_PROTECTED), len(ps), size, 16)
+    label = lambda s, n, _, k: "{} p={:g} ({},{})".format(_PROTECTED[s].value, ps[n], *_BRANCH_INDICES[k])
+    return _located(np.reshape(rec, shape), label), _located(np.reshape(prob, shape), label)
 
 
-def _check_qualitative(points: _Points) -> list:
+def _check_qualitative(points: _Points) -> tuple:
     grid = [0.1 * k for k in range(1, 10)]
     slack = 1e-9
     # f_av and total success of each protected scenario as [p, q_w] arrays
@@ -369,37 +377,54 @@ def _check_qualitative(points: _Points) -> list:
     }
     # Each protected scenario is held against the bare one of its situation.
     bare_of = {bare.situation: bare for bare in _UNPROTECTED}
-    pairs = []
-    for prot in _PROTECTED:
+    # Margins as [scenario, p, q_w, slot]: at q_w <= p the dominance in
+    # slot 0 alone, above it the prohibited f_av and g; after the protected
+    # scenarios, the ordering of the two, in slot 0.
+    below = np.greater_equal.outer(grid, grid)
+    margins = np.empty((len(_PROTECTED) + 1, len(grid), len(grid), 2))
+    for s, prot in enumerate(_PROTECTED):
         f, g, f_bare = fav[prot], g_sim[prot], unprot[bare_of[prot.situation]]
-        for a, p in enumerate(grid):
-            for b, q in enumerate(grid):
-                if q <= p:
-                    pairs.append((f_bare[a] - slack - f[a, b], f"dominance {prot.value} p={p:g} q_w={q:g}"))
-                else:
-                    pairs.append((f[a, b] - (f[a, a] - slack), f"prohibited f_av {prot.value} p={p:g} q_w={q:g}"))
-                    pairs.append((g[a, b] - (g[a, a] - slack), f"prohibited g {prot.value} p={p:g} q_w={q:g}"))
-    f_all, f_rec = fav[Scenario.ALL_ADC], fav[Scenario.RECOVERY_ADC]
-    for a, p in enumerate(grid):
-        for b, q in enumerate(grid):
-            pairs.append((f_all[a, b] - slack - f_rec[a, b], f"ordering p={p:g} q_w={q:g}"))
-    return pairs
+        prohibited = f - (np.diag(f)[:, None] - slack)
+        margins[s, ..., 0] = np.where(below, f_bare[:, None] - slack - f, prohibited)
+        margins[s, ..., 1] = g - (np.diag(g)[:, None] - slack)
+    margins[-1, ..., 0] = fav[Scenario.ALL_ADC] - slack - fav[Scenario.RECOVERY_ADC]
+    keep = np.ones(margins.shape, dtype=bool)
+    keep[:-1, ..., 1] = ~below
+    keep[-1, ..., 1] = False
+
+    def label(s, a, b, slot):
+        at = f"p={grid[a]:g} q_w={grid[b]:g}"
+        if s == len(_PROTECTED):
+            return f"ordering {at}"
+        kind = "dominance" if below[a, b] else "prohibited g" if slot else "prohibited f_av"
+        return f"{kind} {_PROTECTED[s].value} {at}"
+
+    return _located(margins, label, keep)
 
 
-def _check_entropy(points: _Points) -> list:
-    """Check 8's pairs, each (scenario, p) entropy computed once."""
+def _check_entropy(points: _Points) -> tuple:
+    """Check 8's result, the entropies of every distinct (scenario, p) it
+    reads from one call on their stack."""
+    strict = [0.1 * k for k in range(1, 10)]
+    # The p of `_EDGE_PS`, p = 0 first, then the strictness p not among them.
+    ps = list(dict.fromkeys(_EDGE_PS + tuple(strict)))
+    found = entanglement_entropy_bob(np.concatenate([_states(points, scenario, ps) for scenario in _PROTECTED]))
+    s_at = dict(zip(_PROTECTED, found.reshape(len(_PROTECTED), -1)))
+    rec, all_ = s_at[Scenario.RECOVERY_ADC], s_at[Scenario.ALL_ADC]
+    edge, mid = slice(len(_EDGE_PS)), [ps.index(p) for p in strict]
+    margins = np.concatenate([
+        [abs(s_at[scenario][0] - 2.0) - 1e-9 for scenario in _PROTECTED],
+        all_[edge] - rec[edge] - 1e-12,
+        1e-9 - (rec[mid] - all_[mid]),
+    ])
 
-    @cache
-    def s_at(scenario: Scenario, p: float) -> float:
-        return entanglement_entropy_bob(points[scenario, p][0])
+    def where(k):
+        if k < len(_PROTECTED):
+            return f"{_PROTECTED[k].value} p=0"
+        k -= len(_PROTECTED)
+        return f"ordering p={_EDGE_PS[k]:g}" if k < len(_EDGE_PS) else f"strictness p={strict[k - len(_EDGE_PS)]:g}"
 
-    pairs = [(abs(s_at(scenario, 0.0) - 2.0) - 1e-9, f"{scenario.value} p=0") for scenario in _PROTECTED]
-    for p in _EDGE_PS:
-        pairs.append((s_at(Scenario.ALL_ADC, p) - s_at(Scenario.RECOVERY_ADC, p) - 1e-12, f"ordering p={p:g}"))
-    for k in range(1, 10):
-        p = 0.1 * k
-        pairs.append((1e-9 - (s_at(Scenario.RECOVERY_ADC, p) - s_at(Scenario.ALL_ADC, p)), f"strictness p={p:g}"))
-    return pairs
+    return margins, where
 
 
 def _verify_checks(grid_n: int) -> list:
@@ -421,9 +446,9 @@ def _verify_checks(grid_n: int) -> list:
         ("entropy boundary values and ordering", _check_entropy(points), 0.0, ""),
     ]
     checks = []
-    for title, pairs, tol, note in table:
-        err, where = _worst(pairs)
-        checks.append((title, err, tol, where, note))
+    for title, (errors, where), tol, note in table:
+        err, at = _worst(errors, where)
+        checks.append((title, err, tol, at, note))
     return checks
 
 

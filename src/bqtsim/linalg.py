@@ -139,13 +139,16 @@ def hermitian_eigenvalues(rho: np.ndarray) -> np.ndarray:
     """Real eigenvalues in descending order, of one (n, n) matrix or of
     each matrix of an (..., n, n) stack, on the last axis.
 
-    Raises ValueError when the matrices are not square, or when any is off
-    Hermitian by more than 1e-10 in any entry. Values in [-EIG_CLAMP, 0)
-    are clamped to exactly 0 so downstream logs and entropies never see
-    spurious negatives.
+    Raises ValueError when the matrices are not square, when any entry is
+    NaN or infinite (refused before any arithmetic, so no warning comes
+    first), or when any matrix is off Hermitian by more than 1e-10 in any
+    entry. Values in [-EIG_CLAMP, 0) are clamped to exactly 0 so
+    downstream logs and entropies never see spurious negatives.
     """
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"hermitian_eigenvalues expects a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("hermitian_eigenvalues expects finite entries, got NaN or infinity")
     adjoint = rho.conj().swapaxes(-1, -2)
     herm_err = float(np.max(np.abs(rho - adjoint)))
     if herm_err > 1e-10:

@@ -13,7 +13,10 @@ sums. Each party's integrand at the nodes comes from the kernel
 The distributed state is the product of its two Bell pairs, and Bob holds
 one qubit of each, so his entropy is the sum of two one-qubit entropies:
 `entanglement_entropy_bob` takes both 2x2 states off the pair stack and
-their eigenvalues in one call, and builds no 16x16 or 4x4 state."""
+their eigenvalues in one call, and builds no 16x16 or 4x4 state. Given a
+stack of distributed states it takes every state's 2x2 states in that
+one call, so a curve or a verify check costs one eigenvalue call, not one
+per point; a single state is a stack of one."""
 from __future__ import annotations
 
 import math
@@ -161,28 +164,42 @@ def closed_form(name: str, p: float, q_w: float = 0.0) -> OracleValue:
     return OracleValue(name=name, value=float(fn(p, q_w)), formula_ref=ref)
 
 
+def _entropies(eigs: np.ndarray) -> np.ndarray:
+    """Base-2 entropy -sum lambda log2 lambda over the last axis of an
+    array of eigenvalues, a term of lambda <= 0 counting as 0. Each row
+    is summed on its own, so its entropy does not depend on the rows
+    beside it."""
+    logs = np.log2(np.where(eigs > 0.0, eigs, 1.0))
+    # + 0.0 folds -0.0 into 0.0 so serialized output never shows "-0".
+    return -np.add.reduce(eigs * logs, axis=-1) + 0.0
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Base-2 von Neumann entropy -sum lambda log2 lambda over the nonzero
     eigenvalues of the state rho (`linalg.hermitian_eigenvalues` clamps
     tiny negative ones to 0); of a (k, n, n) stack of states, that of
     their product, the sum of theirs."""
-    eigs = hermitian_eigenvalues(rho)
-    eigs = eigs[eigs > 0.0]
-    # + 0.0 folds -0.0 into 0.0 so serialized output never shows "-0".
-    return float(-np.sum(eigs * np.log2(eigs))) + 0.0
+    eigs = hermitian_eigenvalues(rho).ravel()
+    # Zero terms are left out, not summed: from 8 terms on, numpy's
+    # pairwise sum would group the others differently around them.
+    return float(_entropies(eigs[eigs > 0.0]))
 
 
-def entanglement_entropy_bob(pairs: np.ndarray) -> float:
+def entanglement_entropy_bob(pairs: np.ndarray):
     """Entropy of Bob's half of the distributed resource, which is the
     entanglement between the two parties, from its (2, 4, 4) pair stack
-    (rho_12, rho_34) as `distribute` returns it.
+    (rho_12, rho_34) as `distribute` returns it: a float. Of a (G, 2, 4, 4)
+    stack of pair stacks, each state's entropy, as a (G,) array with the
+    bits of one call per state.
 
     Bob holds qubits 2 and 4, the second qubit of each pair: qubit 2
     receives Alice's teleported state and qubit 4 is the one he
     Bell-measures with his input. His state is the product of one qubit
     of each pair, so its entropy is the sum of the two qubits' entropies,
-    taken from both 2x2 eigenproblems at once.
+    taken from the 2x2 eigenproblems of every state at once.
     """
-    if pairs.shape != (2, 4, 4):
-        raise ValueError("expected the (2, 4, 4) pair stack of a distributed state")
-    return von_neumann_entropy(pairs.reshape(2, 2, 2, 2, 2).trace(axis1=1, axis2=3))
+    if pairs.ndim not in (3, 4) or pairs.shape[-3:] != (2, 4, 4):
+        raise ValueError("expected the (2, 4, 4) pair stack of a distributed state, or a (G, 2, 4, 4) stack of them")
+    qubits = pairs.reshape(-1, 2, 2, 2, 2, 2).trace(axis1=2, axis2=4)
+    entropies = _entropies(hermitian_eigenvalues(qubits).reshape(-1, 4))
+    return entropies if pairs.ndim == 4 else float(entropies[0])

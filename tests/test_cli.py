@@ -346,10 +346,37 @@ def test_input_rows_draw_the_scalar_stream():
 
 
 def test_worst_ranks_nan_above_every_error():
-    assert cli._worst([]) == (0.0, "")
-    assert cli._worst([(-2.0, "a"), (-1.0, "b"), (-1.0, "c")]) == (-1.0, "b")
-    err, where = cli._worst([(1.0, "a"), (math.nan, "b"), (2.0, "c"), (math.nan, "d")])
-    assert math.isnan(err) and where == "b"
+    # A check's errors are one array; `_worst` names only the location of
+    # the error it reports, so `where` runs once, on that index.
+    asked = []
+    where = lambda k: asked.append(k) or "abcd"[k]
+    assert cli._worst(np.empty(0), where) == (0.0, "") and asked == []
+    assert cli._worst(np.array([-2.0, -1.0, -1.0]), where) == (-1.0, "b") and asked == [1]
+    err, at = cli._worst(np.array([1.0, math.nan, 2.0, math.nan]), where)
+    assert math.isnan(err) and at == "b" and asked == [1, 1]
+
+
+def test_verify_checks_return_one_array_each():
+    # Every check gives its errors as one 1-D float array and a location for
+    # any index of it; the counts are those of the default grid.
+    points = cli._Points()
+    results = {
+        1: cli._check_success_oracle(10, points),
+        2: cli._check_suppression(points)[0],
+        3: cli._check_unprotected_f_av(points),
+        4: cli._check_eam(points),
+        7: cli._check_qualitative(points),
+        8: cli._check_entropy(points),
+    }
+    results[5], results[6] = cli._branch_sample_errors(points)
+    sizes = {1: 2000, 2: 2 * 11 * 17 - 2 * 17, 3: 204, 4: 102, 5: 480, 6: 480, 7: 2 * (45 + 2 * 36) + 81, 8: 62}
+    for num, (errors, where) in results.items():
+        assert errors.dtype == np.float64 and errors.shape == (sizes[num],), num
+        assert all(isinstance(where(k), str) and where(k) for k in (0, len(errors) - 1)), num
+    where = results[8][1]
+    assert [where(k) for k in (0, 1, 2, 52, 53, 61)] == [
+        "recovery-adc p=0", "all-adc p=0", "ordering p=0", "ordering p=1", "strictness p=0.1", "strictness p=0.9"
+    ]
 
 
 def count_folds(monkeypatch) -> dict:
@@ -394,18 +421,21 @@ def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
 def test_verify_builds_each_protected_state_once(monkeypatch):
     # Every check reads its states from one map per run, so verify
     # distributes each of its 214 (scenario, p) points once, and check 8
-    # computes each entropy once. It made 410 distribute calls when each
-    # check built its own, and 292 when only checks 4 and 8 shared theirs.
+    # takes the entropies of its 106 distinct states from one call on their
+    # stack. It made 410 distribute calls when each check built its own,
+    # and 292 when only checks 4 and 8 shared theirs; check 8 made 106
+    # entropy calls, one per state.
     built, entropies = [], []
     distribute, entropy = cli.distribute, cli.entanglement_entropy_bob
     monkeypatch.setattr(cli, "distribute", lambda scenario, p: built.append((scenario, p)) or distribute(scenario, p))
-    monkeypatch.setattr(cli, "entanglement_entropy_bob", lambda state: entropies.append(1) or entropy(state))
+    monkeypatch.setattr(cli, "entanglement_entropy_bob", lambda states: entropies.append(len(states)) or entropy(states))
     points = cli._Points()
     cli._check_eam(points)
     cli._check_entropy(points)
     # The strictness p that are not among the 51 are the only others.
     others = {0.1 * k for k in range(1, 10)} - set(cli._EDGE_PS)
-    assert len(built) == len(set(built)) == len(entropies) == 2 * (len(cli._EDGE_PS) + len(others))
+    assert len(built) == len(set(built)) == 2 * (len(cli._EDGE_PS) + len(others)) == 106
+    assert entropies == [106]
     built.clear()
     assert all(err <= tol for _, err, tol, _, _ in cli._verify_checks(10))
     assert len(built) == len(set(built)) == 214

@@ -2,6 +2,7 @@
 eigenvalues. Partial trace and embedding are checked against brute-force
 index-loop oracles written only here."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,20 @@ def test_hermitian_eigenvalues_of_a_stack():
     for shape in ((2, 2, 3), (4,)):
         with pytest.raises(ValueError, match="hermitian_eigenvalues expects a square matrix"):
             hermitian_eigenvalues(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)], ids=repr)
+def test_hermitian_eigenvalues_refuses_non_finite_entries(bad):
+    # NaN compares False with the Hermiticity bound and inf - inf warns, so
+    # a non-finite entry is refused first, before any arithmetic warns.
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 0] = bad
+    stack = np.stack([np.eye(2, dtype=complex) / 2, rho])
+    for m in (rho, stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="expects finite entries"):
+                hermitian_eigenvalues(m)
 
 
 def test_density_validation():

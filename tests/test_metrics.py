@@ -241,10 +241,27 @@ def test_entropy_bob_closed_forms_and_ordering():
 
 
 def test_entropy_bob_rejects_wrong_dim():
-    # It takes the (2, 4, 4) pair stack only, not the 16x16 product.
-    for state in (QubitInput(0.5).density(), np.kron(*distribute(Scenario.RECOVERY_ADC, 0.3)[0])):
+    # It takes the (2, 4, 4) pair stack or a stack of them only, not the
+    # 16x16 product, half a pair or a stack of halves.
+    pairs = distribute(Scenario.RECOVERY_ADC, 0.3)[0]
+    for state in (QubitInput(0.5).density(), np.kron(*pairs), pairs[:, :, :2], np.stack([pairs[:, :, :2]] * 3)):
         with pytest.raises(ValueError, match=r"expected the \(2, 4, 4\) pair stack"):
             entanglement_entropy_bob(state)
+    with pytest.raises(ValueError, match=r"expected the \(2, 4, 4\) pair stack"):
+        entanglement_entropy_bob(np.stack([np.stack([pairs] * 2)] * 2))
+
+
+def test_entropy_bob_of_a_stack_has_the_bits_of_one_call_per_state():
+    # A (G, 2, 4, 4) stack gives each state's entropy as one call on it alone
+    # does, bit for bit, at p = 0 and p = 1 too, where eigenvalues are zero.
+    ps = [float(p) for p in np.linspace(0.0, 1.0, 101)] + [1.0 - 10.0**-k for k in range(1, 16)]
+    for scenario in Scenario:
+        states = np.stack([distribute(scenario, p)[0] for p in ps])
+        got = entanglement_entropy_bob(states)
+        assert got.dtype == np.float64 and got.shape == (len(ps),)
+        one = np.array([entanglement_entropy_bob(state) for state in states])
+        assert got.tobytes() == one.tobytes(), scenario.value
+        assert isinstance(entanglement_entropy_bob(states[0]), float)
 
 
 def test_entropy_bob_traces_the_kept_pair():

@@ -28,6 +28,7 @@ the parent's, and how many blocks the change won. The targets:
   run_protocol   one call at an interior point
   distribute     protocol.distribute, all-adc p = 0.4
   entropy        metrics.entanglement_entropy_bob of that distributed state
+  entropy-curve  cli.main(["entropy"]), the 51-p curves, stdout captured
   outcomes       the 16 BranchOutcome views of a one-row _run_rows result
   rows1..rows64  protocol._row_totals of 1, 32 and 64 input rows
 
@@ -75,7 +76,7 @@ CHECKS = {
     "check8": ("_check_entropy", ()),
 }
 NAMES = ("verify", *CHECKS, "sweep", "average64", "average-extra", "average-stack", "run_protocol", "distribute",
-         "entropy", "outcomes", "rows1", "rows32", "rows64")
+         "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64")
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
          "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
 
@@ -134,6 +135,7 @@ def targets(pkg) -> dict:
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
     found["distribute"] = lambda: protocol.distribute(scenario, 0.4)
     found["entropy"] = lambda: metrics.entanglement_entropy_bob(dist)
+    found["entropy-curve"] = lambda: quiet(cli.main, ["entropy"])
     branches = protocol._run_rows(dist, scenario, 0.25, rows[:1])
     found["outcomes"] = branches.outcomes
     for n in (1, 32, 64):

@@ -21,7 +21,10 @@ least one bit. The families:
                  sweep's g_total and of verify checks 2, 3 and 7: a stack
                  of states, one q_w per state, and extra rows, with one
                  state, one q_w and one row among them
-  verify         the _verify_checks tuples of grids 2, 3 and 10
+  entropy        entanglement_entropy_bob of one state at a time, 4
+                 scenarios x 29 p
+  verify         the _verify_checks tuples of grids 2, 3 and 10, each
+                 check's worst location among them
   cli            stdout, stderr and exit status of the command lines of
                  tests/test_cli_golden.py, of a few more, and of usage errors
 
@@ -281,6 +284,17 @@ def average_stacks(out, bq, metrics) -> int:
     return count
 
 
+def family_entropy(out, bq, metrics) -> int:
+    """Bob's entropy of each distributed state, one call per state, so
+    that the family runs on trees whose entropy takes one state only."""
+    count = 0
+    for scenario in bq.Scenario:
+        for p in P_GRID:
+            out(f"{scenario.value} p={p!r}", metrics.entanglement_entropy_bob(state(bq.distribute(scenario, p)[0])))
+            count += 1
+    return count
+
+
 def family_verify(out, cli) -> int:
     for grid in (2, 3, 10):
         out(f"grid {grid}", cli._verify_checks(grid), [f"check {k}" for k in range(1, 9)])
@@ -310,6 +324,7 @@ def families(pkg) -> tuple:
         ("run_protocol", lambda out: family_run_protocol(out, bq)),
         ("_run_rows", lambda out: family_run_rows(out, bq, protocol)),
         ("average", lambda out: family_average(out, bq, metrics)),
+        ("entropy", lambda out: family_entropy(out, bq, metrics)),
         ("verify", lambda out: family_verify(out, cli)),
         ("cli", lambda out: family_cli(out, cli)),
     )
