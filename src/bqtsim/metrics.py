@@ -185,7 +185,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(_entropies(eigs[eigs > 0.0]))
 
 
-def entanglement_entropy_bob(pairs: np.ndarray):
+def entanglement_entropy_bob(pairs: np.ndarray) -> float | np.ndarray:
     """Entropy of Bob's half of the distributed resource, which is the
     entanglement between the two parties, from its (2, 4, 4) pair stack
     (rho_12, rho_34) as `distribute` returns it: a float. Of a (G, 2, 4, 4)

@@ -370,13 +370,20 @@ def test_verify_checks_return_one_array_each():
     }
     results[5], results[6] = cli._branch_sample_errors(points)
     sizes = {1: 2000, 2: 2 * 11 * 17 - 2 * 17, 3: 204, 4: 102, 5: 480, 6: 480, 7: 2 * (45 + 2 * 36) + 81, 8: 62}
+    # Locations at a few indices, in the order the checks listed them.
+    wheres = {
+        1: {0: "recovery-adc p=0 q_w=0", 10: "recovery-adc p=0 q_w=0.1", 1999: "all-adc p=0.9 q_w=0.9"},
+        2: {0: "recovery-adc p=0 branch (1,1)", 16: "recovery-adc p=0 f_av", 17: "all-adc p=0 branch (1,1)",
+            339: "all-adc p=0.9 f_av"},
+        7: {0: "dominance recovery-adc p=0.1 q_w=0.1", 1: "prohibited f_av recovery-adc p=0.1 q_w=0.2",
+            2: "prohibited g recovery-adc p=0.1 q_w=0.2", 314: "ordering p=0.9 q_w=0.9"},
+        8: {0: "recovery-adc p=0", 1: "all-adc p=0", 2: "ordering p=0", 52: "ordering p=1", 53: "strictness p=0.1",
+            61: "strictness p=0.9"},
+    }
     for num, (errors, where) in results.items():
         assert errors.dtype == np.float64 and errors.shape == (sizes[num],), num
         assert all(isinstance(where(k), str) and where(k) for k in (0, len(errors) - 1)), num
-    where = results[8][1]
-    assert [where(k) for k in (0, 1, 2, 52, 53, 61)] == [
-        "recovery-adc p=0", "all-adc p=0", "ordering p=0", "ordering p=1", "strictness p=0.1", "strictness p=0.9"
-    ]
+        assert {k: where(k) for k in wheres.get(num, ())} == wheres.get(num, {}), num
 
 
 def count_folds(monkeypatch) -> dict:
