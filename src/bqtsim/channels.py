@@ -1,17 +1,17 @@
 """Amplitude damping channel primitives.
 
 `__all__` lists what the product path takes from here: the degeneracy
-tolerance. `_check_unit` is every [0, 1] range check of the package, and
-`_weak_top` the weak-measurement family each situation pairs with. The
-rest are the test references for `protocol.distribute` and
-`protocol.correction_ops`, which no product path calls: `adc_kraus`, the
-single-qubit amplitude damping Kraus pair; `apply_channel`, channel
-application by Kraus sum; `eam_postselect`, post-selection on the
-no-decay branch (measuring the channel environment and keeping the
-outcome tied to the invertible operator); `weak_measurement_op`, the
-retained operator of the weak-measurement family used to undo the
-damping bias; and `DegenerateBranchError`, which only the references
-raise.
+tolerance. `_check_unit` is every [0, 1] range check of the package
+(`_check_units` applies it to an array), and `_weak_top` the
+weak-measurement family each situation pairs with. The rest are the
+test references for `protocol.distribute` and `protocol.correction_ops`,
+which no product path calls: `adc_kraus`, the single-qubit amplitude
+damping Kraus pair; `apply_channel`, channel application by Kraus sum;
+`eam_postselect`, post-selection on the no-decay branch (measuring the
+channel environment and keeping the outcome tied to the invertible
+operator); `weak_measurement_op`, the retained operator of the
+weak-measurement family used to undo the damping bias; and
+`DegenerateBranchError`, which only the references raise.
 """
 from __future__ import annotations
 
@@ -39,6 +39,15 @@ def _check_unit(name: str, value) -> None:
     """Raise ValueError unless `value` lies in [0, 1]; NaN does not."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name}={value!r} outside [0, 1]")
+
+
+def _check_units(name: str, values: np.ndarray) -> None:
+    """`_check_unit` over an array of values: raise its ValueError for the
+    least value outside [0, 1], NaN counting as the largest."""
+    # NaN fails both comparisons and sorts last.
+    bad = values[~((values >= 0.0) & (values <= 1.0))]
+    if bad.size:
+        _check_unit(name, float(np.sort(bad)[0]))
 
 
 def adc_kraus(p: float) -> np.ndarray:

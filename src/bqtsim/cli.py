@@ -187,9 +187,10 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     if _check_out(args.out):
         return 2
     ps = [float(p) for p in np.linspace(0.0, 1.0, args.p_steps)]
-    # Every state of the curve, p by p, gets its entropy from one call.
-    states = np.stack([distribute(scenario, p)[0] for p in ps for scenario in _PROTECTED])
-    curves = entanglement_entropy_bob(states).reshape(len(ps), len(_PROTECTED)).tolist()
+    # One distribute call per scenario, and one entropy call on every state
+    # of the curve.
+    states = np.concatenate([distribute(scenario, ps)[0] for scenario in _PROTECTED])
+    curves = entanglement_entropy_bob(states).reshape(len(_PROTECTED), len(ps)).T.tolist()
     lines = ["p,entropy_recovery_adc,entropy_all_adc"]
     lines += [",".join(_fmt(x) for x in (p, *vals)) for p, vals in zip(ps, curves)]
     return _emit(lines, args.out)
@@ -203,15 +204,15 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # location it reports. A check passes when that error is at most its
 # tolerance, so a NaN error, ranked above all others, fails it. Checks 7
 # and 8 give signed margins, negative while each inequality holds.
-# Every check reads its distributed states from one map per run
-# (`_Points`), so each (scenario, p) is distributed once. Checks 1, 2, 3,
-# 5, 6 and 7 stack the states of all their p (`_states`) and make one
-# kernel call per scenario, which folds every p at once; an input row a
-# check needs besides the quadrature nodes goes in the nodes' fold. A
-# fold's fixed set-up outweighs a few rows of arithmetic, and one call per
-# p made 326 folds at the default grid where this makes 14. Check 8 takes
-# the entropies of all its states from one call on their stack, where one
-# call per state cost about 25 us each, mostly fixed overhead.
+# Every check distributes all its p in one `distribute` call per scenario
+# it reads, 16 calls in all, because a call's fixed set-up outweighs the
+# arithmetic of one p, and makes one kernel call per scenario on that
+# stack of states, which folds every p at once; an input row a check needs
+# besides the quadrature nodes goes in the nodes' fold. A fold's fixed
+# set-up outweighs a few rows of arithmetic, and one call per p made 326
+# folds at the default grid where this makes 14. Check 8 takes the
+# entropies of all its states from one call on their stack, where one call
+# per state cost about 25 us each, mostly fixed overhead.
 
 # The per-party averaging integrands are quadratics where the weak pulse
 # cancels the pole (bare scenarios, q_w = 0 and q_w = p), so 32 Gauss nodes
@@ -252,27 +253,11 @@ def _draw_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     return rows
 
 
-class _Points(dict):
-    """`distribute(scenario, p)` at each key (scenario, p), made on first
-    read; one map per verify run, which every check reads its states
-    from."""
-
-    def __missing__(self, key: tuple) -> tuple:
-        found = self[key] = distribute(*key)
-        return found
-
-
-def _states(points: _Points, scenario: Scenario, ps) -> np.ndarray:
-    """The (len(ps), 2, 4, 4) stack of the scenario's distributed pair
-    stacks, one per p."""
-    return np.stack([points[scenario, p][0] for p in ps])
-
-
 # The p of checks 4 and 8.
 _EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 
 
-def _check_success_oracle(grid_n: int, points: _Points) -> tuple:
+def _check_success_oracle(grid_n: int) -> tuple:
     rng = np.random.default_rng(1001)
     grid = [k / grid_n for k in range(grid_n)]
     # Ten input draws per q_w at each p, drawn p by p.
@@ -281,13 +266,13 @@ def _check_success_oracle(grid_n: int, points: _Points) -> tuple:
     for scenario in _PROTECTED:
         name = _form_name("g_t", scenario)
         rows = _draw_rows(rng, grid_n * len(qs))
-        success = _row_totals(_states(points, scenario, grid), scenario, [np.tile(qs, grid_n)], rows)[0][0]
+        success = _row_totals(distribute(scenario, grid)[0], scenario, [np.tile(qs, grid_n)], rows)[0][0]
         forms = np.array([[closed_form(name, p, q).value for q in grid] for p in grid])
         errors.append(np.abs(success.reshape(grid_n, grid_n, 10) - forms[..., None]))
     return _located(np.array(errors), lambda s, a, b, _: f"{_PROTECTED[s].value} p={grid[a]:g} q_w={grid[b]:g}")
 
 
-def _check_suppression(points: _Points) -> tuple:
+def _check_suppression() -> tuple:
     """Check 2's result, and its note on skipped corner points."""
     ps = [float(p) for p in np.linspace(0.0, 1.0, 11)]
     inputs = np.tile([0.3, 0.4, 0.7, 1.1], (len(ps), 1))
@@ -296,7 +281,7 @@ def _check_suppression(points: _Points) -> tuple:
     errors = np.empty((len(ps), len(_PROTECTED), 17))
     skipped = np.empty((len(ps), len(_PROTECTED)), dtype=bool)
     for s, scenario in enumerate(_PROTECTED):
-        dists = _states(points, scenario, ps)
+        dists = distribute(scenario, ps)[0]
         f_avs = _average_fidelities(dists, scenario, [ps], _VERIFY_NODES)[0]
         rows = _run_rows(dists, scenario, ps, inputs)
         # A degenerate branch has no fidelity to be 1, so it fails; at p = 1
@@ -313,14 +298,14 @@ def _check_suppression(points: _Points) -> tuple:
     return _located(errors, label, ~skipped[..., None]), note
 
 
-def _check_unprotected_f_av(points: _Points) -> tuple:
+def _check_unprotected_f_av() -> tuple:
     ps = [float(p) for p in np.linspace(0.0, 1.0, 51)]
     errors = []
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
         # The determinism row goes in the fold of each p's nodes.
         (f_avs,), ((success,),) = _average_fidelities(
-            _states(points, scenario, ps), scenario, [0.0], _VERIFY_NODES, extra=[[0.4, 0.0, 0.8, 0.0]]
+            distribute(scenario, ps)[0], scenario, [0.0], _VERIFY_NODES, extra=[[0.4, 0.0, 0.8, 0.0]]
         )
         forms = [closed_form(name, p).value for p in ps]
         # Each p's f_av error, then its determinism error.
@@ -328,17 +313,17 @@ def _check_unprotected_f_av(points: _Points) -> tuple:
     return _located(np.array(errors), lambda s, n, _: f"{_UNPROTECTED[s].value} p={ps[n]:g}")
 
 
-def _check_eam(points: _Points) -> tuple:
+def _check_eam() -> tuple:
     """Check 4's result: each protected scenario's post-selection
     probability at each p of `_EDGE_PS`."""
-    errors = [
-        [abs(points[scenario, p][1] - closed_form(_form_name("g_eam", scenario), p).value) for p in _EDGE_PS]
-        for scenario in _PROTECTED
-    ]
+    errors = []
+    for scenario in _PROTECTED:
+        forms = [closed_form(_form_name("g_eam", scenario), p).value for p in _EDGE_PS]
+        errors.append(np.abs(distribute(scenario, _EDGE_PS)[1] - forms))
     return _located(np.array(errors), lambda s, n: f"{_PROTECTED[s].value} p={_EDGE_PS[n]:g}")
 
 
-def _branch_sample_errors(points: _Points) -> tuple:
+def _branch_sample_errors() -> tuple:
     """The results of checks 5 and 6: recovered-state entry errors and
     joint-probability errors of every branch at the sampled points, five
     input rows per p."""
@@ -347,7 +332,7 @@ def _branch_sample_errors(points: _Points) -> tuple:
     rec, prob = [], []
     for scenario in _PROTECTED:
         inputs = _draw_rows(rng, size * len(ps))
-        found = _run_rows(_states(points, scenario, ps), scenario, 0.0, inputs)
+        found = _run_rows(distribute(scenario, ps)[0], scenario, 0.0, inputs)
         for n, p in enumerate(ps):
             part = slice(n * size, (n + 1) * size)
             want = oracles.recovered_rows(scenario, p, inputs[part])
@@ -359,7 +344,7 @@ def _branch_sample_errors(points: _Points) -> tuple:
     return _located(np.reshape(rec, shape), label), _located(np.reshape(prob, shape), label)
 
 
-def _check_qualitative(points: _Points) -> tuple:
+def _check_qualitative() -> tuple:
     grid = [0.1 * k for k in range(1, 10)]
     slack = 1e-9
     # f_av and total success of each protected scenario as [p, q_w] arrays
@@ -368,11 +353,11 @@ def _check_qualitative(points: _Points) -> tuple:
     fav, g_sim = {}, {}
     for scenario in _PROTECTED:
         f_avs, totals = _average_fidelities(
-            _states(points, scenario, grid), scenario, grid, _VERIFY_NODES, extra=[[0.5, 0.0, 0.5, 0.0]]
+            distribute(scenario, grid)[0], scenario, grid, _VERIFY_NODES, extra=[[0.5, 0.0, 0.5, 0.0]]
         )
         fav[scenario], g_sim[scenario] = np.array(f_avs).T, np.array([t[0][:, 0] for t in totals]).T
     unprot = {
-        bare: np.array(_average_fidelities(_states(points, bare, grid), bare, [0.0], _VERIFY_NODES)[0])
+        bare: np.array(_average_fidelities(distribute(bare, grid)[0], bare, [0.0], _VERIFY_NODES)[0])
         for bare in _UNPROTECTED
     }
     # Each protected scenario is held against the bare one of its situation.
@@ -402,13 +387,13 @@ def _check_qualitative(points: _Points) -> tuple:
     return _located(margins, label, keep)
 
 
-def _check_entropy(points: _Points) -> tuple:
+def _check_entropy() -> tuple:
     """Check 8's result, the entropies of every distinct (scenario, p) it
     reads from one call on their stack."""
     strict = [0.1 * k for k in range(1, 10)]
     # The p of `_EDGE_PS`, p = 0 first, then the strictness p not among them.
     ps = list(dict.fromkeys(_EDGE_PS + tuple(strict)))
-    found = entanglement_entropy_bob(np.concatenate([_states(points, scenario, ps) for scenario in _PROTECTED]))
+    found = entanglement_entropy_bob(np.concatenate([distribute(scenario, ps)[0] for scenario in _PROTECTED]))
     s_at = dict(zip(_PROTECTED, found.reshape(len(_PROTECTED), -1)))
     rec, all_ = s_at[Scenario.RECOVERY_ADC], s_at[Scenario.ALL_ADC]
     edge, mid = slice(len(_EDGE_PS)), [ps.index(p) for p in strict]
@@ -431,25 +416,21 @@ def _verify_checks(grid_n: int) -> list:
     """Run every verify check once, `grid_n` points per axis on the success
     grid; one (title, error, tolerance, worst location, note) tuple per
     check, which passes when error <= tolerance."""
-    points = _Points()
-    suppression, suppression_note = _check_suppression(points)
+    suppression, suppression_note = _check_suppression()
     # Checks 5 and 6 read the same sampled branches.
-    recovered, joint = _branch_sample_errors(points)
+    recovered, joint = _branch_sample_errors()
     table = [
-        ("total success vs closed form", _check_success_oracle(grid_n, points), 1e-10, ""),
+        ("total success vs closed form", _check_success_oracle(grid_n), 1e-10, ""),
         ("noise suppression at q_w = p", suppression, 1e-9, suppression_note),
-        ("unprotected average fidelity and determinism", _check_unprotected_f_av(points), 1e-6, ""),
-        ("post-selection success probability", _check_eam(points), 1e-12, ""),
+        ("unprotected average fidelity and determinism", _check_unprotected_f_av(), 1e-6, ""),
+        ("post-selection success probability", _check_eam(), 1e-12, ""),
         ("recovered branch states vs closed forms", recovered, 1e-12, ""),
         ("joint branch probabilities vs closed forms", joint, 1e-12, ""),
-        ("dominance, prohibited domain, scenario ordering", _check_qualitative(points), 0.0, ""),
-        ("entropy boundary values and ordering", _check_entropy(points), 0.0, ""),
+        ("dominance, prohibited domain, scenario ordering", _check_qualitative(), 0.0, ""),
+        ("entropy boundary values and ordering", _check_entropy(), 0.0, ""),
     ]
-    checks = []
-    for title, (errors, where), tol, note in table:
-        err, at = _worst(errors, where)
-        checks.append((title, err, tol, at, note))
-    return checks
+    worst = (_worst(*result) for _, result, _, _ in table)
+    return [(title, err, tol, at, note) for (title, _, tol, note), (err, at) in zip(table, worst)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

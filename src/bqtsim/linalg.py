@@ -143,14 +143,15 @@ def hermitian_eigenvalues(rho: np.ndarray) -> np.ndarray:
     NaN or infinite (refused before any arithmetic, so no warning comes
     first), or when any matrix is off Hermitian by more than 1e-10 in any
     entry. Values in [-EIG_CLAMP, 0) are clamped to exactly 0 so
-    downstream logs and entropies never see spurious negatives.
+    downstream logs and entropies never see spurious negatives. An empty
+    (0, n, n) stack gives an empty (0, n) array.
     """
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"hermitian_eigenvalues expects a square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("hermitian_eigenvalues expects finite entries, got NaN or infinity")
     adjoint = rho.conj().swapaxes(-1, -2)
-    herm_err = float(np.max(np.abs(rho - adjoint)))
+    herm_err = float(np.max(np.abs(rho - adjoint), initial=0.0))
     if herm_err > 1e-10:
         raise ValueError(f"not Hermitian within 1e-10: deviation {herm_err:g}")
     vals = np.linalg.eigvalsh(0.5 * (rho + adjoint))[..., ::-1]

@@ -22,7 +22,10 @@ pair's 2-qubit lift of a damping Kraus operator as a monomial map, one
 source column and one coefficient per row, over entries of the pair
 gathered once at import; `channels.apply_channel` and
 `channels.eam_postselect` on each pair's Kronecker-built lifts are the
-reference it is tested against, bit for bit.
+reference it is tested against, bit for bit. It takes one p or a 1-D
+sequence of them, and for a sequence returns the (G, 2, 4, 4) stack of
+their pair stacks with the bits of one call per p, so a verify check
+distributes all its p in one call.
 
 All 16 Bell outcome combinations are computed exactly, never sampled, by
 one batched kernel that works on each party alone. Alice's Bell
@@ -92,7 +95,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import DEGENERATE_TOL, DegenerateBranchError, _check_unit, _weak_top, weak_measurement_op
+from .channels import DEGENERATE_TOL, DegenerateBranchError, _check_unit, _check_units, _weak_top, weak_measurement_op
 from .linalg import CNOT, HADAMARD, I2, SX, SZ, embed_op, kron
 
 __all__ = [
@@ -362,7 +365,14 @@ def _adc_monomials(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 _ADC_MONOMIALS = {scenario: _adc_monomials(scenario) for scenario in Scenario}
 
 
-def distribute(scenario: Scenario, p: float) -> tuple[np.ndarray, float]:
+# The row factors [1, d, s, 0, 1, 1] of k0, k1 and the identity as
+# sqrt(slope * p + offset), elementwise over an array of p: -p + 1 is 1 - p
+# and p + 0 is p exactly (bar the sign of -0.0, which no result shows), so
+# each entry has the bits math.sqrt gives it.
+_TABLE_SLOPE, _TABLE_OFFSET = np.array([[0.0, -1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0, 1.0, 1.0]])
+
+
+def distribute(scenario: Scenario, p) -> tuple[np.ndarray, float | np.ndarray]:
     """Send `RESOURCE` through the damping noise of the given scenario.
 
     Every noise map acts on one qubit, so the two Bell pairs stay
@@ -378,19 +388,39 @@ def distribute(scenario: Scenario, p: float) -> tuple[np.ndarray, float]:
     lifted Kraus operator is applied as a monomial map: its coefficient
     c_r is the product of the row's two per-qubit factors taken left to
     right, as a Kronecker product forms it.
+
+    p is one value, which gives one pair stack and a float, or a 1-D
+    sequence of G values, which gives the fresh (G, 2, 4, 4) stack of
+    their pair stacks and a (G,) array of probabilities, each with the
+    bits of one call at its p. Every step works on the trailing axes, so a
+    single p is a stack of no axes. A float or int in [0, 1] has its
+    factor table built directly; any other p, a sequence or a bad value,
+    takes `channels._check_units`, which raises for the least value
+    outside [0, 1], NaN counting as the largest, before any arithmetic. A
+    p of two or more axes raises ValueError.
     """
-    _check_unit("decay probability p", p)
+    if isinstance(p, (float, int)) and 0.0 <= p <= 1.0:
+        # The row factors [[1, d], [s, 0], [1, 1]] of k0, k1 and the identity.
+        table = np.array([1.0, math.sqrt(1.0 - p), math.sqrt(p), 0.0, 1.0, 1.0])
+    else:
+        ps = np.asarray(p, dtype=float)
+        if ps.ndim > 1:
+            raise ValueError(f"distribute takes one p or a 1-D sequence of them, got shape {ps.shape}")
+        _check_units("decay probability p", ps)
+        table = np.sqrt(ps[..., None] * _TABLE_SLOPE + _TABLE_OFFSET)
     factor, gathered = _ADC_MONOMIALS[scenario]
-    # The row factors [[1, d], [s, 0], [1, 1]] of k0, k1 and the identity.
-    table = np.array([1.0, math.sqrt(1.0 - p), math.sqrt(p), 0.0, 1.0, 1.0])
-    coef = np.multiply.reduce(table.take(factor), axis=1)
+    coef = np.multiply.reduce(table.take(factor, axis=-1), axis=-3)
     terms = coef[..., :, None] * gathered * coef[..., None, :]
-    if not scenario.protected:
+    if scenario.protected:
+        kept = terms[..., 0, :, :]
+        # Each pair's trace, pair axis first, (2,) or (2, G): indexing a
+        # leading axis is cheaper than [..., k] on the one-p path.
+        probs = kept.T.trace().real
+        pairs, prob = kept / probs.T[..., None, None], probs[0] * probs[1]
+    else:
         # The terms add in order of m, as apply_channel's Kraus sum does.
-        return terms.sum(axis=1), 1.0
-    kept = terms[:, 0]
-    probs = kept.trace(axis1=1, axis2=2).real
-    return kept / probs[:, None, None], float(probs[0] * probs[1])
+        pairs, prob = terms.sum(axis=-3), 1.0
+    return pairs, float(prob) if table.ndim == 1 else np.full(len(table), prob)
 
 
 def compose_total(alice_in: QubitInput, pairs: np.ndarray, bob_in: QubitInput) -> np.ndarray:
@@ -531,14 +561,8 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     q = q.reshape(-1)
     # The largest magnitude is nonzero, or NaN, exactly when some value is.
     scenario.check_q_w(float(np.abs(q).max(initial=0.0)))
-    # NaN fails both comparisons and sorts last, so the least bad value
-    # raises the range error.
-    bad = q[~((q >= 0.0) & (q <= 1.0))]
-    if bad.size:
-        _check_unit("weak measurement strength q_w", float(np.sort(bad)[0]))
-    diagonals = np.ones((len(q), 2))
-    diagonals[:, 0] = _weak_top(q, scenario.situation)
-    return diagonals
+    _check_units("weak measurement strength q_w", q)
+    return np.stack((_weak_top(q, scenario.situation), np.ones(len(q))), axis=1)
 
 
 def _groups(dist: np.ndarray) -> int:

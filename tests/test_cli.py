@@ -359,16 +359,15 @@ def test_worst_ranks_nan_above_every_error():
 def test_verify_checks_return_one_array_each():
     # Every check gives its errors as one 1-D float array and a location for
     # any index of it; the counts are those of the default grid.
-    points = cli._Points()
     results = {
-        1: cli._check_success_oracle(10, points),
-        2: cli._check_suppression(points)[0],
-        3: cli._check_unprotected_f_av(points),
-        4: cli._check_eam(points),
-        7: cli._check_qualitative(points),
-        8: cli._check_entropy(points),
+        1: cli._check_success_oracle(10),
+        2: cli._check_suppression()[0],
+        3: cli._check_unprotected_f_av(),
+        4: cli._check_eam(),
+        7: cli._check_qualitative(),
+        8: cli._check_entropy(),
     }
-    results[5], results[6] = cli._branch_sample_errors(points)
+    results[5], results[6] = cli._branch_sample_errors()
     sizes = {1: 2000, 2: 2 * 11 * 17 - 2 * 17, 3: 204, 4: 102, 5: 480, 6: 480, 7: 2 * (45 + 2 * 36) + 81, 8: 62}
     # Locations at a few indices, in the order the checks listed them.
     wheres = {
@@ -425,27 +424,37 @@ def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
     assert counts == {"_fold_and_correct": 0, "_fold": 51}
 
 
-def test_verify_builds_each_protected_state_once(monkeypatch):
-    # Every check reads its states from one map per run, so verify
-    # distributes each of its 214 (scenario, p) points once, and check 8
-    # takes the entropies of its 106 distinct states from one call on their
-    # stack. It made 410 distribute calls when each check built its own,
-    # and 292 when only checks 4 and 8 shared theirs; check 8 made 106
-    # entropy calls, one per state.
+def test_verify_builds_each_protected_state_once(monkeypatch, capsys):
+    # Each check distributes all its p in one call per scenario it reads,
+    # so verify makes 16 distribute calls, one per (check, scenario), and
+    # `bqtsim entropy` makes 2; check 8 takes the entropies of its 106
+    # distinct states from one call on their stack. Verify made 214 calls,
+    # one per distinct (scenario, p), when its checks shared a map of
+    # one-p calls, 292 when only checks 4 and 8 shared theirs and 410 when
+    # each check built its own; check 8 made 106 entropy calls, one per
+    # state.
     built, entropies = [], []
     distribute, entropy = cli.distribute, cli.entanglement_entropy_bob
-    monkeypatch.setattr(cli, "distribute", lambda scenario, p: built.append((scenario, p)) or distribute(scenario, p))
+    monkeypatch.setattr(cli, "distribute", lambda scenario, ps: built.append((scenario, len(ps))) or distribute(scenario, ps))
     monkeypatch.setattr(cli, "entanglement_entropy_bob", lambda states: entropies.append(len(states)) or entropy(states))
-    points = cli._Points()
-    cli._check_eam(points)
-    cli._check_entropy(points)
-    # The strictness p that are not among the 51 are the only others.
+    cli._check_entropy()
+    # The 51 p of `_EDGE_PS`, then the strictness p that are not among them.
     others = {0.1 * k for k in range(1, 10)} - set(cli._EDGE_PS)
-    assert len(built) == len(set(built)) == 2 * (len(cli._EDGE_PS) + len(others)) == 106
+    assert built == [(scenario, len(cli._EDGE_PS) + len(others)) for scenario in cli._PROTECTED]
     assert entropies == [106]
     built.clear()
     assert all(err <= tol for _, err, tol, _, _ in cli._verify_checks(10))
-    assert len(built) == len(set(built)) == 214
+    # (scenarios, p per call) of each check, in the order verify runs them:
+    # 2, 5-6, 1, 3, 4, 7 (protected, then bare) and 8.
+    per_check = [
+        (cli._PROTECTED, 11), (cli._PROTECTED, 3), (cli._PROTECTED, 10), (cli._UNPROTECTED, 51),
+        (cli._PROTECTED, 51), (cli._PROTECTED, 9), (cli._UNPROTECTED, 9), (cli._PROTECTED, 53),
+    ]
+    assert built == [(scenario, n) for scenarios, n in per_check for scenario in scenarios]
+    assert len(built) == 16
+    built.clear()
+    assert cli.main(["entropy"]) == 0 and len(capsys.readouterr().out.splitlines()) == 52
+    assert built == [(scenario, 51) for scenario in cli._PROTECTED]
 
 
 def test_verify_fails_on_nan_closed_forms(monkeypatch, capsys):

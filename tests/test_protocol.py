@@ -3,6 +3,7 @@ bqtsim.oracles plus the contract examples: resource preparation, noisy
 distribution, Bell projection, correction, and the assembled run."""
 import itertools
 import math
+import re
 import warnings
 from functools import reduce
 
@@ -19,6 +20,7 @@ from bqtsim.channels import (
 )
 from bqtsim.linalg import SX, SZ, hermitian_eigenvalues, kron, partial_trace
 from bqtsim.protocol import (
+    _ADC_MONOMIALS,
     _BELL_KETS,
     RESOURCE,
     QubitInput,
@@ -184,6 +186,74 @@ def test_distributed_state_is_the_product_of_its_pair_marginals(scenario):
         whole, whole_prob = kraus_reference(scenario, p, np.kron(*RESOURCE), range(4))
         assert np.max(np.abs(np.kron(*pairs) - whole)) <= 1e-15, f"{scenario.value} p={p!r}"
         assert abs(prob - whole_prob) <= 1e-15, f"{scenario.value} p={p!r}"
+
+
+# The grid of the stacked-distribute tests: the interior and the edges, p
+# close below 1, a tiny normal p, the smallest subnormal one and -0.0, whose
+# sqrt keeps its sign on the one-p path.
+STACK_PS = [float(p) for p in np.linspace(0.0, 1.0, 51)] + [1.0 - 10.0**-k for k in range(1, 16)] + [1e-300, 5e-324, -0.0]
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_distribute_of_a_sequence_has_the_bits_of_one_call_per_p(scenario):
+    pairs, probs = distribute(scenario, STACK_PS)
+    one = [distribute(scenario, p) for p in STACK_PS]
+    assert pairs.shape == (len(STACK_PS), 2, 4, 4) and probs.shape == (len(STACK_PS),)
+    assert probs.dtype == np.float64
+    assert pairs.tobytes() == np.stack([state for state, _ in one]).tobytes()
+    assert probs.tobytes() == np.array([prob for _, prob in one]).tobytes()
+    # One p still gives one pair stack and a Python float.
+    state, prob = distribute(scenario, 0.37)
+    assert state.shape == (2, 4, 4) and type(prob) is float
+
+
+@pytest.mark.parametrize(
+    "ps, shown",
+    [
+        ([0.2, math.nan, 1.5, -0.3, -0.1], "-0.3"),
+        ([0.2, math.nan, 1.5], "1.5"),
+        ([0.5, math.nan], "nan"),
+        ((0.1, -0.0, -1e-300), "-1e-300"),
+    ],
+)
+def test_distribute_of_a_sequence_refuses_the_least_bad_p(ps, shown, monkeypatch):
+    # Every p is checked before any arithmetic: the first step after the
+    # range check, the square root of the factor table, must not run.
+    monkeypatch.setattr(np, "sqrt", lambda *args: pytest.fail("arithmetic before the range check"))
+    message = rf"^decay probability p={re.escape(shown)} outside \[0, 1\]$"
+    for scenario in ALL_SCENARIOS:
+        with pytest.raises(ValueError, match=message):
+            distribute(scenario, ps)
+
+
+def test_distribute_refuses_a_p_of_two_axes():
+    with pytest.raises(ValueError, match=r"one p or a 1-D sequence of them, got shape \(2, 1\)$"):
+        distribute(Scenario.ALL_ADC, [[0.1], [0.2]])
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_distribute_of_a_sequence_returns_fresh_arrays(scenario):
+    ps = [0.0, 0.4, 1.0]
+    pairs, probs = distribute(scenario, ps)
+    want = distribute(scenario, ps)
+    for array, other in zip((pairs, probs), want):
+        assert array.flags.writeable
+        assert not any(np.shares_memory(array, shared) for shared in (*_ADC_MONOMIALS[scenario], RESOURCE, other))
+    # Writing to one result changes no later one.
+    pairs[...] = 7.0
+    probs[...] = 7.0
+    again = distribute(scenario, ps)
+    assert all(got.tobytes() == kept.tobytes() for got, kept in zip(again, want))
+
+
+def test_empty_stacks_give_empty_results():
+    # A stack of no states is a stack like any other: no eigenvalues, no
+    # entropies, no distributed states.
+    assert hermitian_eigenvalues(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)
+    assert entanglement_entropy_bob(np.zeros((0, 2, 4, 4), dtype=complex)).shape == (0,)
+    for scenario in ALL_SCENARIOS:
+        pairs, probs = distribute(scenario, [])
+        assert pairs.shape == (0, 2, 4, 4) and probs.shape == (0,)
 
 
 # --------------------------------------------------------- composition

@@ -27,6 +27,9 @@ the parent's, and how many blocks the change won. The targets:
                  unprotected-all states, 32 nodes, one extra row
   run_protocol   one call at an interior point
   distribute     protocol.distribute, all-adc p = 0.4
+  distribute-stack  protocol.distribute, all-adc, the 51 p of checks 4 and 8
+                 (`cli._EDGE_PS`) in one call; left out on a tree whose
+                 distribute takes one p only
   entropy        metrics.entanglement_entropy_bob of that distributed state
   entropy-curve  cli.main(["entropy"]), the 51-p curves, stdout captured
   outcomes       the 16 BranchOutcome views of a one-row _run_rows result
@@ -76,7 +79,9 @@ CHECKS = {
     "check8": ("_check_entropy", ()),
 }
 NAMES = ("verify", *CHECKS, "sweep", "average64", "average-extra", "average-stack", "run_protocol", "distribute",
-         "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64")
+         "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64")
+# The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
+EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
          "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
 
@@ -101,10 +106,9 @@ def quiet(fn, *args):
 
 def check_call(cli, name: str, args: tuple):
     """A call of verify check `name` on `cli`, or None if the tree lacks it.
-    A check that reads states verify builds once per run (a `points`
-    parameter) builds them in the call, as a tree whose checks build their
-    own states does: a fresh `_Points` map, or on older trees the protected
-    states of checks 4 and 8 (`_protected_points`)."""
+    On an older tree, a check that reads states verify builds once per run
+    (a `points` parameter) gets a fresh set of them in the call, so it
+    builds its states as a check without the parameter does."""
     fn = getattr(cli, name, None)
     if fn is None:
         return None
@@ -112,6 +116,16 @@ def check_call(cli, name: str, args: tuple):
         make = getattr(cli, "_Points", None) or cli._protected_points
         return lambda: fn(*args, make())
     return lambda: fn(*args)
+
+
+def stack_call(distribute, scenario):
+    """A call of `distribute` on every p of `EDGE_PS` at once, or None if it
+    takes one p only (its range check refuses a sequence)."""
+    try:
+        distribute(scenario, EDGE_PS)
+    except (TypeError, ValueError):
+        return None
+    return lambda: distribute(scenario, EDGE_PS)
 
 
 def targets(pkg) -> dict:
@@ -134,6 +148,7 @@ def targets(pkg) -> dict:
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
     found["distribute"] = lambda: protocol.distribute(scenario, 0.4)
+    found["distribute-stack"] = stack_call(protocol.distribute, scenario)
     found["entropy"] = lambda: metrics.entanglement_entropy_bob(dist)
     found["entropy-curve"] = lambda: quiet(cli.main, ["entropy"])
     branches = protocol._run_rows(dist, scenario, 0.25, rows[:1])
@@ -192,12 +207,12 @@ def main() -> None:
         print(f"{order}: median [q1, q3] min of {BLOCKS} blocks, us per call")
         for label, times in results.items():
             if times is None:
-                print(f"  {label:<14} skipped: one tree lacks it")
+                print(f"  {label:<16} skipped: one tree lacks it")
                 continue
             p, c = times["parent"], times["change"]
             ratio = statistics.median(c) / statistics.median(p) - 1.0
             won = sum(x < y for x, y in zip(c, p))
-            print(f"  {label:<14} parent {summary(p)}  change {summary(c)}  {ratio:+7.1%}  won {won}/{len(p)}")
+            print(f"  {label:<16} parent {summary(p)}  change {summary(c)}  {ratio:+7.1%}  won {won}/{len(p)}")
 
 
 if __name__ == "__main__":
