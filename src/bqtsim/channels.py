@@ -23,11 +23,13 @@ __all__ = ["DEGENERATE_TOL"]
 
 # A post-selection weight below this is treated as annihilated. An outcome
 # is annihilated when its trace is at or below it or its success weight is
-# below it. The kernel writes that rule once (protocol._annihilated): on a
-# branch's products of the two parties' factors (protocol._live_branches)
-# and, in the input average, on each party's own factors
-# (protocol._party_integrand). protocol.apply_correction and
-# eam_postselect apply it on their own, as references for the tests.
+# below it. The kernel writes that rule once (protocol._annihilated) and
+# applies it to each party's own factors: for every total
+# (protocol._party_totals), the input average (protocol._party_integrand)
+# and a branch's degenerate flag, set when either party's outcome is
+# annihilated (protocol._live_branches). protocol.apply_correction and
+# eam_postselect apply it on their own, to a branch's 4x4 state and to a
+# pair, as references for the tests.
 DEGENERATE_TOL = 1e-14
 
 

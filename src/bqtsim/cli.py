@@ -304,7 +304,7 @@ def _check_unprotected_f_av() -> tuple:
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
         # The determinism row goes in the fold of each p's nodes.
-        (f_avs,), ((success,),) = _average_fidelities(
+        (f_avs,), ((success, _, _),) = _average_fidelities(
             distribute(scenario, ps)[0], scenario, [0.0], _VERIFY_NODES, extra=[[0.4, 0.0, 0.8, 0.0]]
         )
         forms = [closed_form(name, p).value for p in ps]

@@ -105,9 +105,10 @@ def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int 
 
     Returns the average at each q_w: a float for one state, a list of G
     floats for a stack. `extra` input rows are folded with the nodes, and
-    their total success comes back too, as (averages, totals) with each
-    q_w's (success,) a (G, len(extra)) array: `_row_totals`' success, bit
-    for bit.
+    their totals come back too, as (averages, totals) with each q_w's
+    (success, fidelity, post-selected) (G, len(extra)) arrays from the
+    function that gives `_row_totals` (`protocol._party_totals`), bit for
+    bit.
     """
     integrand, totals = _node_integrands(dist, scenario, q_ws, _node_states(points), extra)
     means = np.add.reduce(integrand * _nodes_weights(points)[1], axis=-1)

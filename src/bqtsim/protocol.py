@@ -42,12 +42,11 @@ a 2x2 state.
 One orchestration, `_fold_and_correct`, checks every q_w, folds both
 parties' inputs through the distributed state once (`_fold`), builds each
 party's parts that no q_w changes once (`_party_forms`), and corrects at
-each q_w (`_correct_branches`), where every branch value is the outer
-product of the two parties'. `_run_rows` returns arrays the caller owns,
-with the (N, 16, 4, 4) recovered and corrected states, each a kron of two
+each q_w (`_correct_branches`). `_run_rows` returns arrays the caller
+owns, every branch value the outer product of the two parties' and the
+(N, 16, 4, 4) recovered and corrected states each a kron of two
 per-party 2x2 states (`run_protocol` sends its one row through it);
-`_row_totals` returns only the per-row totals, the same bits as the
-owned result's, and builds no 4x4 state.
+`_row_totals` returns only the per-row totals and forms no branch.
 
 A q_w is one float or one value per input row, and the distributed state
 is one (2, 4, 4) pair stack or a (G, 2, 4, 4) stack, one state per equal
@@ -60,18 +59,25 @@ weight is sum_a D_a^2 Re X[a, a] over its outcome state X, and its
 fidelity numerator sum_ab D_a D_b Re(X[a, b] (U_k^dag rho U_k)[b, a]): per
 q_w, a 2-term and a 4-term contraction of forms that no q_w changes, both
 written once (`_party_factors`). One predicate, `_annihilated`, says when
-an outcome is annihilated: `_live_branches` applies it to a branch's
-products and flags the branch degenerate. One in-order sum over the 16
-branches, `_branch_sums`, makes every total.
+a party's outcome is annihilated, from that party's own factors. Every
+total is a product of two party sums over the live outcomes
+(`_party_totals`): the success (sum w_A)(sum w_B), the total fidelity
+G_A G_B of the party integrands G = sum t n / w, and the post-selected
+fidelity (sum n_A)(sum n_B) over the success. `run_protocol`,
+`_row_totals` and the input average's extra rows all take their totals
+from it, and no total forms a branch. In the owned arrays
+`_live_branches` flags a branch degenerate when either of its parties'
+outcomes is annihilated, so the live branches are the ones the totals
+sum.
 
 The input average's kernel, `_node_integrands`, sits beside the
 orchestration: it checks every q_w, folds the node states that every
-state shares and any extra input rows once, and contracts every q_w at
-once into each party's integrand at each node (`_party_integrand`, which
-applies the same predicate to each party's own factors), and, for the
-extra rows, the total success, branch for branch as `_row_totals` forms
-it. `metrics` keeps only the quadrature: the node weights, each party's
-weighted node sum and the product of the two.
+state shares and any extra input rows once, contracts every q_w at once
+into each party's factors, and gives each party's integrand at each node
+(`_party_integrand`, which applies the same predicate to each party's
+own factors) and the extra rows' totals (`_party_totals`, as
+`_row_totals` forms them). `metrics` keeps only the quadrature: the node
+weights, each party's weighted node sum and the product of the two.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -208,10 +214,15 @@ class ProtocolResult:
 
     total_fidelity weights branch fidelities by the Bell outcome
     probabilities; postselected_fidelity is the diagnostic alternative
-    weighted by success_weight / total_success instead. A degenerate
-    branch adds 0 to every total, and total_fidelity is not renormalized
-    over the live branches. Both fidelities are NaN when every branch is
-    degenerate.
+    weighted by success_weight / total_success instead. Each total is a
+    product of two party sums over the outcomes of that party that are
+    not annihilated, so an annihilated outcome adds 0 to every total, and
+    total_fidelity is not renormalized over the live ones. Both
+    fidelities are NaN when either party has every outcome annihilated,
+    and postselected_fidelity also when total_success is at or below
+    `channels.DEGENERATE_TOL`. A branch is degenerate when either of its
+    parties' outcomes is annihilated, so the totals sum the live
+    branches.
     """
 
     scenario: Scenario
@@ -279,13 +290,21 @@ _FOLD_GATHER, _FOLD_COEF = _fold_maps()
 # Conjugation by each correction unitary U_k, a signed permutation with
 # U_k[r, c_r] = s_r, as an entry map of a 2x2 state: (U_k Y U_k^dag)[r, c] =
 # s_r s_c Y[c_r, c_c]. Output entry e = 2r + c of outcome k reads source
-# entry _TURN_SOURCE[4k + e] and takes sign _TURN_SIGN[4k + e]; _TURN_GATHER
-# is the same source as an index into one party's 16 flattened outcome
-# states.
+# entry _TURN_SOURCE[4k + e] and takes sign _TURN_SIGN[4k + e]. _STATE_GATHER
+# indexes one party's 16 flattened outcome states: each entry as it is, then
+# the source of each turned entry.
 _TURN_SOURCE, _TURN_SIGN = _one_source(
     np.einsum("krs,kct->krcst", _CORR_UNITARIES, _CORR_UNITARIES.conj()).reshape(16, 4)
 )
-_TURN_GATHER = _TURN_SOURCE + 4 * (np.arange(16) // 4)
+_STATE_GATHER = np.concatenate((np.arange(16), _TURN_SOURCE + 4 * (np.arange(16) // 4)))
+
+# Entry (2 ra + rb, 2 ca + cb) of branch 4i + j's state XA_i (x) XB_j is
+# XA_i[ra, ca] XB_j[rb, cb]. _KRON_SOURCES holds each party's index into its
+# 32 gathered entries (_STATE_GATHER) of that factor, for both halves of
+# the gather, over the two (16, 4, 4) branch stacks flattened.
+_KRON_SOURCES = (lambda k, i, j, ra, rb, ca, cb: (16 * k + 4 * i + 2 * ra + ca, 16 * k + 4 * j + 2 * rb + cb))(
+    *np.indices((2, 4, 4, 2, 2, 2, 2)).reshape(7, -1)
+)
 
 # The reference each party's outcome-k state meets, transposed: entry
 # (a, b) of row k is (U_k^dag rho U_k)[b, a], as a linear map of the
@@ -476,10 +495,9 @@ _BRANCH_INDICES = tuple((k // 4 + 1, k % 4 + 1) for k in range(16))
 
 @dataclass(frozen=True)
 class _Branches:
-    """Arrays of every branch of N input pairs, branch k = 4(i-1)+(j-1).
-
-    `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16). Both
-    are None in a totals-only result, which builds no 4x4 state.
+    """Arrays of every branch of N input pairs, branch k = 4(i-1)+(j-1):
+    `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16). The
+    totals come from the party sums (`_party_totals`), not from these.
     """
 
     recovered: np.ndarray
@@ -513,29 +531,6 @@ class _Branches:
             )
             for (i, j), joint, recovered, corrected, weight, f, dead in rows
         )
-
-    def totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row (N,) total_success, total_fidelity, postselected_fidelity.
-
-        A degenerate branch, whose weight and fidelity are 0
-        (`_correct_branches`), adds nothing. Each total adds the 16 branches
-        in order (`_branch_sums`), so a row's totals do not depend on how
-        many rows were evaluated with it. The fidelities
-        are NaN where every branch of a row is degenerate, and the
-        post-selected one also where the total success is numerically zero.
-        """
-        # The terms of the three totals as one contiguous (16, 3, N) stack,
-        # branches outermost, which a reduction over axis 0 adds in order.
-        terms = np.empty((16, 3, len(self.weight)))
-        terms[:, 0] = self.weight.T
-        np.multiply(self.joint.T, self.fidelity.T, out=terms[:, 1])
-        np.multiply(self.weight.T, self.fidelity.T, out=terms[:, 2])
-        success, fidelity, weighted = _branch_sums(terms)
-        fidelity[self.degenerate.all(axis=1)] = np.nan
-        # A row whose branches are all degenerate has success 0, so the
-        # success test also covers it. Dividing by a quiet NaN gives NaN
-        # and raises no floating-point flag.
-        return success, fidelity, weighted / np.where(success > DEGENERATE_TOL, success, np.nan)
 
 
 def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
@@ -635,35 +630,25 @@ def _party_factors(diag: np.ndarray, forms: np.ndarray, pair: np.ndarray) -> tup
 
 
 def _annihilated(traces: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Where an outcome is annihilated, elementwise over its trace (a
-    branch's joint probability, or one party's trace) and its success
-    weight: the trace is at or below `DEGENERATE_TOL` or the weight is
-    below it."""
+    """Where a party's outcome is annihilated, elementwise over its trace
+    and its success weight: the trace is at or below `DEGENERATE_TOL` or
+    the weight is below it."""
     return (traces <= DEGENERATE_TOL) | (weights < DEGENERATE_TOL)
 
 
-def _live_branches(traces: np.ndarray, weights: np.ndarray) -> tuple:
-    """Each branch's joint probability, success weight and degeneracy,
-    (..., 16), from its two parties' (2, ..., 4) traces and weights.
-
-    A branch is degenerate when its products are annihilated
-    (`_annihilated`), and its weight is then 0.
+def _live_branches(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> tuple:
+    """Each branch's joint probability, success weight and fidelity
+    numerator, the products of its two parties' values, and whether it is
+    degenerate, (..., 16) each, from the parties' (2, ..., 4) traces,
+    weights and numerators. A branch is degenerate when either party's
+    outcome is annihilated (`_annihilated`), so the live branches are
+    the ones the totals sum (`_party_totals`).
     """
-    joint, weight = _outer(traces), _outer(weights)
-    degenerate = _annihilated(joint, weight)
-    weight[degenerate] = 0.0
-    return joint, weight, degenerate
-
-
-def _branch_sums(terms: np.ndarray) -> np.ndarray:
-    """The sums over the leading axis of a C-ordered (16, k, ...) stack of
-    branch terms, k > 1: each adds its 16 branches left to right from 0.0,
-    as Python's sum does, so a sum does not depend on what is summed with
-    it. numpy adds along an outer axis one element at a time, in order,
-    but sums a lone axis pairwise; k > 1 keeps the branch axis outer."""
-    # Adding in order can differ from Python's sum, which starts at 0, only
-    # by a -0.0 where every term is a zero, and + 0.0 folds that into 0.0.
-    return np.add.reduce(terms, axis=0) + 0.0
+    # Each outcome's liveness rides along as 1.0 or 0.0, so its product is
+    # 0 exactly where either party's outcome is annihilated.
+    live = ~_annihilated(traces, weights)
+    joint, weight, numerator, both = _outer(np.array((traces, weights, numerators, live)).swapaxes(0, 1))
+    return joint, weight, numerator, both == 0.0
 
 
 def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> np.ndarray:
@@ -684,17 +669,44 @@ def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.nda
     return np.where(gone, np.nan, terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
 
 
-def _kron_parties(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """The (N, 16, 4, 4) states XA_i (x) XB_j of every branch, from each
-    party's (N, 4, 2, 2) outcome states."""
-    out = alice[:, :, None, :, None, :, None] * bob[:, None, :, None, :, None, :]
-    return out.reshape(len(alice), 16, 4, 4)
+def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> tuple:
+    """Each row's (total_success, total_fidelity, postselected_fidelity)
+    from its two parties' (2, ..., 4) traces t, success weights w and
+    fidelity numerators n (`_party_factors`), one value per outcome.
+
+    Branch (i, j) takes Alice's factor at outcome i times Bob's at outcome
+    j, so each total is a product of two party sums over the outcomes that
+    are not annihilated (`_annihilated`, applied to each party's own
+    factors): the success (sum w_A)(sum w_B), the total fidelity G_A G_B of
+    the party integrands G = sum t n / w, and the post-selected fidelity
+    (sum n_A)(sum n_B) over the success. Each is elementwise in the rows,
+    so a row's totals do not depend on the rows beside it. A live outcome
+    has w >= `DEGENERATE_TOL`, so sum w is 0 exactly where every outcome of
+    a party is annihilated: there G, and the total fidelity, is NaN. The
+    post-selected fidelity is NaN also where the success is at or below
+    `DEGENERATE_TOL`.
+
+    G is `_party_integrand`'s, formed here beside the two other sums in
+    one stack: calling that function as well would apply the predicate
+    twice, and at one row it cost about 8 % of a `run_protocol` call
+    (`tools/abtime.py`).
+    """
+    dead = _annihilated(traces, weights)
+    # Dividing by infinity keeps a dead outcome's integrand term finite.
+    terms = np.where(dead, 0.0, np.array((weights, numerators, traces * numerators / np.where(dead, np.inf, weights))))
+    # The outcomes add in order, a slice at a time, as `_party_integrand`'s do.
+    sums = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+    sums[2][sums[0] == 0.0] = np.nan
+    success, product, fidelity = sums[:, 0] * sums[:, 1]
+    # Dividing by a quiet NaN gives NaN and raises no floating-point flag.
+    return success, fidelity, product / np.where(success > DEGENERATE_TOL, success, np.nan)
 
 
-def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> _Branches:
-    """Every branch corrected at one q_w, from its q_w-free `_party_forms`;
-    with `parties` (`_fold`'s states), the recovered and normalized
-    corrected (N, 16, 4, 4) states too, which are left out (None) without.
+def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> tuple:
+    """Every row's totals at one q_w (`_party_totals`), from its q_w-free
+    `_party_forms`, and, with `parties` (`_fold`'s states), every branch
+    as a `_Branches` the caller owns, with the recovered and normalized
+    corrected (N, 16, 4, 4) states; None without, which builds no branch.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
@@ -715,29 +727,35 @@ def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> _Bra
     """
     pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(-1, 4)
     weights, numerators = _party_factors(*forms[1:], pair)
-    joint, weight, degenerate = _live_branches(forms[0], weights)
+    totals = _party_totals(forms[0], weights, numerators)
+    if parties is None:
+        return totals, None
+    joint, weight, numerator, degenerate = _live_branches(forms[0], weights, numerators)
     # Dividing by infinity zeroes a degenerate branch's fidelity and state.
     norm = np.where(degenerate, np.inf, weight)
-    fidelity = _outer(numerators) / norm
-    if parties is None:
-        return _Branches(None, joint, weight, None, fidelity, degenerate)
-    # Each party's outcome states, scaled by the weak pair and turned by
-    # its Pauli in one gather and one multiply by a signed real factor.
+    weight[degenerate] = 0.0
+    # Each party's outcome states and, after them, the same scaled by the
+    # weak pair and turned by its Pauli: one gather and one multiply by a
+    # signed real factor. One more gather per party and one product kron
+    # the two parties' states of both halves.
     n = parties.shape[1]
-    turned = parties.reshape(2, n, 16).take(_TURN_GATHER, axis=2) * (_TURN_SIGN * pair.take(_TURN_SOURCE, axis=1))
-    corrected = _kron_parties(*turned.reshape(2, n, 4, 2, 2))
+    states = parties.reshape(2, n, 16).take(_STATE_GATHER, axis=2)
+    states[..., 16:] *= _TURN_SIGN * pair.take(_TURN_SOURCE, axis=1)
+    kron = states[0].take(_KRON_SOURCES[0], axis=1) * states[1].take(_KRON_SOURCES[1], axis=1)
+    recovered, corrected = kron.reshape(n, 2, 16, 4, 4).swapaxes(0, 1)
     corrected /= norm[:, :, None, None]
-    return _Branches(_kron_parties(*parties), joint, weight, corrected, fidelity, degenerate)
+    return totals, _Branches(recovered, joint, weight, corrected, numerator / norm, degenerate)
 
 
 def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool) -> list:
     """Every branch of an (N, 4) array of input rows [pop_a, phase_a,
     pop_b, phase_b] over one distributed pair stack of `scenario` or a
     stack of them (`_fold`'s groups), folded once and corrected at each
-    entry of `q_ws` (a float, or one value per row): one `_Branches` per
-    entry, made once every entry is checked. With `owned` each holds the
-    recovered and corrected states too, arrays the caller owns; without,
-    no 4x4 state is built.
+    entry of `q_ws` (a float, or one value per row): one
+    `_correct_branches` pair (totals, branches) per entry, made once every
+    entry is checked. With `owned` the branches are a `_Branches` whose
+    arrays the caller owns; without, they are None and no branch is
+    formed.
     """
     rows = np.asarray(rows, dtype=float)
     n, groups = len(rows), _groups(dist)
@@ -760,19 +778,21 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     (2, 1, k, 2, 2) stack that every state shares.
 
     One fold takes the nodes and the `extra` input rows [pop_a, phase_a,
-    pop_b, phase_b], if any (None for none), and every q_w is contracted at once: each party's
-    weights and fidelity numerators per outcome (`_party_factors`) and its
-    integrand at each node. Each step is elementwise or a contraction over
-    a fixed axis in a fixed order, so a value does not depend on the other
-    q_w or states. Returns the integrands and, with `extra`, each q_w's
-    (success,) of the extra rows, a (G, len(extra)) array: `_row_totals`'
-    success, bit for bit, its branches formed by the same rule
-    (`_live_branches`) and added in the same order (`_branch_sums`); None
+    pop_b, phase_b], if any (None for none), and every q_w is contracted
+    at once: each party's weights and fidelity numerators per outcome
+    (`_party_factors`), its integrand at each node, and the extra rows'
+    totals (`_party_totals`). Each step is elementwise or a contraction
+    over a fixed axis in a fixed order, so a value does not depend on the
+    other q_w, states or rows. Returns the integrands and, with `extra`,
+    each q_w's (success, fidelity, post-selected) totals of the extra rows,
+    each a (G, len(extra)) array with the bits of `_row_totals`; None
     without.
     """
     groups, k = _groups(dist), rho.shape[2]
     # Each q_w's weak diagonals, one row per state: (q_w, state, 2).
-    diagonals = np.array([np.broadcast_to(_weak_diagonals(q_w, scenario, groups), (groups, 2)) for q_w in q_ws])
+    diagonals = np.empty((len(q_ws), groups, 2))
+    for row, q_w in zip(diagonals, q_ws):
+        row[...] = _weak_diagonals(q_w, scenario, groups)
     if extra is not None:
         extra = np.asarray(extra, dtype=float)
         rho = np.concatenate((rho, _input_densities(extra[:, 0::2].T, extra[:, 1::2].T)[:, None]), axis=2)
@@ -786,11 +806,9 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], numerator[..., :k, :])
     if extra is None:
         return integrand, None
-    # The extra rows' branch weights, (16, q_w, state, row), summed beside
-    # zeros, which keep the branch axis outer (`_branch_sums`).
-    terms = np.zeros((16, 2, len(diagonals), groups, len(extra)))
-    terms[:, 0] = _live_branches(trace[:, :, k:], weight[..., k:, :].swapaxes(0, 1))[1].transpose(3, 0, 1, 2)
-    return integrand, [(success,) for success in _branch_sums(terms)[0]]
+    # The extra rows' totals, party axis first, (q_w, state, row) each.
+    totals = _party_totals(trace[:, None, :, k:], *(part[..., k:, :].swapaxes(0, 1) for part in (weight, numerator)))
+    return integrand, list(zip(*totals))
 
 
 def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:
@@ -799,14 +817,15 @@ def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:
     G states for G equal contiguous groups of rows, corrected at q_w (a
     float, or a sequence with one value per row). The caller owns every
     array of the result."""
-    (branches,) = _fold_and_correct(dist, scenario, (q_w,), rows, owned=True)
+    ((_, branches),) = _fold_and_correct(dist, scenario, (q_w,), rows, owned=True)
     return branches
 
 
 def _row_totals(dist: np.ndarray, scenario: Scenario, q_ws, rows) -> list:
-    """`_run_rows(dist, scenario, q_w, rows).totals()` for each q_w of
-    `q_ws`, bit for bit, from one fold that builds no 4x4 state."""
-    return [branches.totals() for branches in _fold_and_correct(dist, scenario, q_ws, rows, owned=False)]
+    """The (N,) total_success, total_fidelity and postselected_fidelity of
+    the input rows of `_run_rows` at each q_w of `q_ws` (`_party_totals`),
+    from one fold that forms no branch."""
+    return [totals for totals, _ in _fold_and_correct(dist, scenario, q_ws, rows, owned=False)]
 
 
 def enumerate_branches(
@@ -873,15 +892,14 @@ def run_protocol(
     q_w = _single_q_w(q_w, "run_protocol")
     dist, eam_success = distribute(scenario, p)
     rows = np.array([[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]])
-    branches = _run_rows(dist, scenario, q_w, rows)
-    (total_success,), (total_fidelity,), (postselected,) = branches.totals()
+    ((totals, branches),) = _fold_and_correct(dist, scenario, (q_w,), rows, owned=True)
     return ProtocolResult(
         scenario=scenario,
         p=p,
         q_w=q_w,
         eam_success=eam_success,
         branches=branches.outcomes(),
-        total_success=float(total_success),
-        total_fidelity=float(total_fidelity),
-        postselected_fidelity=float(postselected),
+        total_success=float(totals[0][0]),
+        total_fidelity=float(totals[1][0]),
+        postselected_fidelity=float(totals[2][0]),
     )

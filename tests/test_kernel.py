@@ -18,10 +18,11 @@ from bqtsim.metrics import _average_fidelities, _nodes_weights, average_fidelity
 from bqtsim.protocol import (
     QubitInput,
     Scenario,
-    _Branches,
     _correct_branches,
     _input_densities,
     _party_forms,
+    _party_integrand,
+    _party_totals,
     _row_totals,
     _run_rows,
     _weak_diagonals,
@@ -105,14 +106,14 @@ def simpson(intervals):
 
 def node_average(scenario, p, q_w, nodes, weights):
     """The input average over any rule's nodes and weights, from the
-    per-node total fidelities of one `_run_rows` stack at equal inputs,
+    per-node total fidelities of one `_row_totals` call at equal inputs,
     where the total fidelity is G^2 for a party's integrand G: the square
     of the integral of its square root is the product of the two
     one-party integrals."""
     rows = np.zeros((len(nodes), 4))
     rows[:, 0] = rows[:, 2] = nodes
     dist, _ = distribute(scenario, p)
-    tf = _run_rows(dist, scenario, q_w, rows).totals()[1]
+    tf = _row_totals(dist, scenario, [q_w], rows)[0][1]
     acc = float(np.dot(weights, np.sqrt(np.maximum(tf, 0.0))))
     return acc * acc
 
@@ -231,11 +232,14 @@ def identical(x, y) -> bool:
 @pytest.mark.parametrize("scenario", tuple(Scenario))
 def test_row_stack_matches_one_run_per_row(scenario):
     """Every draw's (q_w, inputs) as one row of a stack at each of a few p,
-    rows of different q_w mixed, equals run_protocol on that row alone. A
-    float q_w equals that value given once per row. The totals-only entry,
-    which builds no 4x4 state, equals the stack's own totals at sizes from
-    1 to 100 rows, and later totals-only calls leave the stack's arrays as
-    they were."""
+    rows of different q_w mixed, equals run_protocol on that row alone:
+    the owned branch arrays, and the totals of the totals-only entry,
+    which forms no branch. A float q_w equals that value given once per
+    row. The totals-only entry gives a row the same totals at sizes from 1
+    to 100 rows and beside other q_w in one call, and later totals-only
+    calls leave the stack's arrays as they were. The totals, products of
+    two party sums, equal the sums over a row's live owned branches to
+    rounding."""
     rng = np.random.default_rng(89 + list(Scenario).index(scenario))
     rows = [(q, alice, bob) for _, q, alice, bob in draws(scenario, rng)]
     degenerate_rows = nan_totals = 0
@@ -244,7 +248,7 @@ def test_row_stack_matches_one_run_per_row(scenario):
         qs = [q for q, _, _ in rows]
         inputs = np.array([[a.pop0, a.phase, b.pop0, b.phase] for _, a, b in rows])
         stack = _run_rows(dist, scenario, qs, inputs)
-        totals = stack.totals()
+        (totals,) = _row_totals(dist, scenario, [qs], inputs)
         for n, (q, alice, bob) in enumerate(rows):
             where = f"{scenario.value} p={p} q_w={q} row {n}"
             want = run_protocol(scenario, p, q, alice, bob)
@@ -259,6 +263,17 @@ def test_row_stack_matches_one_run_per_row(scenario):
                 if not w.degenerate:
                     assert identical(g.branch_fidelity, w.branch_fidelity), where
                     assert identical(g.corrected, w.corrected), where
+        # Each row with a live branch against the sums over its owned
+        # branches, whose degenerate ones add 0: the success, the
+        # joint-weighted fidelity and, where the success exceeds
+        # DEGENERATE_TOL, the success-weighted one.
+        some = ~stack.degenerate.all(axis=1)
+        joint, weight, fidelity = stack.joint[some], stack.weight[some], stack.fidelity[some]
+        success = weight.sum(axis=1)
+        big = success > DEGENERATE_TOL
+        sums = (success, (joint * fidelity).sum(axis=1), (weight * fidelity).sum(axis=1)[big] / success[big])
+        for total, want, rows_in in zip(totals, sums, (some, some, np.flatnonzero(some)[big])):
+            np.testing.assert_allclose(total[rows_in], want, rtol=4e-15, atol=0.0, err_msg=f"{scenario.value} p={p}")
         for q in {min(qs), max(qs), qs[-1]}:
             flat, per_row = (_run_rows(dist, scenario, q_w, inputs) for q_w in (q, [q] * len(rows)))
             for name in ("joint", "weight", "corrected", "fidelity", "degenerate"):
@@ -269,17 +284,16 @@ def test_row_stack_matches_one_run_per_row(scenario):
             # The first `size` rows, cycled where the draws are fewer.
             take = np.arange(size) % len(rows)
             sub_qs, sub_inputs = [qs[k] for k in take], inputs[take]
-            want = _run_rows(dist, scenario, sub_qs, sub_inputs).totals()
             (got,) = _row_totals(dist, scenario, [sub_qs], sub_inputs)
-            assert all(identical(g, w) for g, w in zip(got, want)), where
-            nan_totals += int(np.isnan(want[1]).sum())
+            assert all(identical(g, t[take]) for g, t in zip(got, totals)), where
+            nan_totals += int(np.isnan(got[1]).sum())
         # Float and per-row entries mixed in one call, all over one fold.
         mixed = [qs, min(qs), qs[::-1], max(qs), [qs[-1]] * len(rows)]
         got = _row_totals(dist, scenario, mixed, inputs)
         assert len(got) == len(mixed)
-        for q_w, totals in zip(mixed, got):
-            want = _run_rows(dist, scenario, q_w, inputs).totals()
-            assert all(identical(g, w) for g, w in zip(totals, want)), f"{scenario.value} p={p} mixed"
+        for q_w, found in zip(mixed, got):
+            (want,) = _row_totals(dist, scenario, [q_w], inputs)
+            assert all(identical(g, w) for g, w in zip(found, want)), f"{scenario.value} p={p} mixed"
         _average_fidelities(dist, scenario, [qs[0]])
         for name, data in owned.items():
             assert getattr(stack, name).tobytes() == data, f"{scenario.value} p={p} {name}"
@@ -346,11 +360,11 @@ BRANCH_FIELDS = ("recovered", "joint", "weight", "corrected", "fidelity", "degen
 def test_state_stack_matches_one_call_per_state(scenario):
     """G states at p in {0, 1, two draws}, folded together with their rows
     in G equal contiguous groups, equal one call per state by bytes: the
-    owned arrays and totals, the totals-only entry with float and per-row
-    q_w mixed, and the input average with one q_w for every state or one
-    per state, and its extra rows' totals, also with one state, one q_w
-    and one extra row, at groups of one row, 43 rows and 133 rows; q_w = 1
-    at p = 1 gives wholly degenerate NaN rows."""
+    owned arrays, the totals-only entry with float and per-row q_w mixed,
+    and the input average with one q_w for every state or one per state,
+    and its extra rows' totals, also with one state, one q_w and one extra
+    row, at groups of one row, 43 rows and 133 rows; q_w = 1 at p = 1
+    gives wholly degenerate NaN rows."""
     rng = np.random.default_rng(131 + list(Scenario).index(scenario))
     ps = [0.0, 1.0, float(rng.uniform()), float(rng.uniform())]
     dists = np.stack([distribute(scenario, p)[0] for p in ps])
@@ -373,8 +387,6 @@ def test_state_stack_matches_one_call_per_state(scenario):
             want = np.concatenate([getattr(one, name) for one in alone])
             assert identical(getattr(owned, name), want), f"{where} {name}"
         snapshot = {name: getattr(owned, name).tobytes() for name in BRANCH_FIELDS}
-        for got, want in zip(owned.totals(), zip(*(one.totals() for one in alone))):
-            assert identical(got, np.concatenate(want)), where
         mixed = [row_qs, 1.0 if scenario.protected else 0.0, row_qs[::-1], 0.0]
         got = _row_totals(dists, scenario, mixed, rows)
         alone = [_row_totals(dists[g], scenario, [part(q, g) for q in mixed], part(rows, g)) for g in range(groups)]
@@ -404,11 +416,11 @@ def test_state_stack_matches_one_call_per_state(scenario):
             for j, total in enumerate(totals):
                 assert all(identical(t[g], w) for t, w in zip(total, want[j])), where
                 # One state, one q_w and one row, as a fixed-q_w sweep folds
-                # its g_total row: the 16 branch weights are then the only
-                # terms of their sum, which numpy would add pairwise.
+                # its g_total row.
                 for r in range(len(extra)):
-                    ((lone,),) = _average_fidelities(dists[g], scenario, own_qs[j : j + 1], points, extra[r : r + 1])[1]
-                    assert identical(lone[0], want[j][0][r : r + 1]), f"{where} q_w entry {j} row {r}"
+                    (lone,) = _average_fidelities(dists[g], scenario, own_qs[j : j + 1], points, extra[r : r + 1])[1]
+                    for t, w in zip(lone, want[j]):
+                        assert identical(t[0], w[r : r + 1]), f"{where} q_w entry {j} row {r}"
         if scenario.protected:
             # p = q_w = 1 has no live branch at any node.
             assert math.isnan(got[1][1]) and not math.isnan(got[0][1])
@@ -511,15 +523,17 @@ def test_input_densities_broadcast_row_by_row():
 
 
 def test_degenerate_thresholds_are_exact():
-    """The rules `channels.DEGENERATE_TOL` states, at their one site in the
-    kernel: a branch is degenerate when its joint probability is at or
-    below the tolerance or its weight is below it; the doubles next to the
-    tolerance fall the other way. Each is a product of one factor per
-    party, so one party carries the value at every outcome and the other
-    the state diag(0, 1), whose trace and weight are exactly 1.0: rows 0-3
-    Alice, rows 4-7 Bob. At q_w = 0 the weight is the trace; all-adc at
-    q_w = 1 keeps only entry (1, 1), so there a trace of 1 + w has weight
-    w."""
+    """The rules `channels.DEGENERATE_TOL` states, at their sites in the
+    kernel: a party's outcome is annihilated when its trace is at or below
+    the tolerance or its weight is below it, which flags its branches
+    degenerate and leaves it out of the totals; the doubles next to the
+    tolerance fall the other way. Each branch value is a product of one
+    factor per party, so one party carries the value at every outcome and
+    the other the state diag(0, 1), whose trace and weight are exactly
+    1.0: rows 0-3 Alice, rows 4-7 Bob. At q_w = 0 the weight is the trace;
+    all-adc at q_w = 1 keeps only entry (1, 1), so there a trace of 1 + w
+    has weight w. A row whose carrying party has every outcome annihilated
+    has success 0 and a NaN total fidelity."""
     above, below = np.nextafter(DEGENERATE_TOL, 1.0), np.nextafter(DEGENERATE_TOL, 0.0)
     entries = [(DEGENERATE_TOL, 0.0), (above, 0.0), (1.0, DEGENERATE_TOL), (1.0, below)] * 2
     parties = np.zeros((2, 8, 4, 2, 2), dtype=complex)
@@ -529,25 +543,42 @@ def test_degenerate_thresholds_are_exact():
     inputs = _input_densities(np.full((2, 8), 0.5))
     forms = _party_forms(parties, inputs)
     diagonals = _weak_diagonals([0.0, 0.0, 1.0, 1.0] * 2, Scenario.ALL_ADC, 8)
-    branches = _correct_branches(forms, diagonals)
+    (success, fidelity, _), branches = _correct_branches(forms, diagonals, parties)
+    weights = (0.0, above, DEGENERATE_TOL, 0.0) * 2
     assert branches.joint.tolist() == [[x + y] * 16 for x, y in entries]
     assert branches.degenerate.tolist() == [[flag] * 16 for flag in (True, False, False, True) * 2]
-    assert branches.weight.tolist() == [[w] * 16 for w in (0.0, above, DEGENERATE_TOL, 0.0) * 2]
-    assert branches.recovered is None and branches.corrected is None
+    assert branches.weight.tolist() == [[w] * 16 for w in weights]
+    # Each party adds its four outcomes in order; the other party's sum is 4.
+    assert success.tolist() == [(w + w + w + w) * 4.0 for w in weights]
+    assert np.isnan(fidelity).tolist() == [True, False, False, True] * 2
+    # The totals-only call forms no branch.
+    assert _correct_branches(forms, diagonals)[1] is None
 
 
 def test_postselected_fidelity_needs_success_above_tolerance():
     """A row whose total success is exactly DEGENERATE_TOL has a NaN
     post-selected fidelity; one whose success is the next double up has
-    its weighted mean. Branch 0 of each row is the only live one."""
+    its weighted mean. In each row Alice's outcome 0, of weight w and
+    numerator w / 2, and Bob's outcome 0, of weight and numerator 1, are
+    the only live ones, so the success is w and the total fidelity 1/2."""
     above = np.nextafter(DEGENERATE_TOL, 1.0)
-    weight = np.zeros((2, 16))
-    weight[:, 0] = [DEGENERATE_TOL, above]
-    degenerate = np.ones((2, 16), dtype=bool)
-    degenerate[:, 0] = False
-    joint, fidelity = weight.copy(), np.full((2, 16), 0.5)
-    states = np.zeros((2, 16, 4, 4), dtype=complex)
-    success, total, postselected = _Branches(states, joint, weight, states, fidelity, degenerate).totals()
+    traces, weights = np.zeros((2, 2, 4)), np.zeros((2, 2, 4))
+    traces[:, :, 0] = 1.0
+    weights[0, :, 0], weights[1, :, 0] = [DEGENERATE_TOL, above], 1.0
+    success, total, postselected = _party_totals(traces, weights, weights * [[[0.5]], [[1.0]]])
     assert success.tolist() == [DEGENERATE_TOL, above]
-    assert total.tolist() == [0.5 * DEGENERATE_TOL, 0.5 * above]
+    assert total.tolist() == [0.5, 0.5]
     assert math.isnan(postselected[0]) and postselected[1] == 0.5
+
+
+def test_total_fidelity_is_product_of_party_integrands():
+    """The totals' fidelity is G_A G_B of the input average's integrand,
+    NaN where either party has every outcome annihilated, over outcomes
+    with traces and weights on both sides of DEGENERATE_TOL."""
+    rng = np.random.default_rng(167)
+    traces, weights, numerators = rng.random((3, 2, 400, 4)) * 10.0 ** rng.integers(-16, 1, (3, 2, 400, 4))
+    traces[:, ::7], weights[:, 1::9] = 0.0, 0.0
+    fidelity = _party_totals(traces, weights, numerators)[1]
+    integrand = _party_integrand(traces, weights, numerators)
+    np.testing.assert_array_equal(fidelity, integrand[0] * integrand[1])
+    assert np.isnan(fidelity).any() and not np.isnan(fidelity).all()

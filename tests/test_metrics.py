@@ -144,7 +144,10 @@ def test_average_fidelity_factorizes_over_parties(scenario):
         qs = sorted({0.0, p, min(p + 0.3, 1.0)}) if scenario.protected else [0.0]
         dist, _ = distribute(scenario, p)
         rows = _run_rows(dist, scenario, np.repeat(qs, len(pairs)), np.tile(pairs, (len(qs), 1)))
-        joint = rows.totals()[1].reshape(len(qs), -1) @ pair_weights
+        # Each pair's total fidelity as the sum over its owned branches,
+        # NaN where every branch is degenerate.
+        total = np.where(rows.degenerate.all(axis=1), np.nan, (rows.joint * rows.fidelity).sum(axis=1))
+        joint = total.reshape(len(qs), -1) @ pair_weights
         for q, want in zip(qs, joint):
             got = one_average(scenario, p, q, 16)
             if math.isnan(want):

@@ -6,13 +6,14 @@ corner p = q_w = 1, where protected branches die."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bqtsim import oracles
 from bqtsim.channels import DEGENERATE_TOL
 from bqtsim.linalg import EIG_CLAMP
-from bqtsim.protocol import Scenario, _run_rows, distribute
+from bqtsim.protocol import QubitInput, Scenario, _row_totals, _run_rows, distribute, run_protocol
 
 TOL = 1e-12
 
@@ -69,10 +70,16 @@ def test_row_stack_matches_closed_form_rows(point):
     np.testing.assert_array_less(np.abs(got.joint - joint), TOL)
     np.testing.assert_array_less(np.abs(got.recovered - recovered), TOL)
 
-    # The pipeline's degenerate rule, applied to the closed forms, away
-    # from a thin band around the threshold where rounding may decide.
-    dead = (joint <= DEGENERATE_TOL) | (success < DEGENERATE_TOL)
-    clear = np.minimum(np.abs(joint - DEGENERATE_TOL), np.abs(success - DEGENERATE_TOL)) > 1e-15
+    # The pipeline's degenerate rule, applied to each party's closed-form
+    # factors away from a thin band around the threshold where rounding
+    # may decide: a branch is degenerate when either party's outcome is.
+    dead, clear = [], []
+    for pop in (rows[:, 0], rows[:, 2]):
+        trace, weight = oracles._party_prob(scenario, p, pop), oracles._party_success(scenario, p, q_w, pop)
+        dead.append((trace <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL))
+        clear.append(np.minimum(np.abs(trace - DEGENERATE_TOL), np.abs(weight - DEGENERATE_TOL)) > 1e-15)
+    dead = (dead[0][:, :, None] | dead[1][:, None, :]).reshape(-1, 16)
+    clear = (clear[0][:, :, None] & clear[1][:, None, :]).reshape(-1, 16)
     np.testing.assert_array_equal(got.degenerate[clear], dead[clear])
     assert (got.weight[got.degenerate] == 0.0).all()
     assert (success[got.degenerate] < DEGENERATE_TOL + TOL).all()
@@ -92,3 +99,49 @@ def test_row_stack_matches_closed_form_rows(point):
     assert ((np.abs(trace.real - 1.0) <= TOL) & (np.abs(trace.imag) <= TOL)).all()
     assert (lowest >= -EIG_CLAMP).all()
     assert ((got.weight >= 0.0) & (got.weight <= got.joint + 1e-14)).all()
+
+
+# Points where some branch's product of party factors falls below
+# DEGENERATE_TOL while each party's own factors do not, so a total formed
+# branch by branch under the absolute rule drops live weight: an input at
+# the edge of one party, the prohibited domain near p = 1, q_w = p near 1,
+# and a population next to 1.
+PRODUCT_EDGE_POINTS = [
+    (Scenario.RECOVERY_ADC, 0.84, 0.999999999, [1e-12, 0.0, 1.0, 3.8188418291147297]),
+    (Scenario.ALL_ADC, 0.999, 1.0, [0.02, 0.0, 0.021, 0.0]),
+    (Scenario.RECOVERY_ADC, 0.999999999, 0.999999999, [0.357882887243668, 0.0, 0.9929358519280994, 0.0]),
+    (Scenario.ALL_ADC, 0.92, 1.0, [0.4208026450610176, 4.185717334418402, 0.999999999, 0.0]),
+]
+
+
+@pytest.mark.parametrize("scenario,p,q_w,row", PRODUCT_EDGE_POINTS, ids=lambda v: getattr(v, "value", None))
+def test_totals_match_oracle_branch_sums(scenario, p, q_w, row):
+    """run_protocol's and `_row_totals`' totals against the sums of the
+    closed-form branches, within 1e-9 relative: the success, the
+    joint-weighted fidelity and the success-weighted one, which is NaN
+    where the success is at or below DEGENERATE_TOL."""
+    rows = np.array([row])
+    joint = oracles.joint_prob_rows(scenario, p, rows)[0]
+    success = oracles.branch_success_rows(scenario, p, q_w, rows)[0]
+    fidelity = oracles.branch_fidelity_rows(scenario, p, q_w, rows)[0]
+    live = success > 0.0
+    total = success.sum()
+    want = (total, joint[live] @ fidelity[live], success[live] @ fidelity[live] / total)
+    res = run_protocol(scenario, p, q_w, QubitInput(row[0], row[1]), QubitInput(row[2], row[3]))
+    (found,) = _row_totals(distribute(scenario, p)[0], scenario, [q_w], rows)
+    for got in ((res.total_success, res.total_fidelity, res.postselected_fidelity), [t[0] for t in found]):
+        assert abs(got[0] - want[0]) <= 1e-9 * want[0]
+        assert abs(got[1] - want[1]) <= 1e-9 * want[1]
+        if total > DEGENERATE_TOL:
+            assert abs(got[2] - want[2]) <= 1e-9 * want[2]
+        else:
+            assert math.isnan(got[2])
+
+
+def test_totals_at_p_and_q_w_one_are_nan():
+    """At p = q_w = 1 every weight of a protected scenario is exactly 0:
+    no success, and both fidelities NaN."""
+    for scenario in (Scenario.RECOVERY_ADC, Scenario.ALL_ADC):
+        res = run_protocol(scenario, 1.0, 1.0, QubitInput(0.3, 0.4), QubitInput(0.7, 1.1))
+        assert res.total_success == 0.0
+        assert math.isnan(res.total_fidelity) and math.isnan(res.postselected_fidelity)

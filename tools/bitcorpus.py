@@ -14,13 +14,16 @@ least one bit. The families:
                  at q_w values of every edge and type (floats next to 0 and
                  1, NaN, infinities, numpy and int scalars), bare
                  scenarios included, so range errors hash too
-  _run_rows      every _Branches array and totals(), 1-100 rows, one float
-                 q_w and one q_w per row
+  _run_rows      every _Branches array and the rows' totals, 1-100 rows, one
+                 float q_w and one q_w per row; the totals come from
+                 totals() on trees whose _Branches has it, else from
+                 _row_totals on the same rows and q_w
   average        _average_fidelities at 8-128 nodes, p = q_w = 1 included;
                  on trees that take extra input rows, also the paths of the
                  sweep's g_total and of verify checks 2, 3 and 7: a stack
                  of states, one q_w per state, and extra rows, with one
-                 state, one q_w and one row among them
+                 state, one q_w and one row among them; of the extra rows'
+                 totals, the success alone, which every such tree returns
   entropy        entanglement_entropy_bob of one state at a time, 4
                  scenarios x 29 p
   verify         the _verify_checks tuples of grids 2, 3 and 10, each
@@ -34,10 +37,11 @@ differ, every leaf of every output is held against the other tree's, and
 the differences are sorted by kind: a type, shape or error that differs
 (structure), text, a boolean such as a degenerate mask (mask), NaN or
 infinity positions (nan), zeros that differ only in sign, values left on
-degenerate branches (dead branch), and rounding.
-For each kind the count of leaves and the first case show; for rounding,
-per named field, the largest absolute and relative difference (over the
-larger magnitude of the two) and the case of each.
+degenerate branches (dead branch), a value that moved by more than
+1e-12 relative (value), and rounding below that.
+For each kind the count of leaves and the first case show; for value and
+rounding, per named field, the largest absolute and relative difference
+(over the larger magnitude of the two) and the case of each.
 
 Only entry points whose signatures have stayed put are called, so one copy
 of this script runs on older checkouts too. Needs numpy only, and takes a
@@ -224,7 +228,11 @@ def family_run_rows(out, bq, protocol) -> int:
                         branches = protocol._run_rows(dist, scenario, q_w, rows)
                         case = f"seed {seed} {scenario.value} p={p!r} {n} rows, {kind} q_w"
                         out(case, [getattr(branches, name) for name in BRANCH_ARRAYS], BRANCH_ARRAYS)
-                        out(case, branches.totals(), TOTALS)
+                        if hasattr(branches, "totals"):
+                            totals = branches.totals()
+                        else:
+                            (totals,) = protocol._row_totals(dist, scenario, [q_w], rows)
+                        out(case, totals, TOTALS)
                         count += 1
     return count
 
@@ -257,12 +265,14 @@ def average_stacks(out, bq, metrics) -> int:
     q_w per state, and with extra input rows; then each state alone with
     one q_w and one extra row, as a fixed-q_w sweep folds its g_total row,
     and with all three rows. Each call's averages and successes are hashed
-    as one array each, so that `--against` reports them as two fields."""
+    as one array each, so that `--against` reports them as two fields. A
+    tree that returns more totals of the extra rows than the success has
+    them after it, and only the success is hashed."""
     count = 0
 
     def item(result):
         averages, totals = result if isinstance(result, tuple) else (result, [])
-        return np.array(averages), np.array([success for (success,) in totals])
+        return np.array(averages), np.array([total[0] for total in totals])
 
     for scenario in bq.Scenario:
         ps = P_GRID[::3] + (1.0,)
@@ -358,8 +368,9 @@ def compare_leaf(a, b):
     ("text", text) for strings; ("mask", count) for booleans, degenerate
     masks among them; ("nan", count) where NaN or infinity positions
     differ; ("signed zero", count) where only the sign of a zero does;
-    otherwise ("rounding", largest absolute, largest relative difference),
-    the relative one over the larger magnitude of the two."""
+    otherwise (kind, largest absolute, largest relative difference), the
+    relative one over the larger magnitude of the two, kind "value" where
+    that exceeds VALUE_REL and "rounding" where it does not."""
     if isinstance(a, str) and isinstance(b, str):
         if a == b:
             return None
@@ -382,10 +393,16 @@ def compare_leaf(a, b):
     if not diff.any():
         return "signed zero", "only zero signs differ"
     big = np.maximum(np.abs(x), np.abs(y))
-    return "rounding", float(diff.max()), float(np.max(diff / np.where(big > 0.0, big, 1.0)))
+    rel = float(np.max(diff / np.where(big > 0.0, big, 1.0)))
+    return ("value" if rel > VALUE_REL else "rounding"), float(diff.max()), rel
 
 
-KINDS = ("structure", "text", "mask", "nan", "signed zero", "dead branch", "rounding")
+# The largest relative difference still sorted as rounding: a change of
+# arithmetic order moves a value by some ulps, far below this.
+VALUE_REL = 1e-12
+KINDS = ("structure", "text", "mask", "nan", "signed zero", "dead branch", "value", "rounding")
+# The kinds whose largest differences are printed per field.
+MEASURED = ("value", "rounding")
 
 
 def split_dead(x, y, dead):
@@ -402,11 +419,12 @@ def split_dead(x, y, dead):
 def report(mine: list, other: list) -> None:
     """Print how a family's items on the other tree differ from this one's:
     for each kind of difference, how many leaves and the first case with
-    one; for rounding, per named field, the largest absolute and relative
-    difference and the case of each. Where an item names a `degenerate`
-    mask and both trees' masks agree, the entries of degenerate branches
-    are held apart ("dead branch"): their values are whatever the kernel
-    leaves there, so they are no rounding of a live value."""
+    one; for value changes and rounding, per named field, the largest
+    absolute and relative difference and the case of each. Where an item
+    names a `degenerate` mask and both trees' masks agree, the entries of
+    degenerate branches are held apart ("dead branch"): their values are
+    whatever the kernel leaves there, so they are no rounding of a live
+    value."""
     if [case for case, _, _ in mine] != [case for case, _, _ in other]:
         print(f"  structure    the trees run different cases ({len(mine)} against {len(other)})")
         return
@@ -431,8 +449,8 @@ def report(mine: list, other: list) -> None:
             if found is None:
                 continue
             note(found[0], f"{case} {path}", found[1])
-            if found[0] == "rounding":
-                entry = worst.setdefault(path, [0, (0.0, ""), (0.0, "")])
+            if found[0] in MEASURED:
+                entry = worst.setdefault((found[0], path), [0, (0.0, ""), (0.0, "")])
                 entry[0] += 1
                 for k in (1, 2):
                     if found[k] > entry[k][0]:
@@ -440,10 +458,10 @@ def report(mine: list, other: list) -> None:
     for kind in KINDS:
         if not counts[kind]:
             print(f"  {kind:<12} none")
-        elif kind != "rounding":
+        elif kind not in MEASURED:
             print(f"  {kind:<12} {counts[kind]} leaves, first at {first[kind]}")
-    for path, (count, (big_abs, at_abs), (big_rel, at_rel)) in worst.items():
-        print(f"  rounding     {path.lstrip('.')}: {count} leaves")
+    for (kind, path), (count, (big_abs, at_abs), (big_rel, at_rel)) in sorted(worst.items(), key=lambda e: MEASURED.index(e[0][0])):
+        print(f"  {kind:<12} {path.lstrip('.')}: {count} leaves")
         print(f"    largest abs {big_abs:.3g} at {at_abs}")
         print(f"    largest rel {big_rel:.3g} at {at_rel}")
 
