@@ -54,11 +54,10 @@ def _nodes_weights(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _node_states(points: int) -> np.ndarray:
-    """Both parties' input state at each of the `points` nodes, as a
-    read-only (2, 1, points, 2, 2) stack that every state of a fold shares
-    (`protocol._node_integrands`): a broadcast view of one (points, 2, 2)
-    stack."""
-    return np.broadcast_to(_input_densities(_nodes_weights(points)[0]), (2, 1, points, 2, 2))
+    """The input state at each of the `points` nodes, as a read-only
+    (1, 1, points, 2, 2) stack that both parties and every state of a fold
+    share (`protocol._node_integrands`)."""
+    return np.broadcast_to(_input_densities(_nodes_weights(points)[0]), (1, 1, points, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,9 @@ def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int 
 
 _FORMS: dict[str, tuple] = {
     "g_t_I": (
-        lambda p, q: (1.0 - q / (2.0 - p)) ** 2,
+        # 1 - q/(2-p) summed as (1-p) + (1-q), both exact near 1, so it does
+        # not cancel as p and q_w approach 1.
+        lambda p, q: (((1.0 - p) + (1.0 - q)) / (2.0 - p)) ** 2,
         "(1 - q_w/(2-p))^2",
     ),
     "g_t_II": (

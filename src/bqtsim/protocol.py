@@ -42,7 +42,13 @@ a 2x2 state.
 One orchestration, `_fold_and_correct`, checks every q_w, folds both
 parties' inputs through the distributed state once (`_fold`), builds each
 party's parts that no q_w changes once (`_party_forms`), and corrects at
-each q_w (`_correct_branches`). `_run_rows` returns arrays the caller
+each q_w (`_correct_branches`). A party's outcome state X is Hermitian, so
+the fold writes it as two complex numbers, A = X00 + i X11 and B = X10,
+each complex-linear in the input: one complex product with half the
+output a 2x2 stack would take, read as the reals (X00, X11, Re X10,
+Im X10). The parts that no q_w changes are each outcome's trace and the
+reference R' = U_k^dag rho U_k its state meets, packed the same way.
+`_run_rows` returns arrays the caller
 owns, every branch value the outer product of the two parties' and the
 (N, 16, 4, 4) recovered and corrected states each a kron of two
 per-party 2x2 states (`run_protocol` sends its one row through it);
@@ -55,11 +61,12 @@ share one call; each group is folded with the matrix product one state
 alone would get. m_w is diagonal and each correction Pauli U_k, a
 constant, is a signed permutation, so m_w scales a party's entry (a, b)
 by D_a D_b and U_k moves and signs it. Hence a party's success
-weight is sum_a D_a^2 Re X[a, a] over its outcome state X, and its
-fidelity numerator sum_ab D_a D_b Re(X[a, b] (U_k^dag rho U_k)[b, a]): per
-q_w, a 2-term and a 4-term contraction of forms that no q_w changes, both
-written once (`_party_factors`). One predicate, `_annihilated`, says when
-a party's outcome is annihilated, from that party's own factors. Every
+weight is D0^2 X00 + D1^2 X11, and its fidelity numerator the same terms
+times the reference, D0^2 X00 R'00 + D1^2 X11 R'11, plus D0 D1 times
+the cross form 2 Re(X10 R'01): per q_w, written-out sums, elementwise,
+with no complex 4x4 product, both in one place (`_party_factors`). One
+predicate, `_annihilated`, says when a party's outcome is annihilated,
+from that party's own factors. Every
 total is a product of two party sums over the live outcomes
 (`_party_totals`): the success (sum w_A)(sum w_B), the total fidelity
 G_A G_B of the party integrands G = sum t n / w, and the post-selected
@@ -262,7 +269,7 @@ def _one_source(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return source, np.take_along_axis(maps, source[..., None], axis=-1)[..., 0].real
 
 
-def _fold_maps() -> tuple[np.ndarray, np.ndarray]:
+def _fold_maps() -> np.ndarray:
     """Each party's fold map K, read off a flattened pair stack.
 
     Alice's Bell bra on (a, 1) leaves XA_i = sum_{x x'} rho_a[x, x']
@@ -272,31 +279,57 @@ def _fold_maps() -> tuple[np.ndarray, np.ndarray]:
     K_B[z z', j n n'] = sum_{w w'} B_j[w, z]^* B_j[w', z'] rho_34[n w, n' w']. A Bell
     ket has one nonzero amplitude per value of either qubit, so each entry
     of K is one entry of the party's pair times one coefficient. Returns
-    the (2, 64) indices of those entries into the flattened (2, 4, 4) pair
-    stack and their (2, 64) coefficients, each exactly +-1/2, Alice's party
-    and pair first.
+    both maps as one (32, 2, 4, 4, 4) map from the flattened (2, 4, 4) pair
+    stack to (party, input entry, outcome, output entry), Alice's party and
+    pair first, its entries 0 and exactly +-1/2.
     """
     eye, tables = np.eye(2, dtype=int), _BELL_SIGNS.reshape(4, 2, 2)
     # Coefficients of pair entries (y n, Y N) in K_A and (k w, K W) in K_B,
     # in units of 1/2: the kets are real, B_k[x, y] is tables[k, x, y] / sqrt(2).
-    alice = np.einsum("ixy,iXY,mn,MN->xXimMynYN", tables, tables, eye, eye)
-    bob = np.einsum("jwz,jWZ,nk,NK->zZjnNkwKW", tables, tables, eye, eye)
-    source, coef = _one_source(np.stack((alice, bob)).reshape(2, 64, 16))
-    return source + 16 * np.arange(2)[:, None], coef * 0.5
+    alice = np.einsum("ixy,iXY,mn,MN->ynYNxXimM", tables, tables, eye, eye).reshape(16, 64)
+    bob = np.einsum("jwz,jWZ,nk,NK->kwKWzZjnN", tables, tables, eye, eye).reshape(16, 64)
+    # Each party's map reads only its own pair.
+    return np.einsum("pq,psc->psqc", np.eye(2), np.stack((alice, bob))).reshape(32, 2, 4, 4, 4) * 0.5
 
 
-_FOLD_GATHER, _FOLD_COEF = _fold_maps()
+def _packed(maps: np.ndarray) -> np.ndarray:
+    """Linear maps onto 2x2 states, the flattened output entry on the last
+    axis, packed two complex maps per state on a new last axis: entry 00 +
+    i entry 11, then entry 10. A Hermitian state X has real X00 and X11, so the first packed
+    map gives A = X00 + i X11 and the second B = X10, and X01 is conj(B).
+    Entries 00 and 11 never read the same source, so each nonzero entry of a
+    packed map is one entry of `maps`, or i times one: the packing is
+    exact."""
+    return np.stack((maps[..., 0] + 1j * maps[..., 3], maps[..., 2]), axis=-1)
+
+
+# Both parties' fold maps, packed, as one (32, 64) table from a flattened
+# pair stack: column (party, input entry, outcome, slot) gives A at slot 0
+# and B at slot 1 of that party's outcome state. Its entries are 0, +-1/2
+# and +-i/2.
+_FOLD_TABLE = _packed(_fold_maps()).reshape(32, 64)
 
 # Conjugation by each correction unitary U_k, a signed permutation with
 # U_k[r, c_r] = s_r, as an entry map of a 2x2 state: (U_k Y U_k^dag)[r, c] =
 # s_r s_c Y[c_r, c_c]. Output entry e = 2r + c of outcome k reads source
-# entry _TURN_SOURCE[4k + e] and takes sign _TURN_SIGN[4k + e]. _STATE_GATHER
-# indexes one party's 16 flattened outcome states: each entry as it is, then
-# the source of each turned entry.
+# entry _TURN_SOURCE[4k + e] and takes sign _TURN_SIGN[4k + e].
 _TURN_SOURCE, _TURN_SIGN = _one_source(
     np.einsum("krs,kct->krcst", _CORR_UNITARIES, _CORR_UNITARIES.conj()).reshape(16, 4)
 )
-_STATE_GATHER = np.concatenate((np.arange(16), _TURN_SOURCE + 4 * (np.arange(16) // 4)))
+
+# A party's outcome states as the real view of the packed fold, (X00, X11,
+# Re X10, Im X10) per outcome: entry e = 2r + c of a 2x2 state is the
+# packed slot _ENTRY_SLOT[e] times _ENTRY_SIGN[e], real part then imaginary.
+# The diagonal's imaginary parts are 0, and Im X01 is -Im X10.
+_ENTRY_SLOT, _ENTRY_SIGN = np.array([[0, 0], [2, 3], [2, 3], [1, 0]]), np.array([[1, 0], [1, -1], [1, 1], [1, 0]])
+# _STATE_GATHER indexes one party's 16 packed reals for the real and
+# imaginary parts of its 16 flattened outcome states: each entry as it is,
+# then the source of each turned entry; _STATE_SIGN signs them, and the
+# turned half of the complex entries then takes the weak pair of its source
+# entry (_TURN_SOURCE).
+_SOURCES = np.concatenate((np.arange(16), _TURN_SOURCE + 4 * (np.arange(16) // 4)))
+_STATE_GATHER = ((4 * (_SOURCES // 4))[:, None] + _ENTRY_SLOT[_SOURCES % 4]).ravel()
+_STATE_SIGN = (np.concatenate((np.ones(16), _TURN_SIGN))[:, None] * _ENTRY_SIGN[_SOURCES % 4]).ravel()
 
 # Entry (2 ra + rb, 2 ca + cb) of branch 4i + j's state XA_i (x) XB_j is
 # XA_i[ra, ca] XB_j[rb, cb]. _KRON_SOURCES holds each party's index into its
@@ -307,9 +340,13 @@ _KRON_SOURCES = (lambda k, i, j, ra, rb, ca, cb: (16 * k + 4 * i + 2 * ra + ca, 
 )
 
 # The reference each party's outcome-k state meets, transposed: entry
-# (a, b) of row k is (U_k^dag rho U_k)[b, a], as a linear map of the
-# flattened 2x2 input rho. Its entries are 0 and +-1.
-_REFERENCE_MAP = np.einsum("krb,kca->rckab", _CORR_UNITARIES.conj(), _CORR_UNITARIES).reshape(4, 16)
+# (a, b) of outcome k is R'_k[b, a], R'_k = U_k^dag rho U_k, as a linear map
+# of the flattened 2x2 input rho. Packed (`_packed`) with its second map
+# doubled, rho @ _REFERENCE_TABLE viewed as reals gives (R'00, R'11,
+# 2 Re R'01, 2 Im R'01) per outcome. Its entries are 0, +-1, +-i and +-2,
+# so the product is exact.
+_REFERENCE_MAP = np.einsum("krb,kca->rckab", _CORR_UNITARIES.conj(), _CORR_UNITARIES).reshape(4, 4, 4)
+_REFERENCE_TABLE = (_packed(_REFERENCE_MAP) * [1, 2]).reshape(4, 8)
 
 
 @functools.cache
@@ -533,9 +570,11 @@ class _Branches:
         )
 
 
-def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
-    """Diagonals of the scenario's retained weak operator m_w for n input
-    rows: (1, 2) for a float q_w, (n, 2) for a sequence of one per row.
+def _weak_pairs(q_w, scenario: Scenario, n: int) -> np.ndarray:
+    """The weak pair D_a D_b of the scenario's retained weak operator m_w =
+    diag(D0, D1) = diag(top, 1) (`channels._weak_top`), flattened as
+    (D0^2, D0 D1, D1 D0, D1^2) = (top^2, top, top, 1), for n input rows:
+    (1, 4) for a float q_w, (n, 4) for a sequence of one per row.
 
     A value outside [0, 1] raises `channels._check_unit`'s ValueError for
     the least such value, NaN counting as the largest. A nonzero value in
@@ -544,12 +583,13 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
 
     The common case is checked first: a float or int in [0, 1], and zero
     when the scenario is bare, passes one chained comparison and has its
-    diagonals built directly. Any other q_w, a sequence or a bad value,
+    pair built directly. Any other q_w, a sequence or a bad value,
     takes the ordered checks above, which give a valid one the same bits
     and a bad one its error, so which path a value takes never shows.
     """
     if isinstance(q_w, (float, int)) and 0.0 <= q_w <= 1.0 and (scenario.protected or q_w == 0.0):
-        return np.array([[_weak_top(q_w, scenario.situation), 1.0]])
+        top = _weak_top(q_w, scenario.situation)
+        return np.array([[top * top, top, top, 1.0]])
     q = np.asarray(q_w, dtype=float)
     if q.ndim and len(q) != n:
         raise ValueError(f"{len(q)} q_w values for {n} input rows, need one per row")
@@ -557,7 +597,8 @@ def _weak_diagonals(q_w, scenario: Scenario, n: int) -> np.ndarray:
     # The largest magnitude is nonzero, or NaN, exactly when some value is.
     scenario.check_q_w(float(np.abs(q).max(initial=0.0)))
     _check_units("weak measurement strength q_w", q)
-    return np.stack((_weak_top(q, scenario.situation), np.ones(len(q))), axis=1)
+    top = _weak_top(q, scenario.situation)
+    return np.stack((top * top, top, top, np.ones(len(q))), axis=1)
 
 
 def _groups(dist: np.ndarray) -> int:
@@ -567,46 +608,48 @@ def _groups(dist: np.ndarray) -> int:
 
 
 def _fold(dist: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Each party's recovered 2x2 states of every outcome, (2, N, 4, 2, 2),
-    Alice's first: XA_i on qubit 2 and XB_j on qubit 3 (`_fold_maps`).
+    """Each party's recovered 2x2 states of every outcome, XA_i on qubit 2
+    and XB_j on qubit 3 (`_fold_maps`), Alice's first, as the real view of
+    two complex numbers per outcome, A = X00 + i X11 and B = X10
+    (`_packed`): the (2, N, 4, 4) stack (X00, X11, Re X10, Im X10) of each
+    outcome. X01 is conj(X10).
 
     dist is one distributed state as its (2, 4, 4) pair stack (rho_12,
     rho_34), or a (G, 2, 4, 4) stack of them whose state g serves the g-th
     of G equal contiguous groups of the N rows. rho holds the inputs as a
     (2, groups, m, 2, 2) party-major stack, Alice's first, of each group's
     m = N / G rows: groups is G, or 1 when every group takes the same
-    inputs. One gather reads every state's fold maps straight off its
-    pairs, and one batched product folds each party's inputs of each group
-    through its map, the same product one state alone would get, so a
-    row's bits do not depend on the other groups. The product is written
-    in C order, so the final reshape is a view, not a copy.
+    inputs; its party axis is 1 when both parties take the same inputs.
+    One exact product with `_FOLD_TABLE` reads every state's packed fold
+    maps off its pairs, and one batched complex product folds each party's
+    inputs of each group through its map, the same product one state alone
+    would get, so a row's bits do not depend on the other groups. The
+    product is written in C order, so its real view and the final reshape
+    are views, not copies.
     """
-    groups, m = _groups(dist), rho.shape[2]
-    maps = (dist.reshape(groups, 32).take(_FOLD_GATHER, axis=1) * _FOLD_COEF).reshape(groups, 2, 4, 16)
+    maps = np.dot(dist.reshape(-1, 32), _FOLD_TABLE).reshape(-1, 2, 4, 8)
     folded = np.matmul(rho.reshape(rho.shape[:3] + (4,)), maps.transpose(1, 0, 2, 3), order="C")
-    return folded.reshape(2, groups * m, 4, 2, 2)
+    return folded.view(float).reshape(2, -1, 4, 4)
 
 
-def _party_forms(parties: np.ndarray, rho: np.ndarray) -> tuple:
+def _party_forms(packed: np.ndarray, rho: np.ndarray) -> tuple:
     """The parts of every branch's correction that do not depend on q_w,
-    from each party's recovered states (`_fold`) and inputs.
+    from each party's packed recovered states X (`_fold`) and its inputs
+    rho, which the fidelity reads through the reference R' = U_k^dag rho U_k
+    of each outcome: F[a, b] = Re(X[a, b] R'[b, a]).
 
-    Returns each party's traces tr X, (2, N, 4); its real diagonals
-    Re X[a, a], (2, N, 4, 2); and its fidelity forms F[a, b] =
-    Re(X[a, b] (U_k^dag rho U_k)[b, a]) against its own input rho
-    (`_REFERENCE_MAP`), flattened to (2, N, 4, 4). rho holds the inputs
-    of every row, (2, N, 2, 2), or as `_fold` takes them, whose inputs may
-    repeat over each group of rows.
+    Returns each party's traces tr X, (2, N, 4); its packed states as
+    given; and the packed references (R'00, R'11, 2 Re R'01, 2 Im R'01)
+    of each outcome (`_REFERENCE_TABLE`), (parties, rows, 4, 4). rho holds
+    the inputs as `_fold` takes them; the references keep its party axis
+    and its rows, which every group shares when rho holds one. No product
+    of the states with the references is formed here: `_party_factors`
+    takes the references term by term.
     """
-    n = parties.shape[1]
-    flat = parties.reshape(2, n, 4, 4)
-    diagonal = flat[..., ::3].real
-    traces = diagonal[..., 0] + diagonal[..., 1]
+    traces = packed[..., 0] + packed[..., 1]
     # One product per party over all its rows, exact: each entry of the
-    # reference is one input entry, signed.
-    reference = (rho.reshape(2, -1, 4) @ _REFERENCE_MAP).reshape(2, -1, rho.shape[-3], 4, 4)
-    forms = flat.reshape(2, -1, *reference.shape[2:]) * reference
-    return traces, diagonal, forms.reshape(2, n, 4, 4).real
+    # reference is one input entry, signed or doubled.
+    return traces, packed, (rho.reshape(len(rho), -1, 4) @ _REFERENCE_TABLE).view(float).reshape(len(rho), -1, 4, 4)
 
 
 def _outer(values: np.ndarray) -> np.ndarray:
@@ -615,18 +658,28 @@ def _outer(values: np.ndarray) -> np.ndarray:
     return (values[0][..., None] * values[1][..., None, :]).reshape(values.shape[1:-1] + (16,))
 
 
-def _party_factors(diag: np.ndarray, forms: np.ndarray, pair: np.ndarray) -> tuple:
-    """Each party's success weight sum_a D_a^2 Re X[a, a] and fidelity
-    numerator sum_ab D_a D_b F[a, b] at each outcome, from its real
-    diagonals and fidelity forms (`_party_forms`) and the weak pair D_a D_b,
-    flattened on the last axis of `pair`, whose other axes broadcast
-    against the axes before the outcome axis.
-
-    The numerator is a matrix product per outcome row. The forms are real
-    parts of complex arrays, whose strides no BLAS call takes, so numpy's
-    own loop forms each product, adding its four terms left to right from
-    0, whatever the shape."""
-    return diag[..., 0] * pair[..., None, 0] + diag[..., 1] * pair[..., None, 3], (forms @ pair[..., None])[..., 0]
+def _party_factors(packed: np.ndarray, reference: np.ndarray, pair: np.ndarray) -> tuple:
+    """Each party's success weight D0^2 X00 + D1^2 X11 and fidelity
+    numerator D0^2 F00 + D0 D1 (F01 + F10) + D1^2 F11 at each outcome, from
+    its q_w-free parts (`_party_forms`) and the weak pair D_a D_b, flattened
+    on the last axis of `pair`, whose other axes broadcast against the axes
+    before the outcome axis. F00 = X00 R'00 and F11 = X11 R'11 are taken as
+    (D0^2 X00) R'00 and (D1^2 X11) R'11, from the weight's own terms, and
+    X01 is conj(X10) and R'10 conj(R'01), so F01 + F10 = 2 Re(X10 R'01) =
+    Re X10 (2 Re R'01) - Im X10 (2 Im R'01). The sums are written out,
+    elementwise, so a row's factors do not depend on the rows beside it."""
+    d00, d01, d11 = pair[..., None, 0], pair[..., None, 1], pair[..., None, 3]
+    # Each term is added in place, and the weight's second term is reused
+    # for the numerator's, so few arrays of the weight's size are alive at
+    # once: on the input average's stacks they are the call's largest.
+    weight = packed[..., 0] * d00
+    numerator = weight * reference[..., 0]
+    numerator += (packed[..., 2] * reference[..., 2] - packed[..., 3] * reference[..., 3]) * d01
+    last = packed[..., 1] * d11
+    weight += last
+    last *= reference[..., 1]
+    numerator += last
+    return weight, numerator
 
 
 def _annihilated(traces: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -693,7 +746,8 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     """
     dead = _annihilated(traces, weights)
     # Dividing by infinity keeps a dead outcome's integrand term finite.
-    terms = np.where(dead, 0.0, np.array((weights, numerators, traces * numerators / np.where(dead, np.inf, weights))))
+    terms = np.array((weights, numerators, traces * numerators / np.where(dead, np.inf, weights)))
+    np.copyto(terms, 0.0, where=dead)
     # The outcomes add in order, a slice at a time, as `_party_integrand`'s do.
     sums = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
     sums[2][sums[0] == 0.0] = np.nan
@@ -702,20 +756,21 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     return success, fidelity, product / np.where(success > DEGENERATE_TOL, success, np.nan)
 
 
-def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> tuple:
+def _correct_branches(forms: tuple, pair: np.ndarray, owned: bool = False) -> tuple:
     """Every row's totals at one q_w (`_party_totals`), from its q_w-free
-    `_party_forms`, and, with `parties` (`_fold`'s states), every branch
-    as a `_Branches` the caller owns, with the recovered and normalized
-    corrected (N, 16, 4, 4) states; None without, which builds no branch.
+    `_party_forms`, and, when `owned`, every branch as a `_Branches` the
+    caller owns, with the recovered and normalized corrected (N, 16, 4, 4)
+    states built from the packed states; None otherwise, which builds no
+    branch.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
     classical channel), so branch (i, j) is corrected by U_i m_w (x) U_j m_w,
-    one factor per party. `diagonals` holds the diagonal D of m_w as
-    `_weak_diagonals` gives it, (1, 2) for every row or (N, 2) one per row.
+    one factor per party. `pair` holds the weak pair D_a D_b of m_w as
+    `_weak_pairs` gives it, (1, 4) for every row or (N, 4) one per row.
     m_w scales a party's entry (a, b) by D_a D_b and the Pauli moves and
     signs it without changing its trace, so a party's success weight is
-    sum_a D_a^2 Re X[a, a] and its fidelity numerator sum_ab D_a D_b F[a, b]
+    sum_a D_a^2 X[a, a] and its fidelity numerator sum_ab D_a D_b F[a, b]
     (`_party_factors`); a branch's weight is the product of its parties'
     weights, and its fidelity tr(ref . C) the product of their numerators
     over that weight.
@@ -725,24 +780,23 @@ def _correct_branches(forms: tuple, diagonals: np.ndarray, parties=None) -> tupl
     A degenerate branch (`_live_branches`) has its weight, fidelity and
     corrected state set to 0.
     """
-    pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(-1, 4)
     weights, numerators = _party_factors(*forms[1:], pair)
     totals = _party_totals(forms[0], weights, numerators)
-    if parties is None:
+    if not owned:
         return totals, None
     joint, weight, numerator, degenerate = _live_branches(forms[0], weights, numerators)
     # Dividing by infinity zeroes a degenerate branch's fidelity and state.
     norm = np.where(degenerate, np.inf, weight)
     weight[degenerate] = 0.0
     # Each party's outcome states and, after them, the same scaled by the
-    # weak pair and turned by its Pauli: one gather and one multiply by a
-    # signed real factor. One more gather per party and one product kron
-    # the two parties' states of both halves.
-    n = parties.shape[1]
-    states = parties.reshape(2, n, 16).take(_STATE_GATHER, axis=2)
-    states[..., 16:] *= _TURN_SIGN * pair.take(_TURN_SOURCE, axis=1)
+    # weak pair and turned by its Pauli: one gather of the packed reals, one
+    # multiply by their signs and one by the weak pair of the turned half.
+    # One more gather per party and one product kron the two parties'
+    # complex states of both halves.
+    states = (forms[1].reshape(2, -1, 16).take(_STATE_GATHER, axis=2) * _STATE_SIGN).view(complex)
+    states[..., 16:] *= pair.take(_TURN_SOURCE, axis=1)
     kron = states[0].take(_KRON_SOURCES[0], axis=1) * states[1].take(_KRON_SOURCES[1], axis=1)
-    recovered, corrected = kron.reshape(n, 2, 16, 4, 4).swapaxes(0, 1)
+    recovered, corrected = kron.reshape(-1, 2, 16, 4, 4).swapaxes(0, 1)
     corrected /= norm[:, :, None, None]
     return totals, _Branches(recovered, joint, weight, corrected, numerator / norm, degenerate)
 
@@ -761,12 +815,13 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     n, groups = len(rows), _groups(dist)
     if n % groups:
         raise ValueError(f"{n} input rows do not split into {groups} equal groups")
-    diagonals = [_weak_diagonals(q_w, scenario, n) for q_w in q_ws]
+    pairs = [_weak_pairs(q_w, scenario, n) for q_w in q_ws]
     # Party-major, so each party's inputs are contiguous, in groups.
     rho = _input_densities(rows[:, 0::2].T, rows[:, 1::2].T).reshape(2, groups, n // groups, 2, 2)
-    parties = _fold(dist, rho)
-    forms = _party_forms(parties, rho)
-    return [_correct_branches(forms, d, parties if owned else None) for d in diagonals]
+    forms = _party_forms(_fold(dist, rho), rho)
+    # The inputs are folded: free them before the totals.
+    del rho
+    return [_correct_branches(forms, pair, owned) for pair in pairs]
 
 
 def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, extra) -> tuple:
@@ -774,8 +829,8 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     node and each entry of `q_ws`, (q_w, party, state, node), over one
     distributed pair stack of `scenario` or a (G, 2, 4, 4) stack of them. A
     q_w is a float or one value per state, and every entry is checked
-    before any work. `rho` holds the node states of both parties as a
-    (2, 1, k, 2, 2) stack that every state shares.
+    before any work. `rho` holds the node states as a (1, 1, k, 2, 2) stack
+    that both parties and every state share.
 
     One fold takes the nodes and the `extra` input rows [pop_a, phase_a,
     pop_b, phase_b], if any (None for none), and every q_w is contracted
@@ -789,20 +844,23 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     without.
     """
     groups, k = _groups(dist), rho.shape[2]
-    # Each q_w's weak diagonals, one row per state: (q_w, state, 2).
-    diagonals = np.empty((len(q_ws), groups, 2))
-    for row, q_w in zip(diagonals, q_ws):
-        row[...] = _weak_diagonals(q_w, scenario, groups)
+    # Each q_w's weak pair, one row per state: (q_w, state, 4).
+    pairs = np.empty((len(q_ws), groups, 4))
+    for row, q_w in zip(pairs, q_ws):
+        row[...] = _weak_pairs(q_w, scenario, groups)
     if extra is not None:
         extra = np.asarray(extra, dtype=float)
-        rho = np.concatenate((rho, _input_densities(extra[:, 0::2].T, extra[:, 1::2].T)[:, None]), axis=2)
+        rows = _input_densities(extra[:, 0::2].T, extra[:, 1::2].T)[:, None]
+        rho = np.concatenate((rho.repeat(2, axis=0), rows), axis=2)
     # The q_w-free parts, (party, state, row, outcome[, entry]); the nodes
     # are the first k rows of each state.
-    forms = _party_forms(_fold(dist, rho), rho)
-    trace, diagonal, entries = (part.reshape(2, groups, -1, *part.shape[2:]) for part in forms)
-    # The weak pair D_a D_b of each q_w and state against (q_w, party, state, row).
-    pair = (diagonals[:, :, :, None] * diagonals[:, :, None, :]).reshape(len(diagonals), 1, groups, 1, 4)
-    weight, numerator = _party_factors(diagonal, entries, pair)
+    trace, packed, reference = _party_forms(_fold(dist, rho), rho)
+    trace, packed = (part.reshape(2, groups, -1, *part.shape[2:]) for part in (trace, packed))
+    # Every state shares the rows' references; each q_w's weak pair against
+    # (q_w, party, state, row).
+    weight, numerator = _party_factors(packed, reference[:, None], pairs.reshape(len(pairs), 1, groups, 1, 4))
+    # The fold is the call's largest array: free it before the integrands.
+    del packed, reference
     integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], numerator[..., :k, :])
     if extra is None:
         return integrand, None

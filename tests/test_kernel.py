@@ -25,7 +25,7 @@ from bqtsim.protocol import (
     _party_totals,
     _row_totals,
     _run_rows,
-    _weak_diagonals,
+    _weak_pairs,
     apply_correction,
     compose_total,
     correction_ops,
@@ -495,9 +495,9 @@ def test_weak_diagonals_fast_check_matches_full_path(monkeypatch):
     monkeypatch.setattr(Scenario, "check_q_w", spy)
     for scenario in Scenario:
         for q in ODD_QS + (0.4,):
-            want = outcome(_weak_diagonals, [q], scenario, 1)
+            want = outcome(_weak_pairs, [q], scenario, 1)
             consulted.clear()
-            got = outcome(_weak_diagonals, q, scenario, 1)
+            got = outcome(_weak_pairs, q, scenario, 1)
             assert got == want, f"{scenario.value} q_w={q!r}"
             if isinstance(got, bytes):
                 assert not consulted, f"{scenario.value} q_w={q!r} took the ordered checks"
@@ -522,6 +522,47 @@ def test_input_densities_broadcast_row_by_row():
             assert got[idx].tobytes() == want.tobytes(), idx
 
 
+@pytest.mark.parametrize("scenario", tuple(Scenario))
+def test_packed_fold_matches_explicit_contraction(scenario):
+    """The fold's packed (X00, X11, Re X10, Im X10) of each party's outcome
+    states and their traces, against the explicit contraction in
+    `_fold_maps`' docstring, and each party's weight and fidelity numerator
+    at a random weak pair D_a D_b of each row, against sum_a D_a^2 X[a, a]
+    and sum_ab D_a D_b Re(X[a, b] R'[b, a]) with R' = U_k^dag rho U_k, all
+    within 1e-15: random inputs, seven rows over each of six distributed
+    states. The explicit states are Hermitian, so X01 is conj(X10), as the
+    packing assumes."""
+    rng = np.random.default_rng(271)
+    ps = [0.0, 1.0, *rng.random(4).tolist()]
+    dists, m = distribute(scenario, ps)[0], 7
+    n = len(ps) * m
+    rho = _input_densities(rng.random((2, n)), rng.random((2, n)) * 2.0 * math.pi)
+    grouped = rho.reshape(2, len(ps), m, 2, 2)
+    diagonals = rng.random((n, 2))
+    traces, packed, reference = _party_forms(protocol._fold(dists, grouped), grouped)
+    pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(n, 4)
+    weights, numerators = protocol._party_factors(packed, reference, pair)
+    bells = protocol._BELL_KETS.reshape(4, 2, 2)
+    # Each row's pair stack, and its pairs with both qubits' indices split.
+    pairs = np.repeat(dists, m, axis=0).reshape(n, 2, 2, 2, 2, 2)
+    states = (
+        np.einsum("rxX,ixy,iXY,rymYM->rimM", rho[0], bells.conj(), bells, pairs[:, 0]),
+        np.einsum("rzZ,jwz,jWZ,rnwNW->rjnN", rho[1], bells.conj(), bells, pairs[:, 1]),
+    )
+    unitaries = protocol._CORR_UNITARIES
+    for party, x in enumerate(states):
+        assert np.abs(x - x.conj().swapaxes(-1, -2)).max() <= 1e-15
+        want = np.stack((x[..., 0, 0].real, x[..., 1, 1].real, x[..., 1, 0].real, x[..., 1, 0].imag), axis=-1)
+        assert np.abs(packed[party] - want).max() <= 1e-15
+        assert np.abs(traces[party] - (want[..., 0] + want[..., 1])).max() <= 1e-15
+        ref = np.einsum("kba,rbc,kcd->rkad", unitaries.conj(), rho[party], unitaries)
+        scale = diagonals[:, None, :, None] * diagonals[:, None, None, :]
+        weight = np.einsum("rkaa->rk", scale * x).real
+        numerator = np.einsum("rkab,rkba->rk", scale * x, ref).real
+        assert np.abs(weights[party] - weight).max() <= 1e-15
+        assert np.abs(numerators[party] - numerator).max() <= 1e-15
+
+
 def test_degenerate_thresholds_are_exact():
     """The rules `channels.DEGENERATE_TOL` states, at their sites in the
     kernel: a party's outcome is annihilated when its trace is at or below
@@ -536,14 +577,15 @@ def test_degenerate_thresholds_are_exact():
     has success 0 and a NaN total fidelity."""
     above, below = np.nextafter(DEGENERATE_TOL, 1.0), np.nextafter(DEGENERATE_TOL, 0.0)
     entries = [(DEGENERATE_TOL, 0.0), (above, 0.0), (1.0, DEGENERATE_TOL), (1.0, below)] * 2
-    parties = np.zeros((2, 8, 4, 2, 2), dtype=complex)
-    parties[:, :, :, 1, 1] = 1.0
+    # The states as `_fold` packs them, (X00, X11, Re X10, Im X10) per outcome.
+    parties = np.zeros((2, 8, 4, 4))
+    parties[..., 1] = 1.0
     for n, (first, last) in enumerate(entries):
-        parties[n // 4, n, :, 0, 0], parties[n // 4, n, :, 1, 1] = first, last
+        parties[n // 4, n, :, :2] = first, last
     inputs = _input_densities(np.full((2, 8), 0.5))
     forms = _party_forms(parties, inputs)
-    diagonals = _weak_diagonals([0.0, 0.0, 1.0, 1.0] * 2, Scenario.ALL_ADC, 8)
-    (success, fidelity, _), branches = _correct_branches(forms, diagonals, parties)
+    pairs = _weak_pairs([0.0, 0.0, 1.0, 1.0] * 2, Scenario.ALL_ADC, 8)
+    (success, fidelity, _), branches = _correct_branches(forms, pairs, True)
     weights = (0.0, above, DEGENERATE_TOL, 0.0) * 2
     assert branches.joint.tolist() == [[x + y] * 16 for x, y in entries]
     assert branches.degenerate.tolist() == [[flag] * 16 for flag in (True, False, False, True) * 2]
@@ -552,7 +594,7 @@ def test_degenerate_thresholds_are_exact():
     assert success.tolist() == [(w + w + w + w) * 4.0 for w in weights]
     assert np.isnan(fidelity).tolist() == [True, False, False, True] * 2
     # The totals-only call forms no branch.
-    assert _correct_branches(forms, diagonals)[1] is None
+    assert _correct_branches(forms, pairs)[1] is None
 
 
 def test_postselected_fidelity_needs_success_above_tolerance():

@@ -74,6 +74,26 @@ def test_closed_form_registry_surface():
         closed_form("no_such_form", 0.2)
 
 
+def test_g_t_I_keeps_its_digits_near_one():
+    """g_t_I against a 50-digit value of (1 - q_w/(2-p))^2 at the same
+    doubles: within 1e-15 relative at q_w = p = 1 - 10^-k, k = 1..15, where
+    subtracting q_w/(2-p) from 1 lost up to 0.11 of the value, and within
+    2e-15 on a seeded uniform grid."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def relative_error(p, q):
+        with mpmath.workdps(50):
+            exact = (1 - mpmath.mpf(q) / (2 - mpmath.mpf(p))) ** 2
+            return float(abs(closed_form("g_t_I", p, q).value - exact) / exact)
+
+    for k in range(1, 16):
+        p = 1.0 - 10.0**-k
+        assert relative_error(p, p) <= 1e-15, k
+    rng = np.random.default_rng(2701)
+    worst = max(relative_error(float(p), float(q)) for p, q in rng.random((4000, 2)))
+    assert worst <= 2e-15
+
+
 @pytest.mark.parametrize(
     "name, p, q_w, match",
     [

@@ -25,6 +25,8 @@ the parent's, and how many blocks the change won. The targets:
                  folded with the nodes, as fav-sweep's grid items make it
   average-stack  check 3's call: metrics._average_fidelities over 51
                  unprotected-all states, 32 nodes, one extra row
+  average4096    metrics._average_fidelities of one all-adc state, 4096
+                 nodes, two q_w
   run_protocol   one call at an interior point
   distribute     protocol.distribute, all-adc p = 0.4
   distribute-stack  protocol.distribute, all-adc, the 51 p of checks 4 and 8
@@ -34,6 +36,10 @@ the parent's, and how many blocks the change won. The targets:
   entropy-curve  cli.main(["entropy"]), the 51-p curves, stdout captured
   outcomes       the 16 BranchOutcome views of a one-row _run_rows result
   rows1..rows64  protocol._row_totals of 1, 32 and 64 input rows
+  rows1000       check 1's call: protocol._row_totals over 10 all-adc
+                 states (p = 0, 0.1, ..., 0.9) of 100 input rows each, with
+                 one q_w per row; left out on a tree whose _row_totals
+                 takes one state only
 
 Only entry points whose signatures have stayed put are called, and a
 target that one tree lacks is left out and named, so the script runs on
@@ -78,8 +84,9 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "average64", "average-extra", "average-stack", "run_protocol", "distribute",
-         "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64")
+NAMES = ("verify", *CHECKS, "sweep", "average64", "average-extra", "average-stack", "average4096", "run_protocol",
+         "distribute", "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64",
+         "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
@@ -118,14 +125,15 @@ def check_call(cli, name: str, args: tuple):
     return lambda: fn(*args)
 
 
-def stack_call(distribute, scenario):
-    """A call of `distribute` on every p of `EDGE_PS` at once, or None if it
-    takes one p only (its range check refuses a sequence)."""
+def tried(fn):
+    """fn, or None if one call of it raises TypeError or ValueError, as an
+    older tree's entry point does on arguments it does not take (a
+    sequence of p, a stack of states)."""
     try:
-        distribute(scenario, EDGE_PS)
+        fn()
     except (TypeError, ValueError):
         return None
-    return lambda: distribute(scenario, EDGE_PS)
+    return fn
 
 
 def targets(pkg) -> dict:
@@ -146,15 +154,21 @@ def targets(pkg) -> dict:
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
     found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
+    found["average4096"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(4096))
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
     found["distribute"] = lambda: protocol.distribute(scenario, 0.4)
-    found["distribute-stack"] = stack_call(protocol.distribute, scenario)
+    found["distribute-stack"] = tried(lambda: protocol.distribute(scenario, EDGE_PS))
     found["entropy"] = lambda: metrics.entanglement_entropy_bob(dist)
     found["entropy-curve"] = lambda: quiet(cli.main, ["entropy"])
     branches = protocol._run_rows(dist, scenario, 0.25, rows[:1])
     found["outcomes"] = branches.outcomes
     for n in (1, 32, 64):
         found[f"rows{n}"] = lambda n=n: protocol._row_totals(dist, scenario, [0.25], rows[:n])
+    # Check 1's call at grid 10: ten input draws per q_w at each p, one q_w per row.
+    grid = [k / 10 for k in range(10)]
+    dists = np.stack([protocol.distribute(scenario, p)[0] for p in grid])
+    grid_rows, grid_qs = np.random.default_rng(11).random((1000, 4)), np.tile(np.repeat(grid, 10), 10)
+    found["rows1000"] = tried(lambda: protocol._row_totals(dists, scenario, [grid_qs], grid_rows))
     assert tuple(found) == NAMES
     return found
 
