@@ -27,7 +27,8 @@ __all__ = ["DEGENERATE_TOL"]
 # applies it to each party's own factors: for every total
 # (protocol._party_totals), the input average (protocol._party_integrand)
 # and a branch's degenerate flag, set when either party's outcome is
-# annihilated (protocol._live_branches). protocol.apply_correction and
+# annihilated (protocol._correct_branches, from the totals' own party
+# stack). protocol.apply_correction and
 # eam_postselect apply it on their own, to a branch's 4x4 state and to a
 # pair, as references for the tests.
 DEGENERATE_TOL = 1e-14

@@ -49,10 +49,16 @@ output a 2x2 stack would take, read as the reals (X00, X11, Re X10,
 Im X10). The parts that no q_w changes are each outcome's trace and the
 reference R' = U_k^dag rho U_k its state meets, packed the same way.
 `_run_rows` returns arrays the caller
-owns, every branch value the outer product of the two parties' and the
-(N, 16, 4, 4) recovered and corrected states each a kron of two
-per-party 2x2 states (`run_protocol` sends its one row through it);
-`_row_totals` returns only the per-row totals and forms no branch.
+owns, fresh on every call and shared with no other result: every branch
+value the outer product of the two parties' and the (N, 16, 4, 4)
+recovered and corrected states each a kron of two per-party 2x2 states
+(`run_protocol` sends its one row through it, and its `BranchOutcome`
+records are views of them); `_row_totals` returns only the per-row
+totals and forms no branch. At one row a call is some hundred numpy
+calls on arrays of a few entries, so their fixed cost, not the
+arithmetic, is what a call takes: the kernel's scalar operands are 0-d
+arrays, arrays are indexed rather than unpacked, and no step forms a
+value twice.
 
 A q_w is one float or one value per input row, and the distributed state
 is one (2, 4, 4) pair stack or a (G, 2, 4, 4) stack, one state per equal
@@ -72,10 +78,13 @@ total is a product of two party sums over the live outcomes
 G_A G_B of the party integrands G = sum t n / w, and the post-selected
 fidelity (sum n_A)(sum n_B) over the success. `run_protocol`,
 `_row_totals` and the input average's extra rows all take their totals
-from it, and no total forms a branch. In the owned arrays
-`_live_branches` flags a branch degenerate when either of its parties'
-outcomes is annihilated, so the live branches are the ones the totals
-sum.
+from it, and no total forms a branch. The predicate runs once per
+correction: the owned arrays take each branch's joint probability,
+weight and fidelity numerator as products of the parties' values in the
+stack the totals are summed from, where an annihilated outcome's weight
+and numerator are 0 and its guarded weight infinite. So a branch is
+degenerate, with weight 0, exactly when either of its parties' outcomes
+is annihilated, and the live branches are the ones the totals sum.
 
 The input average's kernel, `_node_integrands`, sits beside the
 orchestration: it checks every q_w, folds the node states that every
@@ -122,11 +131,17 @@ __all__ = [
 ]
 
 
+# The scalars of the kernel's elementwise steps as 0-d arrays: a Python
+# scalar operand is converted on every ufunc call, which at one row costs
+# about half the call.
+_ONE, _ONE_J, _TOL, _INF, _NAN, _ZERO = (np.array(value) for value in (1.0, 1j, DEGENERATE_TOL, np.inf, np.nan, 0.0))
+
+
 def _input_densities(pop0, phase=0.0) -> np.ndarray:
     """Input states |v><v| of the kets v = [sqrt(pop0), sqrt(1-pop0) e^{i phase}]
     over broadcast arrays of populations and phases, as (..., 2, 2)."""
     pop0 = np.asarray(pop0, dtype=float)
-    a1 = np.sqrt(1.0 - pop0) * np.exp(1j * np.asarray(phase, dtype=float))
+    a1 = np.sqrt(_ONE - pop0) * np.exp(_ONE_J * np.asarray(phase, dtype=float))
     kets = np.empty(a1.shape + (2,), dtype=complex)
     kets[..., 0] = np.sqrt(pop0)
     kets[..., 1] = a1
@@ -192,7 +207,7 @@ class Scenario(Enum):
             raise ValueError("unprotected scenarios require q_w = 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class BranchOutcome:
     """One of the 16 joint Bell-measurement branches.
 
@@ -324,12 +339,15 @@ _TURN_SOURCE, _TURN_SIGN = _one_source(
 _ENTRY_SLOT, _ENTRY_SIGN = np.array([[0, 0], [2, 3], [2, 3], [1, 0]]), np.array([[1, 0], [1, -1], [1, 1], [1, 0]])
 # _STATE_GATHER indexes one party's 16 packed reals for the real and
 # imaginary parts of its 16 flattened outcome states: each entry as it is,
-# then the source of each turned entry; _STATE_SIGN signs them, and the
-# turned half of the complex entries then takes the weak pair of its source
-# entry (_TURN_SOURCE).
+# then the source of each turned entry. _STATE_SIGN signs them, shaped as
+# one row so that a one-row product needs no broadcast, and _STATE_SCALE
+# picks the entry of a weak pair (D0^2, D0 D1, D1 D0, D1^2) = (top^2, top,
+# top, 1) that scales each: its last, exactly 1.0, for the unturned half,
+# and the pair of each turned entry's source (_TURN_SOURCE) for the rest.
 _SOURCES = np.concatenate((np.arange(16), _TURN_SOURCE + 4 * (np.arange(16) // 4)))
 _STATE_GATHER = ((4 * (_SOURCES // 4))[:, None] + _ENTRY_SLOT[_SOURCES % 4]).ravel()
-_STATE_SIGN = (np.concatenate((np.ones(16), _TURN_SIGN))[:, None] * _ENTRY_SIGN[_SOURCES % 4]).ravel()
+_STATE_SIGN = (np.concatenate((np.ones(16), _TURN_SIGN))[:, None] * _ENTRY_SIGN[_SOURCES % 4]).reshape(1, 64)
+_STATE_SCALE = np.concatenate((np.full(32, 3), np.repeat(_TURN_SOURCE, 2)))
 
 # Entry (2 ra + rb, 2 ca + cb) of branch 4i + j's state XA_i (x) XB_j is
 # XA_i[ra, ca] XB_j[rb, cb]. _KRON_SOURCES holds each party's index into its
@@ -397,10 +415,10 @@ def _adc_monomials(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     m of noisy qubits, so both have m operators.
 
     Row r of L_m holds c_r in column src_r, so (L_m rho L_m^dag)[r, c] =
-    c_r rho[src_r, src_c] c_c. Returns the (2, 2, m, 4) indices of each
-    row's per-qubit factors into the flattened 3x2 factor table, by pair
-    and then qubit, and the constant (2, m, 4, 4) gather rho[src_r, src_c]
-    of each `RESOURCE` pair.
+    c_r rho[src_r, src_c] c_c. Returns the (2, m, 4, 2) indices of each
+    row's per-qubit factors into the flattened 3x2 factor table, by pair,
+    operator and row, the pair's first qubit first, and the constant
+    (2, m, 4, 4) gather rho[src_r, src_c] of each `RESOURCE` pair.
     """
     options = [((0, 1) if q in scenario.noisy_qubits else (2,)) for q in range(4)]
     if scenario.protected:
@@ -411,7 +429,7 @@ def _adc_monomials(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     # significant: (4, 2).
     place = np.array([2, 1])
     bits = (np.arange(4)[:, None] // place) & 1
-    factor = 2 * choices.transpose(0, 2, 1)[..., None] + bits.T[:, None, :]
+    factor = 2 * choices[:, :, None, :] + bits
     src = np.array(_ADC_COLUMN)[choices[:, :, None, :], bits] @ place
     gathered = RESOURCE[np.arange(2)[:, None, None, None], src[..., :, None], src[..., None, :]]
     gathered.setflags(write=False)
@@ -465,7 +483,8 @@ def distribute(scenario: Scenario, p) -> tuple[np.ndarray, float | np.ndarray]:
         _check_units("decay probability p", ps)
         table = np.sqrt(ps[..., None] * _TABLE_SLOPE + _TABLE_OFFSET)
     factor, gathered = _ADC_MONOMIALS[scenario]
-    coef = np.multiply.reduce(table.take(factor, axis=-1), axis=-3)
+    qubits = table.take(factor, axis=-1)
+    coef = qubits[..., 0] * qubits[..., 1]
     terms = coef[..., :, None] * gathered * coef[..., None, :]
     if scenario.protected:
         kept = terms[..., 0, :, :]
@@ -526,15 +545,21 @@ def apply_correction(
     return out / weight, weight
 
 
-# (Alice's index, Bob's index) of branch k = 4(i-1)+(j-1).
+# (Alice's index, Bob's index) of branch k = 4(i-1)+(j-1), and each
+# party's index of every branch in order.
 _BRANCH_INDICES = tuple((k // 4 + 1, k % 4 + 1) for k in range(16))
+_ALICE_INDICES, _BOB_INDICES = zip(*_BRANCH_INDICES)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Branches:
     """Arrays of every branch of N input pairs, branch k = 4(i-1)+(j-1):
     `recovered`/`corrected` are (N, 16, 4, 4), the rest (N, 16). The
     totals come from the party sums (`_party_totals`), not from these.
+    `degenerate` is where a branch's guarded weight, the product of its
+    parties' (`_party_totals`), is infinite. Not frozen: a frozen
+    dataclass sets each field through `object.__setattr__`, about 1 us of
+    a one-row call.
     """
 
     recovered: np.ndarray
@@ -545,28 +570,24 @@ class _Branches:
     degenerate: np.ndarray
 
     def outcomes(self, n: int = 0) -> tuple:
-        """The 16 branches of input pair n as BranchOutcome views."""
-        rows = zip(
-            _BRANCH_INDICES,
-            self.joint[n].tolist(),
-            self.recovered[n],
-            self.corrected[n],
-            self.weight[n].tolist(),
-            self.fidelity[n].tolist(),
-            self.degenerate[n].tolist(),
-        )
+        """The 16 branches of input pair n as BranchOutcome views, a
+        degenerate one with no corrected state and no fidelity."""
+        dead = self.degenerate[n].tolist()
+        corrected, fidelity = [*self.corrected[n]], self.fidelity[n].tolist()
+        for k in itertools.compress(range(16), dead):
+            corrected[k] = fidelity[k] = None
         return tuple(
-            BranchOutcome(
-                i,
-                j,
-                joint,
-                recovered,
-                None if dead else corrected,
-                weight,
-                None if dead else f,
+            map(
+                BranchOutcome,
+                _ALICE_INDICES,
+                _BOB_INDICES,
+                self.joint[n].tolist(),
+                self.recovered[n],
+                corrected,
+                self.weight[n].tolist(),
+                fidelity,
                 dead,
             )
-            for (i, j), joint, recovered, corrected, weight, f, dead in rows
         )
 
 
@@ -686,22 +707,7 @@ def _annihilated(traces: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Where a party's outcome is annihilated, elementwise over its trace
     and its success weight: the trace is at or below `DEGENERATE_TOL` or
     the weight is below it."""
-    return (traces <= DEGENERATE_TOL) | (weights < DEGENERATE_TOL)
-
-
-def _live_branches(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> tuple:
-    """Each branch's joint probability, success weight and fidelity
-    numerator, the products of its two parties' values, and whether it is
-    degenerate, (..., 16) each, from the parties' (2, ..., 4) traces,
-    weights and numerators. A branch is degenerate when either party's
-    outcome is annihilated (`_annihilated`), so the live branches are
-    the ones the totals sum (`_party_totals`).
-    """
-    # Each outcome's liveness rides along as 1.0 or 0.0, so its product is
-    # 0 exactly where either party's outcome is annihilated.
-    live = ~_annihilated(traces, weights)
-    joint, weight, numerator, both = _outer(np.array((traces, weights, numerators, live)).swapaxes(0, 1))
-    return joint, weight, numerator, both == 0.0
+    return (traces <= _TOL) | (weights < _TOL)
 
 
 def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> np.ndarray:
@@ -715,11 +721,11 @@ def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.nda
     """
     dead = _annihilated(traces, weights)
     # Dividing by infinity zeroes a dead outcome's term.
-    terms = traces * numerators / np.where(dead, np.inf, weights)
+    terms = traces * numerators / np.where(dead, _INF, weights)
     # The outcomes add in order, a slice at a time, which is faster than a
     # reduction over a short axis.
     gone = dead[..., 0] & dead[..., 1] & dead[..., 2] & dead[..., 3]
-    return np.where(gone, np.nan, terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
+    return np.where(gone, _NAN, terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
 
 
 def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> tuple:
@@ -739,6 +745,13 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     post-selected fidelity is NaN also where the success is at or below
     `DEGENERATE_TOL`.
 
+    Returns the totals and the values they are summed from: the
+    (3, 2, ..., 4) stack of w, n and t n / w with each annihilated
+    outcome's set to 0, and w with each annihilated outcome's set to
+    infinity (guarded). `_correct_branches` forms each branch's values as
+    products of these, so its flags come from this one application of the
+    predicate.
+
     G is `_party_integrand`'s, formed here beside the two other sums in
     one stack: calling that function as well would apply the predicate
     twice, and at one row it cost about 8 % of a `run_protocol` call
@@ -746,14 +759,18 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     """
     dead = _annihilated(traces, weights)
     # Dividing by infinity keeps a dead outcome's integrand term finite.
-    terms = np.array((weights, numerators, traces * numerators / np.where(dead, np.inf, weights)))
-    np.copyto(terms, 0.0, where=dead)
+    guarded = np.where(dead, _INF, weights)
+    terms = np.array((weights, numerators, traces * numerators / guarded))
+    np.copyto(terms, _ZERO, where=dead)
     # The outcomes add in order, a slice at a time, as `_party_integrand`'s do.
     sums = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    sums[2][sums[0] == 0.0] = np.nan
-    success, product, fidelity = sums[:, 0] * sums[:, 1]
+    sums[2][sums[0] == _ZERO] = _NAN
+    # (success, post-selected numerator, fidelity), indexed: unpacking an
+    # array iterates it, which at one row costs twice as much.
+    products = sums[:, 0] * sums[:, 1]
+    success = products[0]
     # Dividing by a quiet NaN gives NaN and raises no floating-point flag.
-    return success, fidelity, product / np.where(success > DEGENERATE_TOL, success, np.nan)
+    return (success, products[2], products[1] / np.where(success > _TOL, success, _NAN)), terms, guarded
 
 
 def _correct_branches(forms: tuple, pair: np.ndarray, owned: bool = False) -> tuple:
@@ -771,34 +788,39 @@ def _correct_branches(forms: tuple, pair: np.ndarray, owned: bool = False) -> tu
     m_w scales a party's entry (a, b) by D_a D_b and the Pauli moves and
     signs it without changing its trace, so a party's success weight is
     sum_a D_a^2 X[a, a] and its fidelity numerator sum_ab D_a D_b F[a, b]
-    (`_party_factors`); a branch's weight is the product of its parties'
-    weights, and its fidelity tr(ref . C) the product of their numerators
-    over that weight.
+    (`_party_factors`); a branch's joint probability, weight and fidelity
+    numerator are the products of its parties' values in the totals'
+    stack, and its fidelity tr(ref . C) the numerator over the weight.
     Each is a contraction over one row's own entries, so a row's value
     does not depend on N.
 
-    A degenerate branch (`_live_branches`) has its weight, fidelity and
-    corrected state set to 0.
+    A branch is degenerate when either party's outcome is annihilated, so
+    the live branches are the ones the totals sum. Its weight is then 0
+    and its guarded weight infinite, and dividing by that zeroes its
+    fidelity and corrected state.
     """
     weights, numerators = _party_factors(*forms[1:], pair)
-    totals = _party_totals(forms[0], weights, numerators)
+    totals, terms, guarded = _party_totals(forms[0], weights, numerators)
     if not owned:
         return totals, None
-    joint, weight, numerator, degenerate = _live_branches(forms[0], weights, numerators)
-    # Dividing by infinity zeroes a degenerate branch's fidelity and state.
-    norm = np.where(degenerate, np.inf, weight)
-    weight[degenerate] = 0.0
+    # Each branch's joint probability, weight, fidelity numerator and
+    # guarded weight, the products of its parties'.
+    branch = _outer(np.array((forms[0], terms[0], terms[1], guarded)).swapaxes(0, 1))
+    norm = branch[3]
     # Each party's outcome states and, after them, the same scaled by the
-    # weak pair and turned by its Pauli: one gather of the packed reals, one
-    # multiply by their signs and one by the weak pair of the turned half.
-    # One more gather per party and one product kron the two parties'
-    # complex states of both halves.
-    states = (forms[1].reshape(2, -1, 16).take(_STATE_GATHER, axis=2) * _STATE_SIGN).view(complex)
-    states[..., 16:] *= pair.take(_TURN_SOURCE, axis=1)
+    # weak pair and turned by its Pauli: one gather of the packed reals and
+    # one multiply by their signs times the weak pair of each (1.0, its
+    # last entry, for the unturned half). One more gather per party and one
+    # product kron the two parties' complex states of both halves.
+    scale = pair.take(_STATE_SCALE, axis=1) * _STATE_SIGN
+    states = (forms[1].reshape(2, -1, 16).take(_STATE_GATHER, axis=2) * scale).view(complex)
     kron = states[0].take(_KRON_SOURCES[0], axis=1) * states[1].take(_KRON_SOURCES[1], axis=1)
-    recovered, corrected = kron.reshape(-1, 2, 16, 4, 4).swapaxes(0, 1)
-    corrected /= norm[:, :, None, None]
-    return totals, _Branches(recovered, joint, weight, corrected, numerator / norm, degenerate)
+    halves = kron.reshape(-1, 2, 16, 4, 4).swapaxes(0, 1)
+    # A complex state over a real weight is its real and imaginary parts
+    # each times the weight's reciprocal, as complex division forms it.
+    corrected = halves[1]
+    corrected.view(float)[...] *= np.reciprocal(norm)[:, :, None, None]
+    return totals, _Branches(halves[0], branch[0], branch[1], corrected, branch[2] / norm, norm == _INF)
 
 
 def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool) -> list:
@@ -817,7 +839,8 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
         raise ValueError(f"{n} input rows do not split into {groups} equal groups")
     pairs = [_weak_pairs(q_w, scenario, n) for q_w in q_ws]
     # Party-major, so each party's inputs are contiguous, in groups.
-    rho = _input_densities(rows[:, 0::2].T, rows[:, 1::2].T).reshape(2, groups, n // groups, 2, 2)
+    columns = rows.T
+    rho = _input_densities(columns[0::2], columns[1::2]).reshape(2, groups, n // groups, 2, 2)
     forms = _party_forms(_fold(dist, rho), rho)
     # The inputs are folded: free them before the totals.
     del rho
@@ -865,7 +888,7 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     if extra is None:
         return integrand, None
     # The extra rows' totals, party axis first, (q_w, state, row) each.
-    totals = _party_totals(trace[:, None, :, k:], *(part[..., k:, :].swapaxes(0, 1) for part in (weight, numerator)))
+    totals = _party_totals(trace[:, None, :, k:], *(part[..., k:, :].swapaxes(0, 1) for part in (weight, numerator)))[0]
     return integrand, list(zip(*totals))
 
 
@@ -949,7 +972,7 @@ def run_protocol(
     is stored as given, any other scalar as its float."""
     q_w = _single_q_w(q_w, "run_protocol")
     dist, eam_success = distribute(scenario, p)
-    rows = np.array([[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]])
+    rows = [[alice_in.pop0, alice_in.phase, bob_in.pop0, bob_in.phase]]
     ((totals, branches),) = _fold_and_correct(dist, scenario, (q_w,), rows, owned=True)
     return ProtocolResult(
         scenario=scenario,
@@ -957,7 +980,7 @@ def run_protocol(
         q_w=q_w,
         eam_success=eam_success,
         branches=branches.outcomes(),
-        total_success=float(totals[0][0]),
-        total_fidelity=float(totals[1][0]),
-        postselected_fidelity=float(totals[2][0]),
+        total_success=totals[0].item(),
+        total_fidelity=totals[1].item(),
+        postselected_fidelity=totals[2].item(),
     )

@@ -607,7 +607,7 @@ def test_postselected_fidelity_needs_success_above_tolerance():
     traces, weights = np.zeros((2, 2, 4)), np.zeros((2, 2, 4))
     traces[:, :, 0] = 1.0
     weights[0, :, 0], weights[1, :, 0] = [DEGENERATE_TOL, above], 1.0
-    success, total, postselected = _party_totals(traces, weights, weights * [[[0.5]], [[1.0]]])
+    success, total, postselected = _party_totals(traces, weights, weights * [[[0.5]], [[1.0]]])[0]
     assert success.tolist() == [DEGENERATE_TOL, above]
     assert total.tolist() == [0.5, 0.5]
     assert math.isnan(postselected[0]) and postselected[1] == 0.5
@@ -620,7 +620,7 @@ def test_total_fidelity_is_product_of_party_integrands():
     rng = np.random.default_rng(167)
     traces, weights, numerators = rng.random((3, 2, 400, 4)) * 10.0 ** rng.integers(-16, 1, (3, 2, 400, 4))
     traces[:, ::7], weights[:, 1::9] = 0.0, 0.0
-    fidelity = _party_totals(traces, weights, numerators)[1]
+    fidelity = _party_totals(traces, weights, numerators)[0][1]
     integrand = _party_integrand(traces, weights, numerators)
     np.testing.assert_array_equal(fidelity, integrand[0] * integrand[1])
     assert np.isnan(fidelity).any() and not np.isnan(fidelity).all()

@@ -138,6 +138,48 @@ def test_totals_match_oracle_branch_sums(scenario, p, q_w, row):
             assert math.isnan(got[2])
 
 
+# The product edges; a point where four branches' products, 5e-19, sit
+# below DEGENERATE_TOL while every party factor is above it: Alice's
+# population 1e-12 against Bob's 1 - 1e-9 at recovery-adc, p = 1 - 1e-9;
+# and one where the weak pulse annihilates two outcomes of each party, so
+# that 12 of the 16 branches are degenerate.
+BRANCH_EDGE_POINTS = PRODUCT_EDGE_POINTS + [
+    (Scenario.RECOVERY_ADC, 1.0 - 1e-9, 0.0, [1e-12, 0.0, 1.0 - 1e-9, 0.0]),
+    (Scenario.RECOVERY_ADC, 0.5, 1.0, [1.0, 0.0, 1.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("scenario,p,q_w,row", BRANCH_EDGE_POINTS, ids=lambda v: getattr(v, "value", None))
+def test_branch_flags_and_values_at_product_edges(scenario, p, q_w, row):
+    """run_protocol's and `_run_rows`' branches where branch products
+    underflow the tolerance: a branch is degenerate exactly when either
+    party's outcome is annihilated by the closed-form party factors, away
+    from the rounding band at the threshold, and then has weight exactly
+    0; every live branch's joint probability, weight and fidelity is
+    within 1e-14 relative of the closed-form rows."""
+    rows = np.array([row])
+    joint = oracles.joint_prob_rows(scenario, p, rows)[0]
+    success = oracles.branch_success_rows(scenario, p, q_w, rows)[0]
+    fidelity = oracles.branch_fidelity_rows(scenario, p, q_w, rows)[0]
+    dead, clear = [], []
+    for pop in (rows[:, 0], rows[:, 2]):
+        trace, weight = oracles._party_prob(scenario, p, pop)[0], oracles._party_success(scenario, p, q_w, pop)[0]
+        dead.append((trace <= DEGENERATE_TOL) | (weight < DEGENERATE_TOL))
+        clear.append(np.minimum(np.abs(trace - DEGENERATE_TOL), np.abs(weight - DEGENERATE_TOL)) > 1e-15)
+    dead = (dead[0][:, None] | dead[1][None, :]).ravel()
+    clear = (clear[0][:, None] & clear[1][None, :]).ravel()
+    res = run_protocol(scenario, p, q_w, QubitInput(row[0], row[1]), QubitInput(row[2], row[3]))
+    one = np.array([(b.degenerate, b.joint_prob, b.success_weight, b.branch_fidelity or 0.0) for b in res.branches])
+    stack = _run_rows(distribute(scenario, p)[0], scenario, q_w, rows)
+    many = np.stack((stack.degenerate[0], stack.joint[0], stack.weight[0], stack.fidelity[0]), axis=1)
+    for got in (one, many):
+        degenerate, live = got[:, 0] == 1.0, got[:, 0] == 0.0
+        np.testing.assert_array_equal(degenerate[clear], dead[clear])
+        assert (got[degenerate, 2] == 0.0).all()
+        for k, want in ((1, joint), (2, success), (3, fidelity)):
+            assert (np.abs(got[live, k] - want[live]) <= 1e-14 * np.abs(want[live])).all(), k
+
+
 def test_totals_at_p_and_q_w_one_are_nan():
     """At p = q_w = 1 every weight of a protected scenario is exactly 0:
     no success, and both fidelities NaN."""

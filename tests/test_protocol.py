@@ -1,6 +1,7 @@
 """Pipeline checks against the closed-form branch references in
 bqtsim.oracles plus the contract examples: resource preparation, noisy
 distribution, Bell projection, correction, and the assembled run."""
+import dataclasses
 import itertools
 import math
 import re
@@ -23,6 +24,8 @@ from bqtsim.protocol import (
     _ADC_MONOMIALS,
     _BELL_KETS,
     RESOURCE,
+    BranchOutcome,
+    ProtocolResult,
     QubitInput,
     Scenario,
     apply_correction,
@@ -618,6 +621,52 @@ def test_postselected_weighting_diagnostic():
     assert 0.0 <= res.postselected_fidelity <= 1.0 + 1e-10
     assert 0.0 <= res.total_fidelity <= 1.0 + 1e-10
     assert abs(res.postselected_fidelity - res.total_fidelity) > 1e-6
+
+
+def test_result_records_keep_their_fields_and_own_their_arrays():
+    """The public result records keep their field names, in order, and
+    stay mutable dataclasses that `dataclasses.replace` copies. No branch
+    array of one run_protocol result shares memory with another result's,
+    so writing into one result's corrected states leaves a fresh call's
+    result as it was."""
+    assert [f.name for f in dataclasses.fields(BranchOutcome)] == [
+        "alice_index",
+        "bob_index",
+        "joint_prob",
+        "recovered",
+        "corrected",
+        "success_weight",
+        "branch_fidelity",
+        "degenerate",
+    ]
+    assert [f.name for f in dataclasses.fields(ProtocolResult)] == [
+        "scenario",
+        "p",
+        "q_w",
+        "eam_success",
+        "branches",
+        "total_success",
+        "total_fidelity",
+        "postselected_fidelity",
+    ]
+    args = (Scenario.ALL_ADC, 0.37, 0.2, QubitInput(0.3, 1.1), QubitInput(0.6, 2.0))
+    first, second = run_protocol(*args), run_protocol(*args)
+    for record, field, value in ((first, "total_success", 0.5), (first.branches[0], "joint_prob", 0.25)):
+        copy = dataclasses.replace(record, **{field: value})
+        assert type(copy) is type(record) and getattr(copy, field) == value
+        assert all(
+            getattr(copy, f.name) is getattr(record, f.name) for f in dataclasses.fields(record) if f.name != field
+        )
+        setattr(record, field, value)
+        assert getattr(record, field) == value
+    arrays = [[a for b in res.branches for a in (b.recovered, b.corrected) if a is not None] for res in (first, second)]
+    assert len(arrays[0]) == len(arrays[1]) == 32
+    assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
+    want = [a.tobytes() for a in arrays[1]]
+    for branch in first.branches:
+        branch.corrected[...] = 7.0
+    third = run_protocol(*args)
+    assert [a.tobytes() for b in third.branches for a in (b.recovered, b.corrected)] == want
 
 
 def test_qubit_input_validation():

@@ -7,6 +7,7 @@ back its product without copying it."""
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -87,14 +88,25 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def minor_faults(child: str, *args: str) -> int:
     """The minor faults a child script prints, run in a fresh interpreter
-    with one BLAS thread."""
+    with one BLAS thread and a fixed, minimal environment, whatever the
+    caller's. Which pages a call faults in depends on what the process
+    allocated and freed before it: one launcher's larger environment took
+    check 3's count from 0 to about 200 per call, and so did loading the
+    package from cached bytecode instead of compiling it. So the child
+    reads and writes bytecode under an empty cache directory of its own,
+    and compiles every module it imports."""
     pytest.importorskip("resource")
-    env = dict(os.environ, PYTHONPATH=str(Path(bqtsim.__file__).parent.parent))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=120
-    )
+    with tempfile.TemporaryDirectory() as cache:
+        env = {
+            "PATH": os.environ.get("PATH", ""),
+            "PYTHONPATH": str(Path(bqtsim.__file__).parent.parent),
+            "PYTHONPYCACHEPREFIX": cache,
+        }
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=120
+        )
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
 

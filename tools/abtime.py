@@ -28,6 +28,10 @@ the parent's, and how many blocks the change won. The targets:
   average4096    metrics._average_fidelities of one all-adc state, 4096
                  nodes, two q_w
   run_protocol   one call at an interior point
+  point-mc       200 run_protocol calls in the benchmark's point-mc mix, from
+                 a fixed seed: 50 per scenario, p = 0 and p = 1 once each
+                 (q_w = p when protected), q_w with a few exact 0, p and 1,
+                 populations with a few exact 0 and 1, random phases
   distribute     protocol.distribute, all-adc p = 0.4
   distribute-stack  protocol.distribute, all-adc, the 51 p of checks 4 and 8
                  (`cli._EDGE_PS`) in one call; left out on a tree whose
@@ -85,7 +89,7 @@ CHECKS = {
     "check8": ("_check_entropy", ()),
 }
 NAMES = ("verify", *CHECKS, "sweep", "average64", "average-extra", "average-stack", "average4096", "run_protocol",
-         "distribute", "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64",
+         "point-mc", "distribute", "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64",
          "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
@@ -136,6 +140,38 @@ def tried(fn):
     return fn
 
 
+def point_mix(protocol) -> list:
+    """Arguments of 200 run_protocol calls in the benchmark's point-mc mix,
+    the same for every tree (seed 2028): the scenarios in turn, each one's
+    first two calls at p = 0 and p = 1 (q_w = p when protected, else 0),
+    the rest at a uniform p with q_w exactly 0, p or 1 in about 3 % of
+    calls each; each population exactly 0 or 1 in about 3 % of draws each,
+    and uniform phases in [0, 2 pi)."""
+    rng = np.random.default_rng(2028)
+    scenarios = tuple(protocol.Scenario)
+
+    def unit(edges: tuple) -> float:
+        u = rng.random()
+        for k, edge in enumerate(edges):
+            if u < 0.03 * (k + 1):
+                return edge
+        return float(rng.random())
+
+    calls = []
+    for k in range(200):
+        scenario = scenarios[k % len(scenarios)]
+        if k < 2 * len(scenarios):
+            p = float(k // len(scenarios))
+            q_w = p
+        else:
+            p = float(rng.random())
+            q_w = unit((0.0, p, 1.0))
+        q_w = q_w if scenario.protected else 0.0
+        alice, bob = (protocol.QubitInput(unit((0.0, 1.0)), float(rng.uniform(0.0, 2.0 * np.pi))) for _ in range(2))
+        calls.append((scenario, p, q_w, alice, bob))
+    return calls
+
+
 def targets(pkg) -> dict:
     """Each target's call on `pkg`; None for one whose entry point it lacks."""
     cli, metrics, protocol = pkg.cli, pkg.metrics, pkg.protocol
@@ -156,6 +192,8 @@ def targets(pkg) -> dict:
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
     found["average4096"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(4096))
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
+    mix = point_mix(protocol)
+    found["point-mc"] = lambda: [protocol.run_protocol(*args) for args in mix]
     found["distribute"] = lambda: protocol.distribute(scenario, 0.4)
     found["distribute-stack"] = tried(lambda: protocol.distribute(scenario, EDGE_PS))
     found["entropy"] = lambda: metrics.entanglement_entropy_bob(dist)
