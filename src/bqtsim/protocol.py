@@ -40,15 +40,20 @@ built. `_input_densities` is the one place an input (pop0, phase) becomes
 a 2x2 state.
 
 One orchestration, `_fold_and_correct`, checks every q_w, folds both
-parties' inputs through the distributed state once (`_fold`), builds each
-party's parts that no q_w changes once (`_party_forms`), and corrects at
-each q_w (`_correct_branches`). A party's outcome state X is Hermitian, so
+parties' inputs through the distributed state once (`_fold`), takes each
+party's factors at every q_w (`_party_factors`), and corrects at each
+q_w (`_correct_branches`). A party's outcome state X is Hermitian, so
 the fold writes it as two complex numbers, A = X00 + i X11 and B = X10,
 each complex-linear in the input: one complex product with half the
 output a 2x2 stack would take, read as the reals (X00, X11, Re X10,
-Im X10). The parts that no q_w changes are each outcome's trace and the
-reference R' = U_k^dag rho U_k its state meets, packed the same way.
-`_run_rows` returns arrays the caller
+Im X10). The reference R' = U_k^dag rho U_k each outcome's state
+meets is packed the same way (`_references`), and each outcome's trace
+is taken after the factors. The fold is a call's largest array, and a
+totals-only call writes its references into the fold's own array and
+frees both before its totals: with fewer arrays beside it, glibc's trim
+threshold, twice the largest block a process has freed, stays above the
+call's peak, so a stacked call does not return its temporaries to the
+OS and fault them in again on every call. `_run_rows` returns arrays the caller
 owns, fresh on every call and shared with no other result: every branch
 value the outer product of the two parties' and the (N, 16, 4, 4)
 recovered and corrected states each a kron of two per-party 2x2 states
@@ -56,9 +61,9 @@ recovered and corrected states each a kron of two per-party 2x2 states
 records are views of them); `_row_totals` returns only the per-row
 totals and forms no branch. At one row a call is some hundred numpy
 calls on arrays of a few entries, so their fixed cost, not the
-arithmetic, is what a call takes: the kernel's scalar operands are 0-d
-arrays, arrays are indexed rather than unpacked, and no step forms a
-value twice.
+arithmetic, is what a call takes: the scalar operands of the steps a
+one-row call takes are 0-d arrays, arrays are indexed rather than
+unpacked, and no step forms a value twice.
 
 A q_w is one float or one value per input row, and the distributed state
 is one (2, 4, 4) pair stack or a (G, 2, 4, 4) stack, one state per equal
@@ -66,11 +71,12 @@ contiguous group of rows, so the rows of a verify check's grid at every p
 share one call; each group is folded with the matrix product one state
 alone would get. m_w is diagonal and each correction Pauli U_k, a
 constant, is a signed permutation, so m_w scales a party's entry (a, b)
-by D_a D_b and U_k moves and signs it. Hence a party's success
-weight is D0^2 X00 + D1^2 X11, and its fidelity numerator the same terms
-times the reference, D0^2 X00 R'00 + D1^2 X11 R'11, plus D0 D1 times
-the cross form 2 Re(X10 R'01): per q_w, written-out sums, elementwise,
-with no complex 4x4 product, both in one place (`_party_factors`). One
+by D_a D_b and U_k moves and signs it. D1 is 1 for every weak
+operator (`_weak_pairs`), so a party's success weight is D0^2 X00 +
+X11, and its fidelity numerator the same terms times the reference,
+D0^2 X00 R'00 + X11 R'11, plus D0 times the cross form 2 Re(X10 R'01):
+per q_w, written-out sums, elementwise, with no complex 4x4 product,
+both in one place (`_party_factors`). One
 predicate, `_annihilated`, says when a party's outcome is annihilated,
 from that party's own factors. Every
 total is a product of two party sums over the live outcomes
@@ -88,8 +94,9 @@ is annihilated, and the live branches are the ones the totals sum.
 
 The input average's kernel, `_node_integrands`, sits beside the
 orchestration: it checks every q_w, folds the node states that every
-state shares and any extra input rows once, contracts every q_w at once
-into each party's factors, and gives each party's integrand at each node
+state shares and any extra input rows once, takes their references once
+for every state, contracts every q_w at once into each party's factors,
+frees the fold, and gives each party's integrand at each node
 (`_party_integrand`, which applies the same predicate to each party's
 own factors) and the extra rows' totals (`_party_totals`, as
 `_row_totals` forms them). `metrics` keeps only the quadrature: the node
@@ -131,9 +138,9 @@ __all__ = [
 ]
 
 
-# The scalars of the kernel's elementwise steps as 0-d arrays: a Python
-# scalar operand is converted on every ufunc call, which at one row costs
-# about half the call.
+# The scalars of the elementwise steps a one-row call takes, as 0-d
+# arrays: a Python scalar operand is converted on every ufunc call, which
+# at one row costs about half the call.
 _ONE, _ONE_J, _TOL, _INF, _NAN, _ZERO = (np.array(value) for value in (1.0, 1j, DEGENERATE_TOL, np.inf, np.nan, 0.0))
 
 
@@ -595,7 +602,10 @@ def _weak_pairs(q_w, scenario: Scenario, n: int) -> np.ndarray:
     """The weak pair D_a D_b of the scenario's retained weak operator m_w =
     diag(D0, D1) = diag(top, 1) (`channels._weak_top`), flattened as
     (D0^2, D0 D1, D1 D0, D1^2) = (top^2, top, top, 1), for n input rows:
-    (1, 4) for a float q_w, (n, 4) for a sequence of one per row.
+    (1, 4) for a float q_w, (n, 4) for a sequence of one per row. D1 is
+    exactly 1 for every q_w and scenario, and the kernel relies on it:
+    `_party_factors` gives X11 no factor, and `_correct_branches` scales
+    the unturned half of its states by the last entry, 1.0.
 
     A value outside [0, 1] raises `channels._check_unit`'s ValueError for
     the least such value, NaN counting as the largest. A nonzero value in
@@ -628,7 +638,7 @@ def _groups(dist: np.ndarray) -> int:
     return len(dist) if dist.ndim == 4 else 1
 
 
-def _fold(dist: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _fold(dist: np.ndarray, rho: np.ndarray, references: bool = False):
     """Each party's recovered 2x2 states of every outcome, XA_i on qubit 2
     and XB_j on qubit 3 (`_fold_maps`), Alice's first, as the real view of
     two complex numbers per outcome, A = X00 + i X11 and B = X10
@@ -647,30 +657,36 @@ def _fold(dist: np.ndarray, rho: np.ndarray) -> np.ndarray:
     would get, so a row's bits do not depend on the other groups. The
     product is written in C order, so its real view and the final reshape
     are views, not copies.
+
+    With `references`, for inputs that are each group's own (groups is G),
+    it also takes each row's packed references (`_references`) and writes
+    both products into one array: returns (states, references), two
+    (2, N, 4, 4) views of it, with the bits of the two products apart. A
+    totals-only call's largest array then holds both and is freed before
+    its totals, which keeps glibc's trim threshold, twice the largest
+    block freed, above the call's peak, so a call of many rows does not
+    hand its temporaries back to the OS and fault them in again every
+    time.
     """
-    maps = np.dot(dist.reshape(-1, 32), _FOLD_TABLE).reshape(-1, 2, 4, 8)
-    folded = np.matmul(rho.reshape(rho.shape[:3] + (4,)), maps.transpose(1, 0, 2, 3), order="C")
-    return folded.view(float).reshape(2, -1, 4, 4)
+    maps = np.dot(dist.reshape(-1, 32), _FOLD_TABLE).reshape(-1, 2, 4, 8).transpose(1, 0, 2, 3)
+    inputs = rho.reshape(rho.shape[:3] + (4,))
+    if not references:
+        return np.matmul(inputs, maps, order="C").view(float).reshape(2, -1, 4, 4)
+    both = np.empty((2,) + inputs.shape[:3] + (8,), dtype=complex)
+    np.matmul(inputs, maps, out=both[0])
+    np.matmul(inputs.reshape(2, -1, 4), _REFERENCE_TABLE, out=both[1].reshape(2, -1, 8))
+    both = both.view(float).reshape(2, 2, -1, 4, 4)
+    return both[0], both[1]
 
 
-def _party_forms(packed: np.ndarray, rho: np.ndarray) -> tuple:
-    """The parts of every branch's correction that do not depend on q_w,
-    from each party's packed recovered states X (`_fold`) and its inputs
-    rho, which the fidelity reads through the reference R' = U_k^dag rho U_k
-    of each outcome: F[a, b] = Re(X[a, b] R'[b, a]).
-
-    Returns each party's traces tr X, (2, N, 4); its packed states as
-    given; and the packed references (R'00, R'11, 2 Re R'01, 2 Im R'01)
-    of each outcome (`_REFERENCE_TABLE`), (parties, rows, 4, 4). rho holds
-    the inputs as `_fold` takes them; the references keep its party axis
-    and its rows, which every group shares when rho holds one. No product
-    of the states with the references is formed here: `_party_factors`
-    takes the references term by term.
-    """
-    traces = packed[..., 0] + packed[..., 1]
-    # One product per party over all its rows, exact: each entry of the
-    # reference is one input entry, signed or doubled.
-    return traces, packed, (rho.reshape(len(rho), -1, 4) @ _REFERENCE_TABLE).view(float).reshape(len(rho), -1, 4, 4)
+def _references(rho: np.ndarray) -> np.ndarray:
+    """The packed references (R'00, R'11, 2 Re R'01, 2 Im R'01) of each
+    outcome, R' = U_k^dag rho U_k, that the fidelity reads each party's
+    outcome state against, F[a, b] = Re(X[a, b] R'[b, a]): (parties, rows,
+    4, 4) for inputs rho as `_fold` takes them, which keep their party axis
+    and their rows. One product per party over all its rows, exact: each
+    entry of a reference is one input entry, signed or doubled."""
+    return (rho.reshape(len(rho), -1, 4) @ _REFERENCE_TABLE).view(float).reshape(len(rho), -1, 4, 4)
 
 
 def _outer(values: np.ndarray) -> np.ndarray:
@@ -680,26 +696,29 @@ def _outer(values: np.ndarray) -> np.ndarray:
 
 
 def _party_factors(packed: np.ndarray, reference: np.ndarray, pair: np.ndarray) -> tuple:
-    """Each party's success weight D0^2 X00 + D1^2 X11 and fidelity
-    numerator D0^2 F00 + D0 D1 (F01 + F10) + D1^2 F11 at each outcome, from
-    its q_w-free parts (`_party_forms`) and the weak pair D_a D_b, flattened
-    on the last axis of `pair`, whose other axes broadcast against the axes
-    before the outcome axis. F00 = X00 R'00 and F11 = X11 R'11 are taken as
-    (D0^2 X00) R'00 and (D1^2 X11) R'11, from the weight's own terms, and
-    X01 is conj(X10) and R'10 conj(R'01), so F01 + F10 = 2 Re(X10 R'01) =
-    Re X10 (2 Re R'01) - Im X10 (2 Im R'01). The sums are written out,
-    elementwise, so a row's factors do not depend on the rows beside it."""
-    d00, d01, d11 = pair[..., None, 0], pair[..., None, 1], pair[..., None, 3]
-    # Each term is added in place, and the weight's second term is reused
-    # for the numerator's, so few arrays of the weight's size are alive at
-    # once: on the input average's stacks they are the call's largest.
+    """Each party's success weight D0^2 X00 + X11 and fidelity numerator
+    D0^2 F00 + D0 D1 (F01 + F10) + F11 at each outcome, from its packed
+    states (`_fold`), its packed references (`_references`) and the weak
+    pair D_a D_b, flattened on the last axis of `pair`, whose other axes
+    broadcast against the axes before the outcome axis. D1 = 1 for every
+    weak operator (`_weak_pairs`), so X11 and F11 take no factor. F00 =
+    X00 R'00 is taken as (D0^2 X00) R'00, from the weight's own term, and
+    F11 = X11 R'11; X01 is conj(X10) and R'10 conj(R'01), so F01 + F10 =
+    2 Re(X10 R'01) = Re X10 (2 Re R'01) - Im X10 (2 Im R'01). The sums are
+    written out, elementwise, so a row's factors do not depend on the rows
+    beside it."""
+    d00, d01 = pair[..., None, 0], pair[..., None, 1]
+    # The cross term first, then each term in place, so no more than three
+    # arrays of the weight's size are alive at once: on verify's stacks
+    # they sit beside the fold, the call's largest. Adding the cross term
+    # first leaves every sum's bits as in (D0^2 F00 + cross) + F11.
+    numerator = packed[..., 2] * reference[..., 2]
+    numerator -= packed[..., 3] * reference[..., 3]
+    numerator = numerator * d01
     weight = packed[..., 0] * d00
-    numerator = weight * reference[..., 0]
-    numerator += (packed[..., 2] * reference[..., 2] - packed[..., 3] * reference[..., 3]) * d01
-    last = packed[..., 1] * d11
-    weight += last
-    last *= reference[..., 1]
-    numerator += last
+    numerator += weight * reference[..., 0]
+    weight += packed[..., 1]
+    numerator += packed[..., 1] * reference[..., 1]
     return weight, numerator
 
 
@@ -721,11 +740,11 @@ def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.nda
     """
     dead = _annihilated(traces, weights)
     # Dividing by infinity zeroes a dead outcome's term.
-    terms = traces * numerators / np.where(dead, _INF, weights)
+    terms = traces * numerators / np.where(dead, np.inf, weights)
     # The outcomes add in order, a slice at a time, which is faster than a
     # reduction over a short axis.
     gone = dead[..., 0] & dead[..., 1] & dead[..., 2] & dead[..., 3]
-    return np.where(gone, _NAN, terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
+    return np.where(gone, np.nan, terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
 
 
 def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> tuple:
@@ -773,12 +792,13 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     return (success, products[2], products[1] / np.where(success > _TOL, success, _NAN)), terms, guarded
 
 
-def _correct_branches(forms: tuple, pair: np.ndarray, owned: bool = False) -> tuple:
-    """Every row's totals at one q_w (`_party_totals`), from its q_w-free
-    `_party_forms`, and, when `owned`, every branch as a `_Branches` the
-    caller owns, with the recovered and normalized corrected (N, 16, 4, 4)
-    states built from the packed states; None otherwise, which builds no
-    branch.
+def _correct_branches(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray, pair, packed=None) -> tuple:
+    """Every row's totals at one q_w (`_party_totals`), from each party's
+    traces and its success weights and fidelity numerators at that q_w
+    (`_party_factors`), and, given the `packed` states (`_fold`), every
+    branch as a `_Branches` the caller owns, with the recovered and
+    normalized corrected (N, 16, 4, 4) states built from them; None
+    without, which builds no branch.
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
@@ -787,33 +807,31 @@ def _correct_branches(forms: tuple, pair: np.ndarray, owned: bool = False) -> tu
     `_weak_pairs` gives it, (1, 4) for every row or (N, 4) one per row.
     m_w scales a party's entry (a, b) by D_a D_b and the Pauli moves and
     signs it without changing its trace, so a party's success weight is
-    sum_a D_a^2 X[a, a] and its fidelity numerator sum_ab D_a D_b F[a, b]
-    (`_party_factors`); a branch's joint probability, weight and fidelity
-    numerator are the products of its parties' values in the totals'
-    stack, and its fidelity tr(ref . C) the numerator over the weight.
-    Each is a contraction over one row's own entries, so a row's value
-    does not depend on N.
+    sum_a D_a^2 X[a, a] and its fidelity numerator sum_ab D_a D_b F[a, b];
+    a branch's joint probability, weight and fidelity numerator are the
+    products of its parties' values in the totals' stack, and its fidelity
+    tr(ref . C) the numerator over the weight. Each is a contraction over
+    one row's own entries, so a row's value does not depend on N.
 
     A branch is degenerate when either party's outcome is annihilated, so
     the live branches are the ones the totals sum. Its weight is then 0
     and its guarded weight infinite, and dividing by that zeroes its
     fidelity and corrected state.
     """
-    weights, numerators = _party_factors(*forms[1:], pair)
-    totals, terms, guarded = _party_totals(forms[0], weights, numerators)
-    if not owned:
+    totals, terms, guarded = _party_totals(traces, weights, numerators)
+    if packed is None:
         return totals, None
     # Each branch's joint probability, weight, fidelity numerator and
     # guarded weight, the products of its parties'.
-    branch = _outer(np.array((forms[0], terms[0], terms[1], guarded)).swapaxes(0, 1))
+    branch = _outer(np.array((traces, terms[0], terms[1], guarded)).swapaxes(0, 1))
     norm = branch[3]
     # Each party's outcome states and, after them, the same scaled by the
     # weak pair and turned by its Pauli: one gather of the packed reals and
-    # one multiply by their signs times the weak pair of each (1.0, its
-    # last entry, for the unturned half). One more gather per party and one
-    # product kron the two parties' complex states of both halves.
+    # one multiply by their signs times the weak pair of each (D1^2 = 1.0,
+    # its last entry, for the unturned half). One more gather per party and
+    # one product kron the two parties' complex states of both halves.
     scale = pair.take(_STATE_SCALE, axis=1) * _STATE_SIGN
-    states = (forms[1].reshape(2, -1, 16).take(_STATE_GATHER, axis=2) * scale).view(complex)
+    states = (packed.reshape(2, -1, 16).take(_STATE_GATHER, axis=2) * scale).view(complex)
     kron = states[0].take(_KRON_SOURCES[0], axis=1) * states[1].take(_KRON_SOURCES[1], axis=1)
     halves = kron.reshape(-1, 2, 16, 4, 4).swapaxes(0, 1)
     # A complex state over a real weight is its real and imaginary parts
@@ -826,8 +844,8 @@ def _correct_branches(forms: tuple, pair: np.ndarray, owned: bool = False) -> tu
 def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool) -> list:
     """Every branch of an (N, 4) array of input rows [pop_a, phase_a,
     pop_b, phase_b] over one distributed pair stack of `scenario` or a
-    stack of them (`_fold`'s groups), folded once and corrected at each
-    entry of `q_ws` (a float, or one value per row): one
+    stack of them (`_fold`'s groups), folded once with its references and
+    corrected at each entry of `q_ws` (a float, or one value per row): one
     `_correct_branches` pair (totals, branches) per entry, made once every
     entry is checked. With `owned` the branches are a `_Branches` whose
     arrays the caller owns; without, they are None and no branch is
@@ -841,10 +859,19 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     # Party-major, so each party's inputs are contiguous, in groups.
     columns = rows.T
     rho = _input_densities(columns[0::2], columns[1::2]).reshape(2, groups, n // groups, 2, 2)
-    forms = _party_forms(_fold(dist, rho), rho)
-    # The inputs are folded: free them before the totals.
+    # Only the owned states read the fold after the factors: a totals-only
+    # call frees it, its largest array, before its totals, so its
+    # references go into the fold's own array and leave with it. An owned
+    # call keeps the fold, and takes its references as their own product,
+    # which at one row costs fewer numpy calls.
+    packed, reference = (_fold(dist, rho), _references(rho)) if owned else _fold(dist, rho, references=True)
+    # The inputs are folded: free them before the factors.
     del rho
-    return [_correct_branches(forms, pair, owned) for pair in pairs]
+    factors = [_party_factors(packed, reference, pair) for pair in pairs]
+    # The traces are taken after the factors, as the input average takes them.
+    traces = packed[..., 0] + packed[..., 1]
+    packed, reference = packed if owned else None, None
+    return [_correct_branches(traces, *part, pair, packed) for part, pair in zip(factors, pairs)]
 
 
 def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, extra) -> tuple:
@@ -875,15 +902,17 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
         extra = np.asarray(extra, dtype=float)
         rows = _input_densities(extra[:, 0::2].T, extra[:, 1::2].T)[:, None]
         rho = np.concatenate((rho.repeat(2, axis=0), rows), axis=2)
-    # The q_w-free parts, (party, state, row, outcome[, entry]); the nodes
-    # are the first k rows of each state.
-    trace, packed, reference = _party_forms(_fold(dist, rho), rho)
-    trace, packed = (part.reshape(2, groups, -1, *part.shape[2:]) for part in (trace, packed))
+    # The packed states, (party, state, row, outcome, entry); the nodes are
+    # the first k rows of each state.
+    packed = _fold(dist, rho).reshape(2, groups, -1, 4, 4)
     # Every state shares the rows' references; each q_w's weak pair against
     # (q_w, party, state, row).
-    weight, numerator = _party_factors(packed, reference[:, None], pairs.reshape(len(pairs), 1, groups, 1, 4))
-    # The fold is the call's largest array: free it before the integrands.
-    del packed, reference
+    weight, numerator = _party_factors(packed, _references(rho)[:, None], pairs.reshape(len(pairs), 1, groups, 1, 4))
+    # The fold is the call's largest array. The traces are taken after the
+    # factors, so one array fewer of their size is alive beside it, and it
+    # is freed before the integrands.
+    trace = packed[..., 0] + packed[..., 1]
+    del packed
     integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], numerator[..., :k, :])
     if extra is None:
         return integrand, None

@@ -20,9 +20,10 @@ from bqtsim.protocol import (
     Scenario,
     _correct_branches,
     _input_densities,
-    _party_forms,
+    _party_factors,
     _party_integrand,
     _party_totals,
+    _references,
     _row_totals,
     _run_rows,
     _weak_pairs,
@@ -323,15 +324,16 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
     """A totals-only call folds its rows and builds their q_w-free forms
     once, however many q_w it corrects at and however many states it
     folds: one state with 100 rows, a stack of three states, and the
-    input average."""
-    stages = dict.fromkeys(("_fold", "_party_forms"), 0)
+    input average. The rows' references go into the fold's own array; the
+    input average takes its shared nodes' references once."""
+    stages = dict.fromkeys(("_fold", "_references"), 0)
 
     def counted(name):
         stage = getattr(protocol, name)
 
-        def count(*args):
+        def count(*args, **kwargs):
             stages[name] += 1
-            return stage(*args)
+            return stage(*args, **kwargs)
 
         return count
 
@@ -347,10 +349,10 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
         lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))),
         lambda: _average_fidelities(dists[1], scenario, qs),
     )
-    for call in calls:
+    for call, references in zip(calls, (0, 0, 1)):
         stages.update(dict.fromkeys(stages, 0))
         call()
-        assert stages == {"_fold": 1, "_party_forms": 1}
+        assert stages == {"_fold": 1, "_references": references}
 
 
 BRANCH_FIELDS = ("recovered", "joint", "weight", "corrected", "fidelity", "degenerate")
@@ -525,23 +527,27 @@ def test_input_densities_broadcast_row_by_row():
 @pytest.mark.parametrize("scenario", tuple(Scenario))
 def test_packed_fold_matches_explicit_contraction(scenario):
     """The fold's packed (X00, X11, Re X10, Im X10) of each party's outcome
-    states and their traces, against the explicit contraction in
-    `_fold_maps`' docstring, and each party's weight and fidelity numerator
-    at a random weak pair D_a D_b of each row, against sum_a D_a^2 X[a, a]
-    and sum_ab D_a D_b Re(X[a, b] R'[b, a]) with R' = U_k^dag rho U_k, all
-    within 1e-15: random inputs, seven rows over each of six distributed
-    states. The explicit states are Hermitian, so X01 is conj(X10), as the
-    packing assumes."""
+    states, against the explicit contraction in `_fold_maps`' docstring,
+    and each party's weight and fidelity numerator at a random weak pair
+    D_a D_b of each row with D1 = 1, as every weak operator has it, against
+    sum_a D_a^2 X[a, a] and sum_ab D_a D_b Re(X[a, b] R'[b, a]) with R' =
+    U_k^dag rho U_k, all within 1e-15: random inputs, seven rows over each
+    of six distributed states. The explicit states are Hermitian, so X01
+    is conj(X10), as the packing assumes. The fold that takes the
+    references along gives the same states, bit for bit, and the same
+    references as their own product."""
     rng = np.random.default_rng(271)
     ps = [0.0, 1.0, *rng.random(4).tolist()]
     dists, m = distribute(scenario, ps)[0], 7
     n = len(ps) * m
     rho = _input_densities(rng.random((2, n)), rng.random((2, n)) * 2.0 * math.pi)
     grouped = rho.reshape(2, len(ps), m, 2, 2)
-    diagonals = rng.random((n, 2))
-    traces, packed, reference = _party_forms(protocol._fold(dists, grouped), grouped)
+    diagonals = np.stack((rng.random(n), np.ones(n)), axis=1)
+    packed, reference = protocol._fold(dists, grouped, references=True)
+    np.testing.assert_array_equal(packed, protocol._fold(dists, grouped))
+    np.testing.assert_array_equal(reference, _references(grouped))
     pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(n, 4)
-    weights, numerators = protocol._party_factors(packed, reference, pair)
+    weights, numerators = _party_factors(packed, reference, pair)
     bells = protocol._BELL_KETS.reshape(4, 2, 2)
     # Each row's pair stack, and its pairs with both qubits' indices split.
     pairs = np.repeat(dists, m, axis=0).reshape(n, 2, 2, 2, 2, 2)
@@ -554,7 +560,6 @@ def test_packed_fold_matches_explicit_contraction(scenario):
         assert np.abs(x - x.conj().swapaxes(-1, -2)).max() <= 1e-15
         want = np.stack((x[..., 0, 0].real, x[..., 1, 1].real, x[..., 1, 0].real, x[..., 1, 0].imag), axis=-1)
         assert np.abs(packed[party] - want).max() <= 1e-15
-        assert np.abs(traces[party] - (want[..., 0] + want[..., 1])).max() <= 1e-15
         ref = np.einsum("kba,rbc,kcd->rkad", unitaries.conj(), rho[party], unitaries)
         scale = diagonals[:, None, :, None] * diagonals[:, None, None, :]
         weight = np.einsum("rkaa->rk", scale * x).real
@@ -583,9 +588,10 @@ def test_degenerate_thresholds_are_exact():
     for n, (first, last) in enumerate(entries):
         parties[n // 4, n, :, :2] = first, last
     inputs = _input_densities(np.full((2, 8), 0.5))
-    forms = _party_forms(parties, inputs)
+    traces = parties[..., 0] + parties[..., 1]
     pairs = _weak_pairs([0.0, 0.0, 1.0, 1.0] * 2, Scenario.ALL_ADC, 8)
-    (success, fidelity, _), branches = _correct_branches(forms, pairs, True)
+    factors = _party_factors(parties, _references(inputs), pairs)
+    (success, fidelity, _), branches = _correct_branches(traces, *factors, pairs, parties)
     weights = (0.0, above, DEGENERATE_TOL, 0.0) * 2
     assert branches.joint.tolist() == [[x + y] * 16 for x, y in entries]
     assert branches.degenerate.tolist() == [[flag] * 16 for flag in (True, False, False, True) * 2]
@@ -594,7 +600,7 @@ def test_degenerate_thresholds_are_exact():
     assert success.tolist() == [(w + w + w + w) * 4.0 for w in weights]
     assert np.isnan(fidelity).tolist() == [True, False, False, True] * 2
     # The totals-only call forms no branch.
-    assert _correct_branches(forms, pairs)[1] is None
+    assert _correct_branches(traces, *factors, pairs)[1] is None
 
 
 def test_postselected_fidelity_needs_success_above_tolerance():
