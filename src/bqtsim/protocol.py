@@ -39,31 +39,33 @@ neither the 6-qubit state nor, for the totals, any 4x4 branch state is
 built. `_input_densities` is the one place an input (pop0, phase) becomes
 a 2x2 state.
 
-One orchestration, `_fold_and_correct`, checks every q_w, folds both
-parties' inputs through the distributed state once (`_fold`), takes each
-party's factors at every q_w (`_party_factors`), and corrects at each
-q_w (`_correct_branches`). A party's outcome state X is Hermitian, so
-the fold writes it as two complex numbers, A = X00 + i X11 and B = X10,
-each complex-linear in the input: one complex product with half the
-output a 2x2 stack would take, read as the reals (X00, X11, Re X10,
-Im X10). The reference R' = U_k^dag rho U_k each outcome's state
-meets is packed the same way (`_references`), and each outcome's trace
-is taken after the factors. The fold is a call's largest array, and a
-totals-only call writes its references into the fold's own array and
-frees both before its totals: with fewer arrays beside it, glibc's trim
-threshold, twice the largest block a process has freed, stays above the
-call's peak, so a stacked call does not return its temporaries to the
-OS and fault them in again on every call. `_run_rows` returns arrays the caller
-owns, fresh on every call and shared with no other result: every branch
-value the outer product of the two parties' and the (N, 16, 4, 4)
-recovered and corrected states each a kron of two per-party 2x2 states
-(`run_protocol` sends its one row through it, and its `BranchOutcome`
-records are views of them); `_row_totals` returns only the per-row
-totals and forms no branch. At one row a call is some hundred numpy
-calls on arrays of a few entries, so their fixed cost, not the
-arithmetic, is what a call takes: the scalar operands of the steps a
-one-row call takes are 0-d arrays, arrays are indexed rather than
-unpacked, and no step forms a value twice.
+One orchestration, `_fold_and_correct`, checks every q_w, makes its
+input rows party-major input states (`_row_inputs`), folds both parties'
+inputs through the distributed state once (`_fold`) and takes each
+party's factors at every q_w (`_party_factors`). A party's outcome state
+X is Hermitian, so the fold writes it as two complex numbers, A = X00 +
+i X11 and B = X10, each complex-linear in the input: one complex product
+with half the output a 2x2 stack would take, read as the reals (X00,
+X11, Re X10, Im X10). The reference R' = U_k^dag rho U_k each outcome's
+state meets is packed the same way (`_references`), and each outcome's
+trace is taken after the factors. An owned call then corrects at each
+q_w (`_correct_branches`). A totals-only call writes its references into
+the fold's own array, frees both, the call's largest array, and takes
+each q_w's totals from the party sums alone (`_party_totals`):
+with fewer arrays beside it, glibc's trim threshold, twice the largest
+block a process has freed, stays above the call's peak, so a stacked
+call does not return its temporaries to the OS and fault them in again
+on every call. `_run_rows` returns arrays the caller owns, fresh on
+every call and shared with no other result: every branch value the
+outer product of the two parties' and the (N, 16, 4, 4) recovered and
+corrected states each a kron of two per-party 2x2 states (`run_protocol`
+sends its one row through it, and its `BranchOutcome` records are views
+of them); `_row_totals` returns only the per-row totals and forms no
+branch. At one row a call is some hundred numpy calls on arrays of a few
+entries, so their fixed cost, not the arithmetic, is what a call takes:
+the scalar operands of the steps a one-row call takes are 0-d arrays,
+arrays are indexed rather than unpacked, and no step forms a value
+twice.
 
 A q_w is one float or one value per input row, and the distributed state
 is one (2, 4, 4) pair stack or a (G, 2, 4, 4) stack, one state per equal
@@ -94,8 +96,9 @@ is annihilated, and the live branches are the ones the totals sum.
 
 The input average's kernel, `_node_integrands`, sits beside the
 orchestration: it checks every q_w, folds the node states that every
-state shares and any extra input rows once, takes their references once
-for every state, contracts every q_w at once into each party's factors,
+state shares and any extra input rows (`_row_inputs`) once, takes their
+references once for every state (`_references`), contracts every q_w at
+once into each party's factors,
 frees the fold, and gives each party's integrand at each node
 (`_party_integrand`, which applies the same predicate to each party's
 own factors) and the extra rows' totals (`_party_totals`, as
@@ -666,7 +669,8 @@ def _fold(dist: np.ndarray, rho: np.ndarray, references: bool = False):
     its totals, which keeps glibc's trim threshold, twice the largest
     block freed, above the call's peak, so a call of many rows does not
     hand its temporaries back to the OS and fault them in again every
-    time.
+    time. An owned call keeps its fold and takes its references apart
+    (`_references`), which at one row costs fewer numpy calls.
     """
     maps = np.dot(dist.reshape(-1, 32), _FOLD_TABLE).reshape(-1, 2, 4, 8).transpose(1, 0, 2, 3)
     inputs = rho.reshape(rho.shape[:3] + (4,))
@@ -792,13 +796,12 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     return (success, products[2], products[1] / np.where(success > _TOL, success, _NAN)), terms, guarded
 
 
-def _correct_branches(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray, pair, packed=None) -> tuple:
+def _correct_branches(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray, pair, packed) -> tuple:
     """Every row's totals at one q_w (`_party_totals`), from each party's
     traces and its success weights and fidelity numerators at that q_w
-    (`_party_factors`), and, given the `packed` states (`_fold`), every
-    branch as a `_Branches` the caller owns, with the recovered and
-    normalized corrected (N, 16, 4, 4) states built from them; None
-    without, which builds no branch.
+    (`_party_factors`), and every branch as a `_Branches` the caller owns,
+    with the recovered and normalized corrected (N, 16, 4, 4) states built
+    from the `packed` states (`_fold`).
 
     Alice's outcome i fixes the Pauli on qubit 2 and Bob's outcome j the
     one on qubit 3 (each party hears the partner's result over the
@@ -819,8 +822,6 @@ def _correct_branches(traces: np.ndarray, weights: np.ndarray, numerators: np.nd
     fidelity and corrected state.
     """
     totals, terms, guarded = _party_totals(traces, weights, numerators)
-    if packed is None:
-        return totals, None
     # Each branch's joint probability, weight, fidelity numerator and
     # guarded weight, the products of its parties'.
     branch = _outer(np.array((traces, terms[0], terms[1], guarded)).swapaxes(0, 1))
@@ -841,24 +842,32 @@ def _correct_branches(traces: np.ndarray, weights: np.ndarray, numerators: np.nd
     return totals, _Branches(halves[0], branch[0], branch[1], corrected, branch[2] / norm, norm == _INF)
 
 
+def _row_inputs(rows, groups: int) -> np.ndarray:
+    """The inputs of an (N, 4) array of input rows [pop_a, phase_a, pop_b,
+    phase_b] as `_fold` takes them: the (2, groups, N / groups, 2, 2)
+    party-major stack, Alice's first, of `groups` equal contiguous groups
+    of rows, so each party's inputs are contiguous. Raises ValueError when
+    the rows do not split into that many groups."""
+    rows = np.asarray(rows, dtype=float)
+    n = len(rows)
+    if n % groups:
+        raise ValueError(f"{n} input rows do not split into {groups} equal groups")
+    columns = rows.T
+    return _input_densities(columns[0::2], columns[1::2]).reshape(2, groups, n // groups, 2, 2)
+
+
 def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: bool) -> list:
     """Every branch of an (N, 4) array of input rows [pop_a, phase_a,
     pop_b, phase_b] over one distributed pair stack of `scenario` or a
     stack of them (`_fold`'s groups), folded once with its references and
     corrected at each entry of `q_ws` (a float, or one value per row): one
-    `_correct_branches` pair (totals, branches) per entry, made once every
-    entry is checked. With `owned` the branches are a `_Branches` whose
-    arrays the caller owns; without, they are None and no branch is
-    formed.
+    pair (totals, branches) per entry, made once every entry is checked.
+    With `owned` the branches are a `_Branches` whose arrays the caller
+    owns (`_correct_branches`); without, they are None, no branch is
+    formed and the totals come from `_party_totals` alone.
     """
-    rows = np.asarray(rows, dtype=float)
-    n, groups = len(rows), _groups(dist)
-    if n % groups:
-        raise ValueError(f"{n} input rows do not split into {groups} equal groups")
-    pairs = [_weak_pairs(q_w, scenario, n) for q_w in q_ws]
-    # Party-major, so each party's inputs are contiguous, in groups.
-    columns = rows.T
-    rho = _input_densities(columns[0::2], columns[1::2]).reshape(2, groups, n // groups, 2, 2)
+    rho = _row_inputs(rows, _groups(dist))
+    pairs = [_weak_pairs(q_w, scenario, len(rows)) for q_w in q_ws]
     # Only the owned states read the fold after the factors: a totals-only
     # call frees it, its largest array, before its totals, so its
     # references go into the fold's own array and leave with it. An owned
@@ -870,8 +879,10 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     factors = [_party_factors(packed, reference, pair) for pair in pairs]
     # The traces are taken after the factors, as the input average takes them.
     traces = packed[..., 0] + packed[..., 1]
-    packed, reference = packed if owned else None, None
-    return [_correct_branches(traces, *part, pair, packed) for part, pair in zip(factors, pairs)]
+    if owned:
+        return [_correct_branches(traces, *part, pair, packed) for part, pair in zip(factors, pairs)]
+    del packed, reference
+    return [(_party_totals(traces, *part)[0], None) for part in factors]
 
 
 def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, extra) -> tuple:
@@ -899,9 +910,7 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     for row, q_w in zip(pairs, q_ws):
         row[...] = _weak_pairs(q_w, scenario, groups)
     if extra is not None:
-        extra = np.asarray(extra, dtype=float)
-        rows = _input_densities(extra[:, 0::2].T, extra[:, 1::2].T)[:, None]
-        rho = np.concatenate((rho.repeat(2, axis=0), rows), axis=2)
+        rho = np.concatenate((rho.repeat(2, axis=0), _row_inputs(extra, 1)), axis=2)
     # The packed states, (party, state, row, outcome, entry); the nodes are
     # the first k rows of each state.
     packed = _fold(dist, rho).reshape(2, groups, -1, 4, 4)

@@ -324,8 +324,10 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
     """A totals-only call folds its rows and builds their q_w-free forms
     once, however many q_w it corrects at and however many states it
     folds: one state with 100 rows, a stack of three states, and the
-    input average. The rows' references go into the fold's own array; the
-    input average takes its shared nodes' references once."""
+    input average. A totals-only rows call writes its rows' references
+    into the fold's own array; the input average takes its shared nodes'
+    references once, and an owned call, `_run_rows` or `run_protocol`,
+    takes its rows' apart, once, beside its one fold."""
     stages = dict.fromkeys(("_fold", "_references"), 0)
 
     def counted(name):
@@ -348,8 +350,10 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
         lambda: _row_totals(dists[0], scenario, qs, rng.random((100, 4))),
         lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))),
         lambda: _average_fidelities(dists[1], scenario, qs),
+        lambda: _run_rows(dists[0], scenario, qs[0], rng.random((100, 4))),
+        lambda: run_protocol(scenario, 0.3, 0.2, QubitInput(0.4, 1.0), QubitInput(0.7, 2.0)),
     )
-    for call, references in zip(calls, (0, 0, 1)):
+    for call, references in zip(calls, (0, 0, 1, 1, 1), strict=True):
         stages.update(dict.fromkeys(stages, 0))
         call()
         assert stages == {"_fold": 1, "_references": references}
@@ -591,7 +595,8 @@ def test_degenerate_thresholds_are_exact():
     traces = parties[..., 0] + parties[..., 1]
     pairs = _weak_pairs([0.0, 0.0, 1.0, 1.0] * 2, Scenario.ALL_ADC, 8)
     factors = _party_factors(parties, _references(inputs), pairs)
-    (success, fidelity, _), branches = _correct_branches(traces, *factors, pairs, parties)
+    totals, branches = _correct_branches(traces, *factors, pairs, parties)
+    success, fidelity, _ = totals
     weights = (0.0, above, DEGENERATE_TOL, 0.0) * 2
     assert branches.joint.tolist() == [[x + y] * 16 for x, y in entries]
     assert branches.degenerate.tolist() == [[flag] * 16 for flag in (True, False, False, True) * 2]
@@ -599,8 +604,10 @@ def test_degenerate_thresholds_are_exact():
     # Each party adds its four outcomes in order; the other party's sum is 4.
     assert success.tolist() == [(w + w + w + w) * 4.0 for w in weights]
     assert np.isnan(fidelity).tolist() == [True, False, False, True] * 2
-    # The totals-only call forms no branch.
-    assert _correct_branches(traces, *factors, pairs)[1] is None
+    # A totals-only call takes the same totals from the party sums alone,
+    # NaN where these are NaN.
+    for alone, total in zip(_party_totals(traces, *factors)[0], totals, strict=True):
+        np.testing.assert_array_equal(alone, total)
 
 
 def test_postselected_fidelity_needs_success_above_tolerance():

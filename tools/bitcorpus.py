@@ -16,14 +16,13 @@ least one bit. The families:
                  scenarios included, so range errors hash too
   _run_rows      every _Branches array and the rows' totals, 1-100 rows, one
                  float q_w and one q_w per row; the totals come from
-                 totals() on trees whose _Branches has it, else from
                  _row_totals on the same rows and q_w
-  average        _average_fidelities at 8-128 nodes, p = q_w = 1 included;
-                 on trees that take extra input rows, also the paths of the
-                 sweep's g_total and of verify checks 2, 3 and 7: a stack
-                 of states, one q_w per state, and extra rows, with one
-                 state, one q_w and one row among them; of the extra rows'
-                 totals, the success alone, which every such tree returns
+  average        _average_fidelities at 8-128 nodes, p = q_w = 1 included,
+                 and the paths of the sweep's g_total and of verify checks
+                 2, 3 and 7: a stack of states, one q_w per state, and
+                 extra input rows, with one state, one q_w and one row
+                 among them; all three of the extra rows' totals (success,
+                 fidelity and post-selected)
   entropy        entanglement_entropy_bob of one state at a time, 4
                  scenarios x 29 p
   verify         the _verify_checks tuples of grids 2, 3 and 10, each
@@ -44,7 +43,9 @@ rounding, per named field, the largest absolute and relative difference
 (over the larger magnitude of the two) and the case of each.
 
 Only entry points whose signatures have stayed put are called, so one copy
-of this script runs on older checkouts too. Needs numpy only, and takes a
+of this script runs on older checkouts too, back to commit 3c1e459, which
+took every total as a product of two party sums; older trees no longer
+run. Needs numpy only, and takes a
 few seconds (about 20 s with --against); it is not part of the test suite.
 """
 from __future__ import annotations
@@ -53,7 +54,6 @@ import argparse
 import ast
 import contextlib
 import hashlib
-import inspect
 import io
 import math
 import sys
@@ -128,12 +128,6 @@ def feed(h, item) -> None:
         h.update(f"{arr.dtype}{arr.shape}:".encode() + np.ascontiguousarray(arr).tobytes())
 
 
-def state(x):
-    """The array of a state: checkouts that wrap states in an object with
-    a `mat` array hash the same bytes as those that return the array."""
-    return getattr(x, "mat", x)
-
-
 def edge_rows(rng, n: int) -> np.ndarray:
     """n input rows [pop_a, phase_a, pop_b, phase_b], about a third of the
     populations at an edge value and of the phases at 0."""
@@ -167,7 +161,7 @@ def family_distribute(out, bq) -> int:
     for scenario in bq.Scenario:
         for p in P_GRID:
             got = attempt(bq.distribute, scenario, p)
-            item = (scenario.value, p, got if isinstance(got, BaseException) else (state(got[0]), got[1]))
+            item = (scenario.value, p, got)
             out(f"{scenario.value} p={p!r}", item)
             count += 1
     return count
@@ -202,7 +196,7 @@ def family_run_protocol(out, bq) -> int:
                     for b in res.branches:
                         out(f"{case} branch ({b.alice_index},{b.bob_index})",
                             (b.alice_index, b.bob_index, b.joint_prob, b.success_weight,
-                             b.branch_fidelity, b.degenerate, state(b.recovered), state(b.corrected)), BRANCH_FIELDS)
+                             b.branch_fidelity, b.degenerate, b.recovered, b.corrected), BRANCH_FIELDS)
     return count
 
 
@@ -228,10 +222,7 @@ def family_run_rows(out, bq, protocol) -> int:
                         branches = protocol._run_rows(dist, scenario, q_w, rows)
                         case = f"seed {seed} {scenario.value} p={p!r} {n} rows, {kind} q_w"
                         out(case, [getattr(branches, name) for name in BRANCH_ARRAYS], BRANCH_ARRAYS)
-                        if hasattr(branches, "totals"):
-                            totals = branches.totals()
-                        else:
-                            (totals,) = protocol._row_totals(dist, scenario, [q_w], rows)
+                        (totals,) = protocol._row_totals(dist, scenario, [q_w], rows)
                         out(case, totals, TOTALS)
                         count += 1
     return count
@@ -246,13 +237,9 @@ def family_average(out, bq, metrics) -> int:
             for points in NODE_COUNTS:
                 case = f"{scenario.value} p={p!r} q_w={qs} {points} nodes"
                 names = [f"f_av at q_w={q}" for q in ("0", "1e-12", "p", "0.5", "1-1e-9", "1")[: len(qs)]]
-                # A tree with a QuadratureSpec record takes one; a later tree takes the node count.
-                rule = metrics.QuadratureSpec(points) if hasattr(metrics, "QuadratureSpec") else points
-                out(case, metrics._average_fidelities(dist, scenario, qs, rule), names)
+                out(case, metrics._average_fidelities(dist, scenario, qs, points), names)
                 count += 1
-    if "extra" in inspect.signature(metrics._average_fidelities).parameters:
-        count += average_stacks(out, bq, metrics)
-    return count
+    return count + average_stacks(out, bq, metrics)
 
 
 # Input rows folded with the nodes: the sweep's row at pop0 = 0.5, check 3's
@@ -264,32 +251,31 @@ def average_stacks(out, bq, metrics) -> int:
     """The input average over a stack of states, with a float q_w and one
     q_w per state, and with extra input rows; then each state alone with
     one q_w and one extra row, as a fixed-q_w sweep folds its g_total row,
-    and with all three rows. Each call's averages and successes are hashed
-    as one array each, so that `--against` reports them as two fields. A
-    tree that returns more totals of the extra rows than the success has
-    them after it, and only the success is hashed."""
+    and with all three rows. Each call's averages and each of the extra
+    rows' three totals are hashed as one array each, so that `--against`
+    reports them as four fields."""
     count = 0
+    names = ("f_av",) + TOTALS
 
     def item(result):
-        averages, totals = result if isinstance(result, tuple) else (result, [])
-        return np.array(averages), np.array([total[0] for total in totals])
+        averages, totals = result if isinstance(result, tuple) else (result, ())
+        return (np.array(averages), *(np.array([total[t] for total in totals]) for t in range(3)))
 
     for scenario in bq.Scenario:
         ps = P_GRID[::3] + (1.0,)
-        stack = np.stack([state(bq.distribute(scenario, p)[0]) for p in ps])
+        stack = np.stack([bq.distribute(scenario, p)[0] for p in ps])
         edges = (0.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0) if scenario.protected else (0.0,)
         qs = [*edges, list(ps)] if scenario.protected else [0.0, [0.0] * len(ps)]
         for points in (8, 32, 64):
-            rule = metrics.QuadratureSpec(points) if hasattr(metrics, "QuadratureSpec") else points
             for rows in (None, EXTRA_ROWS[:1], EXTRA_ROWS):
                 case = f"{scenario.value} stack p={ps} q_w={qs[:-1]} and one per state, {points} nodes, rows {rows}"
-                out(case, item(metrics._average_fidelities(stack, scenario, qs, rule, rows)), ("f_av", "success"))
+                out(case, item(metrics._average_fidelities(stack, scenario, qs, points, rows)), names)
                 count += 1
         for p, dist in zip(ps, stack):
             for q in edges + ((p,) if scenario.protected else ()):
                 for rows in (EXTRA_ROWS[:1], EXTRA_ROWS):
                     case = f"{scenario.value} p={p!r} q_w={q!r} 64 nodes, rows {rows}"
-                    out(case, item(metrics._average_fidelities(dist, scenario, [q], 64, rows)), ("f_av", "success"))
+                    out(case, item(metrics._average_fidelities(dist, scenario, [q], 64, rows)), names)
                     count += 1
     return count
 
@@ -300,7 +286,7 @@ def family_entropy(out, bq, metrics) -> int:
     count = 0
     for scenario in bq.Scenario:
         for p in P_GRID:
-            out(f"{scenario.value} p={p!r}", metrics.entanglement_entropy_bob(state(bq.distribute(scenario, p)[0])))
+            out(f"{scenario.value} p={p!r}", metrics.entanglement_entropy_bob(bq.distribute(scenario, p)[0]))
             count += 1
     return count
 
