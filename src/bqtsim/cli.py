@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracles
-from .metrics import _average_fidelities, closed_form, entanglement_entropy_bob
+from .metrics import _average_fidelities, _closed_forms, closed_form, entanglement_entropy_bob
 from .protocol import _BRANCH_INDICES, QubitInput, Scenario, _row_totals, _run_rows, distribute, run_protocol
 
 SWEEP_HEADER = "scenario,p,q_w,f_av,g_total,f_av_oracle,g_total_oracle,eam_success,entropy_bob"
@@ -212,7 +212,12 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # set-up outweighs a few rows of arithmetic, and one call per p made 326
 # folds at the default grid where this makes 14. Check 8 takes the
 # entropies of all its states from one call on their stack, where one call
-# per state cost about 25 us each, mostly fixed overhead.
+# per state cost about 25 us each, mostly fixed overhead. The references
+# go the same way: checks 1, 3 and 4 take each scenario's closed forms from
+# one array call (`metrics._closed_forms`), 6 calls where one scalar
+# `closed_form` call per (p, q_w) made 404, and checks 5 and 6 each
+# scenario's branch oracles from one call on all its rows, one p per row,
+# 4 calls where one per p made 12.
 
 # The per-party averaging integrands are quadratics where the weak pulse
 # cancels the pole (bare scenarios, q_w = 0 and q_w = p), so 32 Gauss nodes
@@ -267,7 +272,7 @@ def _check_success_oracle(grid_n: int) -> tuple:
         name = _form_name("g_t", scenario)
         rows = _draw_rows(rng, grid_n * len(qs))
         success = _row_totals(distribute(scenario, grid)[0], scenario, [np.tile(qs, grid_n)], rows)[0][0]
-        forms = np.array([[closed_form(name, p, q).value for q in grid] for p in grid])
+        forms = _closed_forms(name, np.array(grid)[:, None], grid)
         errors.append(np.abs(success.reshape(grid_n, grid_n, 10) - forms[..., None]))
     return _located(np.array(errors), lambda s, a, b, _: f"{_PROTECTED[s].value} p={grid[a]:g} q_w={grid[b]:g}")
 
@@ -307,7 +312,7 @@ def _check_unprotected_f_av() -> tuple:
         (f_avs,), ((success, _, _),) = _average_fidelities(
             distribute(scenario, ps)[0], scenario, [0.0], _VERIFY_NODES, extra=[[0.4, 0.0, 0.8, 0.0]]
         )
-        forms = [closed_form(name, p).value for p in ps]
+        forms = _closed_forms(name, ps)
         # Each p's f_av error, then its determinism error.
         errors.append(np.abs(np.stack([np.subtract(f_avs, forms), success[:, 0] - 1.0], axis=1)))
     return _located(np.array(errors), lambda s, n, _: f"{_UNPROTECTED[s].value} p={ps[n]:g}")
@@ -318,7 +323,7 @@ def _check_eam() -> tuple:
     probability at each p of `_EDGE_PS`."""
     errors = []
     for scenario in _PROTECTED:
-        forms = [closed_form(_form_name("g_eam", scenario), p).value for p in _EDGE_PS]
+        forms = _closed_forms(_form_name("g_eam", scenario), _EDGE_PS)
         errors.append(np.abs(distribute(scenario, _EDGE_PS)[1] - forms))
     return _located(np.array(errors), lambda s, n: f"{_PROTECTED[s].value} p={_EDGE_PS[n]:g}")
 
@@ -333,11 +338,10 @@ def _branch_sample_errors() -> tuple:
     for scenario in _PROTECTED:
         inputs = _draw_rows(rng, size * len(ps))
         found = _run_rows(distribute(scenario, ps)[0], scenario, 0.0, inputs)
-        for n, p in enumerate(ps):
-            part = slice(n * size, (n + 1) * size)
-            want = oracles.recovered_rows(scenario, p, inputs[part])
-            rec.append(np.abs(found.recovered[part] - want).max(axis=(2, 3)))
-            prob.append(np.abs(found.joint[part] - oracles.joint_prob_rows(scenario, p, inputs[part])))
+        # The oracles take each row's p, so each reads all its rows at once.
+        p_rows = np.repeat(ps, size)
+        rec.append(np.abs(found.recovered - oracles.recovered_rows(scenario, p_rows, inputs)).max(axis=(2, 3)))
+        prob.append(np.abs(found.joint - oracles.joint_prob_rows(scenario, p_rows, inputs)))
     # Entry (scenario, p, input row, branch k = 4(i-1)+(j-1)).
     shape = (len(_PROTECTED), len(ps), size, 16)
     label = lambda s, n, _, k: "{} p={:g} ({},{})".format(_PROTECTED[s].value, ps[n], *_BRANCH_INDICES[k])

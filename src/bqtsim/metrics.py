@@ -16,16 +16,20 @@ one qubit of each, so his entropy is the sum of two one-qubit entropies:
 their eigenvalues in one call, and builds no 16x16 or 4x4 state. Given a
 stack of distributed states it takes every state's 2x2 states in that
 one call, so a curve or a verify check costs one eigenvalue call, not one
-per point; a single state is a stack of one."""
+per point; a single state is a stack of one.
+
+Each closed form is written once, as a function in `_FORMS`.
+`closed_form` evaluates it at one point on Python floats, and
+`_closed_forms` on broadcast float arrays, so a check over a grid makes
+one call per form, not one per point."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channels import _check_unit
+from .channels import _check_unit, _check_units
 from .linalg import hermitian_eigenvalues
 from .protocol import Scenario, _input_densities, _node_integrands, _single_q_w, distribute
 
@@ -127,7 +131,7 @@ _FORMS: dict[str, tuple] = {
         "(((1-q_w)^2 + (1-p)^2) / (1 + (1-p)^2))^2",
     ),
     "f_av_unprot_I": (
-        lambda p, q: (2.0 - p / 2.0 + math.sqrt(1.0 - p)) ** 2 / 9.0,
+        lambda p, q: (2.0 - p / 2.0 + np.sqrt(1.0 - p)) ** 2 / 9.0,
         "(2 - p/2 + sqrt(1-p))^2 / 9",
     ),
     "f_av_unprot_II": (
@@ -157,13 +161,35 @@ def closed_form(name: str, p: float, q_w: float = 0.0) -> OracleValue:
     input-averaged fidelities of the two unprotected baselines. A p or
     q_w outside [0, 1], NaN included, raises ValueError.
     """
-    try:
-        fn, ref = _FORMS[name]
-    except KeyError:
-        raise ValueError(f"unknown closed form {name!r}, have {closed_form_names()}") from None
+    fn, ref = _form(name)
     _check_unit("p", p)
     _check_unit("q_w", q_w)
     return OracleValue(name=name, value=float(fn(p, q_w)), formula_ref=ref)
+
+
+def _form(name: str) -> tuple:
+    """The (function, formula) of a named closed form; ValueError naming
+    the forms there are for an unknown name."""
+    if name not in _FORMS:
+        raise ValueError(f"unknown closed form {name!r}, have {closed_form_names()}")
+    return _FORMS[name]
+
+
+def _closed_forms(name: str, p, q_w=0.0) -> np.ndarray:
+    """The values of `closed_form` over p and q_w broadcast against each
+    other as float arrays, from one evaluation of the same formula: what
+    a check over a grid calls in place of a loop of scalar calls. A value
+    outside [0, 1], NaN included, raises `closed_form`'s ValueError for the
+    least such p, then q_w (`channels._check_units`).
+
+    numpy squares a float array with one multiply, where `closed_form`'s
+    Python `** 2` calls libm's pow, so a value can differ from the scalar
+    view's by 1 ulp."""
+    fn = _form(name)[0]
+    p, q_w = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q_w, dtype=float))
+    _check_units("p", p)
+    _check_units("q_w", q_w)
+    return fn(p, q_w)
 
 
 def _entropies(eigs: np.ndarray) -> np.ndarray:

@@ -17,8 +17,10 @@ phases.
 
 The branch oracles, the `*_rows` functions, evaluate every branch of a
 stack of inputs at once. A stack is an (N, 4) float array of rows
-[pop_a, phase_a, pop_b, phase_b]; they return (N, 16) numbers or
-(N, 16, 4, 4) states in branch order k = 4(i-1)+(j-1). A branch whose
+[pop_a, phase_a, pop_b, phase_b], and p is a float or an (N,) array of
+one p per row, which gives each row the bits of its one-p call; they
+return (N, 16) numbers or (N, 16, 4, 4) states in branch order
+k = 4(i-1)+(j-1). A branch whose
 closed-form weight is zero has a NaN fidelity and a NaN corrected state.
 `joint_prob_closed` and `recovered_closed` are one-branch, one-row views
 of their `*_rows` functions, so each formula is written once.
@@ -104,10 +106,11 @@ def _pair_states(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     return out.reshape(-1, 16, 4, 4)
 
 
-def _survival(scenario: Scenario, p: float) -> float:
+def _survival(scenario: Scenario, p):
     """Damping survival amplitude riding the channel: sqrt(1-p) when one
-    qubit per pair decays (situation I), (1-p) when both do (II)."""
-    return math.sqrt(1.0 - p) if scenario.situation == "I" else 1.0 - p
+    qubit per pair decays (situation I), (1-p) when both do (II); of a
+    float p or elementwise of an array of them."""
+    return np.sqrt(1.0 - p) if scenario.situation == "I" else 1.0 - p
 
 
 def _weak_survival(scenario: Scenario, q_w: float) -> float:
@@ -120,7 +123,9 @@ def _weak_survival(scenario: Scenario, q_w: float) -> float:
 def _party_prob(scenario: Scenario, p: float, pop0: np.ndarray) -> np.ndarray:
     a, b = pop0, 1.0 - pop0
     if scenario.protected:
-        d2 = _survival(scenario, p) ** 2
+        # libm's pow, as a float p's `** 2` takes it, where numpy would square
+        # an array of p by one multiply: a row gets the bits of its one-p call.
+        d2 = np.float_power(_survival(scenario, p), 2)
         return _by_class((a + b * d2) / (2.0 * (1.0 + d2)), (b + a * d2) / (2.0 * (1.0 + d2)))
     if scenario.situation == "I":
         return np.full((len(pop0), 4), 0.25)
@@ -136,7 +141,7 @@ def _party_success(scenario: Scenario, p: float, q_w: float, pop0: np.ndarray) -
         return _party_prob(scenario, p, pop0)
     a, b = pop0, 1.0 - pop0
     s2 = _weak_survival(scenario, q_w) ** 2
-    d2 = _survival(scenario, p) ** 2
+    d2 = np.float_power(_survival(scenario, p), 2)
     return _by_class((a * s2 + b * d2) / (2.0 * (1.0 + d2)), (b * s2 + a * d2) / (2.0 * (1.0 + d2)))
 
 
@@ -161,7 +166,7 @@ def _party_fidelity(scenario: Scenario, p: float, q_w: float, pop0: np.ndarray) 
     else:
 
         def fid(a, b):
-            c = a * a * (1.0 + p * p) + b * b * (1.0 - p) ** 2 + 2.0 * a * b * (1.0 - p * p)
+            c = a * a * (1.0 + p * p) + b * b * np.float_power(1.0 - p, 2) + 2.0 * a * b * (1.0 - p * p)
             return _over(c, a * (1.0 + p) + b * (1.0 - p))
 
     return _by_class(fid(a, b), fid(b, a))
@@ -178,7 +183,7 @@ def _party_recovered(
     # (index, amplitude, N) -> (N, index, amplitude)
     pure = _outer(kets.transpose(2, 0, 1))
     if scenario.protected:
-        return pure / (2.0 * (1.0 + d * d))
+        return pure / np.reshape(2.0 * (1.0 + d * d), (-1, 1, 1, 1))
     if scenario.situation == "I":
         leak = _by_class(p * b, p * a)
         return (pure + leak[..., None, None] * _P00) / 4.0
@@ -215,36 +220,39 @@ def _party_corrected(
     )
 
 
-def joint_prob_rows(scenario: Scenario, p: float, rows) -> np.ndarray:
+def joint_prob_rows(scenario: Scenario, p, rows) -> np.ndarray:
     """(N, 16) probabilities of every joint Bell outcome before any
-    correction, for an (N, 4) input stack."""
+    correction, for an (N, 4) input stack at a float p or one p per row."""
     pop_a, pop_b = _pops(rows)
     return _pair_numbers(_party_prob(scenario, p, pop_a), _party_prob(scenario, p, pop_b))
 
 
-def branch_success_rows(scenario: Scenario, p: float, q_w: float, rows) -> np.ndarray:
-    """(N, 16) weights of every branch surviving both local corrections."""
+def branch_success_rows(scenario: Scenario, p, q_w: float, rows) -> np.ndarray:
+    """(N, 16) weights of every branch surviving both local corrections, at
+    a float p or one p per row."""
     pop_a, pop_b = _pops(rows)
     return _pair_numbers(_party_success(scenario, p, q_w, pop_a), _party_success(scenario, p, q_w, pop_b))
 
 
-def branch_fidelity_rows(scenario: Scenario, p: float, q_w: float, rows) -> np.ndarray:
+def branch_fidelity_rows(scenario: Scenario, p, q_w: float, rows) -> np.ndarray:
     """(N, 16) fidelities of every corrected branch output against the
-    target product, NaN where a branch's weight is zero."""
+    target product, at a float p or one p per row; NaN where a branch's
+    weight is zero."""
     pop_a, pop_b = _pops(rows)
     return _pair_numbers(_party_fidelity(scenario, p, q_w, pop_a), _party_fidelity(scenario, p, q_w, pop_b))
 
 
-def recovered_rows(scenario: Scenario, p: float, rows) -> np.ndarray:
+def recovered_rows(scenario: Scenario, p, rows) -> np.ndarray:
     """(N, 16, 4, 4) unnormalized projected two-qubit states of every
-    branch, Alice's teleported qubit first."""
+    branch, Alice's teleported qubit first, at a float p or one p per row."""
     alice, bob = _parties(rows)
     return _pair_states(_party_recovered(scenario, p, *alice), _party_recovered(scenario, p, *bob))
 
 
-def corrected_rows(scenario: Scenario, p: float, q_w: float, rows) -> np.ndarray:
+def corrected_rows(scenario: Scenario, p, q_w: float, rows) -> np.ndarray:
     """(N, 16, 4, 4) normalized post-correction outputs of every branch,
-    Alice's qubit first; NaN where a branch's weight is zero."""
+    Alice's qubit first, at a float p or one p per row; NaN where a
+    branch's weight is zero."""
     alice, bob = _parties(rows)
     return _pair_states(_party_corrected(scenario, p, q_w, *alice), _party_corrected(scenario, p, q_w, *bob))
 

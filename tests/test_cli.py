@@ -16,7 +16,7 @@ import pytest
 import bqtsim
 from bqtsim import cli, protocol
 from bqtsim.cli import SWEEP_HEADER, main
-from bqtsim.metrics import OracleValue, closed_form_names
+from bqtsim.metrics import closed_form_names
 from bqtsim.protocol import QubitInput, Scenario, run_protocol
 
 
@@ -457,10 +457,36 @@ def test_verify_builds_each_protected_state_once(monkeypatch, capsys):
     assert built == [(scenario, 51) for scenario in cli._PROTECTED]
 
 
+def test_verify_takes_each_reference_in_one_array_call(monkeypatch):
+    # Checks 1, 3 and 4 take each scenario's closed forms from one array
+    # call, and checks 5-6 each scenario's branch oracles from one call on
+    # its 15 rows, one p per row. Verify made 404 scalar closed_form calls,
+    # one per (p, q_w), and 12 oracle calls, one per (scenario, p).
+    calls = []
+
+    def count(module, name, shape):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append((name, *shape(*args))) or real(*args))
+
+    count(cli, "closed_form", lambda *args: args)
+    count(cli, "_closed_forms", lambda name, *args: (name, np.broadcast(*args).shape))
+    for name in ("recovered_rows", "joint_prob_rows"):
+        count(cli.oracles, name, lambda scenario, p, rows: (scenario, tuple(p)))
+    assert all(err <= tol for _, err, tol, _, _ in cli._verify_checks(10))
+    p_rows = (0.2,) * 5 + (0.5,) * 5 + (0.8,) * 5
+    # In the order verify runs them: 5-6, then 1, 3 and 4.
+    assert calls == [
+        *((name, scenario, p_rows) for scenario in cli._PROTECTED for name in ("recovered_rows", "joint_prob_rows")),
+        ("_closed_forms", "g_t_I", (10, 10)), ("_closed_forms", "g_t_II", (10, 10)),
+        ("_closed_forms", "f_av_unprot_I", (51,)), ("_closed_forms", "f_av_unprot_II", (51,)),
+        ("_closed_forms", "g_eam_I", (51,)), ("_closed_forms", "g_eam_II", (51,)),
+    ]
+
+
 def test_verify_fails_on_nan_closed_forms(monkeypatch, capsys):
     # Checks 1, 3 and 4 compare against closed forms; a NaN there must
     # surface as their error and fail them, not be passed over.
-    monkeypatch.setattr(cli, "closed_form", lambda name, p, q_w=0.0: OracleValue(name, math.nan, "nan"))
+    monkeypatch.setattr(cli, "_closed_forms", lambda name, p, q_w=0.0: np.full(np.broadcast(p, q_w).shape, math.nan))
     code, out, _ = run_cli(["verify", "--grid", "2"], capsys)
     assert code == 1
     lines = out.splitlines()

@@ -7,8 +7,10 @@ import pytest
 
 from bqtsim.linalg import kron, partial_trace
 from bqtsim import oracles
+from bqtsim import metrics
 from bqtsim.metrics import (
     _average_fidelities,
+    _closed_forms,
     _nodes_weights,
     average_fidelity,
     closed_form,
@@ -110,6 +112,57 @@ def test_closed_form_rejects_arguments_outside_unit_interval(name, p, q_w, match
     # return a number out of [0, 1] or pass a NaN through.
     with pytest.raises(ValueError, match=match):
         closed_form(name, p, q_w)
+
+
+# The unit interval's edges, the doubles next to them inside it, and the
+# tenths between.
+UNIT_GRID = (0.0, 1e-12, *(k / 10 for k in range(1, 10)), 1.0 - 1e-9, 1.0)
+
+
+@pytest.mark.parametrize("name", closed_form_names())
+def test_closed_forms_are_the_scalar_view_on_arrays(name):
+    """The array view over the grid, p down and q_w across, against one
+    scalar call per point: within 1 ulp, since numpy squares a float
+    array with one multiply where Python's `** 2` calls libm's pow."""
+    grid = np.array(UNIT_GRID)
+    got = _closed_forms(name, grid[:, None], grid)
+    want = np.array([[closed_form(name, p, q).value for q in UNIT_GRID] for p in UNIT_GRID])
+    assert got.shape == want.shape == (len(grid), len(grid))
+    np.testing.assert_array_max_ulp(got, want, maxulp=1)
+
+
+@pytest.mark.parametrize(
+    "p, q_w", [(math.nan, 0.5), (-1e-300, 0.5), (1.5, 0.5), (0.5, math.nan), (0.5, 1.0 + 2.0**-52), (2.0, -1.0)]
+)
+def test_closed_forms_raise_the_scalar_views_range_errors(p, q_w):
+    """A p or q_w outside [0, 1], NaN included, alone or among values in
+    range, raises the scalar view's ValueError, p's before q_w's."""
+    for name in closed_form_names():
+        with pytest.raises(ValueError) as scalar:
+            closed_form(name, p, q_w)
+        for args in ((p, q_w), ([0.0, p, 1.0], q_w), (np.full((2, 1), p), [0.2, q_w, 0.9])):
+            with pytest.raises(ValueError) as array:
+                _closed_forms(name, *args)
+            assert str(array.value) == str(scalar.value)
+
+
+def test_closed_form_views_look_names_up_in_one_table(monkeypatch):
+    """Both views read the one table of forms: an unknown name raises the
+    same ValueError from each, a form added to the table is found by both
+    and one taken out by neither."""
+    errors = []
+    for view in (closed_form, _closed_forms):
+        with pytest.raises(ValueError, match=r"unknown closed form 'no_such_form', have \(") as raised:
+            view("no_such_form", 0.2)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+    monkeypatch.setitem(metrics._FORMS, "p_plus_q", (lambda p, q: p + q, "p + q"))
+    monkeypatch.delitem(metrics._FORMS, "g_eam_I")
+    assert closed_form("p_plus_q", 0.25, 0.5).value == 0.75
+    assert _closed_forms("p_plus_q", [0.25, 0.5], 0.5).tolist() == [0.75, 1.0]
+    for view in (closed_form, _closed_forms):
+        with pytest.raises(ValueError, match="unknown closed form 'g_eam_I'"):
+            view("g_eam_I", 0.2)
 
 
 # ------------------------------------------------------ average fidelity

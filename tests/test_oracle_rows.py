@@ -187,3 +187,41 @@ def test_totals_at_p_and_q_w_one_are_nan():
         res = run_protocol(scenario, 1.0, 1.0, QubitInput(0.3, 0.4), QubitInput(0.7, 1.1))
         assert res.total_success == 0.0
         assert math.isnan(res.total_fidelity) and math.isnan(res.postselected_fidelity)
+
+
+# The edges and the doubles next to them.
+ROW_PS = (0.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0)
+
+
+def squares_apart(rng, n: int) -> np.ndarray:
+    """n draws of p where a survival amplitude, sqrt(1-p) or 1-p, squared
+    by libm's pow (as Python squares one float) and by one multiply (as
+    numpy squares an array) rounds apart."""
+    ps = rng.random(20000)
+    apart = [ps[np.float_power(d, 2) != d * d][:n] for d in (np.sqrt(1.0 - ps), 1.0 - ps)]
+    return np.concatenate(apart)
+
+
+@pytest.mark.parametrize("scenario", tuple(Scenario), ids=lambda s: s.value)
+def test_rows_oracles_take_one_p_per_row(scenario):
+    """Each `*_rows` oracle given one p per row equals, bit for bit, one
+    call per row at that row's p, the rows of every p mixed together: at
+    the edges, at p where the two ways of squaring round apart, and at
+    seeded draws."""
+    rng = np.random.default_rng(3005)
+    ps = rng.permutation(np.concatenate([np.repeat(ROW_PS, 4), squares_apart(rng, 8), rng.random(16)]))
+    rows = rng.random((len(ps), 4))
+    rows[:, 1::2] *= 2.0 * math.pi
+    rows[:8, 0::2] = [[0.0, 1.0], [1.0, 0.0], [1e-12, 1.0 - 1e-9], [0.0, 0.0]] * 2
+    for q_w in (0.0, 0.3, 1.0 - 1e-9, 1.0) if scenario.protected else (0.0,):
+        for oracle, args in (
+            (oracles.joint_prob_rows, ()),
+            (oracles.recovered_rows, ()),
+            (oracles.branch_success_rows, (q_w,)),
+            (oracles.branch_fidelity_rows, (q_w,)),
+            (oracles.corrected_rows, (q_w,)),
+        ):
+            whole = oracle(scenario, ps, *args, rows)
+            one = np.concatenate([oracle(scenario, p, *args, row[None]) for p, row in zip(ps.tolist(), rows)])
+            assert whole.shape == one.shape and whole.tobytes() == one.tobytes(), oracle.__name__
+

@@ -27,6 +27,11 @@ least one bit. The families:
                  scenarios x 29 p
   verify         the _verify_checks tuples of grids 2, 3 and 10, each
                  check's worst location among them
+  oracles        the references themselves: every closed_form over P_GRID
+                 and a q_w grid, each with values outside [0, 1] and NaN,
+                 so range errors hash too; and the five oracles.*_rows
+                 functions at one float p per call, 4 scenarios x 29 p,
+                 over edge rows and weak strengths
   cli            stdout, stderr and exit status of the command lines of
                  tests/test_cli_golden.py, of a few more, and of usage errors
 
@@ -297,6 +302,43 @@ def family_verify(out, cli) -> int:
     return 3
 
 
+# Arguments outside [0, 1] that a closed form must refuse: the doubles
+# next to 0 and 1 on the outside, NaN and the infinities.
+OUTSIDE = (-1e-300, 1.0 + 2.0**-52, math.nan, math.inf, -math.inf)
+FORM_QS = EDGES + (0.37, 0.5) + OUTSIDE
+ORACLE_ROWS = ("joint_prob_rows", "branch_success_rows", "branch_fidelity_rows", "recovered_rows", "corrected_rows")
+
+
+def family_oracles(out, metrics, oracles) -> int:
+    """Every closed form at every (p, q_w) of P_GRID and FORM_QS, with the
+    arguments outside [0, 1] among them; then, per scenario and p of
+    P_GRID, the five `*_rows` oracles at that float p on seven edge rows,
+    at three weak strengths for a protected scenario and at 0 for a bare
+    one, so each rows call holds one p, as every tree takes it."""
+    count = 0
+    for name in metrics.closed_form_names():
+        for p in P_GRID + OUTSIDE:
+            for q in FORM_QS:
+                got = attempt(metrics.closed_form, name, p, q)
+                out(f"{name} p={p!r} q_w={q!r}", got if isinstance(got, BaseException) else (got.value, got.formula_ref))
+                count += 1
+    rng = np.random.default_rng(20261020)
+    for scenario in oracles.Scenario:
+        for p in P_GRID:
+            rows = edge_rows(rng, 7)
+            for q in edge_qs(rng, scenario, p, 3 if scenario.protected else 1).tolist():
+                got = (
+                    oracles.joint_prob_rows(scenario, p, rows),
+                    oracles.branch_success_rows(scenario, p, q, rows),
+                    oracles.branch_fidelity_rows(scenario, p, q, rows),
+                    oracles.recovered_rows(scenario, p, rows),
+                    oracles.corrected_rows(scenario, p, q, rows),
+                )
+                out(f"{scenario.value} p={p!r} q_w={q!r}", got, ORACLE_ROWS)
+                count += 1
+    return count
+
+
 def family_cli(out, cli) -> int:
     argvs = golden_argv() + EXTRA_ARGV + USAGE_ARGV
     for argv in argvs:
@@ -322,6 +364,7 @@ def families(pkg) -> tuple:
         ("average", lambda out: family_average(out, bq, metrics)),
         ("entropy", lambda out: family_entropy(out, bq, metrics)),
         ("verify", lambda out: family_verify(out, cli)),
+        ("oracles", lambda out: family_oracles(out, metrics, cli.oracles)),
         ("cli", lambda out: family_cli(out, cli)),
     )
 
@@ -461,7 +504,7 @@ def main(argv: list) -> int:
     if args.against is None:
         sys.path.insert(0, str(src))
         import bqtsim as bq
-        from bqtsim import cli, metrics, protocol  # noqa: F401, the families read them as attributes
+        from bqtsim import cli, metrics, oracles, protocol  # noqa: F401, the families read them as attributes
 
         if Path(bq.__file__).resolve().parent != src / "bqtsim":
             print(f"error: bqtsim imported from {bq.__file__}, not from {src}", file=sys.stderr)
