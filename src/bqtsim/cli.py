@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 from functools import lru_cache
 from typing import Optional
@@ -41,14 +42,31 @@ def _fmt(x: Optional[float]) -> str:
 def _emit(lines: list, path: Optional[str]) -> int:
     """Write the lines to `path`, or to stdout when it is None, and return
     the exit status: 2, with a message on stderr, when `path` cannot be
-    written."""
+    written.
+
+    `path` is written in place: opened without truncation (a new file gets
+    mode 0o666 less the umask), overwritten from its start, and then, if it
+    is a regular file, cut to the new length. A device or FIFO such as
+    /dev/null is never truncated. Truncating a non-empty file to zero, as
+    `open(path, "w")` does, makes ext4 start the file's writeback on close
+    (its `auto_da_alloc` rule); in place, writeback follows the kernel's
+    normal schedule. So after a crash a rewritten file may still hold its
+    previous bytes, in whole or in part, where it would have been empty."""
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
         return 0
+    data = text.encode()
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         return _usage_error(f"cannot write {path}: {exc.strerror or exc}")
     return 0

@@ -6,6 +6,8 @@ acceptance suite; here only its reduction rule and its failure path.
 import math
 import os
 import re
+import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +200,77 @@ def test_unwritable_out_fails_before_any_work(argv, capsys, monkeypatch, tmp_pat
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# --out is written in place and cut to the new length, so it holds what
+# stdout would, whatever the file held before.
+OUT_COMMANDS = [
+    ["sweep", "--scenario", "recovery-adc", "--p-steps", "3"],
+    ["entropy", "--p-steps", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+@pytest.mark.parametrize("held", [0.5, 2.0])
+def test_out_rewrites_a_file_with_stdouts_bytes(argv, held, tmp_path, capsys):
+    """A longer file rewritten with a shorter output, and a shorter file
+    with a longer one."""
+    code, printed, _ = run_cli(argv, capsys)
+    assert code == 0
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"#\n" * int(held * len(printed) / 2))
+    assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_out_creates_a_file_with_the_umask_mode(argv, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    umask = os.umask(0o027)
+    try:
+        assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_out_to_devices(argv, capsys):
+    """A device is written without truncation: /dev/null takes the output,
+    and /dev/full fails the write with the usual message."""
+    assert run_cli(argv + ["--out", os.devnull], capsys) == (0, "", "")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    message = "error: cannot write /dev/full: No space left on device\n"
+    assert run_cli(argv + ["--out", "/dev/full"], capsys) == (2, "", message)
+
+
+def test_rewriting_out_dirties_no_fresh_pages(tmp_path, capsys):
+    """`ru_oublock` counts the blocks of the page-cache pages this process
+    dirties. Truncating a file drops its pages, so each rewrite through
+    open(path, "w") dirties fresh ones (and ext4 starts their writeback on
+    close), while a rewrite in place finds its page still dirty. The probe
+    calibrates: where it reads 0 (tmpfs, say), the two cannot be told apart."""
+
+    def blocks():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_oublock
+
+    probe = tmp_path / "probe.csv"
+    probe.write_text("x\n")
+    start = blocks()
+    for _ in range(50):
+        with open(probe, "w") as fh:
+            fh.write("x\n")
+    truncating = blocks() - start
+    if truncating == 0:
+        pytest.skip("this filesystem counts no blocks for a rewrite after truncation")
+    argv = ["sweep", "--scenario", "recovery-adc", "--p-steps", "1", "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 0
+    start = blocks()
+    for _ in range(50):
+        assert main(argv) == 0
+    assert blocks() - start <= truncating / 10
+    assert capsys.readouterr().err == ""
 
 
 # ------------------------------------------------------------- branches

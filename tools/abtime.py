@@ -20,6 +20,9 @@ the parent's, and how many blocks the change won. The targets:
   check1..check8 each verify check function (checks 5 and 6 share one);
                  each builds the distributed states it reads
   sweep          cli.main of a one-p `sweep`, input-averaged, two q_w rows
+  sweep-out      the same sweep with `--out`, every call rewriting one file
+                 in a temporary directory of the tree's own, as a fav-sweep
+                 item rewrites its CSV
   average64      metrics._average_fidelities, 64 nodes, two q_w
   average-extra  the same call with the sweep's g_total row [0.5, 0, 0.5, 0]
                  folded with the nodes, as fav-sweep's grid items make it
@@ -60,15 +63,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import atexit
 import contextlib
 import importlib
 import importlib.util
 import inspect
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -88,9 +94,9 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "average64", "average-extra", "average-stack", "average4096", "run_protocol",
-         "point-mc", "distribute", "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64",
-         "rows1000")
+NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "average64", "average-extra", "average-stack", "average4096",
+         "run_protocol", "point-mc", "distribute", "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1",
+         "rows32", "rows64", "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
@@ -187,6 +193,10 @@ def targets(pkg) -> dict:
     for label, (name, args) in CHECKS.items():
         found[label] = check_call(cli, name, args)
     found["sweep"] = lambda: quiet(cli.main, SWEEP)
+    out_dir = tempfile.mkdtemp(prefix="abtime-")
+    atexit.register(shutil.rmtree, out_dir, True)
+    sweep_out = SWEEP + ["--out", os.path.join(out_dir, "sweep.csv")]
+    found["sweep-out"] = lambda: cli.main(sweep_out)
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
     found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
