@@ -514,7 +514,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # An argv that starts with a command's name is parsed once, by that
+    # command's own parser, where the full parse would classify every token
+    # and then hand them all to it; leftovers are refused as the full parse
+    # refuses them. Any other argv (no command, an unknown one, help, a
+    # leading option) takes the full parse.
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:
+            parser.error("unrecognized arguments: %s" % " ".join(rest))
+    else:
+        args = parser.parse_args(argv)
     # The command is looked up by name when it runs, not taken from the
     # parser built at the first call, so a later rebinding of a cmd_*
     # function (a tracing wrapper, say) is the one called.

@@ -3,6 +3,7 @@
 The heavyweight `verify` subcommand is exercised end to end by the
 acceptance suite; here only its reduction rule and its failure path.
 """
+import argparse
 import math
 import os
 import re
@@ -567,3 +568,104 @@ def test_verify_fails_on_nan_closed_forms(monkeypatch, capsys):
         assert lines[num - 1].startswith(f"[{num}/8]")
         assert "max error nan " in lines[num - 1] and lines[num - 1].endswith(" FAIL")
     assert lines[-1] == "verify: 5/8 checks passed"
+
+
+# -------------------------------------------------------------- parsing
+
+
+def stub_commands(monkeypatch) -> list:
+    """Swap every cmd_* for a stub that records the Namespace it is called
+    with and returns 0; the list of those Namespaces. The parser is built
+    first, so its defaults keep the real functions' names."""
+    cli.build_parser()
+    seen = []
+    for name in ("cmd_sweep", "cmd_branches", "cmd_verify", "cmd_entropy"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    return seen
+
+
+COMMAND_ARGV = [
+    ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
+     "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2", "--out", "x.csv"],
+    ["branches", "--scenario", "recovery-adc", "--p", "0.3", "--qw", "0.1", "--bob-phase", "1.5"],
+    ["verify", "--grid", "3"],
+    ["entropy", "--p-steps", "5"],
+]
+
+
+def test_command_argv_is_parsed_once(monkeypatch):
+    # An argv that starts with a command is parsed by that command's parser
+    # alone, where the full parse makes one top-level call and one nested.
+    seen = stub_commands(monkeypatch)
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in COMMAND_ARGV:
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [f"bqtsim {argv[0]}"]
+    assert [args.command for args in seen] == [argv[0] for argv in COMMAND_ARGV]
+
+
+# Command lines that exercise argparse itself, each parsed by main and by
+# the full parser, which is the reference.
+PARITY_ARGV = COMMAND_ARGV + [
+    [],
+    ["frobnicate"],
+    ["-h"],
+    ["--help", "sweep"],
+    ["sweep", "-h"],
+    ["verify", "--help"],
+    ["--grid", "3"],
+    ["sweep", "--scenario", "all-adc", "--bogus"],
+    ["sweep", "--scenario", "all-adc", "-h", "--bogus"],
+    ["branches", "--scenario", "all-adc", "--p", "x"],
+    ["branches", "--scenario", "all-adc", "--p", "-0.5"],
+    ["verify", "--grid", "2.5"],
+    ["sweep", "--scenario", "no-such-scenario"],
+    ["sweep", "--scenario", "all-adc", "--qw-mode", "both"],
+    ["sweep"],
+    ["branches", "--scenario", "all-adc"],
+    ["verify", "extra"],
+    ["entropy", "--p-steps", "5", "extra", "--bogus=1"],
+    ["sweep", "--scenario", "all-adc", "--", "x"],
+    ["sweep", "--", "--scenario", "all-adc"],
+    ["verify", "--"],
+    ["sweep", "--scen", "all-adc", "--p-st", "3", "--qw-m", "equal-p"],
+    ["sweep", "--scenario", "all-adc", "--p", "0.3"],
+    ["sweep", "--scenario=all-adc", "--p-steps=2", "--out=x.csv"],
+    ["entropy", "--p-steps=5", "--p-steps", "7"],
+    ["sweep", "--scenario", "all-adc", "--out"],
+    ["branches", "--scenario", "all-adc", "--p", "0.3", "--alice-pop0", "0.2", "--al", "0.1"],
+]
+
+
+def outcome(call, argv, capsys) -> tuple:
+    """Exit status, stdout, stderr and the Namespace of one parse."""
+    try:
+        args, code = call(argv), 0
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, args
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, monkeypatch, capsys):
+    # The same status and bytes as the full parse, and, for a valid argv,
+    # the same Namespace in the command, `command` included.
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = stub_commands(monkeypatch)
+
+    def via_main(argv):
+        assert main(list(argv)) == 0
+        return seen.pop()
+
+    want = outcome(cli.build_parser().parse_args, list(argv), capsys)
+    assert outcome(via_main, argv, capsys) == want
+    assert seen == []

@@ -23,6 +23,10 @@ the parent's, and how many blocks the change won. The targets:
   sweep-out      the same sweep with `--out`, every call rewriting one file
                  in a temporary directory of the tree's own, as a fav-sweep
                  item rewrites its CSV
+  parse          cli.main on that `--out` argv with the tree's cmd_sweep
+                 swapped for a stub that returns 0, so only parsing and
+                 dispatch are timed; left out on a tree whose main calls
+                 the parser's function without looking it up by name
   average64      metrics._average_fidelities, 64 nodes, two q_w
   average-extra  the same call with the sweep's g_total row [0.5, 0, 0.5, 0]
                  folded with the nodes, as fav-sweep's grid items make it
@@ -94,7 +98,7 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "average64", "average-extra", "average-stack", "average4096",
+NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "parse", "average64", "average-extra", "average-stack", "average4096",
          "run_protocol", "point-mc", "distribute", "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1",
          "rows32", "rows64", "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
@@ -178,6 +182,22 @@ def point_mix(protocol) -> list:
     return calls
 
 
+def parse_only(cli, argv: list):
+    """cli.main(argv) with cmd_sweep swapped for a stub that returns 0 during
+    the call, or None if the tree's main does not call the stub."""
+    cli.build_parser()
+    real = cli.cmd_sweep
+
+    def call(stub=lambda args: 0):
+        cli.cmd_sweep = stub
+        try:
+            return cli.main(argv)
+        finally:
+            cli.cmd_sweep = real
+
+    return call if call(lambda args: "stub") == "stub" else None
+
+
 def targets(pkg) -> dict:
     """Each target's call on `pkg`; None for one whose entry point it lacks."""
     cli, metrics, protocol = pkg.cli, pkg.metrics, pkg.protocol
@@ -197,6 +217,7 @@ def targets(pkg) -> dict:
     atexit.register(shutil.rmtree, out_dir, True)
     sweep_out = SWEEP + ["--out", os.path.join(out_dir, "sweep.csv")]
     found["sweep-out"] = lambda: cli.main(sweep_out)
+    found["parse"] = parse_only(cli, sweep_out)
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
     found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])

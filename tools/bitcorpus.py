@@ -33,7 +33,10 @@ least one bit. The families:
                  functions at one float p per call, 4 scenarios x 29 p,
                  over edge rows and weak strengths
   cli            stdout, stderr and exit status of the command lines of
-                 tests/test_cli_golden.py, of a few more, and of usage errors
+                 tests/test_cli_golden.py, of a few more, of usage errors,
+                 and of argparse's own outcomes (help, unknown options and
+                 commands, bad values, `--`, abbreviations, --opt=value),
+                 at 80 columns
 
 With --against, both trees are imported in one process, under names of
 their own, and each family prints both hashes. For a family whose hashes
@@ -61,8 +64,10 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -113,6 +118,31 @@ USAGE_ARGV = [
     ["entropy", "--p-steps", "2", "--out", "."],
     ["sweep", "--scenario", "no-such-scenario"],
     ["frobnicate"],
+    # argparse's own outcomes: help at both levels, no command or a leading
+    # option, unknown options, bad values, missing and stray arguments,
+    # `--`, abbreviations (one ambiguous) and --opt=value.
+    [],
+    ["-h"],
+    ["--help", "sweep"],
+    ["sweep", "-h"],
+    ["verify", "--help"],
+    ["--grid", "3"],
+    ["sweep", "--scenario", "all-adc", "--bogus"],
+    ["sweep", "--scenario", "all-adc", "-h", "--bogus"],
+    ["branches", "--scenario", "all-adc", "--p", "x"],
+    ["verify", "--grid", "2.5"],
+    ["sweep", "--scenario", "all-adc", "--qw-mode", "both"],
+    ["sweep"],
+    ["branches", "--scenario", "all-adc"],
+    ["verify", "extra"],
+    ["entropy", "--p-steps", "5", "extra", "--bogus=1"],
+    ["sweep", "--scenario", "all-adc", "--", "x"],
+    ["sweep", "--", "--scenario", "all-adc"],
+    ["sweep", "--scen", "all-adc", "--p-st", "3", "--qw-m", "equal-p"],
+    ["sweep", "--scenario", "all-adc", "--p", "0.3"],
+    ["sweep", "--scenario=all-adc", "--p-steps=2", "--qw=0.25"],
+    ["entropy", "--p-steps=5", "--p-steps", "7"],
+    ["sweep", "--scenario", "all-adc", "--out"],
 ]
 
 
@@ -343,7 +373,10 @@ def family_cli(out, cli) -> int:
     argvs = golden_argv() + EXTRA_ARGV + USAGE_ARGV
     for argv in argvs:
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        # Help and usage text wrap at the terminal's width; 80 columns gives
+        # the same bytes in a terminal and in a pipe.
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
