@@ -39,26 +39,61 @@ def _fmt(x: Optional[float]) -> str:
     return "%.12g" % (x + 0.0)
 
 
-def _emit(lines: list, path: Optional[str]) -> int:
-    """Write the lines to `path`, or to stdout when it is None, and return
-    the exit status: 2, with a message on stderr, when `path` cannot be
-    written.
+def _grid(lo: float, hi: float, n: int) -> list:
+    """`np.linspace(lo, hi, n)` as a list of floats, with its bits: each
+    index times the step (hi - lo) / (n - 1), plus lo, or, where that step
+    is 0 (a subnormal span), each index over n - 1 times the span, plus lo;
+    the last point is hi itself. One point is 0 times the span, plus lo."""
+    span = hi - lo
+    if n < 2:
+        return [0.0 * span + lo] * n
+    div = n - 1
+    step = span / div
+    grid = [k * step + lo for k in range(n)] if step else [k / div * span + lo for k in range(n)]
+    grid[-1] = hi
+    return grid
 
-    `path` is written in place: opened without truncation (a new file gets
-    mode 0o666 less the umask), overwritten from its start, and then, if it
-    is a regular file, cut to the new length. A device or FIFO such as
-    /dev/null is never truncated. Truncating a non-empty file to zero, as
+
+# How an --out path is opened: for writing, created if missing (mode 0o666
+# less the umask), never truncated on open.
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _check_out(path: Optional[str]) -> tuple:
+    """Open a command's `--out` path before any work: (0, the descriptor
+    `_emit` writes and closes), or (0, None) when there is no path and the
+    lines go to stdout. A path that cannot be opened (empty, a directory,
+    in a missing directory, without permission) gives (2, None) and
+    `error: cannot write PATH: <reason>` on stderr, `_emit`'s message for
+    a failed write, and opening it creates or truncates nothing. Nothing
+    else stats the path or its directory."""
+    if path is None:
+        return 0, None
+    try:
+        return 0, os.open(path, _OUT_FLAGS, 0o666)
+    except OSError as exc:
+        return _cannot_write(path, exc), None
+
+
+def _emit(lines: list, path: Optional[str] = None, fd: Optional[int] = None) -> int:
+    """Write the lines to the descriptor `fd` that `_check_out` opened on
+    `path`, and close it, or to stdout when there is none; return the exit
+    status: 2, with a message on stderr, when the write fails.
+
+    The file is written in place: overwritten from its start and then, if
+    it is a regular file, cut to the new length, so with `_check_out`'s
+    open a file takes open, write, fstat, ftruncate and close. A device or FIFO such as /dev/null
+    is never truncated. Truncating a non-empty file to zero, as
     `open(path, "w")` does, makes ext4 start the file's writeback on close
     (its `auto_da_alloc` rule); in place, writeback follows the kernel's
     normal schedule. So after a crash a rewritten file may still hold its
     previous bytes, in whole or in part, where it would have been empty."""
     text = "\n".join(lines) + "\n"
-    if path is None:
+    if fd is None:
         sys.stdout.write(text)
         return 0
     data = text.encode()
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         try:
             rest = memoryview(data)
             while rest:
@@ -68,19 +103,31 @@ def _emit(lines: list, path: Optional[str]) -> int:
         finally:
             os.close(fd)
     except OSError as exc:
-        return _usage_error(f"cannot write {path}: {exc.strerror or exc}")
+        return _cannot_write(path, exc)
     return 0
 
 
-def _check_out(path: Optional[str]) -> int:
-    """`_emit`'s status and message, found before any work, for an `--out`
-    path that is empty, a directory, or in a directory that does not
-    exist; 0 for any other path. Opening such a path fails and creates or
-    truncates nothing."""
-    if path is None:
-        return 0
-    refused = not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir)
-    return _emit([], path) if refused else 0
+def _write(path: Optional[str], work) -> int:
+    """The exit status of a command that writes the lines `work()` returns
+    to its `--out` path, or to stdout when it is None. The path is opened
+    before the work (`_check_out`), so one that cannot be opened is refused
+    before any, and a new file exists, empty, while the work runs; its
+    descriptor is closed however the work ends, and a file the work raises
+    out of is left as it was (an existing one is not cut)."""
+    status, fd = _check_out(path)
+    if status:
+        return status
+    try:
+        lines = work()
+    except BaseException:
+        if fd is not None:
+            os.close(fd)
+        raise
+    return _emit(lines, path, fd)
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    return _usage_error(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _usage_error(msg: str) -> int:
@@ -114,13 +161,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return _usage_error("need 0 <= qw-min <= qw-max <= 1")
         if args.qw_steps < 1:
             return _usage_error("qw-steps must be at least 1")
-        qs = [float(q) for q in np.linspace(args.qw_min, args.qw_max, args.qw_steps)]
+        qs = _grid(args.qw_min, args.qw_max, args.qw_steps)
         qw_for = lambda p: qs
     if not scenario.protected and (args.qw_mode != "fixed" or args.qw != 0.0):
         return _usage_error(f"{scenario.value} admits only --qw-mode fixed --qw 0")
-    if _check_out(args.out):
-        return 2
+    return _write(args.out, lambda: _sweep_lines(args, scenario, qw_for))
 
+
+def _sweep_lines(args: argparse.Namespace, scenario: Scenario, qw_for) -> list:
+    """The sweep's CSV lines, with `qw_for(p)` the q_w of each p."""
     fixed_input = args.pop0 is not None
     header = SWEEP_HEADER + (",pop0" if fixed_input else "")
     lines = [header]
@@ -128,13 +177,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     f_name = None if scenario.protected else _form_name("f_av_unprot", scenario)
     pop0 = args.pop0 if fixed_input else 0.5
     row = [pop0, 0.0, pop0, 0.0]
-    for p in np.linspace(args.p_min, args.p_max, args.p_steps):
-        p = float(p)
+    for p in _grid(args.p_min, args.p_max, args.p_steps):
         # Every q_w of this p shares one distributed state and one fold;
         # when the inputs are averaged, the g_total row goes in the nodes' fold.
         dist, eam_success = distribute(scenario, p)
         s_bob = entanglement_entropy_bob(dist)
-        qs = [float(q) for q in qw_for(p)]
+        qs = qw_for(p)
         if fixed_input:
             totals = _row_totals(dist, scenario, qs, np.array([row]))
             f_avs = [fidelity.item() for _, fidelity, _ in totals]
@@ -157,7 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if fixed_input:
                 cols.append(_fmt(args.pop0))
             lines.append(",".join(cols))
-    return _emit(lines, args.out)
+    return lines
 
 
 def cmd_branches(args: argparse.Namespace) -> int:
@@ -196,22 +244,25 @@ def cmd_branches(args: argparse.Namespace) -> int:
                     z = b.corrected[r, c]
                     cols += [_fmt(z.real), _fmt(z.imag)]
         lines.append(",".join(cols))
-    return _emit(lines, None)
+    return _emit(lines)
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     if args.p_steps < 2:
         return _usage_error("p-steps must be at least 2")
-    if _check_out(args.out):
-        return 2
-    ps = [float(p) for p in np.linspace(0.0, 1.0, args.p_steps)]
+    return _write(args.out, lambda: _entropy_lines(args.p_steps))
+
+
+def _entropy_lines(p_steps: int) -> list:
+    """The entropy curves' CSV lines at `p_steps` p in [0, 1]."""
+    ps = _grid(0.0, 1.0, p_steps)
     # One distribute call per scenario, and one entropy call on every state
     # of the curve.
     states = np.concatenate([distribute(scenario, ps)[0] for scenario in _PROTECTED])
     curves = entanglement_entropy_bob(states).reshape(len(_PROTECTED), len(ps)).T.tolist()
     lines = ["p,entropy_recovery_adc,entropy_all_adc"]
     lines += [",".join(_fmt(x) for x in (p, *vals)) for p, vals in zip(ps, curves)]
-    return _emit(lines, args.out)
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +328,7 @@ def _draw_rows(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 # The p of checks 4 and 8.
-_EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
+_EDGE_PS = tuple(_grid(0.0, 1.0, 51))
 
 
 def _check_success_oracle(grid_n: int) -> tuple:
@@ -297,7 +348,7 @@ def _check_success_oracle(grid_n: int) -> tuple:
 
 def _check_suppression() -> tuple:
     """Check 2's result, and its note on skipped corner points."""
-    ps = [float(p) for p in np.linspace(0.0, 1.0, 11)]
+    ps = _grid(0.0, 1.0, 11)
     inputs = np.tile([0.3, 0.4, 0.7, 1.1], (len(ps), 1))
     # Branches and f_av at q_w = p of every p, one p per state: each p's
     # 16 branch errors and then its f_av error, scenario by scenario.
@@ -322,7 +373,7 @@ def _check_suppression() -> tuple:
 
 
 def _check_unprotected_f_av() -> tuple:
-    ps = [float(p) for p in np.linspace(0.0, 1.0, 51)]
+    ps = _grid(0.0, 1.0, 51)
     errors = []
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
@@ -367,6 +418,7 @@ def _branch_sample_errors() -> tuple:
 
 
 def _check_qualitative() -> tuple:
+    """Check 7's result, and its note on the trade-off's least margin."""
     grid = [0.1 * k for k in range(1, 10)]
     slack = 1e-9
     # f_av and total success of each protected scenario as [p, q_w] arrays
@@ -406,7 +458,22 @@ def _check_qualitative() -> tuple:
         kind = "dominance" if below[a, b] else "prohibited g" if slot else "prohibited f_av"
         return f"{kind} {_PROTECTED[s].value} {at}"
 
-    return _located(margins, label, keep)
+    # The trade-off as [scenario, p, step, slot]: each step up the q_w grid
+    # that stays at or below p raises f_av (slot 0) and lowers the success
+    # (slot 1), each by more than the slack.
+    steps = np.empty((len(_PROTECTED), len(grid), len(grid) - 1, 2))
+    for s, prot in enumerate(_PROTECTED):
+        steps[s, ..., 0] = slack - np.diff(fav[prot], axis=1)
+        steps[s, ..., 1] = slack + np.diff(g_sim[prot], axis=1)
+
+    def step_label(s, a, b, slot):
+        kind = "g" if slot else "f_av"
+        return f"trade-off {kind} {_PROTECTED[s].value} p={grid[a]:g} q_w={grid[b]:g}->{grid[b + 1]:g}"
+
+    errors, where = _located(margins, label, keep)
+    trade, trade_where = _located(steps, step_label, below[:, 1:, None])
+    located = lambda k: where(k) if k < len(errors) else trade_where(k - len(errors))
+    return (np.concatenate([errors, trade]), located), f"; least trade-off margin {trade.max():.3g}"
 
 
 def _check_entropy() -> tuple:
@@ -441,14 +508,16 @@ def _verify_checks(grid_n: int) -> list:
     suppression, suppression_note = _check_suppression()
     # Checks 5 and 6 read the same sampled branches.
     recovered, joint = _branch_sample_errors()
+    success, unprotected, eam = _check_success_oracle(grid_n), _check_unprotected_f_av(), _check_eam()
+    qualitative, qualitative_note = _check_qualitative()
     table = [
-        ("total success vs closed form", _check_success_oracle(grid_n), 1e-10, ""),
+        ("total success vs closed form", success, 1e-10, ""),
         ("noise suppression at q_w = p", suppression, 1e-9, suppression_note),
-        ("unprotected average fidelity and determinism", _check_unprotected_f_av(), 1e-6, ""),
-        ("post-selection success probability", _check_eam(), 1e-12, ""),
+        ("unprotected average fidelity and determinism", unprotected, 1e-6, ""),
+        ("post-selection success probability", eam, 1e-12, ""),
         ("recovered branch states vs closed forms", recovered, 1e-12, ""),
         ("joint branch probabilities vs closed forms", joint, 1e-12, ""),
-        ("dominance, prohibited domain, scenario ordering", _check_qualitative(), 0.0, ""),
+        ("dominance, trade-off, prohibited domain, scenario ordering", qualitative, 0.0, qualitative_note),
         ("entropy boundary values and ordering", _check_entropy(), 0.0, ""),
     ]
     worst = (_worst(*result) for _, result, _, _ in table)

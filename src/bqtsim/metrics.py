@@ -24,14 +24,16 @@ Each closed form is written once, as a function in `_FORMS`.
 one call per form, not one per point."""
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .channels import _check_unit, _check_units
 from .linalg import hermitian_eigenvalues
-from .protocol import Scenario, _input_densities, _node_integrands, _single_q_w, distribute
+from .protocol import Scenario, _input_densities, _node_integrands, _references, _row_inputs, _single_q_w, distribute
 
 __all__ = [
     "OracleValue",
@@ -56,12 +58,33 @@ def _nodes_weights(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+# The node states and their references do not depend on p, q_w or the
+# distributed state, so every input average with the same node count and
+# extra rows shares one stack of them: after its first call a sweep item,
+# each p of a sweep and each verify check skip forming, repeating and
+# concatenating the inputs and taking their references. The rows are keyed
+# by their float64 bytes (`_average_fidelities`), so -0.0 and 0.0 stay
+# apart and a cached stack has the bits a fresh one would.
 @lru_cache(maxsize=8)
-def _node_states(points: int) -> np.ndarray:
-    """The input state at each of the `points` nodes, as a read-only
-    (1, 1, points, 2, 2) stack that both parties and every state of a fold
-    share (`protocol._node_integrands`)."""
-    return np.broadcast_to(_input_densities(_nodes_weights(points)[0]), (1, 1, points, 2, 2))
+def _node_states(points: int, rows: bytes | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The input states of the `points`-node input average and their
+    packed references (`protocol._references`), as two read-only arrays
+    that every state of a fold shares (`protocol._node_integrands`).
+
+    Without `rows`, the inputs are the node states, a (1, 1, points, 2, 2)
+    stack both parties share. `rows` holds extra input rows [pop_a,
+    phase_a, pop_b, phase_b] as the bytes of their float64 values, row by
+    row; the inputs are then the (2, 1, points + m, 2, 2) party-major stack
+    of the nodes followed by the m rows (`protocol._row_inputs`). The
+    references are (parties, 1, points + m, 4, 4), with the inputs' party
+    axis."""
+    inputs = np.broadcast_to(_input_densities(_nodes_weights(points)[0]), (1, 1, points, 2, 2))
+    if rows is not None:
+        extra = _row_inputs(np.frombuffer(rows).reshape(-1, 4), 1)
+        inputs = np.concatenate((inputs.repeat(2, axis=0), extra), axis=2)
+    references = _references(inputs)[:, None]
+    inputs.flags.writeable = references.flags.writeable = False
+    return inputs, references
 
 
 @dataclass(frozen=True)
@@ -100,11 +123,14 @@ def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int 
     Gauss-Legendre rule. A q_w is a float or one value per state.
 
     The kernel gives each party's integrand at every node and q_w from
-    one fold of the nodes, shared by every state (`_node_states`,
-    `protocol._node_integrands`); each party's weighted sum over the nodes
-    is its mean, and the product of the two means is the average. Each
-    step is elementwise or a reduction over a fixed axis in a fixed order,
-    so a value does not depend on the other q_w or states.
+    one fold of the nodes, shared by every state (`protocol._node_integrands`),
+    against the input stack and references that every call with the same
+    node count and extra rows shares (`_node_states`, formed on the first
+    such call in a process); each party's weighted sum over the nodes is
+    its mean, and the product of the two means is the average. Each step
+    is elementwise or a reduction over a fixed axis in a fixed order, so a
+    value does not depend on the other q_w or states, nor on whether the
+    inputs were cached.
 
     Returns the average at each q_w: a float for one state, a list of G
     floats for a stack. `extra` input rows are folded with the nodes, and
@@ -113,7 +139,8 @@ def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int 
     function that gives `_row_totals` (`protocol._party_totals`), bit for
     bit.
     """
-    integrand, totals = _node_integrands(dist, scenario, q_ws, _node_states(points), extra)
+    rows = None if extra is None else array("d", chain.from_iterable(extra)).tobytes()
+    integrand, totals = _node_integrands(dist, scenario, q_ws, *_node_states(points, rows), points)
     means = np.add.reduce(integrand * _nodes_weights(points)[1], axis=-1)
     averages = (means[:, 0] * means[:, 1] if dist.ndim == 4 else means[:, 0, 0] * means[:, 1, 0]).tolist()
     return averages if extra is None else (averages, totals)

@@ -96,14 +96,16 @@ is annihilated, and the live branches are the ones the totals sum.
 
 The input average's kernel, `_node_integrands`, sits beside the
 orchestration: it checks every q_w, folds the node states that every
-state shares and any extra input rows (`_row_inputs`) once, takes their
-references once for every state (`_references`), contracts every q_w at
-once into each party's factors,
-frees the fold, and gives each party's integrand at each node
-(`_party_integrand`, which applies the same predicate to each party's
-own factors) and the extra rows' totals (`_party_totals`, as
-`_row_totals` forms them). `metrics` keeps only the quadrature: the node
-weights, each party's weighted node sum and the product of the two.
+state shares and any extra input rows once, against their references,
+contracts every q_w at once into each party's factors, frees the fold,
+and gives each party's integrand at each node (`_party_integrand`, which
+applies the same predicate to each party's own factors) and the extra
+rows' totals (`_party_totals`, as `_row_totals` forms them). It forms
+neither its inputs nor their references: `metrics._node_states` makes
+the stack of nodes and rows (`_row_inputs`) and its references
+(`_references`) once per node count and rows in a process. `metrics`
+keeps that cache and the quadrature: the node weights, each party's
+weighted node sum and the product of the two.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -885,45 +887,51 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     return [(_party_totals(traces, *part)[0], None) for part in factors]
 
 
-def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, extra) -> tuple:
+def _node_integrands(
+    dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, references: np.ndarray, k: int
+) -> tuple:
     """Each party's input-average integrand (`_party_integrand`) at each
     node and each entry of `q_ws`, (q_w, party, state, node), over one
     distributed pair stack of `scenario` or a (G, 2, 4, 4) stack of them. A
     q_w is a float or one value per state, and every entry is checked
-    before any work. `rho` holds the node states as a (1, 1, k, 2, 2) stack
-    that both parties and every state share.
+    before any work.
 
-    One fold takes the nodes and the `extra` input rows [pop_a, phase_a,
-    pop_b, phase_b], if any (None for none), and every q_w is contracted
-    at once: each party's weights and fidelity numerators per outcome
-    (`_party_factors`), its integrand at each node, and the extra rows'
-    totals (`_party_totals`). Each step is elementwise or a contraction
-    over a fixed axis in a fixed order, so a value does not depend on the
-    other q_w, states or rows. Returns the integrands and, with `extra`,
-    each q_w's (success, fidelity, post-selected) totals of the extra rows,
-    each a (G, len(extra)) array with the bits of `_row_totals`; None
+    `rho` holds the inputs every state shares and `references` their
+    packed references (`_references`), as `metrics._node_states` caches
+    them: the k node states as a (1, 1, k, 2, 2) stack both parties share,
+    or, with extra input rows [pop_a, phase_a, pop_b, phase_b], the
+    (2, 1, k + m, 2, 2) party-major stack of the nodes followed by the m
+    rows. Neither is written to.
+
+    One fold takes the nodes and the extra rows, and every q_w is
+    contracted at once: each party's weights and fidelity numerators per
+    outcome (`_party_factors`), its integrand at each node, and the extra
+    rows' totals (`_party_totals`). Each step is elementwise or a
+    contraction over a fixed axis in a fixed order, so a value does not
+    depend on the other q_w, states or rows. Returns the integrands and,
+    with extra rows, each q_w's (success, fidelity, post-selected) totals
+    of them, each a (G, m) array with the bits of `_row_totals`; None
     without.
     """
-    groups, k = _groups(dist), rho.shape[2]
+    groups = _groups(dist)
     # Each q_w's weak pair, one row per state: (q_w, state, 4).
     pairs = np.empty((len(q_ws), groups, 4))
     for row, q_w in zip(pairs, q_ws):
         row[...] = _weak_pairs(q_w, scenario, groups)
-    if extra is not None:
-        rho = np.concatenate((rho.repeat(2, axis=0), _row_inputs(extra, 1)), axis=2)
     # The packed states, (party, state, row, outcome, entry); the nodes are
     # the first k rows of each state.
     packed = _fold(dist, rho).reshape(2, groups, -1, 4, 4)
     # Every state shares the rows' references; each q_w's weak pair against
     # (q_w, party, state, row).
-    weight, numerator = _party_factors(packed, _references(rho)[:, None], pairs.reshape(len(pairs), 1, groups, 1, 4))
+    weight, numerator = _party_factors(packed, references, pairs.reshape(len(pairs), 1, groups, 1, 4))
     # The fold is the call's largest array. The traces are taken after the
     # factors, so one array fewer of their size is alive beside it, and it
     # is freed before the integrands.
     trace = packed[..., 0] + packed[..., 1]
     del packed
     integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], numerator[..., :k, :])
-    if extra is None:
+    # The nodes alone are one stack both parties share.
+    if len(rho) == 1:
         return integrand, None
     # The extra rows' totals, party axis first, (q_w, state, row) each.
     totals = _party_totals(trace[:, None, :, k:], *(part[..., k:, :].swapaxes(0, 1) for part in (weight, numerator)))[0]

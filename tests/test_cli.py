@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import bqtsim
 from bqtsim import cli, protocol
@@ -274,6 +276,105 @@ def test_rewriting_out_dirties_no_fresh_pages(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_out_is_opened_once_and_never_statted(tmp_path, monkeypatch, capsys):
+    """An --out sweep opens its path once, before the work, and writes
+    through that descriptor: no second open, and no stat of the path or of
+    its directory."""
+    opened = []
+    real_open = os.open
+
+    def counted(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("--out path statted")
+
+    path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scenario", "all-adc", "--p-steps", "2", "--qw-mode", "grid", "--qw-steps", "2"]
+    code, printed, _ = run_cli(argv, capsys)
+    assert code == 0
+    monkeypatch.setattr(os, "open", counted)
+    for name in ("stat", "lstat"):
+        monkeypatch.setattr(os, name, refused)
+    monkeypatch.setattr(os.path, "isdir", refused)
+    monkeypatch.setattr(os.path, "exists", refused)
+    assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
+    monkeypatch.undo()
+    assert opened == [str(path)]
+    assert path.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("held", [None, b"held\n"])
+def test_out_descriptor_is_closed_when_the_work_raises(held, tmp_path, monkeypatch):
+    """The descriptor opened before the work is closed when the work
+    raises: a new file is left empty, an existing one as it was."""
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def tracked_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    def tracked_close(fd):
+        closed.append(fd)
+        return real_close(fd)
+
+    def distribute(*args):
+        raise RuntimeError("work failed")
+
+    path = tmp_path / "out.csv"
+    if held is not None:
+        path.write_bytes(held)
+    monkeypatch.setattr(cli, "distribute", distribute)
+    monkeypatch.setattr(os, "open", tracked_open)
+    monkeypatch.setattr(os, "close", tracked_close)
+    for argv in (["sweep", "--scenario", "recovery-adc", "--p-steps", "2"], ["entropy", "--p-steps", "3"]):
+        opened.clear(), closed.clear()
+        with pytest.raises(RuntimeError, match="work failed"):
+            main(argv + ["--out", str(path)])
+        assert len(opened) == 1 and closed == opened
+        assert path.read_bytes() == (held or b"")
+
+
+# Doubles where np.linspace takes each of its branches: one point, a zero
+# step of a subnormal span, signed zeros, a span that overflows.
+GRID_EDGES = [
+    (0.0, 1.0, 0), (0.3, 0.7, 1), (0.3, 0.7, 2), (0.0, 1.0, 51), (0.1, 0.9, 100_001), (0.37, 0.37, 1),
+    (0.37, 0.37, 5), (-0.0, -0.0, 1), (-0.0, -0.0, 3), (0.0, -0.0, 2), (-0.0, 0.0, 4), (0.5, -0.0, 1),
+    (0.0, 5e-324, 3), (0.0, 1e-320, 1000), (-5e-324, 5e-324, 7), (1e-310, 2e-310, 9), (-1e308, 1e308, 1),
+    (-1e308, 1e308, 3), (1.0, 0.0, 11),
+]
+ANY_DOUBLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0]),
+)
+
+
+def assert_grid_is_linspace(lo, hi, n):
+    grid = cli._grid(lo, hi, n)
+    with np.errstate(all="ignore"):
+        want = np.linspace(lo, hi, n)
+    assert all(type(x) is float for x in grid)
+    assert np.array(grid, dtype=float).tobytes() == want.tobytes(), (lo, hi, n)
+
+
+@pytest.mark.parametrize("lo, hi, n", GRID_EDGES)
+def test_grid_is_linspace_at_its_edges(lo, hi, n):
+    """`cli._grid` is `np.linspace(lo, hi, n).tolist()` byte for byte, one
+    Python float per point."""
+    assert_grid_is_linspace(lo, hi, n)
+
+
+@seed(20261020)
+@settings(database=None, deadline=None, max_examples=500)
+@given(ANY_DOUBLE, ANY_DOUBLE, st.one_of(st.integers(0, 3), st.integers(0, 2000)))
+def test_grid_is_linspace_over_draws(lo, hi, n):
+    assert_grid_is_linspace(lo, hi, n)
+
+
 # ------------------------------------------------------------- branches
 
 
@@ -438,18 +539,20 @@ def test_verify_checks_return_one_array_each():
         2: cli._check_suppression()[0],
         3: cli._check_unprotected_f_av(),
         4: cli._check_eam(),
-        7: cli._check_qualitative(),
+        7: cli._check_qualitative()[0],
         8: cli._check_entropy(),
     }
     results[5], results[6] = cli._branch_sample_errors()
-    sizes = {1: 2000, 2: 2 * 11 * 17 - 2 * 17, 3: 204, 4: 102, 5: 480, 6: 480, 7: 2 * (45 + 2 * 36) + 81, 8: 62}
+    sizes = {1: 2000, 2: 2 * 11 * 17 - 2 * 17, 3: 204, 4: 102, 5: 480, 6: 480, 7: 2 * (45 + 2 * 36) + 81 + 2 * 2 * 36, 8: 62}
     # Locations at a few indices, in the order the checks listed them.
     wheres = {
         1: {0: "recovery-adc p=0 q_w=0", 10: "recovery-adc p=0 q_w=0.1", 1999: "all-adc p=0.9 q_w=0.9"},
         2: {0: "recovery-adc p=0 branch (1,1)", 16: "recovery-adc p=0 f_av", 17: "all-adc p=0 branch (1,1)",
             339: "all-adc p=0.9 f_av"},
         7: {0: "dominance recovery-adc p=0.1 q_w=0.1", 1: "prohibited f_av recovery-adc p=0.1 q_w=0.2",
-            2: "prohibited g recovery-adc p=0.1 q_w=0.2", 314: "ordering p=0.9 q_w=0.9"},
+            2: "prohibited g recovery-adc p=0.1 q_w=0.2", 314: "ordering p=0.9 q_w=0.9",
+            315: "trade-off f_av recovery-adc p=0.2 q_w=0.1->0.2", 316: "trade-off g recovery-adc p=0.2 q_w=0.1->0.2",
+            458: "trade-off g all-adc p=0.9 q_w=0.8->0.9"},
         8: {0: "recovery-adc p=0", 1: "all-adc p=0", 2: "ordering p=0", 52: "ordering p=1", 53: "strictness p=0.1",
             61: "strictness p=0.9"},
     }
@@ -457,6 +560,32 @@ def test_verify_checks_return_one_array_each():
         assert errors.dtype == np.float64 and errors.shape == (sizes[num],), num
         assert all(isinstance(where(k), str) and where(k) for k in (0, len(errors) - 1)), num
         assert {k: where(k) for k in wheres.get(num, ())} == wheres.get(num, {}), num
+
+
+def test_verify_trade_off_fails_where_f_av_falls_below_p(monkeypatch):
+    # Check 7's trade-off: with the first two q_w of every protected f_av
+    # row swapped, f_av falls from q_w = 0.1 to 0.2 at each p >= 0.2, and
+    # those steps, and no other trade-off step, fail; the note prints the
+    # least margin, now positive.
+    real = cli._average_fidelities
+
+    def swapped(dist, scenario, q_ws, points, extra=None):
+        result = real(dist, scenario, q_ws, points, extra)
+        if extra is None:
+            return result
+        averages, totals = result
+        return [averages[1], averages[0], *averages[2:]], totals
+
+    (errors, where), note = cli._check_qualitative()
+    assert note == "; least trade-off margin -0.00115"
+    trade = range(315, len(errors))
+    assert all(errors[k] < 0.0 for k in trade)
+    monkeypatch.setattr(cli, "_average_fidelities", swapped)
+    (errors, where), note = cli._check_qualitative()
+    failing = {where(k) for k in trade if errors[k] > 0.0}
+    grid = [0.1 * k for k in range(2, 10)]
+    assert failing == {f"trade-off f_av {s.value} p={p:g} q_w=0.1->0.2" for s in cli._PROTECTED for p in grid}
+    assert note == f"; least trade-off margin {max(errors[k] for k in trade):.3g}" and errors[trade].max() > 0.0
 
 
 def count_folds(monkeypatch) -> dict:

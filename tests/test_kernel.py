@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from bqtsim import protocol
+from bqtsim import metrics, protocol
 from bqtsim.channels import DEGENERATE_TOL, DegenerateBranchError
 from bqtsim.linalg import assert_density
 from bqtsim.metrics import _average_fidelities, _nodes_weights, average_fidelity
@@ -323,12 +323,15 @@ def test_multi_qw_average_matches_one_average_per_qw(points):
 def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
     """A totals-only call folds its rows and builds their q_w-free forms
     once, however many q_w it corrects at and however many states it
-    folds: one state with 100 rows, a stack of three states, and the
-    input average. A totals-only rows call writes its rows' references
-    into the fold's own array; the input average takes its shared nodes'
-    references once, and an owned call, `_run_rows` or `run_protocol`,
-    takes its rows' apart, once, beside its one fold."""
-    stages = dict.fromkeys(("_fold", "_references"), 0)
+    folds: one state with 100 rows and a stack of three states. A
+    totals-only rows call writes its rows' references into the fold's own
+    array; an owned call, `_run_rows` or `run_protocol`, takes its rows'
+    apart, once, beside its one fold. The input average folds once per
+    call, and forms its node-and-row stack and its references once per
+    (node count, extra rows) in a process, and none on a repeated call:
+    the cached arrays are read-only, and a repeated call gives the same
+    bytes."""
+    stages = dict.fromkeys(("_fold", "_references", "_row_inputs"), 0)
 
     def counted(name):
         stage = getattr(protocol, name)
@@ -340,23 +343,56 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
         return count
 
     for name in stages:
-        monkeypatch.setattr(protocol, name, counted(name))
+        wrapper = counted(name)
+        monkeypatch.setattr(protocol, name, wrapper)
+        # `metrics._node_states` forms the input average's stack.
+        if hasattr(metrics, name):
+            monkeypatch.setattr(metrics, name, wrapper)
     scenario = Scenario.RECOVERY_ADC
     qs = [0.1 * k for k in range(1, 10)]
     rng = np.random.default_rng(151)
     dists = np.stack([distribute(scenario, p)[0] for p in (0.2, 0.5, 0.9)])
     size = 65
+    rows = [[0.5, 0.0, 0.5, 0.0], [0.3, 1.0, 0.8, -0.0]]
     calls = (
-        lambda: _row_totals(dists[0], scenario, qs, rng.random((100, 4))),
-        lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))),
-        lambda: _average_fidelities(dists[1], scenario, qs),
-        lambda: _run_rows(dists[0], scenario, qs[0], rng.random((100, 4))),
-        lambda: run_protocol(scenario, 0.3, 0.2, QubitInput(0.4, 1.0), QubitInput(0.7, 2.0)),
+        (lambda: _row_totals(dists[0], scenario, qs, rng.random((100, 4))), (1, 0, 1)),
+        (lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))), (1, 0, 1)),
+        (lambda: _run_rows(dists[0], scenario, qs[0], rng.random((100, 4))), (1, 1, 1)),
+        (lambda: run_protocol(scenario, 0.3, 0.2, QubitInput(0.4, 1.0), QubitInput(0.7, 2.0)), (1, 1, 1)),
     )
-    for call, references in zip(calls, (0, 0, 1, 1, 1), strict=True):
+    for call, counts in calls:
         stages.update(dict.fromkeys(stages, 0))
         call()
-        assert stages == {"_fold": 1, "_references": references}
+        assert tuple(stages.values()) == counts
+    metrics._node_states.cache_clear()
+    averages = (
+        (lambda: _average_fidelities(dists[1], scenario, qs), (1, 1, 0)),
+        (lambda: _average_fidelities(dists, scenario, qs, extra=rows), (1, 1, 1)),
+        (lambda: _average_fidelities(dists, scenario, qs, 32, rows), (1, 1, 1)),
+        # The same rows with their -0.0 made 0.0 are cached apart.
+        (lambda: _average_fidelities(dists, scenario, qs, 32, np.abs(rows)), (1, 1, 1)),
+    )
+    for call, counts in averages:
+        stages.update(dict.fromkeys(stages, 0))
+        first = call()
+        assert tuple(stages.values()) == counts
+        stages.update(dict.fromkeys(stages, 0))
+        assert average_bytes(call()) == average_bytes(first)
+        assert tuple(stages.values()) == (1, 0, 0)
+    assert metrics._node_states.cache_info().currsize == len(averages)
+    for inputs in (metrics._node_states(64, None), metrics._node_states(32, np.array(rows).tobytes())):
+        for array in inputs:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+    assert metrics._node_states.cache_info().currsize == len(averages)
+
+
+def average_bytes(result) -> bytes:
+    """The bytes of an `_average_fidelities` result: its averages and, with
+    extra rows, each q_w's totals."""
+    averages, totals = result if isinstance(result, tuple) else (result, [])
+    return np.array(averages).tobytes() + b"".join(np.array(part).tobytes() for part in totals)
 
 
 BRANCH_FIELDS = ("recovered", "joint", "weight", "corrected", "fidelity", "degenerate")

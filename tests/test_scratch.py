@@ -166,7 +166,7 @@ def test_stacked_fold_returns_its_product_uncopied():
     copied by the final reshape, peaked at 2.1 times it."""
     bare = Scenario.UNPROTECTED_ALL
     dists = np.stack([distribute(bare, float(p))[0] for p in np.linspace(0.0, 1.0, 51)])
-    rho = _node_states(32)
+    rho, _ = _node_states(32)
     _fold(dists, rho)
     tracemalloc.start()
     try:

@@ -23,6 +23,11 @@ the parent's, and how many blocks the change won. The targets:
   sweep-out      the same sweep with `--out`, every call rewriting one file
                  in a temporary directory of the tree's own, as a fav-sweep
                  item rewrites its CSV
+  sweep-round    gc.collect(), then fav-sweep's six-item round (both
+                 protected scenarios with `equal-p` and a two-row grid, both
+                 bare ones at q_w = 0, one p, each with `--out`), timed as
+                 bench/run.py times a round: from after the collection to
+                 the last item's return
   parse          cli.main on that `--out` argv with the tree's cmd_sweep
                  swapped for a stub that returns 0, so only parsing and
                  dispatch are timed; left out on a tree whose main calls
@@ -69,6 +74,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import atexit
 import contextlib
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -98,9 +104,9 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "parse", "average64", "average-extra", "average-stack", "average4096",
-         "run_protocol", "point-mc", "distribute", "distribute-stack", "entropy", "entropy-curve", "outcomes", "rows1",
-         "rows32", "rows64", "rows1000")
+NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "sweep-round", "parse", "average64", "average-extra", "average-stack",
+         "average4096", "run_protocol", "point-mc", "distribute", "distribute-stack", "entropy", "entropy-curve",
+         "outcomes", "rows1", "rows32", "rows64", "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
@@ -182,6 +188,29 @@ def point_mix(protocol) -> list:
     return calls
 
 
+def sweep_round(cli, out_dir: str):
+    """A call that runs fav-sweep's round of six `sweep` items at one p
+    after a full collection, as bench/run.py runs a round, and returns the
+    seconds the items took, the collection left out."""
+    equal_p = ["--qw-mode", "equal-p"]
+    grid = ["--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
+    items = [(name, mode) for name in ("recovery-adc", "all-adc") for mode in (equal_p, grid)]
+    items += [(name, []) for name in ("unprotected-recovery", "unprotected-all")]
+    head = ["sweep", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1", "--scenario"]
+    argvs = [head + [name] + mode + ["--out", os.path.join(out_dir, f"round-{k}.csv")]
+             for k, (name, mode) in enumerate(items)]
+
+    def call() -> float:
+        gc.collect()
+        t0 = time.perf_counter()
+        for argv in argvs:
+            cli.main(argv)
+        return time.perf_counter() - t0
+
+    call.times_itself = True
+    return call
+
+
 def parse_only(cli, argv: list):
     """cli.main(argv) with cmd_sweep swapped for a stub that returns 0 during
     the call, or None if the tree's main does not call the stub."""
@@ -217,6 +246,7 @@ def targets(pkg) -> dict:
     atexit.register(shutil.rmtree, out_dir, True)
     sweep_out = SWEEP + ["--out", os.path.join(out_dir, "sweep.csv")]
     found["sweep-out"] = lambda: cli.main(sweep_out)
+    found["sweep-round"] = sweep_round(cli, out_dir)
     found["parse"] = parse_only(cli, sweep_out)
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
     found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
@@ -243,6 +273,8 @@ def targets(pkg) -> dict:
 
 
 def block_time(fn, reps: int) -> float:
+    if getattr(fn, "times_itself", False):
+        return sum(fn() for _ in range(reps)) / reps
     t0 = time.perf_counter()
     for _ in range(reps):
         fn()
