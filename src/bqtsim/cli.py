@@ -59,40 +59,42 @@ def _grid(lo: float, hi: float, n: int) -> list:
 _OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-def _check_out(path: Optional[str]) -> tuple:
-    """Open a command's `--out` path before any work: (0, the descriptor
-    `_emit` writes and closes), or (0, None) when there is no path and the
-    lines go to stdout. A path that cannot be opened (empty, a directory,
-    in a missing directory, without permission) gives (2, None) and
-    `error: cannot write PATH: <reason>` on stderr, `_emit`'s message for
-    a failed write, and opening it creates or truncates nothing. Nothing
-    else stats the path or its directory."""
-    if path is None:
-        return 0, None
-    try:
-        return 0, os.open(path, _OUT_FLAGS, 0o666)
-    except OSError as exc:
-        return _cannot_write(path, exc), None
+def _write(path: Optional[str], work) -> int:
+    """The exit status of a command that writes the lines `work()` returns
+    to its `--out` path, or to stdout when it is None.
 
-
-def _emit(lines: list, path: Optional[str] = None, fd: Optional[int] = None) -> int:
-    """Write the lines to the descriptor `fd` that `_check_out` opened on
-    `path`, and close it, or to stdout when there is none; return the exit
-    status: 2, with a message on stderr, when the write fails.
+    The path is opened before the work, for writing, created if missing and
+    not truncated, so a path that cannot be opened (empty, a directory, in a
+    missing directory, without permission) is refused before any work, and
+    the failed open creates or truncates nothing; a new file exists, empty,
+    while the work runs. If the work raises, the descriptor is closed and the
+    exception goes on as it was, so a file the work raises out of is left
+    as it was (an existing one is not cut). A failed open, write, fstat,
+    ftruncate or close gives status 2 and `error: cannot write PATH:
+    <reason>` on stderr. Nothing else stats the path or its directory.
 
     The file is written in place: overwritten from its start and then, if
-    it is a regular file, cut to the new length, so with `_check_out`'s
-    open a file takes open, write, fstat, ftruncate and close. A device or FIFO such as /dev/null
+    it is a regular file, cut to the new length, so a file takes open,
+    write, fstat, ftruncate and close. A device or FIFO such as /dev/null
     is never truncated. Truncating a non-empty file to zero, as
     `open(path, "w")` does, makes ext4 start the file's writeback on close
     (its `auto_da_alloc` rule); in place, writeback follows the kernel's
     normal schedule. So after a crash a rewritten file may still hold its
     previous bytes, in whole or in part, where it would have been empty."""
-    text = "\n".join(lines) + "\n"
-    if fd is None:
-        sys.stdout.write(text)
+    if path is None:
+        sys.stdout.write("\n".join(work()) + "\n")
         return 0
-    data = text.encode()
+    try:
+        fd = os.open(path, _OUT_FLAGS, 0o666)
+    except OSError as exc:
+        return _cannot_write(path, exc)
+    # The work's own exceptions, an OSError included, stay outside the
+    # write's handler.
+    try:
+        data = ("\n".join(work()) + "\n").encode()
+    except BaseException:
+        os.close(fd)
+        raise
     try:
         try:
             rest = memoryview(data)
@@ -105,25 +107,6 @@ def _emit(lines: list, path: Optional[str] = None, fd: Optional[int] = None) -> 
     except OSError as exc:
         return _cannot_write(path, exc)
     return 0
-
-
-def _write(path: Optional[str], work) -> int:
-    """The exit status of a command that writes the lines `work()` returns
-    to its `--out` path, or to stdout when it is None. The path is opened
-    before the work (`_check_out`), so one that cannot be opened is refused
-    before any, and a new file exists, empty, while the work runs; its
-    descriptor is closed however the work ends, and a file the work raises
-    out of is left as it was (an existing one is not cut)."""
-    status, fd = _check_out(path)
-    if status:
-        return status
-    try:
-        lines = work()
-    except BaseException:
-        if fd is not None:
-            os.close(fd)
-        raise
-    return _emit(lines, path, fd)
 
 
 def _cannot_write(path: str, exc: OSError) -> int:
@@ -150,26 +133,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.pop0 is not None and not 0.0 <= args.pop0 <= 1.0:
         return _usage_error("pop0 must lie in [0, 1]")
 
+    # The q_w of every p, or None in equal-p mode, where each p's are [p].
+    q_ws = None
     if args.qw_mode == "fixed":
         if not 0.0 <= args.qw <= 1.0:
             return _usage_error("qw must lie in [0, 1]")
-        qw_for = lambda p: [args.qw]
-    elif args.qw_mode == "equal-p":
-        qw_for = lambda p: [p]
-    else:
+        q_ws = [args.qw]
+    elif args.qw_mode == "grid":
         if not (0.0 <= args.qw_min <= args.qw_max <= 1.0):
             return _usage_error("need 0 <= qw-min <= qw-max <= 1")
         if args.qw_steps < 1:
             return _usage_error("qw-steps must be at least 1")
-        qs = _grid(args.qw_min, args.qw_max, args.qw_steps)
-        qw_for = lambda p: qs
+        q_ws = _grid(args.qw_min, args.qw_max, args.qw_steps)
     if not scenario.protected and (args.qw_mode != "fixed" or args.qw != 0.0):
         return _usage_error(f"{scenario.value} admits only --qw-mode fixed --qw 0")
-    return _write(args.out, lambda: _sweep_lines(args, scenario, qw_for))
+    return _write(args.out, lambda: _sweep_lines(args, scenario, q_ws))
 
 
-def _sweep_lines(args: argparse.Namespace, scenario: Scenario, qw_for) -> list:
-    """The sweep's CSV lines, with `qw_for(p)` the q_w of each p."""
+def _sweep_lines(args: argparse.Namespace, scenario: Scenario, q_ws: Optional[list]) -> list:
+    """The sweep's CSV lines, `q_ws` the q_w of every p, or [p] at each p
+    when it is None."""
     fixed_input = args.pop0 is not None
     header = SWEEP_HEADER + (",pop0" if fixed_input else "")
     lines = [header]
@@ -182,7 +165,7 @@ def _sweep_lines(args: argparse.Namespace, scenario: Scenario, qw_for) -> list:
         # when the inputs are averaged, the g_total row goes in the nodes' fold.
         dist, eam_success = distribute(scenario, p)
         s_bob = entanglement_entropy_bob(dist)
-        qs = qw_for(p)
+        qs = [p] if q_ws is None else q_ws
         if fixed_input:
             totals = _row_totals(dist, scenario, qs, np.array([row]))
             f_avs = [fidelity.item() for _, fidelity, _ in totals]
@@ -244,7 +227,7 @@ def cmd_branches(args: argparse.Namespace) -> int:
                     z = b.corrected[r, c]
                     cols += [_fmt(z.real), _fmt(z.imag)]
         lines.append(",".join(cols))
-    return _emit(lines)
+    return _write(None, lambda: lines)
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
@@ -559,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--qw-steps", type=int, default=11)
     sweep.add_argument("--pop0", type=float, default=None, help="fix both inputs instead of averaging")
     sweep.add_argument("--out", default=None, help="output path (default: stdout)")
-    sweep.set_defaults(func=cmd_sweep)
 
     branches = sub.add_parser("branches", help="per-branch table at a single parameter point")
     branches.add_argument("--scenario", required=True, choices=_SCENARIO_NAMES)
@@ -569,16 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     branches.add_argument("--alice-phase", type=float, default=0.0)
     branches.add_argument("--bob-pop0", type=float, default=0.5)
     branches.add_argument("--bob-phase", type=float, default=0.0)
-    branches.set_defaults(func=cmd_branches)
 
     verify = sub.add_parser("verify", help="cross-check the simulation against every closed form")
     verify.add_argument("--grid", type=int, default=10, help="per-axis resolution of the success grid")
-    verify.set_defaults(func=cmd_verify)
 
     entropy = sub.add_parser("entropy", help="receiver-side entanglement entropy curves")
     entropy.add_argument("--p-steps", type=int, default=51)
     entropy.add_argument("--out", default=None, help="output path (default: stdout)")
-    entropy.set_defaults(func=cmd_entropy)
     return parser
 
 
@@ -597,10 +576,10 @@ def main(argv: Optional[list] = None) -> int:
             parser.error("unrecognized arguments: %s" % " ".join(rest))
     else:
         args = parser.parse_args(argv)
-    # The command is looked up by name when it runs, not taken from the
-    # parser built at the first call, so a later rebinding of a cmd_*
-    # function (a tracing wrapper, say) is the one called.
-    return globals()[args.func.__name__](args)
+    # Dispatch goes by the command's name, looked up when it runs, so a
+    # rebound cmd_* is the one called: the bench tracer's wrapper, a test
+    # stub, or tools/abtime.py's `parse` stub.
+    return globals()["cmd_" + args.command](args)
 
 
 def run() -> int:

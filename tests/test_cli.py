@@ -4,6 +4,7 @@ The heavyweight `verify` subcommand is exercised end to end by the
 acceptance suite; here only its reduction rule and its failure path.
 """
 import argparse
+import errno
 import math
 import os
 import re
@@ -335,6 +336,61 @@ def test_out_descriptor_is_closed_when_the_work_raises(held, tmp_path, monkeypat
             main(argv + ["--out", str(path)])
         assert len(opened) == 1 and closed == opened
         assert path.read_bytes() == (held or b"")
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_out_work_oserror_propagates(argv, tmp_path, monkeypatch, capsys):
+    """An OSError raised by the work is the work's, not a failed write: it
+    comes out of main unchanged, with nothing on stderr, the descriptor
+    closed and an existing file as it was."""
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def tracked_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    def tracked_close(fd):
+        closed.append(fd)
+        return real_close(fd)
+
+    failure = OSError(errno.EIO, "work failed")
+
+    def distribute(*args):
+        raise failure
+
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"held\n")
+    monkeypatch.setattr(cli, "distribute", distribute)
+    monkeypatch.setattr(os, "open", tracked_open)
+    monkeypatch.setattr(os, "close", tracked_close)
+    with pytest.raises(OSError) as raised:
+        main(argv + ["--out", str(path)])
+    monkeypatch.undo()
+    assert raised.value is failure
+    assert len(opened) == 1 and closed == opened
+    assert path.read_bytes() == b"held\n"
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_out_close_failure_is_a_failed_write(argv, tmp_path, monkeypatch, capsys):
+    """A close that fails after the whole output is written (as NFS may
+    report a deferred write error) fails the command like any write."""
+    code, printed, _ = run_cli(argv, capsys)
+    assert code == 0
+    real_close = os.close
+
+    def failing_close(fd):
+        real_close(fd)
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    path = tmp_path / "out.csv"
+    monkeypatch.setattr(os, "close", failing_close)
+    outcome = run_cli(argv + ["--out", str(path)], capsys)
+    monkeypatch.undo()
+    assert outcome == (2, "", f"error: cannot write {path}: Input/output error\n")
+    assert path.read_bytes() == printed.encode()
 
 
 # Doubles where np.linspace takes each of its branches: one point, a zero
@@ -704,9 +760,7 @@ def test_verify_fails_on_nan_closed_forms(monkeypatch, capsys):
 
 def stub_commands(monkeypatch) -> list:
     """Swap every cmd_* for a stub that records the Namespace it is called
-    with and returns 0; the list of those Namespaces. The parser is built
-    first, so its defaults keep the real functions' names."""
-    cli.build_parser()
+    with and returns 0; the list of those Namespaces."""
     seen = []
     for name in ("cmd_sweep", "cmd_branches", "cmd_verify", "cmd_entropy"):
         monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)

@@ -32,6 +32,8 @@ the parent's, and how many blocks the change won. The targets:
                  swapped for a stub that returns 0, so only parsing and
                  dispatch are timed; left out on a tree whose main calls
                  the parser's function without looking it up by name
+  branches       cli.main of `branches --scenario all-adc --p 0.4 --qw 0.2`,
+                 the single-point branch table, stdout captured
   average64      metrics._average_fidelities, 64 nodes, two q_w
   average-extra  the same call with the sweep's g_total row [0.5, 0, 0.5, 0]
                  folded with the nodes, as fav-sweep's grid items make it
@@ -104,13 +106,14 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "sweep-round", "parse", "average64", "average-extra", "average-stack",
-         "average4096", "run_protocol", "point-mc", "distribute", "distribute-stack", "entropy", "entropy-curve",
-         "outcomes", "rows1", "rows32", "rows64", "rows1000")
+NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "sweep-round", "parse", "branches", "average64", "average-extra",
+         "average-stack", "average4096", "run_protocol", "point-mc", "distribute", "distribute-stack", "entropy",
+         "entropy-curve", "outcomes", "rows1", "rows32", "rows64", "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
          "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
+BRANCHES = ["branches", "--scenario", "all-adc", "--p", "0.4", "--qw", "0.2"]
 
 
 def load(src: Path, name: str):
@@ -248,6 +251,7 @@ def targets(pkg) -> dict:
     found["sweep-out"] = lambda: cli.main(sweep_out)
     found["sweep-round"] = sweep_round(cli, out_dir)
     found["parse"] = parse_only(cli, sweep_out)
+    found["branches"] = lambda: quiet(cli.main, BRANCHES)
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
     found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
