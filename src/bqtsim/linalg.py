@@ -148,12 +148,21 @@ def hermitian_eigenvalues(rho: np.ndarray) -> np.ndarray:
     """
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"hermitian_eigenvalues expects a square matrix, got shape {rho.shape}")
+    vals = np.linalg.eigvalsh(_hermitian_part(rho))[..., ::-1]
+    vals = np.where((vals < 0.0) & (vals >= -EIG_CLAMP), 0.0, vals)
+    return vals
+
+
+def _hermitian_part(rho: np.ndarray) -> np.ndarray:
+    """(rho + rho^dagger) / 2 of each square matrix of a stack, after
+    refusing with `hermitian_eigenvalues`' ValueError a stack with any NaN
+    or infinite entry (before any arithmetic, so no warning comes first)
+    and then one with any matrix off Hermitian by more than 1e-10 in any
+    entry."""
     if not np.isfinite(rho).all():
         raise ValueError("hermitian_eigenvalues expects finite entries, got NaN or infinity")
     adjoint = rho.conj().swapaxes(-1, -2)
     herm_err = float(np.max(np.abs(rho - adjoint), initial=0.0))
     if herm_err > 1e-10:
         raise ValueError(f"not Hermitian within 1e-10: deviation {herm_err:g}")
-    vals = np.linalg.eigvalsh(0.5 * (rho + adjoint))[..., ::-1]
-    vals = np.where((vals < 0.0) & (vals >= -EIG_CLAMP), 0.0, vals)
-    return vals
+    return 0.5 * (rho + adjoint)

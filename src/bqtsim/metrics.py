@@ -13,10 +13,10 @@ sums. Each party's integrand at the nodes comes from the kernel
 The distributed state is the product of its two Bell pairs, and Bob holds
 one qubit of each, so his entropy is the sum of two one-qubit entropies:
 `entanglement_entropy_bob` takes both 2x2 states off the pair stack and
-their eigenvalues in one call, and builds no 16x16 or 4x4 state. Given a
-stack of distributed states it takes every state's 2x2 states in that
-one call, so a curve or a verify check costs one eigenvalue call, not one
-per point; a single state is a stack of one.
+their eigenvalues in closed form, and builds no 16x16 or 4x4 state and
+makes no LAPACK call. Given a stack of distributed states it takes every
+state's 2x2 states at once, so a curve or a verify check costs one pass
+of array arithmetic, not one per point.
 
 Each closed form is written once, as a function in `_FORMS`.
 `closed_form` evaluates it at one point on Python floats, and
@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .channels import _check_unit, _check_units
-from .linalg import hermitian_eigenvalues
+from .linalg import _hermitian_part, hermitian_eigenvalues
 from .protocol import Scenario, _input_densities, _node_integrands, _references, _row_inputs, _single_q_w, distribute
 
 __all__ = [
@@ -250,11 +250,40 @@ def entanglement_entropy_bob(pairs: np.ndarray) -> float | np.ndarray:
     Bob holds qubits 2 and 4, the second qubit of each pair: qubit 2
     receives Alice's teleported state and qubit 4 is the one he
     Bell-measures with his input. His state is the product of one qubit
-    of each pair, so its entropy is the sum of the two qubits' entropies,
-    taken from the 2x2 eigenproblems of every state at once.
+    of each pair, so its entropy is the sum of the two qubits' entropies.
+    A qubit's eigenvalues come in closed form from its Hermitian part
+    h = [[a, b], [b*, d]]: with half = (a - d)/2 and gap = hypot(half, |b|)
+    - |half|, they are max(a, d) + gap and min(a, d) - gap. On every state
+    `distribute` returns b is exactly 0, so gap is 0 and the eigenvalues
+    are the diagonal, the bits LAPACK's `eigvalsh` gives.
+
+    A stack takes the closed form on arrays, after `hermitian_eigenvalues`'
+    checks: a NaN or infinite entry of Bob's qubits raises its ValueError
+    before any arithmetic, so no warning comes first, and then a qubit off
+    Hermitian by more than 1e-10 in any entry. A single state takes the
+    common case first: when both its qubits are diagonal and real with a
+    diagonal in [0, 1], their eigenvalues are the diagonal, read on Python
+    floats. Any other single state takes the stack's path, which gives a
+    valid one the same bits and a bad one its error, so which path a state
+    takes never shows.
     """
     if pairs.ndim not in (3, 4) or pairs.shape[-3:] != (2, 4, 4):
         raise ValueError("expected the (2, 4, 4) pair stack of a distributed state, or a (G, 2, 4, 4) stack of them")
     qubits = pairs.reshape(-1, 2, 2, 2, 2, 2).trace(axis1=2, axis2=4)
-    entropies = _entropies(hermitian_eigenvalues(qubits).reshape(-1, 4))
+    if pairs.ndim == 3:
+        # Only diagonal qubits are read on floats: Python's abs of a complex
+        # is libm's hypot, which differs from numpy's in the last bit on
+        # about a third of values, so an off-diagonal |b| would show the path.
+        eigs = []
+        for (a, b), (c, d) in qubits[0].tolist():
+            if b or c or a.imag or d.imag or not (0.0 <= a.real <= 1.0 and 0.0 <= d.real <= 1.0):
+                break
+            eigs += max(a.real, d.real), min(a.real, d.real)
+        else:
+            return float(_entropies(np.array(eigs)))
+    h = _hermitian_part(qubits)
+    a, d = h[..., 0, 0].real, h[..., 1, 1].real
+    half = (a - d) / 2.0
+    gap = np.hypot(half, np.abs(h[..., 0, 1])) - np.abs(half)
+    entropies = _entropies(np.stack((np.maximum(a, d) + gap, np.minimum(a, d) - gap), axis=-1).reshape(-1, 4))
     return entropies if pairs.ndim == 4 else float(entropies[0])

@@ -1,16 +1,18 @@
 """Quadrature averaging, closed-form registry, and entropy."""
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bqtsim.linalg import kron, partial_trace
+from bqtsim.linalg import hermitian_eigenvalues, kron, partial_trace
 from bqtsim import oracles
 from bqtsim import metrics
 from bqtsim.metrics import (
     _average_fidelities,
     _closed_forms,
+    _entropies,
     _nodes_weights,
     average_fidelity,
     closed_form,
@@ -326,17 +328,97 @@ def test_entropy_bob_rejects_wrong_dim():
             entanglement_entropy_bob(state)
 
 
+def random_pair_stacks(seed, count):
+    """`count` seeded random pair stacks as one (count, 2, 4, 4) stack: each
+    pair a density matrix of rank 1 to 4, so Bob's qubits have nonzero
+    off-diagonals, unlike those of every state `distribute` returns."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(count, 2, 4, 4)) + 1j * rng.normal(size=(count, 2, 4, 4))
+    x *= np.arange(4) < rng.integers(1, 5, size=(count, 2, 1, 1))
+    rho = x @ x.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def entropy_bob_by_eigensolver(pairs):
+    """Bob's entropy of each state of a (G, 2, 4, 4) stack from the LAPACK
+    eigenvalues of his two qubits (`hermitian_eigenvalues`)."""
+    qubits = pairs.reshape(-1, 2, 2, 2, 2, 2).trace(axis1=2, axis2=4)
+    return _entropies(hermitian_eigenvalues(qubits).reshape(-1, 4))
+
+
+# p of every kind `distribute` takes: a fine grid, the doubles approaching 1
+# and subnormals.
+ENTROPY_PS = [float(p) for p in np.linspace(0.0, 1.0, 2001)] + [1.0 - 10.0**-k for k in range(1, 16)]
+ENTROPY_PS += [5e-324, 1e-310, 2.0**-1022 - 5e-324]
+
+
 def test_entropy_bob_of_a_stack_has_the_bits_of_one_call_per_state():
     # A (G, 2, 4, 4) stack gives each state's entropy as one call on it alone
-    # does, bit for bit, at p = 0 and p = 1 too, where eigenvalues are zero.
+    # does, bit for bit, at p = 0 and p = 1 too, where eigenvalues are zero,
+    # and on states whose qubits have off-diagonals to take into account.
     ps = [float(p) for p in np.linspace(0.0, 1.0, 101)] + [1.0 - 10.0**-k for k in range(1, 16)]
-    for scenario in Scenario:
-        states = np.stack([distribute(scenario, p)[0] for p in ps])
+    stacks = [np.stack([distribute(scenario, p)[0] for p in ps]) for scenario in Scenario]
+    for states in stacks + [random_pair_stacks(seed, 200) for seed in range(3)]:
         got = entanglement_entropy_bob(states)
-        assert got.dtype == np.float64 and got.shape == (len(ps),)
+        assert got.dtype == np.float64 and got.shape == (len(states),)
         one = np.array([entanglement_entropy_bob(state) for state in states])
-        assert got.tobytes() == one.tobytes(), scenario.value
+        assert got.tobytes() == one.tobytes()
         assert isinstance(entanglement_entropy_bob(states[0]), float)
+
+
+def test_entropy_bob_closed_form_matches_the_eigensolver():
+    # The closed-form eigenvalues give the eigensolver's entropy within
+    # 1e-14 on states with off-diagonals, and its bits on every state
+    # `distribute` returns, where Bob's qubits are diagonal.
+    for seed in range(10):
+        states = random_pair_stacks(100 + seed, 200)
+        assert np.abs(entanglement_entropy_bob(states) - entropy_bob_by_eigensolver(states)).max() <= 1e-14
+    for scenario in Scenario:
+        states, _ = distribute(scenario, ENTROPY_PS)
+        want = entropy_bob_by_eigensolver(states).tobytes()
+        assert entanglement_entropy_bob(states).tobytes() == want, scenario.value
+        assert np.array([entanglement_entropy_bob(state) for state in states]).tobytes() == want, scenario.value
+
+
+# One bad entry of one of Bob's qubits, as the (pair, row, column) entry of
+# the pair stack it is traced from, the value added there and the error.
+ENTROPY_FAULTS = {
+    "nan": ((0, 0, 0), math.nan, "expects finite entries"),
+    "+inf": ((1, 2, 2), math.inf, "expects finite entries"),
+    "-inf": ((0, 1, 1), -math.inf, "expects finite entries"),
+    "nan off-diagonal": ((1, 2, 3), complex(0.0, math.nan), "expects finite entries"),
+    "off-Hermitian above": ((0, 0, 1), 2e-10, "not Hermitian within 1e-10"),
+    "off-Hermitian below": ((1, 3, 2), -2e-10j, "not Hermitian within 1e-10"),
+    "imaginary top": ((1, 2, 2), 1e-9j, "not Hermitian within 1e-10"),
+    "imaginary bottom": ((0, 1, 1), -1e-9j, "not Hermitian within 1e-10"),
+}
+
+
+@pytest.mark.parametrize("fault", ENTROPY_FAULTS)
+def test_entropy_bob_refuses_what_hermitian_eigenvalues_refuses(fault):
+    # A non-finite entry or one off Hermitian by more than 1e-10 gives
+    # `hermitian_eigenvalues`' error, with no warning first, in a lone state
+    # and as one bad state of a stack.
+    where, value, message = ENTROPY_FAULTS[fault]
+    states = distribute(Scenario.ALL_ADC, [0.2, 0.5, 0.8])[0]
+    states[(1, *where)] += value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (states[1], states):
+            with pytest.raises(ValueError, match=message):
+                entanglement_entropy_bob(bad)
+
+
+def test_entropy_bob_takes_a_deviation_of_exactly_1e_10():
+    # Bob's off-diagonals are exactly 0 on `distribute`'s states, so adding
+    # 1e-10 above the diagonal puts his qubit exactly 1e-10 off Hermitian.
+    states = distribute(Scenario.RECOVERY_ADC, [0.3, 0.6])[0]
+    states[1, 0, 0, 1] += 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = entanglement_entropy_bob(states)
+        assert entanglement_entropy_bob(states[1]) == got[1]
+    assert np.abs(got - entropy_bob_by_eigensolver(states)).max() <= 1e-14
 
 
 def test_entropy_bob_traces_the_kept_pair():

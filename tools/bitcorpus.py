@@ -24,7 +24,9 @@ least one bit. The families:
                  among them; all three of the extra rows' totals (success,
                  fidelity and post-selected)
   entropy        entanglement_entropy_bob of one state at a time, 4
-                 scenarios x 29 p
+                 scenarios x 29 p; of both protected scenarios' 51-p curve
+                 as one stack; and of a stack of 400 random states whose
+                 qubits have off-diagonals
   verify         the _verify_checks tuples of grids 2, 3 and 10, each
                  check's worst location among them
   oracles        the references themselves: every closed_form over P_GRID
@@ -315,15 +317,31 @@ def average_stacks(out, bq, metrics) -> int:
     return count
 
 
+def random_pairs(seed: int, count: int) -> np.ndarray:
+    """`count` random pair stacks as one (count, 2, 4, 4) stack, each pair
+    a density matrix of rank 1 to 4, so Bob's qubits have off-diagonals."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(count, 2, 4, 4)) + 1j * rng.normal(size=(count, 2, 4, 4))
+    x *= np.arange(4) < rng.integers(1, 5, size=(count, 2, 1, 1))
+    rho = x @ x.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def family_entropy(out, bq, metrics) -> int:
     """Bob's entropy of each distributed state, one call per state, so
-    that the family runs on trees whose entropy takes one state only."""
+    that the family runs on trees whose entropy takes one state only; then
+    two stacked calls, which such a tree refuses: both protected
+    scenarios' 51-p curve, and random states with off-diagonals."""
     count = 0
     for scenario in bq.Scenario:
         for p in P_GRID:
             out(f"{scenario.value} p={p!r}", metrics.entanglement_entropy_bob(bq.distribute(scenario, p)[0]))
             count += 1
-    return count
+    protected = [scenario for scenario in bq.Scenario if scenario.protected]
+    curve = np.stack([bq.distribute(scenario, p)[0] for scenario in protected for p in np.linspace(0.0, 1.0, 51)])
+    out("protected curves, 51 p", attempt(metrics.entanglement_entropy_bob, curve))
+    out("random states with off-diagonals, seed 2035", attempt(metrics.entanglement_entropy_bob, random_pairs(2035, 400)))
+    return count + 2
 
 
 def family_verify(out, cli) -> int:
