@@ -561,21 +561,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _plain_tables() -> dict:
+    """Each command's sub-parser and its table: its defaults in action
+    order, its single-value store options by exact option string, and the
+    dests of its required options."""
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for name, sub in commands.items():
+        actions = [a for a in sub._actions if a.default is not argparse.SUPPRESS]
+        options = {s: a for a in actions if isinstance(a, argparse._StoreAction) and a.nargs is None
+                   for s in a.option_strings}
+        tables[name] = sub, {a.dest: a.default for a in actions}, options, {a.dest for a in actions if a.required}
+    return tables
+
+
+def _parse_plain(argv: list) -> Optional[argparse.Namespace]:
+    """The full parse's Namespace of an argv that is a command's name and
+    then pairs of an exact option string of that command and a value that
+    does not start with "-", each value of its option's type and among its
+    choices (by argparse's own conversion and check), with every required
+    option given; None for any other argv."""
+    table = _plain_tables().get(argv[0]) if argv and len(argv) % 2 else None
+    if table is None:
+        return None
+    sub, defaults, options, required = table
+    values = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        action = options.get(option)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            values[action.dest] = value = sub._get_value(action, text)
+            sub._check_value(action, value)
+        except argparse.ArgumentError:
+            return None
+    return argparse.Namespace(command=argv[0], **{**defaults, **values}) if required <= values.keys() else None
+
+
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    # An argv that starts with a command's name is parsed once, by that
-    # command's own parser, where the full parse would classify every token
-    # and then hand them all to it; leftovers are refused as the full parse
-    # refuses them. Any other argv (no command, an unknown one, help, a
-    # leading option) takes the full parse.
-    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if argv and argv[0] in commands:
-        args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if rest:
-            parser.error("unrecognized arguments: %s" % " ".join(rest))
-    else:
-        args = parser.parse_args(argv)
+    # A plain argv (a command's name, then exact `--option value` pairs
+    # whose values argparse would take) is read off the command's option
+    # table with no argparse parse. Every other argv (help, an abbreviation,
+    # `--x=v`, `--`, a value that starts with "-", a bad or missing value)
+    # takes the full parse, the reference, which gives its Namespace or its
+    # error.
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     # Dispatch goes by the command's name, looked up when it runs, so a
     # rebound cmd_* is the one called: the bench tracer's wrapper, a test
     # stub, or tools/abtime.py's `parse` stub.

@@ -153,14 +153,20 @@ def hermitian_eigenvalues(rho: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _refuse_nonfinite(a: np.ndarray) -> None:
+    """Refuse with `hermitian_eigenvalues`' ValueError an array with any
+    NaN or infinite entry."""
+    if not np.isfinite(a).all():
+        raise ValueError("hermitian_eigenvalues expects finite entries, got NaN or infinity")
+
+
 def _hermitian_part(rho: np.ndarray) -> np.ndarray:
     """(rho + rho^dagger) / 2 of each square matrix of a stack, after
     refusing with `hermitian_eigenvalues`' ValueError a stack with any NaN
     or infinite entry (before any arithmetic, so no warning comes first)
     and then one with any matrix off Hermitian by more than 1e-10 in any
     entry."""
-    if not np.isfinite(rho).all():
-        raise ValueError("hermitian_eigenvalues expects finite entries, got NaN or infinity")
+    _refuse_nonfinite(rho)
     adjoint = rho.conj().swapaxes(-1, -2)
     herm_err = float(np.max(np.abs(rho - adjoint), initial=0.0))
     if herm_err > 1e-10:

@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .channels import _check_unit, _check_units
-from .linalg import _hermitian_part, hermitian_eigenvalues
+from .linalg import _hermitian_part, _refuse_nonfinite, hermitian_eigenvalues
 from .protocol import Scenario, _input_densities, _node_integrands, _references, _row_inputs, _single_q_w, distribute
 
 __all__ = [
@@ -257,18 +257,21 @@ def entanglement_entropy_bob(pairs: np.ndarray) -> float | np.ndarray:
     `distribute` returns b is exactly 0, so gap is 0 and the eigenvalues
     are the diagonal, the bits LAPACK's `eigvalsh` gives.
 
-    A stack takes the closed form on arrays, after `hermitian_eigenvalues`'
-    checks: a NaN or infinite entry of Bob's qubits raises its ValueError
-    before any arithmetic, so no warning comes first, and then a qubit off
-    Hermitian by more than 1e-10 in any entry. A single state takes the
-    common case first: when both its qubits are diagonal and real with a
-    diagonal in [0, 1], their eigenvalues are the diagonal, read on Python
-    floats. Any other single state takes the stack's path, which gives a
+    A NaN or infinite entry anywhere in `pairs`, traced out or not, raises
+    `hermitian_eigenvalues`' ValueError before the trace, so no warning
+    comes first. A stack then takes the closed form on arrays, after
+    `hermitian_eigenvalues`' other checks: a qubit off Hermitian by more
+    than 1e-10 in any entry is refused, and so is one whose trace
+    overflowed to infinity (after numpy's overflow warning). A single state
+    takes the common case first: when both its qubits are diagonal and real
+    with a diagonal in [0, 1], their eigenvalues are the diagonal, read on
+    Python floats. Any other single state takes the stack's path, which gives a
     valid one the same bits and a bad one its error, so which path a state
     takes never shows.
     """
     if pairs.ndim not in (3, 4) or pairs.shape[-3:] != (2, 4, 4):
         raise ValueError("expected the (2, 4, 4) pair stack of a distributed state, or a (G, 2, 4, 4) stack of them")
+    _refuse_nonfinite(pairs)
     qubits = pairs.reshape(-1, 2, 2, 2, 2, 2).trace(axis1=2, axis2=4)
     if pairs.ndim == 3:
         # Only diagonal qubits are read on floats: Python's abs of a complex

@@ -4,7 +4,9 @@ The heavyweight `verify` subcommand is exercised end to end by the
 acceptance suite; here only its reduction rule and its failure path.
 """
 import argparse
+import contextlib
 import errno
+import io
 import math
 import os
 import re
@@ -777,8 +779,10 @@ COMMAND_ARGV = [
 
 
 def test_command_argv_is_parsed_once(monkeypatch):
-    # An argv that starts with a command is parsed by that command's parser
-    # alone, where the full parse makes one top-level call and one nested.
+    # A plain argv (a command, then exact `--option value` pairs) is read
+    # off the command's option table with no argparse parse; an abbreviated
+    # or `--opt=value` argv takes exactly the full parse, one top-level call
+    # and the one nested in it.
     seen = stub_commands(monkeypatch)
     calls = []
     real = argparse.ArgumentParser.parse_known_args
@@ -791,8 +795,12 @@ def test_command_argv_is_parsed_once(monkeypatch):
     for argv in COMMAND_ARGV:
         calls.clear()
         assert main(argv) == 0
-        assert calls == [f"bqtsim {argv[0]}"]
-    assert [args.command for args in seen] == [argv[0] for argv in COMMAND_ARGV]
+        assert calls == []
+    for argv in (["sweep", "--scen", "all-adc", "--p-st", "3"], ["entropy", "--p-steps=5"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == ["bqtsim", f"bqtsim {argv[0]}"]
+    assert [args.command for args in seen] == [argv[0] for argv in COMMAND_ARGV] + ["sweep", "entropy"]
 
 
 # Command lines that exercise argparse itself, each parsed by main and by
@@ -825,21 +833,39 @@ PARITY_ARGV = COMMAND_ARGV + [
     ["entropy", "--p-steps=5", "--p-steps", "7"],
     ["sweep", "--scenario", "all-adc", "--out"],
     ["branches", "--scenario", "all-adc", "--p", "0.3", "--alice-pop0", "0.2", "--al", "0.1"],
+    # The plain path's edges: repeated options, an odd token count, values
+    # that are empty, start with "-" or are "--", and values that a type or
+    # a choice refuses or that only look like another type.
+    ["sweep", "--scenario", "all-adc", "--p-steps", "3", "--p-steps", "4"],
+    ["sweep", "--scenario", "all-adc", "--p-steps"],
+    ["sweep", "--scenario", "all-adc", "--p-steps", "3", "--p-min"],
+    ["sweep", "--scenario", "all-adc", "--out", ""],
+    ["sweep", "--scenario", "all-adc", "--out", "-x.csv"],
+    ["sweep", "--scenario", "all-adc", "--out", "--p-min"],
+    ["sweep", "--scenario", "all-adc", "--out", "--"],
+    ["sweep", "--scenario", "all-adc", "--p-steps", "2.0"],
+    ["sweep", "--scenario", "all-adc", "--p-min", "nan"],
+    ["sweep", "--scenario", "all-adc", "--p-min", " 0.5"],
+    ["sweep", "--scenario", "all-adc", "--p-max", "1_0"],
+    ["sweep", "--scenario", "All-ADC"],
+    ["verify"],
 ]
 
 
-def outcome(call, argv, capsys) -> tuple:
-    """Exit status, stdout, stderr and the Namespace of one parse."""
-    try:
-        args, code = call(argv), 0
-    except SystemExit as exc:
-        args, code = None, exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err, args
+def outcome(call, argv) -> tuple:
+    """Exit status, stdout, stderr and the Namespace of one parse, as its
+    repr, so that the order of its attributes counts and a NaN value
+    equals itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = call(argv), 0
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), repr(args)
 
 
-@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
-def test_main_parses_as_the_full_parser(argv, monkeypatch, capsys):
+def assert_parses_as_the_full_parser(argv, monkeypatch):
     # The same status and bytes as the full parse, and, for a valid argv,
     # the same Namespace in the command, `command` included.
     monkeypatch.setenv("COLUMNS", "80")
@@ -849,6 +875,58 @@ def test_main_parses_as_the_full_parser(argv, monkeypatch, capsys):
         assert main(list(argv)) == 0
         return seen.pop()
 
-    want = outcome(cli.build_parser().parse_args, list(argv), capsys)
-    assert outcome(via_main, argv, capsys) == want
+    want = outcome(cli.build_parser().parse_args, list(argv))
+    assert outcome(via_main, argv) == want
     assert seen == []
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, monkeypatch):
+    assert_parses_as_the_full_parser(argv, monkeypatch)
+
+
+def drawn_tokens(sub: argparse.ArgumentParser) -> tuple:
+    """The pieces an argv of `sub` is drawn from: its required options, each
+    with a value it takes; `--option value` pairs, twelve of a value the
+    option takes to one of each edge value; and faults, each a lone token:
+    an option string, an abbreviation, an `--option=value` or a value."""
+    edges = ["", "-x.csv", "--p-min", "--", "2.0", "nan", " 0.5", "1_0", "All-ADC", "-0.5"]
+    stores = [a for a in sub._actions if isinstance(a, argparse._StoreAction)]
+    takes = {a: list(a.choices or {int: ["3"], float: ["0.25", "1"], None: ["x.csv"]}[a.type]) for a in stores}
+    required = [[a.option_strings[0], takes[a][0]] for a in stores if a.required]
+    pairs = [[s, v] for a in stores for s in a.option_strings for v in 12 * takes[a] + edges]
+    options = [s for a in sub._actions for s in a.option_strings]
+    faults = options + [s[:k] for s in options if s.startswith("--") for k in range(3, len(s))]
+    faults += [f"{s}={v}" for s, v in pairs] + edges
+    return required, pairs, [[token] for token in faults]
+
+
+DRAWN_TOKENS = {
+    name: drawn_tokens(sub)
+    for name, sub in next(
+        a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).items()
+}
+
+
+@st.composite
+def drawn_argvs(draw) -> list:
+    """A command; its required options, or not; up to four drawn pairs;
+    and, in about half the draws, one fault at a drawn place."""
+    command = draw(st.sampled_from(sorted(DRAWN_TOKENS)))
+    required, pairs, faults = DRAWN_TOKENS[command]
+    argv = [command] + (sum(required, []) if draw(st.booleans()) else [])
+    for k in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=4)):
+        argv += pairs[k]
+    if draw(st.booleans()):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = faults[draw(st.integers(0, len(faults) - 1))]
+    return argv
+
+
+@seed(20261021)
+@settings(database=None, deadline=None, max_examples=300, derandomize=True)
+@given(drawn_argvs())
+def test_main_parses_drawn_argvs_as_the_full_parser(argv):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_parses_as_the_full_parser(argv, monkeypatch)

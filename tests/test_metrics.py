@@ -409,6 +409,30 @@ def test_entropy_bob_refuses_what_hermitian_eigenvalues_refuses(fault):
                 entanglement_entropy_bob(bad)
 
 
+# Non-finite entries of the pair stack that the trace would add into one
+# entry of Bob's qubit, with a warning, or would drop: (pair, row, column)
+# entries and the values set there.
+ENTROPY_UNTRACED_FAULTS = {
+    "inf and -inf summed": {(0, 0, 0): math.inf, (0, 2, 2): -math.inf},
+    "nan traced out": {(0, 0, 2): math.nan},
+}
+
+
+@pytest.mark.parametrize("fault", ENTROPY_UNTRACED_FAULTS)
+def test_entropy_bob_refuses_non_finite_entries_before_the_trace(fault):
+    # Any NaN or infinite entry of the pair stack is refused before the
+    # trace, with no warning first, in a lone state and as the middle state
+    # of a stack.
+    states = distribute(Scenario.ALL_ADC, [0.2, 0.4, 0.8])[0]
+    for where, value in ENTROPY_UNTRACED_FAULTS[fault].items():
+        states[(1, *where)] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (states[1], states):
+            with pytest.raises(ValueError, match="expects finite entries"):
+                entanglement_entropy_bob(bad)
+
+
 def test_entropy_bob_takes_a_deviation_of_exactly_1e_10():
     # Bob's off-diagonals are exactly 0 on `distribute`'s states, so adding
     # 1e-10 above the diagonal puts his qubit exactly 1e-10 off Hermitian.

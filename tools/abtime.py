@@ -36,6 +36,10 @@ targets:
                  swapped for a stub that returns 0, so only parsing and
                  dispatch are timed; left out on a tree whose main calls
                  the parser's function without looking it up by name
+  parse-fallback the same with every option abbreviated (`--scen`,
+                 `--p-st`, ...), which no plain-argv route takes, so the
+                 cost of argparse's full parse stays in view; left out
+                 as `parse` is
   branches       cli.main of `branches --scenario all-adc --p 0.4 --qw 0.2`,
                  the single-point branch table, stdout captured
   average64      metrics._average_fidelities, 64 nodes, two q_w
@@ -114,13 +118,16 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "sweep-round", "parse", "branches", "average64", "average-extra",
+NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "sweep-round", "parse", "parse-fallback", "branches", "average64", "average-extra",
          "average-stack", "average4096", "run_protocol", "point-mc", "distribute", "distribute-stack", "entropy",
          "entropy-curve", "outcomes", "rows1", "rows32", "rows64", "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
          "--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
+# SWEEP with every option abbreviated, `--out` too when it is added.
+SWEEP_ABBREVIATED = ["sweep", "--scen", "all-adc", "--p-mi", "0.37", "--p-ma", "0.37", "--p-st", "1",
+                     "--qw-mo", "grid", "--qw-mi", "0", "--qw-ma", "0.8", "--qw-st", "2"]
 BRANCHES = ["branches", "--scenario", "all-adc", "--p", "0.4", "--qw", "0.2"]
 
 
@@ -259,6 +266,7 @@ def targets(pkg) -> dict:
     found["sweep-out"] = lambda: cli.main(sweep_out)
     found["sweep-round"] = sweep_round(cli, out_dir)
     found["parse"] = parse_only(cli, sweep_out)
+    found["parse-fallback"] = parse_only(cli, SWEEP_ABBREVIATED + ["--ou", sweep_out[-1]])
     found["branches"] = lambda: quiet(cli.main, BRANCHES)
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
     found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
