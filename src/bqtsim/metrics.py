@@ -5,10 +5,12 @@ Gauss-Legendre rule: 64 nodes for `average_fidelity` and the sweep, 32
 for verify. The node count is internal, not part of the API. The two
 inputs are independent and every branch quantity is a product of one
 factor per party, so the average is the product of two one-party
-integrals. This module holds only the quadrature: the nodes and weights,
-each party's weighted sum over the nodes and the product of the two
-sums. Each party's integrand at the nodes comes from the kernel
-(`protocol._node_integrands`), which never forms a branch.
+integrals. On every distributed state the two are equal, bit for bit:
+the damping is mirror-symmetric, so Bob's fold map equals Alice's
+(`protocol._fold_maps`), and the average is the square of one. This
+module holds only the quadrature: the nodes and weights, the weighted
+sum over the nodes and its square. The integrand at the nodes comes from
+the kernel (`protocol._node_integrands`), which never forms a branch.
 
 The distributed state is the product of its two Bell pairs, and Bob holds
 one qubit of each, so his entropy is the sum of two one-qubit entropies:
@@ -71,18 +73,18 @@ def _node_states(points: int, rows: bytes | None = None) -> tuple[np.ndarray, np
     packed references (`protocol._references`), as two read-only arrays
     that every state of a fold shares (`protocol._node_integrands`).
 
-    Without `rows`, the inputs are the node states, a (1, 1, points, 2, 2)
-    stack both parties share. `rows` holds extra input rows [pop_a,
-    phase_a, pop_b, phase_b] as the bytes of their float64 values, row by
-    row; the inputs are then the (2, 1, points + m, 2, 2) party-major stack
-    of the nodes followed by the m rows (`protocol._row_inputs`). The
-    references are (parties, 1, points + m, 4, 4), with the inputs' party
-    axis."""
-    inputs = np.broadcast_to(_input_densities(_nodes_weights(points)[0]), (1, 1, points, 2, 2))
+    Every input is one party's: on a `distribute` state both parties fold
+    through the same map (`protocol._fold`), so the node states are folded
+    once, for Alice and Bob alike. The inputs are the (1, 1, n, 2, 2) stack
+    of the nodes, then, when `rows` holds extra input rows [pop_a, phase_a,
+    pop_b, phase_b] as the bytes of their float64 values, row by row,
+    Alice's m inputs of them and then Bob's m (`protocol._row_inputs`). The
+    references are (1, n, 4, 4)."""
+    inputs = _input_densities(_nodes_weights(points)[0]).reshape(1, 1, points, 2, 2)
     if rows is not None:
         extra = _row_inputs(np.frombuffer(rows).reshape(-1, 4), 1)
-        inputs = np.concatenate((inputs.repeat(2, axis=0), extra), axis=2)
-    references = _references(inputs)[:, None]
+        inputs = np.concatenate((inputs, extra.reshape(1, 1, -1, 2, 2)), axis=2)
+    references = _references(inputs)
     inputs.flags.writeable = references.flags.writeable = False
     return inputs, references
 
@@ -106,7 +108,9 @@ def average_fidelity(scenario: Scenario, p: float, q_w: float) -> float:
     product of one factor per party, so the total fidelity at inputs
     (a, b) is G_A(a) G_B(b), where a party's G = sum_k t_k n_k / w_k over
     its four outcomes (trace, fidelity numerator and success weight), and
-    the average is the product of the two one-party integrals of G.
+    the average is the product of the two one-party integrals of G. On
+    the state `distribute` returns, Bob's G equals Alice's bit for bit
+    (`protocol._fold_maps`), so the average is the square of one integral.
     Phases drop out of every factor, so only the population is integrated.
     A party outcome that is annihilated adds nothing to its G, and the
     result is NaN when every outcome of either party is annihilated at
@@ -122,27 +126,30 @@ def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int 
     stack, or over each state of a (G, 2, 4, 4) stack, by the `points`-node
     Gauss-Legendre rule. A q_w is a float or one value per state.
 
-    The kernel gives each party's integrand at every node and q_w from
-    one fold of the nodes, shared by every state (`protocol._node_integrands`),
-    against the input stack and references that every call with the same
+    Each state is one `distribute` returned, so both parties' integrands
+    are the same, bit for bit (`protocol._fold_maps`). The kernel gives
+    that one integrand at every node and q_w from one fold of the nodes,
+    shared by every state (`protocol._node_integrands`), against the
+    one-party input stack and references that every call with the same
     node count and extra rows shares (`_node_states`, formed on the first
-    such call in a process); each party's weighted sum over the nodes is
-    its mean, and the product of the two means is the average. Each step
-    is elementwise or a reduction over a fixed axis in a fixed order, so a
-    value does not depend on the other q_w or states, nor on whether the
-    inputs were cached.
+    such call in a process); its weighted sum over the nodes is the party's
+    mean, and the average is the square of that mean, the product of
+    Alice's and Bob's equal means. Each step is elementwise or a reduction
+    over a fixed axis in a fixed order, so a value does not depend on the
+    other q_w or states, nor on whether the inputs were cached.
 
     Returns the average at each q_w: a float for one state, a list of G
     floats for a stack. `extra` input rows are folded with the nodes, and
     their totals come back too, as (averages, totals) with each q_w's
     (success, fidelity, post-selected) (G, len(extra)) arrays from the
     function that gives `_row_totals` (`protocol._party_totals`), bit for
-    bit.
+    bit; an empty `extra` gives (averages, None).
     """
     rows = None if extra is None else array("d", chain.from_iterable(extra)).tobytes()
     integrand, totals = _node_integrands(dist, scenario, q_ws, *_node_states(points, rows), points)
+    # One party's mean at each (q_w, state); the other party's is the same.
     means = np.add.reduce(integrand * _nodes_weights(points)[1], axis=-1)
-    averages = (means[:, 0] * means[:, 1] if dist.ndim == 4 else means[:, 0, 0] * means[:, 1, 0]).tolist()
+    averages = (means * means if dist.ndim == 4 else means[:, 0] * means[:, 0]).tolist()
     return averages if extra is None else (averages, totals)
 
 
@@ -262,7 +269,7 @@ def entanglement_entropy_bob(pairs: np.ndarray) -> float | np.ndarray:
     comes first. A stack then takes the closed form on arrays, after
     `hermitian_eigenvalues`' other checks: a qubit off Hermitian by more
     than 1e-10 in any entry is refused, and so is one whose trace
-    overflowed to infinity (after numpy's overflow warning). A single state
+    overflowed to infinity, with no overflow warning first. A single state
     takes the common case first: when both its qubits are diagonal and real
     with a diagonal in [0, 1], their eigenvalues are the diagonal, read on
     Python floats. Any other single state takes the stack's path, which gives a
@@ -272,7 +279,10 @@ def entanglement_entropy_bob(pairs: np.ndarray) -> float | np.ndarray:
     if pairs.ndim not in (3, 4) or pairs.shape[-3:] != (2, 4, 4):
         raise ValueError("expected the (2, 4, 4) pair stack of a distributed state, or a (G, 2, 4, 4) stack of them")
     _refuse_nonfinite(pairs)
-    qubits = pairs.reshape(-1, 2, 2, 2, 2, 2).trace(axis1=2, axis2=4)
+    # Finite entries can sum to infinity; `_hermitian_part` refuses that
+    # qubit, so the overflow needs no warning first.
+    with np.errstate(over="ignore"):
+        qubits = pairs.reshape(-1, 2, 2, 2, 2, 2).trace(axis1=2, axis2=4)
     if pairs.ndim == 3:
         # Only diagonal qubits are read on floats: Python's abs of a complex
         # is libm's hypot, which differs from numpy's in the last bit on

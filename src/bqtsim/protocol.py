@@ -39,9 +39,23 @@ neither the 6-qubit state nor, for the totals, any 4x4 branch state is
 built. `_input_densities` is the one place an input (pop0, phase) becomes
 a 2x2 state.
 
+The kernel folds both parties through one map. Each Bell ket is
+symmetric or antisymmetric under exchanging its qubits, so Bob's fold map
+read off rho_34 is Alice's read off SWAP rho_34 SWAP; and the damping is
+mirror-symmetric (situation I damps qubits 2 and 3, situation II all
+four), so every state `distribute` returns has rho_34 = SWAP rho_12 SWAP
+bit for bit. Bob's map therefore equals Alice's bit for bit, and the
+kernel reads only Alice's, off rho_12 (`_fold_maps`, `_FOLD_TABLE`).
+That makes it a precondition of every kernel entry that the distributed
+state is one `distribute` returned; a pair stack that is not such a
+mirror image gives Bob wrong states. `tests/test_kernel.py::
+test_bob_fold_map_is_alices_on_distributed_states` pins the fact, and
+`test_packed_fold_matches_explicit_contraction` holds Bob's folded
+states against his own contraction over rho_34.
+
 One orchestration, `_fold_and_correct`, checks every q_w, makes its
 input rows party-major input states (`_row_inputs`), folds both parties'
-inputs through the distributed state once (`_fold`) and takes each
+inputs through the one map once (`_fold`) and takes each
 party's factors at every q_w (`_party_factors`). A party's outcome state
 X is Hermitian, so the fold writes it as two complex numbers, A = X00 +
 i X11 and B = X10, each complex-linear in the input: one complex product
@@ -96,16 +110,18 @@ is annihilated, and the live branches are the ones the totals sum.
 
 The input average's kernel, `_node_integrands`, sits beside the
 orchestration: it checks every q_w, folds the node states that every
-state shares and any extra input rows once, against their references,
-contracts every q_w at once into each party's factors, frees the fold,
-and gives each party's integrand at each node (`_party_integrand`, which
-applies the same predicate to each party's own factors) and the extra
-rows' totals (`_party_totals`, as `_row_totals` forms them). It forms
-neither its inputs nor their references: `metrics._node_states` makes
-the stack of nodes and rows (`_row_inputs`) and its references
-(`_references`) once per node count and rows in a process. `metrics`
-keeps that cache and the quadrature: the node weights, each party's
-weighted node sum and the product of the two.
+state shares and any extra input rows once, as one party's inputs,
+against their references, contracts every q_w at once into the factors,
+frees the fold, and gives the integrand at each node (`_party_integrand`,
+which applies the same predicate to the party's own factors) and the
+extra rows' totals (`_party_totals`, as `_row_totals` forms them). Both
+parties take the node states through the same map, so a node's integrand
+is Alice's and Bob's alike and is taken once. It forms neither its
+inputs nor their references: `metrics._node_states` makes the one-party
+stack of the nodes, Alice's rows and Bob's rows (`_row_inputs`) and its
+references (`_references`) once per node count and rows in a process.
+`metrics` keeps that cache and the quadrature: the node weights, the
+weighted node sum and its square.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -297,26 +313,29 @@ def _one_source(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fold_maps() -> np.ndarray:
-    """Each party's fold map K, read off a flattened pair stack.
+    """Alice's fold map K_A, read off her flattened pair rho_12.
 
     Alice's Bell bra on (a, 1) leaves XA_i = sum_{x x'} rho_a[x, x']
     K_A[x x', i m m'] on qubit 2, with K_A[x x', i m m'] = sum_{y y'}
-    B_i[x, y]^* B_i[x', y'] rho_12[y m, y' m']; Bob's on (4, b) leaves
-    XB_j[n, n'] = sum_{z z'} rho_b[z, z'] K_B[z z', j n n'] on qubit 3, with
-    K_B[z z', j n n'] = sum_{w w'} B_j[w, z]^* B_j[w', z'] rho_34[n w, n' w']. A Bell
-    ket has one nonzero amplitude per value of either qubit, so each entry
-    of K is one entry of the party's pair times one coefficient. Returns
-    both maps as one (32, 2, 4, 4, 4) map from the flattened (2, 4, 4) pair
-    stack to (party, input entry, outcome, output entry), Alice's party and
-    pair first, its entries 0 and exactly +-1/2.
+    B_i[x, y]^* B_i[x', y'] rho_12[y m, y' m']. A Bell ket has one nonzero
+    amplitude per value of either qubit, so each entry of K_A is one entry
+    of the pair times one coefficient. Returns it as a (16, 4, 4, 4) map
+    from the flattened pair to (input entry, outcome, output entry), its
+    entries 0 and exactly +-1/2.
+
+    It is Bob's map too. Bob's bra on (4, b) leaves XB_j on qubit 3 with
+    K_B[z z', j n n'] = sum_{w w'} B_j[w, z]^* B_j[w', z'] rho_34[n w, n' w'],
+    and each Bell ket is symmetric or antisymmetric under exchanging its
+    qubits, so K_B on rho_34 is K_A on SWAP rho_34 SWAP. `distribute` damps
+    the two pairs as mirror images (situation I the qubits 2 and 3,
+    situation II all four), so on every state it returns rho_34 is SWAP
+    rho_12 SWAP bit for bit, and Bob's map equals Alice's bit for bit
+    (`tests/test_kernel.py::test_bob_fold_map_is_alices_on_distributed_states`).
     """
     eye, tables = np.eye(2, dtype=int), _BELL_SIGNS.reshape(4, 2, 2)
-    # Coefficients of pair entries (y n, Y N) in K_A and (k w, K W) in K_B,
-    # in units of 1/2: the kets are real, B_k[x, y] is tables[k, x, y] / sqrt(2).
-    alice = np.einsum("ixy,iXY,mn,MN->ynYNxXimM", tables, tables, eye, eye).reshape(16, 64)
-    bob = np.einsum("jwz,jWZ,nk,NK->kwKWzZjnN", tables, tables, eye, eye).reshape(16, 64)
-    # Each party's map reads only its own pair.
-    return np.einsum("pq,psc->psqc", np.eye(2), np.stack((alice, bob))).reshape(32, 2, 4, 4, 4) * 0.5
+    # Coefficients of pair entries (y n, Y N) in K_A, in units of 1/2: the
+    # kets are real, B_i[x, y] is tables[i, x, y] / sqrt(2).
+    return np.einsum("ixy,iXY,mn,MN->ynYNxXimM", tables, tables, eye, eye).reshape(16, 4, 4, 4) * 0.5
 
 
 def _packed(maps: np.ndarray) -> np.ndarray:
@@ -330,11 +349,13 @@ def _packed(maps: np.ndarray) -> np.ndarray:
     return np.stack((maps[..., 0] + 1j * maps[..., 3], maps[..., 2]), axis=-1)
 
 
-# Both parties' fold maps, packed, as one (32, 64) table from a flattened
-# pair stack: column (party, input entry, outcome, slot) gives A at slot 0
-# and B at slot 1 of that party's outcome state. Its entries are 0, +-1/2
-# and +-i/2.
-_FOLD_TABLE = _packed(_fold_maps()).reshape(32, 64)
+# The one party fold map, packed, as a (16, 32) table from a flattened
+# pair: column (input entry, outcome, slot) gives A at slot 0 and B at slot
+# 1 of the outcome state. Its entries are 0, +-1/2 and +-i/2. Read off
+# rho_12 it is Alice's map; on a state `distribute` returned, whose rho_34
+# is SWAP rho_12 SWAP, it is Bob's too, bit for bit (`_fold_maps`, pinned
+# by tests/test_kernel.py::test_bob_fold_map_is_alices_on_distributed_states).
+_FOLD_TABLE = _packed(_fold_maps()).reshape(16, 32)
 
 # Conjugation by each correction unitary U_k, a signed permutation with
 # U_k[r, c_r] = s_r, as an entry map of a 2x2 state: (U_k Y U_k^dag)[r, c] =
@@ -645,43 +666,48 @@ def _groups(dist: np.ndarray) -> int:
 
 def _fold(dist: np.ndarray, rho: np.ndarray, references: bool = False):
     """Each party's recovered 2x2 states of every outcome, XA_i on qubit 2
-    and XB_j on qubit 3 (`_fold_maps`), Alice's first, as the real view of
-    two complex numbers per outcome, A = X00 + i X11 and B = X10
-    (`_packed`): the (2, N, 4, 4) stack (X00, X11, Re X10, Im X10) of each
-    outcome. X01 is conj(X10).
+    and XB_j on qubit 3, as the real view of two complex numbers per
+    outcome, A = X00 + i X11 and B = X10 (`_packed`): the (parties, N, 4,
+    4) stack (X00, X11, Re X10, Im X10) of each outcome, with the inputs'
+    party axis. X01 is conj(X10).
 
     dist is one distributed state as its (2, 4, 4) pair stack (rho_12,
     rho_34), or a (G, 2, 4, 4) stack of them whose state g serves the g-th
-    of G equal contiguous groups of the N rows. rho holds the inputs as a
-    (2, groups, m, 2, 2) party-major stack, Alice's first, of each group's
-    m = N / G rows: groups is G, or 1 when every group takes the same
-    inputs; its party axis is 1 when both parties take the same inputs.
-    One exact product with `_FOLD_TABLE` reads every state's packed fold
-    maps off its pairs, and one batched complex product folds each party's
-    inputs of each group through its map, the same product one state alone
-    would get, so a row's bits do not depend on the other groups. The
-    product is written in C order, so its real view and the final reshape
-    are views, not copies.
+    of G equal contiguous groups of the N rows, each a `distribute` state.
+    rho holds the inputs as a (parties, groups, m, 2, 2) stack, party-major
+    with Alice's first when it has two, of each group's m = N / G rows:
+    groups is G, or 1 when every group takes the same inputs. Both parties
+    fold through one map, Alice's read off rho_12 (`_fold_maps`): on a
+    `distribute` state rho_34 is SWAP rho_12 SWAP and Bob's map on it
+    equals Alice's bit for bit (pinned by `tests/test_kernel.py::
+    test_bob_fold_map_is_alices_on_distributed_states`), so rho_34 is never
+    read, and a stack not made by `distribute` gets wrong states for Bob.
+    One exact product with `_FOLD_TABLE` reads every state's
+    packed map off its first pair, and one batched complex product folds
+    the inputs of each party and group through it, the same product one
+    state alone would get, so a row's bits do not depend on the other
+    groups. The product is written in C order, so its real view and the
+    final reshape are views, not copies.
 
     With `references`, for inputs that are each group's own (groups is G),
     it also takes each row's packed references (`_references`) and writes
     both products into one array: returns (states, references), two
-    (2, N, 4, 4) views of it, with the bits of the two products apart. A
-    totals-only call's largest array then holds both and is freed before
-    its totals, which keeps glibc's trim threshold, twice the largest
-    block freed, above the call's peak, so a call of many rows does not
-    hand its temporaries back to the OS and fault them in again every
+    (parties, N, 4, 4) views of it, with the bits of the two products
+    apart. A totals-only call's largest array then holds both and is freed
+    before its totals, which keeps glibc's trim threshold, twice the
+    largest block freed, above the call's peak, so a call of many rows does
+    not hand its temporaries back to the OS and fault them in again every
     time. An owned call keeps its fold and takes its references apart
     (`_references`), which at one row costs fewer numpy calls.
     """
-    maps = np.dot(dist.reshape(-1, 32), _FOLD_TABLE).reshape(-1, 2, 4, 8).transpose(1, 0, 2, 3)
-    inputs = rho.reshape(rho.shape[:3] + (4,))
+    maps = np.dot(dist.reshape(-1, 2, 16)[:, 0], _FOLD_TABLE).reshape(-1, 4, 8)
+    parties, inputs = len(rho), rho.reshape(rho.shape[:3] + (4,))
     if not references:
-        return np.matmul(inputs, maps, order="C").view(float).reshape(2, -1, 4, 4)
+        return np.matmul(inputs, maps, order="C").view(float).reshape(parties, -1, 4, 4)
     both = np.empty((2,) + inputs.shape[:3] + (8,), dtype=complex)
     np.matmul(inputs, maps, out=both[0])
-    np.matmul(inputs.reshape(2, -1, 4), _REFERENCE_TABLE, out=both[1].reshape(2, -1, 8))
-    both = both.view(float).reshape(2, 2, -1, 4, 4)
+    np.matmul(inputs.reshape(parties, -1, 4), _REFERENCE_TABLE, out=both[1].reshape(parties, -1, 8))
+    both = both.view(float).reshape(2, parties, -1, 4, 4)
     return both[0], both[1]
 
 
@@ -890,51 +916,57 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
 def _node_integrands(
     dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, references: np.ndarray, k: int
 ) -> tuple:
-    """Each party's input-average integrand (`_party_integrand`) at each
-    node and each entry of `q_ws`, (q_w, party, state, node), over one
-    distributed pair stack of `scenario` or a (G, 2, 4, 4) stack of them. A
-    q_w is a float or one value per state, and every entry is checked
-    before any work.
+    """The input-average integrand (`_party_integrand`) at each node and
+    each entry of `q_ws`, (q_w, state, node), over one distributed pair
+    stack of `scenario` or a (G, 2, 4, 4) stack of them. A q_w is a float
+    or one value per state, and every entry is checked before any work.
 
+    Each state is a `distribute` state, so both parties fold through one
+    map (`_fold`) and a node's integrand is the same for Alice and Bob, bit
+    for bit: it is taken once, for one party, and the input average is its
+    mean squared. The mirror fact this rests on is pinned by
+    `tests/test_kernel.py::test_bob_fold_map_is_alices_on_distributed_states`.
     `rho` holds the inputs every state shares and `references` their
     packed references (`_references`), as `metrics._node_states` caches
-    them: the k node states as a (1, 1, k, 2, 2) stack both parties share,
-    or, with extra input rows [pop_a, phase_a, pop_b, phase_b], the
-    (2, 1, k + m, 2, 2) party-major stack of the nodes followed by the m
-    rows. Neither is written to.
+    them, all as one party's (1, 1, n, 2, 2) stack: the k node states, then
+    any extra input rows [pop_a, phase_a, pop_b, phase_b] as Alice's m
+    inputs and then Bob's m. Neither is written to.
 
     One fold takes the nodes and the extra rows, and every q_w is
-    contracted at once: each party's weights and fidelity numerators per
-    outcome (`_party_factors`), its integrand at each node, and the extra
-    rows' totals (`_party_totals`). Each step is elementwise or a
-    contraction over a fixed axis in a fixed order, so a value does not
-    depend on the other q_w, states or rows. Returns the integrands and,
-    with extra rows, each q_w's (success, fidelity, post-selected) totals
-    of them, each a (G, m) array with the bits of `_row_totals`; None
-    without.
+    contracted at once: the weights and fidelity numerators per outcome
+    (`_party_factors`), the integrand at each node, and the extra rows'
+    totals (`_party_totals`), their inputs split back into (party, row).
+    Each step is elementwise or a contraction over a fixed axis in a fixed
+    order, so a value does not depend on the other q_w, states or rows.
+    Returns the integrands and, with extra rows, each q_w's (success,
+    fidelity, post-selected) totals of them, each a (G, m) array with the
+    bits of `_row_totals`; None without.
     """
     groups = _groups(dist)
     # Each q_w's weak pair, one row per state: (q_w, state, 4).
     pairs = np.empty((len(q_ws), groups, 4))
     for row, q_w in zip(pairs, q_ws):
         row[...] = _weak_pairs(q_w, scenario, groups)
-    # The packed states, (party, state, row, outcome, entry); the nodes are
-    # the first k rows of each state.
-    packed = _fold(dist, rho).reshape(2, groups, -1, 4, 4)
-    # Every state shares the rows' references; each q_w's weak pair against
-    # (q_w, party, state, row).
-    weight, numerator = _party_factors(packed, references, pairs.reshape(len(pairs), 1, groups, 1, 4))
+    # The packed states, (state, input, outcome, entry): the nodes are the
+    # first k inputs of each state.
+    packed = _fold(dist, rho).reshape(groups, -1, 4, 4)
+    # Every state shares the inputs' references; each q_w's weak pair against
+    # (q_w, state, input).
+    weight, numerator = _party_factors(packed, references, pairs.reshape(len(pairs), groups, 1, 4))
     # The fold is the call's largest array. The traces are taken after the
     # factors, so one array fewer of their size is alive beside it, and it
     # is freed before the integrands.
     trace = packed[..., 0] + packed[..., 1]
     del packed
-    integrand = _party_integrand(trace[:, :, :k], weight[..., :k, :], numerator[..., :k, :])
-    # The nodes alone are one stack both parties share.
-    if len(rho) == 1:
+    integrand = _party_integrand(trace[:, :k], weight[..., :k, :], numerator[..., :k, :])
+    # The nodes alone are the whole stack.
+    if trace.shape[1] == k:
         return integrand, None
-    # The extra rows' totals, party axis first, (q_w, state, row) each.
-    totals = _party_totals(trace[:, None, :, k:], *(part[..., k:, :].swapaxes(0, 1) for part in (weight, numerator)))[0]
+    # The extra rows' inputs split back into (party, row), party axis first:
+    # traces (party, 1, state, row, outcome), each q_w's factors (party,
+    # q_w, state, row, outcome), and each q_w's totals (state, row).
+    split = lambda part: part[..., k:, :].reshape(len(part), groups, 2, -1, 4).transpose(2, 0, 1, 3, 4)
+    totals = _party_totals(split(trace[None]), split(weight), split(numerator))[0]
     return integrand, list(zip(*totals))
 
 

@@ -608,6 +608,45 @@ def test_packed_fold_matches_explicit_contraction(scenario):
         assert np.abs(numerators[party] - numerator).max() <= 1e-15
 
 
+# Every p the mirror is pinned at: a 2001-point grid, 1 - 10^-k for k =
+# 1..16, and two tiny p, one of them subnormal.
+MIRROR_PS = [*np.linspace(0.0, 1.0, 2001).tolist(), *(1.0 - 10.0**-k for k in range(1, 17)), 5e-324, 1e-300]
+
+
+def bob_fold_table() -> np.ndarray:
+    """Bob's packed fold map as a (16, 32) table from his flattened pair
+    rho_34, built from the Bell signs by the contraction K_B[z z', j n n'] =
+    sum_{w w'} B_j[w, z]^* B_j[w', z'] rho_34[n w, n' w'], packed as
+    `protocol._FOLD_TABLE` packs Alice's."""
+    eye, tables = np.eye(2, dtype=int), protocol._BELL_SIGNS.reshape(4, 2, 2)
+    bob = np.einsum("jwz,jWZ,nk,NK->kwKWzZjnN", tables, tables, eye, eye).reshape(16, 4, 4, 4) * 0.5
+    return protocol._packed(bob).reshape(16, 32)
+
+
+@pytest.mark.parametrize("scenario", tuple(Scenario))
+def test_bob_fold_map_is_alices_on_distributed_states(scenario):
+    """The fact the kernel's one fold map rests on: every state `distribute`
+    returns, from a stack of p or one p at a time, has rho_34 = SWAP rho_12
+    SWAP bit for bit, and Bob's packed map read off rho_34 equals the
+    kernel's `_FOLD_TABLE` read off rho_12 bit for bit, as `_fold` takes
+    the product. The two tables differ, and so do the maps of a pair stack
+    that is not a mirror image, so the equality is the states'."""
+    stack = distribute(scenario, MIRROR_PS)[0]
+    singles = np.stack([distribute(scenario, p)[0] for p in MIRROR_PS])
+    bob = bob_fold_table()
+    assert not np.array_equal(bob, protocol._FOLD_TABLE)
+    for dists in (stack, singles):
+        swapped = dists[:, 0].reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 4, 4)
+        for g, p in enumerate(MIRROR_PS):
+            assert dists[g, 1].tobytes() == swapped[g].tobytes(), f"{scenario.value} p={p!r}"
+        pairs = dists.reshape(-1, 2, 16)
+        alice_maps, bob_maps = np.dot(pairs[:, 0], protocol._FOLD_TABLE), np.dot(pairs[:, 1], bob)
+        for g, p in enumerate(MIRROR_PS):
+            assert bob_maps[g].tobytes() == alice_maps[g].tobytes(), f"{scenario.value} p={p!r}"
+    pairs = np.random.default_rng(307).random((2, 16)) + 0j
+    assert not np.array_equal(np.dot(pairs[1], bob), np.dot(pairs[0], protocol._FOLD_TABLE))
+
+
 def test_degenerate_thresholds_are_exact():
     """The rules `channels.DEGENERATE_TOL` states, at their sites in the
     kernel: a party's outcome is annihilated when its trace is at or below

@@ -433,6 +433,19 @@ def test_entropy_bob_refuses_non_finite_entries_before_the_trace(fault):
                 entanglement_entropy_bob(bad)
 
 
+def test_entropy_bob_refuses_an_overflowing_trace_without_a_warning():
+    # Finite entries that the trace sums past the largest double give Bob
+    # an infinite qubit, refused with no overflow warning first, in a lone
+    # state and as the middle state of a stack.
+    states = distribute(Scenario.ALL_ADC, [0.2, 0.4, 0.8])[0]
+    states[1, 0, 0, 0] = states[1, 0, 2, 2] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (states[1], states):
+            with pytest.raises(ValueError, match="expects finite entries"):
+                entanglement_entropy_bob(bad)
+
+
 def test_entropy_bob_takes_a_deviation_of_exactly_1e_10():
     # Bob's off-diagonals are exactly 0 on `distribute`'s states, so adding
     # 1e-10 above the diagonal puts his qubit exactly 1e-10 off Hermitian.

@@ -47,6 +47,10 @@ targets:
                  folded with the nodes, as fav-sweep's grid items make it
   average-stack  check 3's call: metrics._average_fidelities over 51
                  unprotected-all states, 32 nodes, one extra row
+  average-grid   check 7's protected call: metrics._average_fidelities over
+                 9 all-adc states (p = 0.1 k, k = 1..9) at those 9 q_w, 32
+                 nodes, with the row [0.5, 0, 0.5, 0]; left out on a tree
+                 whose input average takes one state only
   average4096    metrics._average_fidelities of one all-adc state, 4096
                  nodes, two q_w
   run_protocol   one call at an interior point
@@ -119,8 +123,8 @@ CHECKS = {
     "check8": ("_check_entropy", ()),
 }
 NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "sweep-round", "parse", "parse-fallback", "branches", "average64", "average-extra",
-         "average-stack", "average4096", "run_protocol", "point-mc", "distribute", "distribute-stack", "entropy",
-         "entropy-curve", "outcomes", "rows1", "rows32", "rows64", "rows1000")
+         "average-stack", "average-grid", "average4096", "run_protocol", "point-mc", "distribute", "distribute-stack",
+         "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64", "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
@@ -271,6 +275,12 @@ def targets(pkg) -> dict:
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
     found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
     found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
+    # Check 7's protected call: its 9 p, each at its 9 q_w.
+    trade = [0.1 * k for k in range(1, 10)]
+    trade_dists = np.stack([protocol.distribute(scenario, p)[0] for p in trade])
+    found["average-grid"] = tried(
+        lambda: metrics._average_fidelities(trade_dists, scenario, trade, rule(32), [[0.5, 0.0, 0.5, 0.0]])
+    )
     found["average4096"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(4096))
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)
     mix = point_mix(protocol)
