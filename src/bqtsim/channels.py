@@ -25,10 +25,11 @@ __all__ = ["DEGENERATE_TOL"]
 # is annihilated when its trace is at or below it or its success weight is
 # below it. The kernel writes that rule once (protocol._annihilated) and
 # applies it to each party's own factors: for every total
-# (protocol._party_totals), the input average (protocol._party_integrand)
-# and, in the owned branch arrays, a branch's degenerate flag, set when
-# either party's outcome is annihilated (protocol._correct_branches, from
-# the totals' own party stack). protocol.apply_correction and
+# (protocol._party_totals), the input average's fidelity
+# (protocol._party_integrand, whose success sums every outcome) and, in
+# the owned branch arrays, a branch's degenerate flag, set when either
+# party's outcome is annihilated (protocol._correct_branches, from the
+# totals' own party stack). protocol.apply_correction and
 # eam_postselect apply it on their own, to a branch's 4x4 state and to a
 # pair, as references for the tests.
 DEGENERATE_TOL = 1e-14

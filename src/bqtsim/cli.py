@@ -158,20 +158,19 @@ def _sweep_lines(args: argparse.Namespace, scenario: Scenario, q_ws: Optional[li
     lines = [header]
     g_name = _form_name("g_t", scenario) if scenario.protected else None
     f_name = None if scenario.protected else _form_name("f_av_unprot", scenario)
-    pop0 = args.pop0 if fixed_input else 0.5
-    row = [pop0, 0.0, pop0, 0.0]
     for p in _grid(args.p_min, args.p_max, args.p_steps):
         # Every q_w of this p shares one distributed state and one fold;
-        # when the inputs are averaged, the g_total row goes in the nodes' fold.
+        # when the inputs are averaged, g_total is averaged in the same fold.
         dist, eam_success = distribute(scenario, p)
         s_bob = entanglement_entropy_bob(dist)
         qs = [p] if q_ws is None else q_ws
         if fixed_input:
-            totals = _row_totals(dist, scenario, qs, np.array([row]))
+            totals = _row_totals(dist, scenario, qs, np.array([[args.pop0, 0.0, args.pop0, 0.0]]))
+            g_avs = [success.item() for success, _, _ in totals]
             f_avs = [fidelity.item() for _, fidelity, _ in totals]
         else:
-            f_avs, totals = _average_fidelities(dist, scenario, qs, extra=[row])
-        for q, f_av, (success, *_) in zip(qs, f_avs, totals):
+            f_avs, g_avs = _average_fidelities(dist, scenario, qs)
+        for q, f_av, g_av in zip(qs, f_avs, g_avs):
             f_oracle = closed_form(f_name, p, q).value if f_name and not fixed_input else None
             g_oracle = closed_form(g_name, p, q).value if g_name else None
             cols = [
@@ -179,7 +178,7 @@ def _sweep_lines(args: argparse.Namespace, scenario: Scenario, q_ws: Optional[li
                 _fmt(p),
                 _fmt(q),
                 _fmt(f_av),
-                _fmt(success.item()),
+                _fmt(g_av),
                 _fmt(f_oracle),
                 _fmt(g_oracle),
                 _fmt(eam_success),
@@ -259,10 +258,10 @@ def _entropy_lines(p_steps: int) -> list:
 # Every check distributes all its p in one `distribute` call per scenario
 # it reads, 16 calls in all, because a call's fixed set-up outweighs the
 # arithmetic of one p, and makes one kernel call per scenario on that
-# stack of states, which folds every p at once; an input row a check needs
-# besides the quadrature nodes goes in the nodes' fold. A fold's fixed
-# set-up outweighs a few rows of arithmetic, and one call per p made 326
-# folds at the default grid where this makes 14. Check 8 takes the
+# stack of states, which folds every p at once; checks 3 and 7 take the
+# input-averaged success from the same fold of the nodes as f_av. A
+# fold's fixed set-up outweighs a few rows of arithmetic, and one call per
+# p made 326 folds at the default grid where this makes 14. Check 8 takes the
 # entropies of all its states from one call on their stack, where one call
 # per state cost about 25 us each, mostly fixed overhead. The references
 # go the same way: checks 1, 3 and 4 take each scenario's closed forms from
@@ -339,7 +338,7 @@ def _check_suppression() -> tuple:
     skipped = np.empty((len(ps), len(_PROTECTED)), dtype=bool)
     for s, scenario in enumerate(_PROTECTED):
         dists = distribute(scenario, ps)[0]
-        f_avs = _average_fidelities(dists, scenario, [ps], _VERIFY_NODES)[0]
+        f_avs = _average_fidelities(dists, scenario, [ps], _VERIFY_NODES)[0][0]
         rows = _run_rows(dists, scenario, ps, inputs)
         # A degenerate branch has no fidelity to be 1, so it fails; at p = 1
         # a point whose every branch is annihilated is skipped.
@@ -360,13 +359,11 @@ def _check_unprotected_f_av() -> tuple:
     errors = []
     for scenario in _UNPROTECTED:
         name = _form_name("f_av_unprot", scenario)
-        # The determinism row goes in the fold of each p's nodes.
-        (f_avs,), ((success, _, _),) = _average_fidelities(
-            distribute(scenario, ps)[0], scenario, [0.0], _VERIFY_NODES, extra=[[0.4, 0.0, 0.8, 0.0]]
-        )
+        # Each p's averaged success comes from the same fold as its f_av.
+        (f_avs,), (g_avs,) = _average_fidelities(distribute(scenario, ps)[0], scenario, [0.0], _VERIFY_NODES)
         forms = _closed_forms(name, ps)
         # Each p's f_av error, then its determinism error.
-        errors.append(np.abs(np.stack([np.subtract(f_avs, forms), success[:, 0] - 1.0], axis=1)))
+        errors.append(np.abs(np.stack([np.subtract(f_avs, forms), np.subtract(g_avs, 1.0)], axis=1)))
     return _located(np.array(errors), lambda s, n, _: f"{_UNPROTECTED[s].value} p={ps[n]:g}")
 
 
@@ -404,17 +401,15 @@ def _check_qualitative() -> tuple:
     """Check 7's result, and its note on the trade-off's least margin."""
     grid = [0.1 * k for k in range(1, 10)]
     slack = 1e-9
-    # f_av and total success of each protected scenario as [p, q_w] arrays
-    # over the grid, the success from an input row in each p's node fold,
-    # and f_av of each bare one as a [p] array.
+    # The input-averaged f_av and total success of each protected scenario
+    # as [p, q_w] arrays over the grid, both from one fold of each p's
+    # nodes, and f_av of each bare one as a [p] array.
     fav, g_sim = {}, {}
     for scenario in _PROTECTED:
-        f_avs, totals = _average_fidelities(
-            distribute(scenario, grid)[0], scenario, grid, _VERIFY_NODES, extra=[[0.5, 0.0, 0.5, 0.0]]
-        )
-        fav[scenario], g_sim[scenario] = np.array(f_avs).T, np.array([t[0][:, 0] for t in totals]).T
+        f_avs, g_avs = _average_fidelities(distribute(scenario, grid)[0], scenario, grid, _VERIFY_NODES)
+        fav[scenario], g_sim[scenario] = np.array(f_avs).T, np.array(g_avs).T
     unprot = {
-        bare: np.array(_average_fidelities(distribute(bare, grid)[0], bare, [0.0], _VERIFY_NODES)[0])
+        bare: np.array(_average_fidelities(distribute(bare, grid)[0], bare, [0.0], _VERIFY_NODES)[0][0])
         for bare in _UNPROTECTED
     }
     # Each protected scenario is held against the bare one of its situation.

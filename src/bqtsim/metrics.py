@@ -7,10 +7,13 @@ inputs are independent and every branch quantity is a product of one
 factor per party, so the average is the product of two one-party
 integrals. On every distributed state the two are equal, bit for bit:
 the damping is mirror-symmetric, so Bob's fold map equals Alice's
-(`protocol._fold_maps`), and the average is the square of one. This
-module holds only the quadrature: the nodes and weights, the weighted
-sum over the nodes and its square. The integrand at the nodes comes from
-the kernel (`protocol._node_integrands`), which never forms a branch.
+(`protocol._fold_maps`), and the average is the square of one. The
+success averages the same way, from a second integrand of the same fold:
+a party's success is the same at every input, so its input average is the
+success at any input. This module holds only the quadrature: the nodes and
+weights, the weighted sums over the nodes and their squares. The
+integrands at the nodes come from the kernel (`protocol._node_integrands`),
+which never forms a branch.
 
 The distributed state is the product of its two Bell pairs, and Bob holds
 one qubit of each, so his entropy is the sum of two one-qubit entropies:
@@ -26,16 +29,14 @@ Each closed form is written once, as a function in `_FORMS`.
 one call per form, not one per point."""
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .channels import _check_unit, _check_units
 from .linalg import _hermitian_part, _refuse_nonfinite, hermitian_eigenvalues
-from .protocol import Scenario, _input_densities, _node_integrands, _references, _row_inputs, _single_q_w, distribute
+from .protocol import Scenario, _input_densities, _node_integrands, _references, _single_q_w, distribute
 
 __all__ = [
     "OracleValue",
@@ -61,14 +62,11 @@ def _nodes_weights(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The node states and their references do not depend on p, q_w or the
-# distributed state, so every input average with the same node count and
-# extra rows shares one stack of them: after its first call a sweep item,
-# each p of a sweep and each verify check skip forming, repeating and
-# concatenating the inputs and taking their references. The rows are keyed
-# by their float64 bytes (`_average_fidelities`), so -0.0 and 0.0 stay
-# apart and a cached stack has the bits a fresh one would.
+# distributed state, so every input average with the same node count shares
+# one stack of them: after its first call a sweep item, each p of a sweep
+# and each verify check skip forming the inputs and taking their references.
 @lru_cache(maxsize=8)
-def _node_states(points: int, rows: bytes | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _node_states(points: int) -> tuple[np.ndarray, np.ndarray]:
     """The input states of the `points`-node input average and their
     packed references (`protocol._references`), as two read-only arrays
     that every state of a fold shares (`protocol._node_integrands`).
@@ -76,14 +74,8 @@ def _node_states(points: int, rows: bytes | None = None) -> tuple[np.ndarray, np
     Every input is one party's: on a `distribute` state both parties fold
     through the same map (`protocol._fold`), so the node states are folded
     once, for Alice and Bob alike. The inputs are the (1, 1, n, 2, 2) stack
-    of the nodes, then, when `rows` holds extra input rows [pop_a, phase_a,
-    pop_b, phase_b] as the bytes of their float64 values, row by row,
-    Alice's m inputs of them and then Bob's m (`protocol._row_inputs`). The
-    references are (1, n, 4, 4)."""
+    of the nodes, and the references are (1, n, 4, 4)."""
     inputs = _input_densities(_nodes_weights(points)[0]).reshape(1, 1, points, 2, 2)
-    if rows is not None:
-        extra = _row_inputs(np.frombuffer(rows).reshape(-1, 4), 1)
-        inputs = np.concatenate((inputs, extra.reshape(1, 1, -1, 2, 2)), axis=2)
     references = _references(inputs)
     inputs.flags.writeable = references.flags.writeable = False
     return inputs, references
@@ -118,39 +110,40 @@ def average_fidelity(scenario: Scenario, p: float, q_w: float) -> float:
     """
     q_w = _single_q_w(q_w, "average_fidelity")
     dist, _ = distribute(scenario, p)
-    return _average_fidelities(dist, scenario, (q_w,))[0]
+    return _average_fidelities(dist, scenario, (q_w,))[0][0]
 
 
-def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int = 64, extra=None):
-    """`average_fidelity` at each of several q_w over one distributed pair
-    stack, or over each state of a (G, 2, 4, 4) stack, by the `points`-node
-    Gauss-Legendre rule. A q_w is a float or one value per state.
+def _average_fidelities(dist: np.ndarray, scenario: Scenario, q_ws, points: int = 64) -> tuple[list, list]:
+    """`average_fidelity` and the input-averaged total success at each of
+    several q_w over one distributed pair stack, or over each state of a
+    (G, 2, 4, 4) stack, by the `points`-node Gauss-Legendre rule. A q_w is
+    a float or one value per state.
 
     Each state is one `distribute` returned, so both parties' integrands
     are the same, bit for bit (`protocol._fold_maps`). The kernel gives
-    that one integrand at every node and q_w from one fold of the nodes,
-    shared by every state (`protocol._node_integrands`), against the
-    one-party input stack and references that every call with the same
-    node count and extra rows shares (`_node_states`, formed on the first
-    such call in a process); its weighted sum over the nodes is the party's
-    mean, and the average is the square of that mean, the product of
-    Alice's and Bob's equal means. Each step is elementwise or a reduction
+    that one party's two integrands, the fidelity and the success, at every
+    node and q_w from one fold of the nodes, shared by every state
+    (`protocol._node_integrands`), against the one-party input stack and
+    references that every call with the same node count shares
+    (`_node_states`, formed on the first such call in a process). The
+    weighted sum of each over the nodes is the party's mean, and each
+    average is the square of that mean, the product of Alice's and Bob's
+    equal means. A party's success is the same at every input, so its mean
+    is that success, to rounding. Each step is elementwise or a reduction
     over a fixed axis in a fixed order, so a value does not depend on the
     other q_w or states, nor on whether the inputs were cached.
 
-    Returns the average at each q_w: a float for one state, a list of G
-    floats for a stack. `extra` input rows are folded with the nodes, and
-    their totals come back too, as (averages, totals) with each q_w's
-    (success, fidelity, post-selected) (G, len(extra)) arrays from the
-    function that gives `_row_totals` (`protocol._party_totals`), bit for
-    bit; an empty `extra` gives (averages, None).
+    Returns (f_avs, g_avs), each a list of the averages at each q_w: a
+    float for one state, a list of G floats for a stack.
     """
-    rows = None if extra is None else array("d", chain.from_iterable(extra)).tobytes()
-    integrand, totals = _node_integrands(dist, scenario, q_ws, *_node_states(points, rows), points)
-    # One party's mean at each (q_w, state); the other party's is the same.
-    means = np.add.reduce(integrand * _nodes_weights(points)[1], axis=-1)
-    averages = (means * means if dist.ndim == 4 else means[:, 0] * means[:, 0]).tolist()
-    return averages if extra is None else (averages, totals)
+    integrands = _node_integrands(dist, scenario, q_ws, *_node_states(points))
+    # One party's means at each (integrand, q_w, state); the other party's
+    # are the same.
+    means = np.add.reduce(integrands * _nodes_weights(points)[1], axis=-1)
+    if dist.ndim == 3:
+        means = means[..., 0]
+    f_avs, g_avs = (means * means).tolist()
+    return f_avs, g_avs
 
 
 _FORMS: dict[str, tuple] = {

@@ -98,9 +98,9 @@ from that party's own factors. Every
 total is a product of two party sums over the live outcomes
 (`_party_totals`): the success (sum w_A)(sum w_B), the total fidelity
 G_A G_B of the party integrands G = sum t n / w, and the post-selected
-fidelity (sum n_A)(sum n_B) over the success. `run_protocol`,
-`_row_totals` and the input average's extra rows all take their totals
-from it, and no total forms a branch. The predicate runs once per
+fidelity (sum n_A)(sum n_B) over the success. `run_protocol` and
+`_row_totals` take their totals from it, and no total forms a branch.
+The predicate runs once per
 correction: the owned arrays take each branch's joint probability,
 weight and fidelity numerator as products of the parties' values in the
 stack the totals are summed from, where an annihilated outcome's weight
@@ -110,18 +110,19 @@ is annihilated, and the live branches are the ones the totals sum.
 
 The input average's kernel, `_node_integrands`, sits beside the
 orchestration: it checks every q_w, folds the node states that every
-state shares and any extra input rows once, as one party's inputs,
-against their references, contracts every q_w at once into the factors,
-frees the fold, and gives the integrand at each node (`_party_integrand`,
-which applies the same predicate to the party's own factors) and the
-extra rows' totals (`_party_totals`, as `_row_totals` forms them). Both
-parties take the node states through the same map, so a node's integrand
-is Alice's and Bob's alike and is taken once. It forms neither its
-inputs nor their references: `metrics._node_states` makes the one-party
-stack of the nodes, Alice's rows and Bob's rows (`_row_inputs`) and its
-references (`_references`) once per node count and rows in a process.
-`metrics` keeps that cache and the quadrature: the node weights, the
-weighted node sum and its square.
+state shares once, as one party's inputs, against their references,
+contracts every q_w at once into the factors, frees the fold, and gives
+two integrands at each node (`_party_integrand`): the fidelity, which
+applies the same predicate to the party's own factors, and the success
+sum w, which is the same at every input and so is its own input
+average: (s^2 + d^2)/(1 + d^2) when protected, for the survival
+amplitudes d of the damping and s of the weak pulse, and 1 when bare.
+Both parties take the node states through the same map, so a node's
+integrands are Alice's and Bob's alike and are taken once. It forms
+neither its inputs nor their references: `metrics._node_states` makes the
+one-party stack of the nodes and its references (`_references`) once per
+node count in a process. `metrics` keeps that cache and the quadrature:
+the node weights, the weighted node sums and their squares.
 
 The product API is `__all__`. The rest of the public names are the
 references the tests hold the kernel against, which no product path calls:
@@ -762,21 +763,25 @@ def _annihilated(traces: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> np.ndarray:
-    """One party's input-average integrand sum_k t_k n_k / w_k over its
-    four outcomes on the last axis, from each outcome's trace t, success
-    weight w and fidelity numerator n: the party's outcome-averaged
-    fidelity.
+    """One party's two input-average integrands over its four outcomes on
+    the last axis, from each outcome's trace t, success weight w and
+    fidelity numerator n, stacked on a new first axis: the party's
+    outcome-averaged fidelity sum_k t_k n_k / w_k, then its success sum_k
+    w_k.
 
-    An annihilated outcome (`_annihilated`) adds nothing; where every
-    outcome is, the integrand is NaN.
+    An annihilated outcome (`_annihilated`) adds nothing to the fidelity;
+    where every outcome is, the fidelity is NaN. The predicate guards the
+    division by w, and the success divides by nothing, so it sums every
+    outcome's weight, annihilated or not.
     """
     dead = _annihilated(traces, weights)
     # Dividing by infinity zeroes a dead outcome's term.
-    terms = traces * numerators / np.where(dead, np.inf, weights)
-    # The outcomes add in order, a slice at a time, which is faster than a
-    # reduction over a short axis.
-    gone = dead[..., 0] & dead[..., 1] & dead[..., 2] & dead[..., 3]
-    return np.where(gone, np.nan, terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
+    terms = np.array((traces * numerators / np.where(dead, _INF, weights), weights))
+    # Both integrands' outcomes add in order, a slice at a time, which is
+    # faster than a reduction over a short axis.
+    sums = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+    sums[0][dead[..., 0] & dead[..., 1] & dead[..., 2] & dead[..., 3]] = _NAN
+    return sums
 
 
 def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> tuple:
@@ -803,10 +808,13 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     products of these, so its flags come from this one application of the
     predicate.
 
-    G is `_party_integrand`'s, formed here beside the two other sums in
-    one stack: calling that function as well would apply the predicate
-    twice, and at one row it cost about 8 % of a `run_protocol` call
-    (`tools/abtime.py`).
+    G is `_party_integrand`'s fidelity, formed here beside the two other
+    sums in one stack: calling that function as well would apply the
+    predicate twice, and at one row it cost about 8 % of a `run_protocol`
+    call (`tools/abtime.py`). These are the rows' totals (`run_protocol`,
+    `_run_rows`, `_row_totals`); the input average takes both its
+    integrands from `_party_integrand`, whose success sums every outcome's
+    weight, annihilated or not.
     """
     dead = _annihilated(traces, weights)
     # Dividing by infinity keeps a dead outcome's integrand term finite.
@@ -913,61 +921,44 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     return [(_party_totals(traces, *part)[0], None) for part in factors]
 
 
-def _node_integrands(
-    dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, references: np.ndarray, k: int
-) -> tuple:
-    """The input-average integrand (`_party_integrand`) at each node and
-    each entry of `q_ws`, (q_w, state, node), over one distributed pair
-    stack of `scenario` or a (G, 2, 4, 4) stack of them. A q_w is a float
-    or one value per state, and every entry is checked before any work.
+def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """The input average's two integrands (`_party_integrand`), the
+    fidelity and the success, at each node and each entry of `q_ws`, as a
+    (2, q_w, state, node) array, over one distributed pair stack of
+    `scenario` or a (G, 2, 4, 4) stack of them. A q_w is a float or one
+    value per state, and every entry is checked before any work.
 
     Each state is a `distribute` state, so both parties fold through one
-    map (`_fold`) and a node's integrand is the same for Alice and Bob, bit
-    for bit: it is taken once, for one party, and the input average is its
-    mean squared. The mirror fact this rests on is pinned by
+    map (`_fold`) and a node's integrands are the same for Alice and Bob,
+    bit for bit: they are taken once, for one party, and each input average
+    is the square of its mean. The mirror fact this rests on is pinned by
     `tests/test_kernel.py::test_bob_fold_map_is_alices_on_distributed_states`.
-    `rho` holds the inputs every state shares and `references` their
+    `rho` holds the node states every state shares and `references` their
     packed references (`_references`), as `metrics._node_states` caches
-    them, all as one party's (1, 1, n, 2, 2) stack: the k node states, then
-    any extra input rows [pop_a, phase_a, pop_b, phase_b] as Alice's m
-    inputs and then Bob's m. Neither is written to.
+    them, as one party's (1, 1, n, 2, 2) stack. Neither is written to.
 
-    One fold takes the nodes and the extra rows, and every q_w is
-    contracted at once: the weights and fidelity numerators per outcome
-    (`_party_factors`), the integrand at each node, and the extra rows'
-    totals (`_party_totals`), their inputs split back into (party, row).
-    Each step is elementwise or a contraction over a fixed axis in a fixed
-    order, so a value does not depend on the other q_w, states or rows.
-    Returns the integrands and, with extra rows, each q_w's (success,
-    fidelity, post-selected) totals of them, each a (G, m) array with the
-    bits of `_row_totals`; None without.
+    One fold takes the nodes, and every q_w is contracted at once: the
+    weights and fidelity numerators per outcome (`_party_factors`), then
+    both integrands at each node. Each step is elementwise or a
+    contraction over a fixed axis in a fixed order, so a value does not
+    depend on the other q_w or states.
     """
     groups = _groups(dist)
     # Each q_w's weak pair, one row per state: (q_w, state, 4).
     pairs = np.empty((len(q_ws), groups, 4))
     for row, q_w in zip(pairs, q_ws):
         row[...] = _weak_pairs(q_w, scenario, groups)
-    # The packed states, (state, input, outcome, entry): the nodes are the
-    # first k inputs of each state.
+    # The packed states, (state, node, outcome, entry).
     packed = _fold(dist, rho).reshape(groups, -1, 4, 4)
-    # Every state shares the inputs' references; each q_w's weak pair against
-    # (q_w, state, input).
+    # Every state shares the nodes' references; each q_w's weak pair against
+    # (q_w, state, node).
     weight, numerator = _party_factors(packed, references, pairs.reshape(len(pairs), groups, 1, 4))
     # The fold is the call's largest array. The traces are taken after the
     # factors, so one array fewer of their size is alive beside it, and it
     # is freed before the integrands.
     trace = packed[..., 0] + packed[..., 1]
     del packed
-    integrand = _party_integrand(trace[:, :k], weight[..., :k, :], numerator[..., :k, :])
-    # The nodes alone are the whole stack.
-    if trace.shape[1] == k:
-        return integrand, None
-    # The extra rows' inputs split back into (party, row), party axis first:
-    # traces (party, 1, state, row, outcome), each q_w's factors (party,
-    # q_w, state, row, outcome), and each q_w's totals (state, row).
-    split = lambda part: part[..., k:, :].reshape(len(part), groups, 2, -1, 4).transpose(2, 0, 1, 3, 4)
-    totals = _party_totals(split(trace[None]), split(weight), split(numerator))[0]
-    return integrand, list(zip(*totals))
+    return _party_integrand(trace, weight, numerator)
 
 
 def _run_rows(dist: np.ndarray, scenario: Scenario, q_w, rows) -> _Branches:

@@ -80,7 +80,7 @@ def test_c09_quadrature_insensitivity():
     for scenario, pts in points.items():
         for p, q in pts:
             base = average_fidelity(scenario, p, q)
-            doubled = _average_fidelities(distribute(scenario, p)[0], scenario, [q], 128)[0]
+            doubled = _average_fidelities(distribute(scenario, p)[0], scenario, [q], 128)[0][0]
             worst = max(worst, abs(base - doubled))
     assert worst < tol
     report(9, "doubling the quadrature rule", worst, tol)

@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 import bqtsim
 from bqtsim import cli, protocol
 from bqtsim.cli import SWEEP_HEADER, main
-from bqtsim.metrics import closed_form_names
+from bqtsim.metrics import _closed_forms, closed_form_names
 from bqtsim.protocol import QubitInput, Scenario, run_protocol
+from test_metrics import PARTY_RULE_FINITE
 
 
 def run_cli(argv, capsys):
@@ -627,12 +628,11 @@ def test_verify_trade_off_fails_where_f_av_falls_below_p(monkeypatch):
     # least margin, now positive.
     real = cli._average_fidelities
 
-    def swapped(dist, scenario, q_ws, points, extra=None):
-        result = real(dist, scenario, q_ws, points, extra)
-        if extra is None:
-            return result
-        averages, totals = result
-        return [averages[1], averages[0], *averages[2:]], totals
+    def swapped(dist, scenario, q_ws, points):
+        f_avs, g_avs = real(dist, scenario, q_ws, points)
+        if not scenario.protected:
+            return f_avs, g_avs
+        return [f_avs[1], f_avs[0], *f_avs[2:]], g_avs
 
     (errors, where), note = cli._check_qualitative()
     assert note == "; least trade-off margin -0.00115"
@@ -667,8 +667,8 @@ def count_folds(monkeypatch) -> dict:
 
 def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
     # Each check folds all its p in one kernel call per scenario, and the
-    # sweep folds each p's nodes and g_total row together; every kernel
-    # call folds once. There were 326 and 102 folds when every p of a check
+    # sweep averages each p's f_av and g_total from one fold of its nodes;
+    # every kernel call folds once. There were 326 and 102 folds when every p of a check
     # was its own call and a sweep's g_total rows were a second fold, and
     # 80 and 51 when a call folded a block of 128 rows at a time. The input
     # average folds without the branch kernel's entry, so of verify's 14
@@ -683,6 +683,72 @@ def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and len(out.splitlines()) == 1 + 51 * 11
     assert counts == {"_fold_and_correct": 0, "_fold": 51}
+
+
+def test_every_folded_state_is_a_mirror_image(monkeypatch, capsys):
+    """The kernel folds Bob's inputs through the map it reads off rho_12,
+    which is his only when rho_34 is SWAP rho_12 SWAP (`protocol._fold`).
+    Every distributed state that reaches the fold in one verify and one
+    fav-sweep round (both protected scenarios at equal p and on a two-q_w
+    grid, both bare ones, at one p) is such a mirror image, bit for bit."""
+    fold, states = protocol._fold, []
+
+    def kept(dist, *args, **kwargs):
+        states.append(dist.reshape(-1, 2, 4, 4).copy())
+        return fold(dist, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_fold", kept)
+    assert main(["verify"]) == 0
+    head = ["sweep", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1", "--scenario"]
+    grid = ["--qw-mode", "grid", "--qw-min", "0", "--qw-max", "0.8", "--qw-steps", "2"]
+    for argv in [head + [s.value, *mode] for s in cli._PROTECTED for mode in (["--qw-mode", "equal-p"], grid)] + [
+        head + [s.value] for s in cli._UNPROTECTED
+    ]:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(states) == 14 + 6
+    pairs = np.concatenate(states)
+    # SWAP rho SWAP exchanges the two qubits of each row and column index.
+    mirrored = pairs[:, 0].reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 4, 4)
+    assert pairs[:, 1].tobytes() == mirrored.tobytes()
+
+
+def test_sweep_g_total_meets_its_closed_form_at_the_corners(monkeypatch, capsys):
+    """The sweep's input-averaged g_total lies within 1e-12 relative of
+    `g_t_*` at q_w = p = 1 - 10^-k, k = 1..15, and at q_w = 1 on the same
+    p, in both protected scenarios, where the true values fall to 1e-60:
+    its success integrand sums every outcome's weight, however small. The
+    row totals still drop a party outcome of weight below DEGENERATE_TOL
+    (ROADMAP item 7): `run_protocol`'s total_success at pops (0.3, 0.6)
+    and a `--pop0 0.5` sweep's g_total are within 1e-12 relative as far
+    as the input average's f_av stays finite, and 0 beyond."""
+    # Every column at full precision, so a relative 1e-12 can be read.
+    monkeypatch.setattr(cli, "_fmt", lambda x: "" if x is None else repr(x + 0.0))
+
+    def g_total(argv) -> float:
+        code, out, _ = run_cli(argv, capsys)
+        header, (row,) = rows(out)
+        assert code == 0
+        return float(row[header.split(",").index("g_total")])
+
+    for scenario, finite in PARTY_RULE_FINITE.items():
+        name = cli._form_name("g_t", scenario)
+        for k in range(1, 16):
+            p = 1.0 - 10.0**-k
+            head = ["sweep", "--scenario", scenario.value, "--p-min", repr(p), "--p-max", repr(p), "--p-steps", "1"]
+            for q_w, mode in ((p, ["--qw-mode", "equal-p"]), (1.0, ["--qw", "1"])):
+                where = f"{scenario.value} k={k} q_w={q_w!r}"
+                form = float(_closed_forms(name, p, q_w))
+                assert abs(g_total(head + mode) - form) <= 1e-12 * form, where
+                rows_success = (
+                    run_protocol(scenario, p, q_w, QubitInput(0.3), QubitInput(0.6)).total_success,
+                    g_total(head + mode + ["--pop0", "0.5"]),
+                )
+                for success in rows_success:
+                    if k <= finite:
+                        assert abs(success - form) <= 1e-12 * form, where
+                    else:
+                        assert success == 0.0, where
 
 
 def test_verify_builds_each_protected_state_once(monkeypatch, capsys):

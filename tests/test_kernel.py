@@ -125,7 +125,7 @@ def one_average(scenario, p, q_w, points):
     if points == 64:
         return average_fidelity(scenario, p, q_w)
     dist, _ = distribute(scenario, p)
-    return _average_fidelities(dist, scenario, (q_w,), points)[0]
+    return _average_fidelities(dist, scenario, (q_w,), points)[0][0]
 
 
 def reference_average_fidelity(scenario, p, q_w, nodes, weights):
@@ -313,9 +313,11 @@ def test_multi_qw_average_matches_one_average_per_qw(points):
             else:
                 qs = [0.0, 0.0]
             dist, _ = distribute(scenario, p)
-            got = _average_fidelities(dist, scenario, qs, points)
+            got, g_avs = _average_fidelities(dist, scenario, qs, points)
             want = [one_average(scenario, p, q, points) for q in qs]
             assert identical(got, want), f"{scenario.value} p={p} q_w={qs}"
+            want = [_average_fidelities(dist, scenario, [q], points)[1][0] for q in qs]
+            assert identical(g_avs, want), f"{scenario.value} p={p} q_w={qs}"
             if scenario.protected and p == 1.0:
                 assert math.isnan(got[1]) and not math.isnan(got[0])
 
@@ -327,10 +329,10 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
     totals-only rows call writes its rows' references into the fold's own
     array; an owned call, `_run_rows` or `run_protocol`, takes its rows'
     apart, once, beside its one fold. The input average folds once per
-    call, and forms its node-and-row stack and its references once per
-    (node count, extra rows) in a process, and none on a repeated call:
-    the cached arrays are read-only, and a repeated call gives the same
-    bytes."""
+    call, forms no input rows, and forms its node stack and its references
+    once per node count in a process, and none on a repeated call, on the
+    same state or another: the cached arrays are read-only, and a repeated
+    call gives the same bytes."""
     stages = dict.fromkeys(("_fold", "_references", "_row_inputs"), 0)
 
     def counted(name):
@@ -353,7 +355,6 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
     rng = np.random.default_rng(151)
     dists = np.stack([distribute(scenario, p)[0] for p in (0.2, 0.5, 0.9)])
     size = 65
-    rows = [[0.5, 0.0, 0.5, 0.0], [0.3, 1.0, 0.8, -0.0]]
     calls = (
         (lambda: _row_totals(dists[0], scenario, qs, rng.random((100, 4))), (1, 0, 1)),
         (lambda: _row_totals(dists, scenario, qs + [rng.random(3 * size)], rng.random((3 * size, 4))), (1, 0, 1)),
@@ -367,32 +368,24 @@ def test_multi_qw_totals_build_forms_once_per_fold(monkeypatch):
     metrics._node_states.cache_clear()
     averages = (
         (lambda: _average_fidelities(dists[1], scenario, qs), (1, 1, 0)),
-        (lambda: _average_fidelities(dists, scenario, qs, extra=rows), (1, 1, 1)),
-        (lambda: _average_fidelities(dists, scenario, qs, 32, rows), (1, 1, 1)),
-        # The same rows with their -0.0 made 0.0 are cached apart.
-        (lambda: _average_fidelities(dists, scenario, qs, 32, np.abs(rows)), (1, 1, 1)),
+        (lambda: _average_fidelities(dists, scenario, qs, 32), (1, 1, 0)),
+        # Another state and node count already cached: nothing is formed.
+        (lambda: _average_fidelities(dists, scenario, qs[:2]), (1, 0, 0)),
     )
     for call, counts in averages:
         stages.update(dict.fromkeys(stages, 0))
         first = call()
         assert tuple(stages.values()) == counts
         stages.update(dict.fromkeys(stages, 0))
-        assert average_bytes(call()) == average_bytes(first)
+        assert np.array(call()).tobytes() == np.array(first).tobytes()
         assert tuple(stages.values()) == (1, 0, 0)
-    assert metrics._node_states.cache_info().currsize == len(averages)
-    for inputs in (metrics._node_states(64, None), metrics._node_states(32, np.array(rows).tobytes())):
+    assert metrics._node_states.cache_info().currsize == 2
+    for inputs in (metrics._node_states(64), metrics._node_states(32)):
         for array in inputs:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
-    assert metrics._node_states.cache_info().currsize == len(averages)
-
-
-def average_bytes(result) -> bytes:
-    """The bytes of an `_average_fidelities` result: its averages and, with
-    extra rows, each q_w's totals."""
-    averages, totals = result if isinstance(result, tuple) else (result, [])
-    return np.array(averages).tobytes() + b"".join(np.array(part).tobytes() for part in totals)
+    assert metrics._node_states.cache_info().currsize == 2
 
 
 BRANCH_FIELDS = ("recovered", "joint", "weight", "corrected", "fidelity", "degenerate")
@@ -403,10 +396,12 @@ def test_state_stack_matches_one_call_per_state(scenario):
     """G states at p in {0, 1, two draws}, folded together with their rows
     in G equal contiguous groups, equal one call per state by bytes: the
     owned arrays, the totals-only entry with float and per-row q_w mixed,
-    and the input average with one q_w for every state or one per state,
-    and its extra rows' totals, also with one state, one q_w and one extra
-    row, at groups of one row, 43 rows and 133 rows; q_w = 1 at p = 1
-    gives wholly degenerate NaN rows."""
+    at groups of one row, 43 rows and 133 rows, and the input average's
+    f_av and g with one q_w for every state or one per state, also with
+    one state and one q_w; q_w = 1 at p = 1 gives wholly degenerate NaN
+    rows. The averaged g is the success at any input: it equals
+    `_row_totals`' success at seeded rows with no annihilated outcome
+    within 1e-15 relative."""
     rng = np.random.default_rng(131 + list(Scenario).index(scenario))
     ps = [0.0, 1.0, float(rng.uniform()), float(rng.uniform())]
     dists = np.stack([distribute(scenario, p)[0] for p in ps])
@@ -444,28 +439,32 @@ def test_state_stack_matches_one_call_per_state(scenario):
             _run_rows(dists, scenario, 0.0, rows[1:])
         with pytest.raises(ValueError, match=f"{n + 1} input rows do not split into {groups} equal groups"):
             _row_totals(dists, scenario, [0.0], np.vstack((rows, rows[:1])))
-    extra = np.array([[0.5, 0.0, 0.5, 0.0], [0.2, 1.3, 0.9, 4.0]])
+    rows = rng.random((6, 4))
+    rows[:, 1::2] *= 2.0 * math.pi
     qs = [0.0, 1.0, ps] if scenario.protected else [0.0, [0.0] * groups]
+    live = 0
     for points in (8, 32):
-        got, totals = _average_fidelities(dists, scenario, qs, points, extra)
-        assert identical(got, _average_fidelities(dists, scenario, qs, points))
+        got = _average_fidelities(dists, scenario, qs, points)
         for g, p in enumerate(ps):
             where = f"{scenario.value} p={p} {points} nodes"
             own_qs = [q if np.ndim(q) == 0 else q[g] for q in qs]
             own = _average_fidelities(dists[g], scenario, own_qs, points)
-            assert identical([f_avs[g] for f_avs in got], own), where
-            want = _row_totals(dists[g], scenario, own_qs, extra)
-            for j, total in enumerate(totals):
-                assert all(identical(t[g], w) for t, w in zip(total, want[j])), where
-                # One state, one q_w and one row, as a fixed-q_w sweep folds
-                # its g_total row.
-                for r in range(len(extra)):
-                    (lone,) = _average_fidelities(dists[g], scenario, own_qs[j : j + 1], points, extra[r : r + 1])[1]
-                    for t, w in zip(lone, want[j]):
-                        assert identical(t[0], w[r : r + 1]), f"{where} q_w entry {j} row {r}"
+            for averages, mine in zip(got, own):
+                assert identical([values[g] for values in averages], mine), where
+            for j, q_w in enumerate(own_qs):
+                # One state and one q_w, as a fixed-q_w sweep averages them.
+                lone = _average_fidelities(dists[g], scenario, [q_w], points)
+                assert identical(lone, ([own[0][j]], [own[1][j]])), f"{where} q_w entry {j}"
+                ((success, _, _),) = _row_totals(dists[g], scenario, [q_w], rows)
+                dead = _run_rows(dists[g], scenario, q_w, rows).degenerate.any(axis=1)
+                error = np.abs(own[1][j] - success[~dead])
+                assert (error <= 1e-15 * success[~dead]).all(), f"{where} q_w entry {j}"
+                live += int((~dead).sum())
         if scenario.protected:
-            # p = q_w = 1 has no live branch at any node.
-            assert math.isnan(got[1][1]) and not math.isnan(got[0][1])
+            # p = q_w = 1 has no live branch at any node, and every weight is 0.
+            assert math.isnan(got[0][1][1]) and not math.isnan(got[0][0][1])
+            assert got[1][1][1] == 0.0
+    assert live > 0
     if scenario.protected:
         assert nan_rows > 0
 
@@ -702,13 +701,20 @@ def test_postselected_fidelity_needs_success_above_tolerance():
 
 
 def test_total_fidelity_is_product_of_party_integrands():
-    """The totals' fidelity is G_A G_B of the input average's integrand,
-    NaN where either party has every outcome annihilated, over outcomes
-    with traces and weights on both sides of DEGENERATE_TOL."""
+    """The totals' fidelity is G_A G_B of the input average's fidelity
+    integrand, NaN where either party has every outcome annihilated, over
+    outcomes with traces and weights on both sides of DEGENERATE_TOL. Its
+    success integrand sums every outcome's weight, annihilated or not, so
+    the totals' success, which sums the live ones, is the product of the
+    two parties' where neither has an annihilated outcome."""
     rng = np.random.default_rng(167)
     traces, weights, numerators = rng.random((3, 2, 400, 4)) * 10.0 ** rng.integers(-16, 1, (3, 2, 400, 4))
     traces[:, ::7], weights[:, 1::9] = 0.0, 0.0
-    fidelity = _party_totals(traces, weights, numerators)[0][1]
-    integrand = _party_integrand(traces, weights, numerators)
+    success, fidelity, _ = _party_totals(traces, weights, numerators)[0]
+    integrand, party_success = _party_integrand(traces, weights, numerators)
     np.testing.assert_array_equal(fidelity, integrand[0] * integrand[1])
     assert np.isnan(fidelity).any() and not np.isnan(fidelity).all()
+    np.testing.assert_array_equal(party_success, weights[..., 0] + weights[..., 1] + weights[..., 2] + weights[..., 3])
+    live = ~((traces <= DEGENERATE_TOL) | (weights < DEGENERATE_TOL)).any(axis=(0, 2))
+    np.testing.assert_array_equal(success[live], (party_success[0] * party_success[1])[live])
+    assert 0 < live.sum() < len(live)

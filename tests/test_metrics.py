@@ -256,7 +256,7 @@ def test_average_fidelity_matches_oracle_party_integral(scenario):
     for p in np.linspace(0.0, 0.99, 12):
         p = float(p)
         qs = sorted({float(q) for q in np.linspace(0.0, 1.0, 7)} | {p}) if scenario.protected else [0.0]
-        got = _average_fidelities(distribute(scenario, p)[0], scenario, qs)
+        got = _average_fidelities(distribute(scenario, p)[0], scenario, qs)[0]
         for q, f_av in zip(qs, got):
             party = oracles._party_prob(scenario, p, nodes) * oracles._party_fidelity(scenario, p, q, nodes)
             want = float(weights @ party.sum(axis=1)) ** 2

@@ -123,8 +123,8 @@ def test_input_average_does_not_fault_per_call():
 
 
 # Verify's stacked kernel calls: check 3's input average (51 unprotected-all
-# states, 32 nodes, one extra row) and check 1's row totals (10 all-adc
-# states of 100 rows each, one q_w per row).
+# states, 32 nodes) and check 1's row totals (10 all-adc states of 100 rows
+# each, one q_w per row).
 STACKED_CHILD = """\
 import resource, sys
 import numpy as np
@@ -133,7 +133,7 @@ from bqtsim.protocol import Scenario, _row_totals, distribute
 if sys.argv[1] == "check3":
     bare = Scenario.UNPROTECTED_ALL
     dists, _ = distribute(bare, [float(p) for p in np.linspace(0.0, 1.0, 51)])
-    call = lambda: _average_fidelities(dists, bare, [0.0], 32, [[0.4, 0.0, 0.8, 0.0]])
+    call = lambda: _average_fidelities(dists, bare, [0.0], 32)
 else:
     grid = [k / 10 for k in range(10)]
     dists, _ = distribute(Scenario.ALL_ADC, grid)

@@ -9,16 +9,15 @@ scenarios:
   fidelity, since amplitude damping, the weak measurement and the Pauli
   corrections all commute with Z rotations.
 
-Both hold for `run_protocol`, for `_run_rows` with `_row_totals`, and for
-the totals of the extra rows that the input average folds with its
-nodes."""
+Both hold for `run_protocol`, and for `_run_rows` with `_row_totals`,
+the totals-only entry that a `--pop0` sweep reads. The input average has
+no input rows to swap or turn."""
 import math
 
 import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bqtsim.metrics import _average_fidelities
 from bqtsim.protocol import QubitInput, Scenario, _row_totals, _run_rows, distribute, run_protocol
 
 # Branch k = 4(i-1) + (j-1) of the swapped inputs is branch (j, i).
@@ -44,13 +43,11 @@ def points(draw):
 
 def branch_values(scenario, p, q_w, rows) -> tuple:
     """The rows' (N, 16) joint, weight, fidelity and degenerate arrays, their
-    recovered and corrected states, and their three totals, which the input
-    average gives bit for bit when they are its extra rows."""
+    recovered and corrected states, and their three totals from the
+    totals-only entry."""
     dist, _ = distribute(scenario, p)
     branches = _run_rows(dist, scenario, q_w, rows)
     (totals,) = _row_totals(dist, scenario, [q_w], rows)
-    _, (extra,) = _average_fidelities(dist, scenario, [q_w], extra=rows)
-    assert np.array(extra)[:, 0].tobytes() == np.array(totals).tobytes()
     scalars = (branches.joint, branches.weight, branches.fidelity, branches.degenerate)
     return scalars, (branches.recovered, branches.corrected), totals
 

@@ -43,14 +43,18 @@ targets:
   branches       cli.main of `branches --scenario all-adc --p 0.4 --qw 0.2`,
                  the single-point branch table, stdout captured
   average64      metrics._average_fidelities, 64 nodes, two q_w
-  average-extra  the same call with the sweep's g_total row [0.5, 0, 0.5, 0]
-                 folded with the nodes, as fav-sweep's grid items make it
+  average-extra  the same call as fav-sweep's grid items make it: on a tree
+                 whose input average folds extra input rows with the nodes,
+                 with the sweep's g_total row [0.5, 0, 0.5, 0]; on a later
+                 one, which averages g_total with f_av, the call of average64
   average-stack  check 3's call: metrics._average_fidelities over 51
-                 unprotected-all states, 32 nodes, one extra row
+                 unprotected-all states, 32 nodes, with the row
+                 [0.4, 0, 0.8, 0] on a tree that folds extra rows
   average-grid   check 7's protected call: metrics._average_fidelities over
                  9 all-adc states (p = 0.1 k, k = 1..9) at those 9 q_w, 32
-                 nodes, with the row [0.5, 0, 0.5, 0]; left out on a tree
-                 whose input average takes one state only
+                 nodes, with the row [0.5, 0, 0.5, 0] on a tree that folds
+                 extra rows; left out on a tree whose input average takes
+                 one state only
   average4096    metrics._average_fidelities of one all-adc state, 4096
                  nodes, two q_w
   run_protocol   one call at an interior point
@@ -167,6 +171,18 @@ def check_call(cli, name: str, args: tuple):
     return lambda: fn(*args)
 
 
+def average_call(metrics, *args, row: list):
+    """A call of `metrics._average_fidelities(*args)` as the tree takes it:
+    with `row` folded with the nodes as an extra input row on a tree whose
+    input average takes them (an `extra` parameter), as its sweep and
+    checks 3 and 7 called it, and without on a later tree, which averages
+    the success with the fidelity."""
+    fn = metrics._average_fidelities
+    if "extra" in inspect.signature(fn).parameters:
+        return lambda: fn(*args, [row])
+    return lambda: fn(*args)
+
+
 def tried(fn):
     """fn, or None if one call of it raises TypeError or ValueError, as an
     older tree's entry point does on arguments it does not take (a
@@ -273,13 +289,13 @@ def targets(pkg) -> dict:
     found["parse-fallback"] = parse_only(cli, SWEEP_ABBREVIATED + ["--ou", sweep_out[-1]])
     found["branches"] = lambda: quiet(cli.main, BRANCHES)
     found["average64"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64))
-    found["average-extra"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(64), [[0.5, 0, 0.5, 0]])
-    found["average-stack"] = lambda: metrics._average_fidelities(stack, bare, [0.0], rule(32), [[0.4, 0.0, 0.8, 0.0]])
+    found["average-extra"] = average_call(metrics, dist, scenario, [0.1, 0.3], rule(64), row=[0.5, 0, 0.5, 0])
+    found["average-stack"] = average_call(metrics, stack, bare, [0.0], rule(32), row=[0.4, 0.0, 0.8, 0.0])
     # Check 7's protected call: its 9 p, each at its 9 q_w.
     trade = [0.1 * k for k in range(1, 10)]
     trade_dists = np.stack([protocol.distribute(scenario, p)[0] for p in trade])
     found["average-grid"] = tried(
-        lambda: metrics._average_fidelities(trade_dists, scenario, trade, rule(32), [[0.5, 0.0, 0.5, 0.0]])
+        average_call(metrics, trade_dists, scenario, trade, rule(32), row=[0.5, 0.0, 0.5, 0.0])
     )
     found["average4096"] = lambda: metrics._average_fidelities(dist, scenario, [0.1, 0.3], rule(4096))
     found["run_protocol"] = lambda: protocol.run_protocol(scenario, 0.4, 0.25, alice, bob)

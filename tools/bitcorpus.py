@@ -17,12 +17,12 @@ least one bit. The families:
   _run_rows      every _Branches array and the rows' totals, 1-100 rows, one
                  float q_w and one q_w per row; the totals come from
                  _row_totals on the same rows and q_w
-  average        _average_fidelities at 8-128 nodes, p = q_w = 1 included,
-                 and the paths of the sweep's g_total and of verify checks
-                 2, 3 and 7: a stack of states, one q_w per state, and
-                 extra input rows, with one state, one q_w and one row
-                 among them; all three of the extra rows' totals (success,
-                 fidelity and post-selected)
+  average        _average_fidelities' f_av and g at 8-128 nodes, p = q_w = 1
+                 included, and the paths of the sweep and of verify checks
+                 2, 3 and 7: a stack of states, one q_w per state, and one
+                 state at one q_w. On a tree that folds extra input rows
+                 with the nodes, g is the success of the sweep's row
+                 [0.5, 0, 0.5, 0], the g_total its sweep printed
   entropy        entanglement_entropy_bob of one state at a time, 4
                  scenarios x 29 p; of both protected scenarios' 51-p curve
                  as one stack; and of a stack of 400 random states whose
@@ -64,6 +64,7 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -265,6 +266,25 @@ def family_run_rows(out, bq, protocol) -> int:
     return count
 
 
+# The sweep's g_total row, which a tree that folds extra input rows with
+# the nodes takes its averaged g from.
+SWEEP_ROW = [0.5, 0.0, 0.5, 0.0]
+AVERAGES = ("f_av", "g")
+
+
+def averaged(metrics, dist, scenario, qs, points: int) -> tuple:
+    """The input average's f_av and g at each q_w, as two arrays, on either
+    kind of tree: as they are from a tree whose `_average_fidelities`
+    returns both; from an older one, which takes extra input rows (an
+    `extra` parameter), f_av and the success of `SWEEP_ROW` folded with
+    the nodes."""
+    fn = metrics._average_fidelities
+    if "extra" not in inspect.signature(fn).parameters:
+        return tuple(np.array(part) for part in fn(dist, scenario, qs, points))
+    f_avs, totals = fn(dist, scenario, qs, points, [SWEEP_ROW])
+    return np.array(f_avs), np.array([success[..., 0] for success, _, _ in totals]).reshape(np.shape(f_avs))
+
+
 def family_average(out, bq, metrics) -> int:
     count = 0
     for scenario in bq.Scenario:
@@ -273,47 +293,30 @@ def family_average(out, bq, metrics) -> int:
             qs = [0.0, 1e-12, p, 0.5, 1.0 - 1e-9, 1.0] if scenario.protected else [0.0]
             for points in NODE_COUNTS:
                 case = f"{scenario.value} p={p!r} q_w={qs} {points} nodes"
-                names = [f"f_av at q_w={q}" for q in ("0", "1e-12", "p", "0.5", "1-1e-9", "1")[: len(qs)]]
-                out(case, metrics._average_fidelities(dist, scenario, qs, points), names)
+                out(case, averaged(metrics, dist, scenario, qs, points), AVERAGES)
                 count += 1
     return count + average_stacks(out, bq, metrics)
 
 
-# Input rows folded with the nodes: the sweep's row at pop0 = 0.5, check 3's
-# and one at the edges of both parties' populations.
-EXTRA_ROWS = ([0.5, 0.0, 0.5, 0.0], [0.4, 0.0, 0.8, 0.0], [1.0, 0.0, 0.0, 2.5])
-
-
 def average_stacks(out, bq, metrics) -> int:
     """The input average over a stack of states, with a float q_w and one
-    q_w per state, and with extra input rows; then each state alone with
-    one q_w and one extra row, as a fixed-q_w sweep folds its g_total row,
-    and with all three rows. Each call's averages and each of the extra
-    rows' three totals are hashed as one array each, so that `--against`
-    reports them as four fields."""
+    q_w per state; then each state alone at one q_w, as a fixed-q_w sweep
+    averages it."""
     count = 0
-    names = ("f_av",) + TOTALS
-
-    def item(result):
-        averages, totals = result if isinstance(result, tuple) else (result, ())
-        return (np.array(averages), *(np.array([total[t] for total in totals]) for t in range(3)))
-
     for scenario in bq.Scenario:
         ps = P_GRID[::3] + (1.0,)
         stack = np.stack([bq.distribute(scenario, p)[0] for p in ps])
         edges = (0.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0) if scenario.protected else (0.0,)
         qs = [*edges, list(ps)] if scenario.protected else [0.0, [0.0] * len(ps)]
         for points in (8, 32, 64):
-            for rows in (None, EXTRA_ROWS[:1], EXTRA_ROWS):
-                case = f"{scenario.value} stack p={ps} q_w={qs[:-1]} and one per state, {points} nodes, rows {rows}"
-                out(case, item(metrics._average_fidelities(stack, scenario, qs, points, rows)), names)
-                count += 1
+            case = f"{scenario.value} stack p={ps} q_w={qs[:-1]} and one per state, {points} nodes"
+            out(case, averaged(metrics, stack, scenario, qs, points), AVERAGES)
+            count += 1
         for p, dist in zip(ps, stack):
             for q in edges + ((p,) if scenario.protected else ()):
-                for rows in (EXTRA_ROWS[:1], EXTRA_ROWS):
-                    case = f"{scenario.value} p={p!r} q_w={q!r} 64 nodes, rows {rows}"
-                    out(case, item(metrics._average_fidelities(dist, scenario, [q], 64, rows)), names)
-                    count += 1
+                case = f"{scenario.value} p={p!r} q_w={q!r} 64 nodes"
+                out(case, averaged(metrics, dist, scenario, [q], 64), AVERAGES)
+                count += 1
     return count
 
 
