@@ -304,13 +304,11 @@ RESOURCE = np.frombuffer(_RESOURCE_BYTES, dtype=complex).reshape(2, 4, 4)
 # Outcome index (0-based) -> correction unitary.
 _CORR_UNITARIES = np.stack((I2, SZ, SX, SX @ SZ))
 
-
-def _one_source(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The column and the real coefficient of the one nonzero entry in each
-    row of a stack of linear maps, rows over outputs and columns over
-    sources."""
-    source = np.abs(maps).argmax(axis=-1)
-    return source, np.take_along_axis(maps, source[..., None], axis=-1)[..., 0].real
+# Conjugation by each U_k as a (4, 4, 4) entry map of a 2x2 state, from
+# source entry (s, t) to output entry (r, c): (U_k Y U_k^dag)[r, c] =
+# sum_st U_k[r, s] Y[s, t] U_k[c, t]^*. Each U_k is a signed permutation,
+# so each output reads one source, with coefficient +-1.
+_TURN = np.einsum("krs,kct->kstrc", _CORR_UNITARIES, _CORR_UNITARIES.conj()).reshape(4, 4, 4)
 
 
 def _fold_maps() -> np.ndarray:
@@ -358,46 +356,38 @@ def _packed(maps: np.ndarray) -> np.ndarray:
 # by tests/test_kernel.py::test_bob_fold_map_is_alices_on_distributed_states).
 _FOLD_TABLE = _packed(_fold_maps()).reshape(16, 32)
 
-# Conjugation by each correction unitary U_k, a signed permutation with
-# U_k[r, c_r] = s_r, as an entry map of a 2x2 state: (U_k Y U_k^dag)[r, c] =
-# s_r s_c Y[c_r, c_c]. Output entry e = 2r + c of outcome k reads source
-# entry _TURN_SOURCE[4k + e] and takes sign _TURN_SIGN[4k + e].
-_TURN_SOURCE, _TURN_SIGN = _one_source(
-    np.einsum("krs,kct->krcst", _CORR_UNITARIES, _CORR_UNITARIES.conj()).reshape(16, 4)
-)
-
-# A party's outcome states as the real view of the packed fold, (X00, X11,
-# Re X10, Im X10) per outcome: entry e = 2r + c of a 2x2 state is the
-# packed slot _ENTRY_SLOT[e] times _ENTRY_SIGN[e], real part then imaginary.
-# The diagonal's imaginary parts are 0, and Im X01 is -Im X10.
-_ENTRY_SLOT, _ENTRY_SIGN = np.array([[0, 0], [2, 3], [2, 3], [1, 0]]), np.array([[1, 0], [1, -1], [1, 1], [1, 0]])
-# _STATE_GATHER indexes one party's 16 packed reals for the real and
-# imaginary parts of its 16 flattened outcome states: each entry as it is,
-# then the source of each turned entry. _STATE_SIGN signs them, shaped as
-# one row so that a one-row product needs no broadcast, and _STATE_SCALE
-# picks the entry of a weak pair (D0^2, D0 D1, D1 D0, D1^2) = (top^2, top,
-# top, 1) that scales each: its last, exactly 1.0, for the unturned half,
-# and the pair of each turned entry's source (_TURN_SOURCE) for the rest.
-_SOURCES = np.concatenate((np.arange(16), _TURN_SOURCE + 4 * (np.arange(16) // 4)))
-_STATE_GATHER = ((4 * (_SOURCES // 4))[:, None] + _ENTRY_SLOT[_SOURCES % 4]).ravel()
-_STATE_SIGN = (np.concatenate((np.ones(16), _TURN_SIGN))[:, None] * _ENTRY_SIGN[_SOURCES % 4]).reshape(1, 64)
-_STATE_SCALE = np.concatenate((np.full(32, 3), np.repeat(_TURN_SOURCE, 2)))
+# A party's outcome states from the real view of its packed fold, as a
+# (16, 64) real map: rows over the packed reals (X00, X11, Re X10, Im X10)
+# of each outcome, columns over the real and imaginary parts of each entry
+# of the two halves' 32 flattened 2x2 states, each outcome's X and then
+# U_k X U_k^dag (`_TURN`), so the product viewed as complex is those
+# states. _UNPACK writes the four packed reals as the entries of X, X01
+# being conj(X10). Each column reads one packed real with coefficient +-1,
+# so the product is exact but for the sign of a zero.
+# _STATE_SCALE picks the entry of a weak pair (D0^2, D0 D1, D1 D0, D1^2) =
+# (top^2, top, top, 1) that scales each: its last, exactly 1.0, for the
+# unturned half, and that of each turned entry's source for the rest.
+_UNPACK = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0]])
+_STATE_MAP = np.einsum("Kk,sa,hkab->Kshkb", np.eye(4), _UNPACK, np.stack((np.tile(np.eye(4), (4, 1, 1)), _TURN)))
+_STATE_MAP = np.stack((_STATE_MAP.real, _STATE_MAP.imag), axis=-1).reshape(16, 64)
+_STATE_SCALE = np.concatenate((np.full(32, 3), np.repeat(np.abs(_TURN).argmax(axis=1), 2)))
 
 # Entry (2 ra + rb, 2 ca + cb) of branch 4i + j's state XA_i (x) XB_j is
 # XA_i[ra, ca] XB_j[rb, cb]. _KRON_SOURCES holds each party's index into its
-# 32 gathered entries (_STATE_GATHER) of that factor, for both halves of
-# the gather, over the two (16, 4, 4) branch stacks flattened.
+# 32 complex states (`_STATE_MAP`) of that factor, for both halves, over
+# the two (16, 4, 4) branch stacks flattened.
 _KRON_SOURCES = (lambda k, i, j, ra, rb, ca, cb: (16 * k + 4 * i + 2 * ra + ca, 16 * k + 4 * j + 2 * rb + cb))(
     *np.indices((2, 4, 4, 2, 2, 2, 2)).reshape(7, -1)
 )
 
 # The reference each party's outcome-k state meets, transposed: entry
 # (a, b) of outcome k is R'_k[b, a], R'_k = U_k^dag rho U_k, as a linear map
-# of the flattened 2x2 input rho. Packed (`_packed`) with its second map
-# doubled, rho @ _REFERENCE_TABLE viewed as reals gives (R'00, R'11,
-# 2 Re R'01, 2 Im R'01) per outcome. Its entries are 0, +-1, +-i and +-2,
-# so the product is exact.
-_REFERENCE_MAP = np.einsum("krb,kca->rckab", _CORR_UNITARIES.conj(), _CORR_UNITARIES).reshape(4, 4, 4)
+# of the flattened 2x2 input rho. It is the turn's adjoint: R'_k[b, a] =
+# sum_rc rho[r, c] _TURN[k, (b, a), (r, c)]^*. Packed (`_packed`) with its
+# second map doubled, rho @ _REFERENCE_TABLE viewed as reals gives (R'00,
+# R'11, 2 Re R'01, 2 Im R'01) per outcome. Its entries are 0, +-1, +-i and
+# +-2, so the product is exact.
+_REFERENCE_MAP = np.einsum("kbarc->rckab", _TURN.conj().reshape(4, 2, 2, 2, 2)).reshape(4, 4, 4)
 _REFERENCE_TABLE = (_packed(_REFERENCE_MAP) * [1, 2]).reshape(4, 8)
 
 
@@ -862,13 +852,12 @@ def _correct_branches(traces: np.ndarray, weights: np.ndarray, numerators: np.nd
     # guarded weight, the products of its parties'.
     branch = _outer(np.array((traces, terms[0], terms[1], guarded)).swapaxes(0, 1))
     norm = branch[3]
-    # Each party's outcome states and, after them, the same scaled by the
-    # weak pair and turned by its Pauli: one gather of the packed reals and
-    # one multiply by their signs times the weak pair of each (D1^2 = 1.0,
-    # its last entry, for the unturned half). One more gather per party and
-    # one product kron the two parties' complex states of both halves.
-    scale = pair.take(_STATE_SCALE, axis=1) * _STATE_SIGN
-    states = (packed.reshape(2, -1, 16).take(_STATE_GATHER, axis=2) * scale).view(complex)
+    # Each party's outcome states and, after them, the same turned by its
+    # Pauli: one exact product with `_STATE_MAP`, then one multiply by the
+    # weak pair of each entry's source (D1^2 = 1.0 for the unturned half).
+    # One gather per party and one product kron the two parties' complex
+    # states of both halves.
+    states = ((packed.reshape(2, -1, 16) @ _STATE_MAP) * pair.take(_STATE_SCALE, axis=1)).view(complex)
     kron = states[0].take(_KRON_SOURCES[0], axis=1) * states[1].take(_KRON_SOURCES[1], axis=1)
     halves = kron.reshape(-1, 2, 16, 4, 4).swapaxes(0, 1)
     # A complex state over a real weight is its real and imaginary parts

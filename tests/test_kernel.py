@@ -607,6 +607,40 @@ def test_packed_fold_matches_explicit_contraction(scenario):
         assert np.abs(numerators[party] - numerator).max() <= 1e-15
 
 
+def test_state_map_unpacks_and_turns_each_outcome():
+    """`_correct_branches`' map on a party's packed reals (X00, X11, Re X10,
+    Im X10) of each outcome k gives X's entries and U_k X U_k^dag exactly,
+    U_k from `_CORR_UNITARIES` and the product written out in 2x2; scaled
+    by a weak pair through `_STATE_SCALE`, the unturned half takes D1^2 and
+    each turned entry the pair entry D_a D_b of its source, so the turned
+    half is U_k (X * D) U_k^dag. Seeded random Hermitian states, a different
+    one per outcome and row, with exact-zero diagonals, real and imaginary
+    parts and whole states among them; the pair's four entries are drawn
+    apart, so no index can stand in for another."""
+    rng = np.random.default_rng(4099)
+    n = 24
+    diagonal = rng.standard_normal((n, 4, 2))
+    off = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    diagonal[:6, :, 0] = 0.0
+    diagonal[3:9, :, 1] = 0.0
+    off.real[6:12] = 0.0
+    off.imag[9:15] = 0.0
+    diagonal[-1], off[-1] = 0.0, 0.0
+    x = np.zeros((n, 4, 2, 2), dtype=complex)
+    x[..., 0, 0], x[..., 1, 1] = diagonal[..., 0], diagonal[..., 1]
+    x[..., 1, 0], x[..., 0, 1] = off, off.conj()
+    packed = np.stack((diagonal[..., 0], diagonal[..., 1], off.real, off.imag), axis=-1).reshape(n, 16)
+    pair = rng.random((n, 4)) + 0.5
+    reals = packed @ protocol._STATE_MAP
+    states = reals.view(complex).reshape(n, 2, 4, 2, 2)
+    scaled = (reals * pair.take(protocol._STATE_SCALE, axis=1)).view(complex).reshape(n, 2, 4, 2, 2)
+    np.testing.assert_array_equal(states[:, 0], x)
+    np.testing.assert_array_equal(scaled[:, 0], x * pair[:, None, None, None, 3])
+    for k, u in enumerate(protocol._CORR_UNITARIES):
+        np.testing.assert_array_equal(states[:, 1, k], u @ x[:, k] @ u.conj().T)
+        np.testing.assert_array_equal(scaled[:, 1, k], u @ (x[:, k] * pair.reshape(n, 2, 2)) @ u.conj().T)
+
+
 # Every p the mirror is pinned at: a 2001-point grid, 1 - 10^-k for k =
 # 1..16, and two tiny p, one of them subnormal.
 MIRROR_PS = [*np.linspace(0.0, 1.0, 2001).tolist(), *(1.0 - 10.0**-k for k in range(1, 17)), 5e-324, 1e-300]

@@ -69,6 +69,11 @@ targets:
   entropy        metrics.entanglement_entropy_bob of that distributed state
   entropy-curve  cli.main(["entropy"]), the 51-p curves, stdout captured
   outcomes       the 16 BranchOutcome views of a one-row _run_rows result
+  correct1       protocol._correct_branches alone, on inputs built once as
+                 an owned call builds them: one row, one all-adc state at
+                 p = 0.4 and q_w = 0.25, as point-mc runs it
+  correct15      the same on check 5-6's shape: 15 rows over the all-adc
+                 states at p = 0.2, 0.5 and 0.8, five rows each, q_w = 0
   rows1..rows64  protocol._row_totals of 1, 32 and 64 input rows
   rows1000       check 1's call: protocol._row_totals over 10 all-adc
                  states (p = 0, 0.1, ..., 0.9) of 100 input rows each, with
@@ -128,7 +133,7 @@ CHECKS = {
 }
 NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "sweep-round", "parse", "parse-fallback", "branches", "average64", "average-extra",
          "average-stack", "average-grid", "average4096", "run_protocol", "point-mc", "distribute", "distribute-stack",
-         "entropy", "entropy-curve", "outcomes", "rows1", "rows32", "rows64", "rows1000")
+         "entropy", "entropy-curve", "outcomes", "correct1", "correct15", "rows1", "rows32", "rows64", "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
@@ -192,6 +197,20 @@ def tried(fn):
     except (TypeError, ValueError):
         return None
     return fn
+
+
+def correct_call(protocol, dist, scenario, q_w, rows):
+    """A call of `protocol._correct_branches` alone, on the states, factors
+    and weak pair an owned call of `rows` over `dist` at q_w builds before
+    it, built once here; None on a tree that lacks one of those steps."""
+    try:
+        rho = protocol._row_inputs(rows, protocol._groups(dist))
+        packed, pair = protocol._fold(dist, rho), protocol._weak_pairs(q_w, scenario, len(rows))
+        weight, numerator = protocol._party_factors(packed, protocol._references(rho), pair)
+    except (AttributeError, TypeError, ValueError):
+        return None
+    traces = packed[..., 0] + packed[..., 1]
+    return tried(lambda: protocol._correct_branches(traces, weight, numerator, pair, packed))
 
 
 def point_mix(protocol) -> list:
@@ -307,6 +326,9 @@ def targets(pkg) -> dict:
     found["entropy-curve"] = lambda: quiet(cli.main, ["entropy"])
     branches = protocol._run_rows(dist, scenario, 0.25, rows[:1])
     found["outcomes"] = branches.outcomes
+    found["correct1"] = correct_call(protocol, dist, scenario, 0.25, [[0.3, 1.1, 0.6, 2.0]])
+    sample = np.stack([protocol.distribute(scenario, p)[0] for p in (0.2, 0.5, 0.8)])
+    found["correct15"] = correct_call(protocol, sample, scenario, 0.0, rows[:15])
     for n in (1, 32, 64):
         found[f"rows{n}"] = lambda n=n: protocol._row_totals(dist, scenario, [0.25], rows[:n])
     # Check 1's call at grid 10: ten input draws per q_w at each p, one q_w per row.
