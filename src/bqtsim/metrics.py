@@ -68,15 +68,17 @@ def _nodes_weights(points: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=8)
 def _node_states(points: int) -> tuple[np.ndarray, np.ndarray]:
     """The input states of the `points`-node input average and their
-    packed references (`protocol._references`), as two read-only arrays
-    that every state of a fold shares (`protocol._node_integrands`).
+    packed class references (`protocol._references` with `classes`), as
+    two read-only arrays that every state of a fold shares
+    (`protocol._node_integrands`).
 
     Every input is one party's: on a `distribute` state both parties fold
     through the same map (`protocol._fold`), so the node states are folded
-    once, for Alice and Bob alike. The inputs are the (1, 1, n, 2, 2) stack
-    of the nodes, and the references are (1, n, 4, 4)."""
+    once, for Alice and Bob alike, and one outcome per Z-partner class,
+    outcomes 1 and 3. The inputs are the (1, 1, n, 2, 2) stack of the
+    nodes, and the references are (1, n, 2, 4)."""
     inputs = _input_densities(_nodes_weights(points)[0]).reshape(1, 1, points, 2, 2)
-    references = _references(inputs)
+    references = _references(inputs, classes=True)
     inputs.flags.writeable = references.flags.writeable = False
     return inputs, references
 

@@ -39,17 +39,31 @@ neither the 6-qubit state nor, for the totals, any 4x4 branch state is
 built. `_input_densities` is the one place an input (pop0, phase) becomes
 a 2x2 state.
 
-The kernel folds both parties through one map. Each Bell ket is
-symmetric or antisymmetric under exchanging its qubits, so Bob's fold map
-read off rho_34 is Alice's read off SWAP rho_34 SWAP; and the damping is
-mirror-symmetric (situation I damps qubits 2 and 3, situation II all
-four), so every state `distribute` returns has rho_34 = SWAP rho_12 SWAP
-bit for bit. Bob's map therefore equals Alice's bit for bit, and the
-kernel reads only Alice's, off rho_12 (`_fold_maps`, `_FOLD_TABLE`).
+The kernel rests on two facts of every state `distribute` returns, each
+bit for bit:
+
+- the mirror. Each Bell ket is symmetric or antisymmetric under
+  exchanging its qubits, so Bob's fold map read off rho_34 is Alice's
+  read off SWAP rho_34 SWAP; and the damping is mirror-symmetric
+  (situation I damps qubits 2 and 3, situation II all four), so rho_34 =
+  SWAP rho_12 SWAP. Bob's map therefore equals Alice's, and the kernel
+  folds both parties through one map, Alice's, read off rho_12
+  (`_fold_maps`, `_FOLD_TABLE`);
+- the Z-partners. Outcomes 1 and 2, and likewise 3 and 4, differ by a Z
+  that their corrections undo, and the damping commutes with Z (x) Z, so
+  each such pair of a party's outcomes has the same trace, success
+  weight and fidelity numerator. The calls that only sum the outcomes,
+  `_row_totals` and the input average, fold one outcome per class, 1
+  and 3 (`_CLASS_FOLD_TABLE`), and count each twice (`_SUM_SLOTS`).
+
 That makes it a precondition of every kernel entry that the distributed
-state is one `distribute` returned; a pair stack that is not such a
-mirror image gives Bob wrong states. `tests/test_kernel.py::
-test_bob_fold_map_is_alices_on_distributed_states` pins the fact, and
+state is one `distribute` returned: a pair stack that breaks the mirror
+gives Bob wrong states, and one that breaks the Z-partners wrong sums.
+No entry checks it, since a check on every call would cost the one-row
+path. `tests/test_kernel.py::test_bob_fold_map_is_alices_on_distributed_states`
+and `test_outcome_partners_share_factors_on_distributed_states` pin the
+two facts; `tests/test_cli.py::test_every_folded_state_is_a_mirror_image`
+holds every state a verify and a fav-sweep round fold to both; and
 `test_packed_fold_matches_explicit_contraction` holds Bob's folded
 states against his own contraction over rho_34.
 
@@ -62,15 +76,19 @@ i X11 and B = X10, each complex-linear in the input: one complex product
 with half the output a 2x2 stack would take, read as the reals (X00,
 X11, Re X10, Im X10). The reference R' = U_k^dag rho U_k each outcome's
 state meets is packed the same way (`_references`), and each outcome's
-trace is taken after the factors. An owned call then corrects at each
-q_w (`_correct_branches`). A totals-only call writes its references into
-the fold's own array, frees both, the call's largest array, and takes
-each q_w's totals from the party sums alone (`_party_totals`):
-with fewer arrays beside it, glibc's trim threshold, twice the largest
-block a process has freed, stays above the call's peak, so a stacked
-call does not return its temporaries to the OS and fault them in again
-on every call. `_run_rows` returns arrays the caller owns, fresh on
-every call and shared with no other result: every branch value the
+trace is taken after the factors. An owned call folds all four outcomes,
+since it forms every branch, and then corrects at each q_w
+(`_correct_branches`). A totals-only call folds one outcome per
+Z-partner class, writes its references into the fold's own array, frees
+both, the call's largest array, and takes each q_w's totals from the
+party sums alone (`_party_totals`): with fewer arrays beside it, glibc's
+trim threshold, twice the largest block a process has freed, stays above
+the call's peak, so a stacked call does not return its temporaries to
+the OS and fault them in again on every call. That array is allocated at
+the four outcomes' size, the classes filling half of it, since at half
+the size the threshold fell below the peak of a verify check's call.
+`_run_rows` returns arrays the caller owns, fresh on every call and
+shared with no other result: every branch value the
 outer product of the two parties' and the (N, 16, 4, 4) recovered and
 corrected states each a kron of two per-party 2x2 states (`run_protocol`
 sends its one row through it, and its `BranchOutcome` records are views
@@ -110,7 +128,8 @@ is annihilated, and the live branches are the ones the totals sum.
 
 The input average's kernel, `_node_integrands`, sits beside the
 orchestration: it checks every q_w, folds the node states that every
-state shares once, as one party's inputs, against their references,
+state shares once, as one party's inputs, one outcome per Z-partner
+class, against their references,
 contracts every q_w at once into the factors, frees the fold, and gives
 two integrands at each node (`_party_integrand`): the fidelity, which
 applies the same predicate to the party's own factors, and the success
@@ -390,6 +409,19 @@ _KRON_SOURCES = (lambda k, i, j, ra, rb, ca, cb: (16 * k + 4 * i + 2 * ra + ca, 
 _REFERENCE_MAP = np.einsum("kbarc->rckab", _TURN.conj().reshape(4, 2, 2, 2, 2)).reshape(4, 4, 4)
 _REFERENCE_TABLE = (_packed(_REFERENCE_MAP) * [1, 2]).reshape(4, 8)
 
+# Outcomes 1 and 2, and likewise 3 and 4, are Z-partners: on every state
+# `distribute` returns, outcome 2's packed state is outcome 1's with B =
+# X10 negated, and so is its reference, so the two have the same trace,
+# weight and fidelity numerator, bit for bit (the module docstring). Calls
+# that only sum the outcomes fold one outcome per class, 1 and 3, through
+# these column slices of the outcome tables, and count each twice
+# (`_SUM_SLOTS`).
+_CLASS_FOLD_TABLE = _FOLD_TABLE.reshape(16, 4, 4, 2)[:, :, [0, 2]].reshape(16, 16)
+_CLASS_REFERENCE_TABLE = _REFERENCE_TABLE.reshape(4, 4, 2)[:, [0, 2]].reshape(4, 4)
+# Each route's fold table, reference table and outcome count: the four
+# outcomes, or one per class (`_fold`'s `classes`).
+_TABLES = ((_FOLD_TABLE, _REFERENCE_TABLE, 4), (_CLASS_FOLD_TABLE, _CLASS_REFERENCE_TABLE, 2))
+
 
 @functools.cache
 def _branch_contractions() -> np.ndarray:
@@ -655,12 +687,16 @@ def _groups(dist: np.ndarray) -> int:
     return len(dist) if dist.ndim == 4 else 1
 
 
-def _fold(dist: np.ndarray, rho: np.ndarray, references: bool = False):
+def _fold(dist: np.ndarray, rho: np.ndarray, classes: bool = False, references: bool = False):
     """Each party's recovered 2x2 states of every outcome, XA_i on qubit 2
     and XB_j on qubit 3, as the real view of two complex numbers per
     outcome, A = X00 + i X11 and B = X10 (`_packed`): the (parties, N, 4,
     4) stack (X00, X11, Re X10, Im X10) of each outcome, with the inputs'
-    party axis. X01 is conj(X10).
+    party axis. X01 is conj(X10). With `classes`, only outcomes 1 and 3,
+    one per Z-partner class, through `_CLASS_FOLD_TABLE`: (parties, N, 2,
+    4), for a call that only sums the outcomes and counts each class twice
+    (`_SUM_SLOTS`); on a `distribute` state outcomes 2 and 4 add the same
+    bits.
 
     dist is one distributed state as its (2, 4, 4) pair stack (rho_12,
     rho_34), or a (G, 2, 4, 4) stack of them whose state g serves the g-th
@@ -673,7 +709,7 @@ def _fold(dist: np.ndarray, rho: np.ndarray, references: bool = False):
     equals Alice's bit for bit (pinned by `tests/test_kernel.py::
     test_bob_fold_map_is_alices_on_distributed_states`), so rho_34 is never
     read, and a stack not made by `distribute` gets wrong states for Bob.
-    One exact product with `_FOLD_TABLE` reads every state's
+    One exact product with the fold table reads every state's
     packed map off its first pair, and one batched complex product folds
     the inputs of each party and group through it, the same product one
     state alone would get, so a row's bits do not depend on the other
@@ -681,35 +717,45 @@ def _fold(dist: np.ndarray, rho: np.ndarray, references: bool = False):
     final reshape are views, not copies.
 
     With `references`, for inputs that are each group's own (groups is G),
-    it also takes each row's packed references (`_references`) and writes
-    both products into one array: returns (states, references), two
-    (parties, N, 4, 4) views of it, with the bits of the two products
-    apart. A totals-only call's largest array then holds both and is freed
-    before its totals, which keeps glibc's trim threshold, twice the
-    largest block freed, above the call's peak, so a call of many rows does
-    not hand its temporaries back to the OS and fault them in again every
-    time. An owned call keeps its fold and takes its references apart
-    (`_references`), which at one row costs fewer numpy calls.
+    it also takes each row's packed references (`_references`, with the
+    same `classes`) and writes both products into one array: returns
+    (states, references), two views of it, with the bits of the two
+    products apart. A totals-only call's largest array then holds both and
+    is freed before its totals, which keeps glibc's trim threshold, twice
+    the largest block freed, above the call's peak, so a call of many rows
+    does not hand its temporaries back to the OS and fault them in again
+    every time. The array is allocated at the four outcomes' size either
+    way, so the classes leave its second half unwritten: at half the size
+    the threshold falls with it, and verify's check 1 call (10 states of
+    100 rows) faulted 72 pages per call, where it faults none. An owned
+    call keeps its fold and takes its references apart (`_references`),
+    which at one row costs fewer numpy calls.
     """
-    maps = np.dot(dist.reshape(-1, 2, 16)[:, 0], _FOLD_TABLE).reshape(-1, 4, 8)
+    fold, reference, outcomes = _TABLES[classes]
+    maps = np.dot(dist.reshape(-1, 2, 16)[:, 0], fold).reshape(-1, 4, 2 * outcomes)
     parties, inputs = len(rho), rho.reshape(rho.shape[:3] + (4,))
     if not references:
-        return np.matmul(inputs, maps, order="C").view(float).reshape(parties, -1, 4, 4)
-    both = np.empty((2,) + inputs.shape[:3] + (8,), dtype=complex)
+        return np.matmul(inputs, maps, order="C").view(float).reshape(parties, -1, outcomes, 4)
+    # The states and the references fill the first two of as many halves as
+    # the four outcomes' would take (see above).
+    both = np.empty((8 // outcomes,) + inputs.shape[:3] + (2 * outcomes,), dtype=complex)
     np.matmul(inputs, maps, out=both[0])
-    np.matmul(inputs.reshape(parties, -1, 4), _REFERENCE_TABLE, out=both[1].reshape(parties, -1, 8))
-    both = both.view(float).reshape(2, parties, -1, 4, 4)
+    np.matmul(inputs.reshape(parties, -1, 4), reference, out=both[1].reshape(parties, -1, 2 * outcomes))
+    both = both.view(float).reshape(len(both), parties, -1, outcomes, 4)
     return both[0], both[1]
 
 
-def _references(rho: np.ndarray) -> np.ndarray:
+def _references(rho: np.ndarray, classes: bool = False) -> np.ndarray:
     """The packed references (R'00, R'11, 2 Re R'01, 2 Im R'01) of each
     outcome, R' = U_k^dag rho U_k, that the fidelity reads each party's
     outcome state against, F[a, b] = Re(X[a, b] R'[b, a]): (parties, rows,
     4, 4) for inputs rho as `_fold` takes them, which keep their party axis
-    and their rows. One product per party over all its rows, exact: each
-    entry of a reference is one input entry, signed or doubled."""
-    return (rho.reshape(len(rho), -1, 4) @ _REFERENCE_TABLE).view(float).reshape(len(rho), -1, 4, 4)
+    and their rows; with `classes`, outcomes 1 and 3 only, (parties, rows,
+    2, 4), as `_fold` takes them. One product per party over all its rows,
+    exact: each entry of a reference is one input entry, signed or
+    doubled."""
+    _, table, outcomes = _TABLES[classes]
+    return (rho.reshape(len(rho), -1, 4) @ table).view(float).reshape(len(rho), -1, outcomes, 4)
 
 
 def _outer(values: np.ndarray) -> np.ndarray:
@@ -752,32 +798,43 @@ def _annihilated(traces: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (traces <= _TOL) | (weights < _TOL)
 
 
+# The slices a party sum adds, in order, by the length of the outcome
+# axis: the four outcomes, or the two Z-partner classes (`_TABLES`), each
+# counted twice. ((c1 + c1) + c3) + c3 has the bits of ((x1 + x2) + x3) +
+# x4 where x2 = x1 and x4 = x3, so both routes' sums have the same bits.
+# Adding a slice at a time is faster than a reduction over a short axis,
+# and whole index tuples cost a one-row call nothing to build.
+_SUM_SLOTS = {4: ((..., 0), (..., 1), (..., 2), (..., 3)), 2: ((..., 0), (..., 0), (..., 1), (..., 1))}
+
+
 def _party_integrand(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> np.ndarray:
     """One party's two input-average integrands over its four outcomes on
-    the last axis, from each outcome's trace t, success weight w and
+    the last axis, or its two Z-partner classes, each counted twice
+    (`_SUM_SLOTS`), from each outcome's trace t, success weight w and
     fidelity numerator n, stacked on a new first axis: the party's
     outcome-averaged fidelity sum_k t_k n_k / w_k, then its success sum_k
-    w_k.
+    w_k. The input average passes the classes (`_node_integrands`).
 
     An annihilated outcome (`_annihilated`) adds nothing to the fidelity;
-    where every outcome is, the fidelity is NaN. The predicate guards the
-    division by w, and the success divides by nothing, so it sums every
-    outcome's weight, annihilated or not.
+    where every outcome is (both classes), the fidelity is NaN. The
+    predicate guards the division by w, and the success divides by
+    nothing, so it sums every outcome's weight, annihilated or not.
     """
     dead = _annihilated(traces, weights)
     # Dividing by infinity zeroes a dead outcome's term.
     terms = np.array((traces * numerators / np.where(dead, _INF, weights), weights))
-    # Both integrands' outcomes add in order, a slice at a time, which is
-    # faster than a reduction over a short axis.
-    sums = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    sums[0][dead[..., 0] & dead[..., 1] & dead[..., 2] & dead[..., 3]] = _NAN
+    a, b, c, d = _SUM_SLOTS[weights.shape[-1]]
+    sums = terms[a] + terms[b] + terms[c] + terms[d]
+    sums[0][dead.all(axis=-1)] = _NAN
     return sums
 
 
 def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarray) -> tuple:
     """Each row's (total_success, total_fidelity, postselected_fidelity)
     from its two parties' (2, ..., 4) traces t, success weights w and
-    fidelity numerators n (`_party_factors`), one value per outcome.
+    fidelity numerators n (`_party_factors`), one value per outcome, or
+    (2, ..., 2), one per Z-partner class, each counted twice
+    (`_SUM_SLOTS`), as `_row_totals` passes them.
 
     Branch (i, j) takes Alice's factor at outcome i times Bob's at outcome
     j, so each total is a product of two party sums over the outcomes that
@@ -786,17 +843,18 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     the party integrands G = sum t n / w, and the post-selected fidelity
     (sum n_A)(sum n_B) over the success. Each is elementwise in the rows,
     so a row's totals do not depend on the rows beside it. A live outcome
-    has w >= `DEGENERATE_TOL`, so sum w is 0 exactly where every outcome of
-    a party is annihilated: there G, and the total fidelity, is NaN. The
-    post-selected fidelity is NaN also where the success is at or below
-    `DEGENERATE_TOL`.
+    has w >= `DEGENERATE_TOL`, so sum w is 0 exactly where every outcome
+    (both classes) of a party is annihilated: there G, and the total
+    fidelity, is NaN. The post-selected fidelity is NaN also where the
+    success is at or below `DEGENERATE_TOL`.
 
     Returns the totals and the values they are summed from: the
     (3, 2, ..., 4) stack of w, n and t n / w with each annihilated
     outcome's set to 0, and w with each annihilated outcome's set to
-    infinity (guarded). `_correct_branches` forms each branch's values as
-    products of these, so its flags come from this one application of the
-    predicate.
+    infinity (guarded), on the outcomes or classes passed.
+    `_correct_branches` forms each branch's values as products of these,
+    from all four outcomes, so its flags come from this one application of
+    the predicate.
 
     G is `_party_integrand`'s fidelity, formed here beside the two other
     sums in one stack: calling that function as well would apply the
@@ -811,8 +869,8 @@ def _party_totals(traces: np.ndarray, weights: np.ndarray, numerators: np.ndarra
     guarded = np.where(dead, _INF, weights)
     terms = np.array((weights, numerators, traces * numerators / guarded))
     np.copyto(terms, _ZERO, where=dead)
-    # The outcomes add in order, a slice at a time, as `_party_integrand`'s do.
-    sums = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+    a, b, c, d = _SUM_SLOTS[weights.shape[-1]]
+    sums = terms[a] + terms[b] + terms[c] + terms[d]
     sums[2][sums[0] == _ZERO] = _NAN
     # (success, post-selected numerator, fidelity), indexed: unpacking an
     # array iterates it, which at one row costs twice as much.
@@ -888,25 +946,28 @@ def _fold_and_correct(dist: np.ndarray, scenario: Scenario, q_ws, rows, owned: b
     corrected at each entry of `q_ws` (a float, or one value per row): one
     pair (totals, branches) per entry, made once every entry is checked.
     With `owned` the branches are a `_Branches` whose arrays the caller
-    owns (`_correct_branches`); without, they are None, no branch is
-    formed and the totals come from `_party_totals` alone.
+    owns (`_correct_branches`), from a fold of all four outcomes; without,
+    they are None, no branch is formed, and the fold takes one outcome per
+    Z-partner class, whose totals come from `_party_totals` alone with the
+    bits of all four.
     """
     rho = _row_inputs(rows, _groups(dist))
     pairs = [_weak_pairs(q_w, scenario, len(rows)) for q_w in q_ws]
-    # Only the owned states read the fold after the factors: a totals-only
-    # call frees it, its largest array, before its totals, so its
+    # Only the owned states read the fold after the factors, and only they
+    # need every outcome: a totals-only call folds one outcome per class
+    # and frees the fold, its largest array, before its totals, so its
     # references go into the fold's own array and leave with it. An owned
     # call keeps the fold, and takes its references as their own product,
     # which at one row costs fewer numpy calls.
-    packed, reference = (_fold(dist, rho), _references(rho)) if owned else _fold(dist, rho, references=True)
+    packed, refs = (_fold(dist, rho), _references(rho)) if owned else _fold(dist, rho, classes=True, references=True)
     # The inputs are folded: free them before the factors.
     del rho
-    factors = [_party_factors(packed, reference, pair) for pair in pairs]
+    factors = [_party_factors(packed, refs, pair) for pair in pairs]
     # The traces are taken after the factors, as the input average takes them.
     traces = packed[..., 0] + packed[..., 1]
     if owned:
         return [_correct_branches(traces, *part, pair, packed) for part, pair in zip(factors, pairs)]
-    del packed, reference
+    del packed, refs
     return [(_party_totals(traces, *part)[0], None) for part in factors]
 
 
@@ -920,14 +981,16 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     Each state is a `distribute` state, so both parties fold through one
     map (`_fold`) and a node's integrands are the same for Alice and Bob,
     bit for bit: they are taken once, for one party, and each input average
-    is the square of its mean. The mirror fact this rests on is pinned by
-    `tests/test_kernel.py::test_bob_fold_map_is_alices_on_distributed_states`.
-    `rho` holds the node states every state shares and `references` their
-    packed references (`_references`), as `metrics._node_states` caches
-    them, as one party's (1, 1, n, 2, 2) stack. Neither is written to.
+    is the square of its mean. And each Z-partner pair of outcomes has the
+    same factors, so the fold takes one outcome per class. The module
+    docstring names both facts and the tests that pin them. `rho` holds the
+    node states every state shares, as one party's (1, 1, n, 2, 2) stack,
+    and `references` their packed class references (`_references` with
+    `classes`), as `metrics._node_states` caches them. Neither is written
+    to.
 
     One fold takes the nodes, and every q_w is contracted at once: the
-    weights and fidelity numerators per outcome (`_party_factors`), then
+    weights and fidelity numerators per class (`_party_factors`), then
     both integrands at each node. Each step is elementwise or a
     contraction over a fixed axis in a fixed order, so a value does not
     depend on the other q_w or states.
@@ -937,8 +1000,8 @@ def _node_integrands(dist: np.ndarray, scenario: Scenario, q_ws, rho: np.ndarray
     pairs = np.empty((len(q_ws), groups, 4))
     for row, q_w in zip(pairs, q_ws):
         row[...] = _weak_pairs(q_w, scenario, groups)
-    # The packed states, (state, node, outcome, entry).
-    packed = _fold(dist, rho).reshape(groups, -1, 4, 4)
+    # The packed states, (state, node, class, entry) as the references.
+    packed = _fold(dist, rho, classes=True).reshape(groups, -1, *references.shape[2:])
     # Every state shares the nodes' references; each q_w's weak pair against
     # (q_w, state, node).
     weight, numerator = _party_factors(packed, references, pairs.reshape(len(pairs), groups, 1, 4))

@@ -687,14 +687,22 @@ def test_verify_and_sweep_fold_blocks_of_p(monkeypatch, capsys):
 
 def test_every_folded_state_is_a_mirror_image(monkeypatch, capsys):
     """The kernel folds Bob's inputs through the map it reads off rho_12,
-    which is his only when rho_34 is SWAP rho_12 SWAP (`protocol._fold`).
-    Every distributed state that reaches the fold in one verify and one
-    fav-sweep round (both protected scenarios at equal p and on a two-q_w
-    grid, both bare ones, at one p) is such a mirror image, bit for bit."""
-    fold, states = protocol._fold, []
+    which is his only when rho_34 is SWAP rho_12 SWAP (`protocol._fold`),
+    and its totals-only calls and input average fold one outcome per
+    Z-partner class, which sums every outcome only when outcome 2's map
+    has outcome 1's A slot and its B slot negated, and outcome 4's outcome
+    3's (`protocol._CLASS_FOLD_TABLE`). Every distributed state that
+    reaches the fold in one verify and one fav-sweep round (both protected
+    scenarios at equal p and on a two-q_w grid, both bare ones, at one p)
+    is such a mirror image, bit for bit, and has such Z-partners, the A
+    slots bit for bit and the B slots by value (their zeros differ in
+    sign). Of verify's 14 folds the 10 of the totals-only calls and the
+    input average take the class route, and so do all 6 of the round's."""
+    fold, states, routes = protocol._fold, [], []
 
     def kept(dist, *args, **kwargs):
         states.append(dist.reshape(-1, 2, 4, 4).copy())
+        routes.append(kwargs.get("classes", False))
         return fold(dist, *args, **kwargs)
 
     monkeypatch.setattr(protocol, "_fold", kept)
@@ -707,10 +715,15 @@ def test_every_folded_state_is_a_mirror_image(monkeypatch, capsys):
         assert main(argv) == 0
     capsys.readouterr()
     assert len(states) == 14 + 6
+    assert (sum(routes[:14]), sum(routes[14:])) == (10, 6)
     pairs = np.concatenate(states)
     # SWAP rho SWAP exchanges the two qubits of each row and column index.
     mirrored = pairs[:, 0].reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 4, 4)
     assert pairs[:, 1].tobytes() == mirrored.tobytes()
+    maps = np.dot(pairs[:, 0].reshape(-1, 16), protocol._FOLD_TABLE).reshape(-1, 4, 4, 2)
+    for first, partner in ((0, 1), (2, 3)):
+        assert maps[..., partner, 0].tobytes() == maps[..., first, 0].tobytes()
+        assert np.array_equal(maps[..., partner, 1], -maps[..., first, 1])
 
 
 def test_sweep_g_total_meets_its_closed_form_at_the_corners(monkeypatch, capsys):

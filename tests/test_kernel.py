@@ -574,7 +574,8 @@ def test_packed_fold_matches_explicit_contraction(scenario):
     of six distributed states. The explicit states are Hermitian, so X01
     is conj(X10), as the packing assumes. The fold that takes the
     references along gives the same states, bit for bit, and the same
-    references as their own product."""
+    references as their own product; with `classes`, both folds give
+    outcomes 1 and 3 of those states and references, bit for bit."""
     rng = np.random.default_rng(271)
     ps = [0.0, 1.0, *rng.random(4).tolist()]
     dists, m = distribute(scenario, ps)[0], 7
@@ -585,6 +586,10 @@ def test_packed_fold_matches_explicit_contraction(scenario):
     packed, reference = protocol._fold(dists, grouped, references=True)
     np.testing.assert_array_equal(packed, protocol._fold(dists, grouped))
     np.testing.assert_array_equal(reference, _references(grouped))
+    for got in (protocol._fold(dists, grouped, classes=True, references=True),
+                (protocol._fold(dists, grouped, classes=True), _references(grouped, classes=True))):
+        for part, whole in zip(got, (packed, reference), strict=True):
+            assert part.tobytes() == whole[:, :, [0, 2]].tobytes()
     pair = (diagonals[:, :, None] * diagonals[:, None, :]).reshape(n, 4)
     weights, numerators = _party_factors(packed, reference, pair)
     bells = protocol._BELL_KETS.reshape(4, 2, 2)
@@ -678,6 +683,78 @@ def test_bob_fold_map_is_alices_on_distributed_states(scenario):
             assert bob_maps[g].tobytes() == alice_maps[g].tobytes(), f"{scenario.value} p={p!r}"
     pairs = np.random.default_rng(307).random((2, 16)) + 0j
     assert not np.array_equal(np.dot(pairs[1], bob), np.dot(pairs[0], protocol._FOLD_TABLE))
+
+
+def partners_match(table: np.ndarray) -> bool:
+    """Whether a packed (..., input entry, outcome, slot) map gives outcome
+    2 the A slot of outcome 1 bit for bit and the B slot negated, and
+    outcome 4 the same of outcome 3. B is compared by value: the negated
+    zeros of one outcome are +0.0 in the other's map."""
+    return all(
+        table[..., partner, 0].tobytes() == table[..., first, 0].tobytes()
+        and np.array_equal(table[..., partner, 1], -table[..., first, 1])
+        for first, partner in ((0, 1), (2, 3))
+    )
+
+
+@pytest.mark.parametrize("scenario", tuple(Scenario))
+def test_outcome_partners_share_factors_on_distributed_states(scenario):
+    """The fact the totals-only calls and the input average rest on when
+    they fold one outcome per Z-partner class: on every state `distribute`
+    returns, from a stack of p or one p at a time, the fold map gives
+    outcome 2 the A slot of outcome 1 bit for bit and the B slot negated,
+    and outcome 4 likewise outcome 3's, and `_REFERENCE_TABLE` does the
+    same, so each pair has the same trace, weight and fidelity numerator.
+    A random pair stack breaks it, so the equality is the states'. Then
+    `_row_totals` and `_average_fidelities` equal, byte for byte, the
+    same calls with the class tables swapped for the four outcomes' ones
+    (`protocol._TABLES`), which sum ((x1 + x2) + x3) + x4: seeded phased
+    rows, q_w in {0, p, 1, 1 - 1e-12} (0 when bare), float and one per row
+    or state, at p in {0, 1, 1 - 1e-9} and a draw."""
+    stack = distribute(scenario, MIRROR_PS)[0]
+    singles = np.stack([distribute(scenario, p)[0] for p in MIRROR_PS])
+    for dists in (stack, singles):
+        maps = np.dot(dists.reshape(-1, 2, 16)[:, 0], protocol._FOLD_TABLE)
+        assert partners_match(maps.reshape(-1, 4, 4, 2)), scenario.value
+    assert partners_match(protocol._REFERENCE_TABLE.reshape(4, 4, 2))
+    pairs = np.random.default_rng(311).random((8, 16)) + 0j
+    assert not partners_match(np.dot(pairs, protocol._FOLD_TABLE).reshape(-1, 4, 4, 2))
+
+    rng = np.random.default_rng(313)
+    ps, m = [0.0, 1.0, 1.0 - 1e-9, float(rng.uniform())], 9
+    dists = distribute(scenario, ps)[0]
+    rows = rng.random((len(ps) * m, 4)) * [1.0, 2.0 * math.pi, 1.0, 2.0 * math.pi]
+    if scenario.protected:
+        row_qs = [0.0, 1.0, 1.0 - 1e-12, np.repeat(ps, m), rng.random(len(rows))]
+        state_qs = [0.0, 1.0, 1.0 - 1e-12, ps]
+    else:
+        row_qs, state_qs = [0.0, np.zeros(len(rows))], [0.0, np.zeros(len(ps))]
+
+    def calls():
+        return [
+            *_row_totals(dists, scenario, row_qs, rows),
+            *(_row_totals(dists[g], scenario, [0.0], rows[:m]) for g in range(len(ps))),
+            *(_average_fidelities(dists, scenario, state_qs, points) for points in (8, 32)),
+            _average_fidelities(dists[2], scenario, state_qs[:1]),
+        ]
+
+    def as_bytes(results) -> list:
+        return [np.array(result).tobytes() for result in results]
+
+    metrics._node_states.cache_clear()
+    classes = as_bytes(calls())
+    outcomes = protocol._TABLES[0]
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "_TABLES", (outcomes, outcomes))
+            metrics._node_states.cache_clear()
+            assert protocol._fold(dists, protocol._row_inputs(rows, len(ps)), classes=True).shape[-2] == 4
+            assert as_bytes(calls()) == classes
+    finally:
+        metrics._node_states.cache_clear()
+    if scenario.protected:
+        # p = q_w = 1 annihilates every outcome: the NaN positions match too.
+        assert np.isnan(_row_totals(dists, scenario, [1.0], rows)[0][1]).any()
 
 
 def test_degenerate_thresholds_are_exact():

@@ -24,6 +24,8 @@ targets:
   check1..check8 each verify check function (checks 5 and 6 share one);
                  each builds the distributed states it reads
   sweep          cli.main of a one-p `sweep`, input-averaged, two q_w rows
+  sweep201       cli.main of ROADMAP item 14's sweep: all-adc, 201 p on
+                 [0, 1], `--qw-mode equal-p`, stdout captured
   sweep-out      the same sweep with `--out`, every call rewriting one file
                  in a temporary directory of the tree's own, as a fav-sweep
                  item rewrites its CSV
@@ -131,9 +133,10 @@ CHECKS = {
     "check7": ("_check_qualitative", ()),
     "check8": ("_check_entropy", ()),
 }
-NAMES = ("verify", *CHECKS, "sweep", "sweep-out", "sweep-round", "parse", "parse-fallback", "branches", "average64", "average-extra",
-         "average-stack", "average-grid", "average4096", "run_protocol", "point-mc", "distribute", "distribute-stack",
-         "entropy", "entropy-curve", "outcomes", "correct1", "correct15", "rows1", "rows32", "rows64", "rows1000")
+NAMES = ("verify", *CHECKS, "sweep", "sweep201", "sweep-out", "sweep-round", "parse", "parse-fallback", "branches",
+         "average64", "average-extra", "average-stack", "average-grid", "average4096", "run_protocol", "point-mc",
+         "distribute", "distribute-stack", "entropy", "entropy-curve", "outcomes", "correct1", "correct15", "rows1",
+         "rows32", "rows64", "rows1000")
 # The p of checks 4 and 8, `cli._EDGE_PS`, spelled out for trees that lack it.
 EDGE_PS = tuple(float(p) for p in np.linspace(0.0, 1.0, 51))
 SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37", "--p-steps", "1",
@@ -141,6 +144,8 @@ SWEEP = ["sweep", "--scenario", "all-adc", "--p-min", "0.37", "--p-max", "0.37",
 # SWEEP with every option abbreviated, `--out` too when it is added.
 SWEEP_ABBREVIATED = ["sweep", "--scen", "all-adc", "--p-mi", "0.37", "--p-ma", "0.37", "--p-st", "1",
                      "--qw-mo", "grid", "--qw-mi", "0", "--qw-ma", "0.8", "--qw-st", "2"]
+SWEEP201 = ["sweep", "--scenario", "all-adc", "--p-min", "0", "--p-max", "1", "--p-steps", "201",
+            "--qw-mode", "equal-p"]
 BRANCHES = ["branches", "--scenario", "all-adc", "--p", "0.4", "--qw", "0.2"]
 
 
@@ -299,6 +304,7 @@ def targets(pkg) -> dict:
     for label, (name, args) in CHECKS.items():
         found[label] = check_call(cli, name, args)
     found["sweep"] = lambda: quiet(cli.main, SWEEP)
+    found["sweep201"] = lambda: quiet(cli.main, SWEEP201)
     out_dir = tempfile.mkdtemp(prefix="abtime-")
     atexit.register(shutil.rmtree, out_dir, True)
     sweep_out = SWEEP + ["--out", os.path.join(out_dir, "sweep.csv")]
